@@ -1,20 +1,29 @@
 #!/usr/bin/env bash
-# Long serving-layer chaos soak: the full-duration seeded sweep over fault
-# rates {0, 0.05, 0.2}, with the JSON-lines records captured into
-# BENCH_serve.json (one "soak-serve" object per rate; the human summary
-# table stays on stderr). Exit status is soak_serve's: non-zero when any
-# serving invariant is violated or bitwise determinism breaks.
+# The four deterministic soaks (serve, fleet, integrity, ota) through the one
+# driver, build/bench/soak. Full mode writes the checked-in records:
+# BENCH_serve.json (serve then fleet records), BENCH_integrity.json and
+# BENCH_ota.json. --quick runs the short sweeps and writes the same three
+# files under build/soak-quick/ instead, so quick runs never touch tracked
+# files. Exit status is non-zero when any soak violates an invariant or its
+# determinism rerun diverges.
 #
-# Usage: scripts/soak.sh [--seed N] [--duration S] [--arrival-hz H]
-#   (defaults: seed 0x5EED, duration 2.0 s, arrival 7000 Hz)
+# Usage: scripts/soak.sh [--quick]
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-OUT="BENCH_serve.json"
+case "${1:-}" in
+  "") QUICK=""; OUT="." ;;
+  --quick) QUICK="--quick"; OUT="build/soak-quick" ;;
+  *) echo "usage: $0 [--quick]" >&2; exit 2 ;;
+esac
 
 cmake -B build -S . > /dev/null
-cmake --build build -j"$(nproc)" --target soak_serve > /dev/null
+cmake --build build -j"$(nproc)" --target soak > /dev/null
+mkdir -p "${OUT}"
 
-build/bench/soak_serve "$@" > "${OUT}"
-echo "soak records written to ${OUT}" >&2
+# ${QUICK} stays unquoted so that an empty value passes no argument.
+{ build/bench/soak serve ${QUICK}; build/bench/soak fleet ${QUICK}; } > "${OUT}/BENCH_serve.json"
+build/bench/soak integrity ${QUICK} > "${OUT}/BENCH_integrity.json"
+build/bench/soak ota ${QUICK} > "${OUT}/BENCH_ota.json"
+echo "soak records written to ${OUT}/BENCH_{serve,integrity,ota}.json" >&2

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Tier-1 verification: full build + complete test suite from a clean tree,
-# a short seeded chaos soak of the serving layer, then an
-# AddressSanitizer+UBSan build of the resilience-critical tests
-# (including the runtime tests, which exercise activation-arena aliasing),
-# then a ThreadSanitizer build of the parallel execution-engine tests.
+# short seeded runs of the four soaks (records under build/, so no tracked
+# file changes), then an AddressSanitizer+UBSan build of the
+# resilience-critical tests (including the runtime tests, which exercise
+# activation-arena aliasing), then a ThreadSanitizer build of the parallel
+# execution-engine tests.
 #
 # Usage: scripts/tier1.sh [-jN]
 
@@ -48,23 +49,11 @@ build/src/apps/vedliot-lint --wasm --wmod kv > /dev/null
 build/src/apps/vedliot-lint --wasm --wmod spin > /dev/null
 
 echo
-echo "== tier-1: serving-layer chaos soak (seeded, short) =="
-build/bench/soak_serve --quick > /dev/null
-
-echo
-echo "== tier-1: fleet-scale serving soak (seeded, short) =="
-build/bench/soak_fleet --quick > /dev/null
-
-echo
-echo "== tier-1: memory-fault integrity soak (seeded, short) =="
-scripts/soak_integrity.sh --quick > /dev/null
-
-echo
-echo "== tier-1: fleet OTA rollout soak (seeded, short) =="
-scripts/soak_ota.sh --quick > /dev/null
+echo "== tier-1: serve, fleet, integrity and OTA soaks (seeded, short; records under build/) =="
+scripts/soak.sh --quick
 for field in '"converged":true' '"no_torn_install":true'; do
-  grep -q "$field" BENCH_ota.json || {
-    echo "BENCH_ota.json is missing $field (regenerate with scripts/soak_ota.sh)" >&2
+  grep -q "$field" build/soak-quick/BENCH_ota.json || {
+    echo "the quick OTA soak records are missing $field" >&2
     exit 1
   }
 done

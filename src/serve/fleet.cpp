@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <limits>
 #include <utility>
 
@@ -34,17 +33,6 @@ std::vector<BrownoutStep> default_ladder(std::int64_t max_batch) {
     if (cap <= 1) break;
   }
   return steps;
-}
-
-/// Order-sensitive digest of the event log (same scheme as soak.cpp).
-std::string event_digest(std::span<const ServeEvent> events) {
-  std::uint64_t h = 0xCBF29CE484222325ull;
-  for (const ServeEvent& e : events) {
-    h = util::fnv1a64(format_serve_event(e), h);
-  }
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%016llx", static_cast<unsigned long long>(h));
-  return buf;
 }
 
 }  // namespace
@@ -110,7 +98,8 @@ Fleet::Fleet(FleetConfig config)
       cache_(cfg_.cache_capacity),
       ladder_(cfg_.brownout,
               cfg_.ladder.empty() ? default_ladder(cfg_.max_batch) : cfg_.ladder),
-      rng_(cfg_.seed) {
+      rng_(cfg_.seed),
+      log_("vedliot.fleet", cfg_.trace, cfg_.metrics) {
   VEDLIOT_CHECK(cfg_.graph != nullptr, "fleet needs a deployment graph");
   VEDLIOT_CHECK(cfg_.graph->inputs().size() == 1 && cfg_.graph->outputs().size() == 1,
                 "fleet serves a single-input single-output graph");
@@ -184,21 +173,6 @@ double Fleet::latency_s(const Replica& rep, std::int64_t width) const {
 double Fleet::power_w(const Replica& rep, std::int64_t width) const {
   const std::string& module = placement_.placement_of(rep.name).module;
   return perf_.at(module).at(width).second;
-}
-
-void Fleet::log(double t, ServeEventKind kind, const std::string& subject,
-                const std::string& detail, double value) {
-  report_.events.push_back(ServeEvent{t, kind, subject, detail, value});
-  if (cfg_.trace) {
-    obs::Span& sp = cfg_.trace->instant(std::string(serve_event_name(kind)), "vedliot.fleet");
-    sp.attrs.emplace_back("subject", subject);
-    if (!detail.empty()) sp.attrs.emplace_back("detail", detail);
-    sp.num_attrs.emplace_back("time_s", t);
-    sp.num_attrs.emplace_back("value", value);
-  }
-  if (cfg_.metrics) {
-    cfg_.metrics->counter("vedliot.fleet." + std::string(serve_event_name(kind))).inc();
-  }
 }
 
 Fleet::Replica& Fleet::replica_of(const std::string& name) {
@@ -285,15 +259,15 @@ void Fleet::finish_response(double t, Response r) {
     case ResponseStatus::kOk:
       ++report_.completed;
       if (!r.cache_hit) {
-        log(t, ServeEventKind::kCompleted, "request " + std::to_string(r.request_id),
-            "served by " + r.served_by, r.latency_s);
+        log_.add(t, ServeEventKind::kCompleted, "request " + std::to_string(r.request_id),
+                 "served by " + r.served_by, r.latency_s);
       }
       if (!req.idempotency_key.empty()) cache_.put(req.idempotency_key, r);
       break;
     case ResponseStatus::kLate:
       ++report_.deadline_missed;
-      log(t, ServeEventKind::kDeadlineMiss, "request " + std::to_string(r.request_id),
-          "served by " + r.served_by, r.latency_s);
+      log_.add(t, ServeEventKind::kDeadlineMiss, "request " + std::to_string(r.request_id),
+               "served by " + r.served_by, r.latency_s);
       break;
     case ResponseStatus::kShed:
       ++report_.shed;
@@ -319,7 +293,7 @@ void Fleet::admit(double t, const Request& r) {
       resp.cache_hit = true;
       resp.status = ResponseStatus::kOk;
       ++report_.cache_hits;
-      log(t, ServeEventKind::kCacheHit, subject, "key '" + r.idempotency_key + "'");
+      log_.add(t, ServeEventKind::kCacheHit, subject, "key '" + r.idempotency_key + "'");
       finish_response(t, std::move(resp));
       return;
     }
@@ -330,9 +304,9 @@ void Fleet::admit(double t, const Request& r) {
     resp.request_id = r.id;
     resp.status = ResponseStatus::kShed;
     resp.time_s = t;
-    log(t, ServeEventKind::kShed, subject,
-        "batch " + std::to_string(r.batch) + " exceeds live cap " +
-            std::to_string(effective_max_batch()));
+    log_.add(t, ServeEventKind::kShed, subject,
+             "batch " + std::to_string(r.batch) + " exceeds live cap " +
+                 std::to_string(effective_max_batch()));
     finish_response(t, std::move(resp));
     return;
   }
@@ -348,15 +322,15 @@ void Fleet::admit(double t, const Request& r) {
       evicted.request_id = victim->id;
       evicted.status = ResponseStatus::kShed;
       evicted.time_s = t;
-      log(t, ServeEventKind::kDisplaced, "request " + std::to_string(victim->id),
-          "displaced by " + subject + " on " + name);
+      log_.add(t, ServeEventKind::kDisplaced, "request " + std::to_string(victim->id),
+               "displaced by " + subject + " on " + name);
       finish_response(t, std::move(evicted));
     } else {
       Response resp;
       resp.request_id = r.id;
       resp.status = ResponseStatus::kShed;
       resp.time_s = t;
-      log(t, ServeEventKind::kShed, subject, "queue full on " + name);
+      log_.add(t, ServeEventKind::kShed, subject, "queue full on " + name);
       finish_response(t, std::move(resp));
       return;
     }
@@ -365,8 +339,9 @@ void Fleet::admit(double t, const Request& r) {
   rep.queue->push(Ticket{r.id, r.priority(), r.deadline_s, 0, t});
   ++report_.admitted;
   report_.max_queue_depth = std::max(report_.max_queue_depth, rep.queue->depth());
-  log(t, ServeEventKind::kAdmitted, subject,
-      std::string(priority_class_name(r.priority_class)) + " from " + r.client + " -> " + name);
+  log_.add(t, ServeEventKind::kAdmitted, subject,
+           std::string(priority_class_name(r.priority_class)) + " from " + r.client + " -> " +
+               name);
   try_dispatch(t, idx);
 }
 
@@ -380,8 +355,8 @@ void Fleet::try_dispatch(double t, std::size_t idx) {
     resp.status = ResponseStatus::kCancelled;
     resp.time_s = t;
     resp.latency_s = t - requests_.at(dead.id).arrival_s;
-    log(t, ServeEventKind::kCancelled, "request " + std::to_string(dead.id),
-        "deadline passed in queue on " + rep.name);
+    log_.add(t, ServeEventKind::kCancelled, "request " + std::to_string(dead.id),
+             "deadline passed in queue on " + rep.name);
     finish_response(t, std::move(resp));
   }
   if (rep.queue->empty()) {
@@ -411,8 +386,8 @@ void Fleet::try_dispatch(double t, std::size_t idx) {
       resp.status = ResponseStatus::kCancelled;
       resp.time_s = t;
       resp.latency_s = t - requests_.at(tk->id).arrival_s;
-      log(t, ServeEventKind::kCancelled, "request " + std::to_string(tk->id),
-          "batch " + std::to_string(b) + " exceeds degraded cap " + std::to_string(cap));
+      log_.add(t, ServeEventKind::kCancelled, "request " + std::to_string(tk->id),
+               "batch " + std::to_string(b) + " exceeds degraded cap " + std::to_string(cap));
       finish_response(t, std::move(resp));
       continue;
     }
@@ -451,9 +426,9 @@ void Fleet::launch(double t, std::size_t idx, std::vector<Ticket> group) {
       resp.status = ResponseStatus::kCancelled;
       resp.time_s = t;
       resp.latency_s = t - requests_.at(it->id).arrival_s;
-      log(t, ServeEventKind::kCancelled, "request " + std::to_string(it->id),
-          "infeasible at dispatch on " + rep.name + " (batch latency " + std::to_string(lat) +
-              "s)");
+      log_.add(t, ServeEventKind::kCancelled, "request " + std::to_string(it->id),
+               "infeasible at dispatch on " + rep.name + " (batch latency " + std::to_string(lat) +
+                   "s)");
       finish_response(t, std::move(resp));
     }
     group.erase(first_bad, group.end());
@@ -497,13 +472,13 @@ void Fleet::launch(double t, std::size_t idx, std::vector<Ticket> group) {
     resp.degraded = ladder_.level() > 0;
     resp.output_crc32 = crcs[i];
     batch.responses.push_back(std::move(resp));
-    log(t, ServeEventKind::kDispatched, "request " + std::to_string(req.id),
-        rep.name + " bucket " + std::to_string(width));
+    log_.add(t, ServeEventKind::kDispatched, "request " + std::to_string(req.id),
+             rep.name + " bucket " + std::to_string(width));
   }
-  log(t, ServeEventKind::kBatchExecuted, rep.name,
-      std::to_string(group.size()) + " requests, " + std::to_string(lanes) + " lanes, bucket " +
-          std::to_string(width),
-      static_cast<double>(lanes));
+  log_.add(t, ServeEventKind::kBatchExecuted, rep.name,
+           std::to_string(group.size()) + " requests, " + std::to_string(lanes) +
+               " lanes, bucket " + std::to_string(width),
+           static_cast<double>(lanes));
   ++report_.batches;
   report_.lanes += static_cast<std::size_t>(lanes);
   report_.padded_lanes += static_cast<std::size_t>(width - lanes);
@@ -521,8 +496,8 @@ void Fleet::launch(double t, std::size_t idx, std::vector<Ticket> group) {
 void Fleet::apply_brownout(double t, int delta) {
   const int level = ladder_.level();
   report_.max_brownout_level = std::max(report_.max_brownout_level, level);
-  log(t, delta > 0 ? ServeEventKind::kBrownoutDown : ServeEventKind::kBrownoutUp, "fleet",
-      "batch cap now " + std::to_string(effective_max_batch()), level);
+  log_.add(t, delta > 0 ? ServeEventKind::kBrownoutDown : ServeEventKind::kBrownoutUp, "fleet",
+           "batch cap now " + std::to_string(effective_max_batch()), level);
   if (!cfg_.execute) return;
   // The shrink must be enforced by the runtime, not fleet bookkeeping:
   // forward the rung's envelope through every bucket session's
@@ -547,8 +522,8 @@ void Fleet::control_tick(double t) {
   if (per_replica > cfg_.scale_up_depth && active_ < cfg_.max_replicas) {
     const std::size_t idx = add_replica(t);
     ++report_.scale_ups;
-    log(t, ServeEventKind::kScaleUp, fleet_[idx].name,
-        "mean queue depth " + std::to_string(per_replica), static_cast<double>(active_));
+    log_.add(t, ServeEventKind::kScaleUp, fleet_[idx].name,
+             "mean queue depth " + std::to_string(per_replica), static_cast<double>(active_));
   } else if (per_replica < cfg_.scale_down_depth && active_ > cfg_.min_replicas) {
     // Drain the youngest idle, empty replica; if every replica is mid-work
     // or holding tickets, skip this tick rather than strand queued work.
@@ -558,8 +533,8 @@ void Fleet::control_tick(double t) {
       const std::string name = rep.name;
       drain_replica(t, i);
       ++report_.scale_downs;
-      log(t, ServeEventKind::kScaleDown, name,
-          "mean queue depth " + std::to_string(per_replica), static_cast<double>(active_));
+      log_.add(t, ServeEventKind::kScaleDown, name,
+               "mean queue depth " + std::to_string(per_replica), static_cast<double>(active_));
       break;
     }
   }
@@ -614,6 +589,7 @@ FleetReport Fleet::run(double duration_s) {
     }
   }
 
+  report_.events = log_.take();
   report_.final_replicas = active_;
   report_.final_brownout_level = ladder_.level();
   for (auto& sp : placement_.power_report()) report_.power.push_back(std::move(sp));

@@ -30,11 +30,12 @@
 ///    answered from an LRU response cache (cache.hpp) without costing a
 ///    queue slot or a batch lane (retry storms collapse to one execution).
 ///
-/// Every decision is a structured ServeEvent mirrored 1:1 into the
-/// optional obs::Tracer (instant spans, category "vedliot.fleet") and
-/// counted under `vedliot.fleet.*` — fleet_soak.hpp asserts that mirror,
-/// plus accounting conservation (every offered request gets exactly one
-/// terminal Response) and per-slot power honesty.
+/// Every decision is a structured ServeEvent recorded through an EventLog
+/// (event_log.hpp) under category "vedliot.fleet": mirrored 1:1 into the
+/// optional obs::Tracer as instant spans and counted under `vedliot.fleet.*`.
+/// The fleet soak (fleet_soak.hpp, driven by bench/soak.cpp) checks that
+/// mirror, plus accounting conservation (every offered request gets exactly
+/// one terminal Response) and per-slot power honesty.
 
 #include <cstdint>
 #include <map>
@@ -50,10 +51,10 @@
 #include "serve/batcher.hpp"
 #include "serve/brownout.hpp"
 #include "serve/cache.hpp"
+#include "serve/event_log.hpp"
 #include "serve/queue.hpp"
 #include "serve/request.hpp"
 #include "serve/ring.hpp"
-#include "serve/server.hpp"
 #include "util/rng.hpp"
 
 namespace vedliot::serve {
@@ -196,8 +197,6 @@ class Fleet {
     std::vector<Response> responses;  ///< terminal kOk/kLate, in EDF order
   };
 
-  void log(double t, ServeEventKind kind, const std::string& subject,
-           const std::string& detail, double value = 0);
   Replica& replica_of(const std::string& name);
   std::size_t add_replica(double t);
   void drain_replica(double t, std::size_t idx);
@@ -238,6 +237,7 @@ class Fleet {
   std::map<std::uint64_t, Response> responses_;  ///< terminal, by id
   std::uint64_t next_id_ = 1;
 
+  EventLog log_;  ///< moved into report_.events when run() returns
   FleetReport report_;
   bool ran_ = false;
 };

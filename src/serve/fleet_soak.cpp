@@ -7,6 +7,7 @@
 
 #include "graph/zoo.hpp"
 #include "obs/json.hpp"
+#include "serve/soak.hpp"
 #include "util/error.hpp"
 #include "util/hash.hpp"
 #include "util/rng.hpp"
@@ -21,10 +22,8 @@ namespace {
 constexpr std::uint64_t kLoadStream = 0xA11CEull;
 constexpr std::uint64_t kWeightStream = 0x3E16Dull;
 
-void check_conservation(const FleetSoakConfig& cfg, const FleetReport& report,
-                        const std::vector<std::uint64_t>& ids,
+void check_conservation(const FleetReport& report, const std::vector<std::uint64_t>& ids,
                         std::vector<std::string>& violations) {
-  (void)cfg;
   if (report.responses.size() != report.offered) {
     violations.push_back("conservation: " + std::to_string(report.responses.size()) +
                          " responses for " + std::to_string(report.offered) + " offered");
@@ -77,42 +76,6 @@ void check_bounds(const FleetSoakConfig& cfg, const FleetReport& report,
   if (report.max_replicas > cfg.fleet_size) {
     violations.push_back("replica bound: " + std::to_string(report.max_replicas) +
                          " replicas exceeded fleet size " + std::to_string(cfg.fleet_size));
-  }
-}
-
-void check_observability(const FleetReport& report, const obs::Tracer& tracer,
-                         const obs::MetricsRegistry& metrics,
-                         std::vector<std::string>& violations) {
-  std::vector<const obs::Span*> mirrored;
-  for (const obs::Span& sp : tracer.spans()) {
-    if (sp.category == "vedliot.fleet") mirrored.push_back(&sp);
-  }
-  if (mirrored.size() != report.events.size()) {
-    violations.push_back("tracer mirror count " + std::to_string(mirrored.size()) +
-                         " != event count " + std::to_string(report.events.size()));
-    return;
-  }
-  for (std::size_t i = 0; i < mirrored.size(); ++i) {
-    const std::string expect(serve_event_name(report.events[i].kind));
-    if (mirrored[i]->name != expect) {
-      violations.push_back("tracer mirror out of order at event " + std::to_string(i) + ": " +
-                           mirrored[i]->name + " != " + expect);
-      return;
-    }
-  }
-  std::map<std::string, std::uint64_t> counts;
-  for (const ServeEvent& e : report.events) {
-    ++counts["vedliot.fleet." + std::string(serve_event_name(e.kind))];
-  }
-  for (const auto& [name, count] : counts) {
-    if (!metrics.has_counter(name) || metrics.counters().at(name).value() != count) {
-      violations.push_back("counter " + name + " != event count " + std::to_string(count));
-    }
-  }
-  for (const auto& [name, counter] : metrics.counters()) {
-    if (name.rfind("vedliot.fleet.", 0) == 0 && !counts.count(name)) {
-      violations.push_back("counter " + name + " has no matching events");
-    }
   }
 }
 
@@ -192,15 +155,7 @@ std::string FleetSoakResult::to_json() const {
   out += ",\"duration_s\":" + obs::json_number(config.duration_s);
   out += ",\"max_batch\":" + obs::json_number(static_cast<double>(config.max_batch));
   out += ",\"report\":" + report.to_json();
-  out += ",\"violations\":[";
-  for (std::size_t i = 0; i < violations.size(); ++i) {
-    if (i) out += ",";
-    out += "\"";
-    out += obs::json_escape(violations[i]);
-    out += "\"";
-  }
-  out += "]}";
-  return out;
+  return out + violations_json(violations);
 }
 
 FleetSoakResult run_fleet_soak(const FleetSoakConfig& cfg) {
@@ -225,9 +180,7 @@ FleetSoakResult run_fleet_soak(const FleetSoakConfig& cfg) {
   traffic.seed = cfg.seed ^ kLoadStream;
   const std::vector<Request> offered = generate_traffic(traffic);
 
-  obs::Tracer tracer;
-  obs::MetricsRegistry metrics;
-
+  SoakProbe probe;
   FleetConfig fleet_cfg;
   fleet_cfg.graph = &model;
   fleet_cfg.execute = cfg.execute;
@@ -238,8 +191,8 @@ FleetSoakResult run_fleet_soak(const FleetSoakConfig& cfg) {
   fleet_cfg.initial_replicas =
       cfg.autoscale ? std::max<std::size_t>(1, cfg.fleet_size / 2) : cfg.fleet_size;
   fleet_cfg.seed = cfg.seed;
-  fleet_cfg.trace = &tracer;
-  fleet_cfg.metrics = &metrics;
+  fleet_cfg.trace = &probe.trace;
+  fleet_cfg.metrics = &probe.metrics;
 
   Fleet fleet(fleet_cfg);
   std::vector<std::uint64_t> ids;
@@ -259,34 +212,16 @@ FleetSoakResult run_fleet_soak(const FleetSoakConfig& cfg) {
   result.config = cfg;
   result.report = fleet.run(cfg.duration_s);
 
-  check_conservation(cfg, result.report, ids, result.violations);
+  check_conservation(result.report, ids, result.violations);
   check_deadlines(result.report, deadline_of, result.violations);
   check_bounds(cfg, result.report, result.violations);
-  check_observability(result.report, tracer, metrics, result.violations);
   check_power(result.report, result.violations);
   check_batches(cfg, result.report, result.violations);
   if (cfg.execute) {
     check_batched_equality(cfg, model, result.report, by_id, result.violations);
   }
+  probe.close(result.report.events, "vedliot.fleet", "", result.violations);
   return result;
-}
-
-std::vector<std::string> check_fleet_goodput_monotone(
-    const std::vector<FleetSoakResult>& sweep) {
-  std::vector<std::string> violations;
-  for (std::size_t i = 1; i < sweep.size(); ++i) {
-    VEDLIOT_CHECK(sweep[i].config.fleet_size >= sweep[i - 1].config.fleet_size,
-                  "goodput sweep must be ordered by ascending fleet size");
-    if (sweep[i].goodput() + 1e-9 < sweep[i - 1].goodput()) {
-      char buf[160];
-      std::snprintf(buf, sizeof(buf),
-                    "goodput not monotone in fleet size: %.4f at %zu replicas < %.4f at %zu",
-                    sweep[i].goodput(), sweep[i].config.fleet_size, sweep[i - 1].goodput(),
-                    sweep[i - 1].config.fleet_size);
-      violations.push_back(buf);
-    }
-  }
-  return violations;
 }
 
 }  // namespace vedliot::serve

@@ -17,9 +17,9 @@
 ///      at or before its request's deadline;
 ///   3. bounded queues — no replica queue ever exceeds its configured
 ///      capacity, and the replica count stays within [min, max];
-///   4. observable transitions — the event log mirrors 1:1, in order, into
-///      the obs tracer (category "vedliot.fleet") and every per-kind
-///      `vedliot.fleet.*` counter equals its event count;
+///   4. observable transitions — the event log mirrors 1:1 into the obs
+///      tracer and per-kind counters under "vedliot.fleet"
+///      (EventLog::check_mirror, run by the shared SoakProbe);
 ///   5. per-slot power honesty — every replica's metered average busy
 ///      power stays within the slot budget its chassis admitted the module
 ///      under, and within the module's own envelope;
@@ -27,11 +27,10 @@
 ///      configured cap, and (execute mode) a sample of batched outputs is
 ///      re-run as singletons and must match CRC-for-CRC bitwise.
 ///
-/// Cross-run: check_fleet_goodput_monotone asserts goodput is monotone
-/// non-decreasing in fleet size over the same offered load. Everything
-/// derives from FleetSoakConfig::seed, so two runs of the same config
-/// produce bitwise-identical to_json() (asserted in tests and
-/// bench/soak_fleet).
+/// Cross-run (bench/soak.cpp): goodput is monotone non-decreasing in fleet
+/// size over the same offered load. Everything derives from
+/// FleetSoakConfig::seed, so two runs of the same config produce
+/// bitwise-identical to_json() (asserted in tests and bench/soak.cpp).
 
 #include <cstdint>
 #include <string>
@@ -78,11 +77,5 @@ struct FleetSoakResult {
 
 /// Run one seeded fleet soak.
 FleetSoakResult run_fleet_soak(const FleetSoakConfig& config);
-
-/// Cross-run invariant over a sweep sharing seed/traffic and varying only
-/// fleet_size (ascending): goodput must be monotone non-decreasing — more
-/// replicas never serve less. Returns violations (empty = holds).
-std::vector<std::string> check_fleet_goodput_monotone(
-    const std::vector<FleetSoakResult>& sweep);
 
 }  // namespace vedliot::serve

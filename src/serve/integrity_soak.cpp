@@ -2,14 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <map>
 
 #include "graph/zoo.hpp"
 #include "obs/json.hpp"
 #include "platform/baseboard.hpp"
+#include "serve/soak.hpp"
 #include "util/error.hpp"
-#include "util/hash.hpp"
 #include "util/rng.hpp"
 
 namespace vedliot::serve {
@@ -25,16 +23,6 @@ constexpr std::uint64_t kFlipStream = 0x5EBull;
 constexpr std::uint64_t kModelStream = 0x30DE1ull;
 constexpr std::uint64_t kSimStream = 0x51ull;
 
-std::string event_digest(const ServeReport& report) {
-  std::uint64_t h = 0xCBF29CE484222325ull;
-  for (const ServeEvent& e : report.events) {
-    h = util::fnv1a64(format_serve_event(e), h);
-  }
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%016llx", static_cast<unsigned long long>(h));
-  return buf;
-}
-
 bool is_detection(ServeEventKind k) { return k == ServeEventKind::kScrubHit; }
 
 bool is_recovery(ServeEventKind k) {
@@ -45,7 +33,7 @@ bool is_recovery(ServeEventKind k) {
 /// hit within the detection bound, and every scrub hit is healed by a
 /// recovery event at the same timestamp (recovery is synchronous).
 void check_detection_invariant(const ServeReport& report, double bound_s,
-                               const std::string& identity, IntegritySoakResult& out) {
+                               IntegritySoakResult& out) {
   for (std::size_t i = 0; i < report.events.size(); ++i) {
     const ServeEvent& e = report.events[i];
     if (e.kind == ServeEventKind::kMemoryFault) {
@@ -58,15 +46,14 @@ void check_detection_invariant(const ServeReport& report, double bound_s,
       }
       if (detected_at < 0) {
         out.violations.push_back("memory fault at " + std::to_string(e.time_s) +
-                                 "s never detected [" + identity + "]");
+                                 "s never detected");
         continue;
       }
       const double latency = detected_at - e.time_s;
       if (latency > bound_s + 1e-9) {
-        out.violations.push_back(
-            "detection latency " + std::to_string(latency) + "s exceeds bound " +
-            std::to_string(bound_s) + "s for fault at " + std::to_string(e.time_s) + "s [" +
-            identity + "]");
+        out.violations.push_back("detection latency " + std::to_string(latency) +
+                                 "s exceeds bound " + std::to_string(bound_s) +
+                                 "s for fault at " + std::to_string(e.time_s) + "s");
       }
       out.max_detection_s = std::max(out.max_detection_s, latency);
       out.mean_detection_s += latency;  // normalized by the caller
@@ -84,44 +71,8 @@ void check_detection_invariant(const ServeReport& report, double bound_s,
       }
       if (!healed) {
         out.violations.push_back("scrub hit at " + std::to_string(e.time_s) +
-                                 "s not followed by a recovery event [" + identity + "]");
+                                 "s not followed by a recovery event");
       }
-    }
-  }
-}
-
-/// The chaos-soak observability contract, re-asserted here: events mirror
-/// 1:1 in order into the tracer and per-kind counters match exactly.
-void check_observability_invariant(const ServeReport& report, const obs::Tracer& tracer,
-                                   const obs::MetricsRegistry& metrics,
-                                   const std::string& identity,
-                                   std::vector<std::string>& violations) {
-  std::vector<const obs::Span*> mirrored;
-  for (const obs::Span& sp : tracer.spans()) {
-    if (sp.category == "vedliot.serve") mirrored.push_back(&sp);
-  }
-  if (mirrored.size() != report.events.size()) {
-    violations.push_back("tracer mirror count " + std::to_string(mirrored.size()) +
-                         " != event count " + std::to_string(report.events.size()) + " [" +
-                         identity + "]");
-    return;
-  }
-  for (std::size_t i = 0; i < mirrored.size(); ++i) {
-    const std::string expect(serve_event_name(report.events[i].kind));
-    if (mirrored[i]->name != expect) {
-      violations.push_back("tracer mirror out of order at event " + std::to_string(i) + ": " +
-                           mirrored[i]->name + " != " + expect + " [" + identity + "]");
-      return;
-    }
-  }
-  std::map<std::string, std::uint64_t> counts;
-  for (const ServeEvent& e : report.events) {
-    ++counts["vedliot.serve." + std::string(serve_event_name(e.kind))];
-  }
-  for (const auto& [name, count] : counts) {
-    if (!metrics.has_counter(name) || metrics.counters().at(name).value() != count) {
-      violations.push_back("counter " + name + " != event count " + std::to_string(count) +
-                           " [" + identity + "]");
     }
   }
 }
@@ -157,17 +108,9 @@ std::string IntegritySoakResult::to_json() const {
   out += ",\"max_detection_s\":" + obs::json_number(max_detection_s);
   out += ",\"mean_detection_s\":" + obs::json_number(mean_detection_s);
   out += ",\"events\":" + obs::json_number(static_cast<double>(report.events.size()));
-  out += ",\"events_fnv1a\":\"" + event_digest(report) + "\"";
+  out += ",\"events_fnv1a\":\"" + event_digest(report.events) + "\"";
   out += ",\"sim\":\"" + obs::json_escape(sim_describe) + "\"";
-  out += ",\"violations\":[";
-  for (std::size_t i = 0; i < violations.size(); ++i) {
-    if (i) out += ",";
-    out += "\"";
-    out += obs::json_escape(violations[i]);
-    out += "\"";
-  }
-  out += "]}";
-  return out;
+  return out + violations_json(violations);
 }
 
 IntegritySoakResult run_integrity_soak(const IntegritySoakConfig& cfg) {
@@ -219,10 +162,9 @@ IntegritySoakResult run_integrity_soak(const IntegritySoakConfig& cfg) {
   // runs out before the sweep reaches the corrupt tensor.
   server_cfg.ota_probation_sweeps = 2;
 
-  obs::Tracer tracer;
-  obs::MetricsRegistry metrics;
-  server_cfg.trace = &tracer;
-  server_cfg.metrics = &metrics;
+  SoakProbe probe;
+  server_cfg.trace = &probe.trace;
+  server_cfg.metrics = &probe.metrics;
 
   Server server(sim, server_cfg);
 
@@ -252,17 +194,9 @@ IntegritySoakResult run_integrity_soak(const IntegritySoakConfig& cfg) {
 
   std::size_t scripted_faults = 0;
   std::size_t corrupted_otas = 0;
-  const auto first_parametric = [](Graph& g) -> Node& {
-    for (NodeId id : g.topo_order()) {
-      if (!g.node(id).weights.empty()) return g.node(id);
-    }
-    throw InvalidArgument("soak model has no parametric node");
-  };
   if (cfg.ota_scenario) {
     // Good push: same architecture, slightly re-tuned weights -> commits.
-    Graph v2 = model.clone();
-    for (float& w : first_parametric(v2).weights.at(0).data()) w *= 1.02f;
-    v2.touch();
+    const Graph v2 = retuned(model, 1.02f);
     server.submit_ota(0.45 * cfg.duration_s, 0, safety::make_ota_package(v2));
 
     // Corrupt push: the same payload, damaged in transit by a scheduled
@@ -276,9 +210,7 @@ IntegritySoakResult run_integrity_soak(const IntegritySoakConfig& cfg) {
 
     // Bad push: commits cleanly, then an SEU lands inside the probation
     // window -> the whole update must roll back.
-    Graph v3 = model.clone();
-    for (float& w : first_parametric(v3).weights.at(0).data()) w *= 0.97f;
-    v3.touch();
+    const Graph v3 = retuned(model, 0.97f);
     server.submit_ota(0.70 * cfg.duration_s, 0, safety::make_ota_package(v3));
     platform::FaultEvent probation_seu;
     probation_seu.kind = platform::FaultKind::kMemoryFault;
@@ -310,54 +242,53 @@ IntegritySoakResult run_integrity_soak(const IntegritySoakConfig& cfg) {
   result.detection_bound_s = bound_s;
   result.report = server.run(cfg.duration_s);
   result.sim_describe = sim.describe();
-  const std::string& identity = result.sim_describe;
 
   // Invariants 1 + 3 (events).
-  check_detection_invariant(result.report, bound_s, identity, result);
+  check_detection_invariant(result.report, bound_s, result);
   if (result.report.memory_faults > 0) {
     result.mean_detection_s /= static_cast<double>(result.report.memory_faults);
   }
   if (result.report.memory_faults != n_flips + scripted_faults) {
     // A random SEU can land on a crashed module and be skipped; this soak
     // schedules no crashes, so every scheduled fault must apply.
-    result.violations.push_back(
-        "applied memory faults " + std::to_string(result.report.memory_faults) + " != scheduled " +
-        std::to_string(n_flips + scripted_faults) + " [" + identity + "]");
+    result.violations.push_back("applied memory faults " +
+                                std::to_string(result.report.memory_faults) + " != scheduled " +
+                                std::to_string(n_flips + scripted_faults));
   }
 
   // Invariant 2: nothing was delivered unchecked.
   const std::size_t delivered = result.report.completed + result.report.deadline_missed;
   if (result.report.integrity_checks != delivered) {
-    result.violations.push_back(
-        "integrity checks " + std::to_string(result.report.integrity_checks) +
-        " != delivered responses " + std::to_string(delivered) + " [" + identity + "]");
+    result.violations.push_back("integrity checks " +
+                                std::to_string(result.report.integrity_checks) +
+                                " != delivered responses " + std::to_string(delivered));
   }
 
   // Invariant 3 (end state): the healed server leaves no corrupt tensor.
   if (result.report.dirty_at_end != 0) {
     result.violations.push_back("run ended with " + std::to_string(result.report.dirty_at_end) +
-                                " corrupt tensor(s) unhealed [" + identity + "]");
+                                " corrupt tensor(s) unhealed");
   }
 
   // Invariant 4: bad OTA never sticks.
   if (cfg.ota_scenario) {
     if (result.report.ota_rejected != corrupted_otas) {
-      result.violations.push_back(
-          "corrupted OTA payloads " + std::to_string(corrupted_otas) + " but " +
-          std::to_string(result.report.ota_rejected) + " rejections [" + identity + "]");
+      result.violations.push_back("corrupted OTA payloads " + std::to_string(corrupted_otas) +
+                                  " but " + std::to_string(result.report.ota_rejected) +
+                                  " rejections");
     }
     if (result.report.ota_rolled_back != 1) {
-      result.violations.push_back(
-          "scripted bad push ended with " + std::to_string(result.report.ota_rolled_back) +
-          " rollbacks (want exactly 1) [" + identity + "]");
+      result.violations.push_back("scripted bad push ended with " +
+                                  std::to_string(result.report.ota_rolled_back) +
+                                  " rollbacks (want exactly 1)");
     }
     if (result.report.ota_staged != 3) {
       result.violations.push_back("staged " + std::to_string(result.report.ota_staged) +
-                                  " OTA payloads (want 3) [" + identity + "]");
+                                  " OTA payloads (want 3)");
     }
   }
 
-  check_observability_invariant(result.report, tracer, metrics, identity, result.violations);
+  probe.close(result.report.events, "vedliot.serve", result.sim_describe, result.violations);
   return result;
 }
 

@@ -27,10 +27,10 @@
 ///   4. bad OTA never sticks — every corrupted payload is rejected
 ///      pre-swap, and the scripted bad push always ends in kOtaRolledBack.
 ///
-/// Plus the observability mirror check the chaos soak makes: events are
-/// mirrored 1:1 into the tracer and per-kind counters match. Everything
-/// derives from the seed; two runs of the same config are bitwise
-/// identical (to_json string compare).
+/// Plus the event mirror every soak checks (EventLog::check_mirror, run by
+/// the shared SoakProbe in soak.hpp). Everything derives from the seed; two
+/// runs of the same config are bitwise identical (to_json string compare,
+/// repeated by bench/soak.cpp).
 
 #include <cstdint>
 #include <string>

@@ -2,15 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <map>
 #include <set>
 
 #include "graph/zoo.hpp"
 #include "obs/json.hpp"
 #include "platform/baseboard.hpp"
+#include "serve/soak.hpp"
 #include "util/error.hpp"
-#include "util/hash.hpp"
 #include "util/rng.hpp"
 
 namespace vedliot::serve {
@@ -25,57 +24,9 @@ constexpr std::uint64_t kModelStream = 0x30DE1ull;
 constexpr std::uint64_t kSimStream = 0x51ull;
 constexpr std::uint64_t kCanarySeed = 0xCAA1Bull;
 
-std::string event_digest(const std::vector<ServeEvent>& events) {
-  std::uint64_t h = 0xCBF29CE484222325ull;
-  for (const ServeEvent& e : events) {
-    h = util::fnv1a64(format_serve_event(e), h);
-  }
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%016llx", static_cast<unsigned long long>(h));
-  return buf;
-}
-
-/// The chaos-soak observability contract, re-asserted over rollout events:
-/// 1:1 ordered tracer mirror plus exact per-kind counters.
-void check_observability_invariant(const std::vector<ServeEvent>& events,
-                                   const obs::Tracer& tracer,
-                                   const obs::MetricsRegistry& metrics,
-                                   const std::string& identity,
-                                   std::vector<std::string>& violations) {
-  std::vector<const obs::Span*> mirrored;
-  for (const obs::Span& sp : tracer.spans()) {
-    if (sp.category == "vedliot.serve") mirrored.push_back(&sp);
-  }
-  if (mirrored.size() != events.size()) {
-    violations.push_back("tracer mirror count " + std::to_string(mirrored.size()) +
-                         " != event count " + std::to_string(events.size()) + " [" +
-                         identity + "]");
-    return;
-  }
-  for (std::size_t i = 0; i < mirrored.size(); ++i) {
-    const std::string expect(serve_event_name(events[i].kind));
-    if (mirrored[i]->name != expect) {
-      violations.push_back("tracer mirror out of order at event " + std::to_string(i) + ": " +
-                           mirrored[i]->name + " != " + expect + " [" + identity + "]");
-      return;
-    }
-  }
-  std::map<std::string, std::uint64_t> counts;
-  for (const ServeEvent& e : events) {
-    ++counts["vedliot.serve." + std::string(serve_event_name(e.kind))];
-  }
-  for (const auto& [name, count] : counts) {
-    if (!metrics.has_counter(name) || metrics.counters().at(name).value() != count) {
-      violations.push_back("counter " + name + " != event count " + std::to_string(count) +
-                           " [" + identity + "]");
-    }
-  }
-}
-
 /// Invariant 2 (event side): full distinct-chunk coverage before staging,
 /// staging before commit — the event record must prove no torn install.
 void check_no_torn_install(const std::vector<ServeEvent>& events, std::size_t chunk_count,
-                           const std::string& identity,
                            std::vector<std::string>& violations) {
   std::map<std::string, std::set<std::uint32_t>> seen;
   std::map<std::string, bool> staged_complete;
@@ -90,16 +41,14 @@ void check_no_torn_install(const std::vector<ServeEvent>& events, std::size_t ch
         if (!full) {
           violations.push_back(e.subject + " staged with " +
                                std::to_string(seen[e.subject].size()) + "/" +
-                               std::to_string(chunk_count) + " distinct chunks [" + identity +
-                               "]");
+                               std::to_string(chunk_count) + " distinct chunks");
         }
         break;
       }
       case ServeEventKind::kOtaCommitted: {
         const auto it = staged_complete.find(e.subject);
         if (it == staged_complete.end() || !it->second) {
-          violations.push_back(e.subject + " committed without a fully-covered stage [" +
-                               identity + "]");
+          violations.push_back(e.subject + " committed without a fully-covered stage");
         }
         break;
       }
@@ -107,13 +56,6 @@ void check_no_torn_install(const std::vector<ServeEvent>& events, std::size_t ch
         break;
     }
   }
-}
-
-Node& first_parametric(Graph& g) {
-  for (NodeId id : g.topo_order()) {
-    if (!g.node(id).weights.empty()) return g.node(id);
-  }
-  throw InvalidArgument("soak model has no parametric node");
 }
 
 }  // namespace
@@ -165,15 +107,7 @@ std::string OtaSoakResult::to_json() const {
   out += ",\"events\":" + obs::json_number(static_cast<double>(report.events.size()));
   out += ",\"events_fnv1a\":\"" + event_digest(report.events) + "\"";
   out += ",\"sim\":\"" + obs::json_escape(sim_describe) + "\"";
-  out += ",\"violations\":[";
-  for (std::size_t i = 0; i < violations.size(); ++i) {
-    if (i) out += ",";
-    out += "\"";
-    out += obs::json_escape(violations[i]);
-    out += "\"";
-  }
-  out += "]}";
-  return out;
+  return out + violations_json(violations);
 }
 
 OtaSoakResult run_ota_soak(const OtaSoakConfig& cfg) {
@@ -242,14 +176,9 @@ OtaSoakResult run_ota_soak(const OtaSoakConfig& cfg) {
   Graph v1 = zoo::micro_cnn("ota", 1, 3, 8, 8, 8);
   Rng weight_rng(cfg.seed ^ kModelStream);
   v1.materialize_weights(weight_rng);
-  Graph v2 = v1.clone();
-  for (float& w : first_parametric(v2).weights.at(0).data()) w *= 1.02f;
-  v2.touch();
+  const Graph v2 = retuned(v1, 1.02f);
   const std::uint32_t manifest_crc = RolloutController::serve_crc_of(v2, kCanarySeed);
-
-  Graph bad = v1.clone();
-  for (float& w : first_parametric(bad).weights.at(0).data()) w *= 0.95f;
-  bad.touch();
+  const Graph bad = retuned(v1, 0.95f);
   const Graph& target = cfg.bad_package ? bad : v2;
 
   RolloutConfig rc;
@@ -271,10 +200,9 @@ OtaSoakResult run_ota_soak(const OtaSoakConfig& cfg) {
   rc.canary_seed = kCanarySeed;
   rc.seed = cfg.seed;
 
-  obs::Tracer tracer;
-  obs::MetricsRegistry metrics;
-  rc.trace = &tracer;
-  rc.metrics = &metrics;
+  SoakProbe probe;
+  rc.trace = &probe.trace;
+  rc.metrics = &probe.metrics;
 
   RolloutController controller(sim, rc);
   controller.set_baseline(v1);
@@ -286,46 +214,43 @@ OtaSoakResult run_ota_soak(const OtaSoakConfig& cfg) {
   result.config = cfg;
   result.report = controller.run(cfg.duration_s);
   result.sim_describe = sim.describe();
-  const std::string& identity = result.sim_describe;
   const RolloutReport& report = result.report;
 
   // Invariant 1: convergence onto verified versions.
   if (!report.converged) {
     result.violations.push_back("rollout did not reach a terminal state within " +
-                                std::to_string(cfg.duration_s) + "s [" + identity + "]");
+                                std::to_string(cfg.duration_s) + "s");
   }
   for (const DeviceOutcome& d : report.outcomes) {
     const std::uint32_t expect = d.version == 1 ? baseline_crc : target_crc;
     if (d.serve_crc != expect) {
       result.violations.push_back(d.slot + " ends with serve crc " +
                                   std::to_string(d.serve_crc) + " != verified version " +
-                                  std::to_string(d.version) + " fingerprint [" + identity +
-                                  "]");
+                                  std::to_string(d.version) + " fingerprint");
     }
   }
   if (cfg.bad_package) {
     for (const DeviceOutcome& d : report.outcomes) {
       if (d.version != 1) {
         result.violations.push_back(d.slot + " left on version " + std::to_string(d.version) +
-                                    " after a halted rollout [" + identity + "]");
+                                    " after a halted rollout");
       }
       if (d.committed && !d.rolled_back) {
         result.violations.push_back(d.slot + " committed the bad package but was never "
-                                    "rolled back [" + identity + "]");
+                                    "rolled back");
       }
     }
   } else {
     if (report.devices_committed != static_cast<std::size_t>(cfg.n_devices)) {
-      result.violations.push_back(
-          "good rollout committed " + std::to_string(report.devices_committed) + "/" +
-          std::to_string(cfg.n_devices) + " devices [" + identity + "]");
+      result.violations.push_back("good rollout committed " +
+                                  std::to_string(report.devices_committed) + "/" +
+                                  std::to_string(cfg.n_devices) + " devices");
     }
     if (report.halted || report.devices_rolled_back != 0) {
-      result.violations.push_back("good rollout halted or rolled back [" + identity + "]");
+      result.violations.push_back("good rollout halted or rolled back");
     }
     if (report.skew_version_misses == 0) {
-      result.violations.push_back(
-          "version-skew path never exercised: no version misses [" + identity + "]");
+      result.violations.push_back("version-skew path never exercised: no version misses");
     }
   }
 
@@ -337,15 +262,14 @@ OtaSoakResult run_ota_soak(const OtaSoakConfig& cfg) {
   const std::size_t chunk_count =
       (safety::make_ota_package(target, kCanarySeed, 2).package.size() + cfg.chunk_bytes - 1) /
       cfg.chunk_bytes;
-  check_no_torn_install(report.events, chunk_count, identity, result.violations);
+  check_no_torn_install(report.events, chunk_count, result.violations);
   if (report.torn_serves != 0) {
     result.violations.push_back(std::to_string(report.torn_serves) +
-                                " probe(s) caught an unverifiable serving image [" + identity +
-                                "]");
+                                " probe(s) caught an unverifiable serving image");
   }
   if (report.skew_mismatches != 0) {
     result.violations.push_back(std::to_string(report.skew_mismatches) +
-                                " version-skew cache CRC mismatch(es) [" + identity + "]");
+                                " version-skew cache CRC mismatch(es)");
   }
   result.no_torn_install = result.violations.size() == before_torn;
 
@@ -361,9 +285,9 @@ OtaSoakResult run_ota_soak(const OtaSoakConfig& cfg) {
       const double span = rollback_times[k] - rollback_times[j];
       const double allowed = rc.rollback_burst + rc.rollback_rate_per_s * span + 1e-6;
       if (static_cast<double>(k - j + 1) > allowed) {
-        result.violations.push_back(
-            "rollback storm: " + std::to_string(k - j + 1) + " rollbacks within " +
-            std::to_string(span) + "s exceed the token bucket [" + identity + "]");
+        result.violations.push_back("rollback storm: " + std::to_string(k - j + 1) +
+                                    " rollbacks within " + std::to_string(span) +
+                                    "s exceed the token bucket");
         j = rollback_times.size();  // one report is enough
         break;
       }
@@ -371,20 +295,18 @@ OtaSoakResult run_ota_soak(const OtaSoakConfig& cfg) {
   }
   if (cfg.bad_package) {
     if (halt_time < 0) {
-      result.violations.push_back("bad package never halted the rollout [" + identity + "]");
+      result.violations.push_back("bad package never halted the rollout");
     } else {
       bool at_canary = false;
       for (const ServeEvent& e : report.events) {
         if (e.kind == ServeEventKind::kRolloutHalted && e.subject == "wave 0") at_canary = true;
       }
       if (!at_canary) {
-        result.violations.push_back("bad package halted past the canary wave [" + identity +
-                                    "]");
+        result.violations.push_back("bad package halted past the canary wave");
       }
       if (report.waves_passed != 0) {
         result.violations.push_back("bad package passed " +
-                                    std::to_string(report.waves_passed) + " wave gate(s) [" +
-                                    identity + "]");
+                                    std::to_string(report.waves_passed) + " wave gate(s)");
       }
       if (!rollback_times.empty()) {
         result.rollback_span_s = rollback_times.back() - halt_time;
@@ -393,9 +315,9 @@ OtaSoakResult run_ota_soak(const OtaSoakConfig& cfg) {
                 rc.rollback_rate_per_s +
             2.0 * rc.control_period_s + 1e-6;
         if (result.rollback_span_s > budget) {
-          result.violations.push_back(
-              "rollback drain took " + std::to_string(result.rollback_span_s) +
-              "s, pacing budget is " + std::to_string(budget) + "s [" + identity + "]");
+          result.violations.push_back("rollback drain took " +
+                                      std::to_string(result.rollback_span_s) +
+                                      "s, pacing budget is " + std::to_string(budget) + "s");
         }
       }
     }
@@ -405,14 +327,13 @@ OtaSoakResult run_ota_soak(const OtaSoakConfig& cfg) {
   for (std::size_t i = 1; i < report.progress.size(); ++i) {
     if (report.progress[i].second < report.progress[i - 1].second) {
       result.violations.push_back("committed-device curve decreased at " +
-                                  std::to_string(report.progress[i].first) + "s [" + identity +
-                                  "]");
+                                  std::to_string(report.progress[i].first) + "s");
       break;
     }
   }
 
   // Invariant 5: observability mirror.
-  check_observability_invariant(report.events, tracer, metrics, identity, result.violations);
+  probe.close(report.events, "vedliot.serve", result.sim_describe, result.violations);
   return result;
 }
 

@@ -28,10 +28,11 @@
 ///      within a run (a halt stops progress; it never un-counts commits
 ///      until the paced rollbacks drain, which the curve does not sample);
 ///   5. observability — every ServeEvent mirrors 1:1, in order, into the
-///      tracer ("vedliot.serve" instants) and per-kind counters match.
+///      tracer ("vedliot.serve" instants) and per-kind counters match
+///      (EventLog::check_mirror, run by the shared SoakProbe in soak.hpp).
 ///
 /// Everything derives from the seed: two runs of the same config serialize
-/// to bitwise-identical to_json() strings (the bench driver verifies this).
+/// to bitwise-identical to_json() strings (bench/soak.cpp verifies this).
 
 #include <cstdint>
 #include <string>

@@ -5,7 +5,6 @@
 #include <limits>
 #include <utility>
 
-#include "obs/json.hpp"
 #include "runtime/session.hpp"
 #include "util/error.hpp"
 #include "util/hash.hpp"
@@ -18,73 +17,12 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 
 }  // namespace
 
-std::string RolloutReport::to_json() const {
-  std::string out = "{\"record\":\"rollout-report\"";
-  out += ",\"devices_total\":" + obs::json_number(static_cast<double>(devices_total));
-  out += ",\"devices_committed\":" + obs::json_number(static_cast<double>(devices_committed));
-  out += ",\"devices_rejected\":" + obs::json_number(static_cast<double>(devices_rejected));
-  out += ",\"devices_rolled_back\":" + obs::json_number(static_cast<double>(devices_rolled_back));
-  out += ",\"devices_failed\":" + obs::json_number(static_cast<double>(devices_failed));
-  out += ",\"waves_started\":" + obs::json_number(static_cast<double>(waves_started));
-  out += ",\"waves_passed\":" + obs::json_number(static_cast<double>(waves_passed));
-  out += ",\"halted\":";
-  out += halted ? "true" : "false";
-  out += ",\"converged\":";
-  out += converged ? "true" : "false";
-  out += ",\"converged_at_s\":" + obs::json_number(converged_at_s);
-  out += ",\"chunks_sent\":" + obs::json_number(static_cast<double>(chunks_sent));
-  out += ",\"chunks_accepted\":" + obs::json_number(static_cast<double>(chunks_accepted));
-  out += ",\"chunk_retries\":" + obs::json_number(static_cast<double>(chunk_retries));
-  out += ",\"duplicates\":" + obs::json_number(static_cast<double>(duplicates));
-  out += ",\"reorders\":" + obs::json_number(static_cast<double>(reorders));
-  out += ",\"resumes\":" + obs::json_number(static_cast<double>(resumes));
-  out += ",\"bytes_sent\":" + obs::json_number(static_cast<double>(bytes_sent));
-  out += ",\"rollbacks_paced\":" + obs::json_number(static_cast<double>(rollbacks_paced));
-  out += ",\"skew_probes\":" + obs::json_number(static_cast<double>(skew_probes));
-  out += ",\"skew_cache_hits\":" + obs::json_number(static_cast<double>(skew_cache_hits));
-  out += ",\"skew_version_misses\":" + obs::json_number(static_cast<double>(skew_version_misses));
-  out += ",\"skew_mismatches\":" + obs::json_number(static_cast<double>(skew_mismatches));
-  out += ",\"torn_serves\":" + obs::json_number(static_cast<double>(torn_serves));
-  out += ",\"devices\":[";
-  for (std::size_t i = 0; i < outcomes.size(); ++i) {
-    const DeviceOutcome& d = outcomes[i];
-    if (i) out += ",";
-    out += "{\"slot\":\"" + obs::json_escape(d.slot) + "\"";
-    out += ",\"version\":" + obs::json_number(static_cast<double>(d.version));
-    out += ",\"serve_crc\":" + obs::json_number(static_cast<double>(d.serve_crc));
-    out += ",\"committed\":";
-    out += d.committed ? "true" : "false";
-    out += ",\"rolled_back\":";
-    out += d.rolled_back ? "true" : "false";
-    out += ",\"transfer_failed\":";
-    out += d.transfer_failed ? "true" : "false";
-    out += ",\"resumes\":" + obs::json_number(static_cast<double>(d.resumes)) + "}";
-  }
-  out += "],\"progress\":[";
-  for (std::size_t i = 0; i < progress.size(); ++i) {
-    if (i) out += ",";
-    out += "[";
-    out += obs::json_number(progress[i].first);
-    out += ",";
-    out += obs::json_number(static_cast<double>(progress[i].second));
-    out += "]";
-  }
-  out += "],\"events\":[";
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    const ServeEvent& e = events[i];
-    if (i) out += ",";
-    out += "{\"time_s\":" + obs::json_number(e.time_s);
-    out += ",\"kind\":\"" + obs::json_escape(serve_event_name(e.kind)) + "\"";
-    out += ",\"subject\":\"" + obs::json_escape(e.subject) + "\"";
-    out += ",\"detail\":\"" + obs::json_escape(e.detail) + "\"";
-    out += ",\"value\":" + obs::json_number(e.value) + "}";
-  }
-  out += "]}";
-  return out;
-}
-
 RolloutController::RolloutController(platform::PlatformSimulator& sim, RolloutConfig config)
-    : sim_(sim), cfg_(std::move(config)), rng_(cfg_.seed), cache_(cfg_.cache_capacity) {
+    : sim_(sim),
+      cfg_(std::move(config)),
+      rng_(cfg_.seed),
+      cache_(cfg_.cache_capacity),
+      log_("vedliot.serve", cfg_.trace, cfg_.metrics) {
   VEDLIOT_CHECK(!cfg_.devices.empty(), "rollout needs at least one device");
   VEDLIOT_CHECK(cfg_.canary_devices >= 1 && cfg_.canary_devices <= cfg_.devices.size(),
                 "canary wave must be within [1, device count]");
@@ -137,22 +75,6 @@ void RolloutController::set_target(safety::OtaPackage update, std::uint32_t mani
   target_set_ = true;
 }
 
-void RolloutController::log(double t, ServeEventKind kind, const std::string& subject,
-                            const std::string& detail, double value) {
-  report_.events.push_back(ServeEvent{t, kind, subject, detail, value});
-  if (cfg_.trace) {
-    obs::Span& sp =
-        cfg_.trace->instant(std::string(serve_event_name(kind)), "vedliot.serve");
-    sp.attrs.emplace_back("subject", subject);
-    if (!detail.empty()) sp.attrs.emplace_back("detail", detail);
-    sp.num_attrs.emplace_back("time_s", t);
-    sp.num_attrs.emplace_back("value", value);
-  }
-  if (cfg_.metrics) {
-    cfg_.metrics->counter("vedliot.serve." + std::string(serve_event_name(kind))).inc();
-  }
-}
-
 bool RolloutController::reachable(const Device& d) const {
   if (!sim_.alive(d.slot)) return false;
   try {
@@ -177,8 +99,8 @@ void RolloutController::start_wave(double t) {
   ++report_.waves_started;
   std::string detail = std::to_string(wave_end_ - wave_begin_);
   detail += " devices";
-  log(t, ServeEventKind::kWaveStarted, "wave " + std::to_string(wave_index_), detail,
-      static_cast<double>(wave_index_));
+  log_.add(t, ServeEventKind::kWaveStarted, "wave " + std::to_string(wave_index_), detail,
+           static_cast<double>(wave_index_));
   for (std::size_t i = wave_begin_; i < wave_end_; ++i) start_transfer(t, devices_[i], i);
 }
 
@@ -243,11 +165,11 @@ void RolloutController::step_transfer(double t, Device& d) {
       std::string detail = "chunk ";
       detail += std::to_string(del.seq);
       detail += " damaged in flight";
-      log(when, ServeEventKind::kOtaChunkRetry, "device " + d.slot, detail, backoff);
+      log_.add(when, ServeEventKind::kOtaChunkRetry, "device " + d.slot, detail, backoff);
       if (d.sender->exhausted()) {
         d.phase = Phase::kFailed;
         d.next_action_s = kInf;
-        log(when, ServeEventKind::kFailed, "device " + d.slot, "transfer attempts exhausted");
+        log_.add(when, ServeEventKind::kFailed, "device " + d.slot, "transfer attempts exhausted");
         return;
       }
       d.next_action_s = when + backoff;
@@ -257,8 +179,8 @@ void RolloutController::step_transfer(double t, Device& d) {
     d.sender->on_result(del.seq, true);
     if (accepted == safety::OtaReceiver::Accept::kAccepted) {
       ++report_.chunks_accepted;
-      log(when, ServeEventKind::kOtaChunk, "device " + d.slot, "",
-          static_cast<double>(del.seq));
+      log_.add(when, ServeEventKind::kOtaChunk, "device " + d.slot, "",
+               static_cast<double>(del.seq));
     } else if (accepted == safety::OtaReceiver::Accept::kDuplicate) {
       ++report_.duplicates;
     }
@@ -289,8 +211,8 @@ std::uint32_t RolloutController::target_serve_crc(Device& d) {
 void RolloutController::stage_and_push(double t, Device& d) {
   std::string detail = std::to_string(d.receiver->chunk_count());
   detail += " chunks reassembled";
-  log(t, ServeEventKind::kOtaStaged, "device " + d.slot, detail,
-      static_cast<double>(d.receiver->received_chunks()));
+  log_.add(t, ServeEventKind::kOtaStaged, "device " + d.slot, detail,
+           static_cast<double>(d.receiver->received_chunks()));
   const std::vector<std::uint8_t>& bytes = d.receiver->assemble();
   safety::OtaPackage update;
   update.package = bytes;
@@ -304,13 +226,13 @@ void RolloutController::stage_and_push(double t, Device& d) {
     d.ever_committed = true;
     d.serving_version = rep.to_version;
     d.serve_crc = target_serve_crc(d);
-    log(t, ServeEventKind::kOtaCommitted, "device " + d.slot, rep.detail,
-        static_cast<double>(rep.to_version));
+    log_.add(t, ServeEventKind::kOtaCommitted, "device " + d.slot, rep.detail,
+             static_cast<double>(rep.to_version));
     sample_progress(t);
   } else {
     d.phase = Phase::kRejected;
-    log(t, ServeEventKind::kOtaRejected, "device " + d.slot, rep.detail,
-        static_cast<double>(rep.to_version));
+    log_.add(t, ServeEventKind::kOtaRejected, "device " + d.slot, rep.detail,
+             static_cast<double>(rep.to_version));
   }
 }
 
@@ -324,8 +246,8 @@ void RolloutController::wake_paused(double t) {
     ++report_.resumes;
     std::string detail = "resuming from chunk ";
     detail += std::to_string(d.receiver->next_needed());
-    log(t, ServeEventKind::kOtaResumed, "device " + d.slot, detail,
-        static_cast<double>(d.receiver->next_needed()));
+    log_.add(t, ServeEventKind::kOtaResumed, "device " + d.slot, detail,
+             static_cast<double>(d.receiver->next_needed()));
   }
 }
 
@@ -396,8 +318,8 @@ void RolloutController::gate_wave(double t) {
   detail += "/";
   detail += std::to_string(size);
   detail += " failures";
-  log(t, ServeEventKind::kWavePassed, "wave " + std::to_string(wave_index_), detail,
-      static_cast<double>(wave_index_));
+  log_.add(t, ServeEventKind::kWavePassed, "wave " + std::to_string(wave_index_), detail,
+           static_cast<double>(wave_index_));
   wave_active_ = false;
   if (wave_end_ >= devices_.size()) {
     finish(t, devices_.empty() ? 0 : devices_.front().serving_version, "all waves passed");
@@ -411,7 +333,7 @@ void RolloutController::begin_halt(double t, double fraction, const std::string&
   halting_ = true;
   wave_active_ = false;
   report_.halted = true;
-  log(t, ServeEventKind::kRolloutHalted, "wave " + std::to_string(wave_index_), why, fraction);
+  log_.add(t, ServeEventKind::kRolloutHalted, "wave " + std::to_string(wave_index_), why, fraction);
   for (std::size_t i = 0; i < devices_.size(); ++i) {
     if (devices_[i].phase == Phase::kCommitted) rollback_queue_.push_back(i);
   }
@@ -439,8 +361,8 @@ void RolloutController::pump_rollbacks(double t) {
     d.phase = Phase::kRolledBack;
     d.serving_version = rep.to_version;
     d.serve_crc = baseline_crc_;
-    log(t, ServeEventKind::kOtaRolledBack, "device " + d.slot, rep.detail,
-        static_cast<double>(rep.to_version));
+    log_.add(t, ServeEventKind::kOtaRolledBack, "device " + d.slot, rep.detail,
+             static_cast<double>(rep.to_version));
     pacing_logged_ = false;
   }
   if (!rollback_queue_.empty()) {
@@ -448,8 +370,8 @@ void RolloutController::pump_rollbacks(double t) {
     rollback_ready_s_ = t + wait;
     if (!pacing_logged_) {
       ++report_.rollbacks_paced;
-      log(t, ServeEventKind::kRollbackPaced,
-          "device " + devices_[rollback_queue_.front()].slot, "token bucket empty", wait);
+      log_.add(t, ServeEventKind::kRollbackPaced,
+               "device " + devices_[rollback_queue_.front()].slot, "token bucket empty", wait);
       pacing_logged_ = true;
     }
     return;
@@ -462,7 +384,7 @@ void RolloutController::finish(double t, std::uint32_t final_version,
   done_ = true;
   report_.converged = true;
   report_.converged_at_s = t;
-  log(t, ServeEventKind::kRolloutDone, "rollout", detail, static_cast<double>(final_version));
+  log_.add(t, ServeEventKind::kRolloutDone, "rollout", detail, static_cast<double>(final_version));
 }
 
 void RolloutController::sample_progress(double t) {
@@ -534,6 +456,7 @@ RolloutReport RolloutController::run(double duration_s) {
     }
     if (halting_ && !rollback_queue_.empty() && rollback_ready_s_ <= t) pump_rollbacks(t);
   }
+  report_.events = log_.take();
   report_.skew_version_misses = cache_.version_misses();
   for (const Device& d : devices_) {
     DeviceOutcome o;

@@ -37,9 +37,10 @@
 ///    on the version that produced it, and every hit is CRC-rechecked
 ///    against the device's own serving CRC.
 ///
-/// Every decision is a ServeEvent mirrored 1:1 into the optional tracer
-/// ("vedliot.serve" instants) and metrics registry, the same contract the
-/// chaos/fleet/integrity soaks assert.
+/// Every decision is a ServeEvent recorded through an EventLog
+/// (event_log.hpp) under category "vedliot.serve", mirrored 1:1 into the
+/// optional tracer and metrics registry; the OTA soak (ota_soak.hpp, driven
+/// by bench/soak.cpp) checks that mirror on every run.
 
 #include <cstdint>
 #include <map>
@@ -55,7 +56,7 @@
 #include "safety/model_store.hpp"
 #include "safety/ota_transport.hpp"
 #include "serve/cache.hpp"
-#include "serve/server.hpp"
+#include "serve/event_log.hpp"
 
 namespace vedliot::serve {
 
@@ -131,10 +132,6 @@ struct RolloutReport {
   /// (time, committed-device count) samples, one per change: the rollout
   /// progress curve the soak checks for monotonicity.
   std::vector<std::pair<double, std::size_t>> progress;
-
-  /// Deterministic JSON summary (events included): bitwise-identical for
-  /// identical seeds — the soak's determinism check compares these.
-  std::string to_json() const;
 };
 
 /// Drives one fleet-wide OTA rollout over a PlatformSimulator. One-shot:
@@ -188,8 +185,6 @@ class RolloutController {
     bool ever_committed = false;  ///< reached the target before any rollback
   };
 
-  void log(double t, ServeEventKind kind, const std::string& subject,
-           const std::string& detail, double value = 0);
   bool reachable(const Device& d) const;
   void start_wave(double t);
   void start_transfer(double t, Device& d, std::size_t index);
@@ -236,6 +231,7 @@ class RolloutController {
   double next_control_s_ = 0;
   bool done_ = false;
 
+  EventLog log_;  ///< moved into report_.events when run() returns
   RolloutReport report_;
   bool ran_ = false;
 };

@@ -6,7 +6,6 @@
 #include <limits>
 
 #include "hw/perf_model.hpp"
-#include "obs/json.hpp"
 #include "platform/baseboard.hpp"
 
 namespace vedliot::serve {
@@ -23,109 +22,9 @@ std::string ms(double seconds) {
 
 }  // namespace
 
-std::string_view serve_event_name(ServeEventKind kind) {
-  switch (kind) {
-    case ServeEventKind::kAdmitted: return "admitted";
-    case ServeEventKind::kShed: return "shed";
-    case ServeEventKind::kDisplaced: return "displaced";
-    case ServeEventKind::kDispatched: return "dispatched";
-    case ServeEventKind::kTransientFault: return "transient-fault";
-    case ServeEventKind::kBackendFailure: return "backend-failure";
-    case ServeEventKind::kRetry: return "retry";
-    case ServeEventKind::kFailed: return "failed";
-    case ServeEventKind::kCancelled: return "cancelled";
-    case ServeEventKind::kCompleted: return "completed";
-    case ServeEventKind::kDeadlineMiss: return "deadline-miss";
-    case ServeEventKind::kQualityDegraded: return "quality-degraded";
-    case ServeEventKind::kBackendDown: return "backend-down";
-    case ServeEventKind::kBackendUp: return "backend-up";
-    case ServeEventKind::kBreakerOpen: return "breaker-open";
-    case ServeEventKind::kBreakerHalfOpen: return "breaker-half-open";
-    case ServeEventKind::kBreakerClosed: return "breaker-closed";
-    case ServeEventKind::kBrownoutDown: return "brownout-down";
-    case ServeEventKind::kBrownoutUp: return "brownout-up";
-    case ServeEventKind::kMemoryFault: return "memory-fault";
-    case ServeEventKind::kScrubHit: return "scrub-hit";
-    case ServeEventKind::kQuarantine: return "quarantine";
-    case ServeEventKind::kModelReloaded: return "model-reloaded";
-    case ServeEventKind::kOtaStaged: return "ota-staged";
-    case ServeEventKind::kOtaCommitted: return "ota-committed";
-    case ServeEventKind::kOtaRejected: return "ota-rejected";
-    case ServeEventKind::kOtaRolledBack: return "ota-rolled-back";
-    case ServeEventKind::kBatchExecuted: return "batch-executed";
-    case ServeEventKind::kCacheHit: return "cache-hit";
-    case ServeEventKind::kScaleUp: return "scale-up";
-    case ServeEventKind::kScaleDown: return "scale-down";
-    case ServeEventKind::kOtaChunk: return "ota-chunk";
-    case ServeEventKind::kOtaChunkRetry: return "ota-chunk-retry";
-    case ServeEventKind::kOtaResumed: return "ota-resumed";
-    case ServeEventKind::kWaveStarted: return "wave-started";
-    case ServeEventKind::kWavePassed: return "wave-passed";
-    case ServeEventKind::kRolloutHalted: return "rollout-halted";
-    case ServeEventKind::kRollbackPaced: return "rollback-paced";
-    case ServeEventKind::kRolloutDone: return "rollout-done";
-  }
-  throw InvalidArgument("unknown serve event kind");
-}
-
-std::string format_serve_event(const ServeEvent& e) {
-  char head[64];
-  std::snprintf(head, sizeof(head), "[%8.4fs] %-18s ", e.time_s,
-                std::string(serve_event_name(e.kind)).c_str());
-  std::string out(head);
-  out += e.subject;
-  if (!e.detail.empty()) {
-    out += "  ";
-    out += e.detail;
-  }
-  return out;
-}
-
 double ServeReport::goodput() const {
   if (offered == 0) return 0.0;
   return static_cast<double>(completed) / static_cast<double>(offered);
-}
-
-std::string ServeReport::to_json() const {
-  std::string out = "{\"record\":\"serve-report\"";
-  out += ",\"offered\":" + obs::json_number(static_cast<double>(offered));
-  out += ",\"admitted\":" + obs::json_number(static_cast<double>(admitted));
-  out += ",\"shed\":" + obs::json_number(static_cast<double>(shed));
-  out += ",\"displaced\":" + obs::json_number(static_cast<double>(displaced));
-  out += ",\"completed\":" + obs::json_number(static_cast<double>(completed));
-  out += ",\"deadline_missed\":" + obs::json_number(static_cast<double>(deadline_missed));
-  out += ",\"cancelled\":" + obs::json_number(static_cast<double>(cancelled));
-  out += ",\"failed\":" + obs::json_number(static_cast<double>(failed));
-  out += ",\"retries\":" + obs::json_number(static_cast<double>(retries));
-  out += ",\"quality_degraded\":" + obs::json_number(static_cast<double>(quality_degraded));
-  out += ",\"max_queue_depth\":" + obs::json_number(static_cast<double>(max_queue_depth));
-  out += ",\"max_brownout_level\":" + obs::json_number(static_cast<double>(max_brownout_level));
-  out +=
-      ",\"final_brownout_level\":" + obs::json_number(static_cast<double>(final_brownout_level));
-  out += ",\"memory_faults\":" + obs::json_number(static_cast<double>(memory_faults));
-  out += ",\"scrub_hits\":" + obs::json_number(static_cast<double>(scrub_hits));
-  out += ",\"quarantines\":" + obs::json_number(static_cast<double>(quarantines));
-  out += ",\"model_reloads\":" + obs::json_number(static_cast<double>(model_reloads));
-  out += ",\"ota_staged\":" + obs::json_number(static_cast<double>(ota_staged));
-  out += ",\"ota_committed\":" + obs::json_number(static_cast<double>(ota_committed));
-  out += ",\"ota_rejected\":" + obs::json_number(static_cast<double>(ota_rejected));
-  out += ",\"ota_rolled_back\":" + obs::json_number(static_cast<double>(ota_rolled_back));
-  out += ",\"integrity_checks\":" + obs::json_number(static_cast<double>(integrity_checks));
-  out += ",\"integrity_faults\":" + obs::json_number(static_cast<double>(integrity_faults));
-  out += ",\"dirty_at_end\":" + obs::json_number(static_cast<double>(dirty_at_end));
-  out += ",\"goodput\":" + obs::json_number(goodput());
-  out += ",\"events\":[";
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    const ServeEvent& e = events[i];
-    if (i) out += ",";
-    out += "{\"time_s\":" + obs::json_number(e.time_s);
-    out += ",\"kind\":\"" + obs::json_escape(serve_event_name(e.kind)) + "\"";
-    out += ",\"subject\":\"" + obs::json_escape(e.subject) + "\"";
-    out += ",\"detail\":\"" + obs::json_escape(e.detail) + "\"";
-    out += ",\"value\":" + obs::json_number(e.value) + "}";
-  }
-  out += "]}";
-  return out;
 }
 
 Server::Server(platform::PlatformSimulator& sim, ServerConfig config)
@@ -139,7 +38,8 @@ Server::Server(platform::PlatformSimulator& sim, ServerConfig config)
         return b;
       }()),
       health_(cfg_.backends, cfg_.health),
-      fault_rng_(cfg_.seed ^ 0xB17F11Bull) {
+      fault_rng_(cfg_.seed ^ 0xB17F11Bull),
+      log_("vedliot.serve", cfg_.trace, cfg_.metrics) {
   VEDLIOT_CHECK(!cfg_.backends.empty(), "server needs at least one backend");
   VEDLIOT_CHECK(!cfg_.variants.empty(), "server needs at least one model variant");
   VEDLIOT_CHECK(!cfg_.ladder.empty(), "degradation ladder needs at least one rung");
@@ -197,36 +97,6 @@ std::uint64_t Server::submit(Request r) {
   return r.id;
 }
 
-// Pre-v2 shim: positional arguments into a v2 Request. Remove next PR.
-std::uint64_t Server::submit(const std::string& client, int priority, double arrival_s,
-                             double deadline_s, std::int64_t batch) {
-  Request r;
-  r.client = client;
-  r.priority_class = static_cast<PriorityClass>(
-      std::clamp(priority, static_cast<int>(PriorityClass::kBatch),
-                 static_cast<int>(PriorityClass::kInteractive)));
-  r.arrival_s = arrival_s;
-  r.deadline_s = deadline_s;
-  r.batch = batch;
-  return submit(std::move(r));
-}
-
-void Server::log(double t, ServeEventKind kind, const std::string& subject,
-                 const std::string& detail, double value) {
-  report_.events.push_back(ServeEvent{t, kind, subject, detail, value});
-  if (cfg_.trace) {
-    obs::Span& sp =
-        cfg_.trace->instant(std::string(serve_event_name(kind)), "vedliot.serve");
-    sp.attrs.emplace_back("subject", subject);
-    if (!detail.empty()) sp.attrs.emplace_back("detail", detail);
-    sp.num_attrs.emplace_back("time_s", t);
-    sp.num_attrs.emplace_back("value", value);
-  }
-  if (cfg_.metrics) {
-    cfg_.metrics->counter("vedliot.serve." + std::string(serve_event_name(kind))).inc();
-  }
-}
-
 void Server::log_transition(double t, const std::string& slot, const BreakerTransition& tr) {
   ServeEventKind kind;
   switch (tr.to) {
@@ -235,7 +105,7 @@ void Server::log_transition(double t, const std::string& slot, const BreakerTran
     case BreakerState::kClosed: kind = ServeEventKind::kBreakerClosed; break;
     default: throw InvalidArgument("unknown breaker state");
   }
-  log(t, kind, "backend " + slot, tr.reason);
+  log_.add(t, kind, "backend " + slot, tr.reason);
 }
 
 double Server::service_time(const std::string& slot, std::int64_t batch) const {
@@ -292,17 +162,17 @@ void Server::admit(const Request& r) {
   const double tenant = tenant_overhead(r.client);
   if (!std::isfinite(tenant)) {
     ++report_.shed;
-    log(t, ServeEventKind::kShed, subject,
-        "tenant module has no static cost bound (wasm.cost.unbounded)");
+    log_.add(t, ServeEventKind::kShed, subject,
+             "tenant module has no static cost bound (wasm.cost.unbounded)");
     return;
   }
 
   const BrownoutStep& step = rung();
   if (step.exec.max_batch > 0 && r.batch > step.exec.max_batch) {
     ++report_.shed;
-    log(t, ServeEventKind::kShed, subject,
-        "batch " + std::to_string(r.batch) + " exceeds brownout cap " +
-            std::to_string(step.exec.max_batch));
+    log_.add(t, ServeEventKind::kShed, subject,
+             "batch " + std::to_string(r.batch) + " exceeds brownout cap " +
+                 std::to_string(step.exec.max_batch));
     return;
   }
 
@@ -313,7 +183,7 @@ void Server::admit(const Request& r) {
   const auto bounds = service_bounds(r.batch);
   if (!bounds || allowed == 0) {
     ++report_.shed;
-    log(t, ServeEventKind::kShed, subject, "no backend available (breakers open)");
+    log_.add(t, ServeEventKind::kShed, subject, "no backend available (breakers open)");
     return;
   }
 
@@ -328,10 +198,10 @@ void Server::admit(const Request& r) {
                           bounds->second + tenant;
   if (est_done > r.deadline_s) {
     ++report_.shed;
-    log(t, ServeEventKind::kShed, subject,
-        "deadline infeasible: est completion " + ms(est_done - t) + " > budget " +
-            ms(r.deadline_s - t),
-        est_done - r.deadline_s);
+    log_.add(t, ServeEventKind::kShed, subject,
+             "deadline infeasible: est completion " + ms(est_done - t) + " > budget " +
+                 ms(r.deadline_s - t),
+             est_done - r.deadline_s);
     return;
   }
 
@@ -339,22 +209,22 @@ void Server::admit(const Request& r) {
     const auto victim = queue_.displace(r.priority());
     if (!victim) {
       ++report_.shed;
-      log(t, ServeEventKind::kShed, subject, "queue full");
+      log_.add(t, ServeEventKind::kShed, subject, "queue full");
       return;
     }
     ++report_.displaced;
-    log(t, ServeEventKind::kDisplaced, "request " + std::to_string(victim->id),
-        "evicted by higher-priority request " + std::to_string(r.id),
-        static_cast<double>(r.priority()));
+    log_.add(t, ServeEventKind::kDisplaced, "request " + std::to_string(victim->id),
+             "evicted by higher-priority request " + std::to_string(r.id),
+             static_cast<double>(r.priority()));
   }
 
   queue_.push(Ticket{r.id, r.priority(), r.deadline_s, 0.0, t});
   ++report_.admitted;
   report_.max_queue_depth = std::max(report_.max_queue_depth, queue_.depth());
-  log(t, ServeEventKind::kAdmitted, subject,
-      std::string(priority_class_name(r.priority_class)) + ", budget " +
-          ms(r.deadline_s - t),
-      static_cast<double>(queue_.depth()));
+  log_.add(t, ServeEventKind::kAdmitted, subject,
+           std::string(priority_class_name(r.priority_class)) + ", budget " +
+               ms(r.deadline_s - t),
+           static_cast<double>(queue_.depth()));
 }
 
 void Server::apply_brownout(double t, int delta) {
@@ -364,10 +234,10 @@ void Server::apply_brownout(double t, int delta) {
   const BrownoutStep& step = rung();
   const ModelVariant& v = cfg_.variants[step.variant];
   if (cfg_.execute) sessions_[step.variant]->set_exec_config(step.exec);
-  log(t, delta > 0 ? ServeEventKind::kBrownoutDown : ServeEventKind::kBrownoutUp, "brownout",
-      "level " + std::to_string(level_) + ": variant " + v.name + ", batch cap " +
-          std::to_string(step.exec.max_batch),
-      static_cast<double>(level_));
+  log_.add(t, delta > 0 ? ServeEventKind::kBrownoutDown : ServeEventKind::kBrownoutUp, "brownout",
+           "level " + std::to_string(level_) + ": variant " + v.name + ", batch cap " +
+               std::to_string(step.exec.max_batch),
+           static_cast<double>(level_));
 }
 
 void Server::control_tick(double t) {
@@ -375,14 +245,14 @@ void Server::control_tick(double t) {
     if (beat.recovered) {
       // Back alive: the breaker stays open until its probes succeed, so a
       // flapping module must prove itself before regaining queue share.
-      log(t, ServeEventKind::kBackendUp, "backend " + beat.slot,
-          "heartbeats answering again");
+      log_.add(t, ServeEventKind::kBackendUp, "backend " + beat.slot,
+               "heartbeats answering again");
       continue;
     }
     if (!beat.declared_down) continue;
-    log(t, ServeEventKind::kBackendDown, "backend " + beat.slot,
-        "declared dead after " + std::to_string(beat.misses) + " missed heartbeats",
-        static_cast<double>(beat.misses));
+    log_.add(t, ServeEventKind::kBackendDown, "backend " + beat.slot,
+             "declared dead after " + std::to_string(beat.misses) + " missed heartbeats",
+             static_cast<double>(beat.misses));
     if (const auto tr = breakers_.at(beat.slot).force_open(t, "heartbeat monitor: backend down")) {
       log_transition(t, beat.slot, *tr);
     }
@@ -396,8 +266,8 @@ void Server::control_tick(double t) {
 
   for (const Ticket& dead : queue_.expire(t)) {
     ++report_.cancelled;
-    log(t, ServeEventKind::kCancelled, "request " + std::to_string(dead.id),
-        "deadline passed in queue");
+    log_.add(t, ServeEventKind::kCancelled, "request " + std::to_string(dead.id),
+             "deadline passed in queue");
   }
 
   std::size_t open = 0;
@@ -451,9 +321,9 @@ void Server::try_dispatch(double t) {
 
     if (t + best_svc > ticket->deadline_s) {
       ++report_.cancelled;
-      log(t, ServeEventKind::kCancelled, subject,
-          "infeasible at dispatch: fastest backend needs " + ms(best_svc) +
-              ", deadline in " + ms(ticket->deadline_s - t));
+      log_.add(t, ServeEventKind::kCancelled, subject,
+               "infeasible at dispatch: fastest backend needs " + ms(best_svc) +
+                   ", deadline in " + ms(ticket->deadline_s - t));
       continue;
     }
 
@@ -467,8 +337,8 @@ void Server::try_dispatch(double t) {
       why = "fabric partition";
     }
     if (!ok) {
-      log(t, ServeEventKind::kTransientFault, subject,
-          cfg_.ingress + "->" + best + " request transfer failed (" + why + ")");
+      log_.add(t, ServeEventKind::kTransientFault, subject,
+               cfg_.ingress + "->" + best + " request transfer failed (" + why + ")");
       if (const auto tr = breaker.record_failure(t, why + " to " + best)) {
         log_transition(t, best, *tr);
       }
@@ -477,9 +347,9 @@ void Server::try_dispatch(double t) {
     }
 
     in_flight_[best] = InFlight{*ticket, best, t, t + best_svc, sim_.gops_scale(best)};
-    log(t, ServeEventKind::kDispatched, subject,
-        best + " (" + cfg_.variants[rung().variant].name + "), service " + ms(best_svc),
-        best_svc);
+    log_.add(t, ServeEventKind::kDispatched, subject,
+             best + " (" + cfg_.variants[rung().variant].name + "), service " + ms(best_svc),
+             best_svc);
   }
 }
 
@@ -491,8 +361,8 @@ void Server::retry_or_fail(double t, Ticket ticket, const std::string& reason) {
 
   if (tokens < 1.0) {
     ++report_.failed;
-    log(t, ServeEventKind::kFailed, subject,
-        reason + "; client " + r.client + " retry budget empty");
+    log_.add(t, ServeEventKind::kFailed, subject,
+             reason + "; client " + r.client + " retry budget empty");
     return;
   }
   const double backoff = rng_.backoff_s(cfg_.backoff_base_s, cfg_.backoff_cap_s, attempt - 1,
@@ -500,12 +370,12 @@ void Server::retry_or_fail(double t, Ticket ticket, const std::string& reason) {
   const double ready = t + backoff;
   if (ready >= r.deadline_s) {
     ++report_.failed;
-    log(t, ServeEventKind::kFailed, subject, reason + "; no time left to retry");
+    log_.add(t, ServeEventKind::kFailed, subject, reason + "; no time left to retry");
     return;
   }
   if (queue_.full()) {
     ++report_.failed;
-    log(t, ServeEventKind::kFailed, subject, reason + "; queue full on retry");
+    log_.add(t, ServeEventKind::kFailed, subject, reason + "; queue full on retry");
     return;
   }
   tokens -= 1.0;
@@ -514,8 +384,8 @@ void Server::retry_or_fail(double t, Ticket ticket, const std::string& reason) {
   ticket.enqueued_s = t;
   queue_.push(ticket);
   report_.max_queue_depth = std::max(report_.max_queue_depth, queue_.depth());
-  log(t, ServeEventKind::kRetry, subject,
-      "attempt " + std::to_string(attempt) + ", backoff " + ms(backoff), backoff);
+  log_.add(t, ServeEventKind::kRetry, subject,
+           "attempt " + std::to_string(attempt) + ", backoff " + ms(backoff), backoff);
 }
 
 void Server::execute_request(double t, const Ticket& ticket, const std::string& slot) {
@@ -532,10 +402,10 @@ void Server::execute_request(double t, const Ticket& ticket, const std::string& 
   const safety::CheckResult verdict = cfg_.robustness->submit(input, output);
   if (verdict == safety::CheckResult::kCheckedFaulty) {
     ++report_.quality_degraded;
-    log(t, ServeEventKind::kQualityDegraded, "request " + std::to_string(ticket.id),
-        "robustness check verdict: checked-faulty (divergence " +
-            std::to_string(cfg_.robustness->last_divergence()) + ")",
-        cfg_.robustness->last_divergence());
+    log_.add(t, ServeEventKind::kQualityDegraded, "request " + std::to_string(ticket.id),
+             "robustness check verdict: checked-faulty (divergence " +
+                 std::to_string(cfg_.robustness->last_divergence()) + ")",
+             cfg_.robustness->last_divergence());
     if (cfg_.store) {
       // Don't wait for the next scrub sweep: localize now with a full scan
       // and self-heal, quarantining the backend that served the divergent
@@ -544,10 +414,10 @@ void Server::execute_request(double t, const Ticket& ticket, const std::string& 
       const auto hits = scrubbers_[variant]->full_scan();
       report_.scrub_hits += hits.size();
       for (const auto& h : hits) {
-        log(t, ServeEventKind::kScrubHit, "variant " + cfg_.variants[variant].name,
-            "node '" + h.node_name + "' tensor " + std::to_string(h.tensor) +
-                " crc mismatch (full scan after checked-faulty)",
-            static_cast<double>(h.tensor));
+        log_.add(t, ServeEventKind::kScrubHit, "variant " + cfg_.variants[variant].name,
+                 "node '" + h.node_name + "' tensor " + std::to_string(h.tensor) +
+                     " crc mismatch (full scan after checked-faulty)",
+                 static_cast<double>(h.tensor));
       }
       recover(t, variant, hits, probation_[variant] > 0);
     }
@@ -581,10 +451,10 @@ void Server::apply_memory_fault(double t, const platform::FaultEvent& e) {
   rebuild_session(variant);
   ++report_.memory_faults;
   suspect_slot_ = e.slot;
-  log(t, ServeEventKind::kMemoryFault, "backend " + e.slot,
-      std::to_string(bits) + " weight bit(s) flipped in deployed " +
-          cfg_.variants[variant].name,
-      static_cast<double>(bits));
+  log_.add(t, ServeEventKind::kMemoryFault, "backend " + e.slot,
+           std::to_string(bits) + " weight bit(s) flipped in deployed " +
+               cfg_.variants[variant].name,
+           static_cast<double>(bits));
 }
 
 void Server::corrupt_next_ota() {
@@ -609,7 +479,7 @@ void Server::quarantine(double t, const std::string& slot, const std::string& wh
   const auto it = breakers_.find(slot);
   if (it == breakers_.end()) return;
   ++report_.quarantines;
-  log(t, ServeEventKind::kQuarantine, "backend " + slot, why);
+  log_.add(t, ServeEventKind::kQuarantine, "backend " + slot, why);
   if (const auto tr = it->second.force_open(t, why)) log_transition(t, slot, *tr);
 }
 
@@ -632,9 +502,9 @@ void Server::recover(double t, std::size_t variant,
     scrubbers_[variant]->rebaseline();
     probation_[variant] = 0;
     ++report_.ota_rolled_back;
-    log(t, ServeEventKind::kOtaRolledBack, "ota " + v.name,
-        "corruption inside probation window; " + rep.detail,
-        static_cast<double>(rep.to_version));
+    log_.add(t, ServeEventKind::kOtaRolledBack, "ota " + v.name,
+             "corruption inside probation window; " + rep.detail,
+             static_cast<double>(rep.to_version));
     return;
   }
 
@@ -649,10 +519,10 @@ void Server::recover(double t, std::size_t variant,
   rebuild_session(variant);
   scrubbers_[variant]->rebaseline();
   ++report_.model_reloads;
-  log(t, ServeEventKind::kModelReloaded, "variant " + v.name,
-      std::to_string(rewritten) + " tensor(s) re-materialized from golden v" +
-          std::to_string(cfg_.store->version(v.name)),
-      static_cast<double>(rewritten));
+  log_.add(t, ServeEventKind::kModelReloaded, "variant " + v.name,
+           std::to_string(rewritten) + " tensor(s) re-materialized from golden v" +
+               std::to_string(cfg_.store->version(v.name)),
+           static_cast<double>(rewritten));
 }
 
 void Server::scrub_tick(double t) {
@@ -663,10 +533,10 @@ void Server::scrub_tick(double t) {
     if (hits.empty()) continue;
     report_.scrub_hits += hits.size();
     for (const auto& h : hits) {
-      log(t, ServeEventKind::kScrubHit, "variant " + cfg_.variants[vi].name,
-          "node '" + h.node_name + "' tensor " + std::to_string(h.tensor) +
-              " crc mismatch (scrub sweep)",
-          static_cast<double>(h.tensor));
+      log_.add(t, ServeEventKind::kScrubHit, "variant " + cfg_.variants[vi].name,
+               "node '" + h.node_name + "' tensor " + std::to_string(h.tensor) +
+                   " crc mismatch (scrub sweep)",
+               static_cast<double>(h.tensor));
     }
     recover(t, vi, hits, in_probation);
   }
@@ -685,9 +555,9 @@ void Server::process_ota(double t, PendingOta ota) {
     }
   }
   ++report_.ota_staged;
-  log(t, ServeEventKind::kOtaStaged, "ota " + v.name,
-      "payload " + std::to_string(ota.update.package.size()) + " bytes, verifying",
-      static_cast<double>(ota.update.package.size()));
+  log_.add(t, ServeEventKind::kOtaStaged, "ota " + v.name,
+           "payload " + std::to_string(ota.update.package.size()) + " bytes, verifying",
+           static_cast<double>(ota.update.package.size()));
 
   const auto rep = cfg_.store->push(v.name, ota.update);
   switch (rep.outcome) {
@@ -699,15 +569,15 @@ void Server::process_ota(double t, PendingOta ota) {
       probation_[ota.variant] =
           scrubbers_[ota.variant]->ticks_per_sweep() * cfg_.ota_probation_sweeps;
       ++report_.ota_committed;
-      log(t, ServeEventKind::kOtaCommitted, "ota " + v.name,
-          "v" + std::to_string(rep.from_version) + " -> v" + std::to_string(rep.to_version) +
-              "; " + rep.detail,
-          static_cast<double>(rep.to_version));
+      log_.add(t, ServeEventKind::kOtaCommitted, "ota " + v.name,
+               "v" + std::to_string(rep.from_version) + " -> v" + std::to_string(rep.to_version) +
+                   "; " + rep.detail,
+               static_cast<double>(rep.to_version));
       break;
     case safety::OtaOutcome::kRejected:
       ++report_.ota_rejected;
-      log(t, ServeEventKind::kOtaRejected, "ota " + v.name, rep.detail,
-          static_cast<double>(rep.from_version));
+      log_.add(t, ServeEventKind::kOtaRejected, "ota " + v.name, rep.detail,
+               static_cast<double>(rep.from_version));
       break;
     case safety::OtaOutcome::kRolledBack:
       throw Error("store.push must not report rolled-back");
@@ -720,7 +590,7 @@ void Server::finish(double t, InFlight f) {
   CircuitBreaker& breaker = breakers_.at(f.slot);
 
   if (!sim_.alive(f.slot)) {
-    log(t, ServeEventKind::kBackendFailure, subject, f.slot + " died mid-request");
+    log_.add(t, ServeEventKind::kBackendFailure, subject, f.slot + " died mid-request");
     if (const auto tr = breaker.record_failure(t, f.slot + " died mid-request")) {
       log_transition(t, f.slot, *tr);
     }
@@ -736,8 +606,8 @@ void Server::finish(double t, InFlight f) {
     why = "fabric partition";
   }
   if (!ok) {
-    log(t, ServeEventKind::kTransientFault, subject,
-        f.slot + "->" + cfg_.ingress + " response transfer failed (" + why + ")");
+    log_.add(t, ServeEventKind::kTransientFault, subject,
+             f.slot + "->" + cfg_.ingress + " response transfer failed (" + why + ")");
     if (const auto tr = breaker.record_failure(t, why + " from " + f.slot)) {
       log_transition(t, f.slot, *tr);
     }
@@ -756,12 +626,12 @@ void Server::finish(double t, InFlight f) {
   }
   if (t <= r.deadline_s) {
     ++report_.completed;
-    log(t, ServeEventKind::kCompleted, subject,
-        f.slot + ", latency " + ms(latency), latency);
+    log_.add(t, ServeEventKind::kCompleted, subject,
+             f.slot + ", latency " + ms(latency), latency);
   } else {
     ++report_.deadline_missed;
-    log(t, ServeEventKind::kDeadlineMiss, subject,
-        f.slot + ", " + ms(t - r.deadline_s) + " past deadline", t - r.deadline_s);
+    log_.add(t, ServeEventKind::kDeadlineMiss, subject,
+             f.slot + ", " + ms(t - r.deadline_s) + " past deadline", t - r.deadline_s);
   }
 }
 
@@ -866,10 +736,11 @@ ServeReport Server::run(double duration_s) {
   const double t_end = std::max(duration_s, sim_.now());
   while (const auto leftover = queue_.pop(kInf)) {
     ++report_.cancelled;
-    log(t_end, ServeEventKind::kCancelled, "request " + std::to_string(leftover->id),
-        "run ended with request still queued");
+    log_.add(t_end, ServeEventKind::kCancelled, "request " + std::to_string(leftover->id),
+             "run ended with request still queued");
   }
 
+  report_.events = log_.take();
   report_.final_brownout_level = level_;
   if (cfg_.robustness) {
     report_.integrity_checks = cfg_.robustness->checks_run();

@@ -30,11 +30,12 @@
 ///    through the store, with corruption during the post-swap probation
 ///    window rolling the update back instead of repairing.
 ///
-/// Every decision is a structured ServeEvent, mirrored 1:1 into the
-/// optional obs::Tracer (instant spans, category "vedliot.serve") and
-/// counted in the optional obs::MetricsRegistry under `vedliot.serve.*` —
-/// the soak harnesses (soak.hpp, integrity_soak.hpp) assert that mirror
-/// exactly.
+/// Every decision is a structured ServeEvent recorded through an EventLog
+/// (event_log.hpp) under category "vedliot.serve": mirrored 1:1 into the
+/// optional obs::Tracer as instant spans and counted in the optional
+/// obs::MetricsRegistry under `vedliot.serve.*`. The chaos and integrity
+/// soaks (soak.hpp, integrity_soak.hpp, driven by bench/soak.cpp) check
+/// that mirror on every run.
 
 #include <cstdint>
 #include <map>
@@ -55,66 +56,12 @@
 #include "safety/scrub.hpp"
 #include "serve/breaker.hpp"
 #include "serve/brownout.hpp"
+#include "serve/event_log.hpp"
 #include "serve/queue.hpp"
 #include "serve/request.hpp"
 #include "util/rng.hpp"
 
 namespace vedliot::serve {
-
-enum class ServeEventKind {
-  kAdmitted,        ///< request accepted into the queue
-  kShed,            ///< rejected at admission (bound / infeasible / no backend)
-  kDisplaced,       ///< queued request evicted by a higher-priority arrival
-  kDispatched,      ///< request handed to a backend
-  kTransientFault,  ///< one transfer leg failed transiently
-  kBackendFailure,  ///< a dispatched request failed on its backend
-  kRetry,           ///< failed request re-queued after jittered backoff
-  kFailed,          ///< request gave up (retry budget / no time left)
-  kCancelled,       ///< deadline passed while queued / infeasible at dispatch
-  kCompleted,       ///< response delivered within its deadline
-  kDeadlineMiss,    ///< response delivered after its deadline
-  kQualityDegraded, ///< robustness check flagged the response divergent
-  kBackendDown,     ///< heartbeat monitor declared a backend dead
-  kBackendUp,       ///< previously-down backend answered probes again
-  kBreakerOpen,     ///< circuit breaker tripped on a backend
-  kBreakerHalfOpen, ///< breaker cooldown expired, probing
-  kBreakerClosed,   ///< probes succeeded, backend back in rotation
-  kBrownoutDown,    ///< degraded one rung (value = new level)
-  kBrownoutUp,      ///< recovered one rung (value = new level)
-  kMemoryFault,     ///< scheduled SEU flipped weight bits in a deployed model
-  kScrubHit,        ///< scrubber localized corruption to a (node, tensor)
-  kQuarantine,      ///< implicated backend force-opened while weights rewrite
-  kModelReloaded,   ///< corrupted tensors re-materialized from the golden store
-  kOtaStaged,       ///< OTA payload arrived, verification starting
-  kOtaCommitted,    ///< OTA verified and swapped atomically (value = version)
-  kOtaRejected,     ///< OTA failed pre-swap verification, old version serving
-  kOtaRolledBack,   ///< post-swap corruption, previous version restored
-  kBatchExecuted,   ///< fleet: a coalesced batch ran (value = real lanes)
-  kCacheHit,        ///< fleet: idempotent request answered from the cache
-  kScaleUp,         ///< fleet: replica added (value = new replica count)
-  kScaleDown,       ///< fleet: replica drained (value = new replica count)
-  kOtaChunk,        ///< rollout: device accepted a transfer chunk (value = seq)
-  kOtaChunkRetry,   ///< rollout: chunk resend scheduled (value = backoff s)
-  kOtaResumed,      ///< rollout: interrupted transfer resumed (value = next seq)
-  kWaveStarted,     ///< rollout: wave opened (value = wave index)
-  kWavePassed,      ///< rollout: wave health gate passed (value = wave index)
-  kRolloutHalted,   ///< rollout: failure fraction tripped (value = fraction)
-  kRollbackPaced,   ///< rollout: rollback delayed by token bucket (value = wait s)
-  kRolloutDone,     ///< rollout: terminal state reached (value = final version)
-};
-
-std::string_view serve_event_name(ServeEventKind kind);
-
-struct ServeEvent {
-  double time_s = 0;
-  ServeEventKind kind = ServeEventKind::kAdmitted;
-  std::string subject;  ///< "request 42", "backend come1", "brownout", ...
-  std::string detail;
-  double value = 0;     ///< kind-specific (latency s, backoff s, level, ...)
-};
-
-/// One line per event: "[ 0.0300s] shed               request 42  queue full".
-std::string format_serve_event(const ServeEvent& e);
 
 // ModelVariant and BrownoutStep (both pre-v2 residents of this header)
 // now live with the ladder in brownout.hpp; Request moved to request.hpp
@@ -216,10 +163,6 @@ struct ServeReport {
 
   /// In-deadline completions over offered load (0 when nothing offered).
   double goodput() const;
-
-  /// Deterministic JSON summary (events included): bitwise-identical for
-  /// identical seeds, which the soak harness checks by string compare.
-  std::string to_json() const;
 };
 
 /// Serving front-end over one PlatformSimulator. One-shot: submit the
@@ -233,12 +176,6 @@ class Server {
   /// The request must be wire version kServeApiVersion.
   std::uint64_t submit(Request r);
 
-  /// Pre-v2 positional submit. Deprecated shim kept for exactly one PR:
-  /// construct a serve::Request and call submit(Request) instead.
-  [[deprecated("construct a serve::Request (wire v2) and call submit(Request)")]]
-  std::uint64_t submit(const std::string& client, int priority, double arrival_s,
-                       double deadline_s, std::int64_t batch = 1);
-
   /// Schedule an over-the-air update for \p variant's store entry at
   /// simulated time \p t (integrity mode only; call before run()). The
   /// update must keep the variant's architecture — only weights change.
@@ -246,8 +183,6 @@ class Server {
 
   /// Drive the serving loop for \p duration_s of simulated time.
   ServeReport run(double duration_s);
-
-  std::span<const ServeEvent> events() const { return report_.events; }
 
  private:
   struct InFlight {
@@ -265,8 +200,6 @@ class Server {
     bool corrupted = false;  ///< a kOtaCorrupt marker fell on this payload
   };
 
-  void log(double t, ServeEventKind kind, const std::string& subject,
-           const std::string& detail, double value = 0);
   void log_transition(double t, const std::string& slot, const BreakerTransition& tr);
   const BrownoutStep& rung() const { return cfg_.ladder[static_cast<std::size_t>(level_)]; }
   double service_time(const std::string& slot, std::int64_t batch) const;
@@ -327,6 +260,7 @@ class Server {
   std::size_t next_ota_ = 0;
   Rng fault_rng_;                        ///< SEU bit picks + payload damage
 
+  EventLog log_;  ///< moved into report_.events when run() returns
   ServeReport report_;
   bool ran_ = false;
 };

@@ -2,15 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <map>
-#include <optional>
 
 #include "graph/zoo.hpp"
 #include "obs/json.hpp"
 #include "platform/baseboard.hpp"
 #include "util/error.hpp"
-#include "util/hash.hpp"
 #include "util/rng.hpp"
 
 namespace vedliot::serve {
@@ -25,18 +22,6 @@ constexpr std::uint64_t kLoadStream = 0xA11CEull;
 constexpr std::uint64_t kFaultStream = 0xFA17ull;
 constexpr std::uint64_t kSimStream = 0x51ull;
 
-/// Order-sensitive digest of the event log: two runs agree on this iff
-/// they agree on every event, without shipping megabytes of JSON.
-std::string event_digest(const ServeReport& report) {
-  std::uint64_t h = 0xCBF29CE484222325ull;
-  for (const ServeEvent& e : report.events) {
-    h = util::fnv1a64(format_serve_event(e), h);
-  }
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%016llx", static_cast<unsigned long long>(h));
-  return buf;
-}
-
 /// Invariant 1: a deadline miss is only legitimate when something actually
 /// went wrong in the request's lifetime — a logged failure/retry on the
 /// request itself, or a scheduled platform fault whose time lands in the
@@ -44,7 +29,6 @@ std::string event_digest(const ServeReport& report) {
 /// a violation outright.
 void check_deadline_invariant(const SoakConfig& cfg, const ServeReport& report,
                               const platform::FaultTimeline& timeline,
-                              const std::string& identity,
                               std::vector<std::string>& violations) {
   constexpr double kSlack = 0.25;  // scheduled vs applied fault-time skew
   std::map<std::string, double> admitted_at;
@@ -62,7 +46,7 @@ void check_deadline_invariant(const SoakConfig& cfg, const ServeReport& report,
       case ServeEventKind::kDeadlineMiss: {
         if (cfg.fault_rate <= 0) {
           violations.push_back("deadline miss with zero fault rate: " + e.subject + " at " +
-                               std::to_string(e.time_s) + "s [" + identity + "]");
+                               std::to_string(e.time_s) + "s");
           break;
         }
         if (troubled.count(e.subject)) break;
@@ -74,7 +58,7 @@ void check_deadline_invariant(const SoakConfig& cfg, const ServeReport& report,
             [&](const platform::FaultEvent& f) { return f.time_s >= lo && f.time_s <= hi; });
         if (!fault_window) {
           violations.push_back("deadline miss outside any fault window: " + e.subject +
-                               " at " + std::to_string(e.time_s) + "s [" + identity + "]");
+                               " at " + std::to_string(e.time_s) + "s");
         }
         break;
       }
@@ -84,49 +68,36 @@ void check_deadline_invariant(const SoakConfig& cfg, const ServeReport& report,
   }
 }
 
-/// Invariant 4: the tracer's "vedliot.serve" instants mirror the event log
-/// 1:1 in order, and each per-kind counter equals its event count.
-void check_observability_invariant(const ServeReport& report, const obs::Tracer& tracer,
-                                   const obs::MetricsRegistry& metrics,
-                                   const std::string& identity,
-                                   std::vector<std::string>& violations) {
-  std::vector<const obs::Span*> mirrored;
-  for (const obs::Span& sp : tracer.spans()) {
-    if (sp.category == "vedliot.serve") mirrored.push_back(&sp);
-  }
-  if (mirrored.size() != report.events.size()) {
-    violations.push_back("tracer mirror count " + std::to_string(mirrored.size()) +
-                         " != event count " + std::to_string(report.events.size()) + " [" +
-                         identity + "]");
-    return;
-  }
-  for (std::size_t i = 0; i < mirrored.size(); ++i) {
-    const std::string expect(serve_event_name(report.events[i].kind));
-    if (mirrored[i]->name != expect) {
-      violations.push_back("tracer mirror out of order at event " + std::to_string(i) + ": " +
-                           mirrored[i]->name + " != " + expect + " [" + identity + "]");
-      return;
-    }
-  }
+}  // namespace
 
-  std::map<std::string, std::uint64_t> counts;
-  for (const ServeEvent& e : report.events) {
-    ++counts["vedliot.serve." + std::string(serve_event_name(e.kind))];
+void SoakProbe::close(std::span<const ServeEvent> events, std::string_view category,
+                      const std::string& identity, std::vector<std::string>& violations) const {
+  for (std::string& v : EventLog::check_mirror(events, category, trace, metrics)) {
+    violations.push_back(std::move(v));
   }
-  for (const auto& [name, count] : counts) {
-    if (!metrics.has_counter(name) || metrics.counters().at(name).value() != count) {
-      violations.push_back("counter " + name + " != event count " + std::to_string(count) +
-                           " [" + identity + "]");
-    }
-  }
-  for (const auto& [name, counter] : metrics.counters()) {
-    if (name.rfind("vedliot.serve.", 0) == 0 && !counts.count(name)) {
-      violations.push_back("counter " + name + " has no matching events [" + identity + "]");
-    }
-  }
+  if (identity.empty()) return;
+  for (std::string& v : violations) v += " [" + identity + "]";
 }
 
-}  // namespace
+std::string violations_json(const std::vector<std::string>& violations) {
+  std::string out = ",\"violations\":[";
+  for (std::size_t i = 0; i < violations.size(); ++i) {
+    if (i) out += ",";
+    out += "\"" + obs::json_escape(violations[i]) + "\"";
+  }
+  return out + "]}";
+}
+
+Graph retuned(const Graph& g, float factor) {
+  Graph out = g.clone();
+  for (NodeId id : out.topo_order()) {
+    if (out.node(id).weights.empty()) continue;
+    for (float& w : out.node(id).weights.at(0).data()) w *= factor;
+    out.touch();
+    return out;
+  }
+  throw InvalidArgument("soak model has no parametric node");
+}
 
 std::string SoakResult::to_json() const {
   std::string out = "{\"record\":\"soak-serve\"";
@@ -147,17 +118,9 @@ std::string SoakResult::to_json() const {
       ",\"max_brownout_level\":" + obs::json_number(static_cast<double>(report.max_brownout_level));
   out += ",\"goodput\":" + obs::json_number(report.goodput());
   out += ",\"events\":" + obs::json_number(static_cast<double>(report.events.size()));
-  out += ",\"events_fnv1a\":\"" + event_digest(report) + "\"";
+  out += ",\"events_fnv1a\":\"" + event_digest(report.events) + "\"";
   out += ",\"sim\":\"" + obs::json_escape(sim_describe) + "\"";
-  out += ",\"violations\":[";
-  for (std::size_t i = 0; i < violations.size(); ++i) {
-    if (i) out += ",";
-    out += "\"";
-    out += obs::json_escape(violations[i]);
-    out += "\"";
-  }
-  out += "]}";
-  return out;
+  return out + violations_json(violations);
 }
 
 SoakResult run_soak(const SoakConfig& cfg) {
@@ -207,10 +170,9 @@ SoakResult run_soak(const SoakConfig& cfg) {
   server_cfg.queue.capacity = cfg.queue_capacity;
   server_cfg.seed = cfg.seed;
 
-  obs::Tracer tracer;
-  obs::MetricsRegistry metrics;
-  server_cfg.trace = &tracer;
-  server_cfg.metrics = &metrics;
+  SoakProbe probe;
+  server_cfg.trace = &probe.trace;
+  server_cfg.metrics = &probe.metrics;
 
   Server server(sim, server_cfg);
 
@@ -240,33 +202,13 @@ SoakResult run_soak(const SoakConfig& cfg) {
   result.report = server.run(cfg.duration_s);
   result.sim_describe = sim.describe();
 
-  check_deadline_invariant(cfg, result.report, timeline, result.sim_describe,
-                           result.violations);
+  check_deadline_invariant(cfg, result.report, timeline, result.violations);
   if (result.report.max_queue_depth > cfg.queue_capacity) {
-    result.violations.push_back(
-        "queue depth " + std::to_string(result.report.max_queue_depth) + " exceeded capacity " +
-        std::to_string(cfg.queue_capacity) + " [" + result.sim_describe + "]");
+    result.violations.push_back("queue depth " + std::to_string(result.report.max_queue_depth) +
+                                " exceeded capacity " + std::to_string(cfg.queue_capacity));
   }
-  check_observability_invariant(result.report, tracer, metrics, result.sim_describe,
-                                result.violations);
+  probe.close(result.report.events, "vedliot.serve", result.sim_describe, result.violations);
   return result;
-}
-
-std::vector<std::string> check_goodput_monotone(const std::vector<SoakResult>& sweep) {
-  std::vector<std::string> violations;
-  for (std::size_t i = 1; i < sweep.size(); ++i) {
-    VEDLIOT_CHECK(sweep[i].config.fault_rate >= sweep[i - 1].config.fault_rate,
-                  "goodput sweep must be ordered by ascending fault rate");
-    if (sweep[i].goodput() > sweep[i - 1].goodput() + 1e-9) {
-      char buf[160];
-      std::snprintf(buf, sizeof(buf),
-                    "goodput not monotone: %.4f at fault rate %.2f > %.4f at %.2f",
-                    sweep[i].goodput(), sweep[i].config.fault_rate, sweep[i - 1].goodput(),
-                    sweep[i - 1].config.fault_rate);
-      violations.push_back(std::string(buf) + " [" + sweep[i].sim_describe + "]");
-    }
-  }
-  return violations;
 }
 
 }  // namespace vedliot::serve

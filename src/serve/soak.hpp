@@ -1,6 +1,8 @@
 #pragma once
 /// \file soak.hpp
-/// \brief Deterministic closed-loop chaos soak for the serving layer.
+/// \brief The plumbing every soak harness shares (this chaos soak,
+/// fleet_soak.hpp, integrity_soak.hpp, ota_soak.hpp; bench/soak.cpp drives
+/// all four), and the deterministic closed-loop chaos soak for serving.
 ///
 /// One run_soak() call builds a RECS|Box chassis with a star fabric,
 /// schedules a seeded open-loop load (independent RNG stream) and a seeded
@@ -12,27 +14,46 @@
 ///      may miss its deadline; under faults, every miss's lifetime must
 ///      overlap an observed failure/retry on that request or a scheduled
 ///      platform fault window;
-///   2. (cross-run, check_goodput_monotone) goodput is monotone
-///      non-increasing in fault rate over the same load schedule;
+///   2. (cross-run, in bench/soak.cpp) goodput is monotone non-increasing
+///      in fault rate over the same load schedule;
 ///   3. bounded queue — the observed max depth never exceeds the
 ///      configured capacity;
-///   4. observable transitions — the structured event log is mirrored 1:1,
-///      in order, into the obs tracer (category "vedliot.serve") and every
-///      per-kind `vedliot.serve.*` counter equals its event count.
+///   4. observable transitions — the event log mirrors 1:1 into the obs
+///      tracer and per-kind counters (EventLog::check_mirror).
 ///
-/// Everything derives from SoakConfig::seed, so two runs of the same
-/// config produce bitwise-identical reports (asserted via to_json string
-/// compare in tests and bench/soak_serve). Violation messages embed
+/// Everything derives from the seed, so two runs of one config serialize to
+/// bitwise-identical to_json(). Violation messages embed
 /// PlatformSimulator::describe() so a failing CI log carries the seed that
 /// reproduces it.
 
 #include <cstdint>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "serve/server.hpp"
 
 namespace vedliot::serve {
+
+/// What every soak run shares: wire `trace` and `metrics` into the engine
+/// under test; after the run, close() adds the event-mirror violations and
+/// tags every violation of the run with \p identity (the simulator line
+/// that reproduces it; empty = untagged).
+struct SoakProbe {
+  obs::Tracer trace;
+  obs::MetricsRegistry metrics;
+
+  void close(std::span<const ServeEvent> events, std::string_view category,
+             const std::string& identity, std::vector<std::string>& violations) const;
+};
+
+/// `,"violations":[...]}`: the field that closes every soak record.
+std::string violations_json(const std::vector<std::string>& violations);
+
+/// \p g with its first parametric node's first weight tensor scaled by
+/// \p factor: the same architecture with new weights, as an OTA update.
+Graph retuned(const Graph& g, float factor);
 
 struct SoakConfig {
   std::uint64_t seed = 0x5EEDu;
@@ -65,10 +86,5 @@ struct SoakResult {
 
 /// Run one seeded soak at the configured fault rate.
 SoakResult run_soak(const SoakConfig& config);
-
-/// Invariant 2 over a sweep that shares seed/load and varies only
-/// fault_rate (ascending): goodput must be monotone non-increasing.
-/// Returns violation messages (empty = holds).
-std::vector<std::string> check_goodput_monotone(const std::vector<SoakResult>& sweep);
 
 }  // namespace vedliot::serve

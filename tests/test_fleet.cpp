@@ -330,8 +330,10 @@ TEST(FleetSoak, MoreReplicasNeverServeLess) {
     cfg.fleet_size = size;
     sweep.push_back(run_fleet_soak(cfg));
   }
-  const auto violations = check_fleet_goodput_monotone(sweep);
-  EXPECT_TRUE(violations.empty()) << (violations.empty() ? "" : violations.front());
+  for (std::size_t i = 1; i < sweep.size(); ++i) {
+    EXPECT_GE(sweep[i].goodput() + 1e-9, sweep[i - 1].goodput())
+        << "fleet size " << sweep[i].config.fleet_size;
+  }
 }
 
 // ---------------------------------------------------------------------------
