@@ -25,16 +25,23 @@ using namespace vedliot;
 
 namespace {
 
+/// The serial seed executor (direct conv, one thread, scalar kernels) on
+/// this sweep's ResNet-50 at image 64, as last measured before the direct
+/// loop moved into tests/ as the numerical reference (BENCH_runtime.json,
+/// one core). Kept as constants so speedup_vs_seed keeps its meaning without
+/// spending ~75 s of every sweep on the slowest path.
+constexpr double kSeedSecondsBatch1 = 8.08;
+constexpr double kSeedSecondsBatch8 = 66.38;
+
 /// One configuration of the ResNet-50 execution-engine sweep.
 struct SweepPoint {
   std::string dtype = "f32";     ///< "f32" | "int8"
   std::int64_t batch = 1;
-  bool gemm = true;
   std::string simd = "portable"; ///< resolved dispatch level of the point
   unsigned threads = 1;
   bool measured = true;          ///< false: threads exceed this host's cores
   double seconds = 0;            ///< median wall-clock of the timed runs
-  double speedup_vs_seed = 1;    ///< vs the serial seed path (direct conv, 1 thread)
+  double speedup_vs_seed = 1;    ///< vs kSeedSeconds* (direct conv, 1 thread)
   double speedup_vs_portable = 1;///< vs gemm+portable t1, same dtype and batch
   double achieved = 0;           ///< GFLOP/s (f32) or int8 GOP/s, end-to-end
   double roof_fraction = 0;      ///< achieved / (per-thread roof * usable threads)
@@ -59,7 +66,7 @@ double median_run_seconds(runtime::Session& session, const std::string& feed,
 /// $VEDLIOT_BENCH_RUNTIME_JSON when set — the file checked in as
 /// BENCH_runtime.json.
 void engine_sweep() {
-  constexpr std::int64_t kImage = 64;  // full 224 is impractical for the direct baseline
+  constexpr std::int64_t kImage = 64;  // the image the seed constants were measured at
   constexpr int kRepeats = 3;
   const unsigned hw_threads = util::ThreadPool::hardware_threads();
 
@@ -78,14 +85,14 @@ void engine_sweep() {
   };
 
   std::printf(
-      "\nExecution engine: ResNet-50 (image %lld), seed vs GEMM x dispatch x threads:\n\n",
+      "\nExecution engine: ResNet-50 (image %lld), dtype x dispatch x threads vs the seed:\n\n",
       static_cast<long long>(kImage));
-  Table t({"dtype", "batch", "conv", "simd", "threads", "median run", "vs seed",
+  Table t({"dtype", "batch", "simd", "threads", "median run", "vs seed",
            "vs portable", "GF/s", "roofline"});
   std::vector<SweepPoint> points;
 
   const auto add_row = [&](const SweepPoint& p) {
-    t.add_row({p.dtype, std::to_string(p.batch), p.gemm ? "gemm" : "direct", p.simd,
+    t.add_row({p.dtype, std::to_string(p.batch), p.simd,
                std::to_string(p.threads),
                p.measured ? fmt_fixed(p.seconds * 1e3, 1) + " ms" : "unmeasured",
                p.measured ? fmt_ratio(p.speedup_vs_seed) : "-",
@@ -108,40 +115,25 @@ void engine_sweep() {
     Tensor x(Shape{batch, 3, kImage, kImage},
              data_rng.normal_vector(static_cast<std::size_t>(batch * 3 * kImage * kImage)));
     const double f32_flops = 2.0 * static_cast<double>(graph_cost(g).macs);
+    const double seed_seconds = batch == 1 ? kSeedSecondsBatch1 : kSeedSecondsBatch8;
 
-    // Seed baseline: the pre-engine executor semantics (direct conv, serial,
-    // scalar kernels — the microkernels only back the GEMM paths).
-    SweepPoint base{"f32", batch, false, portable_name, 1};
+    // GEMM at portable dispatch: the pre-microkernel engine.
+    SweepPoint f32_portable{"f32", batch, portable_name, 1};
     {
       runtime::RunOptions o;
       o.exec.threads = 1;
       o.exec.simd = util::SimdLevel::kPortable;
-      o.use_gemm_conv = false;
-      auto s = runtime::make_session(g, o);
-      base.seconds = median_run_seconds(*s, feed, x, kRepeats);
-    }
-    base.achieved = f32_flops / base.seconds / 1e9;
-    base.roof_fraction = base.achieved / roof_for("f32", base.simd, 1);
-    add_row(base);
-
-    // GEMM at portable dispatch: the pre-microkernel engine (PR 3 semantics).
-    SweepPoint f32_portable{"f32", batch, true, portable_name, 1};
-    {
-      runtime::RunOptions o;
-      o.exec.threads = 1;
-      o.exec.simd = util::SimdLevel::kPortable;
-      o.use_gemm_conv = true;
       auto s = runtime::make_session(g, o);
       f32_portable.seconds = median_run_seconds(*s, feed, x, kRepeats);
     }
-    f32_portable.speedup_vs_seed = base.seconds / f32_portable.seconds;
+    f32_portable.speedup_vs_seed = seed_seconds / f32_portable.seconds;
     f32_portable.achieved = f32_flops / f32_portable.seconds / 1e9;
     f32_portable.roof_fraction =
         f32_portable.achieved / roof_for("f32", portable_name, 1);
     add_row(f32_portable);
 
     for (unsigned threads : {1u, 2u, 4u}) {
-      SweepPoint p{"f32", batch, true, simd_name, threads};
+      SweepPoint p{"f32", batch, simd_name, threads};
       if (threads > hw_threads) {
         // A point this host cannot time honestly: more workers than cores
         // just interleave on one core. Record it as unmeasured rather than
@@ -152,10 +144,9 @@ void engine_sweep() {
       }
       runtime::RunOptions o;
       o.exec.threads = threads;
-      o.use_gemm_conv = true;
       auto s = runtime::make_session(g, o);
       p.seconds = median_run_seconds(*s, feed, x, kRepeats);
-      p.speedup_vs_seed = base.seconds / p.seconds;
+      p.speedup_vs_seed = seed_seconds / p.seconds;
       p.speedup_vs_portable = f32_portable.seconds / p.seconds;
       p.achieved = f32_flops / p.seconds / 1e9;
       p.roof_fraction = p.achieved / roof_for("f32", p.simd, threads);
@@ -182,7 +173,7 @@ void engine_sweep() {
     opt::calibrate_activations(q, calib, Calibration::kMinMax);
     const double s8_ops = 2.0 * static_cast<double>(graph_cost(q).macs);
 
-    SweepPoint s8_portable{"int8", batch, true, portable_name, 1};
+    SweepPoint s8_portable{"int8", batch, portable_name, 1};
     {
       runtime::RunOptions o;
       o.exec.threads = 1;
@@ -190,14 +181,14 @@ void engine_sweep() {
       auto s = runtime::make_quantized_session(q, o);
       s8_portable.seconds = median_run_seconds(*s, feed, x, kRepeats);
     }
-    s8_portable.speedup_vs_seed = base.seconds / s8_portable.seconds;
+    s8_portable.speedup_vs_seed = seed_seconds / s8_portable.seconds;
     s8_portable.achieved = s8_ops / s8_portable.seconds / 1e9;
     s8_portable.roof_fraction =
         s8_portable.achieved / roof_for("int8", portable_name, 1);
     add_row(s8_portable);
 
     for (unsigned threads : {1u, 2u, 4u}) {
-      SweepPoint p{"int8", batch, true, simd_name, threads};
+      SweepPoint p{"int8", batch, simd_name, threads};
       if (threads > hw_threads) {
         p.measured = false;
         add_row(p);
@@ -207,7 +198,7 @@ void engine_sweep() {
       o.exec.threads = threads;
       auto s = runtime::make_quantized_session(q, o);
       p.seconds = median_run_seconds(*s, feed, x, kRepeats);
-      p.speedup_vs_seed = base.seconds / p.seconds;
+      p.speedup_vs_seed = seed_seconds / p.seconds;
       p.speedup_vs_portable = s8_portable.seconds / p.seconds;
       p.achieved = s8_ops / p.seconds / 1e9;
       p.roof_fraction = p.achieved / roof_for("int8", p.simd, threads);
@@ -229,7 +220,12 @@ void engine_sweep() {
     std::fprintf(f, "  \"image\": %lld,\n  \"repeats\": %d,\n", static_cast<long long>(kImage),
                  kRepeats);
     std::fprintf(f, "  \"hardware_concurrency\": %u,\n", hw_threads);
-    std::fprintf(f, "  \"baseline\": \"direct conv, threads=1 (seed executor semantics)\",\n");
+    std::fprintf(f,
+                 "  \"baseline\": \"direct conv, threads=1 (seed executor semantics), "
+                 "constants from the last measured sweep\",\n");
+    std::fprintf(f, "  \"seed_seconds\": {\"batch1\": %s, \"batch8\": %s},\n",
+                 obs::json_number(kSeedSecondsBatch1).c_str(),
+                 obs::json_number(kSeedSecondsBatch8).c_str());
     std::fprintf(f,
                  "  \"roofline\": {\"portable_f32_gflops\": %s, \"portable_s8_gops\": %s, "
                  "\"%s_f32_gflops\": %s, \"%s_s8_gops\": %s},\n",
@@ -242,14 +238,13 @@ void engine_sweep() {
       const SweepPoint& p = points[i];
       if (p.measured) {
         std::fprintf(f,
-                     "    {\"dtype\": \"%s\", \"batch\": %lld, \"conv\": \"%s\", "
+                     "    {\"dtype\": \"%s\", \"batch\": %lld, "
                      "\"simd\": \"%s\", \"threads\": %u, \"hardware_concurrency\": %u, "
                      "\"unmeasured\": false, \"median_seconds\": %s, "
                      "\"achieved_gflops\": %s, \"fraction_of_roofline\": %s, "
                      "\"speedup_vs_seed\": %s, \"speedup_vs_portable\": %s}%s\n",
-                     p.dtype.c_str(), static_cast<long long>(p.batch),
-                     p.gemm ? "gemm" : "direct", p.simd.c_str(), p.threads, hw_threads,
-                     obs::json_number(p.seconds).c_str(),
+                     p.dtype.c_str(), static_cast<long long>(p.batch), p.simd.c_str(),
+                     p.threads, hw_threads, obs::json_number(p.seconds).c_str(),
                      obs::json_number(p.achieved).c_str(),
                      obs::json_number(p.roof_fraction).c_str(),
                      obs::json_number(p.speedup_vs_seed).c_str(),
@@ -257,11 +252,11 @@ void engine_sweep() {
                      i + 1 < points.size() ? "," : "");
       } else {
         std::fprintf(f,
-                     "    {\"dtype\": \"%s\", \"batch\": %lld, \"conv\": \"%s\", "
+                     "    {\"dtype\": \"%s\", \"batch\": %lld, "
                      "\"simd\": \"%s\", \"threads\": %u, \"hardware_concurrency\": %u, "
                      "\"unmeasured\": true, \"median_seconds\": null}%s\n",
-                     p.dtype.c_str(), static_cast<long long>(p.batch),
-                     p.gemm ? "gemm" : "direct", p.simd.c_str(), p.threads, hw_threads,
+                     p.dtype.c_str(), static_cast<long long>(p.batch), p.simd.c_str(),
+                     p.threads, hw_threads,
                      i + 1 < points.size() ? "," : "");
       }
     }

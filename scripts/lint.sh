@@ -45,8 +45,7 @@ fi
 # the classes that declare them. Any clang++ on PATH can run this pass —
 # it needs no compile database beyond include paths.
 if command -v clang++ > /dev/null 2>&1; then
-  ts_files=(src/util/thread_pool.cpp src/runtime/packed_cache.cpp
-            src/runtime/executor.cpp src/safety/model_store.cpp)
+  ts_files=(src/util/thread_pool.cpp src/safety/model_store.cpp)
   echo "lint: clang -Wthread-safety over ${#ts_files[@]} annotated file(s)"
   clang++ -std=c++20 -fsyntax-only -Isrc -Wthread-safety -Werror=thread-safety \
     "${ts_files[@]}"

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 verification: full build + complete test suite from a clean tree,
 # short seeded runs of the four soaks (records under build/, so no tracked
-# file changes), then an AddressSanitizer+UBSan build of the
+# file changes), a one-second smoke run of each perfbench workload (built
+# under build/perfbench), then an AddressSanitizer+UBSan build of the
 # resilience-critical tests (including the runtime tests, which exercise
 # activation-arena aliasing), then a ThreadSanitizer build of the parallel
 # execution-engine tests.
@@ -56,6 +57,24 @@ for field in '"converged":true' '"no_torn_install":true'; do
     echo "the quick OTA soak records are missing $field" >&2
     exit 1
   }
+done
+
+echo
+echo "== tier-1: perfbench smoke (Release build and records under build/perfbench) =="
+# One short seeded run per benchmark workload: a runtime API change that
+# breaks the benchmark, or a workload that stops passing its own output
+# checks, fails here instead of in the benchmark pipeline.
+for workload in resnet50_int8 mobilenetv3_f32 fleet_exec fleet_overload; do
+  log="build/perfbench-smoke-$workload.log"
+  result="$(CARGO_TARGET_DIR=build python3 perfbench/run.py --workload "$workload" \
+            --seed 1 --seconds 1 2> "$log" | tail -n 1)" || {
+    tail -n 20 "$log" >&2
+    exit 1
+  }
+  case "$result" in
+    *'"correct": true,'*'"failed": 0,'*) echo "perfbench $workload: correct, 0 failed" ;;
+    *) echo "perfbench $workload: $result" >&2; exit 1 ;;
+  esac
 done
 
 echo

@@ -1,9 +1,11 @@
 #include "kenning/flow.hpp"
 
 #include <algorithm>
+#include <map>
 #include <sstream>
 
 #include "graph/cost.hpp"
+#include "obs/trace.hpp"
 #include "runtime/memory_planner.hpp"
 #include "runtime/session.hpp"
 #include "util/stats.hpp"
@@ -34,6 +36,7 @@ std::string MeasurementReport::to_markdown() const {
   os << "| metric | value |\n|---|---|\n";
   os << "| samples | " << samples << " |\n";
   os << "| mean latency | " << fmt_fixed(mean_latency_ms, 3) << " ms |\n";
+  os << "| median latency | " << fmt_fixed(median_latency_ms, 3) << " ms |\n";
   os << "| p90 latency | " << fmt_fixed(p90_latency_ms, 3) << " ms |\n";
   os << "| activation arena | " << fmt_fixed(arena_mib, 2) << " MiB |\n";
   os << "| weights | " << fmt_fixed(weight_mib, 2) << " MiB |\n";
@@ -81,33 +84,38 @@ MeasurementReport HostRuntime::benchmark(ModelWrapper& model, const std::vector<
   report.target = name();
   report.samples = dataset.size();
 
-  // Direct Executor use: this target reports per-op hotspots, which only the
-  // engine's profiling hook exposes (the session API deliberately does not).
-  const Graph& g = model.graph();
-  const std::string& in_name = g.node(g.inputs().front()).name;
-  Executor exec(g);
-  exec.enable_profiling();
+  // A traced session: each run's child spans of session.run carry the op
+  // class as their category, so per-op time is read off the tracer.
+  obs::Tracer tracer;
+  const auto session = runtime::make_session(model.graph(), {.trace = &tracer});
+  std::map<std::string, double> op_ms;
   std::vector<double> latencies;
   std::vector<std::size_t> preds;
   latencies.reserve(dataset.size());
   for (const auto& sample : dataset) {
     const Tensor input = model.preprocess(sample.input);
     const auto t0 = std::chrono::steady_clock::now();
-    const Tensor out = exec.run({{in_name, input}}).begin()->second;
+    const Tensor out = session->run_single(input);
     const auto t1 = std::chrono::steady_clock::now();
     latencies.push_back(std::chrono::duration<double, std::milli>(t1 - t0).count());
     preds.push_back(model.postprocess(out));
+    for (const obs::Span& span : tracer.spans()) {
+      if (span.depth == 1) op_ms[span.category] += span.duration_us() / 1e3;
+    }
+    tracer.clear();
   }
   if (!latencies.empty()) {
     report.mean_latency_ms = stats::mean(latencies);
+    report.median_latency_ms = stats::median(latencies);
     report.p90_latency_ms = stats::percentile(latencies, 90.0);
   }
   const MemoryPlan plan = plan_memory(model.graph(), DType::kFP32);
   report.arena_mib = static_cast<double>(plan.arena_bytes) / (1024.0 * 1024.0);
   report.weight_mib = weight_bytes(model.graph(), DType::kFP32) / (1024.0 * 1024.0);
-  for (const auto& [kind, prof] : exec.hotspots(3)) {
-    report.hotspots_ms.emplace_back(std::string(op_name(kind)), prof.total_seconds * 1e3);
-  }
+  report.hotspots_ms.assign(op_ms.begin(), op_ms.end());
+  std::sort(report.hotspots_ms.begin(), report.hotspots_ms.end(),
+            [](const auto& a, const auto& b) { return a.second > b.second; });
+  if (report.hotspots_ms.size() > 3) report.hotspots_ms.resize(3);
   if (!dataset.empty()) fill_quality(report, model, dataset, preds);
   return report;
 }
@@ -124,6 +132,7 @@ MeasurementReport SimulatedTarget::benchmark(ModelWrapper& model,
 
   const hw::PerfEstimate e = hw::estimate(device_, model.graph(), dtype_);
   report.mean_latency_ms = e.latency_s * 1e3;
+  report.median_latency_ms = e.latency_s * 1e3;
   report.p90_latency_ms = e.latency_s * 1e3;
   report.arena_mib = e.arena_mib;
   report.weight_mib = e.weight_mib;

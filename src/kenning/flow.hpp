@@ -20,7 +20,6 @@
 #include "hw/perf_model.hpp"
 #include "kenning/metrics.hpp"
 #include "opt/pass.hpp"
-#include "runtime/executor.hpp"
 
 namespace vedliot::kenning {
 
@@ -63,6 +62,7 @@ struct MeasurementReport {
   std::size_t samples = 0;
 
   double mean_latency_ms = 0;
+  double median_latency_ms = 0;
   double p90_latency_ms = 0;
   double arena_mib = 0;        ///< activation memory (resource usage)
   double weight_mib = 0;
@@ -86,7 +86,8 @@ class RuntimeTarget {
   virtual MeasurementReport benchmark(ModelWrapper& model, const std::vector<Sample>& dataset) = 0;
 };
 
-/// Executes on the host CPU with the reference executor; wall-clock latency.
+/// Executes on the host CPU through a traced f32 runtime::Session;
+/// wall-clock latency, and per-op-class hotspots from the session's spans.
 class HostRuntime : public RuntimeTarget {
  public:
   std::string name() const override { return "host-cpu"; }

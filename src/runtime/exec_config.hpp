@@ -37,9 +37,9 @@ struct ExecConfig {
   util::SimdLevel simd = util::SimdLevel::kAuto;
 
   /// Inter-op parallelism: independent graph branches (dataflow waves) run
-  /// concurrently across this many threads when > 1. Intra-op threading is
-  /// suspended inside a parallel wave, and output bits never depend on this
-  /// value. Float backend only; the int8 backend ignores it.
+  /// concurrently across this many threads when > 1, for f32 and int8
+  /// alike. Intra-op threading is suspended inside a parallel wave, and
+  /// output bits (and int8 saturation counts) never depend on this value.
   unsigned inter_op = 1;
 
   bool operator==(const ExecConfig& other) const {

@@ -3,7 +3,10 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <cstring>
+#include <functional>
 #include <limits>
+#include <utility>
 
 #include "analysis/dataflow.hpp"
 #include "runtime/instrument.hpp"
@@ -11,60 +14,94 @@
 
 namespace vedliot {
 
-using runtime_kernels::apply_activation;
 using runtime_kernels::Conv2dGeometry;
+using runtime_kernels::MicrokernelTile;
+using runtime_kernels::panel_count;
+using runtime_kernels::requant_clamped;
+using runtime_kernels::requant_sat;
 
 namespace {
 
-OpKind fused_act_kind(const Node& n) {
-  const std::string name = n.attrs.get_str_or("fused_act", "");
-  if (name.empty()) return OpKind::kIdentity;
-  return parse_op(name);
+/// Grow a reusable scratch buffer to hold \p count values of T; steady-state
+/// runs find it large enough and allocate nothing.
+template <typename T>
+T* grow(std::vector<std::byte>& buf, std::size_t count) {
+  if (buf.size() < count * sizeof(T)) buf.resize(count * sizeof(T));
+  return reinterpret_cast<T*>(buf.data());
 }
 
-Conv2dGeometry conv_geometry(const Graph& g, const Node& n) {
-  Conv2dGeometry geo;
-  const Shape& in = g.node(n.inputs.at(0)).out_shape;
-  geo.batch = n.out_shape.n();
-  geo.in_c = in.c();
-  geo.in_h = in.h();
-  geo.in_w = in.w();
-  geo.out_c = n.out_shape.c();
-  geo.out_h = n.out_shape.h();
-  geo.out_w = n.out_shape.w();
-  geo.kernel = n.attrs.get_int("kernel");
-  geo.stride = n.attrs.get_int_or("stride", 1);
-  geo.pad = n.attrs.get_int_or("pad", 0);
-  geo.groups = n.attrs.get_int_or("groups", 1);
-  return geo;
+std::size_t slot(NodeId id) { return static_cast<std::size_t>(id); }
+
+/// The [features x lanes] transpose a batched dense layer multiplies; a
+/// one-lane input is its own transpose and passes through.
+template <typename T>
+const T* transpose_lanes(const T* x, std::int64_t lanes, std::int64_t features,
+                         std::vector<std::byte>& buf) {
+  if (lanes == 1) return x;
+  T* xt = grow<T>(buf, static_cast<std::size_t>(lanes * features));
+  for (std::int64_t b = 0; b < lanes; ++b) {
+    for (std::int64_t f = 0; f < features; ++f) xt[f * lanes + b] = x[b * features + f];
+  }
+  return xt;
+}
+
+void quantize_into(std::span<const float> x, double scale, std::int8_t* q) {
+  std::uint64_t ignored = 0;
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    q[i] = requant_sat(static_cast<double>(x[i]) / scale, ignored);
+  }
+}
+
+/// In-place softmax over \p lanes rows of \p features floats (max
+/// subtraction, double-accumulated exponent sum) — the f32 op and the
+/// float core of the int8 one.
+void softmax_rows(float* y, std::int64_t lanes, std::int64_t features) {
+  for (std::int64_t b = 0; b < lanes; ++b) {
+    float* row = y + b * features;
+    float mx = -std::numeric_limits<float>::infinity();
+    for (std::int64_t f = 0; f < features; ++f) mx = std::max(mx, row[f]);
+    double sum = 0.0;
+    for (std::int64_t f = 0; f < features; ++f) {
+      const double e = std::exp(static_cast<double>(row[f] - mx));
+      row[f] = static_cast<float>(e);
+      sum += e;
+    }
+    for (std::int64_t f = 0; f < features; ++f) row[f] = static_cast<float>(row[f] / sum);
+  }
+}
+
+const float* weight(const Node& n, std::size_t i) {
+  return n.weights.size() > i ? n.weights[i].data().data() : nullptr;
 }
 
 }  // namespace
 
-Executor::Executor(const Graph& graph) : graph_(graph) {
+Tensor QTensor::dequantize() const {
+  Tensor t(shape);
+  auto out = t.data();
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    out[i] = static_cast<float>(static_cast<double>(data[i]) * scale);
+  }
+  return t;
+}
+
+QTensor quantize_fixed(const Tensor& t, double scale) {
+  QTensor q{t.shape(), std::vector<std::int8_t>(static_cast<std::size_t>(t.numel())), scale};
+  quantize_into(t.data(), scale, q.data.data());
+  return q;
+}
+
+Executor::Executor(const Graph& graph, DType dtype) : graph_(graph), dtype_(dtype) {
   if (!graph_.weights_materialized()) {
-    throw ExecError("graph " + graph.name() + " has unmaterialized weights; call materialize_weights()");
+    throw ExecError("graph " + graph.name() +
+                    " has unmaterialized weights; call materialize_weights()");
   }
-  // Resolve every per-node constant once: fused activation kind (string attr
-  // -> OpKind), alphas, BN epsilon, pool/upsample geometry, conv geometry.
-  plans_.resize(graph_.total_nodes());
-  for (NodeId id : graph_.topo_order()) {
-    const Node& n = graph_.node(id);
-    NodePlan& plan = plans_[static_cast<std::size_t>(id)];
-    plan.alpha = n.attrs.get_float_or("alpha", 0.01);
-    plan.bn_eps = n.attrs.get_float_or("epsilon", 1e-5);
-    if (n.kind == OpKind::kConv2d || n.kind == OpKind::kDense) {
-      plan.fused_act = fused_act_kind(n);
-      plan.fused_alpha = n.attrs.get_float_or("fused_alpha", 0.01);
-    }
-    if (n.kind == OpKind::kConv2d) plan.conv = conv_geometry(graph_, n);
-    if (n.kind == OpKind::kMaxPool || n.kind == OpKind::kAvgPool) {
-      plan.pool_kernel = n.attrs.get_int("kernel");
-      plan.pool_stride = n.attrs.get_int_or("stride", plan.pool_kernel);
-      plan.pool_pad = n.attrs.get_int_or("pad", 0);
-    }
-    if (n.kind == OpKind::kUpsample) plan.upsample_scale = n.attrs.get_int("scale");
+  if (dtype_ == DType::kINT8) {
+    quantize();
+  } else if (dtype_ != DType::kFP32) {
+    throw Unsupported("the executor runs FP32 or INT8, not " + std::string(dtype_name(dtype_)));
   }
+  ws_.sat.assign(1, 0);
 }
 
 void Executor::instrument(obs::Tracer* tracer, obs::MetricsRegistry* metrics) {
@@ -77,6 +114,7 @@ void Executor::set_threads(unsigned threads) {
   if (threads == threads_) return;
   threads_ = threads;
   pool_ = threads_ > 1 ? std::make_unique<util::ThreadPool>(threads_) : nullptr;
+  ws_.sat.assign(threads_, 0);
 }
 
 void Executor::set_inter_op(unsigned inter_op) {
@@ -84,456 +122,484 @@ void Executor::set_inter_op(unsigned inter_op) {
   if (inter_op == inter_op_) return;
   inter_op_ = inter_op;
   wave_pool_ = inter_op_ > 1 ? std::make_unique<util::ThreadPool>(inter_op_) : nullptr;
+  wave_ws_.assign(inter_op_ > 1 ? inter_op_ : 0, Workspace{{}, {}, {0}});
 }
 
-void Executor::pfor(std::int64_t begin, std::int64_t end, std::int64_t grain,
-                    const util::ThreadPool::ChunkFn& fn) {
+template <typename Fn>
+void Executor::pfor(std::int64_t begin, std::int64_t end, std::int64_t grain, const Fn& fn) {
   // Inside a parallel wave the intra-op pool is unavailable (the pool does
   // not nest); each wave node runs its kernels inline.
   if (pool_ == nullptr || in_wave_) {
-    if (end > begin) fn(begin, end, 0);
+    if (end > begin) fn(begin, end, std::size_t{0});
     return;
   }
-  const std::size_t chunks = pool_->parallel_for(begin, end, grain, fn);
+  const std::size_t chunks = pool_->parallel_for(begin, end, grain, std::cref(fn));
   if (metrics_ != nullptr && chunks > 0) {
     runtime_detail::pool_utilization_histogram(*metrics_)
         .add(static_cast<double>(chunks) / static_cast<double>(threads_));
   }
 }
 
-void Executor::prepare_arena() {
-  if (!arena_offset_.empty()) return;
-  const auto order = graph_.topo_order();
-  const MemoryPlan plan = plan_memory_with_order(graph_, order, DType::kFP32);
-  arena_.assign(static_cast<std::size_t>(plan.arena_bytes / 4), 0.0f);
-  for (const BufferPlan& b : plan.buffers) {
-    arena_offset_[b.node] = static_cast<std::size_t>(b.offset / 4);
-  }
-  arena_stats_.arena_bytes = plan.arena_bytes;
-  arena_stats_.naive_bytes = plan.naive_bytes;
-}
-
-Tensor Executor::alloc_output(const Node& n) {
-  if (arena_stats_.active) {
-    const auto it = arena_offset_.find(n.id);
-    if (it != arena_offset_.end()) {
-      return Tensor::view(n.out_shape,
-                          std::span<float>(arena_.data() + it->second,
-                                           static_cast<std::size_t>(n.out_shape.numel())));
+void Executor::quantize() {
+  qlayers_.assign(graph_.total_nodes(), QuantLayer{});
+  scales_.assign(graph_.total_nodes(), 1.0);
+  for (NodeId id : graph_.topo_order()) {
+    const Node& n = graph_.node(id);
+    if (n.kind == OpKind::kBatchNorm) {
+      throw Unsupported("fold BatchNorm (opt::FuseBatchNormPass) before integer execution");
     }
-  }
-  return Tensor(n.out_shape);
-}
-
-void Executor::feed_input(const Node& n, const std::map<std::string, Tensor>& feeds) {
-  auto it = feeds.find(n.name);
-  if (it == feeds.end()) throw ExecError("missing feed for input '" + n.name + "'");
-  if (it->second.shape() != n.out_shape) {
-    throw ExecError("feed shape mismatch for '" + n.name + "': expected " +
-                    n.out_shape.to_string() + " got " + it->second.shape().to_string());
-  }
-  values_[n.id] = it->second;
-}
-
-void Executor::exec_node_serial(const Node& n) {
-  std::vector<const Tensor*> ins;
-  ins.reserve(n.inputs.size());
-  for (NodeId in : n.inputs) ins.push_back(&values_.at(in));
-
-  obs::ScopedSpan node_span;
-  if (tracer_ != nullptr) {
-    node_span = tracer_->span(n.name, std::string(op_name(n.kind)));
-  }
-  const NodePlan& plan = plans_[static_cast<std::size_t>(n.id)];
-  Tensor out = alloc_output(n);
-  const bool timed = profiling_ || metrics_ != nullptr;
-  if (timed) {
-    const auto t0 = std::chrono::steady_clock::now();
-    execute_node(n, plan, ins, out);
-    const auto t1 = std::chrono::steady_clock::now();
-    const double seconds = std::chrono::duration<double>(t1 - t0).count();
-    if (profiling_) {
-      auto& entry = profile_[n.kind];
-      ++entry.invocations;
-      entry.total_seconds += seconds;
+    if (!n.attrs.has("act_scale")) {
+      throw Unsupported("node " + n.name +
+                        " has no act_scale — run opt::calibrate_activations first");
     }
-    if (metrics_ != nullptr) {
-      runtime_detail::op_histogram(*metrics_, n.kind).add(seconds * 1e6);
-    }
-  } else {
-    execute_node(n, plan, ins, out);
-  }
-  values_[n.id] = std::move(out);
-  if (tracer_ != nullptr) {
-    node_span.attr("out_elems", static_cast<double>(n.out_shape.numel()));
-    node_span.close();
-  }
-  ++nodes_executed_;
-}
+    const double so = n.attrs.get_float("act_scale");
+    scales_[slot(id)] = so > 0 ? so : 1e-9;
+    if ((n.kind != OpKind::kConv2d && n.kind != OpKind::kDense) || n.weights.empty()) continue;
 
-void Executor::run_waves(const std::map<std::string, Tensor>& feeds) {
-  if (!waves_computed_ || waves_version_ != graph_.version()) {
-    waves_ = analysis::Dataflow::compute(graph_).waves();
-    waves_version_ = graph_.version();
-    waves_computed_ = true;
-  }
-  for (const auto& wave : waves_) {
-    std::vector<NodeId> work;
-    work.reserve(wave.size());
-    for (NodeId id : wave) {
-      const Node& n = graph_.node(id);
-      if (n.kind == OpKind::kInput) {
-        feed_input(n, feeds);
-      } else {
-        work.push_back(id);
+    const double in_scale = scales_[slot(n.inputs.at(0))];
+    const double out_scale = scales_[slot(id)];
+    const Tensor& w = n.weights[0];
+    const auto oc = w.shape().dim(0);
+    const auto per = static_cast<std::size_t>(w.numel() / oc);
+    QuantLayer& layer = qlayers_[slot(id)];
+    layer.weights.resize(static_cast<std::size_t>(w.numel()));
+    layer.bias.assign(static_cast<std::size_t>(oc), 0);
+    layer.mult.resize(static_cast<std::size_t>(oc));
+    for (std::size_t c = 0; c < static_cast<std::size_t>(oc); ++c) {
+      const auto chan = w.data().subspan(c * per, per);
+      double amax = 0;
+      for (float v : chan) amax = std::max(amax, std::abs(static_cast<double>(v)));
+      const double ws = amax > 0 ? amax / 127.0 : 1.0;
+      layer.mult[c] = in_scale * ws / out_scale;
+      std::uint64_t ignored = 0;
+      for (std::size_t i = 0; i < per; ++i) {
+        layer.weights[c * per + i] = requant_sat(chan[i] / ws, ignored);
+      }
+      if (n.weights.size() > 1) {
+        layer.bias[c] = static_cast<std::int32_t>(
+            std::nearbyint(static_cast<double>(n.weights[1].at(c)) / (in_scale * ws)));
       }
     }
-    if (work.empty()) continue;
-    if (work.size() == 1 || wave_pool_ == nullptr) {
-      // A single-node wave keeps the full serial path (spans, profiling,
-      // intra-op threading) — most of a deep chain executes here.
-      for (NodeId id : work) exec_node_serial(graph_.node(id));
-      continue;
-    }
-    // Parallel wave: pre-insert every output on this thread (the values_
-    // map must not be mutated concurrently), then execute the nodes over
-    // the wave pool. Each node runs fully serially inside (pfor inlines),
-    // computes exactly what its serial execution computes, and writes only
-    // its own pre-allocated tensor — so bits match the serial schedule.
-    for (NodeId id : work) values_[id] = Tensor(graph_.node(id).out_shape);
-    in_wave_ = true;
-    try {
-      wave_pool_->parallel_for(
-          0, static_cast<std::int64_t>(work.size()), 1,
-          [&](std::int64_t lo, std::int64_t hi, std::size_t) {
-            for (std::int64_t i = lo; i < hi; ++i) {
-              const Node& n = graph_.node(work[static_cast<std::size_t>(i)]);
-              std::vector<const Tensor*> ins;
-              ins.reserve(n.inputs.size());
-              for (NodeId in : n.inputs) ins.push_back(&values_.at(in));
-              execute_node(n, plans_[static_cast<std::size_t>(n.id)], ins, values_.at(n.id));
-            }
-          });
-    } catch (...) {
-      in_wave_ = false;
-      throw;
-    }
-    in_wave_ = false;
-    nodes_executed_ += work.size();
   }
+  quantized_version_ = graph_.version();
+  ++preparations_;
 }
 
-std::map<std::string, Tensor> Executor::run(const std::map<std::string, Tensor>& feeds) {
-  values_.clear();
-  nodes_executed_ = 0;
-  {
-    std::lock_guard<std::mutex> lock(gemm_stats_mutex_);
-    gemm_flops_ = 0;
-    gemm_seconds_ = 0;
+void Executor::compile(const MicrokernelTile& tile, bool waves) {
+  compiled_ = false;  // until every step compiled: a throwing op leaves no half plan
+  if (dtype_ == DType::kINT8 && quantized_version_ != graph_.version()) quantize();
+
+  // Inputs first: run() writes every feed before the first step, so the
+  // planner must see them born at the start.
+  std::vector<NodeId> order = graph_.topo_order();
+  std::stable_partition(order.begin(), order.end(),
+                        [&](NodeId id) { return graph_.node(id).kind == OpKind::kInput; });
+  const MemoryPlan mem = plan_memory_with_order(graph_, order, dtype_);
+  const bool unaliased = keep_activations_ || waves;
+  offset_.assign(graph_.total_nodes(), 0);
+  std::int64_t next = 0;
+  for (const BufferPlan& b : mem.buffers) {
+    offset_[slot(b.node)] = static_cast<std::size_t>(unaliased ? next : b.offset);
+    next += b.size;
   }
-  // Dispatch level resolved per run (env overrides are live) — the whole
-  // run executes at one level.
+  arena_stats_ = {!unaliased, unaliased ? mem.naive_bytes : mem.arena_bytes, mem.naive_bytes};
+  arena_.assign(static_cast<std::size_t>(arena_stats_.arena_bytes), std::byte{0});
+
+  steps_.clear();
+  std::vector<std::size_t> step_of(graph_.total_nodes(), 0);
+  for (NodeId id : order) {
+    const Node& n = graph_.node(id);
+    if (n.kind == OpKind::kInput) continue;
+    step_of[slot(id)] = steps_.size();
+    steps_.push_back(compile_step(n));
+  }
+  waves_.clear();
+  if (waves) {
+    for (const auto& wave : analysis::Dataflow::compute(graph_).waves()) {
+      std::vector<std::size_t> work;
+      for (NodeId id : wave) {
+        if (graph_.node(id).kind != OpKind::kInput) work.push_back(step_of[slot(id)]);
+      }
+      if (!work.empty()) waves_.push_back(std::move(work));
+    }
+  }
+  inputs_ = graph_.inputs();
+  outputs_ = graph_.outputs();
+  views_.clear();
+  if (keep_activations_ && dtype_ == DType::kFP32) {
+    views_.resize(graph_.total_nodes());
+    for (NodeId id : order) {
+      const Shape& s = graph_.node(id).out_shape;
+      views_[slot(id)] =
+          Tensor::view(s, {buffer<float>(offset_[slot(id)]), static_cast<std::size_t>(s.numel())});
+    }
+  }
+  compiled_ = true;
+  plan_version_ = graph_.version();
+  plan_tile_ = tile;
+  plan_keep_ = keep_activations_;
+  plan_waves_ = waves;
+}
+
+Executor::Step Executor::compile_step(const Node& n) {
+  using namespace runtime_kernels;
+  const bool int8 = dtype_ == DType::kINT8;
+  Step s;
+  s.node = &n;
+  s.out = offset_[slot(n.id)];
+  for (NodeId in : n.inputs) s.in.push_back(offset_[slot(in)]);
+  const AttrMap& a = n.attrs;
+  const std::string fused = a.get_str_or("fused_act", "");
+  const bool parametric = n.kind == OpKind::kConv2d || n.kind == OpKind::kDense;
+  if (parametric && n.weights.empty()) {
+    throw ExecError(std::string(op_name(n.kind)) + " " + n.name + " has no weights");
+  }
+  s.act = parametric ? (fused.empty() ? OpKind::kIdentity : parse_op(fused)) : n.kind;
+  s.alpha = a.get_float_or(parametric ? "fused_alpha" : "alpha", 0.01);
+  if (n.kind == OpKind::kConv2d) {
+    const Shape& in = graph_.node(n.inputs.at(0)).out_shape;
+    s.conv = {n.out_shape.n(), in.c(), in.h(), in.w(), n.out_shape.c(), n.out_shape.h(),
+              n.out_shape.w(), a.get_int("kernel"), a.get_int_or("stride", 1),
+              a.get_int_or("pad", 0), a.get_int_or("groups", 1)};
+    s.flops = 2.0 * s.conv.macs();
+  }
+  if (n.kind == OpKind::kDense) {
+    s.flops = 2.0 * static_cast<double>(graph_.node(n.inputs.at(0)).out_shape.numel()) *
+              static_cast<double>(n.out_shape.dim(1));
+  }
+  if (n.kind == OpKind::kMaxPool || n.kind == OpKind::kAvgPool) {
+    s.pool_k = a.get_int("kernel");
+    s.pool_stride = a.get_int_or("stride", s.pool_k);
+    s.pool_pad = a.get_int_or("pad", 0);
+  }
+  if (n.kind == OpKind::kUpsample) s.upsample = a.get_int("scale");
+  if (n.kind == OpKind::kBatchNorm) {
+    if (n.weights.size() != 4) throw ExecError("BatchNorm " + n.name + " needs 4 weight tensors");
+    const double eps = a.get_float_or("epsilon", 1e-5);
+    const Tensor& gamma = n.weights[0];
+    const Tensor& beta = n.weights[1];
+    const Tensor& mean = n.weights[2];
+    const Tensor& var = n.weights[3];
+    for (std::size_t c = 0; c < static_cast<std::size_t>(gamma.numel()); ++c) {
+      s.bn_scale.push_back(static_cast<float>(gamma.at(c) / std::sqrt(var.at(c) + eps)));
+      s.bn_shift.push_back(static_cast<float>(beta.at(c) - mean.at(c) * s.bn_scale.back()));
+    }
+  }
+
+  if (int8) {
+    switch (n.kind) {
+      case OpKind::kConv2d: case OpKind::kDense: case OpKind::kRelu: case OpKind::kRelu6:
+      case OpKind::kIdentity: case OpKind::kFlatten: case OpKind::kMaxPool:
+      case OpKind::kAvgPool: case OpKind::kGlobalAvgPool: case OpKind::kAdd:
+      case OpKind::kConcat: case OpKind::kSoftmax:
+        break;
+      default:
+        throw Unsupported("integer executor does not support op " + std::string(op_name(n.kind)));
+    }
+    if (!fused.empty() && fused != "Relu" && fused != "Relu6") {
+      throw Unsupported("integer executor supports fused Relu/Relu6 only, got " + fused);
+    }
+    if (n.kind == OpKind::kAdd) {
+      VEDLIOT_CHECK(graph_.node(n.inputs.at(0)).out_shape == graph_.node(n.inputs.at(1)).out_shape,
+                    "integer Add supports equal shapes only");
+    }
+    VEDLIOT_CHECK(n.kind != OpKind::kConcat || n.out_shape.dim(0) == 1,
+                  "integer Concat supports batch 1");
+    s.out_scale = scales_[slot(n.id)];
+    for (NodeId in : n.inputs) s.in_scales.push_back(scales_[slot(in)]);
+    // Symmetric quantization keeps zero at q=0, so ReLU is max(q, 0).
+    if (fused == "Relu" || n.kind == OpKind::kRelu) s.q_lo = 0;
+    if (fused == "Relu6" || n.kind == OpKind::kRelu6) {
+      s.q_lo = 0;
+      s.q_hi = std::min(127, static_cast<std::int32_t>(std::nearbyint(6.0 / s.out_scale)));
+    }
+  }
+
+  // Weight panels, packed once per plan (per group for grouped convs).
+  if (mk_ != nullptr && parametric && !(n.kind == OpKind::kConv2d && s.conv.depthwise())) {
+    const bool conv = n.kind == OpKind::kConv2d;
+    const std::int64_t groups = conv ? s.conv.groups : 1;
+    const std::int64_t m = conv ? s.conv.ocg() : n.out_shape.dim(1);
+    const std::int64_t k = conv ? s.conv.patch() : graph_.node(n.inputs.at(0)).out_shape.dim(1);
+    for (std::int64_t g = 0; g < groups; ++g) {
+      if (int8) {
+        const std::size_t per = packed_a_s8_words(m, k, mk_->s8);
+        s.packed_s8.resize(per * static_cast<std::size_t>(groups));
+        pack_a_s8(qlayers_[slot(n.id)].weights.data() + g * m * k, m, k,
+                  mk_->s8, s.packed_s8.data() + static_cast<std::size_t>(g) * per);
+      } else {
+        const std::size_t per = packed_a_f32_elems(m, k, mk_->f32);
+        s.packed_f32.resize(per * static_cast<std::size_t>(groups));
+        pack_a_f32(weight(n, 0) + g * m * k, m, k, mk_->f32,
+                   s.packed_f32.data() + static_cast<std::size_t>(g) * per);
+      }
+      ++weight_packs_;
+    }
+  }
+  return s;
+}
+
+void Executor::execute(const std::map<std::string, Tensor>& feeds) {
+  // The one dispatch resolution per run (env overrides are live) and the
+  // one recompile point: a moved Graph::version() requantizes (int8) and
+  // repacks, a new tile repacks, a new layout re-plans the arena.
+  const bool int8 = dtype_ == DType::kINT8;
   active_simd_ = util::resolve_simd_level(simd_req_);
-  mk_ = use_gemm_ ? runtime_kernels::gemm_microkernels(active_simd_) : nullptr;
-  const bool wave_mode = inter_op_ > 1;
-  // The arena's liveness plan assumes the serial topological schedule; a
-  // concurrent wave would alias buffers the plan considers dead.
-  arena_stats_.active = use_arena_ && !keep_activations_ && !wave_mode;
-  if (arena_stats_.active) prepare_arena();
+  const runtime_kernels::GemmMicrokernels* table = runtime_kernels::gemm_microkernels(active_simd_);
+  const bool has_kernel =
+      table != nullptr && (int8 ? table->gemm_s8 != nullptr && table->s8.available()
+                                : table->gemm_f32 != nullptr && table->f32.available());
+  mk_ = has_kernel ? table : nullptr;
+  const MicrokernelTile tile = !has_kernel ? MicrokernelTile{} : int8 ? table->s8 : table->f32;
+  const bool waves = inter_op_ > 1;
+  if (!compiled_ || plan_version_ != graph_.version() || plan_tile_.mr != tile.mr ||
+      plan_tile_.nr != tile.nr || plan_keep_ != keep_activations_ || plan_waves_ != waves) {
+    compile(tile, waves);
+  }
+  activations_valid_ = false;
+  gemm_flops_ = gemm_seconds_ = 0;
 
   obs::ScopedSpan run_span;
   if (tracer_ != nullptr) {
     run_span = tracer_->span("session.run", "vedliot.runtime");
     run_span.attr("graph", graph_.name());
-    run_span.attr("backend", "float-reference");
+    run_span.attr("backend", int8 ? "int8" : "float-reference");
     run_span.attr("threads", static_cast<double>(threads_));
     run_span.attr("simd", std::string(util::simd_level_name(active_simd_)));
   }
 
-  if (wave_mode) {
-    run_waves(feeds);
-  } else {
-    for (NodeId id : graph_.topo_order()) {
-      const Node& n = graph_.node(id);
-      if (n.kind == OpKind::kInput) {
-        feed_input(n, feeds);
-        continue;
-      }
-      exec_node_serial(n);
+  for (NodeId id : inputs_) {
+    const Node& n = graph_.node(id);
+    const auto it = feeds.find(n.name);
+    if (it == feeds.end()) throw ExecError("missing feed for input '" + n.name + "'");
+    if (it->second.shape() != n.out_shape) {
+      throw ExecError("feed shape mismatch for '" + n.name + "': expected " +
+                      n.out_shape.to_string() + " got " + it->second.shape().to_string());
+    }
+    const std::size_t off = offset_[slot(id)];
+    if (int8) {
+      quantize_into(it->second.data(), scales_[slot(id)], buffer<std::int8_t>(off));
+    } else {
+      std::memcpy(buffer<float>(off), it->second.data().data(), it->second.data().size_bytes());
     }
   }
 
-  std::map<std::string, Tensor> outs;
-  for (NodeId id : graph_.outputs()) {
-    const Tensor& t = values_.at(id);
-    outs[graph_.node(id).name] = t.is_view() ? t.clone() : t;
+  if (!waves) {
+    for (const Step& s : steps_) run_step(s, ws_, /*observe=*/true);
   }
+  for (const std::vector<std::size_t>& wave : waves_) {
+    if (wave.size() == 1) {
+      // Most of a deep chain: the full serial path (spans, intra-op pool).
+      run_step(steps_[wave.front()], ws_, /*observe=*/true);
+      continue;
+    }
+    // Parallel wave: each node writes only its own (unaliased) buffer and
+    // the workspace of the pool chunk it runs in, with intra-op dispatch
+    // inlined — so it computes exactly its serial bits. The tracer is
+    // single-threaded, so these nodes are not spanned or timed.
+    in_wave_ = true;
+    try {
+      wave_pool_->parallel_for(0, static_cast<std::int64_t>(wave.size()), 1,
+                               [&](std::int64_t lo, std::int64_t hi, std::size_t chunk) {
+                                 for (std::int64_t i = lo; i < hi; ++i) {
+                                   run_step(steps_[wave[static_cast<std::size_t>(i)]],
+                                            wave_ws_[chunk], /*observe=*/false);
+                                 }
+                               });
+    } catch (...) {
+      in_wave_ = false;
+      throw;
+    }
+    in_wave_ = false;
+  }
+  nodes_executed_ = steps_.size();
+  // Per-chunk saturation sums are order-independent, so saturations() is
+  // identical for any thread count and wave schedule.
+  for (std::uint64_t& sat : ws_.sat) saturations_ += std::exchange(sat, 0);
+  for (Workspace& ws : wave_ws_) saturations_ += std::exchange(ws.sat[0], 0);
+  activations_valid_ = keep_activations_;
 
   if (metrics_ != nullptr) {
     metrics_->counter(runtime_detail::kRunsCounter).inc();
     metrics_->counter(runtime_detail::kNodesCounter).inc(nodes_executed_);
     metrics_->gauge(runtime_detail::kThreadsGauge).set(static_cast<double>(threads_));
-    {
-      std::lock_guard<std::mutex> lock(gemm_stats_mutex_);
-      if (gemm_seconds_ > 0) {
-        metrics_->gauge(runtime_detail::kGemmGflopsGauge).set(gemm_flops_ / gemm_seconds_ / 1e9);
-      }
+    if (gemm_seconds_ > 0) {
+      metrics_->gauge(runtime_detail::kGemmGflopsGauge).set(gemm_flops_ / gemm_seconds_ / 1e9);
     }
-    if (arena_stats_.active) {
-      metrics_->gauge(runtime_detail::kArenaBytesGauge)
-          .set(static_cast<double>(arena_stats_.arena_bytes));
-      metrics_->gauge(runtime_detail::kArenaSavedGauge)
-          .set(static_cast<double>(arena_stats_.naive_bytes - arena_stats_.arena_bytes));
+    metrics_->gauge(runtime_detail::kArenaBytesGauge)
+        .set(static_cast<double>(arena_stats_.arena_bytes));
+    metrics_->gauge(runtime_detail::kArenaSavedGauge)
+        .set(static_cast<double>(arena_stats_.naive_bytes - arena_stats_.arena_bytes));
+    if (int8) {
+      metrics_->gauge(runtime_detail::kSaturationsGauge).set(static_cast<double>(saturations_));
     }
   }
   if (tracer_ != nullptr) {
     run_span.attr("nodes_executed", static_cast<double>(nodes_executed_));
     run_span.close();
   }
-  if (!keep_activations_) values_.clear();
+}
+
+std::map<std::string, Tensor> Executor::run(const std::map<std::string, Tensor>& feeds) {
+  execute(feeds);
+  std::map<std::string, Tensor> outs;
+  for (NodeId id : outputs_) {
+    const Node& n = graph_.node(id);
+    Tensor t(n.out_shape);
+    const auto out = t.data();
+    const std::size_t off = offset_[slot(id)];
+    if (dtype_ == DType::kINT8) {
+      const std::int8_t* q = buffer<std::int8_t>(off);
+      const double scale = scales_[slot(id)];
+      for (std::size_t i = 0; i < out.size(); ++i) {
+        out[i] = static_cast<float>(static_cast<double>(q[i]) * scale);
+      }
+    } else {
+      std::memcpy(out.data(), buffer<float>(off), out.size_bytes());
+    }
+    outs.emplace(n.name, std::move(t));
+  }
   return outs;
 }
 
-std::vector<std::pair<OpKind, Executor::OpProfile>> Executor::hotspots(std::size_t top_n) const {
-  std::vector<std::pair<OpKind, OpProfile>> out(profile_.begin(), profile_.end());
-  std::sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
-    return a.second.total_seconds > b.second.total_seconds;
-  });
-  if (out.size() > top_n) out.resize(top_n);
-  return out;
+QTensor Executor::quantized(NodeId id) const {
+  const Node& n = graph_.node(id);
+  const auto* q = reinterpret_cast<const std::int8_t*>(arena_.data() + offset_[slot(id)]);
+  return {n.out_shape, std::vector<std::int8_t>(q, q + n.out_shape.numel()),
+          scales_[slot(id)]};
 }
 
 const Tensor& Executor::activation(const std::string& node_name) const {
-  for (const auto& [id, t] : values_) {
-    if (graph_.node(id).name == node_name) return t;
+  if (activations_valid_ && !views_.empty()) {
+    for (NodeId id : graph_.topo_order()) {
+      if (graph_.node(id).name == node_name) return views_[slot(id)];
+    }
   }
   throw NotFound("no recorded activation for node " + node_name);
 }
 
-void Executor::record_gemm(double seconds, double flops) {
-  std::lock_guard<std::mutex> lock(gemm_stats_mutex_);
-  gemm_seconds_ += seconds;
-  gemm_flops_ += flops;
-}
-
-void Executor::conv2d_gemm(const Node& n, const NodePlan& plan, const Tensor& in, Tensor& out) {
-  using namespace runtime_kernels;
-  const Conv2dGeometry& geo = plan.conv;
-  const float* x = in.data().data();
-  const float* w = n.weights[0].data().data();
-  const float* bias = n.weights.size() > 1 ? n.weights[1].data().data() : nullptr;
-  float* y = out.data().data();
-  const auto t0 = std::chrono::steady_clock::now();
-
-  if (geo.depthwise()) {
-    // Direct at every dispatch level: the k*k dot per pixel has no GEMM
-    // shape, so portable and SIMD runs share these exact bits.
-    for (std::int64_t b = 0; b < geo.batch; ++b) {
-      pfor(0, geo.out_c, 1, [&](std::int64_t lo, std::int64_t hi, std::size_t) {
-        depthwise_f32(x, w, bias, y, geo, b, lo, hi, plan.fused_act, plan.fused_alpha);
-      });
-    }
+void Executor::run_step(const Step& s, Workspace& ws, bool observe) {
+  const Node& n = *s.node;
+  obs::ScopedSpan span;
+  if (observe && tracer_ != nullptr) span = tracer_->span(n.name, std::string(op_name(n.kind)));
+  const bool timed = observe && metrics_ != nullptr;
+  using Clock = std::chrono::steady_clock;
+  const Clock::time_point t0 = timed ? Clock::now() : Clock::time_point{};
+  if (dtype_ == DType::kINT8) {
+    run_s8(s, ws);
   } else {
-    const std::int64_t patch = geo.patch();
-    const std::int64_t cols = geo.cols();
-    // In a parallel wave the shared scratch buffers would race across
-    // concurrently executing conv nodes; fall back to node-local storage.
-    std::vector<float> local_col, local_pb;
-    std::vector<float>& colbuf = in_wave_ ? local_col : scratch_;
-    const std::size_t need = static_cast<std::size_t>(patch * cols);
-    if (colbuf.size() < need) colbuf.resize(need);
-    float* col = colbuf.data();
-
-    const GemmMicrokernels* mk =
-        (mk_ != nullptr && mk_->gemm_f32 != nullptr && mk_->f32.available()) ? mk_ : nullptr;
-    const std::int64_t m = geo.ocg();
-    if (mk != nullptr) {
-      std::vector<float>& pbbuf = in_wave_ ? local_pb : packed_b_;
-      const std::size_t pb_need = packed_b_f32_elems(patch, cols, mk->f32);
-      if (pbbuf.size() < pb_need) pbbuf.resize(pb_need);
-      const std::int64_t b_panels = panel_count(cols, mk->f32.nr);
-      const std::int64_t a_panels = panel_count(m, mk->f32.mr);
-      for (std::int64_t b = 0; b < geo.batch; ++b) {
-        for (std::int64_t g = 0; g < geo.groups; ++g) {
-          pfor(0, patch, 4, [&](std::int64_t lo, std::int64_t hi, std::size_t) {
-            im2col_f32(x, geo, b, g, lo, hi, col);
-          });
-          pfor(0, b_panels, 1, [&](std::int64_t lo, std::int64_t hi, std::size_t) {
-            pack_b_f32(col, patch, cols, mk->f32, lo, hi, pbbuf.data());
-          });
-          const float* a = w + g * m * patch;
-          const std::vector<float>& pa =
-              packed_.get_f32(n.id, g, graph_.version(), mk->f32, [&](std::vector<float>& v) {
-                v.resize(packed_a_f32_elems(m, patch, mk->f32));
-                pack_a_f32(a, m, patch, mk->f32, v.data());
-              });
-          const float* gbias = bias != nullptr ? bias + g * m : nullptr;
-          float* c = y + ((b * geo.out_c + g * m) * cols);
-          pfor(0, a_panels, 1, [&](std::int64_t lo, std::int64_t hi, std::size_t) {
-            mk->gemm_f32(pa.data(), pbbuf.data(), c, m, cols, patch, cols,
-                         /*col_major_store=*/false, lo, hi, gbias, plan.fused_act,
-                         plan.fused_alpha);
-          });
-        }
-      }
-    } else {
-      for (std::int64_t b = 0; b < geo.batch; ++b) {
-        for (std::int64_t g = 0; g < geo.groups; ++g) {
-          pfor(0, patch, 4, [&](std::int64_t lo, std::int64_t hi, std::size_t) {
-            im2col_f32(x, geo, b, g, lo, hi, col);
-          });
-          const float* a = w + g * m * patch;
-          const float* gbias = bias != nullptr ? bias + g * m : nullptr;
-          float* c = y + ((b * geo.out_c + g * m) * cols);
-          pfor(0, m, 1, [&](std::int64_t lo, std::int64_t hi, std::size_t) {
-            gemm_rows_f32(a, col, c, lo, hi, cols, patch, gbias, plan.fused_act,
-                          plan.fused_alpha);
-          });
-        }
-      }
+    run_f32(s, ws);
+  }
+  if (timed) {
+    const double seconds = std::chrono::duration<double>(Clock::now() - t0).count();
+    runtime_detail::op_histogram(*metrics_, n.kind).add(seconds * 1e6);
+    if (s.flops > 0) {
+      gemm_seconds_ += seconds;
+      gemm_flops_ += s.flops;
     }
   }
-
-  const auto t1 = std::chrono::steady_clock::now();
-  record_gemm(std::chrono::duration<double>(t1 - t0).count(), 2.0 * geo.macs());
-}
-
-void Executor::conv2d_direct(const Node& n, const NodePlan& plan, const Tensor& in, Tensor& out) {
-  // The numerically faithful reference path: the original 6-deep loop nest
-  // with double accumulation, partitioned over output channels.
-  const Conv2dGeometry& geo = plan.conv;
-  const Tensor& w = n.weights[0];
-  const Tensor* bias = n.weights.size() > 1 ? &n.weights[1] : nullptr;
-  const std::int64_t icg = geo.icg(), ocg = geo.ocg(), k = geo.kernel;
-
-  for (std::int64_t b = 0; b < geo.batch; ++b) {
-    pfor(0, geo.out_c, 1, [&](std::int64_t oc_lo, std::int64_t oc_hi, std::size_t) {
-      for (std::int64_t oc = oc_lo; oc < oc_hi; ++oc) {
-        const auto g = oc / ocg;
-        for (std::int64_t oh = 0; oh < geo.out_h; ++oh) {
-          for (std::int64_t ow = 0; ow < geo.out_w; ++ow) {
-            double acc = bias ? bias->at(static_cast<std::size_t>(oc)) : 0.0;
-            for (std::int64_t ic = 0; ic < icg; ++ic) {
-              const auto in_c = g * icg + ic;
-              for (std::int64_t kh = 0; kh < k; ++kh) {
-                const auto ih = oh * geo.stride - geo.pad + kh;
-                if (ih < 0 || ih >= geo.in_h) continue;
-                for (std::int64_t kw = 0; kw < k; ++kw) {
-                  const auto iw = ow * geo.stride - geo.pad + kw;
-                  if (iw < 0 || iw >= geo.in_w) continue;
-                  acc += static_cast<double>(in.at4(b, in_c, ih, iw)) *
-                         static_cast<double>(w.at4(oc, ic, kh, kw));
-                }
-              }
-            }
-            const float v = static_cast<float>(acc);
-            out.at4(b, oc, oh, ow) =
-                plan.fused_act == OpKind::kIdentity
-                    ? v
-                    : apply_activation(v, plan.fused_act, plan.fused_alpha);
-          }
-        }
-      }
-    });
+  if (observe && tracer_ != nullptr) {
+    span.attr("out_elems", static_cast<double>(n.out_shape.numel()));
+    span.close();
   }
 }
 
-void Executor::execute_node(const Node& n, const NodePlan& plan,
-                            const std::vector<const Tensor*>& ins, Tensor& out) {
+// ---------------------------------------------------------------------------
+// f32 kernel bodies
+// ---------------------------------------------------------------------------
+
+void Executor::run_f32(const Step& s, Workspace& ws) {
+  using namespace runtime_kernels;
+  const Node& n = *s.node;
+  const float* x = buffer<float>(s.in.at(0));
+  float* y = buffer<float>(s.out);
+  const Shape& in_shape = graph_.node(n.inputs[0]).out_shape;
+  const std::int64_t numel = n.out_shape.numel();
   switch (n.kind) {
     case OpKind::kConv2d: {
-      if (n.weights.empty()) throw ExecError("Conv2d " + n.name + " has no weights");
-      if (use_gemm_) {
-        conv2d_gemm(n, plan, *ins.at(0), out);
-      } else {
-        conv2d_direct(n, plan, *ins.at(0), out);
+      const Conv2dGeometry& geo = s.conv;
+      const float* w = weight(n, 0);
+      const float* bias = weight(n, 1);
+      if (geo.depthwise()) {
+        // Direct at every dispatch level: the k*k dot per pixel has no GEMM
+        // shape, so portable and SIMD runs share these exact bits.
+        for (std::int64_t b = 0; b < geo.batch; ++b) {
+          pfor(0, geo.out_c, 1, [&](std::int64_t lo, std::int64_t hi, std::size_t) {
+            depthwise_f32(x, w, bias, y, geo, b, lo, hi, s.act, s.alpha);
+          });
+        }
+        break;
+      }
+      const std::int64_t patch = geo.patch(), cols = geo.cols(), m = geo.ocg();
+      float* col = grow<float>(ws.col, static_cast<std::size_t>(patch * cols));
+      float* pb = mk_ != nullptr
+                      ? grow<float>(ws.panels, packed_b_f32_elems(patch, cols, mk_->f32))
+                      : nullptr;
+      for (std::int64_t b = 0; b < geo.batch; ++b) {
+        for (std::int64_t g = 0; g < geo.groups; ++g) {
+          pfor(0, patch, 4, [&](std::int64_t lo, std::int64_t hi, std::size_t) {
+            im2col_f32(x, geo, b, g, lo, hi, col);
+          });
+          const float* gbias = bias != nullptr ? bias + g * m : nullptr;
+          float* c = y + ((b * geo.out_c + g * m) * cols);
+          if (mk_ == nullptr) {
+            pfor(0, m, 1, [&](std::int64_t lo, std::int64_t hi, std::size_t) {
+              gemm_rows_f32(w + g * m * patch, col, c, lo, hi, cols, patch, gbias, s.act, s.alpha);
+            });
+            continue;
+          }
+          const std::int64_t b_panels = panel_count(cols, mk_->f32.nr);
+          pfor(0, b_panels, 1, [&](std::int64_t lo, std::int64_t hi, std::size_t) {
+            pack_b_f32(col, patch, cols, mk_->f32, lo, hi, pb);
+          });
+          const std::size_t pa_elems = packed_a_f32_elems(m, patch, mk_->f32);
+          const float* pa = s.packed_f32.data() + static_cast<std::size_t>(g) * pa_elems;
+          const std::int64_t a_panels = panel_count(m, mk_->f32.mr);
+          pfor(0, a_panels, 1, [&](std::int64_t lo, std::int64_t hi, std::size_t) {
+            mk_->gemm_f32(pa, pb, c, m, cols, patch, cols, /*col_major_store=*/false, lo, hi, gbias,
+                          s.act, s.alpha);
+          });
+        }
       }
       break;
     }
     case OpKind::kDense: {
-      if (n.weights.empty()) throw ExecError("Dense " + n.name + " has no weights");
-      const Tensor& in = *ins.at(0);
-      const float* x = in.data().data();
-      const float* w = n.weights[0].data().data();
-      const float* bias = n.weights.size() > 1 ? n.weights[1].data().data() : nullptr;
-      float* y = out.data().data();
-      const std::int64_t N = in.shape().dim(0);
-      const std::int64_t F = in.shape().dim(1);
-      const std::int64_t U = n.out_shape.dim(1);
-      const auto t0 = std::chrono::steady_clock::now();
       // Batch the whole layer through one GEMM so each weight row is read
-      // once for all lanes, instead of one latency-bound dot product per
-      // sample. A [1 x F] input is its own transpose, so the singleton path
-      // skips the packing copy entirely.
-      std::vector<float> xt;
-      const float* xin = x;
-      if (N > 1) {
-        xt.resize(static_cast<std::size_t>(N * F));
-        for (std::int64_t b = 0; b < N; ++b) {
-          for (std::int64_t f = 0; f < F; ++f) xt[static_cast<std::size_t>(f * N + b)] = x[b * F + f];
-        }
-        xin = xt.data();
+      // once for all lanes, instead of one latency-bound dot per sample.
+      const float* w = weight(n, 0);
+      const float* bias = weight(n, 1);
+      const std::int64_t N = in_shape.dim(0), F = in_shape.dim(1), U = n.out_shape.dim(1);
+      const float* xt = transpose_lanes(x, N, F, ws.col);
+      if (mk_ == nullptr) {
+        pfor(0, U, 8, [&](std::int64_t lo, std::int64_t hi, std::size_t) {
+          dense_rows_f32(w, xt, y, lo, hi, N, F, U, bias, s.act, s.alpha);
+        });
+        break;
       }
-      const runtime_kernels::GemmMicrokernels* mk =
-          (mk_ != nullptr && mk_->gemm_f32 != nullptr && mk_->f32.available()) ? mk_ : nullptr;
-      if (mk != nullptr) {
-        // Microkernel over (m=U, n=N, k=F) with the column-major store
-        // writing straight into the [N x U] activation layout. Every lane
-        // occupies one SIMD slot padded to the full tile, so its FMA
-        // sequence — and therefore its bits — is the same whether it runs
-        // in a batch-1 or a batch-8 panel.
-        using namespace runtime_kernels;
-        std::vector<float> pb(packed_b_f32_elems(F, N, mk->f32));
-        pfor(0, panel_count(N, mk->f32.nr), 1, [&](std::int64_t lo, std::int64_t hi, std::size_t) {
-          pack_b_f32(xin, F, N, mk->f32, lo, hi, pb.data());
-        });
-        const std::vector<float>& pa =
-            packed_.get_f32(n.id, 0, graph_.version(), mk->f32, [&](std::vector<float>& v) {
-              v.resize(packed_a_f32_elems(U, F, mk->f32));
-              pack_a_f32(w, U, F, mk->f32, v.data());
-            });
-        pfor(0, panel_count(U, mk->f32.mr), 1, [&](std::int64_t lo, std::int64_t hi, std::size_t) {
-          mk->gemm_f32(pa.data(), pb.data(), y, U, N, F, /*ldc=*/U, /*col_major_store=*/true,
-                       lo, hi, bias, plan.fused_act, plan.fused_alpha);
-        });
-      } else {
-        pfor(0, U, 8, [&](std::int64_t u_lo, std::int64_t u_hi, std::size_t) {
-          runtime_kernels::dense_rows_f32(w, xin, y, u_lo, u_hi, N, F, U, bias, plan.fused_act,
-                                          plan.fused_alpha);
-        });
-      }
-      const auto t1 = std::chrono::steady_clock::now();
-      record_gemm(std::chrono::duration<double>(t1 - t0).count(),
-                  2.0 * static_cast<double>(N) * static_cast<double>(U) * static_cast<double>(F));
+      // Microkernel over (m=U, n=N, k=F) with the column-major store writing
+      // straight into the [N x U] layout. Every lane occupies one SIMD slot
+      // padded to the full tile, so its bits are the same in a batch-1 or a
+      // batch-8 panel.
+      float* pb = grow<float>(ws.panels, packed_b_f32_elems(F, N, mk_->f32));
+      pfor(0, panel_count(N, mk_->f32.nr), 1, [&](std::int64_t lo, std::int64_t hi, std::size_t) {
+        pack_b_f32(xt, F, N, mk_->f32, lo, hi, pb);
+      });
+      pfor(0, panel_count(U, mk_->f32.mr), 1, [&](std::int64_t lo, std::int64_t hi, std::size_t) {
+        mk_->gemm_f32(s.packed_f32.data(), pb, y, U, N, F, /*ldc=*/U, /*col_major_store=*/true, lo,
+                      hi, bias, s.act, s.alpha);
+      });
       break;
     }
     case OpKind::kBatchNorm: {
-      if (n.weights.size() != 4) throw ExecError("BatchNorm " + n.name + " needs 4 weight tensors");
-      const Tensor& in = *ins.at(0);
-      const auto& s = in.shape();
-      const std::int64_t C = s.rank() == 4 ? s.c() : s.dim(1);
-      const std::int64_t spatial = s.rank() == 4 ? s.h() * s.w() : 1;
-      const std::int64_t N = s.dim(0);
-      // Per-channel scale/shift computed once, not once per batch element.
-      std::vector<float> scale(static_cast<std::size_t>(C));
-      std::vector<float> shift(static_cast<std::size_t>(C));
-      const auto& gamma = n.weights[0];
-      const auto& beta = n.weights[1];
-      const auto& mean = n.weights[2];
-      const auto& var = n.weights[3];
-      for (std::int64_t c = 0; c < C; ++c) {
-        const auto ci = static_cast<std::size_t>(c);
-        scale[ci] = static_cast<float>(gamma.at(ci) / std::sqrt(var.at(ci) + plan.bn_eps));
-        shift[ci] = static_cast<float>(beta.at(ci) - mean.at(ci) * scale[ci]);
-      }
-      const float* x = in.data().data();
-      float* y = out.data().data();
-      pfor(0, N * C, 1, [&](std::int64_t lo, std::int64_t hi, std::size_t) {
+      const std::int64_t C = static_cast<std::int64_t>(s.bn_scale.size());
+      const std::int64_t spatial = numel / (in_shape.dim(0) * C);
+      pfor(0, in_shape.dim(0) * C, 1, [&](std::int64_t lo, std::int64_t hi, std::size_t) {
         for (std::int64_t bc = lo; bc < hi; ++bc) {
-          const auto ci = static_cast<std::size_t>(bc % C);
-          const float* xr = x + bc * spatial;
-          float* yr = y + bc * spatial;
-          for (std::int64_t i = 0; i < spatial; ++i) yr[i] = xr[i] * scale[ci] + shift[ci];
+          const float scale = s.bn_scale[static_cast<std::size_t>(bc % C)];
+          const float shift = s.bn_shift[static_cast<std::size_t>(bc % C)];
+          for (std::int64_t i = bc * spatial; i < (bc + 1) * spatial; ++i) {
+            y[i] = x[i] * scale + shift;
+          }
         }
       });
       break;
@@ -545,45 +611,36 @@ void Executor::execute_node(const Node& n, const NodePlan& plan,
     case OpKind::kHSigmoid:
     case OpKind::kHSwish:
     case OpKind::kMish:
-    case OpKind::kTanh: {
-      const float* x = ins.at(0)->data().data();
-      float* y = out.data().data();
-      const OpKind kind = n.kind;
-      const double alpha = plan.alpha;
-      pfor(0, out.numel(), 4096, [&](std::int64_t lo, std::int64_t hi, std::size_t) {
-        for (std::int64_t i = lo; i < hi; ++i) y[i] = apply_activation(x[i], kind, alpha);
+    case OpKind::kTanh:
+      pfor(0, numel, 4096, [&](std::int64_t lo, std::int64_t hi, std::size_t) {
+        for (std::int64_t i = lo; i < hi; ++i) y[i] = apply_activation(x[i], s.act, s.alpha);
       });
       break;
-    }
     case OpKind::kAdd:
     case OpKind::kMul: {
-      const Tensor& a = *ins.at(0);
-      const Tensor& b = *ins.at(1);
       const bool mul = n.kind == OpKind::kMul;
-      float* y = out.data().data();
-      if (a.shape() == b.shape()) {
-        const float* pa = a.data().data();
-        const float* pb = b.data().data();
-        pfor(0, out.numel(), 4096, [&](std::int64_t lo, std::int64_t hi, std::size_t) {
+      const float* x1 = buffer<float>(s.in.at(1));
+      const Shape& s1 = graph_.node(n.inputs[1]).out_shape;
+      if (in_shape == s1) {
+        pfor(0, numel, 4096, [&](std::int64_t lo, std::int64_t hi, std::size_t) {
           if (mul) {
-            for (std::int64_t i = lo; i < hi; ++i) y[i] = pa[i] * pb[i];
+            for (std::int64_t i = lo; i < hi; ++i) y[i] = x[i] * x1[i];
           } else {
-            for (std::int64_t i = lo; i < hi; ++i) y[i] = pa[i] + pb[i];
+            for (std::int64_t i = lo; i < hi; ++i) y[i] = x[i] + x1[i];
           }
         });
         break;
       }
-      // channelwise broadcast: one side is [N,C,1,1]
-      const Tensor& big = a.numel() >= b.numel() ? a : b;
-      const Tensor& vec = a.numel() >= b.numel() ? b : a;
-      const auto& s = big.shape();
-      const std::int64_t C = s.c(), spatial = s.h() * s.w();
-      const float* px = big.data().data();
-      const float* pv = vec.data().data();
-      pfor(0, s.n() * C, 1, [&](std::int64_t lo, std::int64_t hi, std::size_t) {
+      // Channelwise broadcast: one side is [N,C,1,1].
+      const bool first_big = in_shape.numel() >= s1.numel();
+      const float* big = first_big ? x : x1;
+      const float* vec = first_big ? x1 : x;
+      const std::int64_t spatial = n.out_shape.h() * n.out_shape.w();
+      const std::int64_t planes = n.out_shape.n() * n.out_shape.c();
+      pfor(0, planes, 1, [&](std::int64_t lo, std::int64_t hi, std::size_t) {
         for (std::int64_t bc = lo; bc < hi; ++bc) {
-          const float v = pv[bc];
-          const float* xr = px + bc * spatial;
+          const float v = vec[bc];
+          const float* xr = big + bc * spatial;
           float* yr = y + bc * spatial;
           if (mul) {
             for (std::int64_t i = 0; i < spatial; ++i) yr[i] = xr[i] * v;
@@ -595,43 +652,27 @@ void Executor::execute_node(const Node& n, const NodePlan& plan,
       break;
     }
     case OpKind::kConcat: {
-      const auto& os = n.out_shape;
-      if (os.rank() == 4) {
-        std::int64_t c_off = 0;
-        for (const Tensor* t : ins) {
-          const auto& s = t->shape();
-          for (std::int64_t b = 0; b < s.n(); ++b)
-            for (std::int64_t c = 0; c < s.c(); ++c)
-              for (std::int64_t h = 0; h < s.h(); ++h)
-                for (std::int64_t w = 0; w < s.w(); ++w)
-                  out.at4(b, c_off + c, h, w) = t->at4(b, c, h, w);
-          c_off += s.c();
+      // Channel concat: each input is one contiguous block per batch lane.
+      const std::int64_t lanes = n.out_shape.dim(0), row = numel / lanes;
+      std::int64_t off = 0;
+      for (std::size_t i = 0; i < s.in.size(); ++i) {
+        const std::int64_t block = graph_.node(n.inputs[i]).out_shape.numel() / lanes;
+        for (std::int64_t b = 0; b < lanes; ++b) {
+          std::memcpy(y + b * row + off, buffer<float>(s.in[i]) + b * block,
+                      static_cast<std::size_t>(block) * sizeof(float));
         }
-      } else {
-        std::int64_t f_off = 0;
-        const auto F = os.dim(1);
-        for (const Tensor* t : ins) {
-          const auto& s = t->shape();
-          for (std::int64_t b = 0; b < s.dim(0); ++b)
-            for (std::int64_t f = 0; f < s.dim(1); ++f)
-              out.at(static_cast<std::size_t>(b * F + f_off + f)) =
-                  t->at(static_cast<std::size_t>(b * s.dim(1) + f));
-          f_off += s.dim(1);
-        }
+        off += block;
       }
       break;
     }
     case OpKind::kMaxPool:
     case OpKind::kAvgPool: {
       const bool is_max = n.kind == OpKind::kMaxPool;
-      const std::int64_t k = plan.pool_kernel, stride = plan.pool_stride, pad = plan.pool_pad;
-      const Tensor& in = *ins.at(0);
-      const auto& s = in.shape();
-      const std::int64_t IH = s.h(), IW = s.w();
-      const std::int64_t OC = n.out_shape.c(), OH = n.out_shape.h(), OW = n.out_shape.w();
-      const float* x = in.data().data();
-      float* y = out.data().data();
-      pfor(0, n.out_shape.n() * OC, 1, [&](std::int64_t lo, std::int64_t hi, std::size_t) {
+      const std::int64_t k = s.pool_k, stride = s.pool_stride, pad = s.pool_pad;
+      const std::int64_t IH = in_shape.h(), IW = in_shape.w();
+      const std::int64_t OH = n.out_shape.h(), OW = n.out_shape.w();
+      const std::int64_t planes = n.out_shape.n() * n.out_shape.c();
+      pfor(0, planes, 1, [&](std::int64_t lo, std::int64_t hi, std::size_t) {
         for (std::int64_t bc = lo; bc < hi; ++bc) {
           const float* plane = x + bc * IH * IW;
           float* oplane = y + bc * OH * OW;
@@ -646,11 +687,7 @@ void Executor::execute_node(const Node& n, const NodePlan& plan,
                   const auto iw = ow * stride - pad + kw;
                   if (iw < 0 || iw >= IW) continue;
                   const double v = plane[ih * IW + iw];
-                  if (is_max) {
-                    acc = std::max(acc, v);
-                  } else {
-                    acc += v;
-                  }
+                  acc = is_max ? std::max(acc, v) : acc + v;
                   ++count;
                 }
               }
@@ -663,62 +700,228 @@ void Executor::execute_node(const Node& n, const NodePlan& plan,
       break;
     }
     case OpKind::kGlobalAvgPool: {
-      const Tensor& in = *ins.at(0);
-      const auto& s = in.shape();
-      const std::int64_t spatial = s.h() * s.w();
-      const double denom = static_cast<double>(spatial);
-      const float* x = in.data().data();
-      float* y = out.data().data();
-      pfor(0, s.n() * s.c(), 8, [&](std::int64_t lo, std::int64_t hi, std::size_t) {
+      const std::int64_t spatial = in_shape.h() * in_shape.w();
+      pfor(0, numel, 8, [&](std::int64_t lo, std::int64_t hi, std::size_t) {
         for (std::int64_t bc = lo; bc < hi; ++bc) {
-          const float* plane = x + bc * spatial;
           double acc = 0.0;
-          for (std::int64_t i = 0; i < spatial; ++i) acc += plane[i];
-          y[bc] = static_cast<float>(acc / denom);
+          for (std::int64_t i = bc * spatial; i < (bc + 1) * spatial; ++i) acc += x[i];
+          y[bc] = static_cast<float>(acc / static_cast<double>(spatial));
         }
       });
       break;
     }
     case OpKind::kUpsample: {
-      const auto scale = plan.upsample_scale;
-      const auto& os = n.out_shape;
-      for (std::int64_t b = 0; b < os.n(); ++b)
-        for (std::int64_t c = 0; c < os.c(); ++c)
-          for (std::int64_t h = 0; h < os.h(); ++h)
-            for (std::int64_t w = 0; w < os.w(); ++w)
-              out.at4(b, c, h, w) = ins.at(0)->at4(b, c, h / scale, w / scale);
-      break;
-    }
-    case OpKind::kFlatten:
-    case OpKind::kIdentity: {
-      const auto src = ins.at(0)->data();
-      std::copy(src.begin(), src.end(), out.data().begin());
-      break;
-    }
-    case OpKind::kSoftmax: {
-      const Tensor& in = *ins.at(0);
-      const auto& s = in.shape();
-      const std::int64_t N = s.dim(0);
-      const std::int64_t F = in.numel() / N;
-      const float* x = in.data().data();
-      float* y = out.data().data();
-      for (std::int64_t b = 0; b < N; ++b) {
-        const float* xr = x + b * F;
-        float* yr = y + b * F;
-        float mx = -std::numeric_limits<float>::infinity();
-        for (std::int64_t f = 0; f < F; ++f) mx = std::max(mx, xr[f]);
-        double sum = 0.0;
-        for (std::int64_t f = 0; f < F; ++f) {
-          const double e = std::exp(static_cast<double>(xr[f] - mx));
-          yr[f] = static_cast<float>(e);
-          sum += e;
+      const std::int64_t OH = n.out_shape.h(), OW = n.out_shape.w();
+      const std::int64_t IH = in_shape.h(), IW = in_shape.w();
+      for (std::int64_t bc = 0; bc < n.out_shape.n() * n.out_shape.c(); ++bc) {
+        for (std::int64_t h = 0; h < OH; ++h) {
+          for (std::int64_t w = 0; w < OW; ++w) {
+            y[(bc * OH + h) * OW + w] = x[(bc * IH + h / s.upsample) * IW + w / s.upsample];
+          }
         }
-        for (std::int64_t f = 0; f < F; ++f) yr[f] = static_cast<float>(yr[f] / sum);
       }
       break;
     }
+    case OpKind::kFlatten:
+    case OpKind::kIdentity:
+      std::memcpy(y, x, static_cast<std::size_t>(numel) * sizeof(float));
+      break;
+    case OpKind::kSoftmax:
+      std::memcpy(y, x, static_cast<std::size_t>(numel) * sizeof(float));
+      softmax_rows(y, in_shape.dim(0), numel / in_shape.dim(0));
+      break;
     case OpKind::kInput:
-      throw ExecError("Input node reached execute_node");
+      throw ExecError("Input node reached the kernel dispatch");
+  }
+}
+
+// ---------------------------------------------------------------------------
+// int8 kernel bodies. Every parallel region adds its saturation events to the
+// slot of its pool chunk.
+// ---------------------------------------------------------------------------
+
+void Executor::run_s8(const Step& s, Workspace& ws) {
+  using namespace runtime_kernels;
+  const Node& n = *s.node;
+  const std::int8_t* x = buffer<std::int8_t>(s.in.at(0));
+  std::int8_t* y = buffer<std::int8_t>(s.out);
+  const Shape& in_shape = graph_.node(n.inputs[0]).out_shape;
+  const std::int64_t numel = n.out_shape.numel();
+  const double so = s.out_scale;
+  const std::int32_t q_lo = s.q_lo, q_hi = s.q_hi;
+  std::uint64_t* sat = ws.sat.data();
+  const QuantLayer& layer = qlayers_[slot(n.id)];
+  switch (n.kind) {
+    case OpKind::kConv2d: {
+      const Conv2dGeometry& geo = s.conv;
+      if (geo.depthwise()) {
+        for (std::int64_t b = 0; b < geo.batch; ++b) {
+          pfor(0, geo.out_c, 1, [&](std::int64_t lo, std::int64_t hi, std::size_t chunk) {
+            sat[chunk] += depthwise_s8(x, layer.weights.data(), layer.bias.data(), y, geo, b, lo,
+                                       hi, layer.mult.data(), q_lo, q_hi);
+          });
+        }
+        break;
+      }
+      const std::int64_t patch = geo.patch(), cols = geo.cols(), m = geo.ocg();
+      std::int8_t* col = grow<std::int8_t>(ws.col, static_cast<std::size_t>(patch * cols));
+      std::int8_t* pb = mk_ != nullptr
+                            ? grow<std::int8_t>(ws.panels, packed_b_s8_bytes(patch, cols, mk_->s8))
+                            : nullptr;
+      for (std::int64_t b = 0; b < geo.batch; ++b) {
+        for (std::int64_t g = 0; g < geo.groups; ++g) {
+          pfor(0, patch, 4, [&](std::int64_t lo, std::int64_t hi, std::size_t) {
+            im2col_s8(x, geo, b, g, lo, hi, col);
+          });
+          const std::int64_t base = g * m;
+          std::int8_t* c = y + ((b * geo.out_c + base) * cols);
+          if (mk_ == nullptr) {
+            pfor(0, m, 1, [&](std::int64_t lo, std::int64_t hi, std::size_t chunk) {
+              sat[chunk] += gemm_rows_s8(layer.weights.data() + base * patch, col, c, lo, hi, cols,
+                                         patch, layer.bias.data() + base, layer.mult.data() + base,
+                                         q_lo, q_hi);
+            });
+            continue;
+          }
+          const std::int64_t b_panels = panel_count(cols, mk_->s8.nr);
+          pfor(0, b_panels, 1, [&](std::int64_t lo, std::int64_t hi, std::size_t) {
+            pack_b_s8(col, patch, cols, mk_->s8, lo, hi, pb);
+          });
+          const std::size_t pa_words = packed_a_s8_words(m, patch, mk_->s8);
+          const std::int32_t* pa = s.packed_s8.data() + static_cast<std::size_t>(g) * pa_words;
+          const std::int64_t a_panels = panel_count(m, mk_->s8.mr);
+          pfor(0, a_panels, 1, [&](std::int64_t lo, std::int64_t hi, std::size_t chunk) {
+            sat[chunk] += mk_->gemm_s8(pa, pb, c, m, cols, patch, cols, /*col_major_store=*/false,
+                                       lo, hi, layer.bias.data() + base, layer.mult.data() + base,
+                                       q_lo, q_hi);
+          });
+        }
+      }
+      break;
+    }
+    case OpKind::kDense: {
+      // int32 accumulation is exact, so every path below — microkernel,
+      // one-lane rows, batched rows — gives the same bits for any N.
+      const std::int64_t N = in_shape.dim(0), F = in_shape.dim(1), U = n.out_shape.dim(1);
+      const std::int8_t* xt = transpose_lanes(x, N, F, ws.col);
+      if (mk_ != nullptr) {
+        std::int8_t* pb = grow<std::int8_t>(ws.panels, packed_b_s8_bytes(F, N, mk_->s8));
+        pfor(0, panel_count(N, mk_->s8.nr), 1, [&](std::int64_t lo, std::int64_t hi, std::size_t) {
+          pack_b_s8(xt, F, N, mk_->s8, lo, hi, pb);
+        });
+        const std::int64_t a_panels = panel_count(U, mk_->s8.mr);
+        pfor(0, a_panels, 1, [&](std::int64_t lo, std::int64_t hi, std::size_t chunk) {
+          sat[chunk] += mk_->gemm_s8(s.packed_s8.data(), pb, y, U, N, F, /*ldc=*/U,
+                                     /*col_major_store=*/true, lo, hi, layer.bias.data(),
+                                     layer.mult.data(), q_lo, q_hi);
+        });
+        break;
+      }
+      // Scalar rows produce the [U x N] product; one lane is already the
+      // [N x U] layout, more lanes scatter back.
+      std::int8_t* yt = N == 1 ? y : grow<std::int8_t>(ws.panels, static_cast<std::size_t>(U * N));
+      pfor(0, U, 8, [&](std::int64_t lo, std::int64_t hi, std::size_t chunk) {
+        sat[chunk] += gemm_rows_s8(layer.weights.data(), xt, yt, lo, hi, N, F, layer.bias.data(),
+                                   layer.mult.data(), q_lo, q_hi);
+      });
+      if (N > 1) {
+        for (std::int64_t b = 0; b < N; ++b) {
+          for (std::int64_t u = 0; u < U; ++u) y[b * U + u] = yt[u * N + b];
+        }
+      }
+      break;
+    }
+    case OpKind::kRelu:
+    case OpKind::kRelu6:
+    case OpKind::kIdentity:
+    case OpKind::kFlatten: {
+      const double rescale = s.in_scales[0] / so;
+      pfor(0, numel, 4096, [&](std::int64_t lo, std::int64_t hi, std::size_t chunk) {
+        for (std::int64_t i = lo; i < hi; ++i) {
+          y[i] = requant_clamped(static_cast<double>(x[i]) * rescale, q_lo, q_hi, sat[chunk]);
+        }
+      });
+      break;
+    }
+    case OpKind::kMaxPool:
+    case OpKind::kAvgPool:
+    case OpKind::kGlobalAvgPool: {
+      const bool is_max = n.kind == OpKind::kMaxPool;
+      const bool global = n.kind == OpKind::kGlobalAvgPool;
+      const std::int64_t IH = in_shape.h(), IW = in_shape.w();
+      const std::int64_t kh_n = global ? IH : s.pool_k, kw_n = global ? IW : s.pool_k;
+      const std::int64_t stride = global ? 1 : s.pool_stride, pad = global ? 0 : s.pool_pad;
+      const std::int64_t OH = n.out_shape.h(), OW = n.out_shape.w();
+      const double rescale = s.in_scales[0] / so;
+      const std::int64_t planes = n.out_shape.n() * n.out_shape.c();
+      pfor(0, planes, 1, [&](std::int64_t lo, std::int64_t hi, std::size_t chunk) {
+        for (std::int64_t bc = lo; bc < hi; ++bc) {
+          const std::int8_t* plane = x + bc * IH * IW;
+          std::int8_t* oplane = y + bc * OH * OW;
+          for (std::int64_t oh = 0; oh < OH; ++oh) {
+            for (std::int64_t ow = 0; ow < OW; ++ow) {
+              std::int64_t acc = is_max ? std::numeric_limits<std::int32_t>::min() : 0;
+              std::int64_t count = 0;
+              for (std::int64_t kh = 0; kh < kh_n; ++kh) {
+                const auto ih = oh * stride - pad + kh;
+                if (ih < 0 || ih >= IH) continue;
+                for (std::int64_t kw = 0; kw < kw_n; ++kw) {
+                  const auto iw = ow * stride - pad + kw;
+                  if (iw < 0 || iw >= IW) continue;
+                  const std::int64_t v = plane[ih * IW + iw];
+                  acc = is_max ? std::max(acc, v) : acc + v;
+                  ++count;
+                }
+              }
+              const double v = is_max ? static_cast<double>(acc)
+                               : count > 0 ? static_cast<double>(acc) / static_cast<double>(count)
+                                           : 0.0;
+              oplane[oh * OW + ow] = requant_clamped(v * rescale, q_lo, q_hi, sat[chunk]);
+            }
+          }
+        }
+      });
+      break;
+    }
+    case OpKind::kAdd: {
+      const std::int8_t* x1 = buffer<std::int8_t>(s.in.at(1));
+      const double sa = s.in_scales[0], sb = s.in_scales[1];
+      pfor(0, numel, 4096, [&](std::int64_t lo, std::int64_t hi, std::size_t chunk) {
+        for (std::int64_t i = lo; i < hi; ++i) {
+          const double v = static_cast<double>(x[i]) * sa + static_cast<double>(x1[i]) * sb;
+          y[i] = requant_clamped(v / so, q_lo, q_hi, sat[chunk]);
+        }
+      });
+      break;
+    }
+    case OpKind::kConcat: {
+      // Batch 1 (checked at compile): inputs append contiguously.
+      std::int8_t* dst = y;
+      for (std::size_t i = 0; i < s.in.size(); ++i) {
+        const std::int8_t* src = buffer<std::int8_t>(s.in[i]);
+        const double rescale = s.in_scales[i] / so;
+        const std::int64_t count = graph_.node(n.inputs[i]).out_shape.numel();
+        for (std::int64_t j = 0; j < count; ++j) {
+          *dst++ = requant_clamped(static_cast<double>(src[j]) * rescale, q_lo, q_hi, sat[0]);
+        }
+      }
+      break;
+    }
+    case OpKind::kSoftmax: {
+      // Dequantize, float softmax, requantize: how int8 runtimes typically
+      // treat the final softmax (TFLite uses a LUT; float is the reference).
+      float* f = grow<float>(ws.col, static_cast<std::size_t>(numel));
+      for (std::int64_t i = 0; i < numel; ++i) {
+        f[i] = static_cast<float>(static_cast<double>(x[i]) * s.in_scales[0]);
+      }
+      softmax_rows(f, in_shape.dim(0), numel / in_shape.dim(0));
+      for (std::int64_t i = 0; i < numel; ++i) {
+        y[i] = requant_clamped(static_cast<double>(f[i]) / so, q_lo, q_hi, sat[0]);
+      }
+      break;
+    }
+    default:
+      throw Unsupported("integer executor does not support op " + std::string(op_name(n.kind)));
   }
 }
 

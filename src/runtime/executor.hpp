@@ -1,26 +1,41 @@
 #pragma once
 /// \file executor.hpp
-/// \brief Reference CPU executor: actually computes every op in the IR.
+/// \brief The CPU execution engine: one compiled plan runs f32 and int8.
 ///
-/// This is the runtime the Kenning-analogue deploys to when the target is
-/// "host CPU". Since PR 3 it is a real execution engine rather than a naive
-/// interpreter:
+/// A graph compiles once per (Graph::version(), microkernel tile, buffer
+/// layout) into a flat vector of steps in topological order. Each step holds
+/// its op, resolved geometry, arena offsets, fused-activation or
+/// requantization constants and — at a SIMD dispatch level — the layer's
+/// weights packed into microkernel panels, so a run repacks nothing (the
+/// pack-once, reuse-every-call recipe of Ramírez et al., PAPERS.md). One
+/// loop executes the plan for both dtypes; only the per-op kernel bodies are
+/// dtype-specific:
 ///
-///  - Conv2D runs as im2col + cache-blocked GEMM (kernels.hpp) with a fused
-///    bias+activation epilogue; set_use_gemm_conv(false) falls back to the
-///    direct 6-deep loop (kept as the numerical reference and the perf
-///    baseline in bench_runtime).
-///  - Conv/Dense/BatchNorm/pool/elementwise kernels partition their output
-///    rows/channels over a util::ThreadPool. Accumulation order within each
-///    output element is fixed, so results are bitwise identical for any
-///    thread count.
-///  - Intermediate activations live in a single arena slab laid out by the
-///    liveness-based memory planner (memory_planner.hpp) instead of one heap
-///    allocation per node; graph outputs are deep-copied out of the arena.
+///  - Conv2D runs as im2col + GEMM (register-tiled microkernel, or the
+///    cache-blocked scalar kernel at portable dispatch); depthwise stays a
+///    direct k*k dot per pixel at every level.
+///  - Kernels partition output rows/channels over a util::ThreadPool with a
+///    fixed per-element accumulation order, so output bits — and the int8
+///    saturation count — are identical for any thread count.
+///  - Every activation lives in one byte arena laid out by the memory
+///    planner: liveness-packed when the plan runs serially, unaliased while
+///    keep_activations or inter-op waves need every buffer at once. Graph
+///    outputs are copied out of the arena.
+///  - A moved Graph::version() (OTA swap, scrubber repair) recompiles the
+///    plan — requantizing int8 weights and repacking panels — before the run
+///    serves a single output from stale weights.
+///
+/// The int8 dtype is true integer arithmetic, TFLite-style: int8 operands,
+/// int32 accumulation, per-output-channel weight scales and calibrated
+/// activation scales, requantized between layers. It needs BatchNorm folded
+/// (opt::FuseBatchNormPass) and an `act_scale` attribute on every node
+/// (opt::calibrate_activations); the constructor checks both and quantizes
+/// the weights.
 
+#include <cstddef>
+#include <cstdint>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -29,8 +44,7 @@
 #include "obs/trace.hpp"
 #include "runtime/kernels.hpp"
 #include "runtime/microkernel.hpp"
-#include "util/thread_safety.hpp"
-#include "runtime/packed_cache.hpp"
+#include "tensor/dtype.hpp"
 #include "tensor/tensor.hpp"
 #include "util/cpu.hpp"
 #include "util/thread_pool.hpp"
@@ -43,32 +57,47 @@ class ExecError : public Error {
   explicit ExecError(const std::string& message) : Error(message) {}
 };
 
+/// Quantized activation tensor: symmetric int8 with one scale.
+struct QTensor {
+  Shape shape;
+  std::vector<std::int8_t> data;
+  double scale = 1.0;
+
+  /// Dequantize to float for inspection / the final output.
+  Tensor dequantize() const;
+};
+
+/// Quantize a float tensor at a fixed scale (round-to-nearest, saturate).
+QTensor quantize_fixed(const Tensor& t, double scale);
+
 class Executor {
  public:
-  /// The graph must outlive the executor and have materialized weights for
-  /// every parametric node.
-  explicit Executor(const Graph& graph);
+  /// The graph must outlive the executor and have materialized weights.
+  /// \p dtype selects the arithmetic: kFP32 (the float reference) or kINT8
+  /// (throws Unsupported on unfolded BatchNorm or a missing act_scale).
+  explicit Executor(const Graph& graph, DType dtype = DType::kFP32);
 
   /// Run the graph on the given feeds (one tensor per Input node, keyed by
-  /// node name). Returns the outputs of all graph output nodes by name.
+  /// node name). Returns the outputs of all graph output nodes by name,
+  /// dequantized for int8.
   ///
   /// This is the engine entry runtime::Session wraps; application code goes
-  /// through Session. Direct construction is reserved for calibration-style
-  /// introspection (keep_activations + activation(), arena_stats, profile)
-  /// that the session API deliberately does not expose.
+  /// through Session. Direct construction is reserved for introspection
+  /// (keep_activations + activation(), arena_stats, weight_packs) that the
+  /// session API deliberately does not expose.
   std::map<std::string, Tensor> run(const std::map<std::string, Tensor>& feeds);
 
   /// Attach observability sinks (either may be null). When a tracer is set,
-  /// run() emits one root span plus one child span per executed (non-input)
-  /// node; when a registry is set, per-op-class latency histograms
-  /// (`vedliot.runtime.op.<Op>`, microseconds), run/node counters, the GEMM
-  /// throughput gauge, arena gauges and the pool-utilization histogram are
-  /// recorded. The sinks must outlive the executor.
+  /// run() emits one `session.run` root span plus one child span per
+  /// executed node, categorized by op class; when a registry is set,
+  /// per-op-class latency histograms (`vedliot.runtime.op.<Op>`,
+  /// microseconds), run/node counters, the GEMM throughput, arena and (int8)
+  /// saturation gauges and the pool-utilization histogram are recorded. The
+  /// sinks must outlive the executor.
   void instrument(obs::Tracer* tracer, obs::MetricsRegistry* metrics);
 
-  /// When false, intermediate activations are released at the end of run()
-  /// (activation() then throws NotFound). Default true. Keeping activations
-  /// disables the arena: every tensor must stay addressable after the run.
+  /// When false, activations are not addressable after run() (activation()
+  /// throws NotFound) and the arena is liveness-packed. Default true.
   void set_keep_activations(bool keep) { keep_activations_ = keep; }
 
   /// Intra-op parallelism: kernels partition work over this many threads
@@ -78,129 +107,149 @@ class Executor {
 
   /// Requested kernel dispatch level (default kAuto). Resolved per run —
   /// env overrides and CPU feature detection applied — so a test can flip
-  /// VEDLIOT_FORCE_PORTABLE between runs of one live executor.
+  /// VEDLIOT_FORCE_PORTABLE between runs of one live executor. int8 bits
+  /// are identical at every level; f32 SIMD agrees with portable to a tight
+  /// ULP bound (microkernel.hpp).
   void set_simd(util::SimdLevel level) { simd_req_ = level; }
   /// The concrete dispatch level the last run() executed at.
   util::SimdLevel active_simd() const { return active_simd_; }
 
   /// Inter-op parallelism: when > 1, independent nodes of one dataflow wave
   /// (analysis::Dataflow::waves) execute concurrently over this many
-  /// threads, with intra-op threading suspended inside parallel waves and
-  /// the activation arena disabled (its liveness plan assumes serial
-  /// order). Output bits do not depend on this value.
+  /// threads, each fully serial inside and writing its own unaliased buffer.
+  /// Output bits do not depend on this value.
   void set_inter_op(unsigned inter_op);
 
-  /// Total weight-pack operations of the packed-panel cache — stays flat
-  /// across steady-state runs and grows when Graph::version() moves (OTA
-  /// swap, scrubber repair) or the dispatch tile changes.
-  std::size_t weight_packs() const { return packed_.packs(); }
+  const Graph& graph() const { return graph_; }
+  DType dtype() const { return dtype_; }
 
-  /// Execute Conv2D as im2col + GEMM (default) or as the direct loop nest.
-  void set_use_gemm_conv(bool on) { use_gemm_ = on; }
+  /// Weight-panel pack operations so far: flat across steady-state runs,
+  /// growing when the plan recompiles for a moved Graph::version() or a new
+  /// dispatch tile.
+  std::size_t weight_packs() const { return weight_packs_; }
 
-  /// Place intermediate activations in the planner-packed arena (default
-  /// on; effective only while keep_activations is off).
-  void set_use_arena(bool on) { use_arena_ = on; }
+  /// int8 weight quantizations so far: once at construction, plus once per
+  /// Graph::version() change the plan recompiled for (self-heal). 0 for f32.
+  std::size_t preparations() const { return preparations_; }
+
+  /// Accumulated int8 saturation events across all runs (requantization
+  /// clamps) — a deployment health metric. Always 0 for f32.
+  std::uint64_t saturations() const { return saturations_; }
 
   /// Arena accounting for the last run().
   struct ArenaStats {
-    bool active = false;           ///< arena was used by the last run
-    std::int64_t arena_bytes = 0;  ///< packed slab size
+    bool active = false;           ///< the last run used the liveness-packed layout
+    std::int64_t arena_bytes = 0;  ///< slab size of the last run's layout
     std::int64_t naive_bytes = 0;  ///< sum of all activation buffers
   };
   const ArenaStats& arena_stats() const { return arena_stats_; }
 
-  /// After run(): number of nodes executed (profiling hook).
+  /// After run(): number of nodes executed (inputs excluded).
   std::size_t nodes_executed() const { return nodes_executed_; }
 
-  /// Retrieve any intermediate activation from the last run() by node name
-  /// (used for quantization calibration). Throws NotFound if absent.
+  /// Any f32 activation of the last run() by node name, graph inputs
+  /// included (quantization calibration reads these). Throws NotFound
+  /// unless keep_activations is on and the node exists.
   const Tensor& activation(const std::string& node_name) const;
 
-  /// Per-op-kind wall-clock accounting, accumulated across runs when
-  /// profiling is enabled (the Kenning "monitor inference time" hook).
-  struct OpProfile {
-    std::uint64_t invocations = 0;
-    double total_seconds = 0;
-  };
-  void enable_profiling(bool on = true) { profiling_ = on; }
-  const std::map<OpKind, OpProfile>& profile() const { return profile_; }
-  void reset_profile() { profile_.clear(); }
-
-  /// The heaviest op kinds by accumulated time, descending.
-  std::vector<std::pair<OpKind, OpProfile>> hotspots(std::size_t top_n = 3) const;
+ protected:
+  /// Execute the plan without collecting outputs (run() and
+  /// QuantizedExecutor::run_single share it).
+  void execute(const std::map<std::string, Tensor>& feeds);
+  /// int8 contents of a node's buffer after execute().
+  QTensor quantized(NodeId id) const;
 
  private:
-  /// Per-node execution plan resolved once at construction so the hot loop
-  /// never re-parses string attributes or re-derives loop geometry.
-  struct NodePlan {
-    OpKind fused_act = OpKind::kIdentity;
-    double fused_alpha = 0.01;
-    double alpha = 0.01;  ///< standalone activation alpha
-    double bn_eps = 1e-5;
-    std::int64_t pool_kernel = 0, pool_stride = 0, pool_pad = 0;
-    std::int64_t upsample_scale = 1;
-    runtime_kernels::Conv2dGeometry conv;  ///< valid for kConv2d nodes
+  /// int8 Conv2D/Dense weights quantized at per-output-channel scales.
+  struct QuantLayer {
+    std::vector<std::int8_t> weights;
+    std::vector<std::int32_t> bias;  ///< at in_scale * w_scale[c]
+    std::vector<double> mult;        ///< in_scale * w_scale[c] / out_scale
   };
 
-  void execute_node(const Node& n, const NodePlan& plan,
-                    const std::vector<const Tensor*>& ins, Tensor& out);
-  void conv2d_gemm(const Node& n, const NodePlan& plan, const Tensor& in, Tensor& out);
-  void conv2d_direct(const Node& n, const NodePlan& plan, const Tensor& in, Tensor& out);
-  Tensor alloc_output(const Node& n);
-  void prepare_arena();
-  void feed_input(const Node& n, const std::map<std::string, Tensor>& feeds);
-  /// Full serial per-node path: span + timing + alloc + execute + store.
-  void exec_node_serial(const Node& n);
-  /// Wave-parallel execution body (inter_op > 1): nodes of one dataflow
-  /// wave run concurrently, each fully serial inside.
-  void run_waves(const std::map<std::string, Tensor>& feeds);
-  void record_gemm(double seconds, double flops);
-  /// Dispatch over [begin, end) with the configured pool (inline when
-  /// serial); records one pool-utilization sample when metrics are attached.
-  void pfor(std::int64_t begin, std::int64_t end, std::int64_t grain,
-            const util::ThreadPool::ChunkFn& fn);
+  /// One compiled node: everything its kernel needs, resolved once.
+  struct Step {
+    const Node* node = nullptr;
+    std::size_t out = 0;               ///< arena byte offset of the output
+    std::vector<std::size_t> in;       ///< arena byte offsets of the inputs
+    OpKind act = OpKind::kIdentity;    ///< f32: Conv/Dense fused or own activation
+    double alpha = 0.01;
+    double flops = 0;                  ///< Conv/Dense, for the GEMM gauge
+    runtime_kernels::Conv2dGeometry conv;
+    std::int64_t pool_k = 0, pool_stride = 0, pool_pad = 0, upsample = 1;
+    std::vector<float> bn_scale, bn_shift;  ///< f32 BatchNorm folded to x*s+t
+    double out_scale = 1.0;                 ///< int8 activation scales
+    std::vector<double> in_scales;
+    std::int32_t q_lo = -128, q_hi = 127;   ///< int8 fused Relu/Relu6 window
+    std::vector<float> packed_f32;          ///< A panels, one block per group
+    std::vector<std::int32_t> packed_s8;
+  };
+
+  /// Scratch of one executing step, reused across steps and runs.
+  struct Workspace {
+    std::vector<std::byte> col;      ///< im2col matrix / transposed dense input
+    std::vector<std::byte> panels;   ///< packed B panels / transposed dense output
+    std::vector<std::uint64_t> sat;  ///< int8 saturations, one slot per pool chunk
+  };
+
+  void quantize();
+  void compile(const runtime_kernels::MicrokernelTile& tile, bool waves);
+  Step compile_step(const Node& n);
+  void run_step(const Step& s, Workspace& ws, bool observe);
+  void run_f32(const Step& s, Workspace& ws);
+  void run_s8(const Step& s, Workspace& ws);
+  template <typename T>
+  T* buffer(std::size_t offset) {
+    return reinterpret_cast<T*>(arena_.data() + offset);
+  }
+  /// Dispatch [begin, end) over the intra-op pool (inline when serial or
+  /// inside a parallel wave); records one pool-utilization sample.
+  template <typename Fn>
+  void pfor(std::int64_t begin, std::int64_t end, std::int64_t grain, const Fn& fn);
 
   const Graph& graph_;
-  std::vector<NodePlan> plans_;  ///< indexed by NodeId over all node slots
-  std::map<NodeId, Tensor> values_;
-  std::size_t nodes_executed_ = 0;
-  bool profiling_ = false;
-  std::map<OpKind, OpProfile> profile_;
+  const DType dtype_;
   bool keep_activations_ = true;
-
   unsigned threads_ = 1;
+  unsigned inter_op_ = 1;
   std::unique_ptr<util::ThreadPool> pool_;
-  bool use_gemm_ = true;
-  bool use_arena_ = true;
-  std::vector<float> arena_;  ///< one slab; node buffers are planner offsets
-  std::map<NodeId, std::size_t> arena_offset_;  ///< float offset into arena_
-  ArenaStats arena_stats_;
-  std::vector<float> scratch_;  ///< im2col column matrix, grown on demand
-  std::vector<float> packed_b_;  ///< microkernel B panels, grown on demand
-
-  // Runtime SIMD dispatch: requested level, the level the current run
-  // resolved to, and that level's microkernel table (null => portable).
+  std::unique_ptr<util::ThreadPool> wave_pool_;
   util::SimdLevel simd_req_ = util::SimdLevel::kAuto;
   util::SimdLevel active_simd_ = util::SimdLevel::kPortable;
+  /// The resolved level's microkernel table when it has this dtype's
+  /// kernel, else null (scalar kernels; bitwise-identical for int8).
   const runtime_kernels::GemmMicrokernels* mk_ = nullptr;
-  runtime_kernels::PackedWeightCache packed_;
 
-  // Inter-op (wave) parallelism state. in_wave_ is set around a parallel
-  // wave dispatch and makes pfor inline (the pool cannot nest) and the
-  // conv scratch buffers node-local.
-  unsigned inter_op_ = 1;
-  std::unique_ptr<util::ThreadPool> wave_pool_;
+  // int8 weights and activation scales (indexed by NodeId), quantized at
+  // construction and again when the plan recompiles for a new version.
+  std::vector<QuantLayer> qlayers_;
+  std::vector<double> scales_;
+  std::uint64_t quantized_version_ = 0;
+
+  // The compiled plan and the key it was compiled for.
+  bool compiled_ = false;
+  std::uint64_t plan_version_ = 0;
+  runtime_kernels::MicrokernelTile plan_tile_;
+  bool plan_keep_ = false;
+  bool plan_waves_ = false;
+  std::vector<Step> steps_;
+  std::vector<std::vector<std::size_t>> waves_;  ///< step indices per parallel wave
+  std::vector<NodeId> inputs_, outputs_;
+  std::vector<std::size_t> offset_;  ///< arena byte offset per NodeId
+  std::vector<std::byte> arena_;
+  std::vector<Tensor> views_;        ///< f32 activation views (keep_activations)
+  bool activations_valid_ = false;
+
+  Workspace ws_;                     ///< serial steps
+  std::vector<Workspace> wave_ws_;   ///< one per wave-pool chunk
   bool in_wave_ = false;
-  std::vector<std::vector<NodeId>> waves_;
-  std::uint64_t waves_version_ = 0;
-  bool waves_computed_ = false;
 
-  // Per-run GEMM accounting feeding the GFLOP/s gauge; the mutex serializes
-  // updates from concurrent wave nodes.
-  std::mutex gemm_stats_mutex_;
-  double gemm_flops_ VEDLIOT_GUARDED_BY(gemm_stats_mutex_) = 0;
-  double gemm_seconds_ VEDLIOT_GUARDED_BY(gemm_stats_mutex_) = 0;
+  ArenaStats arena_stats_;
+  std::size_t nodes_executed_ = 0;
+  std::size_t weight_packs_ = 0;
+  std::size_t preparations_ = 0;
+  std::uint64_t saturations_ = 0;
+  double gemm_flops_ = 0, gemm_seconds_ = 0;  ///< per run, observed steps only
 
   obs::Tracer* tracer_ = nullptr;
   obs::MetricsRegistry* metrics_ = nullptr;

@@ -1,8 +1,8 @@
 #pragma once
 /// \file instrument.hpp
-/// \brief Shared observability conventions of the runtime executors: both
-/// the float reference and the integer executor report through the same
-/// metric names so dashboards and tests can compare backends directly.
+/// \brief Observability conventions of the runtime engine: f32 and int8 runs
+/// report through the same metric names so dashboards and tests can compare
+/// dtypes directly.
 
 #include <string>
 

@@ -79,19 +79,6 @@ void im2col_rows(const T* in, const Conv2dGeometry& g, std::int64_t b, std::int6
   }
 }
 
-std::int8_t requant_sat(double v, std::uint64_t& saturations) {
-  const double r = std::nearbyint(v);
-  if (r > 127.0) {
-    ++saturations;
-    return 127;
-  }
-  if (r < -128.0) {
-    ++saturations;
-    return -128;
-  }
-  return static_cast<std::int8_t>(r);
-}
-
 }  // namespace
 
 void im2col_f32(const float* in, const Conv2dGeometry& g, std::int64_t b, std::int64_t group,
@@ -191,10 +178,7 @@ std::uint64_t gemm_rows_s8(const std::int8_t* a, const std::int8_t* b, std::int8
       const double m_mult = mult[m];
       std::int8_t* crow = c + m * n + j0;
       for (std::int64_t j = 0; j < jn; ++j) {
-        std::int8_t q = requant_sat(static_cast<double>(acc[j]) * m_mult, saturations);
-        if (q < q_lo) q = static_cast<std::int8_t>(q_lo);
-        if (q > q_hi) q = static_cast<std::int8_t>(q_hi);
-        crow[j] = q;
+        crow[j] = requant_clamped(static_cast<double>(acc[j]) * m_mult, q_lo, q_hi, saturations);
       }
     }
   }
@@ -253,10 +237,8 @@ std::uint64_t depthwise_s8(const std::int8_t* in, const std::int8_t* w, const st
                    static_cast<std::int32_t>(wc[kh * k + kw]);
           }
         }
-        std::int8_t q = requant_sat(static_cast<double>(acc) * m_mult, saturations);
-        if (q < q_lo) q = static_cast<std::int8_t>(q_lo);
-        if (q > q_hi) q = static_cast<std::int8_t>(q_hi);
-        oplane[oh * OW + ow] = q;
+        oplane[oh * OW + ow] =
+            requant_clamped(static_cast<double>(acc) * m_mult, q_lo, q_hi, saturations);
       }
     }
   }

@@ -14,15 +14,43 @@
 /// the row range is partitioned across threads. Parallel callers split the
 /// *row* dimension only.
 
+#include <cmath>
 #include <cstdint>
 
 #include "graph/op.hpp"
 
 namespace vedliot::runtime_kernels {
 
-/// Scalar activation used by both executors' epilogues. kIdentity passes
+/// Scalar activation of the f32 epilogues and activation ops. kIdentity passes
 /// through; alpha feeds LeakyRelu.
 float apply_activation(float x, OpKind kind, double alpha);
+
+/// Round to nearest and saturate to int8, counting saturations (values
+/// outside [-128, 127] — information lost). Weight and input quantization
+/// use it as is.
+inline std::int8_t requant_sat(double v, std::uint64_t& saturations) {
+  const double r = std::nearbyint(v);
+  if (r > 127.0) {
+    ++saturations;
+    return 127;
+  }
+  if (r < -128.0) {
+    ++saturations;
+    return -128;
+  }
+  return static_cast<std::int8_t>(r);
+}
+
+/// The one requantization every scalar int8 epilogue shares: requant_sat,
+/// then the fused-activation clamp window [q_lo, q_hi] (semantics, not
+/// counted as saturation).
+inline std::int8_t requant_clamped(double v, std::int32_t q_lo, std::int32_t q_hi,
+                                   std::uint64_t& saturations) {
+  std::int8_t q = requant_sat(v, saturations);
+  if (q < q_lo) q = static_cast<std::int8_t>(q_lo);
+  if (q > q_hi) q = static_cast<std::int8_t>(q_hi);
+  return q;
+}
 
 /// Conv2D loop geometry, shared by the float and INT8 paths.
 struct Conv2dGeometry {

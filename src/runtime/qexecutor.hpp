@@ -1,151 +1,31 @@
 #pragma once
 /// \file qexecutor.hpp
-/// \brief True integer INT8 executor (Sec. III steps 5-6: the kernels a
-/// deployment target actually runs after quantization).
+/// \brief The integer-domain view of the one engine (executor.hpp).
 ///
-/// Unlike the fake-quant modelling in opt/quantize.hpp (which measures
-/// accuracy impact in float), this executor performs integer arithmetic:
-/// int8 operands, int32 accumulation, per-output-channel weight scales and
-/// fixed activation scales from calibration, with requantization between
-/// layers — the TFLite-style reference semantics.
-///
-/// Requirements on the graph:
-///  - weights materialized (fp32 masters; quantization happens here),
-///  - BatchNorm folded away (run opt::FuseBatchNormPass first),
-///  - `act_scale` attributes present on every node (run
-///    opt::calibrate_activations first).
+/// QuantizedExecutor is an Executor compiled for DType::kINT8 whose
+/// run_single returns the graph output as raw int8 values and scale instead
+/// of dequantized floats — the introspection (QTensor scales, saturation
+/// accounting, requantization count) runtime::Session does not expose.
+/// Application code runs int8 through runtime::make_quantized_session.
 
-#include <cstdint>
-#include <map>
-#include <memory>
-#include <string>
-#include <vector>
-
-#include "graph/graph.hpp"
-#include "obs/metrics.hpp"
-#include "obs/trace.hpp"
-#include "runtime/kernels.hpp"
-#include "runtime/microkernel.hpp"
-#include "runtime/packed_cache.hpp"
-#include "tensor/tensor.hpp"
-#include "util/cpu.hpp"
-#include "util/thread_pool.hpp"
+#include "runtime/executor.hpp"
 
 namespace vedliot {
 
-/// Quantized activation tensor: symmetric int8 with one scale.
-struct QTensor {
-  Shape shape;
-  std::vector<std::int8_t> data;
-  double scale = 1.0;
-
-  /// Dequantize to float for inspection / the final output.
-  Tensor dequantize() const;
-};
-
-/// Quantize a float tensor at a fixed scale (round-to-nearest, saturate).
-QTensor quantize_fixed(const Tensor& t, double scale);
-
-class QuantizedExecutor {
+class QuantizedExecutor : public Executor {
  public:
-  explicit QuantizedExecutor(const Graph& graph);
+  explicit QuantizedExecutor(const Graph& graph) : Executor(graph, DType::kINT8) {}
 
-  /// Run on a float input (quantized at the input node's calibrated scale);
-  /// returns the quantized graph output.
-  ///
-  /// This is the engine entry runtime::Session wraps; application code goes
-  /// through Session (which also dequantizes the output). Direct
-  /// construction is reserved for integer-domain introspection (QTensor
-  /// scales, saturation accounting) the session API does not expose.
-  QTensor run_single(const Tensor& input);
-
-  /// Attach observability sinks (either may be null); same span/metric
-  /// taxonomy as Executor::instrument, with backend "int8". The sinks must
-  /// outlive the executor.
-  void instrument(obs::Tracer* tracer, obs::MetricsRegistry* metrics);
-
-  /// Intra-op parallelism (including the calling thread); 0 selects the
-  /// hardware concurrency, default 1. Integer kernels partition output
-  /// channels/rows only and sum per-chunk saturation counts, so both the
-  /// output bits and saturations() are independent of this value.
-  void set_threads(unsigned threads);
-
-  /// Execute Conv2D as im2col + int8 GEMM (default) or the direct loop.
-  void set_use_gemm_conv(bool on) { use_gemm_ = on; }
-
-  /// Requested kernel dispatch level (default kAuto); resolved per run with
-  /// the env overrides applied. The int8 microkernel performs the exact
-  /// int32 arithmetic of the scalar reference, so outputs are bitwise
-  /// identical at every level.
-  void set_simd(util::SimdLevel level) { simd_req_ = level; }
-  /// The concrete dispatch level the last run_single() executed at.
-  util::SimdLevel active_simd() const { return active_simd_; }
-
-  /// Total weight-pack operations of the packed-panel cache (test hook;
-  /// see Executor::weight_packs).
-  std::size_t weight_packs() const { return packed_.packs(); }
-
-  /// Times the quantize-and-pack preparation has run: once at construction,
-  /// plus once per detected Graph::version() change (OTA swap / scrubber
-  /// repair self-heal).
-  std::size_t preparations() const { return preparations_; }
-
-  /// After run_single(): number of non-input nodes executed.
-  std::size_t nodes_executed() const { return nodes_executed_; }
-
-  /// Accumulated int8 saturation events across all runs (requantization
-  /// clamps) — a deployment health metric.
-  std::uint64_t saturations() const { return saturations_; }
-
- private:
-  struct PreparedLayer {
-    std::vector<std::int8_t> weights;       ///< quantized at per-channel scales
-    std::vector<double> weight_scales;      ///< one per output channel
-    std::vector<std::int32_t> bias;         ///< at in_scale * w_scale[c]
-    std::vector<double> mult;               ///< in_scale * w_scale[c] / out_scale
-  };
-
-  /// Per-node integer-domain constants resolved once at construction (the
-  /// fused-activation clamp window used to be re-parsed from string attrs on
-  /// every node execution).
-  struct QNodePlan {
-    std::int32_t q_lo = -128, q_hi = 127;   ///< fused Relu/Relu6 output clamp
-    bool fused_unsupported = false;         ///< fused act the int path can't run
-    std::string fused_name;                 ///< for the error message only
-    runtime_kernels::Conv2dGeometry conv;   ///< valid for kConv2d nodes
-  };
-
-  QTensor execute_node(const Node& n, const std::vector<const QTensor*>& ins);
-  /// Dispatch [begin, end) over the pool; each chunk accumulates saturation
-  /// events into its own slot of \p sat (size >= threads).
-  void pfor(std::int64_t begin, std::int64_t end, std::int64_t grain,
-            const util::ThreadPool::ChunkFn& fn);
-  /// (Re)quantize every parametric layer from the graph's current fp32
-  /// weights and stamp prepared_version_. Run again whenever the live graph
-  /// mutates (Graph::version() moved): the quantized copies and packed
-  /// panels would otherwise serve stale — possibly corrupt — weights after
-  /// a ModelStore repair/restore or OTA swap.
-  void prepare();
-
-  const Graph& graph_;
-  std::map<NodeId, PreparedLayer> prepared_;
-  std::map<NodeId, double> out_scale_;
-  std::vector<QNodePlan> qplans_;           ///< indexed by NodeId over all slots
-  std::uint64_t prepared_version_ = 0;      ///< Graph::version() at prepare()
-  std::size_t preparations_ = 0;
-  std::uint64_t saturations_ = 0;
-  std::size_t nodes_executed_ = 0;
-  unsigned threads_ = 1;
-  std::unique_ptr<util::ThreadPool> pool_;
-  bool use_gemm_ = true;
-  std::vector<std::int8_t> scratch_;        ///< im2col column matrix
-  std::vector<std::int8_t> packed_b_;       ///< microkernel B panels
-  util::SimdLevel simd_req_ = util::SimdLevel::kAuto;
-  util::SimdLevel active_simd_ = util::SimdLevel::kPortable;
-  const runtime_kernels::GemmMicrokernels* mk_ = nullptr;  ///< s8-capable table or null
-  runtime_kernels::PackedWeightCache packed_;
-  obs::Tracer* tracer_ = nullptr;
-  obs::MetricsRegistry* metrics_ = nullptr;
+  /// Run a single-input single-output graph on a float input (quantized at
+  /// the input node's calibrated scale); returns the quantized output.
+  QTensor run_single(const Tensor& input) {
+    const auto ins = graph().inputs();
+    const auto outs = graph().outputs();
+    VEDLIOT_CHECK(ins.size() == 1, "run_single requires exactly one graph input");
+    VEDLIOT_CHECK(outs.size() == 1, "run_single requires exactly one graph output");
+    execute({{graph().node(ins.front()).name, input}});
+    return quantized(outs.front());
+  }
 };
 
 }  // namespace vedliot

@@ -1,7 +1,6 @@
 #include "runtime/session.hpp"
 
 #include "runtime/executor.hpp"
-#include "runtime/qexecutor.hpp"
 
 namespace vedliot::runtime {
 
@@ -17,86 +16,40 @@ void check_batch(const std::map<std::string, Tensor>& feeds, std::int64_t max_ba
   }
 }
 
-class FloatSession final : public Session {
+/// The one session: the engine compiled for the session's dtype.
+class EngineSession final : public Session {
  public:
-  FloatSession(const Graph& graph, const RunOptions& options)
-      : graph_(graph), options_(options), exec_(graph) {
-    exec_.instrument(options_.trace, options_.metrics);
-    exec_.set_keep_activations(options_.keep_activations);
-    exec_.set_threads(options_.exec.threads);
-    exec_.set_simd(options_.exec.simd);
-    exec_.set_inter_op(options_.exec.inter_op);
-    exec_.set_use_gemm_conv(options_.use_gemm_conv);
-    exec_.set_use_arena(options_.arena);
+  EngineSession(const Graph& graph, const RunOptions& options, DType dtype)
+      : exec_(graph, dtype) {
+    exec_.instrument(options.trace, options.metrics);
+    exec_.set_keep_activations(false);
+    set_exec_config(options.exec);
   }
 
   RunResult run(const std::map<std::string, Tensor>& feeds) override {
-    check_batch(feeds, options_.exec.max_batch);
+    check_batch(feeds, exec_config_.max_batch);
     RunResult result;
     result.outputs = exec_.run(feeds);
-    result.nodes_executed = exec_.nodes_executed();
-    return result;
-  }
-
-  const Graph& graph() const override { return graph_; }
-  std::string backend() const override { return "float-reference"; }
-  void set_exec_config(const ExecConfig& exec) override {
-    options_.exec = exec;
-    exec_.set_threads(exec.threads);
-    exec_.set_simd(exec.simd);
-    exec_.set_inter_op(exec.inter_op);
-  }
-  const ExecConfig& exec_config() const override { return options_.exec; }
-
- private:
-  const Graph& graph_;
-  RunOptions options_;
-  Executor exec_;
-};
-
-class QuantizedSession final : public Session {
- public:
-  QuantizedSession(const Graph& graph, const RunOptions& options)
-      : graph_(graph), options_(options), exec_(graph) {
-    exec_.instrument(options_.trace, options_.metrics);
-    exec_.set_threads(options_.exec.threads);
-    exec_.set_simd(options_.exec.simd);
-    exec_.set_use_gemm_conv(options_.use_gemm_conv);
-  }
-
-  RunResult run(const std::map<std::string, Tensor>& feeds) override {
-    check_batch(feeds, options_.exec.max_batch);
-    const auto inputs = graph_.inputs();
-    VEDLIOT_CHECK(inputs.size() == 1, "int8 session requires exactly one graph input");
-    const std::string& input_name = graph_.node(inputs.front()).name;
-    const auto it = feeds.find(input_name);
-    if (it == feeds.end()) throw ExecError("missing feed for input '" + input_name + "'");
-    if (feeds.size() != 1) {
-      throw ExecError("int8 session takes exactly one feed, got " +
-                      std::to_string(feeds.size()));
-    }
-
-    RunResult result;
-    const QTensor q = exec_.run_single(it->second);
-    result.outputs.emplace(graph_.node(graph_.outputs().front()).name, q.dequantize());
     result.nodes_executed = exec_.nodes_executed();
     result.saturations = exec_.saturations();
     return result;
   }
 
-  const Graph& graph() const override { return graph_; }
-  std::string backend() const override { return "int8"; }
+  const Graph& graph() const override { return exec_.graph(); }
+  std::string backend() const override {
+    return exec_.dtype() == DType::kINT8 ? "int8" : "float-reference";
+  }
   void set_exec_config(const ExecConfig& exec) override {
-    options_.exec = exec;
+    exec_config_ = exec;
     exec_.set_threads(exec.threads);
     exec_.set_simd(exec.simd);
+    exec_.set_inter_op(exec.inter_op);
   }
-  const ExecConfig& exec_config() const override { return options_.exec; }
+  const ExecConfig& exec_config() const override { return exec_config_; }
 
  private:
-  const Graph& graph_;
-  RunOptions options_;
-  QuantizedExecutor exec_;
+  Executor exec_;
+  ExecConfig exec_config_;
 };
 
 }  // namespace
@@ -139,12 +92,12 @@ void Session::set_max_batch(std::int64_t max_batch) {
 }
 
 std::unique_ptr<Session> make_session(const Graph& graph, const RunOptions& options) {
-  return std::make_unique<FloatSession>(graph, options);
+  return std::make_unique<EngineSession>(graph, options, DType::kFP32);
 }
 
 std::unique_ptr<Session> make_quantized_session(const Graph& graph,
                                                 const RunOptions& options) {
-  return std::make_unique<QuantizedSession>(graph, options);
+  return std::make_unique<EngineSession>(graph, options, DType::kINT8);
 }
 
 }  // namespace vedliot::runtime

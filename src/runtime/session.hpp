@@ -2,8 +2,8 @@
 /// \file session.hpp
 /// \brief Unified run-session API over the runtime backends.
 ///
-/// A Session is the one way application code runs inference: the float
-/// reference executor and the true-integer INT8 executor sit behind the
+/// A Session is the one way application code runs inference: the engine
+/// (executor.hpp) compiled for f32 or for true-integer INT8 sits behind the
 /// same interface, and every run can be observed through the vedliot::obs
 /// tracing/metrics sinks passed in RunOptions. Execution-resource knobs
 /// (batch cap, thread count) travel as one runtime::ExecConfig so serving
@@ -40,22 +40,10 @@ struct RunOptions {
   obs::Tracer* trace = nullptr;            ///< span sink for run/node spans
   obs::MetricsRegistry* metrics = nullptr; ///< counter/histogram sink
 
-  /// Keep intermediate activations addressable after run() (float backend
-  /// only; needed for quantization calibration). Off by default: serving
-  /// sessions should not retain a full activation set per run.
-  bool keep_activations = false;
-
-  /// Execution-resource knobs (admission batch cap + intra-op threads).
-  /// The one copy; serving-side rung caps reference the same struct.
+  /// Execution-resource knobs (admission batch cap, intra-op threads, SIMD
+  /// level, inter-op waves). The one copy; serving-side rung caps reference
+  /// the same struct.
   ExecConfig exec = {};
-
-  /// Execute Conv2D as im2col + cache-blocked GEMM (default) or fall back
-  /// to the direct loop nest (the numerical reference / perf baseline).
-  bool use_gemm_conv = true;
-
-  /// Place intermediate activations in one planner-packed arena slab
-  /// (float backend; ignored while keep_activations is set).
-  bool arena = true;
 };
 
 /// What one Session::run produced.
@@ -107,13 +95,13 @@ class Session {
   std::int64_t max_batch() const { return exec_config().max_batch; }
 };
 
-/// Float reference session (wraps Executor). The graph must outlive the
-/// session and have materialized weights.
+/// Float reference session. The graph must outlive the session and have
+/// materialized weights.
 std::unique_ptr<Session> make_session(const Graph& graph, const RunOptions& options = {});
 
-/// True-integer INT8 session (wraps QuantizedExecutor). The graph must be
-/// deployment-ready: weights materialized, BatchNorm folded, activations
-/// calibrated. Throws Unsupported otherwise.
+/// True-integer INT8 session. The graph must be deployment-ready: weights
+/// materialized, BatchNorm folded, activations calibrated. Throws
+/// Unsupported otherwise.
 std::unique_ptr<Session> make_quantized_session(const Graph& graph,
                                                 const RunOptions& options = {});
 

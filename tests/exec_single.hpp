@@ -4,8 +4,8 @@
 ///
 /// Application code runs inference through runtime::Session; the suites
 /// that still construct an Executor directly do so to poke engine-level
-/// features (profiling, activation retention, fault-injected weights) and
-/// feed it the same way the Session wrapper does.
+/// features (activation retention, packed panels, fault-injected weights)
+/// and feed it the same way the Session wrapper does.
 
 #include <utility>
 

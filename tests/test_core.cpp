@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "exec_single.hpp"
 #include "core/designflow.hpp"
 #include "graph/zoo.hpp"
 #include "util/rng.hpp"
@@ -133,9 +132,8 @@ TEST(DesignFlow, MarkdownReportComplete) {
 
 }  // namespace
 }  // namespace vedliot::core
-// appended: hardware-aware autotuning + executor profiling
+// appended: hardware-aware autotuning
 #include "core/autotune.hpp"
-#include "runtime/executor.hpp"
 
 namespace vedliot::core {
 namespace {
@@ -221,30 +219,6 @@ TEST(Autotune, Validation) {
   EXPECT_THROW((void)autotune(analytic, dev, {}, tune_probes(Shape{1, 1, 16, 16}, 1, 1)), Error);
   Graph g = tuned_model();
   EXPECT_THROW((void)autotune(g, dev, {}, {}), Error);
-}
-
-TEST(ExecutorProfile, HotspotsRankConvFirst) {
-  Graph g = tuned_model();
-  Executor exec(g);
-  exec.enable_profiling();
-  Rng rng(5);
-  for (int i = 0; i < 3; ++i) {
-    (void)testutil::exec_single(exec, g, Tensor(Shape{1, 1, 16, 16}, rng.normal_vector(256)));
-  }
-  const auto hot = exec.hotspots(3);
-  ASSERT_FALSE(hot.empty());
-  EXPECT_EQ(hot.front().first, OpKind::kConv2d);  // convs dominate a CNN
-  EXPECT_EQ(hot.front().second.invocations, 9u);  // 3 convs x 3 runs
-  exec.reset_profile();
-  EXPECT_TRUE(exec.profile().empty());
-}
-
-TEST(ExecutorProfile, DisabledByDefault) {
-  Graph g = tuned_model();
-  Executor exec(g);
-  Rng rng(5);
-  (void)testutil::exec_single(exec, g, Tensor(Shape{1, 1, 16, 16}, rng.normal_vector(256)));
-  EXPECT_TRUE(exec.profile().empty());
 }
 
 }  // namespace

@@ -1,9 +1,9 @@
 // Tests for the SIMD microkernel GEMM layer: edge-tail correctness against
 // the scalar reference, the per-level determinism contract (int8 bitwise,
 // f32 tight tolerance, parallel-vs-serial bitwise, batch-lane bitwise),
-// packed-weight cache lifecycle (steady-state reuse, version/tile
-// invalidation, OTA-repair self-heal), env-override dispatch, and the
-// roofline probes.
+// packed-panel lifecycle in the execution plan (steady-state reuse,
+// version/tile recompile, OTA-repair self-heal), env-override dispatch, and
+// the roofline probes.
 
 #include <gtest/gtest.h>
 
@@ -21,7 +21,6 @@
 #include "runtime/executor.hpp"
 #include "runtime/kernels.hpp"
 #include "runtime/microkernel.hpp"
-#include "runtime/packed_cache.hpp"
 #include "runtime/qexecutor.hpp"
 #include "runtime/session.hpp"
 #include "safety/model_store.hpp"
@@ -526,6 +525,23 @@ TEST(Determinism, InterOpWavesBitwiseVsSerial) {
   }
 }
 
+TEST(Determinism, Int8InterOpWavesBitwiseVsSerial) {
+  const Shape in_shape{1, 4, 8, 8};
+  Graph g = deploy_ready_q(branchy_graph(), 43, in_shape);
+  const Tensor in(in_shape, rand_f32(256, 98));
+  for (auto level : {util::SimdLevel::kPortable, util::SimdLevel::kAuto}) {
+    QuantizedExecutor serial(g);
+    serial.set_simd(level);
+    QuantizedExecutor waves(g);
+    waves.set_simd(level);
+    waves.set_inter_op(2);
+    const QTensor a = serial.run_single(in);
+    const QTensor b = waves.run_single(in);
+    EXPECT_EQ(a.data, b.data) << util::simd_level_name(level);
+    EXPECT_EQ(serial.saturations(), waves.saturations()) << util::simd_level_name(level);
+  }
+}
+
 TEST(Determinism, BatchLanesBitwiseEqualAtSimdLevel) {
   // Zero-padded panel tails mean every lane of a batched dense executes the
   // identical FMA sequence: 8 copies of one sample must produce 8 bitwise
@@ -554,28 +570,32 @@ TEST(Determinism, BatchLanesBitwiseEqualAtSimdLevel) {
 // Packed-weight cache lifecycle
 // ---------------------------------------------------------------------------
 
-TEST(PackedWeightCache, SteadyStateReusesAndInvalidatesOnVersionOrTile) {
-  runtime_kernels::PackedWeightCache cache;
-  const MicrokernelTile tile{6, 16};
-  std::size_t fills = 0;
-  auto pack = [&](std::vector<float>& buf) {
-    buf.assign(8, static_cast<float>(++fills));
-  };
-  (void)cache.get_f32(3, 0, /*graph_version=*/1, tile, pack);
-  (void)cache.get_f32(3, 0, 1, tile, pack);  // steady state: no repack
-  EXPECT_EQ(cache.packs(), 1u);
-  (void)cache.get_f32(3, 1, 1, tile, pack);  // different group: own entry
-  EXPECT_EQ(cache.packs(), 2u);
-  (void)cache.get_f32(3, 0, /*graph_version=*/2, tile, pack);  // touch() moved
-  EXPECT_EQ(cache.packs(), 3u);
-  const MicrokernelTile other{4, 8};
-  (void)cache.get_f32(3, 0, 2, other, pack);  // dispatch-level change
-  EXPECT_EQ(cache.packs(), 4u);
-  (void)cache.get_f32(3, 0, 2, other, pack);
-  EXPECT_EQ(cache.packs(), 4u);
-  cache.clear();
-  (void)cache.get_f32(3, 0, 2, other, pack);
-  EXPECT_EQ(cache.packs(), 5u);
+TEST(ExecutionPlan, RepacksOnlyWhenVersionOrTileChanges) {
+  // The panels live in the compiled plan: steady-state runs reuse them, a
+  // moved Graph::version() (touch) or a different dispatch tile recompiles
+  // and repacks, and portable dispatch packs nothing.
+  if (resolved_table() == nullptr) GTEST_SKIP() << "no SIMD microkernels at the resolved level";
+  Graph g = conv_variants_graph();
+  Rng rng(63);
+  g.materialize_weights(rng);
+  const Tensor in(Shape{1, 4, 10, 10}, rand_f32(400, 97));
+  Executor exec(g);
+  (void)testutil::exec_single(exec, g, in);
+  const std::size_t packs = exec.weight_packs();
+  EXPECT_GT(packs, 0u);
+  (void)testutil::exec_single(exec, g, in);
+  EXPECT_EQ(exec.weight_packs(), packs);  // steady state
+  g.touch();
+  (void)testutil::exec_single(exec, g, in);
+  EXPECT_EQ(exec.weight_packs(), 2 * packs);  // version moved
+  exec.set_simd(util::SimdLevel::kPortable);
+  (void)testutil::exec_single(exec, g, in);
+  EXPECT_EQ(exec.weight_packs(), 2 * packs);  // no tile, nothing packed
+  exec.set_simd(util::SimdLevel::kAuto);
+  (void)testutil::exec_single(exec, g, in);
+  EXPECT_EQ(exec.weight_packs(), 3 * packs);  // tile changed back
+  (void)testutil::exec_single(exec, g, in);
+  EXPECT_EQ(exec.weight_packs(), 3 * packs);
 }
 
 TEST(PackedWeightCache, ExecutorReusesPacksAcrossRuns) {

@@ -5,13 +5,18 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <memory>
+#include <string>
 
+#include "direct_conv.hpp"
 #include "graph/zoo.hpp"
 #include "opt/fusion.hpp"
 #include "opt/quantize.hpp"
 #include "runtime/qexecutor.hpp"
 #include "runtime/session.hpp"
+#include "util/cpu.hpp"
+#include "util/hash.hpp"
 #include "util/rng.hpp"
 
 namespace vedliot {
@@ -247,14 +252,58 @@ TEST(QuantizedExecutor, GemmConvBitwiseMatchesDirectConv) {
   Tensor x(Shape{1, 3, 16, 16}, data_rng.normal_vector(3 * 16 * 16));
 
   QuantizedExecutor gemm(g);
-  gemm.set_use_gemm_conv(true);
-  QuantizedExecutor direct(g);
-  direct.set_use_gemm_conv(false);
+  testutil::DirectConvInt8 direct(g);
 
   const QTensor a = gemm.run_single(x);
   const QTensor b = direct.run_single(x);
   EXPECT_EQ(a.data, b.data);
   EXPECT_EQ(gemm.saturations(), direct.saturations());
+}
+
+// ---------------------------------------------------------------------------
+// Pinned outputs: the integer arithmetic of whole networks, frozen
+// ---------------------------------------------------------------------------
+
+/// CRC-32 of the dequantized output and the cumulative saturation count of
+/// one single-thread run, asserted equal at the portable and the best SIMD
+/// dispatch level (integer arithmetic is exact at every level, so one
+/// constant serves both). The constants were recorded once; a change in any
+/// of them means the engine's int8 arithmetic changed.
+///
+/// Calibration runs the f32 engine, whose SIMD bits differ from portable in
+/// the last ULP; it is pinned to portable dispatch (VEDLIOT_SIMD, restored
+/// afterwards) so the act_scales, and with them the constants, are the same
+/// whether or not the host or VEDLIOT_FORCE_PORTABLE enables SIMD.
+void expect_pinned_int8(Graph g, const Shape& in_shape, std::uint64_t seed,
+                        std::uint32_t want_crc, std::uint64_t want_saturations) {
+  const char* ambient = std::getenv("VEDLIOT_SIMD");
+  const std::string restore = ambient != nullptr ? ambient : "";
+  ::setenv("VEDLIOT_SIMD", "portable", 1);
+  g = deploy_ready(std::move(g), seed, in_shape);
+  if (ambient != nullptr) {
+    ::setenv("VEDLIOT_SIMD", restore.c_str(), 1);
+  } else {
+    ::unsetenv("VEDLIOT_SIMD");
+  }
+  Rng data_rng(seed + 100);
+  const Tensor x(in_shape, data_rng.normal_vector(static_cast<std::size_t>(in_shape.numel())));
+  for (auto level : {util::SimdLevel::kPortable, util::SimdLevel::kAuto}) {
+    runtime::RunOptions o;
+    o.exec.simd = level;
+    auto session = runtime::make_quantized_session(g, o);
+    const runtime::RunResult r = session->run({{g.node(g.inputs().front()).name, x}});
+    EXPECT_EQ(util::crc32(r.single().data()), want_crc)
+        << g.name() << " at " << util::simd_level_name(level);
+    EXPECT_EQ(r.saturations, want_saturations)
+        << g.name() << " at " << util::simd_level_name(level);
+  }
+}
+
+TEST(PinnedOutputs, Int8NetworksBitExact) {
+  expect_pinned_int8(zoo::resnet50(1, 10, 32), Shape{1, 3, 32, 32}, 51, 3103212386u, 67u);
+  expect_pinned_int8(zoo::efficientnet_lite0(1, 10, 32), Shape{1, 3, 32, 32}, 53, 4198089509u,
+                     8263u);
+  expect_pinned_int8(zoo::micro_cnn("pin", 2, 3, 16, 5), Shape{2, 3, 16, 16}, 55, 2379389037u, 2u);
 }
 
 TEST(QuantizedSession, ThreadsOptionPreservesOutputs) {

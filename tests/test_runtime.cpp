@@ -5,11 +5,14 @@
 #include <cmath>
 #include <cstring>
 
+#include "direct_conv.hpp"
 #include "graph/cost.hpp"
 #include "graph/zoo.hpp"
 #include "runtime/executor.hpp"
 #include "runtime/memory_planner.hpp"
 #include "runtime/session.hpp"
+#include "util/cpu.hpp"
+#include "util/hash.hpp"
 #include "util/rng.hpp"
 
 namespace vedliot {
@@ -408,17 +411,13 @@ runtime::RunOptions with_threads(unsigned threads) {
   return o;
 }
 
-runtime::RunOptions with_gemm(bool use_gemm_conv) {
-  runtime::RunOptions o;
-  o.use_gemm_conv = use_gemm_conv;
-  return o;
-}
-
-runtime::RunOptions with_arena(bool arena, unsigned threads = 1) {
-  runtime::RunOptions o;
-  o.arena = arena;
-  o.exec.threads = threads;
-  return o;
+/// One run through the engine with the arena liveness-packed (what every
+/// session uses) or unaliased (what keep_activations selects).
+Tensor run_with_layout(const Graph& g, const Tensor& x, bool packed, unsigned threads = 1) {
+  Executor exec(g);
+  exec.set_keep_activations(!packed);
+  exec.set_threads(threads);
+  return exec_single(exec, g, x);
 }
 
 TEST(ExecutionEngine, ResNet50ParallelBitwiseIdenticalToSerial) {
@@ -456,8 +455,8 @@ TEST(ExecutionEngine, GemmConvMatchesDirectConv) {
   Rng data_rng(26);
   Tensor x(Shape{1, 3, 32, 32}, data_rng.normal_vector(3 * 32 * 32));
 
-  const Tensor gemm = run_with_options(g, x, with_gemm(true));
-  const Tensor direct = run_with_options(g, x, with_gemm(false));
+  const Tensor gemm = run_with_options(g, x, {});
+  const Tensor direct = testutil::direct_conv_run(g, x);
   EXPECT_LT(max_abs_diff(gemm, direct), 1e-3f);
 }
 
@@ -470,10 +469,10 @@ TEST(ExecutionEngine, ArenaOutputBitwiseIdenticalToHeap) {
   Rng data_rng(28);
   Tensor x(Shape{1, 3, 32, 32}, data_rng.normal_vector(3 * 32 * 32));
 
-  const Tensor heap = run_with_options(g, x, with_arena(false));
-  const Tensor arena = run_with_options(g, x, with_arena(true));
+  const Tensor heap = run_with_layout(g, x, /*packed=*/false);
+  const Tensor arena = run_with_layout(g, x, /*packed=*/true);
   expect_bitwise_equal(heap, arena);
-  const Tensor arena_mt = run_with_options(g, x, with_arena(true, 4));
+  const Tensor arena_mt = run_with_layout(g, x, /*packed=*/true, 4);
   expect_bitwise_equal(heap, arena_mt);
 }
 
@@ -486,7 +485,6 @@ TEST(ExecutionEngine, ArenaHalvesResNet50ActivationFootprint) {
 
   Executor exec(g);
   exec.set_keep_activations(false);
-  exec.set_use_arena(true);
   (void)exec_single(exec, g, x);
   const Executor::ArenaStats& stats = exec.arena_stats();
   ASSERT_TRUE(stats.active);
@@ -505,7 +503,6 @@ TEST(ExecutionEngine, ArenaDisabledWhileKeepingActivations) {
 
   Executor exec(g);
   exec.set_keep_activations(true);  // calibration mode: stable owned tensors
-  exec.set_use_arena(true);
   (void)exec_single(exec, g, x);
   EXPECT_FALSE(exec.arena_stats().active);
   EXPECT_NO_THROW((void)exec.activation(g.node(g.topo_order()[1]).name));
@@ -530,6 +527,43 @@ TEST(ExecutionEngine, SessionOutputOwnsItsMemory) {
   float sum = 0;
   for (float v : y.data()) sum += v;
   EXPECT_NEAR(sum, 1.0f, 1e-5f);  // softmax head
+}
+
+/// CRC-32 of the output of one single-thread portable-dispatch run. The
+/// constants were recorded once; a change in any of them means the engine's
+/// f32 arithmetic changed.
+void expect_pinned_f32(Graph g, const Shape& in_shape, std::uint64_t seed,
+                       std::uint32_t want_crc) {
+  Rng rng(seed);
+  g.materialize_weights(rng);
+  Rng data_rng(seed + 100);
+  const Tensor x(in_shape, data_rng.normal_vector(static_cast<std::size_t>(in_shape.numel())));
+  runtime::RunOptions o;
+  o.exec.simd = util::SimdLevel::kPortable;
+  o.exec.threads = 1;
+  EXPECT_EQ(util::crc32(run_with_options(g, x, o).data()), want_crc) << g.name();
+}
+
+TEST(PinnedOutputs, F32NetworksBitExact) {
+  expect_pinned_f32(zoo::resnet50(1, 10, 32), Shape{1, 3, 32, 32}, 61, 3573386354u);
+  expect_pinned_f32(zoo::mobilenet_v3_large(1, 10, 32), Shape{1, 3, 32, 32}, 63, 4012347630u);
+  expect_pinned_f32(zoo::micro_cnn("pin", 8, 3, 16, 5), Shape{8, 3, 16, 16}, 65, 1130817910u);
+}
+
+TEST(PinnedOutputs, F32ResNet50LogitsBitExact) {
+  // Under random weights the ResNet-50 softmax above saturates to one-hot,
+  // so its CRC only sees a changed class; the logits (the softmax input of
+  // the same run) pin every bit.
+  Graph g = zoo::resnet50(1, 10, 32);
+  Rng rng(61);
+  g.materialize_weights(rng);
+  Rng data_rng(161);
+  const Tensor x(Shape{1, 3, 32, 32}, data_rng.normal_vector(3 * 32 * 32));
+  Executor exec(g);
+  exec.set_simd(util::SimdLevel::kPortable);
+  (void)exec_single(exec, g, x);
+  const Node& softmax = g.node(g.outputs().front());
+  EXPECT_EQ(util::crc32(exec.activation(g.node(softmax.inputs.at(0)).name).data()), 4186703573u);
 }
 
 TEST(ExecutionEngine, SetMaxBatchAdjustsAdmissionOnLiveSession) {
