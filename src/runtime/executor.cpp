@@ -6,6 +6,7 @@
 #include <cstring>
 #include <functional>
 #include <limits>
+#include <type_traits>
 #include <utility>
 
 #include "analysis/dataflow.hpp"
@@ -15,10 +16,13 @@
 namespace vedliot {
 
 using runtime_kernels::Conv2dGeometry;
+using runtime_kernels::F32Policy;
+using runtime_kernels::GemmMicrokernels;
 using runtime_kernels::MicrokernelTile;
 using runtime_kernels::panel_count;
 using runtime_kernels::requant_clamped;
 using runtime_kernels::requant_sat;
+using runtime_kernels::S8Policy;
 
 namespace {
 
@@ -52,6 +56,10 @@ void quantize_into(std::span<const float> x, double scale, std::int8_t* q) {
   }
 }
 
+void dequantize_into(const std::int8_t* q, double scale, std::span<float> x) {
+  for (std::size_t i = 0; i < x.size(); ++i) x[i] = static_cast<float>(q[i] * scale);
+}
+
 /// In-place softmax over \p lanes rows of \p features floats (max
 /// subtraction, double-accumulated exponent sum) — the f32 op and the
 /// float core of the int8 one.
@@ -74,14 +82,36 @@ const float* weight(const Node& n, std::size_t i) {
   return n.weights.size() > i ? n.weights[i].data().data() : nullptr;
 }
 
+/// The dtype-specific half of the GEMM path: a policy's microkernel table
+/// entries and panel layouts (int8 packs k-pairs for madd_epi16).
+template <typename P>
+struct GemmPath;
+
+template <>
+struct GemmPath<F32Policy> {
+  static constexpr auto tile = &GemmMicrokernels::f32;
+  static constexpr auto gemm = &GemmMicrokernels::gemm_f32;
+  static constexpr auto a_size = &runtime_kernels::packed_a_f32_elems;
+  static constexpr auto b_size = &runtime_kernels::packed_b_f32_elems;
+  static constexpr auto pack_a = &runtime_kernels::pack_a_f32;
+  static constexpr auto pack_b = &runtime_kernels::pack_b_f32;
+};
+
+template <>
+struct GemmPath<S8Policy> {
+  static constexpr auto tile = &GemmMicrokernels::s8;
+  static constexpr auto gemm = &GemmMicrokernels::gemm_s8;
+  static constexpr auto a_size = &runtime_kernels::packed_a_s8_words;
+  static constexpr auto b_size = &runtime_kernels::packed_b_s8_bytes;
+  static constexpr auto pack_a = &runtime_kernels::pack_a_s8;
+  static constexpr auto pack_b = &runtime_kernels::pack_b_s8;
+};
+
 }  // namespace
 
 Tensor QTensor::dequantize() const {
   Tensor t(shape);
-  auto out = t.data();
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    out[i] = static_cast<float>(static_cast<double>(data[i]) * scale);
-  }
+  dequantize_into(data.data(), scale, t.data());
   return t;
 }
 
@@ -254,23 +284,24 @@ Executor::Step Executor::compile_step(const Node& n) {
   if (parametric && n.weights.empty()) {
     throw ExecError(std::string(op_name(n.kind)) + " " + n.name + " has no weights");
   }
-  s.act = parametric ? (fused.empty() ? OpKind::kIdentity : parse_op(fused)) : n.kind;
+  // f32 epilogue activation: the fused one, the op's own, or none (copies,
+  // pools, Add, Concat).
+  s.act = parametric ? (fused.empty() ? OpKind::kIdentity : parse_op(fused))
+          : (op_is_activation(n.kind) ? n.kind : OpKind::kIdentity);
   s.alpha = a.get_float_or(parametric ? "fused_alpha" : "alpha", 0.01);
+  const Shape& in_shape = graph_.node(n.inputs.at(0)).out_shape;
   if (n.kind == OpKind::kConv2d) {
-    const Shape& in = graph_.node(n.inputs.at(0)).out_shape;
-    s.conv = {n.out_shape.n(), in.c(), in.h(), in.w(), n.out_shape.c(), n.out_shape.h(),
-              n.out_shape.w(), a.get_int("kernel"), a.get_int_or("stride", 1),
+    s.conv = {n.out_shape.n(), in_shape.c(), in_shape.h(), in_shape.w(), n.out_shape.c(),
+              n.out_shape.h(), n.out_shape.w(), a.get_int("kernel"), a.get_int_or("stride", 1),
               a.get_int_or("pad", 0), a.get_int_or("groups", 1)};
-    s.flops = 2.0 * s.conv.macs();
   }
-  if (n.kind == OpKind::kDense) {
-    s.flops = 2.0 * static_cast<double>(graph_.node(n.inputs.at(0)).out_shape.numel()) *
-              static_cast<double>(n.out_shape.dim(1));
-  }
-  if (n.kind == OpKind::kMaxPool || n.kind == OpKind::kAvgPool) {
-    s.pool_k = a.get_int("kernel");
-    s.pool_stride = a.get_int_or("stride", s.pool_k);
-    s.pool_pad = a.get_int_or("pad", 0);
+  if (n.kind == OpKind::kMaxPool || n.kind == OpKind::kAvgPool ||
+      n.kind == OpKind::kGlobalAvgPool) {  // the window; GlobalAvgPool's covers the plane
+    const std::int64_t k = n.kind == OpKind::kGlobalAvgPool ? std::max(in_shape.h(), in_shape.w())
+                                                            : a.get_int("kernel");
+    s.conv = {in_shape.n(), in_shape.c(), in_shape.h(), in_shape.w(), in_shape.c(),
+              n.out_shape.h(), n.out_shape.w(), k, a.get_int_or("stride", k),
+              a.get_int_or("pad", 0), in_shape.c()};
   }
   if (n.kind == OpKind::kUpsample) s.upsample = a.get_int("scale");
   if (n.kind == OpKind::kBatchNorm) {
@@ -316,24 +347,26 @@ Executor::Step Executor::compile_step(const Node& n) {
   }
 
   // Weight panels, packed once per plan (per group for grouped convs).
-  if (mk_ != nullptr && parametric && !(n.kind == OpKind::kConv2d && s.conv.depthwise())) {
+  if (mk_ != nullptr && parametric && !(n.kind == OpKind::kConv2d && s.conv.is_depthwise())) {
     const bool conv = n.kind == OpKind::kConv2d;
     const std::int64_t groups = conv ? s.conv.groups : 1;
     const std::int64_t m = conv ? s.conv.ocg() : n.out_shape.dim(1);
     const std::int64_t k = conv ? s.conv.patch() : graph_.node(n.inputs.at(0)).out_shape.dim(1);
-    for (std::int64_t g = 0; g < groups; ++g) {
-      if (int8) {
-        const std::size_t per = packed_a_s8_words(m, k, mk_->s8);
-        s.packed_s8.resize(per * static_cast<std::size_t>(groups));
-        pack_a_s8(qlayers_[slot(n.id)].weights.data() + g * m * k, m, k,
-                  mk_->s8, s.packed_s8.data() + static_cast<std::size_t>(g) * per);
-      } else {
-        const std::size_t per = packed_a_f32_elems(m, k, mk_->f32);
-        s.packed_f32.resize(per * static_cast<std::size_t>(groups));
-        pack_a_f32(weight(n, 0) + g * m * k, m, k, mk_->f32,
-                   s.packed_f32.data() + static_cast<std::size_t>(g) * per);
+    auto pack = [&](auto policy, const auto* w) {
+      using G = GemmPath<decltype(policy)>;
+      const MicrokernelTile& tile = mk_->*G::tile;
+      const std::size_t per = G::a_size(m, k, tile);
+      auto* panels = grow<typename decltype(policy)::PackedA>(
+          s.packed, per * static_cast<std::size_t>(groups));
+      for (std::int64_t g = 0; g < groups; ++g) {
+        G::pack_a(w + g * m * k, m, k, tile, panels + static_cast<std::size_t>(g) * per);
+        ++weight_packs_;
       }
-      ++weight_packs_;
+    };
+    if (int8) {
+      pack(S8Policy{}, qlayers_[slot(n.id)].weights.data());
+    } else {
+      pack(F32Policy{}, weight(n, 0));
     }
   }
   return s;
@@ -357,7 +390,6 @@ void Executor::execute(const std::map<std::string, Tensor>& feeds) {
     compile(tile, waves);
   }
   activations_valid_ = false;
-  gemm_flops_ = gemm_seconds_ = 0;
 
   obs::ScopedSpan run_span;
   if (tracer_ != nullptr) {
@@ -423,9 +455,6 @@ void Executor::execute(const std::map<std::string, Tensor>& feeds) {
     metrics_->counter(runtime_detail::kRunsCounter).inc();
     metrics_->counter(runtime_detail::kNodesCounter).inc(nodes_executed_);
     metrics_->gauge(runtime_detail::kThreadsGauge).set(static_cast<double>(threads_));
-    if (gemm_seconds_ > 0) {
-      metrics_->gauge(runtime_detail::kGemmGflopsGauge).set(gemm_flops_ / gemm_seconds_ / 1e9);
-    }
     metrics_->gauge(runtime_detail::kArenaBytesGauge)
         .set(static_cast<double>(arena_stats_.arena_bytes));
     metrics_->gauge(runtime_detail::kArenaSavedGauge)
@@ -449,11 +478,7 @@ std::map<std::string, Tensor> Executor::run(const std::map<std::string, Tensor>&
     const auto out = t.data();
     const std::size_t off = offset_[slot(id)];
     if (dtype_ == DType::kINT8) {
-      const std::int8_t* q = buffer<std::int8_t>(off);
-      const double scale = scales_[slot(id)];
-      for (std::size_t i = 0; i < out.size(); ++i) {
-        out[i] = static_cast<float>(static_cast<double>(q[i]) * scale);
-      }
+      dequantize_into(buffer<std::int8_t>(off), scales_[slot(id)], out);
     } else {
       std::memcpy(out.data(), buffer<float>(off), out.size_bytes());
     }
@@ -485,18 +510,18 @@ void Executor::run_step(const Step& s, Workspace& ws, bool observe) {
   const bool timed = observe && metrics_ != nullptr;
   using Clock = std::chrono::steady_clock;
   const Clock::time_point t0 = timed ? Clock::now() : Clock::time_point{};
+  // The one dtype decision of the step: which policy the op body runs over.
   if (dtype_ == DType::kINT8) {
-    run_s8(s, ws);
+    const QuantLayer& q = qlayers_[slot(n.id)];
+    run_op(s, ws,
+           S8Policy{q.bias.data(), q.mult.data(), s.q_lo, s.q_hi, s.in_scales.data(), s.out_scale},
+           q.weights.data());
   } else {
-    run_f32(s, ws);
+    run_op(s, ws, F32Policy{weight(n, 1), s.act, s.alpha}, weight(n, 0));
   }
   if (timed) {
     const double seconds = std::chrono::duration<double>(Clock::now() - t0).count();
     runtime_detail::op_histogram(*metrics_, n.kind).add(seconds * 1e6);
-    if (s.flops > 0) {
-      gemm_seconds_ += seconds;
-      gemm_flops_ += s.flops;
-    }
   }
   if (observe && tracer_ != nullptr) {
     span.attr("out_elems", static_cast<double>(n.out_shape.numel()));
@@ -505,60 +530,66 @@ void Executor::run_step(const Step& s, Workspace& ws, bool observe) {
 }
 
 // ---------------------------------------------------------------------------
-// f32 kernel bodies
+// Kernel bodies. Every parallel region adds the saturations its kernels
+// count (int8; always 0 for f32) to the slot of its pool chunk.
 // ---------------------------------------------------------------------------
 
-void Executor::run_f32(const Step& s, Workspace& ws) {
+template <typename P>
+void Executor::run_op(const Step& s, Workspace& ws, const P& p, const typename P::Elem* w) {
   using namespace runtime_kernels;
+  using E = typename P::Elem;
+  using G = GemmPath<P>;
+  constexpr bool kF32 = std::is_same_v<P, F32Policy>;
   const Node& n = *s.node;
-  const float* x = buffer<float>(s.in.at(0));
-  float* y = buffer<float>(s.out);
+  const E* x = buffer<E>(s.in.at(0));
+  E* y = buffer<E>(s.out);
   const Shape& in_shape = graph_.node(n.inputs[0]).out_shape;
   const std::int64_t numel = n.out_shape.numel();
+  std::uint64_t* sat = ws.sat.data();
+  const MicrokernelTile tile = mk_ != nullptr ? mk_->*G::tile : MicrokernelTile{};
+  const auto* packed = reinterpret_cast<const typename P::PackedA*>(s.packed.data());
+  // C[m x cols] = (packed A panels) · B[k x cols] through the microkernel:
+  // pack B's column panels, then run A's row panels.
+  auto packed_gemm = [&](const auto* pa, const E* bm, E* c, std::int64_t m, std::int64_t cols,
+                         std::int64_t k, std::int64_t ldc, bool col_major, const P& policy) {
+    auto* pb = grow<typename P::PackedB>(ws.panels, G::b_size(k, cols, tile));
+    pfor(0, panel_count(cols, tile.nr), 1, [&](std::int64_t lo, std::int64_t hi, std::size_t) {
+      G::pack_b(bm, k, cols, tile, lo, hi, pb);
+    });
+    pfor(0, panel_count(m, tile.mr), 1, [&](std::int64_t lo, std::int64_t hi, std::size_t chunk) {
+      sat[chunk] += (mk_->*G::gemm)(pa, pb, c, m, cols, k, ldc, col_major, lo, hi, policy);
+    });
+  };
   switch (n.kind) {
     case OpKind::kConv2d: {
       const Conv2dGeometry& geo = s.conv;
-      const float* w = weight(n, 0);
-      const float* bias = weight(n, 1);
-      if (geo.depthwise()) {
+      if (geo.is_depthwise()) {
         // Direct at every dispatch level: the k*k dot per pixel has no GEMM
         // shape, so portable and SIMD runs share these exact bits.
         for (std::int64_t b = 0; b < geo.batch; ++b) {
-          pfor(0, geo.out_c, 1, [&](std::int64_t lo, std::int64_t hi, std::size_t) {
-            depthwise_f32(x, w, bias, y, geo, b, lo, hi, s.act, s.alpha);
+          pfor(0, geo.out_c, 1, [&](std::int64_t lo, std::int64_t hi, std::size_t chunk) {
+            sat[chunk] += depthwise(x, w, y, geo, b, lo, hi, p);
           });
         }
         break;
       }
       const std::int64_t patch = geo.patch(), cols = geo.cols(), m = geo.ocg();
-      float* col = grow<float>(ws.col, static_cast<std::size_t>(patch * cols));
-      float* pb = mk_ != nullptr
-                      ? grow<float>(ws.panels, packed_b_f32_elems(patch, cols, mk_->f32))
-                      : nullptr;
+      E* col = grow<E>(ws.col, static_cast<std::size_t>(patch * cols));
       for (std::int64_t b = 0; b < geo.batch; ++b) {
         for (std::int64_t g = 0; g < geo.groups; ++g) {
           pfor(0, patch, 4, [&](std::int64_t lo, std::int64_t hi, std::size_t) {
-            im2col_f32(x, geo, b, g, lo, hi, col);
+            im2col(x, geo, b, g, lo, hi, col);
           });
-          const float* gbias = bias != nullptr ? bias + g * m : nullptr;
-          float* c = y + ((b * geo.out_c + g * m) * cols);
+          const P group = p.from(g * m);
+          E* c = y + ((b * geo.out_c + g * m) * cols);
           if (mk_ == nullptr) {
-            pfor(0, m, 1, [&](std::int64_t lo, std::int64_t hi, std::size_t) {
-              gemm_rows_f32(w + g * m * patch, col, c, lo, hi, cols, patch, gbias, s.act, s.alpha);
+            pfor(0, m, 1, [&](std::int64_t lo, std::int64_t hi, std::size_t chunk) {
+              sat[chunk] += gemm_rows(w + g * m * patch, col, c, lo, hi, cols, patch, group);
             });
             continue;
           }
-          const std::int64_t b_panels = panel_count(cols, mk_->f32.nr);
-          pfor(0, b_panels, 1, [&](std::int64_t lo, std::int64_t hi, std::size_t) {
-            pack_b_f32(col, patch, cols, mk_->f32, lo, hi, pb);
-          });
-          const std::size_t pa_elems = packed_a_f32_elems(m, patch, mk_->f32);
-          const float* pa = s.packed_f32.data() + static_cast<std::size_t>(g) * pa_elems;
-          const std::int64_t a_panels = panel_count(m, mk_->f32.mr);
-          pfor(0, a_panels, 1, [&](std::int64_t lo, std::int64_t hi, std::size_t) {
-            mk_->gemm_f32(pa, pb, c, m, cols, patch, cols, /*col_major_store=*/false, lo, hi, gbias,
-                          s.act, s.alpha);
-          });
+          packed_gemm(packed + static_cast<std::size_t>(g) * G::a_size(m, patch, tile), col, c, m,
+                      cols, patch, /*ldc=*/cols, /*col_major=*/false, group);
         }
       }
       break;
@@ -566,44 +597,36 @@ void Executor::run_f32(const Step& s, Workspace& ws) {
     case OpKind::kDense: {
       // Batch the whole layer through one GEMM so each weight row is read
       // once for all lanes, instead of one latency-bound dot per sample.
-      const float* w = weight(n, 0);
-      const float* bias = weight(n, 1);
       const std::int64_t N = in_shape.dim(0), F = in_shape.dim(1), U = n.out_shape.dim(1);
-      const float* xt = transpose_lanes(x, N, F, ws.col);
+      const E* xt = transpose_lanes(x, N, F, ws.col);
       if (mk_ == nullptr) {
-        pfor(0, U, 8, [&](std::int64_t lo, std::int64_t hi, std::size_t) {
-          dense_rows_f32(w, xt, y, lo, hi, N, F, U, bias, s.act, s.alpha);
+        pfor(0, U, 8, [&](std::int64_t lo, std::int64_t hi, std::size_t chunk) {
+          sat[chunk] += dense_rows(w, xt, y, lo, hi, N, F, U, p);
         });
         break;
       }
       // Microkernel over (m=U, n=N, k=F) with the column-major store writing
       // straight into the [N x U] layout. Every lane occupies one SIMD slot
       // padded to the full tile, so its bits are the same in a batch-1 or a
-      // batch-8 panel.
-      float* pb = grow<float>(ws.panels, packed_b_f32_elems(F, N, mk_->f32));
-      pfor(0, panel_count(N, mk_->f32.nr), 1, [&](std::int64_t lo, std::int64_t hi, std::size_t) {
-        pack_b_f32(xt, F, N, mk_->f32, lo, hi, pb);
-      });
-      pfor(0, panel_count(U, mk_->f32.mr), 1, [&](std::int64_t lo, std::int64_t hi, std::size_t) {
-        mk_->gemm_f32(s.packed_f32.data(), pb, y, U, N, F, /*ldc=*/U, /*col_major_store=*/true, lo,
-                      hi, bias, s.act, s.alpha);
-      });
+      // batch-8 panel (and int8's exact int32 sums match dense_rows).
+      packed_gemm(packed, xt, y, U, N, F, /*ldc=*/U, /*col_major=*/true, p);
       break;
     }
-    case OpKind::kBatchNorm: {
-      const std::int64_t C = static_cast<std::int64_t>(s.bn_scale.size());
-      const std::int64_t spatial = numel / (in_shape.dim(0) * C);
-      pfor(0, in_shape.dim(0) * C, 1, [&](std::int64_t lo, std::int64_t hi, std::size_t) {
-        for (std::int64_t bc = lo; bc < hi; ++bc) {
-          const float scale = s.bn_scale[static_cast<std::size_t>(bc % C)];
-          const float shift = s.bn_shift[static_cast<std::size_t>(bc % C)];
-          for (std::int64_t i = bc * spatial; i < (bc + 1) * spatial; ++i) {
-            y[i] = x[i] * scale + shift;
+    case OpKind::kBatchNorm:
+      if constexpr (kF32) {
+        const std::int64_t C = static_cast<std::int64_t>(s.bn_scale.size());
+        const std::int64_t spatial = numel / (in_shape.dim(0) * C);
+        pfor(0, in_shape.dim(0) * C, 1, [&](std::int64_t lo, std::int64_t hi, std::size_t) {
+          for (std::int64_t bc = lo; bc < hi; ++bc) {
+            const float scale = s.bn_scale[static_cast<std::size_t>(bc % C)];
+            const float shift = s.bn_shift[static_cast<std::size_t>(bc % C)];
+            for (std::int64_t i = bc * spatial; i < (bc + 1) * spatial; ++i) {
+              y[i] = x[i] * scale + shift;
+            }
           }
-        }
-      });
+        });
+      }
       break;
-    }
     case OpKind::kRelu:
     case OpKind::kRelu6:
     case OpKind::kLeakyRelu:
@@ -612,316 +635,116 @@ void Executor::run_f32(const Step& s, Workspace& ws) {
     case OpKind::kHSwish:
     case OpKind::kMish:
     case OpKind::kTanh:
-      pfor(0, numel, 4096, [&](std::int64_t lo, std::int64_t hi, std::size_t) {
-        for (std::int64_t i = lo; i < hi; ++i) y[i] = apply_activation(x[i], s.act, s.alpha);
-      });
-      break;
-    case OpKind::kAdd:
-    case OpKind::kMul: {
-      const bool mul = n.kind == OpKind::kMul;
-      const float* x1 = buffer<float>(s.in.at(1));
-      const Shape& s1 = graph_.node(n.inputs[1]).out_shape;
-      if (in_shape == s1) {
-        pfor(0, numel, 4096, [&](std::int64_t lo, std::int64_t hi, std::size_t) {
-          if (mul) {
-            for (std::int64_t i = lo; i < hi; ++i) y[i] = x[i] * x1[i];
-          } else {
-            for (std::int64_t i = lo; i < hi; ++i) y[i] = x[i] + x1[i];
-          }
-        });
-        break;
-      }
-      // Channelwise broadcast: one side is [N,C,1,1].
-      const bool first_big = in_shape.numel() >= s1.numel();
-      const float* big = first_big ? x : x1;
-      const float* vec = first_big ? x1 : x;
-      const std::int64_t spatial = n.out_shape.h() * n.out_shape.w();
-      const std::int64_t planes = n.out_shape.n() * n.out_shape.c();
-      pfor(0, planes, 1, [&](std::int64_t lo, std::int64_t hi, std::size_t) {
-        for (std::int64_t bc = lo; bc < hi; ++bc) {
-          const float v = vec[bc];
-          const float* xr = big + bc * spatial;
-          float* yr = y + bc * spatial;
-          if (mul) {
-            for (std::int64_t i = 0; i < spatial; ++i) yr[i] = xr[i] * v;
-          } else {
-            for (std::int64_t i = 0; i < spatial; ++i) yr[i] = xr[i] + v;
-          }
-        }
+    case OpKind::kFlatten:
+    case OpKind::kIdentity: {
+      // f32 applies the op's own activation (none for the copies); int8
+      // rescales into the step's clamp window, which is the Relu/Relu6.
+      const auto epilogue = p.scaled(0);
+      pfor(0, numel, 4096, [&](std::int64_t lo, std::int64_t hi, std::size_t chunk) {
+        for (std::int64_t i = lo; i < hi; ++i) y[i] = epilogue(x[i], sat[chunk]);
       });
       break;
     }
+    case OpKind::kAdd:
+    case OpKind::kMul: {
+      const E* x1 = buffer<E>(s.in.at(1));
+      const Shape& s1 = graph_.node(n.inputs[1]).out_shape;
+      if (n.kind == OpKind::kAdd && in_shape == s1) {
+        pfor(0, numel, 4096, [&](std::int64_t lo, std::int64_t hi, std::size_t chunk) {
+          for (std::int64_t i = lo; i < hi; ++i) y[i] = p.sum(x[i], x1[i], sat[chunk]);
+        });
+        break;
+      }
+      if constexpr (kF32) {  // Mul, and the f32-only channelwise broadcast
+        const bool mul = n.kind == OpKind::kMul;
+        if (in_shape == s1) {
+          pfor(0, numel, 4096, [&](std::int64_t lo, std::int64_t hi, std::size_t) {
+            for (std::int64_t i = lo; i < hi; ++i) y[i] = x[i] * x1[i];
+          });
+          break;
+        }
+        // One side is [N,C,1,1].
+        const bool first_big = in_shape.numel() >= s1.numel();
+        const float* big = first_big ? x : x1;
+        const float* vec = first_big ? x1 : x;
+        const std::int64_t spatial = n.out_shape.h() * n.out_shape.w();
+        const std::int64_t planes = n.out_shape.n() * n.out_shape.c();
+        pfor(0, planes, 1, [&](std::int64_t lo, std::int64_t hi, std::size_t) {
+          for (std::int64_t bc = lo; bc < hi; ++bc) {
+            const float v = vec[bc];
+            const float* xr = big + bc * spatial;
+            float* yr = y + bc * spatial;
+            if (mul) {
+              for (std::int64_t i = 0; i < spatial; ++i) yr[i] = xr[i] * v;
+            } else {
+              for (std::int64_t i = 0; i < spatial; ++i) yr[i] = xr[i] + v;
+            }
+          }
+        });
+      }
+      break;
+    }
     case OpKind::kConcat: {
-      // Channel concat: each input is one contiguous block per batch lane.
+      // Channel concat: each input is one contiguous block per batch lane
+      // (int8 runs batch 1 only, checked at compile).
       const std::int64_t lanes = n.out_shape.dim(0), row = numel / lanes;
       std::int64_t off = 0;
       for (std::size_t i = 0; i < s.in.size(); ++i) {
+        const E* src = buffer<E>(s.in[i]);
+        const auto epilogue = p.scaled(i);
         const std::int64_t block = graph_.node(n.inputs[i]).out_shape.numel() / lanes;
         for (std::int64_t b = 0; b < lanes; ++b) {
-          std::memcpy(y + b * row + off, buffer<float>(s.in[i]) + b * block,
-                      static_cast<std::size_t>(block) * sizeof(float));
+          for (std::int64_t j = 0; j < block; ++j) {
+            y[b * row + off + j] = epilogue(src[b * block + j], sat[0]);
+          }
         }
         off += block;
       }
       break;
     }
     case OpKind::kMaxPool:
-    case OpKind::kAvgPool: {
-      const bool is_max = n.kind == OpKind::kMaxPool;
-      const std::int64_t k = s.pool_k, stride = s.pool_stride, pad = s.pool_pad;
-      const std::int64_t IH = in_shape.h(), IW = in_shape.w();
-      const std::int64_t OH = n.out_shape.h(), OW = n.out_shape.w();
-      const std::int64_t planes = n.out_shape.n() * n.out_shape.c();
-      pfor(0, planes, 1, [&](std::int64_t lo, std::int64_t hi, std::size_t) {
-        for (std::int64_t bc = lo; bc < hi; ++bc) {
-          const float* plane = x + bc * IH * IW;
-          float* oplane = y + bc * OH * OW;
-          for (std::int64_t oh = 0; oh < OH; ++oh) {
-            for (std::int64_t ow = 0; ow < OW; ++ow) {
-              double acc = is_max ? -std::numeric_limits<double>::infinity() : 0.0;
-              std::int64_t count = 0;
-              for (std::int64_t kh = 0; kh < k; ++kh) {
-                const auto ih = oh * stride - pad + kh;
-                if (ih < 0 || ih >= IH) continue;
-                for (std::int64_t kw = 0; kw < k; ++kw) {
-                  const auto iw = ow * stride - pad + kw;
-                  if (iw < 0 || iw >= IW) continue;
-                  const double v = plane[ih * IW + iw];
-                  acc = is_max ? std::max(acc, v) : acc + v;
-                  ++count;
-                }
-              }
-              oplane[oh * OW + ow] = static_cast<float>(
-                  is_max ? acc : (count > 0 ? acc / static_cast<double>(count) : 0.0));
-            }
-          }
-        }
-      });
-      break;
-    }
-    case OpKind::kGlobalAvgPool: {
-      const std::int64_t spatial = in_shape.h() * in_shape.w();
-      pfor(0, numel, 8, [&](std::int64_t lo, std::int64_t hi, std::size_t) {
-        for (std::int64_t bc = lo; bc < hi; ++bc) {
-          double acc = 0.0;
-          for (std::int64_t i = bc * spatial; i < (bc + 1) * spatial; ++i) acc += x[i];
-          y[bc] = static_cast<float>(acc / static_cast<double>(spatial));
-        }
-      });
-      break;
-    }
-    case OpKind::kUpsample: {
-      const std::int64_t OH = n.out_shape.h(), OW = n.out_shape.w();
-      const std::int64_t IH = in_shape.h(), IW = in_shape.w();
-      for (std::int64_t bc = 0; bc < n.out_shape.n() * n.out_shape.c(); ++bc) {
-        for (std::int64_t h = 0; h < OH; ++h) {
-          for (std::int64_t w = 0; w < OW; ++w) {
-            y[(bc * OH + h) * OW + w] = x[(bc * IH + h / s.upsample) * IW + w / s.upsample];
-          }
-        }
-      }
-      break;
-    }
-    case OpKind::kFlatten:
-    case OpKind::kIdentity:
-      std::memcpy(y, x, static_cast<std::size_t>(numel) * sizeof(float));
-      break;
-    case OpKind::kSoftmax:
-      std::memcpy(y, x, static_cast<std::size_t>(numel) * sizeof(float));
-      softmax_rows(y, in_shape.dim(0), numel / in_shape.dim(0));
-      break;
-    case OpKind::kInput:
-      throw ExecError("Input node reached the kernel dispatch");
-  }
-}
-
-// ---------------------------------------------------------------------------
-// int8 kernel bodies. Every parallel region adds its saturation events to the
-// slot of its pool chunk.
-// ---------------------------------------------------------------------------
-
-void Executor::run_s8(const Step& s, Workspace& ws) {
-  using namespace runtime_kernels;
-  const Node& n = *s.node;
-  const std::int8_t* x = buffer<std::int8_t>(s.in.at(0));
-  std::int8_t* y = buffer<std::int8_t>(s.out);
-  const Shape& in_shape = graph_.node(n.inputs[0]).out_shape;
-  const std::int64_t numel = n.out_shape.numel();
-  const double so = s.out_scale;
-  const std::int32_t q_lo = s.q_lo, q_hi = s.q_hi;
-  std::uint64_t* sat = ws.sat.data();
-  const QuantLayer& layer = qlayers_[slot(n.id)];
-  switch (n.kind) {
-    case OpKind::kConv2d: {
-      const Conv2dGeometry& geo = s.conv;
-      if (geo.depthwise()) {
-        for (std::int64_t b = 0; b < geo.batch; ++b) {
-          pfor(0, geo.out_c, 1, [&](std::int64_t lo, std::int64_t hi, std::size_t chunk) {
-            sat[chunk] += depthwise_s8(x, layer.weights.data(), layer.bias.data(), y, geo, b, lo,
-                                       hi, layer.mult.data(), q_lo, q_hi);
-          });
-        }
-        break;
-      }
-      const std::int64_t patch = geo.patch(), cols = geo.cols(), m = geo.ocg();
-      std::int8_t* col = grow<std::int8_t>(ws.col, static_cast<std::size_t>(patch * cols));
-      std::int8_t* pb = mk_ != nullptr
-                            ? grow<std::int8_t>(ws.panels, packed_b_s8_bytes(patch, cols, mk_->s8))
-                            : nullptr;
-      for (std::int64_t b = 0; b < geo.batch; ++b) {
-        for (std::int64_t g = 0; g < geo.groups; ++g) {
-          pfor(0, patch, 4, [&](std::int64_t lo, std::int64_t hi, std::size_t) {
-            im2col_s8(x, geo, b, g, lo, hi, col);
-          });
-          const std::int64_t base = g * m;
-          std::int8_t* c = y + ((b * geo.out_c + base) * cols);
-          if (mk_ == nullptr) {
-            pfor(0, m, 1, [&](std::int64_t lo, std::int64_t hi, std::size_t chunk) {
-              sat[chunk] += gemm_rows_s8(layer.weights.data() + base * patch, col, c, lo, hi, cols,
-                                         patch, layer.bias.data() + base, layer.mult.data() + base,
-                                         q_lo, q_hi);
-            });
-            continue;
-          }
-          const std::int64_t b_panels = panel_count(cols, mk_->s8.nr);
-          pfor(0, b_panels, 1, [&](std::int64_t lo, std::int64_t hi, std::size_t) {
-            pack_b_s8(col, patch, cols, mk_->s8, lo, hi, pb);
-          });
-          const std::size_t pa_words = packed_a_s8_words(m, patch, mk_->s8);
-          const std::int32_t* pa = s.packed_s8.data() + static_cast<std::size_t>(g) * pa_words;
-          const std::int64_t a_panels = panel_count(m, mk_->s8.mr);
-          pfor(0, a_panels, 1, [&](std::int64_t lo, std::int64_t hi, std::size_t chunk) {
-            sat[chunk] += mk_->gemm_s8(pa, pb, c, m, cols, patch, cols, /*col_major_store=*/false,
-                                       lo, hi, layer.bias.data() + base, layer.mult.data() + base,
-                                       q_lo, q_hi);
-          });
-        }
-      }
-      break;
-    }
-    case OpKind::kDense: {
-      // int32 accumulation is exact, so every path below — microkernel,
-      // one-lane rows, batched rows — gives the same bits for any N.
-      const std::int64_t N = in_shape.dim(0), F = in_shape.dim(1), U = n.out_shape.dim(1);
-      const std::int8_t* xt = transpose_lanes(x, N, F, ws.col);
-      if (mk_ != nullptr) {
-        std::int8_t* pb = grow<std::int8_t>(ws.panels, packed_b_s8_bytes(F, N, mk_->s8));
-        pfor(0, panel_count(N, mk_->s8.nr), 1, [&](std::int64_t lo, std::int64_t hi, std::size_t) {
-          pack_b_s8(xt, F, N, mk_->s8, lo, hi, pb);
-        });
-        const std::int64_t a_panels = panel_count(U, mk_->s8.mr);
-        pfor(0, a_panels, 1, [&](std::int64_t lo, std::int64_t hi, std::size_t chunk) {
-          sat[chunk] += mk_->gemm_s8(s.packed_s8.data(), pb, y, U, N, F, /*ldc=*/U,
-                                     /*col_major_store=*/true, lo, hi, layer.bias.data(),
-                                     layer.mult.data(), q_lo, q_hi);
-        });
-        break;
-      }
-      // Scalar rows produce the [U x N] product; one lane is already the
-      // [N x U] layout, more lanes scatter back.
-      std::int8_t* yt = N == 1 ? y : grow<std::int8_t>(ws.panels, static_cast<std::size_t>(U * N));
-      pfor(0, U, 8, [&](std::int64_t lo, std::int64_t hi, std::size_t chunk) {
-        sat[chunk] += gemm_rows_s8(layer.weights.data(), xt, yt, lo, hi, N, F, layer.bias.data(),
-                                   layer.mult.data(), q_lo, q_hi);
-      });
-      if (N > 1) {
-        for (std::int64_t b = 0; b < N; ++b) {
-          for (std::int64_t u = 0; u < U; ++u) y[b * U + u] = yt[u * N + b];
-        }
-      }
-      break;
-    }
-    case OpKind::kRelu:
-    case OpKind::kRelu6:
-    case OpKind::kIdentity:
-    case OpKind::kFlatten: {
-      const double rescale = s.in_scales[0] / so;
-      pfor(0, numel, 4096, [&](std::int64_t lo, std::int64_t hi, std::size_t chunk) {
-        for (std::int64_t i = lo; i < hi; ++i) {
-          y[i] = requant_clamped(static_cast<double>(x[i]) * rescale, q_lo, q_hi, sat[chunk]);
-        }
-      });
-      break;
-    }
-    case OpKind::kMaxPool:
     case OpKind::kAvgPool:
     case OpKind::kGlobalAvgPool: {
-      const bool is_max = n.kind == OpKind::kMaxPool;
-      const bool global = n.kind == OpKind::kGlobalAvgPool;
-      const std::int64_t IH = in_shape.h(), IW = in_shape.w();
-      const std::int64_t kh_n = global ? IH : s.pool_k, kw_n = global ? IW : s.pool_k;
-      const std::int64_t stride = global ? 1 : s.pool_stride, pad = global ? 0 : s.pool_pad;
-      const std::int64_t OH = n.out_shape.h(), OW = n.out_shape.w();
-      const double rescale = s.in_scales[0] / so;
-      const std::int64_t planes = n.out_shape.n() * n.out_shape.c();
+      const std::int64_t planes = s.conv.batch * s.conv.in_c;
       pfor(0, planes, 1, [&](std::int64_t lo, std::int64_t hi, std::size_t chunk) {
-        for (std::int64_t bc = lo; bc < hi; ++bc) {
-          const std::int8_t* plane = x + bc * IH * IW;
-          std::int8_t* oplane = y + bc * OH * OW;
+        sat[chunk] += pool(x, y, s.conv, n.kind == OpKind::kMaxPool, lo, hi, p);
+      });
+      break;
+    }
+    case OpKind::kUpsample:
+      if constexpr (kF32) {
+        const std::int64_t OH = n.out_shape.h(), OW = n.out_shape.w();
+        const std::int64_t IH = in_shape.h(), IW = in_shape.w();
+        for (std::int64_t bc = 0; bc < n.out_shape.n() * n.out_shape.c(); ++bc) {
           for (std::int64_t oh = 0; oh < OH; ++oh) {
             for (std::int64_t ow = 0; ow < OW; ++ow) {
-              std::int64_t acc = is_max ? std::numeric_limits<std::int32_t>::min() : 0;
-              std::int64_t count = 0;
-              for (std::int64_t kh = 0; kh < kh_n; ++kh) {
-                const auto ih = oh * stride - pad + kh;
-                if (ih < 0 || ih >= IH) continue;
-                for (std::int64_t kw = 0; kw < kw_n; ++kw) {
-                  const auto iw = ow * stride - pad + kw;
-                  if (iw < 0 || iw >= IW) continue;
-                  const std::int64_t v = plane[ih * IW + iw];
-                  acc = is_max ? std::max(acc, v) : acc + v;
-                  ++count;
-                }
-              }
-              const double v = is_max ? static_cast<double>(acc)
-                               : count > 0 ? static_cast<double>(acc) / static_cast<double>(count)
-                                           : 0.0;
-              oplane[oh * OW + ow] = requant_clamped(v * rescale, q_lo, q_hi, sat[chunk]);
+              y[(bc * OH + oh) * OW + ow] = x[(bc * IH + oh / s.upsample) * IW + ow / s.upsample];
             }
           }
         }
-      });
-      break;
-    }
-    case OpKind::kAdd: {
-      const std::int8_t* x1 = buffer<std::int8_t>(s.in.at(1));
-      const double sa = s.in_scales[0], sb = s.in_scales[1];
-      pfor(0, numel, 4096, [&](std::int64_t lo, std::int64_t hi, std::size_t chunk) {
-        for (std::int64_t i = lo; i < hi; ++i) {
-          const double v = static_cast<double>(x[i]) * sa + static_cast<double>(x1[i]) * sb;
-          y[i] = requant_clamped(v / so, q_lo, q_hi, sat[chunk]);
-        }
-      });
-      break;
-    }
-    case OpKind::kConcat: {
-      // Batch 1 (checked at compile): inputs append contiguously.
-      std::int8_t* dst = y;
-      for (std::size_t i = 0; i < s.in.size(); ++i) {
-        const std::int8_t* src = buffer<std::int8_t>(s.in[i]);
-        const double rescale = s.in_scales[i] / so;
-        const std::int64_t count = graph_.node(n.inputs[i]).out_shape.numel();
-        for (std::int64_t j = 0; j < count; ++j) {
-          *dst++ = requant_clamped(static_cast<double>(src[j]) * rescale, q_lo, q_hi, sat[0]);
-        }
       }
       break;
-    }
     case OpKind::kSoftmax: {
-      // Dequantize, float softmax, requantize: how int8 runtimes typically
-      // treat the final softmax (TFLite uses a LUT; float is the reference).
-      float* f = grow<float>(ws.col, static_cast<std::size_t>(numel));
-      for (std::int64_t i = 0; i < numel; ++i) {
-        f[i] = static_cast<float>(static_cast<double>(x[i]) * s.in_scales[0]);
-      }
-      softmax_rows(f, in_shape.dim(0), numel / in_shape.dim(0));
-      for (std::int64_t i = 0; i < numel; ++i) {
-        y[i] = requant_clamped(static_cast<double>(f[i]) / so, q_lo, q_hi, sat[0]);
+      const std::int64_t lanes = in_shape.dim(0);
+      if constexpr (kF32) {
+        std::memcpy(y, x, static_cast<std::size_t>(numel) * sizeof(float));
+        softmax_rows(y, lanes, numel / lanes);
+      } else {
+        // Dequantize, float softmax, requantize: how int8 runtimes typically
+        // treat the final softmax (TFLite uses a LUT; float is the reference).
+        float* f = grow<float>(ws.col, static_cast<std::size_t>(numel));
+        for (std::int64_t i = 0; i < numel; ++i) {
+          f[i] = static_cast<float>(static_cast<double>(x[i]) * s.in_scales[0]);
+        }
+        softmax_rows(f, lanes, numel / lanes);
+        for (std::int64_t i = 0; i < numel; ++i) {
+          y[i] = requant_clamped(static_cast<double>(f[i]) / s.out_scale, s.q_lo, s.q_hi, sat[0]);
+        }
       }
       break;
     }
-    default:
-      throw Unsupported("integer executor does not support op " + std::string(op_name(n.kind)));
+    case OpKind::kInput:
+      throw ExecError("Input node reached the kernel dispatch");
   }
 }
 

@@ -8,8 +8,10 @@
 /// requantization constants and — at a SIMD dispatch level — the layer's
 /// weights packed into microkernel panels, so a run repacks nothing (the
 /// pack-once, reuse-every-call recipe of Ramírez et al., PAPERS.md). One
-/// loop executes the plan for both dtypes; only the per-op kernel bodies are
-/// dtype-specific:
+/// loop executes the plan for both dtypes, and each op's kernel body is
+/// written once over a dtype policy (kernels.hpp) that carries the element
+/// types and the epilogue — bias plus activation for f32, requantization
+/// for int8:
 ///
 ///  - Conv2D runs as im2col + GEMM (register-tiled microkernel, or the
 ///    cache-blocked scalar kernel at portable dispatch); depthwise stays a
@@ -91,9 +93,9 @@ class Executor {
   /// run() emits one `session.run` root span plus one child span per
   /// executed node, categorized by op class; when a registry is set,
   /// per-op-class latency histograms (`vedliot.runtime.op.<Op>`,
-  /// microseconds), run/node counters, the GEMM throughput, arena and (int8)
-  /// saturation gauges and the pool-utilization histogram are recorded. The
-  /// sinks must outlive the executor.
+  /// microseconds), run/node counters, arena and (int8) saturation gauges
+  /// and the pool-utilization histogram are recorded. The sinks must outlive
+  /// the executor.
   void instrument(obs::Tracer* tracer, obs::MetricsRegistry* metrics);
 
   /// When false, activations are not addressable after run() (activation()
@@ -174,15 +176,13 @@ class Executor {
     std::vector<std::size_t> in;       ///< arena byte offsets of the inputs
     OpKind act = OpKind::kIdentity;    ///< f32: Conv/Dense fused or own activation
     double alpha = 0.01;
-    double flops = 0;                  ///< Conv/Dense, for the GEMM gauge
-    runtime_kernels::Conv2dGeometry conv;
-    std::int64_t pool_k = 0, pool_stride = 0, pool_pad = 0, upsample = 1;
+    runtime_kernels::Conv2dGeometry conv;  ///< Conv2d, and the window of a pool
+    std::int64_t upsample = 1;
     std::vector<float> bn_scale, bn_shift;  ///< f32 BatchNorm folded to x*s+t
     double out_scale = 1.0;                 ///< int8 activation scales
     std::vector<double> in_scales;
     std::int32_t q_lo = -128, q_hi = 127;   ///< int8 fused Relu/Relu6 window
-    std::vector<float> packed_f32;          ///< A panels, one block per group
-    std::vector<std::int32_t> packed_s8;
+    std::vector<std::byte> packed;          ///< A panels, one block per group
   };
 
   /// Scratch of one executing step, reused across steps and runs.
@@ -196,8 +196,10 @@ class Executor {
   void compile(const runtime_kernels::MicrokernelTile& tile, bool waves);
   Step compile_step(const Node& n);
   void run_step(const Step& s, Workspace& ws, bool observe);
-  void run_f32(const Step& s, Workspace& ws);
-  void run_s8(const Step& s, Workspace& ws);
+  /// The op's kernel body, one for both dtypes: P is the dtype policy
+  /// (runtime_kernels::F32Policy or S8Policy) run_step picked for the step.
+  template <typename P>
+  void run_op(const Step& s, Workspace& ws, const P& p, const typename P::Elem* w);
   template <typename T>
   T* buffer(std::size_t offset) {
     return reinterpret_cast<T*>(arena_.data() + offset);
@@ -249,7 +251,6 @@ class Executor {
   std::size_t weight_packs_ = 0;
   std::size_t preparations_ = 0;
   std::uint64_t saturations_ = 0;
-  double gemm_flops_ = 0, gemm_seconds_ = 0;  ///< per run, observed steps only
 
   obs::Tracer* tracer_ = nullptr;
   obs::MetricsRegistry* metrics_ = nullptr;

@@ -32,8 +32,6 @@ inline constexpr const char* kRunsCounter = "vedliot.runtime.runs";
 inline constexpr const char* kNodesCounter = "vedliot.runtime.nodes_executed";
 inline constexpr const char* kSaturationsGauge = "vedliot.runtime.saturations";
 inline constexpr const char* kThreadsGauge = "vedliot.runtime.threads";
-/// Sustained GEMM throughput of the last run (conv + dense kernels only).
-inline constexpr const char* kGemmGflopsGauge = "vedliot.runtime.gemm.gflops";
 /// Packed arena slab size and bytes saved vs per-node allocation.
 inline constexpr const char* kArenaBytesGauge = "vedliot.runtime.arena.bytes";
 inline constexpr const char* kArenaSavedGauge = "vedliot.runtime.arena.saved_bytes";

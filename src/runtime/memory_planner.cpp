@@ -1,8 +1,6 @@
 #include "runtime/memory_planner.hpp"
 
 #include <algorithm>
-#include <deque>
-#include <set>
 
 #include "analysis/dataflow.hpp"
 #include "util/error.hpp"
@@ -65,69 +63,6 @@ MemoryPlan plan_memory_with_order(const Graph& g, std::span<const NodeId> order,
 MemoryPlan plan_memory(const Graph& g, DType act_dtype, std::int64_t alignment) {
   const auto order = g.topo_order();
   return plan_memory_with_order(g, order, act_dtype, alignment);
-}
-
-std::vector<NodeId> memory_aware_order(const Graph& g, DType act_dtype) {
-  const double elem_bytes = dtype_bytes(act_dtype);
-  const auto live = g.topo_order();
-  const auto outputs = g.outputs();
-
-  // Kahn's algorithm with a greedy score: prefer nodes that free more
-  // bytes (inputs whose last remaining consumer they are) than they
-  // allocate (their own output).
-  std::map<NodeId, std::size_t> pending_inputs;
-  std::map<NodeId, std::size_t> remaining_consumers;
-  for (NodeId id : live) {
-    pending_inputs[id] = g.node(id).inputs.size();
-    remaining_consumers[id] = g.consumers(id).size();
-    // graph outputs stay alive forever -> never "freed"
-    if (std::find(outputs.begin(), outputs.end(), id) != outputs.end()) {
-      ++remaining_consumers[id];
-    }
-  }
-
-  auto bytes_of = [&](NodeId id) {
-    return static_cast<double>(g.node(id).out_shape.numel()) * elem_bytes;
-  };
-
-  std::set<NodeId> ready;
-  for (NodeId id : live) {
-    if (pending_inputs[id] == 0) ready.insert(id);
-  }
-
-  std::vector<NodeId> order;
-  order.reserve(live.size());
-  while (!ready.empty()) {
-    NodeId best = *ready.begin();
-    double best_score = -1e300;
-    for (NodeId candidate : ready) {
-      double freed = 0;
-      // Count each distinct input once, freed only if we are its last consumer.
-      std::set<NodeId> seen;
-      for (NodeId in : g.node(candidate).inputs) {
-        if (!seen.insert(in).second) continue;
-        if (remaining_consumers[in] == 1) freed += bytes_of(in);
-      }
-      const double score = freed - bytes_of(candidate);
-      if (score > best_score || (score == best_score && candidate < best)) {
-        best_score = score;
-        best = candidate;
-      }
-    }
-    ready.erase(best);
-    order.push_back(best);
-
-    std::set<NodeId> seen;
-    for (NodeId in : g.node(best).inputs) {
-      if (!seen.insert(in).second) continue;
-      --remaining_consumers[in];
-    }
-    for (NodeId consumer : g.consumers(best)) {
-      if (--pending_inputs[consumer] == 0) ready.insert(consumer);
-    }
-  }
-  VEDLIOT_CHECK(order.size() == live.size(), "graph has a cycle (impossible by construction)");
-  return order;
 }
 
 bool plan_is_valid(const MemoryPlan& plan) {

@@ -47,12 +47,6 @@ MemoryPlan plan_memory(const Graph& g, DType act_dtype, std::int64_t alignment =
 MemoryPlan plan_memory_with_order(const Graph& g, std::span<const NodeId> order, DType act_dtype,
                                   std::int64_t alignment = 64);
 
-/// A memory-aware execution order: greedy Kahn scheduling that prefers
-/// ready nodes which free more input bytes than they allocate — shrinking
-/// the peak live set on branchy graphs (residual blocks, multi-head necks)
-/// before the arena packer even runs.
-std::vector<NodeId> memory_aware_order(const Graph& g, DType act_dtype);
-
 /// Verify the invariant that no two lifetime-overlapping buffers overlap in
 /// address range; returns true when the plan is consistent.
 bool plan_is_valid(const MemoryPlan& plan);

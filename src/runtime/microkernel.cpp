@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstring>
 
 #include "runtime/kernels.hpp"
@@ -30,59 +29,23 @@ constexpr MicrokernelTile kAvx2F32{6, 16};
 constexpr MicrokernelTile kAvx2S8{4, 16};
 constexpr MicrokernelTile kNeonF32{4, 8};
 
-/// Identical to the scalar reference requant (kernels.cpp): round to
-/// nearest, saturate to int8 counting the clamps, then the fused-activation
-/// window. Exact-int accumulators make this the whole numerical story.
-inline std::int8_t requant_sat(double v, std::uint64_t& saturations) {
-  const double r = std::nearbyint(v);
-  if (r > 127.0) {
-    ++saturations;
-    return 127;
-  }
-  if (r < -128.0) {
-    ++saturations;
-    return -128;
-  }
-  return static_cast<std::int8_t>(r);
-}
-
-/// Store the valid region of one f32 accumulator tile, applying the fused
-/// activation scalar-wise — shared across levels so SIMD and portable
-/// epilogues are the same math on every lane.
-template <std::int64_t MR, std::int64_t NR>
-void store_tile_f32(const float* tile, float* c, std::int64_t ldc, bool col_major,
-                    std::int64_t m0, std::int64_t j0, std::int64_t mv, std::int64_t jv,
-                    OpKind act, double alpha) {
+/// Store the valid region of one accumulator tile through the policy's
+/// epilogue — shared across levels and with the scalar kernels, so SIMD and
+/// portable epilogues are the same math on every lane. Returns the int8
+/// saturation count (0 for f32).
+template <std::int64_t NR, typename P>
+std::uint64_t store_tile(const typename P::Acc* tile, typename P::Elem* c, std::int64_t ldc,
+                         bool col_major, std::int64_t m0, std::int64_t j0, std::int64_t mv,
+                         std::int64_t jv, const P& p) {
+  std::uint64_t saturations = 0;
   for (std::int64_t r = 0; r < mv; ++r) {
-    const float* row = tile + r * NR;
+    const auto epilogue = p.channel(m0 + r);
     for (std::int64_t j = 0; j < jv; ++j) {
-      const float v = act == OpKind::kIdentity ? row[j] : apply_activation(row[j], act, alpha);
+      const typename P::Elem v = epilogue(tile[r * NR + j], saturations);
       if (col_major) {
         c[(j0 + j) * ldc + (m0 + r)] = v;
       } else {
         c[(m0 + r) * ldc + (j0 + j)] = v;
-      }
-    }
-  }
-}
-
-template <std::int64_t MR, std::int64_t NR>
-std::uint64_t store_tile_s8(const std::int32_t* tile, std::int8_t* c, std::int64_t ldc,
-                            bool col_major, std::int64_t m0, std::int64_t j0, std::int64_t mv,
-                            std::int64_t jv, const double* mult, std::int32_t q_lo,
-                            std::int32_t q_hi) {
-  std::uint64_t saturations = 0;
-  for (std::int64_t r = 0; r < mv; ++r) {
-    const std::int32_t* row = tile + r * NR;
-    const double m_mult = mult[m0 + r];
-    for (std::int64_t j = 0; j < jv; ++j) {
-      std::int8_t q = requant_sat(static_cast<double>(row[j]) * m_mult, saturations);
-      if (q < q_lo) q = static_cast<std::int8_t>(q_lo);
-      if (q > q_hi) q = static_cast<std::int8_t>(q_hi);
-      if (col_major) {
-        c[(j0 + j) * ldc + (m0 + r)] = q;
-      } else {
-        c[(m0 + r) * ldc + (j0 + j)] = q;
       }
     }
   }
@@ -91,11 +54,11 @@ std::uint64_t store_tile_s8(const std::int32_t* tile, std::int8_t* c, std::int64
 
 #if defined(VEDLIOT_HAVE_X86)
 
-VEDLIOT_TARGET_AVX2 void gemm_f32_avx2(const float* pa, const float* pb, float* c,
-                                       std::int64_t m, std::int64_t n, std::int64_t k,
-                                       std::int64_t ldc, bool col_major_store,
-                                       std::int64_t panel_lo, std::int64_t panel_hi,
-                                       const float* bias, OpKind act, double alpha) {
+VEDLIOT_TARGET_AVX2 std::uint64_t gemm_f32_avx2(const float* pa, const float* pb, float* c,
+                                                std::int64_t m, std::int64_t n, std::int64_t k,
+                                                std::int64_t ldc, bool col_major_store,
+                                                std::int64_t panel_lo, std::int64_t panel_hi,
+                                                const F32Policy& policy) {
   constexpr std::int64_t MR = 6, NR = 16;
   const std::int64_t n_panels = panel_count(n, NR);
   for (std::int64_t p = panel_lo; p < panel_hi; ++p) {
@@ -111,7 +74,7 @@ VEDLIOT_TARGET_AVX2 void gemm_f32_avx2(const float* pa, const float* pb, float* 
       // adds the K products in ascending k — the scalar reference order.
       __m256 acc[MR][2];
       for (std::int64_t r = 0; r < MR; ++r) {
-        const float init = (bias != nullptr && r < mv) ? bias[m0 + r] : 0.0f;
+        const float init = r < mv ? policy.init(m0 + r) : 0.0f;
         acc[r][0] = _mm256_set1_ps(init);
         acc[r][1] = _mm256_set1_ps(init);
       }
@@ -130,18 +93,17 @@ VEDLIOT_TARGET_AVX2 void gemm_f32_avx2(const float* pa, const float* pb, float* 
         _mm256_store_ps(tile + r * NR, acc[r][0]);
         _mm256_store_ps(tile + r * NR + 8, acc[r][1]);
       }
-      store_tile_f32<MR, NR>(tile, c, ldc, col_major_store, m0, j0, mv, jv, act, alpha);
+      store_tile<NR>(tile, c, ldc, col_major_store, m0, j0, mv, jv, policy);
     }
   }
+  return 0;
 }
 
 VEDLIOT_TARGET_AVX2 std::uint64_t gemm_s8_avx2(const std::int32_t* pa, const std::int8_t* pb,
                                                std::int8_t* c, std::int64_t m, std::int64_t n,
                                                std::int64_t k, std::int64_t ldc,
                                                bool col_major_store, std::int64_t panel_lo,
-                                               std::int64_t panel_hi, const std::int32_t* bias,
-                                               const double* mult, std::int32_t q_lo,
-                                               std::int32_t q_hi) {
+                                               std::int64_t panel_hi, const S8Policy& policy) {
   constexpr std::int64_t MR = 4, NR = 16;
   const std::int64_t n_panels = panel_count(n, NR);
   const std::int64_t k_pairs = (k + 1) / 2;
@@ -157,7 +119,7 @@ VEDLIOT_TARGET_AVX2 std::uint64_t gemm_s8_avx2(const std::int32_t* pa, const std
 
       __m256i acc[MR][2];
       for (std::int64_t r = 0; r < MR; ++r) {
-        const std::int32_t init = (bias != nullptr && r < mv) ? bias[m0 + r] : 0;
+        const std::int32_t init = r < mv ? policy.init(m0 + r) : 0;
         acc[r][0] = _mm256_set1_epi32(init);
         acc[r][1] = _mm256_set1_epi32(init);
       }
@@ -180,8 +142,7 @@ VEDLIOT_TARGET_AVX2 std::uint64_t gemm_s8_avx2(const std::int32_t* pa, const std
         _mm256_store_si256(reinterpret_cast<__m256i*>(tile + r * NR), acc[r][0]);
         _mm256_store_si256(reinterpret_cast<__m256i*>(tile + r * NR + 8), acc[r][1]);
       }
-      saturations += store_tile_s8<MR, NR>(tile, c, ldc, col_major_store, m0, j0, mv, jv, mult,
-                                           q_lo, q_hi);
+      saturations += store_tile<NR>(tile, c, ldc, col_major_store, m0, j0, mv, jv, policy);
     }
   }
   return saturations;
@@ -191,10 +152,10 @@ VEDLIOT_TARGET_AVX2 std::uint64_t gemm_s8_avx2(const std::int32_t* pa, const std
 
 #if defined(VEDLIOT_HAVE_NEON)
 
-void gemm_f32_neon(const float* pa, const float* pb, float* c, std::int64_t m, std::int64_t n,
-                   std::int64_t k, std::int64_t ldc, bool col_major_store,
-                   std::int64_t panel_lo, std::int64_t panel_hi, const float* bias, OpKind act,
-                   double alpha) {
+std::uint64_t gemm_f32_neon(const float* pa, const float* pb, float* c, std::int64_t m,
+                            std::int64_t n, std::int64_t k, std::int64_t ldc, bool col_major_store,
+                            std::int64_t panel_lo, std::int64_t panel_hi,
+                            const F32Policy& policy) {
   constexpr std::int64_t MR = 4, NR = 8;
   const std::int64_t n_panels = panel_count(n, NR);
   for (std::int64_t p = panel_lo; p < panel_hi; ++p) {
@@ -207,7 +168,7 @@ void gemm_f32_neon(const float* pa, const float* pb, float* c, std::int64_t m, s
       const float* pb_panel = pb + q * NR * k;
       float32x4_t acc[MR][2];
       for (std::int64_t r = 0; r < MR; ++r) {
-        const float init = (bias != nullptr && r < mv) ? bias[m0 + r] : 0.0f;
+        const float init = r < mv ? policy.init(m0 + r) : 0.0f;
         acc[r][0] = vdupq_n_f32(init);
         acc[r][1] = vdupq_n_f32(init);
       }
@@ -226,9 +187,10 @@ void gemm_f32_neon(const float* pa, const float* pb, float* c, std::int64_t m, s
         vst1q_f32(tile + r * NR, acc[r][0]);
         vst1q_f32(tile + r * NR + 4, acc[r][1]);
       }
-      store_tile_f32<MR, NR>(tile, c, ldc, col_major_store, m0, j0, mv, jv, act, alpha);
+      store_tile<NR>(tile, c, ldc, col_major_store, m0, j0, mv, jv, policy);
     }
   }
+  return 0;
 }
 
 #endif  // VEDLIOT_HAVE_NEON

@@ -22,12 +22,13 @@
 ///    whatever the panel partition, so parallel-vs-serial runs are bitwise
 ///    identical at every level;
 ///  - the int8 microkernel performs the same exact int32 arithmetic as the
-///    scalar reference (gemm_rows_s8), so its outputs are bitwise equal to
-///    portable at any K/M/N;
+///    scalar reference (gemm_rows<S8Policy>), so its outputs are bitwise
+///    equal to portable at any K/M/N;
 ///  - the f32 microkernel keeps the scalar k order but contracts each
 ///    multiply-add to one FMA rounding, so SIMD-vs-portable agrees to a
-///    tight ULP bound rather than bitwise (scalar epilogues are shared, so
-///    activation math is identical).
+///    tight ULP bound rather than bitwise. Every level stores its tile
+///    through one store_tile over the dtype policy, so the epilogue math
+///    (activation or requantization) is identical.
 ///
 /// Tail handling: partial row/column panels are zero-padded during packing
 /// and the epilogue stores only the valid region, so every lane — including
@@ -37,7 +38,7 @@
 
 #include <cstdint>
 
-#include "graph/op.hpp"
+#include "runtime/kernels.hpp"
 #include "util/cpu.hpp"
 
 namespace vedliot::runtime_kernels {
@@ -79,25 +80,18 @@ void pack_a_s8(const std::int8_t* a, std::int64_t m, std::int64_t k, const Micro
 void pack_b_s8(const std::int8_t* b, std::int64_t k, std::int64_t n, const MicrokernelTile& t,
                std::int64_t panel_lo, std::int64_t panel_hi, std::int8_t* packed);
 
-/// Row-panel range [panel_lo, panel_hi) of C = A·B (+bias, fused act) over
-/// packed operands. C is [M x N]: row-major with leading dimension ldc when
-/// !col_major_store (c[m * ldc + j], conv layout), column-scattered when
-/// col_major_store (c[j * ldc + m], the dense [batch x units] layout, which
-/// lets the dense path skip the output transpose).
-using GemmF32Fn = void (*)(const float* pa, const float* pb, float* c, std::int64_t m,
-                           std::int64_t n, std::int64_t k, std::int64_t ldc,
-                           bool col_major_store, std::int64_t panel_lo, std::int64_t panel_hi,
-                           const float* bias, OpKind act, double alpha);
-
-/// int8 variant with the gemm_rows_s8 requant epilogue; returns the
-/// requantization saturation count for the panel range (exact, so per-chunk
-/// sums are partition-independent).
-using GemmS8Fn = std::uint64_t (*)(const std::int32_t* pa, const std::int8_t* pb,
-                                   std::int8_t* c, std::int64_t m, std::int64_t n,
-                                   std::int64_t k, std::int64_t ldc, bool col_major_store,
-                                   std::int64_t panel_lo, std::int64_t panel_hi,
-                                   const std::int32_t* bias, const double* mult,
-                                   std::int32_t q_lo, std::int32_t q_hi);
+/// Row-panel range [panel_lo, panel_hi) of C = A·B over packed operands,
+/// through the dtype policy's bias and epilogue (kernels.hpp), returning its
+/// int8 saturation count (0 for f32). C is [M x N]: row-major with leading
+/// dimension ldc when !col_major_store (c[m * ldc + j], conv layout),
+/// column-scattered when col_major_store (c[j * ldc + m], the dense
+/// [batch x units] layout, which lets the dense path skip the output
+/// transpose).
+template <typename P>
+using GemmFn = std::uint64_t (*)(const typename P::PackedA* pa, const typename P::PackedB* pb,
+                                 typename P::Elem* c, std::int64_t m, std::int64_t n,
+                                 std::int64_t k, std::int64_t ldc, bool col_major_store,
+                                 std::int64_t panel_lo, std::int64_t panel_hi, const P& p);
 
 /// One dispatch level's kernel set. Levels may offer a subset (e.g. NEON
 /// ships f32 only); unavailable entries have a zero tile and null fn.
@@ -105,8 +99,8 @@ struct GemmMicrokernels {
   util::SimdLevel level = util::SimdLevel::kPortable;
   MicrokernelTile f32;
   MicrokernelTile s8;
-  GemmF32Fn gemm_f32 = nullptr;
-  GemmS8Fn gemm_s8 = nullptr;
+  GemmFn<F32Policy> gemm_f32 = nullptr;
+  GemmFn<S8Policy> gemm_s8 = nullptr;
 };
 
 /// Microkernel table lookup for a *resolved* level (resolve_simd_level

@@ -282,7 +282,7 @@ TEST(Verifier, PackageWithWrongWeightShapesIsRejected) {
 
 TEST(Dataflow, LivenessMatchesMemoryPlanner) {
   const Graph g = zoo::gesture_net();
-  const auto order = memory_aware_order(g, DType::kFP32);
+  const auto order = g.topo_order();
   const auto df = analysis::Dataflow::compute_with_order(g, order);
   const MemoryPlan plan = plan_memory_with_order(g, order, DType::kFP32, /*alignment=*/1);
 

@@ -3,21 +3,26 @@
 // f32 tight tolerance, parallel-vs-serial bitwise, batch-lane bitwise),
 // packed-panel lifecycle in the execution plan (steady-state reuse,
 // version/tile recompile, OTA-repair self-heal), env-override dispatch, and
-// the roofline probes.
+// the roofline probes; plus the random-graph corpus, pinned across commits
+// by digest and checked within one commit against the threads, inter-op,
+// dispatch-level and batch-lane contracts.
 
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <string>
 #include <vector>
 
+#include "analysis/verifier.hpp"
 #include "exec_single.hpp"
 #include "graph/zoo.hpp"
 #include "hw/roofline.hpp"
 #include "opt/fusion.hpp"
 #include "opt/quantize.hpp"
+#include "random_graph.hpp"
 #include "runtime/executor.hpp"
 #include "runtime/kernels.hpp"
 #include "runtime/microkernel.hpp"
@@ -26,6 +31,7 @@
 #include "safety/model_store.hpp"
 #include "safety/scrub.hpp"
 #include "util/cpu.hpp"
+#include "util/hash.hpp"
 #include "util/rng.hpp"
 
 namespace vedliot {
@@ -109,7 +115,7 @@ void mk_gemm_f32(const GemmMicrokernels& t, const float* a, const float* b, floa
   runtime_kernels::pack_b_f32(b, k, n, t.f32, 0, panel_count(n, t.f32.nr), pb.data());
   if (ldc < 0) ldc = col_major ? m : n;
   t.gemm_f32(pa.data(), pb.data(), c, m, n, k, ldc, col_major, 0,
-             panel_count(m, t.f32.mr), bias, act, alpha);
+             panel_count(m, t.f32.mr), runtime_kernels::F32Policy{bias, act, alpha});
 }
 
 /// Full-range microkernel int8 GEMM; returns the saturation count.
@@ -124,7 +130,7 @@ std::uint64_t mk_gemm_s8(const GemmMicrokernels& t, const std::int8_t* a,
   runtime_kernels::pack_b_s8(b, k, n, t.s8, 0, panel_count(n, t.s8.nr), pb.data());
   if (ldc < 0) ldc = col_major ? m : n;
   return t.gemm_s8(pa.data(), pb.data(), c, m, n, k, ldc, col_major, 0,
-                   panel_count(m, t.s8.mr), bias, mult, q_lo, q_hi);
+                   panel_count(m, t.s8.mr), runtime_kernels::S8Policy{bias, mult, q_lo, q_hi});
 }
 
 // ---------------------------------------------------------------------------
@@ -144,8 +150,8 @@ TEST(Microkernel, F32EdgeTailsMatchScalarReference) {
         // Exercise the fused-activation epilogue on half the grid.
         const OpKind act = ((m + n + k) % 2 == 0) ? OpKind::kRelu : OpKind::kIdentity;
         std::vector<float> ref(static_cast<std::size_t>(m * n));
-        runtime_kernels::gemm_rows_f32(a.data(), b.data(), ref.data(), 0, m, n, k,
-                                       bias.data(), act, 0.0);
+        runtime_kernels::gemm_rows(a.data(), b.data(), ref.data(), 0, m, n, k,
+                                   runtime_kernels::F32Policy{bias.data(), act, 0.0});
         std::vector<float> got(ref.size(), -777.0f);
         mk_gemm_f32(*t, a.data(), b.data(), got.data(), m, n, k, bias.data(), act, 0.0);
         for (std::size_t i = 0; i < ref.size(); ++i) {
@@ -179,8 +185,9 @@ TEST(Microkernel, S8EdgeTailsBitwiseEqualScalarReference) {
         }
         const std::int32_t q_lo = ((m + n) % 2 == 0) ? 0 : -128;
         std::vector<std::int8_t> ref(static_cast<std::size_t>(m * n));
-        const std::uint64_t sat_ref = runtime_kernels::gemm_rows_s8(
-            a.data(), b.data(), ref.data(), 0, m, n, k, bias.data(), mult.data(), q_lo, 127);
+        const std::uint64_t sat_ref = runtime_kernels::gemm_rows(
+            a.data(), b.data(), ref.data(), 0, m, n, k,
+            runtime_kernels::S8Policy{bias.data(), mult.data(), q_lo, 127});
         std::vector<std::int8_t> got(ref.size(), 99);
         const std::uint64_t sat_got = mk_gemm_s8(*t, a.data(), b.data(), got.data(), m, n,
                                                  k, bias.data(), mult.data(), q_lo, 127);
@@ -247,14 +254,14 @@ TEST(Microkernel, PanelPartitionIsBitwiseInvariant) {
                               pb.data());
   const std::int64_t panels = panel_count(m, t->f32.mr);
   std::vector<float> whole(static_cast<std::size_t>(m * n));
-  t->gemm_f32(pa.data(), pb.data(), whole.data(), m, n, k, n, false, 0, panels, nullptr,
-              OpKind::kIdentity, 0.0);
+  t->gemm_f32(pa.data(), pb.data(), whole.data(), m, n, k, n, false, 0, panels,
+              runtime_kernels::F32Policy{});
   for (std::int64_t split = 1; split < panels; ++split) {
     std::vector<float> parts(whole.size(), -1.0f);
-    t->gemm_f32(pa.data(), pb.data(), parts.data(), m, n, k, n, false, 0, split, nullptr,
-                OpKind::kIdentity, 0.0);
+    t->gemm_f32(pa.data(), pb.data(), parts.data(), m, n, k, n, false, 0, split,
+                runtime_kernels::F32Policy{});
     t->gemm_f32(pa.data(), pb.data(), parts.data(), m, n, k, n, false, split, panels,
-                nullptr, OpKind::kIdentity, 0.0);
+                runtime_kernels::F32Policy{});
     for (std::size_t i = 0; i < whole.size(); ++i) {
       ASSERT_EQ(std::bit_cast<std::uint32_t>(parts[i]),
                 std::bit_cast<std::uint32_t>(whole[i]))
@@ -684,6 +691,154 @@ TEST(SelfHeal, Int8RepairTriggersRepreparationAndBitwiseCleanRerun) {
   ASSERT_EQ(healed.data.size(), clean.data.size());
   for (std::size_t i = 0; i < clean.data.size(); ++i) {
     ASSERT_EQ(healed.data[i], clean.data[i]);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Random-graph corpus (tests/random_graph.hpp)
+// ---------------------------------------------------------------------------
+
+/// Outputs of one run in output-name order, plus its saturation count.
+struct GraphRun {
+  std::vector<Tensor> outs;
+  std::uint64_t saturations = 0;
+};
+
+GraphRun run_graph(const Graph& g, DType dtype, const Tensor& x, util::SimdLevel level,
+                   unsigned threads = 1, unsigned inter_op = 1) {
+  Executor exec(g, dtype);
+  exec.set_simd(level);
+  exec.set_threads(threads);
+  exec.set_inter_op(inter_op);
+  GraphRun r;
+  for (auto& [name, t] : exec.run({{g.node(g.inputs().front()).name, x}})) {
+    r.outs.push_back(std::move(t));
+  }
+  r.saturations = exec.saturations();
+  return r;
+}
+
+bool same_bytes(const float* a, const float* b, std::int64_t count) {
+  return std::memcmp(a, b, static_cast<std::size_t>(count) * sizeof(float)) == 0;
+}
+
+bool bitwise_equal(const GraphRun& a, const GraphRun& b) {
+  if (a.outs.size() != b.outs.size() || a.saturations != b.saturations) return false;
+  for (std::size_t i = 0; i < a.outs.size(); ++i) {
+    if (a.outs[i].shape() != b.outs[i].shape() ||
+        !same_bytes(a.outs[i].data().data(), b.outs[i].data().data(), a.outs[i].numel())) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// Each lane of a batched run is bitwise its singleton run (the batched
+/// graph at batch 1, fed that lane alone); saturations add up across lanes.
+void expect_lanes_match_singletons(const Graph& g, DType dtype, const Tensor& x,
+                                   util::SimdLevel level, const GraphRun& batched,
+                                   const std::string& what) {
+  const std::int64_t lanes = x.shape().dim(0);
+  const Graph single = rebatched(g, 1);
+  const std::int64_t per = x.numel() / lanes;
+  std::uint64_t saturations = 0;
+  for (std::int64_t b = 0; b < lanes; ++b) {
+    const float* lane_in = x.data().data() + b * per;
+    const Tensor xb(single.node(single.inputs().front()).out_shape,
+                    std::vector<float>(lane_in, lane_in + per));
+    const GraphRun r = run_graph(single, dtype, xb, level);
+    saturations += r.saturations;
+    ASSERT_EQ(r.outs.size(), batched.outs.size()) << what;
+    for (std::size_t i = 0; i < r.outs.size(); ++i) {
+      const std::int64_t n = r.outs[i].numel();
+      EXPECT_TRUE(same_bytes(batched.outs[i].data().data() + b * n, r.outs[i].data().data(), n))
+          << what << " lane " << b << " output " << i;
+    }
+  }
+  EXPECT_EQ(saturations, batched.saturations) << what;
+}
+
+/// Chain one run into a corpus digest: FNV-1a over the decimal CRC-32 of
+/// every output (and, for int8, the saturation count). The same text goes
+/// to \p log, one line per seed, so a mismatch prints every graph's CRCs.
+std::uint64_t fold_run(std::uint64_t digest, std::uint64_t seed, const GraphRun& r, bool int8,
+                       std::string& log) {
+  std::string text;
+  for (const Tensor& t : r.outs) text += std::to_string(util::crc32(t.data())) + " ";
+  if (int8) text += "sat " + std::to_string(r.saturations);
+  log += "seed " + std::to_string(seed) + ": " + text + "\n";
+  return util::fnv1a64(text + ";", digest);
+}
+
+TEST(PinnedOutputs, RandomGraphsBitExact) {
+  // Digests of the 48-seed corpus, recorded once: f32 at portable dispatch,
+  // f32 at AVX2, and int8 (one constant for every level: integer
+  // arithmetic is exact). A change means the engine's arithmetic changed on
+  // some generated graph; diff the printed per-seed CRCs against the
+  // recording commit's printout to find it.
+  constexpr std::uint64_t kSeeds = 48;
+  constexpr std::uint64_t kF32Portable = 15287958322865209017ull;
+  constexpr std::uint64_t kF32Avx2 = 15901476181097323150ull;
+  constexpr std::uint64_t kInt8 = 38763021567042356ull;
+
+  const util::SimdLevel resolved = util::resolve_simd_level(util::SimdLevel::kAuto);
+  std::vector<util::SimdLevel> levels{util::SimdLevel::kPortable};
+  if (resolved != util::SimdLevel::kPortable) levels.push_back(resolved);
+  const std::uint64_t basis = util::fnv1a64("");
+  std::uint64_t f32_digest[2] = {basis, basis}, int8_digest[2] = {basis, basis};
+  std::string f32_log[2], int8_log[2];
+
+  for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
+    for (DType dtype : {DType::kFP32, DType::kINT8}) {
+      const bool int8 = dtype == DType::kINT8;
+      Graph g = testutil::random_graph(seed, dtype);
+      const std::string what = g.name();
+      ASSERT_TRUE(analysis::verify_graph(g).ok()) << what;
+      ASSERT_GE(g.size(), 5u) << what;
+      ASSERT_LE(g.size(), 13u) << what;
+      const Shape in = g.node(g.inputs().front()).out_shape;
+      if (int8) {
+        // Calibration runs f32; pin it to portable so the act_scales do not
+        // depend on the host's SIMD level.
+        ScopedEnv portable("VEDLIOT_SIMD", "portable");
+        Rng cal_rng(seed + 1000);
+        std::vector<Tensor> samples;
+        for (int i = 0; i < 3; ++i) {
+          samples.emplace_back(in, cal_rng.normal_vector(static_cast<std::size_t>(in.numel())));
+        }
+        opt::calibrate_activations(g, samples, Calibration::kMinMax);
+      }
+      Rng data_rng(seed + 2000);
+      const Tensor x(in, data_rng.normal_vector(static_cast<std::size_t>(in.numel())));
+
+      GraphRun first;
+      for (std::size_t li = 0; li < levels.size(); ++li) {
+        const util::SimdLevel level = levels[li];
+        const std::string at = what + " at " + std::string(util::simd_level_name(level));
+        const GraphRun r = run_graph(g, dtype, x, level);
+        EXPECT_TRUE(bitwise_equal(r, run_graph(g, dtype, x, level, 3))) << at << ": threads 3";
+        EXPECT_TRUE(bitwise_equal(r, run_graph(g, dtype, x, level, 1, 3))) << at << ": inter_op 3";
+        if (in.dim(0) > 1) expect_lanes_match_singletons(g, dtype, x, level, r, at);
+        if (int8 && li > 0) {
+          EXPECT_TRUE(bitwise_equal(r, first)) << at << ": vs portable";
+        }
+        if (li == 0) first = r;
+        if (int8) {
+          int8_digest[li] = fold_run(int8_digest[li], seed, r, true, int8_log[li]);
+        } else {
+          f32_digest[li] = fold_run(f32_digest[li], seed, r, false, f32_log[li]);
+        }
+      }
+    }
+  }
+
+  EXPECT_EQ(f32_digest[0], kF32Portable) << "f32 portable per-seed CRCs:\n" << f32_log[0];
+  EXPECT_EQ(int8_digest[0], kInt8) << "int8 portable per-seed CRCs:\n" << int8_log[0];
+  if (levels.size() > 1) {
+    EXPECT_EQ(int8_digest[1], kInt8) << "int8 SIMD per-seed CRCs:\n" << int8_log[1];
+    if (resolved == util::SimdLevel::kAvx2) {
+      EXPECT_EQ(f32_digest[1], kF32Avx2) << "f32 AVX2 per-seed CRCs:\n" << f32_log[1];
+    }
   }
 }
 

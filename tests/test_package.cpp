@@ -370,68 +370,8 @@ TEST(PackageStream, OutOfOrderDeliveryReassemblesAndUnpacksCleanly) {
 }
 
 // ---------------------------------------------------------------------------
-// Memory-aware execution order
+// Explicit execution orders for the memory planner
 // ---------------------------------------------------------------------------
-
-TEST(MemoryOrder, IsValidTopologicalOrder) {
-  Graph g = zoo::yolov4();
-  const auto order = memory_aware_order(g, DType::kINT8);
-  EXPECT_EQ(order.size(), g.size());
-  std::map<NodeId, std::size_t> pos;
-  for (std::size_t i = 0; i < order.size(); ++i) pos[order[i]] = i;
-  for (NodeId id : order) {
-    for (NodeId in : g.node(id).inputs) EXPECT_LT(pos.at(in), pos.at(id));
-  }
-}
-
-TEST(MemoryOrder, PlanWithCustomOrderIsValid) {
-  Graph g = zoo::mobilenet_v3_large();
-  const auto order = memory_aware_order(g, DType::kFP32);
-  const auto plan = plan_memory_with_order(g, order, DType::kFP32);
-  EXPECT_TRUE(plan_is_valid(plan));
-}
-
-TEST(MemoryOrder, HelpsOnWideFanout) {
-  // A graph with two parallel wide branches: naive id-order keeps both
-  // branches' tensors alive simultaneously; the memory-aware order finishes
-  // one branch before starting the other.
-  Graph g("wide");
-  const NodeId in = g.add_input("x", Shape{1, 8, 32, 32});
-  auto branch = [&](const std::string& name) {
-    NodeId cur = in;
-    for (int i = 0; i < 3; ++i) {
-      cur = g.add(OpKind::kRelu, name + std::to_string(i), {cur});
-    }
-    return g.add(OpKind::kGlobalAvgPool, name + "_gap", {cur});
-  };
-  // Interleave the branch construction so id-order alternates branches.
-  NodeId a0 = g.add(OpKind::kRelu, "a0", {in});
-  NodeId b0 = g.add(OpKind::kRelu, "b0", {in});
-  NodeId a1 = g.add(OpKind::kRelu, "a1", {a0});
-  NodeId b1 = g.add(OpKind::kRelu, "b1", {b0});
-  NodeId a2 = g.add(OpKind::kGlobalAvgPool, "a2", {a1});
-  NodeId b2 = g.add(OpKind::kGlobalAvgPool, "b2", {b1});
-  g.add(OpKind::kAdd, "merge", {a2, b2});
-  (void)branch;
-
-  const auto id_plan = plan_memory(g, DType::kFP32);
-  const auto smart = memory_aware_order(g, DType::kFP32);
-  const auto smart_plan = plan_memory_with_order(g, smart, DType::kFP32);
-  EXPECT_TRUE(plan_is_valid(smart_plan));
-  EXPECT_LE(smart_plan.arena_bytes, id_plan.arena_bytes);
-}
-
-TEST(MemoryOrder, NeverWorseOnZooModels) {
-  for (Graph g : {zoo::resnet50(), zoo::mobilenet_v3_large(), zoo::gesture_net()}) {
-    const auto base = plan_memory(g, DType::kINT8);
-    const auto smart = plan_memory_with_order(g, memory_aware_order(g, DType::kINT8), DType::kINT8);
-    EXPECT_TRUE(plan_is_valid(smart));
-    // allow tiny regressions from the greedy heuristic, never > 10%
-    EXPECT_LE(static_cast<double>(smart.arena_bytes),
-              static_cast<double>(base.arena_bytes) * 1.10)
-        << g.name();
-  }
-}
 
 TEST(MemoryOrder, RejectsBadOrders) {
   Graph g = zoo::micro_mlp("m", 1, 4, {4}, 2);

@@ -529,17 +529,18 @@ TEST(ExecutionEngine, SessionOutputOwnsItsMemory) {
   EXPECT_NEAR(sum, 1.0f, 1e-5f);  // softmax head
 }
 
-/// CRC-32 of the output of one single-thread portable-dispatch run. The
-/// constants were recorded once; a change in any of them means the engine's
-/// f32 arithmetic changed.
+/// CRC-32 of the output of one single-thread run at dispatch \p level
+/// (portable unless given). The constants were recorded once; a change in
+/// any of them means the engine's f32 arithmetic changed.
 void expect_pinned_f32(Graph g, const Shape& in_shape, std::uint64_t seed,
-                       std::uint32_t want_crc) {
+                       std::uint32_t want_crc,
+                       util::SimdLevel level = util::SimdLevel::kPortable) {
   Rng rng(seed);
   g.materialize_weights(rng);
   Rng data_rng(seed + 100);
   const Tensor x(in_shape, data_rng.normal_vector(static_cast<std::size_t>(in_shape.numel())));
   runtime::RunOptions o;
-  o.exec.simd = util::SimdLevel::kPortable;
+  o.exec.simd = level;
   o.exec.threads = 1;
   EXPECT_EQ(util::crc32(run_with_options(g, x, o).data()), want_crc) << g.name();
 }
@@ -564,6 +565,39 @@ TEST(PinnedOutputs, F32ResNet50LogitsBitExact) {
   (void)exec_single(exec, g, x);
   const Node& softmax = g.node(g.outputs().front());
   EXPECT_EQ(util::crc32(exec.activation(g.node(softmax.inputs.at(0)).name).data()), 4186703573u);
+}
+
+/// CRC-32 of the ResNet-50 logits (the softmax input) of one run at \p level.
+std::uint32_t resnet50_logits_crc(util::SimdLevel level) {
+  Graph g = zoo::resnet50(1, 10, 32);
+  Rng rng(61);
+  g.materialize_weights(rng);
+  Rng data_rng(161);
+  const Tensor x(Shape{1, 3, 32, 32}, data_rng.normal_vector(3 * 32 * 32));
+  Executor exec(g);
+  exec.set_simd(level);
+  (void)exec_single(exec, g, x);
+  const Node& softmax = g.node(g.outputs().front());
+  return util::crc32(exec.activation(g.node(softmax.inputs.at(0)).name).data());
+}
+
+TEST(PinnedOutputs, F32SimdLevelBitExact) {
+  // The same networks and logits at the level kAuto resolves to: AVX2 has
+  // its own constants (FMA contraction moves the last bits), portable
+  // (VEDLIOT_FORCE_PORTABLE=1 or no SIMD on the host) reuses the ones
+  // above, and a level with no recorded constant (NEON) skips.
+  const util::SimdLevel level = util::resolve_simd_level(util::SimdLevel::kAuto);
+  if (level != util::SimdLevel::kPortable && level != util::SimdLevel::kAvx2) {
+    GTEST_SKIP() << "no pinned f32 constants for " << util::simd_level_name(level);
+  }
+  const bool avx2 = level == util::SimdLevel::kAvx2;
+  // ResNet-50's one-hot softmax is the same at both levels; its logits are not.
+  expect_pinned_f32(zoo::resnet50(1, 10, 32), Shape{1, 3, 32, 32}, 61, 3573386354u, level);
+  expect_pinned_f32(zoo::mobilenet_v3_large(1, 10, 32), Shape{1, 3, 32, 32}, 63,
+                    avx2 ? 1276554148u : 4012347630u, level);
+  expect_pinned_f32(zoo::micro_cnn("pin", 8, 3, 16, 5), Shape{8, 3, 16, 16}, 65,
+                    avx2 ? 2906562146u : 1130817910u, level);
+  EXPECT_EQ(resnet50_logits_crc(level), avx2 ? 4160410157u : 4186703573u);
 }
 
 TEST(ExecutionEngine, SetMaxBatchAdjustsAdmissionOnLiveSession) {
