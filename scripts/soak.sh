@@ -4,10 +4,12 @@
 # BENCH_serve.json (serve then fleet records), BENCH_integrity.json and
 # BENCH_ota.json. --quick runs the short sweeps and writes the same three
 # files under build/soak-quick/ instead, so quick runs never touch tracked
-# files. Exit status is non-zero when any soak violates an invariant or its
-# determinism rerun diverges.
+# files. --check runs the full sweeps into build/soak-full/ and fails unless
+# each file is byte-identical to its checked-in record. Exit status is
+# non-zero when any soak violates an invariant or its determinism rerun
+# diverges.
 #
-# Usage: scripts/soak.sh [--quick]
+# Usage: scripts/soak.sh [--quick | --check]
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -15,7 +17,8 @@ cd "$(dirname "$0")/.."
 case "${1:-}" in
   "") QUICK=""; OUT="." ;;
   --quick) QUICK="--quick"; OUT="build/soak-quick" ;;
-  *) echo "usage: $0 [--quick]" >&2; exit 2 ;;
+  --check) QUICK=""; OUT="build/soak-full" ;;
+  *) echo "usage: $0 [--quick | --check]" >&2; exit 2 ;;
 esac
 
 cmake -B build -S . > /dev/null
@@ -27,3 +30,13 @@ mkdir -p "${OUT}"
 build/bench/soak integrity ${QUICK} > "${OUT}/BENCH_integrity.json"
 build/bench/soak ota ${QUICK} > "${OUT}/BENCH_ota.json"
 echo "soak records written to ${OUT}/BENCH_{serve,integrity,ota}.json" >&2
+
+if [ "${1:-}" = "--check" ]; then
+  for record in BENCH_serve.json BENCH_integrity.json BENCH_ota.json; do
+    cmp "${OUT}/${record}" "${record}" || {
+      echo "${record} no longer reproduces (regenerate with scripts/soak.sh)" >&2
+      exit 1
+    }
+  done
+  echo "soak records reproduce byte for byte" >&2
+fi

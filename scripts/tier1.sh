@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 verification: full build + complete test suite from a clean tree,
-# short seeded runs of the four soaks (records under build/, so no tracked
-# file changes), a one-second smoke run of each perfbench workload (built
+# short seeded runs of the four soaks, then the full sweeps checked byte for
+# byte against the checked-in records (all under build/, so no tracked file
+# changes), a one-second smoke run of each perfbench workload (built
 # under build/perfbench), then an AddressSanitizer+UBSan build of the
 # resilience-critical tests (including the runtime tests, which exercise
 # activation-arena aliasing), then a ThreadSanitizer build of the parallel
@@ -58,6 +59,10 @@ for field in '"converged":true' '"no_torn_install":true'; do
     exit 1
   }
 done
+
+echo
+echo "== tier-1: the checked-in soak records reproduce (full sweeps under build/soak-full/) =="
+scripts/soak.sh --check
 
 echo
 echo "== tier-1: perfbench smoke (Release build and records under build/perfbench) =="

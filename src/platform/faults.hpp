@@ -12,11 +12,11 @@
 /// against, and recover from.
 ///
 /// Two fault kinds are pure schedule markers whose effect is owned by the
-/// driver (the way thermal events stretch in-flight work in serve::Server):
+/// engine consuming them (as serve::Fleet owns thermal stretches):
 /// kMemoryFault means "flip `magnitude` weight bits in the model deployed
 /// on `slot` now", and kOtaCorrupt means "the next staged OTA payload was
 /// corrupted in transit". The simulator validates and sequences them; the
-/// serving layer applies the damage to the state it owns.
+/// fleet applies the damage to the replica deployed on `slot`.
 
 #include <map>
 #include <optional>

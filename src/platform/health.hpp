@@ -45,7 +45,6 @@ class HealthMonitor {
   std::vector<HealthBeat> tick(const PlatformSimulator& sim);
 
   bool down(const std::string& slot) const { return down_.count(slot) > 0; }
-  const std::set<std::string>& down_slots() const { return down_; }
 
   /// External recovery notification (e.g. a module-restart fault event):
   /// clears the down mark and the miss counter so probing resumes.

@@ -55,7 +55,6 @@ class FleetPlacement {
 
   const std::vector<Placement>& placements() const { return placements_; }
   const Placement& placement_of(const std::string& replica) const;
-  std::size_t chassis_count() const { return chassis_.size(); }
   const Chassis& chassis(std::size_t i) const;
 
   /// Record \p joules consumed by \p replica's module over \p seconds of

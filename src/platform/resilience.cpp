@@ -21,7 +21,7 @@ double mean(const std::vector<double>& v) {
 
 }  // namespace
 
-std::string_view resilience_event_name(ResilienceEventKind kind) {
+std::string_view event_name(ResilienceEventKind kind) {
   switch (kind) {
     case ResilienceEventKind::kFaultInjected: return "fault-injected";
     case ResilienceEventKind::kHeartbeatMiss: return "heartbeat-miss";
@@ -36,19 +36,6 @@ std::string_view resilience_event_name(ResilienceEventKind kind) {
     case ResilienceEventKind::kUnrecoverable: return "unrecoverable";
   }
   throw InvalidArgument("unknown resilience event kind");
-}
-
-std::string format_event(const ResilienceEvent& e) {
-  char head[64];
-  std::snprintf(head, sizeof(head), "[%8.4fs] %-18s ", e.time_s,
-                std::string(resilience_event_name(e.kind)).c_str());
-  std::string out(head);
-  out += e.subject;
-  if (!e.detail.empty()) {
-    out += "  ";
-    out += e.detail;
-  }
-  return out;
 }
 
 double ResilienceReport::mean_detection_latency_s() const { return mean(detection_latencies_s); }
@@ -78,7 +65,7 @@ std::string ResilienceReport::to_json() const {
     const ResilienceEvent& e = events[i];
     if (i) out += ",";
     out += "{\"time_s\":" + obs::json_number(e.time_s);
-    out += ",\"kind\":\"" + obs::json_escape(resilience_event_name(e.kind)) + "\"";
+    out += ",\"kind\":\"" + obs::json_escape(event_name(e.kind)) + "\"";
     out += ",\"subject\":\"" + obs::json_escape(e.subject) + "\"";
     out += ",\"detail\":\"" + obs::json_escape(e.detail) + "\"";
     out += ",\"value\":" + obs::json_number(e.value) + "}";
@@ -100,7 +87,8 @@ ResilienceController::ResilienceController(const Graph& g, PlatformSimulator& si
       rng_(config.seed),
       dtype_(dtype),
       stages_(num_stages),
-      health_(slots_, HealthConfig{config.heartbeat_miss_threshold}) {
+      health_(slots_, HealthConfig{config.heartbeat_miss_threshold}),
+      log_("vedliot.platform.resilience", config.trace, nullptr) {
   VEDLIOT_CHECK(!slots_.empty(), "resilience controller needs at least one slot");
   VEDLIOT_CHECK(cfg_.heartbeat_period_s > 0, "heartbeat period must be positive");
   VEDLIOT_CHECK(cfg_.heartbeat_miss_threshold >= 1, "miss threshold must be >= 1");
@@ -120,19 +108,6 @@ void ResilienceController::report_verdict(const std::string& slot,
   verdicts_.insert(pos, PendingVerdict{time_s, slot});
 }
 
-void ResilienceController::log(double t, ResilienceEventKind kind, const std::string& subject,
-                               const std::string& detail, double value) {
-  report_.events.push_back(ResilienceEvent{t, kind, subject, detail, value});
-  if (cfg_.trace) {
-    obs::Span& sp = cfg_.trace->instant(std::string(resilience_event_name(kind)),
-                                        "vedliot.platform.resilience");
-    sp.attrs.emplace_back("subject", subject);
-    if (!detail.empty()) sp.attrs.emplace_back("detail", detail);
-    sp.num_attrs.emplace_back("time_s", t);
-    sp.num_attrs.emplace_back("value", value);
-  }
-}
-
 void ResilienceController::note_injected(double t, const std::vector<FaultEvent>& applied) {
   for (const auto& e : applied) {
     std::string detail;
@@ -147,8 +122,8 @@ void ResilienceController::note_injected(double t, const std::vector<FaultEvent>
       default:
         break;
     }
-    log(e.time_s, ResilienceEventKind::kFaultInjected, e.subject(),
-        std::string(fault_kind_name(e.kind)) + (detail.empty() ? "" : ", " + detail));
+    log_.add(e.time_s, ResilienceEventKind::kFaultInjected, e.subject(),
+             std::string(fault_kind_name(e.kind)) + (detail.empty() ? "" : ", " + detail));
 
     switch (e.kind) {
       case FaultKind::kModuleCrash:
@@ -160,8 +135,8 @@ void ResilienceController::note_injected(double t, const std::vector<FaultEvent>
       case FaultKind::kLinkDegrade: {
         // Degradations are visible through platform telemetry at the next
         // tick: detect immediately and rebalance the plan.
-        log(t, ResilienceEventKind::kFaultDetected, e.subject(),
-            "telemetry: " + std::string(fault_kind_name(e.kind)));
+        log_.add(t, ResilienceEventKind::kFaultDetected, e.subject(),
+                 "telemetry: " + std::string(fault_kind_name(e.kind)));
         report_.detection_latencies_s.push_back(t - e.time_s);
         if (detect_mark_ < 0) detect_mark_ = t;
         need_replan_ = true;
@@ -207,9 +182,9 @@ void ResilienceController::heartbeat_tick(double t) {
     // mark_up the monitor before this tick), so recovered beats only occur
     // when a slot revives without one; the replan is driven by the event.
     if (beat.recovered) continue;
-    log(t, ResilienceEventKind::kHeartbeatMiss, "slot " + beat.slot,
-        std::to_string(beat.misses) + "/" + std::to_string(cfg_.heartbeat_miss_threshold),
-        static_cast<double>(beat.misses));
+    log_.add(t, ResilienceEventKind::kHeartbeatMiss, "slot " + beat.slot,
+             std::to_string(beat.misses) + "/" + std::to_string(cfg_.heartbeat_miss_threshold),
+             static_cast<double>(beat.misses));
     if (!beat.declared_down) continue;
 
     const std::string subject = "slot " + beat.slot;
@@ -219,8 +194,8 @@ void ResilienceController::heartbeat_tick(double t) {
       report_.detection_latencies_s.push_back(t - it->second);
       undetected_.erase(it);
     }
-    log(t, ResilienceEventKind::kFaultDetected, subject, detail,
-        static_cast<double>(beat.misses));
+    log_.add(t, ResilienceEventKind::kFaultDetected, subject, detail,
+             static_cast<double>(beat.misses));
     if (detect_mark_ < 0) detect_mark_ = t;
 
     const bool in_plan =
@@ -239,8 +214,8 @@ void ResilienceController::verdict_tick(double t) {
     verdicts_.pop_front();
     if (quarantined_.count(v.slot)) continue;
     quarantined_.insert(v.slot);
-    log(t, ResilienceEventKind::kFaultDetected, "slot " + v.slot,
-        "robustness service verdict: checked-faulty (model corrupted), slot quarantined");
+    log_.add(t, ResilienceEventKind::kFaultDetected, "slot " + v.slot,
+             "robustness service verdict: checked-faulty (model corrupted), slot quarantined");
     if (detect_mark_ < 0) detect_mark_ = t;
     const bool in_plan =
         plan_valid_ && std::any_of(plan_.stages.begin(), plan_.stages.end(),
@@ -314,8 +289,8 @@ void ResilienceController::recover(double t, const std::string& reason) {
     if (!quarantined_.count(slot)) avail.push_back(slot);
   }
   if (avail.empty()) {
-    log(t, ResilienceEventKind::kUnrecoverable, "pipeline",
-        "no surviving slot left (" + reason + ")");
+    log_.add(t, ResilienceEventKind::kUnrecoverable, "pipeline",
+             "no surviving slot left (" + reason + ")");
     plan_valid_ = false;
     report_.pipeline_alive = false;
     detect_mark_ = -1;
@@ -346,9 +321,9 @@ void ResilienceController::recover(double t, const std::string& reason) {
   for (DType dt : ladder) {
     const bool admitted = capacity_admits(avail, dt);
     if (!admitted) {
-      log(t, ResilienceEventKind::kFailover, "pipeline",
-          "capacity check: survivors cannot host all stages at " +
-              std::string(dtype_name(dt)));
+      log_.add(t, ResilienceEventKind::kFailover, "pipeline",
+               "capacity check: survivors cannot host all stages at " +
+                   std::string(dtype_name(dt)));
     }
     for (std::size_t s = stage_cap; s >= 1; --s) {
       DistributedPlan p;
@@ -372,8 +347,8 @@ void ResilienceController::recover(double t, const std::string& reason) {
   bool budget_missed = false;
   if (!chosen) {
     if (!best_any) {
-      log(t, ResilienceEventKind::kUnrecoverable, "pipeline",
-          "no feasible plan on survivors (" + reason + ")");
+      log_.add(t, ResilienceEventKind::kUnrecoverable, "pipeline",
+               "no feasible plan on survivors (" + reason + ")");
       plan_valid_ = false;
       report_.pipeline_alive = false;
       detect_mark_ = -1;
@@ -392,24 +367,24 @@ void ResilienceController::recover(double t, const std::string& reason) {
     }
     for (const auto& slot : gone) {
       ++report_.failovers;
-      log(t, ResilienceEventKind::kFailover, "slot " + slot,
-          "stages moved to surviving slots (" + reason + ")");
+      log_.add(t, ResilienceEventKind::kFailover, "slot " + slot,
+               "stages moved to surviving slots (" + reason + ")");
     }
   }
   if (chosen->dtype != dtype_) {
     ++report_.degradations;
-    log(t, ResilienceEventKind::kDegradedPrecision, "pipeline",
-        std::string(dtype_name(dtype_)) + " -> " + std::string(dtype_name(chosen->dtype)) +
-            (budget_missed ? " (admission or latency budget not met)" : ""));
+    log_.add(t, ResilienceEventKind::kDegradedPrecision, "pipeline",
+             std::string(dtype_name(dtype_)) + " -> " + std::string(dtype_name(chosen->dtype)) +
+                 (budget_missed ? " (admission or latency budget not met)" : ""));
   }
   if (chosen->stages != stages_) {
     if (chosen->stages < stages_) ++report_.degradations;
-    log(t,
-        chosen->stages < stages_ ? ResilienceEventKind::kDegradedStages
-                                 : ResilienceEventKind::kRecovered,
-        "pipeline",
-        std::to_string(stages_) + " -> " + std::to_string(chosen->stages) + " stages" +
-            (budget_missed ? " (admission or latency budget not met)" : ""));
+    log_.add(t,
+             chosen->stages < stages_ ? ResilienceEventKind::kDegradedStages
+                                      : ResilienceEventKind::kRecovered,
+             "pipeline",
+             std::to_string(stages_) + " -> " + std::to_string(chosen->stages) + " stages" +
+                 (budget_missed ? " (admission or latency budget not met)" : ""));
   }
 
   // Redeploy cost: stage weights ship to every slot whose assignment
@@ -449,8 +424,8 @@ void ResilienceController::recover(double t, const std::string& reason) {
                 "%zu stages on %zu slots at %s: latency %.2f ms, %.1f fps (redeploy %.1f ms)",
                 chosen->stages, avail.size(), std::string(dtype_name(chosen->dtype)).c_str(),
                 plan_.latency_s * 1e3, plan_.throughput_fps, redeploy_s * 1e3);
-  log(t + redeploy_s, ResilienceEventKind::kRecovered, "pipeline", detail,
-      plan_.throughput_fps);
+  log_.add(t + redeploy_s, ResilienceEventKind::kRecovered, "pipeline", detail,
+           plan_.throughput_fps);
 }
 
 bool ResilienceController::process_one_frame(double t) {
@@ -480,7 +455,7 @@ bool ResilienceController::process_one_frame(double t) {
             undetected_.erase(best);
           }
         }
-        log(t, ResilienceEventKind::kFaultDetected, subject, detail);
+        log_.add(t, ResilienceEventKind::kFaultDetected, subject, detail);
         if (detect_mark_ < 0) detect_mark_ = t;
         need_replan_ = true;
         replan_reason_ = "fabric partition between " + from + " and " + to;
@@ -489,16 +464,16 @@ bool ResilienceController::process_one_frame(double t) {
       if (ok) break;
       ++attempt;
       ++report_.transfer_retries;
-      log(t, ResilienceEventKind::kTransientFault, subject,
-          "attempt " + std::to_string(attempt) + " failed");
+      log_.add(t, ResilienceEventKind::kTransientFault, subject,
+               "attempt " + std::to_string(attempt) + " failed");
       if (attempt >= cfg_.max_transfer_attempts) {
-        log(t, ResilienceEventKind::kTransferTimeout, subject,
-            "gave up after " + std::to_string(attempt) + " attempts; frame dropped");
+        log_.add(t, ResilienceEventKind::kTransferTimeout, subject,
+                 "gave up after " + std::to_string(attempt) + " attempts; frame dropped");
         return false;
       }
       const double wait = rng_.backoff_s(cfg_.backoff_base_s, cfg_.backoff_cap_s, attempt - 1);
-      log(t, ResilienceEventKind::kRetry, subject,
-          "backing off " + std::to_string(wait * 1e3) + " ms", wait);
+      log_.add(t, ResilienceEventKind::kRetry, subject,
+               "backing off " + std::to_string(wait * 1e3) + " ms", wait);
     }
   }
   return true;
@@ -530,7 +505,7 @@ ResilienceReport ResilienceController::run(double duration_s) {
 
   obs::ScopedSpan run_span;
   if (cfg_.trace) {
-    run_span = cfg_.trace->span("resilience.run", "vedliot.platform.resilience");
+    run_span = cfg_.trace->span("resilience.run", "vedliot.platform.resilience.run");
     run_span.attr("duration_s", duration_s);
     run_span.attr("slots", static_cast<double>(slots_.size()));
   }
@@ -558,6 +533,7 @@ ResilienceReport ResilienceController::run(double duration_s) {
     process_frames(t);
   }
 
+  report_.events.assign(log_.events().begin(), log_.events().end());
   report_.final_plan = plan_valid_ ? plan_ : DistributedPlan{};
   report_.final_dtype = dtype_;
   report_.final_stages = plan_valid_ ? stages_ : 0;

@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "graph/graph.hpp"
+#include "obs/event_log.hpp"
 #include "obs/trace.hpp"
 #include "platform/distributed.hpp"
 #include "platform/faults.hpp"
@@ -46,18 +47,13 @@ enum class ResilienceEventKind {
   kUnrecoverable,     ///< no surviving slot can host the pipeline
 };
 
-std::string_view resilience_event_name(ResilienceEventKind kind);
+/// The event's name in log lines and tracer instants ("fault-detected", ...).
+std::string_view event_name(ResilienceEventKind kind);
 
-struct ResilienceEvent {
-  double time_s = 0;
-  ResilienceEventKind kind = ResilienceEventKind::kFaultInjected;
-  std::string subject;  ///< slot, link or stage the event is about
-  std::string detail;   ///< human-readable context
-  double value = 0;     ///< kind-specific (misses, backoff s, fps, ...)
-};
-
-/// One line per event: "[ 0.030s] fault-detected      slot come1  ...".
-std::string format_event(const ResilienceEvent& e);
+/// One structured event: `subject` is the slot, link or stage it is about,
+/// `value` kind-specific (misses, backoff s, fps, ...). obs::format_event
+/// renders it as "[  0.0300s] fault-detected     slot come1  ...".
+using ResilienceEvent = obs::Event<ResilienceEventKind>;
 
 struct ResilienceConfig {
   double heartbeat_period_s = 10e-3;  ///< health-probe cadence
@@ -80,8 +76,9 @@ struct ResilienceConfig {
   std::uint64_t seed = 0x5EEDu;       ///< backoff jitter determinism
 
   /// Optional span sink: every structured event is mirrored as an instant
-  /// span (category "vedliot.platform.resilience"), replans emit planner
-  /// spans, and the whole run is wrapped in a "resilience.run" span. The
+  /// span (category "vedliot.platform.resilience", through obs::EventLog),
+  /// replans emit planner spans, and the whole run is wrapped in a
+  /// "resilience.run" span (category "vedliot.platform.resilience.run"). The
   /// report's own event vector is unchanged, so determinism under a fixed
   /// seed is unaffected. Must outlive the controller when set.
   obs::Tracer* trace = nullptr;
@@ -141,7 +138,7 @@ class ResilienceController {
 
   /// The structured event log recorded so far (valid during and after
   /// run(); grows as the run progresses).
-  std::span<const ResilienceEvent> events() const { return report_.events; }
+  std::span<const ResilienceEvent> events() const { return log_.events(); }
 
  private:
   struct PendingVerdict {
@@ -149,8 +146,6 @@ class ResilienceController {
     std::string slot;
   };
 
-  void log(double t, ResilienceEventKind kind, const std::string& subject,
-           const std::string& detail, double value = 0);
   void note_injected(double t, const std::vector<FaultEvent>& applied);
   void heartbeat_tick(double t);
   void verdict_tick(double t);
@@ -183,6 +178,7 @@ class ResilienceController {
   double frame_credit_ = 0;  ///< fractional frames owed to the pipeline
   double detect_mark_ = -1;  ///< detection time backing the next recovery
 
+  obs::EventLog<ResilienceEventKind> log_;  ///< copied into report_.events by run()
   ResilienceReport report_;
   bool ran_ = false;
 };

@@ -133,7 +133,7 @@ class ModelStore {
   const Slot& slot(const std::string& name) const VEDLIOT_REQUIRES(mutex_);
 
   Config cfg_;
-  // One store may back several serving surfaces at once (a Server's scrub
+  // One store may back several serving surfaces at once (a fleet's scrub
   // ticks plus an out-of-band OTA push); the mutex serializes the version
   // map. The reference current() returns is only stable until the next
   // push()/rollback() for that name — callers snapshot what they need

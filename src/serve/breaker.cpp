@@ -4,15 +4,6 @@
 
 namespace vedliot::serve {
 
-std::string_view breaker_state_name(BreakerState s) {
-  switch (s) {
-    case BreakerState::kClosed: return "closed";
-    case BreakerState::kOpen: return "open";
-    case BreakerState::kHalfOpen: return "half-open";
-  }
-  throw InvalidArgument("unknown breaker state");
-}
-
 CircuitBreaker::CircuitBreaker(BreakerConfig config) : cfg_(config) {
   VEDLIOT_CHECK(cfg_.failure_threshold >= 1, "breaker failure threshold must be >= 1");
   VEDLIOT_CHECK(cfg_.cooldown_s > 0, "breaker cooldown must be positive");

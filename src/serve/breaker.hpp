@@ -23,8 +23,6 @@ enum class BreakerState {
   kHalfOpen,  ///< probing: a bounded number of trial requests allowed
 };
 
-std::string_view breaker_state_name(BreakerState s);
-
 struct BreakerConfig {
   int failure_threshold = 3;   ///< consecutive failures -> open
   double cooldown_s = 50e-3;   ///< open duration before half-open probing

@@ -4,26 +4,17 @@
 
 namespace vedliot::serve {
 
-BrownoutLadder::BrownoutLadder(BrownoutConfig config) : cfg_(config) {
+BrownoutLadder::BrownoutLadder(BrownoutConfig config, std::vector<BrownoutStep> steps)
+    : cfg_(config), steps_(std::move(steps)) {
   VEDLIOT_CHECK(cfg_.low_watermark >= 0, "low watermark must be >= 0");
   VEDLIOT_CHECK(cfg_.high_watermark > cfg_.low_watermark,
                 "high watermark must exceed low watermark");
   VEDLIOT_CHECK(cfg_.step_down_after >= 1, "step-down streak must be >= 1");
   VEDLIOT_CHECK(cfg_.step_up_after >= 1, "step-up streak must be >= 1");
-  VEDLIOT_CHECK(cfg_.max_level >= 0, "max level must be >= 0");
-}
-
-BrownoutLadder::BrownoutLadder(BrownoutConfig config, std::vector<BrownoutStep> steps)
-    : BrownoutLadder([&] {
-        VEDLIOT_CHECK(!steps.empty(), "degradation ladder needs at least one rung");
-        config.max_level = static_cast<int>(steps.size()) - 1;
-        return config;
-      }()) {
-  steps_ = std::move(steps);
+  VEDLIOT_CHECK(!steps_.empty(), "degradation ladder needs at least one rung");
 }
 
 const BrownoutStep& BrownoutLadder::current() const {
-  VEDLIOT_CHECK(!steps_.empty(), "ladder was constructed without steps");
   return steps_[static_cast<std::size_t>(level_)];
 }
 
@@ -31,7 +22,7 @@ int BrownoutLadder::observe(double load) {
   if (load >= cfg_.high_watermark) {
     calm_streak_ = 0;
     ++hot_streak_;
-    if (hot_streak_ >= cfg_.step_down_after && level_ < cfg_.max_level) {
+    if (hot_streak_ >= cfg_.step_down_after && level_ + 1 < static_cast<int>(steps_.size())) {
       hot_streak_ = 0;
       ++level_;
       return +1;

@@ -1,7 +1,7 @@
 #pragma once
 /// \file brownout.hpp
 /// \brief Hysteretic brownout controller: which rung of the degradation
-/// ladder the server should be on, given a scalar load signal.
+/// ladder the fleet should be on, given a scalar load signal.
 ///
 /// Level 0 is full quality; higher levels are progressively cheaper
 /// configurations (int8 precision, smaller admission batch, smaller
@@ -16,7 +16,7 @@
 /// must sit above the high watermark for `step_down_after` consecutive
 /// observations before degrading one rung, and below the low watermark for
 /// the (longer) `step_up_after` before recovering one rung, so a load level
-/// between the watermarks holds the current rung and the server cannot flap
+/// between the watermarks holds the current rung and the fleet cannot flap
 /// between qualities on a noisy signal.
 
 #include <cstddef>
@@ -29,7 +29,7 @@ namespace vedliot::serve {
 
 /// One rung's model configuration. The graph provides the cost-model
 /// workload (and, in execute mode, the weights actually run); it must
-/// outlive the server.
+/// outlive the fleet.
 struct ModelVariant {
   std::string name;            ///< "fp32", "int8", "fallback", ...
   const Graph* graph = nullptr;
@@ -55,29 +55,24 @@ struct BrownoutConfig {
   double low_watermark = 0.25;   ///< load <= this counts toward recovering
   int step_down_after = 3;       ///< consecutive hot observations per rung
   int step_up_after = 12;        ///< consecutive calm observations per rung
-  int max_level = 1;             ///< deepest rung (ladder size - 1)
 };
 
 class BrownoutLadder {
  public:
-  explicit BrownoutLadder(BrownoutConfig config);
-
-  /// Ladder that owns its rungs: max_level is forced to steps.size() - 1
-  /// and current() resolves to the active rung. \p steps must be non-empty;
-  /// steps.front() is the healthy configuration.
+  /// \p steps must be non-empty; steps.front() is the healthy
+  /// configuration and the deepest level is steps.size() - 1.
   BrownoutLadder(BrownoutConfig config, std::vector<BrownoutStep> steps);
 
-  /// Feed one load observation (the server samples once per control tick).
+  /// Feed one load observation (the fleet samples once per control tick).
   /// Returns the level delta applied this observation: +1 stepped one rung
   /// down in quality, -1 recovered one rung, 0 held.
   int observe(double load);
 
   int level() const { return level_; }
 
-  /// The active rung; throws Error unless constructed with steps.
+  /// The active rung.
   const BrownoutStep& current() const;
 
-  /// The owned rungs (empty for the config-only constructor).
   const std::vector<BrownoutStep>& steps() const { return steps_; }
 
  private:

@@ -1,41 +1,61 @@
 #pragma once
 /// \file fleet.hpp
-/// \brief Fleet-scale serving: consistent-hash routing, continuous dynamic
-/// batching and queue-depth autoscaling over power-budgeted RECS slots.
+/// \brief The serving engine: consistent-hash routing, continuous dynamic
+/// batching and queue-depth autoscaling over power-budgeted RECS slots,
+/// with per-replica fault, retry and integrity policies.
 ///
-/// Where Server (server.hpp) hardens ONE serving process against faults,
-/// Fleet scales MANY serving replicas against load. One Fleet drives a
-/// seeded, fully deterministic discrete-event run:
+/// One Fleet drives a seeded, fully deterministic discrete-event run:
 ///
 ///  * routing — each client key routes through a consistent-hash ring
 ///    (ring.hpp) to one replica, so a client's requests share a queue and
 ///    an autoscaling step remaps only ~1/N of clients;
 ///  * placement — every replica occupies a real chassis slot through
-///    platform::FleetPlacement; Chassis::install is the sole admission
-///    gate, so replicas can only exist under the per-slot and per-chassis
-///    power budgets, and every executed batch is metered against its slot;
+///    platform::FleetPlacement, so replicas exist only under the per-slot
+///    and per-chassis power budgets, and every batch is metered to its slot;
 ///  * dynamic batching — an idle replica opens a short batch window, then
 ///    coalesces queued requests (EDF order) into the smallest power-of-two
-///    bucket that fits (batcher.hpp); while a batch runs, arrivals queue
-///    up and the next batch launches the instant the replica frees —
-///    continuous batching without a central scheduler;
+///    bucket that fits (batcher.hpp); the next batch launches the instant
+///    the replica frees — continuous batching without a central scheduler;
+///  * deadlines — dispatch cancels every member whose deadline the batch's
+///    own latency would bust, so work is never served late unless a thermal
+///    throttle stretches the batch in flight;
 ///  * brownout — a hysteretic ladder (brownout.hpp) shrinks `max_batch`
-///    live under sustained queue pressure; in execute mode the shrink
-///    travels through Session::set_exec_config on every bucket session, so
-///    it is enforced by the runtime, not by fleet bookkeeping;
-///  * autoscaling — a control tick compares mean queue depth per replica
-///    against watermarks and adds (kScaleUp) or drains (kScaleDown)
-///    replicas between configured bounds;
-///  * idempotency cache — requests carrying an idempotency key may be
-///    answered from an LRU response cache (cache.hpp) without costing a
-///    queue slot or a batch lane (retry storms collapse to one execution).
+///    and may switch to a cheaper model variant under sustained pressure;
+///    in execute mode the shrink travels through Session::set_exec_config,
+///    so the runtime enforces it, not fleet bookkeeping;
+///  * autoscaling — a control tick adds (kScaleUp) or drains (kScaleDown)
+///    replicas on mean queue depth per replica, between configured bounds;
+///  * idempotency cache — a repeated idempotency key may be answered from
+///    an LRU response cache (cache.hpp) without a queue slot or batch lane.
 ///
-/// Every decision is a structured ServeEvent recorded through an EventLog
-/// (event_log.hpp) under category "vedliot.fleet": mirrored 1:1 into the
-/// optional obs::Tracer as instant spans and counted under `vedliot.fleet.*`.
-/// The fleet soak (fleet_soak.hpp, driven by bench/soak.cpp) checks that
-/// mirror, plus accounting conservation (every offered request gets exactly
-/// one terminal Response) and per-slot power honesty.
+/// What the caller attaches switches the fault policies on; with nothing
+/// attached the engine logs no fault event and draws no random number.
+///
+///  * FleetConfig::sim (a platform::PlatformSimulator) is the chassis the
+///    replicas run in: a replica's slot is the one its crashes, throttles,
+///    partitions and transient transfer errors hit. Each replica's breaker
+///    (breaker.hpp) is fed by its batches' transfer legs and HealthMonitor
+///    heartbeats; open takes it out of the ring (its clients and queued
+///    tickets remap as for a drain), half-open puts it back for probes, and
+///    an empty ring sheds. A failed batch retries each member under its
+///    client's retry-token budget with jittered backoff, or ends it kFailed.
+///    The replica set is fixed, so an idle replica takes a batch off the
+///    deepest peer queue, and busy replicas hold a degraded brownout rung.
+///  * FleetConfig::store (a safety::ModelStore) turns on integrity mode:
+///    each replica serves its own deployed copy, so an SEU (kMemoryFault)
+///    on a slot corrupts only that replica's weights. A per-replica
+///    WeightScrubber re-hashes a few tensors per control tick; a hit (or a
+///    checked-faulty robustness verdict) quarantines the replica (breaker
+///    forced open), repairs the tensors from the golden package (restores
+///    when repair fails) and rebuilds its batcher. OTA pushes (submit_ota)
+///    stage, verify and swap through the store; corruption inside the
+///    post-commit probation window rolls the update back fleet-wide.
+///
+/// Every decision is a ServeEvent recorded through an EventLog under
+/// category "vedliot.fleet": mirrored 1:1 into the optional obs::Tracer
+/// and counted under `vedliot.fleet.*`. The soaks (fleet_soak.hpp,
+/// soak.hpp, integrity_soak.hpp) check that mirror and accounting
+/// conservation (one terminal Response per offered request).
 
 #include <cstdint>
 #include <map>
@@ -47,8 +67,14 @@
 #include "graph/graph.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "platform/faults.hpp"
+#include "platform/health.hpp"
 #include "platform/placement.hpp"
+#include "safety/model_store.hpp"
+#include "safety/robustness.hpp"
+#include "safety/scrub.hpp"
 #include "serve/batcher.hpp"
+#include "serve/breaker.hpp"
 #include "serve/brownout.hpp"
 #include "serve/cache.hpp"
 #include "serve/event_log.hpp"
@@ -60,11 +86,15 @@
 namespace vedliot::serve {
 
 struct FleetConfig {
-  /// Deployment model: single-input single-output, materialized weights
-  /// (deployment-ready when `quantized`). Must outlive the fleet.
+  /// The healthy model: single-input single-output, materialized weights
+  /// when executed or protected. Must outlive the fleet.
   const Graph* graph = nullptr;
-  DType dtype = DType::kFP32;  ///< cost-model precision
-  bool quantized = false;      ///< execute via make_quantized_session
+
+  /// The models brownout rungs name (a rung's `variant` indexes this list).
+  /// variants[0] is the healthy model and must name `graph`; empty = one
+  /// variant, `graph` costed at fp32. Execute and integrity mode serve one
+  /// variant. Graphs must outlive the fleet.
+  std::vector<ModelVariant> variants;
 
   /// Run real tensors through bucket sessions on dispatch (CRC-stamped
   /// responses). Off = analytic timing only (the big sweeps).
@@ -72,11 +102,11 @@ struct FleetConfig {
 
   std::int64_t max_batch = 8;  ///< widest batch bucket (healthy cap)
 
-  /// Brownout rungs over `max_batch` (variant index is ignored — the fleet
-  /// serves one model; the knob is exec.max_batch). Empty = a default
-  /// halving ladder max_batch, max_batch/2, ..., 1.
+  /// Brownout rungs: which variant serves and the batch cap
+  /// (exec.max_batch). Empty = a default halving ladder max_batch,
+  /// max_batch/2, ..., 1 over variant 0.
   std::vector<BrownoutStep> ladder;
-  BrownoutConfig brownout;  ///< max_level forced to ladder size - 1
+  BrownoutConfig brownout;
 
   std::size_t initial_replicas = 2;
   std::size_t min_replicas = 1;
@@ -89,38 +119,68 @@ struct FleetConfig {
 
   std::size_t queue_capacity = 64;  ///< per replica (hard bound)
   double batch_window_s = 2e-3;     ///< idle-replica coalescing window
-  double control_period_s = 10e-3;  ///< autoscale + brownout tick
+  double control_period_s = 10e-3;  ///< autoscale, brownout, health and scrub tick
 
   std::size_t cache_capacity = 128;  ///< idempotency cache entries
   std::size_t ring_vnodes = 64;
 
-  /// Chassis model replicas are placed into (first fit, opened on demand)
-  /// and the module kinds cycled across placements.
-  platform::BaseboardSpec board = platform::recs_box();
+  /// Module kinds cycled across placements, first fit into RECS|Box chassis
+  /// opened on demand (the simulator's chassis when `sim` is set).
   std::vector<std::string> modules = {"COMe-XavierAGX", "COMe-D1577"};
 
-  std::uint64_t seed = 0x5EEDu;  ///< execute-mode input synthesis
+  std::uint64_t seed = 0x5EEDu;  ///< execute-mode inputs + retry backoff jitter
 
   obs::Tracer* trace = nullptr;             ///< 1:1 mirror when set
   obs::MetricsRegistry* metrics = nullptr;  ///< vedliot.fleet.* when set
+
+  /// Fault source: the simulated chassis the replicas run in (see file
+  /// comment). Its chassis must hold, in each replica's placement slot, the
+  /// module placed there, and the replica set is fixed (min == initial ==
+  /// max). Must outlive the fleet.
+  platform::PlatformSimulator* sim = nullptr;
+  BreakerConfig breaker;                  ///< per-replica breaker (with `sim`)
+  double retry_tokens_per_request = 0.2;  ///< earned per offered request (with `sim`)
+
+  /// Per-client worst-case sandbox surcharge in seconds, from each tenant
+  /// module's static fuel bound (security::tenant_cost_s over a verifier
+  /// ModuleAdmission). It counts in dispatch feasibility and in the batch's
+  /// finish time; +infinity (wasm.cost.unbounded) sheds the tenant's
+  /// requests at admission. Clients not in the map pay nothing.
+  std::map<std::string, double> tenant_cost_s;
+
+  /// Output plausibility check (Sec. IV-B): in execute mode every delivered
+  /// response is submitted; a checked-faulty verdict marks it
+  /// kQualityDegraded but still delivers it. Must outlive the fleet.
+  safety::RobustnessService* robustness = nullptr;
+
+  /// Integrity mode (needs `sim`; see file comment). The golden package is
+  /// installed under variants[0]'s name on first use. Must outlive the
+  /// fleet.
+  safety::ModelStore* store = nullptr;
+  safety::WeightScrubber::Config scrub;  ///< per-replica re-hash budget per tick
+  /// After an OTA commit, a scrub hit within this many full sweeps is
+  /// attributed to the push itself: roll back instead of repairing.
+  std::size_t ota_probation_sweeps = 1;
 };
 
 struct FleetReport {
   std::vector<ServeEvent> events;
 
   /// Terminal outcome for every offered request, in request-id order.
-  /// Conservation: size() == offered and the status counts below sum to
-  /// offered (fleet_soak asserts both).
+  /// Conservation: size() == offered and completed + deadline_missed +
+  /// shed + cancelled + failed == offered (the soaks assert both).
   std::vector<Response> responses;
 
   std::size_t offered = 0;
   std::size_t admitted = 0;
-  std::size_t shed = 0;
+  std::size_t shed = 0;             ///< refused or displaced (terminal kShed)
   std::size_t displaced = 0;
   std::size_t cache_hits = 0;
   std::size_t completed = 0;        ///< within deadline
-  std::size_t deadline_missed = 0;  ///< delivered late (structurally avoided)
+  std::size_t deadline_missed = 0;  ///< delivered late (thermal stretch only)
   std::size_t cancelled = 0;
+  std::size_t failed = 0;           ///< gave up after failed batches
+  std::size_t retries = 0;          ///< re-queued members of failed batches
 
   std::size_t batches = 0;       ///< kBatchExecuted count
   std::size_t lanes = 0;         ///< real lanes executed
@@ -138,6 +198,21 @@ struct FleetReport {
   double energy_j = 0;  ///< summed metered energy
 
   std::vector<platform::FleetPlacement::SlotPower> power;  ///< per replica
+
+  std::size_t quality_degraded = 0;  ///< checked-faulty deliveries
+
+  // Integrity mode (0 unless FleetConfig::store is set).
+  std::size_t memory_faults = 0;     ///< SEU events applied to deployed copies
+  std::size_t scrub_hits = 0;        ///< corrupted tensors localized
+  std::size_t quarantines = 0;       ///< replicas force-opened for reload
+  std::size_t model_reloads = 0;     ///< golden repairs / full restores
+  std::size_t ota_staged = 0;
+  std::size_t ota_committed = 0;
+  std::size_t ota_rejected = 0;
+  std::size_t ota_rolled_back = 0;
+  std::size_t integrity_checks = 0;  ///< robustness checks over deliveries
+  std::size_t integrity_faults = 0;  ///< checked-faulty verdicts
+  std::size_t dirty_at_end = 0;      ///< corrupt tensors left after the run
 
   /// In-deadline completions (cache hits included) over offered load.
   double goodput() const;
@@ -161,11 +236,18 @@ class Fleet {
   ~Fleet();
 
   /// Register one offered request (before run()). Returns the request id.
-  /// The request must be wire version kServeApiVersion.
+  /// Throws Error unless the request is wire version kServeApiVersion with
+  /// a client key, a deadline after its arrival, batch >= 1 and an id not
+  /// submitted before.
   std::uint64_t submit(Request r);
 
+  /// Schedule an over-the-air update of the served model at simulated time
+  /// \p t (integrity mode; before run()). The update must keep the model's
+  /// architecture — only weights change.
+  void submit_ota(double t, safety::OtaPackage update);
+
   /// Drive the event loop: arrivals within \p duration_s of simulated
-  /// time, then drain — every admitted request reaches a terminal state
+  /// time, then drain — every offered request reaches a terminal state
   /// before run() returns (conservation holds unconditionally).
   FleetReport run(double duration_s);
 
@@ -173,7 +255,7 @@ class Fleet {
   /// not above the rung cap). Exposed for tests.
   std::int64_t effective_max_batch() const;
 
-  /// Active replica names in ring order (for tests).
+  /// Replicas in the routing ring, in ring order (for tests).
   std::vector<std::string> replicas() const { return ring_.members(); }
 
   /// The batcher serving \p replica (execute mode; throws NotFound
@@ -184,58 +266,115 @@ class Fleet {
  private:
   struct Replica {
     std::string name;
+    std::string slot;        ///< chassis slot its placement holds
+    std::string served_by;   ///< "replica3/box0/come1"
+    std::string tag;         ///< " on <slot>" in dispatch events with a simulator
+    std::size_t kind = 0;    ///< module kind: index into perf_
     std::unique_ptr<AdmissionQueue> queue;
     std::unique_ptr<DynamicBatcher> batcher;  ///< execute mode only
     double busy_until_s = 0;
-    std::optional<double> window_close_s;  ///< open batch window
+    std::optional<double> window_close_s;  ///< open batch window (or wakeup)
     bool retired = false;
+    CircuitBreaker breaker;  ///< fed only with a simulator attached
+    std::unique_ptr<Graph> deployed;  ///< integrity mode: its own served copy
+    std::unique_ptr<safety::WeightScrubber> scrubber;
+    std::size_t probation = 0;  ///< post-OTA probation ticks left
   };
 
   struct PendingBatch {
     double finish_s = 0;
     std::size_t replica = 0;
+    double gops_scale = 1.0;          ///< slot capacity finish_s assumes
     std::vector<Response> responses;  ///< terminal kOk/kLate, in EDF order
+    std::vector<Tensor> inputs, outputs;  ///< kept for the robustness check
   };
 
-  Replica& replica_of(const std::string& name);
-  std::size_t add_replica(double t);
+  struct PendingOta {
+    double time_s = 0;
+    safety::OtaPackage update;
+    bool corrupted = false;  ///< a kOtaCorrupt marker fell on this payload
+  };
+
+  /// Analytic cost of one bucket on one module kind for one variant.
+  struct Cost {
+    double latency_s = 0;
+    double power_w = 0;
+  };
+
+  std::size_t index_of(const std::string& name) const;
+  std::size_t add_replica();
   void drain_replica(double t, std::size_t idx);
+  void rebuild_batcher(Replica& rep);
   void admit(double t, const Request& r);
+  bool make_room(double t, Replica& rep, int priority, const std::string& subject);
+  void end_request(double t, std::uint64_t id, ResponseStatus status);
   void finish_response(double t, Response r);
   void try_dispatch(double t, std::size_t idx);
   void launch(double t, std::size_t idx, std::vector<Ticket> group);
+  void schedule(PendingBatch batch);
+  void finish_batch(double t, PendingBatch batch);
   void control_tick(double t);
   void apply_brownout(double t, int delta);
   const runtime::ExecConfig& rung_exec() const;
-  double latency_s(const Replica& rep, std::int64_t width) const;
-  double power_w(const Replica& rep, std::int64_t width) const;
-  std::int64_t bucket_width(std::int64_t lanes) const;
+  double surcharge_s(const Request& r) const;
+  std::string variant_tag() const;
+
+  // Fault policies (reached only with cfg_.sim set).
+  std::optional<std::size_t> replica_at(const std::string& slot) const;
+  /// One transfer attempt: empty on success, else why it failed.
+  std::string transfer(const std::string& from, const std::string& to);
+  void fail_batch(double t, std::size_t idx, ServeEventKind kind, const std::string& detail,
+                  const std::vector<std::uint64_t>& members);
+  void retry_or_fail(double t, std::uint64_t id, std::size_t idx, const std::string& reason);
+  void wake(double t, std::size_t idx, double at);
+  void on_transition(double t, std::size_t idx, const BreakerTransition& tr);
+  void fault_tick(double t);
+  void apply_fault(double t, const platform::FaultEvent& e);
+  void stretch(double t, const std::string& slot);
+  void steal(double t, Replica& thief);
+
+  // Integrity mode (reached only with cfg_.store set).
+  void check_delivery(double t, std::size_t idx, const Response& resp, const Tensor& input,
+                      const Tensor& output);
+  void log_hits(double t, const Replica& rep, const std::vector<safety::WeightScrubber::Hit>& hits,
+                const char* how);
+  void recover(double t, std::size_t idx, const std::vector<safety::WeightScrubber::Hit>& hits,
+               bool in_probation);
+  void redeploy();
+  void process_ota(double t, PendingOta ota);
 
   FleetConfig cfg_;
   platform::FleetPlacement placement_;
   HashRing ring_;
   ResponseCache cache_;
   BrownoutLadder ladder_;
-  Rng rng_;
+  Rng rng_;        ///< retry backoff jitter
+  Rng fault_rng_;  ///< SEU bit picks + OTA payload damage
 
   std::vector<Replica> fleet_;  ///< retired replicas stay (names unique)
   std::size_t active_ = 0;
   std::size_t next_replica_ = 0;
 
-  std::vector<std::int64_t> widths_;  ///< bucket widths 1, 2, 4, ..., W
-  /// Analytic (latency_s, power_w) per module kind per bucket width,
-  /// precomputed from hw::estimate over rebatched clones.
-  std::map<std::string, std::map<std::int64_t, std::pair<double, double>>> perf_;
-  /// Routing weight per module kind: analytic full-batch throughput,
-  /// normalized so the fastest module is 1.0. Slower modules own
-  /// proportionally shorter ring arcs.
-  std::map<std::string, double> module_weight_;
+  std::vector<std::int64_t> widths_;   ///< bucket widths 1, 2, 4, ..., W
+  std::vector<std::string> kinds_;     ///< distinct module kinds of cfg_.modules
+  std::vector<double> kind_weight_;    ///< ring weight per kind
+  /// Analytic cost per variant, per module kind, per bucket, precomputed
+  /// from hw::estimate over rebatched clones.
+  std::vector<std::vector<std::vector<Cost>>> perf_;
 
   std::vector<Request> arrivals_;              ///< sorted by arrival at run()
   std::map<std::uint64_t, Request> requests_;  ///< by id
   std::vector<PendingBatch> in_flight_;        ///< sorted by finish time
   std::map<std::uint64_t, Response> responses_;  ///< terminal, by id
   std::uint64_t next_id_ = 1;
+  double busy_mark_s_ = 0;  ///< report_.busy_s at the last control tick
+
+  // Fault-policy state (empty without a simulator).
+  std::optional<platform::HealthMonitor> health_;
+  std::map<std::string, double> retry_tokens_;  ///< by client
+  std::map<std::uint64_t, int> attempts_;       ///< failed attempts by request id
+  std::vector<PendingOta> otas_;                ///< sorted by time
+  std::size_t next_ota_ = 0;
 
   EventLog log_;  ///< moved into report_.events when run() returns
   FleetReport report_;

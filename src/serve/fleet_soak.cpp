@@ -22,32 +22,6 @@ namespace {
 constexpr std::uint64_t kLoadStream = 0xA11CEull;
 constexpr std::uint64_t kWeightStream = 0x3E16Dull;
 
-void check_conservation(const FleetReport& report, const std::vector<std::uint64_t>& ids,
-                        std::vector<std::string>& violations) {
-  if (report.responses.size() != report.offered) {
-    violations.push_back("conservation: " + std::to_string(report.responses.size()) +
-                         " responses for " + std::to_string(report.offered) + " offered");
-    return;
-  }
-  const std::size_t accounted =
-      report.completed + report.deadline_missed + report.shed + report.cancelled;
-  if (accounted != report.offered) {
-    violations.push_back("conservation: status counts sum to " + std::to_string(accounted) +
-                         " != offered " + std::to_string(report.offered));
-  }
-  std::map<std::uint64_t, std::size_t> seen;
-  for (const Response& r : report.responses) ++seen[r.request_id];
-  for (const std::uint64_t id : ids) {
-    const auto it = seen.find(id);
-    if (it == seen.end() || it->second != 1) {
-      violations.push_back("conservation: request " + std::to_string(id) + " has " +
-                           std::to_string(it == seen.end() ? 0 : it->second) +
-                           " terminal responses");
-      return;  // one example is enough; the log would otherwise explode
-    }
-  }
-}
-
 void check_deadlines(const FleetReport& report,
                      const std::map<std::uint64_t, double>& deadline_of,
                      std::vector<std::string>& violations) {

@@ -9,8 +9,9 @@
 /// drives a Fleet through it, and checks:
 ///
 ///   1. accounting conservation — every offered request gets exactly one
-///      terminal Response, and completed + late + shed + cancelled equals
-///      offered (nothing is dropped or double-counted);
+///      terminal Response, and completed + late + shed + cancelled + failed
+///      equals offered (nothing is dropped or double-counted; the check is
+///      shared with the chaos soak, soak.hpp);
 ///   2. capacity-honest deadlines — a delivered response is never late:
 ///      the fleet cancels at dispatch instead of serving past-deadline
 ///      work, so deadline_missed must be zero and every kOk response lands

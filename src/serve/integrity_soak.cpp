@@ -32,7 +32,7 @@ bool is_recovery(ServeEventKind k) {
 /// Invariants 1 + 3 (event side): every memory fault is followed by a scrub
 /// hit within the detection bound, and every scrub hit is healed by a
 /// recovery event at the same timestamp (recovery is synchronous).
-void check_detection_invariant(const ServeReport& report, double bound_s,
+void check_detection_invariant(const FleetReport& report, double bound_s,
                                IntegritySoakResult& out) {
   for (std::size_t i = 0; i < report.events.size(); ++i) {
     const ServeEvent& e = report.events[i];
@@ -148,25 +148,30 @@ IntegritySoakResult run_integrity_soak(const IntegritySoakConfig& cfg) {
   rc.tolerance = 1e-4;
   safety::RobustnessService robustness(model, rc);
 
-  ServerConfig server_cfg;
-  server_cfg.backends = slots;
-  server_cfg.variants = {ModelVariant{"integrity-fp32", &model, DType::kFP32, false}};
-  server_cfg.ladder = {BrownoutStep{0, 2}};
-  server_cfg.seed = cfg.seed;
-  server_cfg.execute = true;
-  server_cfg.robustness = &robustness;
-  server_cfg.store = &store;
-  server_cfg.scrub.tensors_per_tick = cfg.scrub_per_tick;
+  FleetConfig fleet_cfg;
+  fleet_cfg.graph = &model;
+  fleet_cfg.variants = {ModelVariant{"integrity-fp32", &model, DType::kFP32, false}};
+  fleet_cfg.max_batch = 2;
+  fleet_cfg.ladder = {BrownoutStep{0, 2}};
+  fleet_cfg.modules = {"COMe-XavierAGX"};
+  const auto replicas = static_cast<std::size_t>(cfg.n_backends);
+  fleet_cfg.min_replicas = fleet_cfg.initial_replicas = fleet_cfg.max_replicas = replicas;
+  fleet_cfg.seed = cfg.seed;
+  fleet_cfg.execute = true;
+  fleet_cfg.sim = &sim;
+  fleet_cfg.robustness = &robustness;
+  fleet_cfg.store = &store;
+  fleet_cfg.scrub.tensors_per_tick = cfg.scrub_per_tick;
   // Probation must outlast a full detection sweep, or a bad push flipping
   // bits right after commit could be misread as an SEU once the counter
   // runs out before the sweep reaches the corrupt tensor.
-  server_cfg.ota_probation_sweeps = 2;
+  fleet_cfg.ota_probation_sweeps = 2;
 
   SoakProbe probe;
-  server_cfg.trace = &probe.trace;
-  server_cfg.metrics = &probe.metrics;
+  fleet_cfg.trace = &probe.trace;
+  fleet_cfg.metrics = &probe.metrics;
 
-  Server server(sim, server_cfg);
+  Fleet fleet(fleet_cfg);
 
   // Detection bound from the scrub geometry: one full sweep plus two ticks
   // of slack (the fault can land just after a tick, and recovery logs on
@@ -174,7 +179,7 @@ IntegritySoakResult run_integrity_soak(const IntegritySoakConfig& cfg) {
   const std::size_t entries = digest_weights(model).size();
   const std::size_t sweep_ticks = (entries + cfg.scrub_per_tick - 1) / cfg.scrub_per_tick;
   const double bound_s =
-      static_cast<double>(sweep_ticks + 2) * server_cfg.control_period_s;
+      static_cast<double>(sweep_ticks + 2) * fleet_cfg.control_period_s;
 
   // SEU campaign: single-bit flips in the first 30% of the run, clear of
   // the OTA scenario so random flips repair and scripted ones roll back.
@@ -197,7 +202,7 @@ IntegritySoakResult run_integrity_soak(const IntegritySoakConfig& cfg) {
   if (cfg.ota_scenario) {
     // Good push: same architecture, slightly re-tuned weights -> commits.
     const Graph v2 = retuned(model, 1.02f);
-    server.submit_ota(0.45 * cfg.duration_s, 0, safety::make_ota_package(v2));
+    fleet.submit_ota(0.45 * cfg.duration_s, safety::make_ota_package(v2));
 
     // Corrupt push: the same payload, damaged in transit by a scheduled
     // kOtaCorrupt marker -> must be rejected at staging.
@@ -205,16 +210,16 @@ IntegritySoakResult run_integrity_soak(const IntegritySoakConfig& cfg) {
     corrupt.kind = platform::FaultKind::kOtaCorrupt;
     corrupt.time_s = 0.55 * cfg.duration_s;
     timeline.push(corrupt);
-    server.submit_ota(0.60 * cfg.duration_s, 0, safety::make_ota_package(v2));
+    fleet.submit_ota(0.60 * cfg.duration_s, safety::make_ota_package(v2));
     ++corrupted_otas;
 
     // Bad push: commits cleanly, then an SEU lands inside the probation
     // window -> the whole update must roll back.
     const Graph v3 = retuned(model, 0.97f);
-    server.submit_ota(0.70 * cfg.duration_s, 0, safety::make_ota_package(v3));
+    fleet.submit_ota(0.70 * cfg.duration_s, safety::make_ota_package(v3));
     platform::FaultEvent probation_seu;
     probation_seu.kind = platform::FaultKind::kMemoryFault;
-    probation_seu.time_s = 0.70 * cfg.duration_s + 1.5 * server_cfg.control_period_s;
+    probation_seu.time_s = 0.70 * cfg.duration_s + 1.5 * fleet_cfg.control_period_s;
     probation_seu.slot = slots.front();
     probation_seu.magnitude = 1.0;
     timeline.push(probation_seu);
@@ -224,6 +229,7 @@ IntegritySoakResult run_integrity_soak(const IntegritySoakConfig& cfg) {
 
   // Open-loop seeded load, identical across flip rates.
   Rng load_rng(cfg.seed ^ kLoadStream);
+  std::vector<std::uint64_t> ids;
   double t = 0;
   std::uint64_t i = 0;
   while (true) {
@@ -233,14 +239,14 @@ IntegritySoakResult run_integrity_soak(const IntegritySoakConfig& cfg) {
     r.client = "client" + std::to_string(i % 4);
     r.arrival_s = t;
     r.deadline_s = t + load_rng.jittered(cfg.deadline_s, 0.3);
-    server.submit(r);
+    ids.push_back(fleet.submit(r));
     ++i;
   }
 
   IntegritySoakResult result;
   result.config = cfg;
   result.detection_bound_s = bound_s;
-  result.report = server.run(cfg.duration_s);
+  result.report = fleet.run(cfg.duration_s);
   result.sim_describe = sim.describe();
 
   // Invariants 1 + 3 (events).
@@ -264,7 +270,7 @@ IntegritySoakResult run_integrity_soak(const IntegritySoakConfig& cfg) {
                                 " != delivered responses " + std::to_string(delivered));
   }
 
-  // Invariant 3 (end state): the healed server leaves no corrupt tensor.
+  // Invariant 3 (end state): the healed fleet leaves no corrupt tensor.
   if (result.report.dirty_at_end != 0) {
     result.violations.push_back("run ended with " + std::to_string(result.report.dirty_at_end) +
                                 " corrupt tensor(s) unhealed");
@@ -288,7 +294,8 @@ IntegritySoakResult run_integrity_soak(const IntegritySoakConfig& cfg) {
     }
   }
 
-  probe.close(result.report.events, "vedliot.serve", result.sim_describe, result.violations);
+  check_conservation(result.report, ids, result.violations);
+  probe.close(result.report.events, "vedliot.fleet", result.sim_describe, result.violations);
   return result;
 }
 

@@ -3,12 +3,13 @@
 /// \brief Deterministic memory-fault soak for the silent-data-corruption
 /// defense (scrubbing + self-healing reload + OTA rollback).
 ///
-/// One run_integrity_soak() call serves a tiny CNN in execute mode with a
-/// per-delivery robustness check (check_period = 1), a per-tick weight
-/// scrubber and a golden ModelStore, then attacks it three ways:
+/// One run_integrity_soak() call serves a tiny CNN from a Fleet in
+/// integrity mode — execute mode with a per-delivery robustness check
+/// (check_period = 1), one deployed copy and weight scrubber per replica
+/// and a golden ModelStore — then attacks it three ways:
 ///
 ///   * a seeded campaign of kMemoryFault events flips single weight bits
-///     in the deployed model at `flip_rate_hz`;
+///     in the copy deployed on a random replica's slot at `flip_rate_hz`;
 ///   * one OTA payload is corrupted in transit (kOtaCorrupt marker) and
 ///     must be rejected at staging with the old version still serving;
 ///   * one OTA commits cleanly, then an SEU lands inside its probation
@@ -27,8 +28,9 @@
 ///   4. bad OTA never sticks — every corrupted payload is rejected
 ///      pre-swap, and the scripted bad push always ends in kOtaRolledBack.
 ///
-/// Plus the event mirror every soak checks (EventLog::check_mirror, run by
-/// the shared SoakProbe in soak.hpp). Everything derives from the seed; two
+/// Plus what every fleet soak checks: the event mirror
+/// (EventLog::check_mirror, run by the shared SoakProbe in soak.hpp) and
+/// accounting conservation (check_conservation). Everything derives from the seed; two
 /// runs of the same config are bitwise identical (to_json string compare,
 /// repeated by bench/soak.cpp).
 
@@ -36,7 +38,7 @@
 #include <string>
 #include <vector>
 
-#include "serve/server.hpp"
+#include "serve/fleet.hpp"
 
 namespace vedliot::serve {
 
@@ -45,7 +47,7 @@ struct IntegritySoakConfig {
   double duration_s = 1.0;
   double flip_rate_hz = 0.0;      ///< random SEU events per second (0 = none)
   double arrival_hz = 400.0;      ///< offered load (execute mode, real tensors)
-  int n_backends = 2;             ///< modules installed in the RECS|Box
+  int n_backends = 2;             ///< modules installed in the RECS|Box (one replica each)
   double deadline_s = 60e-3;      ///< generous; this soak is not a load test
   std::size_t scrub_per_tick = 4; ///< WeightScrubber budget per control tick
   bool ota_scenario = true;       ///< schedule good push / corrupt push / bad push
@@ -53,8 +55,8 @@ struct IntegritySoakConfig {
 
 struct IntegritySoakResult {
   IntegritySoakConfig config;
-  ServeReport report;
-  std::vector<std::string> violations;  ///< empty = all four invariants hold
+  FleetReport report;
+  std::vector<std::string> violations;  ///< empty = all invariants hold
   std::string sim_describe;             ///< seed/fault identity of the run
 
   double detection_bound_s = 0;   ///< guaranteed worst-case scrub latency

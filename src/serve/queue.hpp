@@ -36,7 +36,6 @@ class AdmissionQueue {
   explicit AdmissionQueue(QueueConfig config);
 
   std::size_t depth() const { return tickets_.size(); }
-  std::size_t capacity() const { return cfg_.capacity; }
   bool full() const { return tickets_.size() >= cfg_.capacity; }
   bool empty() const { return tickets_.empty(); }
 
@@ -49,7 +48,7 @@ class AdmissionQueue {
   std::optional<Ticket> pop(double now);
 
   /// Remove and return every ticket whose deadline has passed (they can no
-  /// longer be served in time and only inflate the wait estimate).
+  /// longer be served in time and would only hold queue slots).
   std::vector<Ticket> expire(double now);
 
   /// Remove and return the worst ticket of any class strictly below
@@ -57,7 +56,7 @@ class AdmissionQueue {
   /// enqueue, then largest id. Empty when no lower-priority ticket exists.
   std::optional<Ticket> displace(int priority);
 
-  /// All queued tickets in insertion order (for wait estimation).
+  /// All queued tickets in insertion order (for lane counts and gates).
   const std::vector<Ticket>& tickets() const { return tickets_; }
 
  private:

@@ -13,15 +13,4 @@ std::string_view priority_class_name(PriorityClass p) {
   throw InvalidArgument("unknown priority class");
 }
 
-std::string_view response_status_name(ResponseStatus s) {
-  switch (s) {
-    case ResponseStatus::kOk: return "ok";
-    case ResponseStatus::kLate: return "late";
-    case ResponseStatus::kShed: return "shed";
-    case ResponseStatus::kCancelled: return "cancelled";
-    case ResponseStatus::kFailed: return "failed";
-  }
-  throw InvalidArgument("unknown response status");
-}
-
 }  // namespace vedliot::serve

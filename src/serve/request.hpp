@@ -64,12 +64,10 @@ struct Request {
 enum class ResponseStatus {
   kOk,            ///< delivered within deadline
   kLate,          ///< delivered past deadline
-  kShed,          ///< refused at admission
+  kShed,          ///< refused at admission or displaced from a queue
   kCancelled,     ///< deadline expired in queue / infeasible at dispatch
   kFailed,        ///< gave up after retries
 };
-
-std::string_view response_status_name(ResponseStatus s);
 
 /// A serving response (wire version kServeApiVersion). One per offered
 /// request; the fleet returns the full set after a run.

@@ -27,7 +27,7 @@ constexpr std::uint64_t kSimStream = 0x51ull;
 /// request itself, or a scheduled platform fault whose time lands in the
 /// (slack-padded) admission..miss window. At fault rate zero, any miss is
 /// a violation outright.
-void check_deadline_invariant(const SoakConfig& cfg, const ServeReport& report,
+void check_deadline_invariant(const SoakConfig& cfg, const FleetReport& report,
                               const platform::FaultTimeline& timeline,
                               std::vector<std::string>& violations) {
   constexpr double kSlack = 0.25;  // scheduled vs applied fault-time skew
@@ -72,11 +72,37 @@ void check_deadline_invariant(const SoakConfig& cfg, const ServeReport& report,
 
 void SoakProbe::close(std::span<const ServeEvent> events, std::string_view category,
                       const std::string& identity, std::vector<std::string>& violations) const {
-  for (std::string& v : EventLog::check_mirror(events, category, trace, metrics)) {
+  for (std::string& v : EventLog::check_mirror(events, category, trace, &metrics)) {
     violations.push_back(std::move(v));
   }
   if (identity.empty()) return;
   for (std::string& v : violations) v += " [" + identity + "]";
+}
+
+void check_conservation(const FleetReport& report, const std::vector<std::uint64_t>& ids,
+                        std::vector<std::string>& violations) {
+  if (report.responses.size() != report.offered) {
+    violations.push_back("conservation: " + std::to_string(report.responses.size()) +
+                         " responses for " + std::to_string(report.offered) + " offered");
+    return;
+  }
+  const std::size_t accounted = report.completed + report.deadline_missed + report.shed +
+                                report.cancelled + report.failed;
+  if (accounted != report.offered) {
+    violations.push_back("conservation: status counts sum to " + std::to_string(accounted) +
+                         " != offered " + std::to_string(report.offered));
+  }
+  std::map<std::uint64_t, std::size_t> seen;
+  for (const Response& r : report.responses) ++seen[r.request_id];
+  for (const std::uint64_t id : ids) {
+    const auto it = seen.find(id);
+    if (it == seen.end() || it->second != 1) {
+      violations.push_back("conservation: request " + std::to_string(id) + " has " +
+                           std::to_string(it == seen.end() ? 0 : it->second) +
+                           " terminal responses");
+      return;  // one example is enough; the log would otherwise explode
+    }
+  }
 }
 
 std::string violations_json(const std::vector<std::string>& violations) {
@@ -157,29 +183,36 @@ SoakResult run_soak(const SoakConfig& cfg) {
   sim.schedule(timeline);
 
   // Quality ladder: full-precision ResNet50, then int8, then int8 with a
-  // shrunken admission batch, then a small fallback model.
+  // shrunken batch cap, then a small fallback model. One replica per module,
+  // placed where the chassis holds it (Xavier/D1577 alternate like the
+  // fleet's default module cycle).
   const Graph fp32 = zoo::resnet50(1, 100, 64);
   const Graph fallback = zoo::mobilenet_v3_large(1, 100, 64);
-  ServerConfig server_cfg;
-  server_cfg.backends = slots;
-  server_cfg.variants = {ModelVariant{"resnet50-fp32", &fp32, DType::kFP32, false},
-                         ModelVariant{"resnet50-int8", &fp32, DType::kINT8, false},
-                         ModelVariant{"mobilenetv3-int8", &fallback, DType::kINT8, false}};
-  server_cfg.ladder = {BrownoutStep{0, 4}, BrownoutStep{1, 4}, BrownoutStep{1, 2},
-                       BrownoutStep{2, 1}};
-  server_cfg.queue.capacity = cfg.queue_capacity;
-  server_cfg.seed = cfg.seed;
+  FleetConfig fleet_cfg;
+  fleet_cfg.graph = &fp32;
+  fleet_cfg.variants = {ModelVariant{"resnet50-fp32", &fp32, DType::kFP32, false},
+                        ModelVariant{"resnet50-int8", &fp32, DType::kINT8, false},
+                        ModelVariant{"mobilenetv3-int8", &fallback, DType::kINT8, false}};
+  fleet_cfg.max_batch = 4;
+  fleet_cfg.ladder = {BrownoutStep{0, 4}, BrownoutStep{1, 4}, BrownoutStep{1, 2},
+                      BrownoutStep{2, 1}};
+  fleet_cfg.queue_capacity = cfg.queue_capacity;
+  const auto replicas = static_cast<std::size_t>(cfg.n_backends);
+  fleet_cfg.min_replicas = fleet_cfg.initial_replicas = fleet_cfg.max_replicas = replicas;
+  fleet_cfg.seed = cfg.seed;
+  fleet_cfg.sim = &sim;
 
   SoakProbe probe;
-  server_cfg.trace = &probe.trace;
-  server_cfg.metrics = &probe.metrics;
+  fleet_cfg.trace = &probe.trace;
+  fleet_cfg.metrics = &probe.metrics;
 
-  Server server(sim, server_cfg);
+  Fleet fleet(fleet_cfg);
 
   // Open-loop seeded load: exponential inter-arrivals, a small high
   // priority share, jittered deadlines, an occasional batch-2 request that
   // deep brownout rungs refuse.
   Rng load_rng(cfg.seed ^ kLoadStream);
+  std::vector<std::uint64_t> ids;
   double t = 0;
   std::uint64_t i = 0;
   while (true) {
@@ -193,13 +226,13 @@ SoakResult run_soak(const SoakConfig& cfg) {
     r.deadline_s = t + load_rng.jittered(cfg.deadline_s, 0.5);
     r.batch = load_rng.chance(0.2) ? 2 : 1;
     r.payload = i + 1;
-    server.submit(r);
+    ids.push_back(fleet.submit(r));
     ++i;
   }
 
   SoakResult result;
   result.config = cfg;
-  result.report = server.run(cfg.duration_s);
+  result.report = fleet.run(cfg.duration_s);
   result.sim_describe = sim.describe();
 
   check_deadline_invariant(cfg, result.report, timeline, result.violations);
@@ -207,7 +240,8 @@ SoakResult run_soak(const SoakConfig& cfg) {
     result.violations.push_back("queue depth " + std::to_string(result.report.max_queue_depth) +
                                 " exceeded capacity " + std::to_string(cfg.queue_capacity));
   }
-  probe.close(result.report.events, "vedliot.serve", result.sim_describe, result.violations);
+  check_conservation(result.report, ids, result.violations);
+  probe.close(result.report.events, "vedliot.fleet", result.sim_describe, result.violations);
   return result;
 }
 

@@ -7,8 +7,9 @@
 /// One run_soak() call builds a RECS|Box chassis with a star fabric,
 /// schedules a seeded open-loop load (independent RNG stream) and a seeded
 /// fault campaign scaled by `fault_rate` (another independent stream) onto
-/// a fault-injecting PlatformSimulator, drives a Server through it, and
-/// checks the serving invariants:
+/// a fault-injecting PlatformSimulator, drives a Fleet with one replica per
+/// installed module on that chassis through it, and checks the serving
+/// invariants:
 ///
 ///   1. capacity-honest deadlines — at fault rate zero no accepted request
 ///      may miss its deadline; under faults, every miss's lifetime must
@@ -16,10 +17,12 @@
 ///      platform fault window;
 ///   2. (cross-run, in bench/soak.cpp) goodput is monotone non-increasing
 ///      in fault rate over the same load schedule;
-///   3. bounded queue — the observed max depth never exceeds the
+///   3. bounded queues — no replica queue's max depth exceeds the
 ///      configured capacity;
 ///   4. observable transitions — the event log mirrors 1:1 into the obs
-///      tracer and per-kind counters (EventLog::check_mirror).
+///      tracer and per-kind counters (EventLog::check_mirror);
+///   5. accounting conservation — every offered request gets exactly one
+///      terminal Response (check_conservation, shared with the fleet soak).
 ///
 /// Everything derives from the seed, so two runs of one config serialize to
 /// bitwise-identical to_json(). Violation messages embed
@@ -32,7 +35,7 @@
 #include <string_view>
 #include <vector>
 
-#include "serve/server.hpp"
+#include "serve/fleet.hpp"
 
 namespace vedliot::serve {
 
@@ -47,6 +50,12 @@ struct SoakProbe {
   void close(std::span<const ServeEvent> events, std::string_view category,
              const std::string& identity, std::vector<std::string>& violations) const;
 };
+
+/// Accounting conservation: one terminal Response per offered request
+/// (\p ids, as submit() returned them), and completed + deadline_missed +
+/// shed + cancelled + failed == offered.
+void check_conservation(const FleetReport& report, const std::vector<std::uint64_t>& ids,
+                        std::vector<std::string>& violations);
 
 /// `,"violations":[...]}`: the field that closes every soak record.
 std::string violations_json(const std::vector<std::string>& violations);
@@ -65,14 +74,14 @@ struct SoakConfig {
                                ///< every run pins past the fp32<->int8
                                ///< boundary (where goodput-vs-fault-rate
                                ///< would not be monotone)
-  int n_backends = 3;          ///< modules installed in the RECS|Box
+  int n_backends = 3;          ///< modules installed in the RECS|Box (one replica each)
   double deadline_s = 20e-3;   ///< mean per-request budget (jittered)
-  std::size_t queue_capacity = 32;
+  std::size_t queue_capacity = 32;  ///< per replica
 };
 
 struct SoakResult {
   SoakConfig config;
-  ServeReport report;
+  FleetReport report;
   std::vector<std::string> violations;  ///< empty = per-run invariants hold
   std::string sim_describe;             ///< seed/fault identity of the run
 

@@ -1,8 +1,9 @@
 // Tests for the fleet-scale serving layer: consistent-hash routing, the
 // idempotency cache, traffic generation, the dynamic batcher's
 // brownout-visible ExecConfig plumbing, chassis placement power honesty,
-// and the full admit -> batch -> execute path's bitwise equality with
-// per-request singleton runs.
+// request validation, conservation under failed batches, and the full
+// admit -> batch -> execute path's bitwise equality with per-request
+// singleton runs.
 
 #include <gtest/gtest.h>
 
@@ -15,11 +16,14 @@
 #include "graph/zoo.hpp"
 #include "opt/fusion.hpp"
 #include "opt/quantize.hpp"
+#include "platform/baseboard.hpp"
+#include "platform/faults.hpp"
 #include "platform/placement.hpp"
 #include "runtime/executor.hpp"
 #include "serve/batcher.hpp"
 #include "serve/cache.hpp"
 #include "serve/fleet_soak.hpp"
+#include "serve/soak.hpp"
 #include "serve/ring.hpp"
 #include "serve/traffic.hpp"
 #include "util/hash.hpp"
@@ -337,6 +341,98 @@ TEST(FleetSoak, MoreReplicasNeverServeLess) {
 }
 
 // ---------------------------------------------------------------------------
+// Request validation and conservation under faults
+// ---------------------------------------------------------------------------
+
+const Graph& analytic_resnet() {
+  static const Graph g = zoo::resnet50(1, 100, 64);
+  return g;
+}
+
+Request valid_request() {
+  Request r;
+  r.client = "client0";
+  r.arrival_s = 1e-3;
+  r.deadline_s = 21e-3;
+  return r;
+}
+
+TEST(Fleet, SubmitRejectsMalformedRequests) {
+  FleetConfig cfg;
+  cfg.graph = &analytic_resnet();
+  Fleet fleet(cfg);
+
+  Request wrong_version = valid_request();
+  wrong_version.version = kServeApiVersion + 1;
+  EXPECT_THROW(fleet.submit(wrong_version), Error);
+  Request no_client = valid_request();
+  no_client.client.clear();
+  EXPECT_THROW(fleet.submit(no_client), Error);
+  Request deadline_at_arrival = valid_request();
+  deadline_at_arrival.deadline_s = deadline_at_arrival.arrival_s;
+  EXPECT_THROW(fleet.submit(deadline_at_arrival), Error);
+  Request deadline_before_arrival = valid_request();
+  deadline_before_arrival.deadline_s = 0.5e-3;
+  EXPECT_THROW(fleet.submit(deadline_before_arrival), Error);
+  Request no_lanes = valid_request();
+  no_lanes.batch = 0;
+  EXPECT_THROW(fleet.submit(no_lanes), Error);
+
+  Request explicit_id = valid_request();
+  explicit_id.id = 42;
+  EXPECT_EQ(fleet.submit(explicit_id), 42u);
+  Request duplicate = valid_request();
+  duplicate.id = 42;
+  duplicate.arrival_s = 5e-3;
+  duplicate.deadline_s = 9e-3;
+  EXPECT_THROW(fleet.submit(duplicate), Error);
+  EXPECT_EQ(fleet.submit(valid_request()), 43u);  // auto ids continue past 42
+
+  // Only the two valid requests were offered.
+  const FleetReport r = fleet.run(0.1);
+  EXPECT_EQ(r.offered, 2u);
+  EXPECT_EQ(r.responses.size(), 2u);
+}
+
+TEST(Fleet, PartitionedReplicaWithEmptyRetryBudgetFailsAndConserves) {
+  platform::Chassis chassis(platform::recs_box());
+  chassis.install("come0", platform::find_module("COMe-XavierAGX"));
+  platform::PlatformSimulator sim(
+      chassis, platform::star_fabric({"come0", "come1", "come2", "come3"}, 10.0, {1.0, 10.0}));
+  platform::FaultEvent drop;
+  drop.time_s = 0.5e-3;
+  drop.kind = platform::FaultKind::kLinkDrop;
+  drop.a = "come0";
+  drop.b = "switch0";
+  sim.schedule(drop);
+
+  FleetConfig cfg;
+  cfg.graph = &analytic_resnet();
+  cfg.modules = {"COMe-XavierAGX"};
+  cfg.min_replicas = cfg.initial_replicas = cfg.max_replicas = 1;
+  cfg.sim = &sim;
+  cfg.retry_tokens_per_request = 0.0;  // no retry is ever affordable
+  Fleet fleet(cfg);
+  std::vector<std::uint64_t> ids;
+  for (int i = 0; i < 6; ++i) {
+    Request r = valid_request();
+    r.client = "client" + std::to_string(i);
+    r.arrival_s = 1e-3 * (i + 1);
+    r.deadline_s = r.arrival_s + 40e-3;
+    ids.push_back(fleet.submit(r));
+  }
+  const FleetReport r = fleet.run(0.1);
+
+  EXPECT_EQ(r.failed, 6u);
+  EXPECT_EQ(r.retries, 0u);
+  EXPECT_EQ(r.completed + r.deadline_missed + r.shed + r.cancelled + r.failed, r.offered);
+  for (const Response& resp : r.responses) EXPECT_EQ(resp.status, ResponseStatus::kFailed);
+  std::vector<std::string> violations;
+  check_conservation(r, ids, violations);
+  EXPECT_TRUE(violations.empty()) << (violations.empty() ? "" : violations.front());
+}
+
+// ---------------------------------------------------------------------------
 // Full-path batched-vs-singleton bitwise equality: ResNet-50 / MobileNetV3,
 // float and int8, through admit -> route -> coalesce -> execute.
 // ---------------------------------------------------------------------------
@@ -380,7 +476,7 @@ TEST_P(FleetBatchedEquality, LanesMatchSingletonRunsBitwise) {
 
   FleetConfig cfg;
   cfg.graph = &model;
-  cfg.quantized = param.quantized;
+  cfg.variants = {{"deploy", &model, DType::kFP32, param.quantized}};
   cfg.execute = true;
   cfg.max_batch = 2;  // buckets 1 and 2: enough to prove coalescing
   cfg.initial_replicas = 1;

@@ -550,24 +550,10 @@ TEST(Resilience, TracerMirrorsEventLogWithoutChangingIt) {
   EXPECT_EQ(plain.transfer_retries, traced.transfer_retries);
 
   // Every logged event has exactly one instant span in the resilience
-  // category, in log order, carrying the event fields as attributes.
-  std::vector<const obs::Span*> instants;
-  for (const obs::Span& sp : tracer.spans()) {
-    if (sp.category == "vedliot.platform.resilience" && sp.name != "resilience.run") {
-      instants.push_back(&sp);
-    }
-  }
-  ASSERT_EQ(instants.size(), traced.events.size());
-  for (std::size_t i = 0; i < instants.size(); ++i) {
-    const ResilienceEvent& e = traced.events[i];
-    EXPECT_EQ(instants[i]->name, resilience_event_name(e.kind));
-    ASSERT_FALSE(instants[i]->attrs.empty());
-    EXPECT_EQ(instants[i]->attrs.front().first, "subject");
-    EXPECT_EQ(instants[i]->attrs.front().second, e.subject);
-    ASSERT_GE(instants[i]->num_attrs.size(), 2u);
-    EXPECT_DOUBLE_EQ(instants[i]->num_attrs[0].second, e.time_s);
-    EXPECT_DOUBLE_EQ(instants[i]->num_attrs[1].second, e.value);
-  }
+  // category, in log order (the run span sits under its own category).
+  const auto violations = obs::EventLog<ResilienceEventKind>::check_mirror(
+      traced.events, "vedliot.platform.resilience", tracer);
+  EXPECT_TRUE(violations.empty()) << (violations.empty() ? "" : violations.front());
 
   // The whole run sits under one closed "resilience.run" span, and the
   // replans show up as planner spans.
@@ -607,7 +593,7 @@ TEST(Resilience, EventsAccessorAndJsonRoundTrip) {
   ASSERT_EQ(events.array.size(), r.events.size());
   for (std::size_t i = 0; i < r.events.size(); ++i) {
     EXPECT_EQ(events.array[i].at("kind").as_string(),
-              resilience_event_name(r.events[i].kind));
+              event_name(r.events[i].kind));
     EXPECT_EQ(events.array[i].at("subject").as_string(), r.events[i].subject);
     EXPECT_DOUBLE_EQ(events.array[i].at("time_s").as_number(), r.events[i].time_s);
   }

@@ -1,16 +1,17 @@
 // Tests for the overload-safe serving layer: the circuit breaker, the
 // bounded priority/EDF admission queue and the hysteretic brownout ladder
-// as units, the Server end-to-end over a fault-injecting
+// as units, the fleet's fault policies end-to-end over a fault-injecting
 // PlatformSimulator (shedding, displacement, breaker cycles, thermal
 // deadline misses, retry budgets, obs mirroring, determinism, robustness
-// wiring in execute mode), the EventLog mirror and digest shared by every
-// serving engine, and the chaos-soak invariants.
+// wiring in execute mode, integrity mode), the EventLog mirror and digest
+// shared by every engine, and the chaos and integrity soak invariants.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -30,7 +31,7 @@
 #include "serve/event_log.hpp"
 #include "serve/integrity_soak.hpp"
 #include "serve/queue.hpp"
-#include "serve/server.hpp"
+#include "serve/fleet.hpp"
 #include "serve/soak.hpp"
 #include "util/hash.hpp"
 #include "util/rng.hpp"
@@ -187,7 +188,7 @@ TEST(AdmissionQueue, DisplaceEvictsWorstStrictlyLowerPriority) {
 // ---------------------------------------------------------------------------
 
 TEST(BrownoutLadder, HystereticStepDownAndRecovery) {
-  BrownoutLadder l(BrownoutConfig{0.75, 0.25, 3, 4, 2});
+  BrownoutLadder l(BrownoutConfig{0.75, 0.25, 3, 4}, {{0, 8}, {0, 4}, {0, 2}});
   // Two hot observations are not enough; the mid-band resets the streak.
   EXPECT_EQ(l.observe(0.9), 0);
   EXPECT_EQ(l.observe(0.9), 0);
@@ -207,9 +208,9 @@ TEST(BrownoutLadder, HystereticStepDownAndRecovery) {
 }
 
 TEST(BrownoutLadder, ClampsAtBothEnds) {
-  BrownoutLadder l(BrownoutConfig{0.75, 0.25, 1, 1, 1});
+  BrownoutLadder l(BrownoutConfig{0.75, 0.25, 1, 1}, {{0, 8}, {0, 4}});
   EXPECT_EQ(l.observe(0.9), 1);
-  EXPECT_EQ(l.observe(0.9), 0);  // already at max_level
+  EXPECT_EQ(l.observe(0.9), 0);  // already at the deepest rung
   EXPECT_EQ(l.level(), 1);
   EXPECT_EQ(l.observe(0.1), -1);
   EXPECT_EQ(l.observe(0.1), 0);  // already at full quality
@@ -217,25 +218,21 @@ TEST(BrownoutLadder, ClampsAtBothEnds) {
 }
 
 // ---------------------------------------------------------------------------
-// Server end-to-end (analytic timing over a PlatformSimulator)
+// Fleet fault policies end-to-end (analytic timing on a PlatformSimulator)
 // ---------------------------------------------------------------------------
 
 struct Rig {
   platform::Chassis chassis;
   platform::Fabric fabric;
-  std::vector<std::string> slots;
 };
 
 Rig make_rig(int count) {
   Rig r{platform::Chassis(platform::recs_box()),
-        platform::star_fabric({"come0", "come1", "come2", "come3"}, 10.0, {1.0, 10.0}),
-        {}};
+        platform::star_fabric({"come0", "come1", "come2", "come3"}, 10.0, {1.0, 10.0})};
   for (int i = 0; i < count; ++i) {
-    const std::string slot = "come" + std::to_string(i);
     // All Xavier AGX: resnet50(1,100,64) fp32 serves in ~1 ms per module,
     // so the timing arithmetic below stays easy to reason about.
-    r.chassis.install(slot, platform::find_module("COMe-XavierAGX"));
-    r.slots.push_back(slot);
+    r.chassis.install("come" + std::to_string(i), platform::find_module("COMe-XavierAGX"));
   }
   return r;
 }
@@ -245,11 +242,15 @@ const Graph& resnet_graph() {
   return g;
 }
 
-ServerConfig base_config(const Rig& rig) {
-  ServerConfig cfg;
-  cfg.backends = rig.slots;
+/// One replica per installed module, placed where the rig holds it.
+FleetConfig base_config(platform::PlatformSimulator& sim, std::size_t replicas) {
+  FleetConfig cfg;
+  cfg.graph = &resnet_graph();
   cfg.variants = {{"resnet50-fp32", &resnet_graph(), DType::kFP32, false}};
   cfg.ladder = {{0, 0}};
+  cfg.modules = {"COMe-XavierAGX"};
+  cfg.min_replicas = cfg.initial_replicas = cfg.max_replicas = replicas;
+  cfg.sim = &sim;
   return cfg;
 }
 
@@ -288,29 +289,38 @@ platform::FaultEvent throttle(double t, const std::string& slot, double magnitud
   return e;
 }
 
-std::size_t count_kind(const ServeReport& r, ServeEventKind k) {
+platform::FaultEvent link_drop(double t, const std::string& slot) {
+  platform::FaultEvent e;
+  e.time_s = t;
+  e.kind = platform::FaultKind::kLinkDrop;
+  e.a = slot;
+  e.b = "switch0";
+  return e;
+}
+
+std::size_t count_kind(const FleetReport& r, ServeEventKind k) {
   return static_cast<std::size_t>(std::count_if(
       r.events.begin(), r.events.end(), [&](const ServeEvent& e) { return e.kind == k; }));
 }
 
-const ServeEvent* first_of(const ServeReport& r, ServeEventKind k) {
+const ServeEvent* first_of(const FleetReport& r, ServeEventKind k) {
   const auto it = std::find_if(r.events.begin(), r.events.end(),
                                [&](const ServeEvent& e) { return e.kind == k; });
   return it == r.events.end() ? nullptr : &*it;
 }
 
-std::ptrdiff_t first_index(const ServeReport& r, ServeEventKind k) {
+std::ptrdiff_t first_index(const FleetReport& r, ServeEventKind k) {
   const auto it = std::find_if(r.events.begin(), r.events.end(),
                                [&](const ServeEvent& e) { return e.kind == k; });
   return it == r.events.end() ? -1 : it - r.events.begin();
 }
 
-TEST(Server, CompletesHealthyLoadWithinDeadlines) {
+TEST(FleetFaults, CompletesHealthyLoadWithinDeadlines) {
   Rig rig = make_rig(2);
   platform::PlatformSimulator sim(rig.chassis, rig.fabric);
-  Server server(sim, base_config(rig));
-  for (int i = 0; i < 6; ++i) server.submit(req(1e-3 * (i + 1), 50e-3));
-  const ServeReport r = server.run(0.1);
+  Fleet fleet(base_config(sim, 2));
+  for (int i = 0; i < 6; ++i) fleet.submit(req(1e-3 * (i + 1), 50e-3));
+  const FleetReport r = fleet.run(0.1);
 
   EXPECT_EQ(r.offered, 6u);
   EXPECT_EQ(r.admitted, 6u);
@@ -327,36 +337,44 @@ TEST(Server, CompletesHealthyLoadWithinDeadlines) {
             first_index(r, ServeEventKind::kCompleted));
 }
 
-TEST(Server, ShedsInfeasibleDeadlineAtAdmission) {
+TEST(FleetFaults, CancelsInfeasibleDeadlineAtDispatch) {
   Rig rig = make_rig(1);
   platform::PlatformSimulator sim(rig.chassis, rig.fabric);
-  Server server(sim, base_config(rig));
-  server.submit(req(1e-3, 0.5e-3));  // budget well under the ~1 ms service
-  const ServeReport r = server.run(0.05);
+  FleetConfig cfg = base_config(sim, 1);
+  cfg.batch_window_s = 0;  // dispatch on arrival
+  Fleet fleet(cfg);
+  fleet.submit(req(1e-3, 0.5e-3));  // budget well under the ~1 ms service
+  const FleetReport r = fleet.run(0.05);
 
-  EXPECT_EQ(r.shed, 1u);
-  EXPECT_EQ(r.admitted, 0u);
-  const ServeEvent* shed = first_of(r, ServeEventKind::kShed);
-  ASSERT_NE(shed, nullptr);
-  EXPECT_NE(shed->detail.find("deadline infeasible"), std::string::npos);
+  // Admitted, then cancelled by the dispatch-time feasibility check; the
+  // request never reaches a replica, so it is never delivered.
+  EXPECT_EQ(r.cancelled, 1u);
+  EXPECT_EQ(r.admitted, 1u);
+  EXPECT_EQ(r.completed + r.deadline_missed, 0u);
+  EXPECT_EQ(count_kind(r, ServeEventKind::kDispatched), 0u);
+  const ServeEvent* cancelled = first_of(r, ServeEventKind::kCancelled);
+  ASSERT_NE(cancelled, nullptr);
+  EXPECT_NE(cancelled->detail.find("infeasible at dispatch"), std::string::npos);
 }
 
-TEST(Server, FullQueueShedsEqualPriorityAndDisplacesForHigher) {
+TEST(FleetFaults, FullQueueShedsEqualPriorityAndDisplacesForHigher) {
   Rig rig = make_rig(1);
-  ServerConfig cfg = base_config(rig);
-  cfg.queue.capacity = 1;
   platform::PlatformSimulator sim(rig.chassis, rig.fabric);
-  Server server(sim, cfg);
-  const auto id1 = server.submit(req(1.0e-3, 50e-3));      // dispatched at once
-  const auto id2 = server.submit(req(1.2e-3, 50e-3));      // fills the queue
-  server.submit(req(1.4e-3, 50e-3));                       // same class: shed
-  const auto id4 = server.submit(req(1.6e-3, 50e-3, 1));   // displaces id2
-  const ServeReport r = server.run(0.1);
+  FleetConfig cfg = base_config(sim, 1);
+  cfg.queue_capacity = 1;
+  cfg.batch_window_s = 0;  // dispatch on arrival
+  Fleet fleet(cfg);
+  const auto id1 = fleet.submit(req(1.0e-3, 50e-3));      // dispatched at once
+  const auto id2 = fleet.submit(req(1.2e-3, 50e-3));      // fills the queue
+  fleet.submit(req(1.4e-3, 50e-3));                       // same class: shed
+  const auto id4 = fleet.submit(req(1.6e-3, 50e-3, 1));   // displaces id2
+  const FleetReport r = fleet.run(0.1);
 
-  EXPECT_EQ(r.shed, 1u);
+  // The refused request and the displaced one both end kShed.
+  EXPECT_EQ(r.shed, 2u);
   EXPECT_EQ(r.displaced, 1u);
   EXPECT_EQ(r.completed, 2u);
-  EXPECT_LE(r.max_queue_depth, cfg.queue.capacity);
+  EXPECT_LE(r.max_queue_depth, cfg.queue_capacity);
 
   const ServeEvent* shed = first_of(r, ServeEventKind::kShed);
   ASSERT_NE(shed, nullptr);
@@ -375,10 +393,10 @@ TEST(Server, FullQueueShedsEqualPriorityAndDisplacesForHigher) {
   (void)id1;
 }
 
-/// Shared crash/restart scenario: steady load on two backends, come1 dies
+/// Shared crash/restart scenario: steady load on two replicas, come1 dies
 /// mid-run and comes back, with a little transient-transfer noise. Used by
 /// the breaker-cycle, determinism and obs-mirror tests.
-ServeReport run_crash_cycle(obs::Tracer* trace = nullptr,
+FleetReport run_crash_cycle(obs::Tracer* trace = nullptr,
                             obs::MetricsRegistry* metrics = nullptr) {
   Rig rig = make_rig(2);
   platform::PlatformSimulator::Config pc;
@@ -388,20 +406,20 @@ ServeReport run_crash_cycle(obs::Tracer* trace = nullptr,
   sim.schedule(crash(0.050, "come1"));
   sim.schedule(restart(0.150, "come1"));
 
-  ServerConfig cfg = base_config(rig);
+  FleetConfig cfg = base_config(sim, 2);
   cfg.trace = trace;
   cfg.metrics = metrics;
-  Server server(sim, cfg);
+  Fleet fleet(cfg);
   for (int i = 0; i < 300; ++i) {
     std::string client = "c";
     client += std::to_string(i % 3);
-    server.submit(req(1e-3 * (i + 1), 50e-3, 0, client));
+    fleet.submit(req(1e-3 * (i + 1), 50e-3, 0, client));
   }
-  return server.run(0.4);
+  return fleet.run(0.4);
 }
 
-TEST(Server, BreakerCycleFollowsCrashAndRestart) {
-  const ServeReport r = run_crash_cycle();
+TEST(FleetFaults, BreakerCycleFollowsCrashAndRestart) {
+  const FleetReport r = run_crash_cycle();
 
   // Heartbeats declare come1 dead (3 misses at the 10 ms control period),
   // which force-opens its breaker; the cooldown half-opens it; once the
@@ -437,20 +455,20 @@ TEST(Server, BreakerCycleFollowsCrashAndRestart) {
       });
   EXPECT_TRUE(redispatched);
 
-  // The surviving backend kept most of the goodput flowing.
+  // The surviving replica kept most of the goodput flowing.
   EXPECT_GT(r.completed, 200u);
 }
 
-TEST(Server, ReportsAreBitwiseDeterministic) {
-  const ServeReport a = run_crash_cycle();
-  const ServeReport b = run_crash_cycle();
+TEST(FleetFaults, ReportsAreBitwiseDeterministic) {
+  const FleetReport a = run_crash_cycle();
+  const FleetReport b = run_crash_cycle();
   ASSERT_EQ(a.events.size(), b.events.size());
   for (std::size_t i = 0; i < a.events.size(); ++i) {
-    EXPECT_EQ(format_serve_event(a.events[i]), format_serve_event(b.events[i])) << i;
+    EXPECT_EQ(format_event(a.events[i]), format_event(b.events[i])) << i;
     EXPECT_EQ(a.events[i].time_s, b.events[i].time_s) << i;
     EXPECT_EQ(a.events[i].value, b.events[i].value) << i;
   }
-  const auto counters = [](const ServeReport& r) {
+  const auto counters = [](const FleetReport& r) {
     return std::vector<std::size_t>{r.offered, r.admitted, r.shed, r.displaced, r.completed,
                                     r.deadline_missed, r.cancelled, r.failed, r.retries,
                                     r.max_queue_depth};
@@ -458,25 +476,27 @@ TEST(Server, ReportsAreBitwiseDeterministic) {
   EXPECT_EQ(counters(a), counters(b));
 }
 
-TEST(Server, MirrorsEveryEventIntoTracerAndMetrics) {
+TEST(FleetFaults, MirrorsEveryEventIntoTracerAndMetrics) {
   obs::Tracer tracer;
   obs::MetricsRegistry metrics;
-  const ServeReport r = run_crash_cycle(&tracer, &metrics);
+  const FleetReport r = run_crash_cycle(&tracer, &metrics);
   ASSERT_GT(r.events.size(), 0u);
-  const auto violations = EventLog::check_mirror(r.events, "vedliot.serve", tracer, metrics);
+  const auto violations = EventLog::check_mirror(r.events, "vedliot.fleet", tracer, &metrics);
   EXPECT_TRUE(violations.empty()) << (violations.empty() ? "" : violations.front());
 }
 
-TEST(Server, ThermalThrottleStretchesInFlightWorkIntoDeadlineMiss) {
+TEST(FleetFaults, ThermalThrottleStretchesInFlightWorkIntoDeadlineMiss) {
   Rig rig = make_rig(1);
   platform::PlatformSimulator sim(rig.chassis, rig.fabric);
   // The request is feasible when dispatched (~1 ms service, 1.6 ms budget)
-  // but the backend throttles to 25% capacity mid-flight, so the remaining
+  // but the module throttles to 25% capacity mid-flight, so the remaining
   // work stretches past the deadline. The response is still delivered.
   sim.schedule(throttle(1.5e-3, "come0", 0.25));
-  Server server(sim, base_config(rig));
-  server.submit(req(1e-3, 1.6e-3));
-  const ServeReport r = server.run(0.05);
+  FleetConfig cfg = base_config(sim, 1);
+  cfg.batch_window_s = 0;  // dispatch on arrival
+  Fleet fleet(cfg);
+  fleet.submit(req(1e-3, 1.6e-3));
+  const FleetReport r = fleet.run(0.05);
 
   EXPECT_EQ(r.admitted, 1u);
   EXPECT_EQ(r.completed, 0u);
@@ -490,21 +510,16 @@ TEST(Server, ThermalThrottleStretchesInFlightWorkIntoDeadlineMiss) {
   EXPECT_LT(miss->time_s, 5e-3);
 }
 
-TEST(Server, PartitionWithEmptyRetryBudgetFailsImmediately) {
+TEST(FleetFaults, PartitionWithEmptyRetryBudgetFailsImmediately) {
   Rig rig = make_rig(1);
   platform::PlatformSimulator sim(rig.chassis, rig.fabric);
-  platform::FaultEvent drop;
-  drop.time_s = 0.5e-3;
-  drop.kind = platform::FaultKind::kLinkDrop;
-  drop.a = "come0";
-  drop.b = "switch0";
-  sim.schedule(drop);
+  sim.schedule(link_drop(0.5e-3, "come0"));
 
-  ServerConfig cfg = base_config(rig);
+  FleetConfig cfg = base_config(sim, 1);
   cfg.retry_tokens_per_request = 0.0;  // no budget is ever earned
-  Server server(sim, cfg);
-  server.submit(req(1e-3, 50e-3));
-  const ServeReport r = server.run(0.05);
+  Fleet fleet(cfg);
+  fleet.submit(req(1e-3, 50e-3));
+  const FleetReport r = fleet.run(0.05);
 
   EXPECT_EQ(r.failed, 1u);
   EXPECT_EQ(r.completed, 0u);
@@ -517,22 +532,73 @@ TEST(Server, PartitionWithEmptyRetryBudgetFailsImmediately) {
   EXPECT_NE(failed->detail.find("retry budget empty"), std::string::npos);
 }
 
-TEST(Server, RetriesWithBackoffUntilBudgetOrDeadlineRunsOut) {
+TEST(FleetFaults, BackoffGateDoesNotHoldAFreshArrivalPastTheBatchWindow) {
+  // Request 1's dispatch dies on a partitioned ingress link and re-queues
+  // behind a backoff gate; the link heals, and request 2 arrives on the
+  // same replica while the gate is still closed. Request 2 must dispatch
+  // when its own batch window closes, not wait out request 1's gate.
   Rig rig = make_rig(1);
   platform::PlatformSimulator sim(rig.chassis, rig.fabric);
-  platform::FaultEvent drop;
-  drop.time_s = 0.5e-3;
-  drop.kind = platform::FaultKind::kLinkDrop;
-  drop.a = "come0";
-  drop.b = "switch0";
-  sim.schedule(drop);
+  sim.schedule(link_drop(0.5e-3, "come0"));
+  platform::FaultEvent heal = link_drop(1.15e-3, "come0");
+  heal.kind = platform::FaultKind::kLinkRestore;
+  sim.schedule(heal);
 
-  ServerConfig cfg = base_config(rig);
+  FleetConfig cfg = base_config(sim, 1);
+  cfg.retry_tokens_per_request = 8.0;
+  cfg.batch_window_s = 0.1e-3;
+  Fleet fleet(cfg);
+  fleet.submit(req(1.0e-3, 50e-3));
+  fleet.submit(req(1.3e-3, 50e-3));
+  const FleetReport r = fleet.run(0.05);
+
+  const ServeEvent* retry = first_of(r, ServeEventKind::kRetry);
+  ASSERT_NE(retry, nullptr);
+  ASSERT_EQ(retry->subject, "request 1");
+  const double window_close = 1.3e-3 + cfg.batch_window_s;
+  ASSERT_GT(retry->time_s + retry->value, window_close);  // the gate outlives the window
+
+  const auto dispatched = std::find_if(r.events.begin(), r.events.end(), [](const ServeEvent& e) {
+    return e.kind == ServeEventKind::kDispatched && e.subject == "request 2";
+  });
+  ASSERT_NE(dispatched, r.events.end());
+  EXPECT_DOUBLE_EQ(dispatched->time_s, window_close);
+  EXPECT_EQ(r.completed, 2u);
+  EXPECT_EQ(r.retries, 1u);
+}
+
+TEST(FleetFaults, IdleReplicaTakesWorkOffTheDeepestQueue) {
+  // One client hashes onto one replica; the other replica owns no client
+  // but is free, so it batches off its peer's backlog instead of idling.
+  Rig rig = make_rig(2);
+  platform::PlatformSimulator sim(rig.chassis, rig.fabric);
+  Fleet fleet(base_config(sim, 2));
+  for (int i = 0; i < 40; ++i) fleet.submit(req(1e-3 + 0.1e-3 * i, 100e-3));
+  const FleetReport r = fleet.run(0.1);
+
+  EXPECT_EQ(r.completed, 40u);
+  std::map<std::string, std::size_t> admitted_on, batches_on;
+  for (const ServeEvent& e : r.events) {
+    const std::string last_word = e.detail.substr(e.detail.rfind(' ') + 1);
+    if (e.kind == ServeEventKind::kAdmitted) ++admitted_on[last_word];
+    if (e.kind == ServeEventKind::kBatchExecuted) ++batches_on[e.subject];
+  }
+  ASSERT_EQ(admitted_on.size(), 1u);  // every request routed to one owner
+  ASSERT_EQ(batches_on.size(), 2u);   // yet both replicas ran batches
+  EXPECT_EQ(batches_on.count(admitted_on.begin()->first), 1u);
+}
+
+TEST(FleetFaults, RetriesWithBackoffUntilBudgetOrDeadlineRunsOut) {
+  Rig rig = make_rig(1);
+  platform::PlatformSimulator sim(rig.chassis, rig.fabric);
+  sim.schedule(link_drop(0.5e-3, "come0"));
+
+  FleetConfig cfg = base_config(sim, 1);
   cfg.retry_tokens_per_request = 8.0;       // plenty of budget
   cfg.breaker.failure_threshold = 100;      // keep the breaker out of the way
-  Server server(sim, cfg);
-  server.submit(req(1e-3, 30e-3));
-  const ServeReport r = server.run(0.05);
+  Fleet fleet(cfg);
+  fleet.submit(req(1e-3, 30e-3));
+  const FleetReport r = fleet.run(0.05);
 
   EXPECT_EQ(r.completed, 0u);
   EXPECT_GE(r.retries, 1u);
@@ -550,22 +616,22 @@ TEST(Server, RetriesWithBackoffUntilBudgetOrDeadlineRunsOut) {
   }
 }
 
-TEST(Server, BrownoutLadderDegradesUnderOverloadAndRecovers) {
+TEST(FleetFaults, BrownoutLadderDegradesUnderOverloadAndRecovers) {
   Rig rig = make_rig(1);
-  ServerConfig cfg = base_config(rig);
+  platform::PlatformSimulator sim(rig.chassis, rig.fabric);
+  FleetConfig cfg = base_config(sim, 1);
   cfg.variants.push_back({"resnet50-int8", &resnet_graph(), DType::kINT8, false});
   cfg.ladder = {{0, 0}, {1, 0}};
-  cfg.queue.capacity = 8;
+  cfg.queue_capacity = 8;
   cfg.control_period_s = 2e-3;  // sample the ~12 ms burst several times
   cfg.brownout.step_down_after = 2;
   cfg.brownout.step_up_after = 3;
-  platform::PlatformSimulator sim(rig.chassis, rig.fabric);
-  Server server(sim, cfg);
-  // Burst far beyond one fp32 backend (~1 ms/req), then silence: the
+  Fleet fleet(cfg);
+  // Burst far beyond one fp32 replica (~1 ms/req), then silence: the
   // ladder must step down to int8 under the backlog and step back up
   // once the queue drains.
-  for (int i = 0; i < 60; ++i) server.submit(req(1e-3 + 0.2e-3 * i, 60e-3));
-  const ServeReport r = server.run(0.3);
+  for (int i = 0; i < 60; ++i) fleet.submit(req(1e-3 + 0.2e-3 * i, 60e-3));
+  const FleetReport r = fleet.run(0.3);
 
   EXPECT_GE(count_kind(r, ServeEventKind::kBrownoutDown), 1u);
   EXPECT_GE(count_kind(r, ServeEventKind::kBrownoutUp), 1u);
@@ -583,12 +649,35 @@ TEST(Server, BrownoutLadderDegradesUnderOverloadAndRecovers) {
   EXPECT_TRUE(int8_dispatch);
 }
 
+TEST(FleetFaults, BusyReplicaHoldsTheDegradedRungItNeeds) {
+  // A steady ~3k req/s: one fp32 replica (~1.4k lanes/s at its widest
+  // bucket) falls behind, int8 keeps up at about half its capacity. Once
+  // degraded, the int8 queue drains, but the replica stays half busy, so
+  // the ladder must hold int8 rather than climb back into the backlog.
+  Rig rig = make_rig(1);
+  platform::PlatformSimulator sim(rig.chassis, rig.fabric);
+  FleetConfig cfg = base_config(sim, 1);
+  cfg.variants.push_back({"resnet50-int8", &resnet_graph(), DType::kINT8, false});
+  cfg.ladder = {{0, 0}, {1, 0}};
+  cfg.queue_capacity = 32;  // an int8 coalescing window fills it at most a quarter
+  cfg.control_period_s = 2e-3;
+  cfg.brownout.step_down_after = 2;
+  cfg.brownout.step_up_after = 3;
+  Fleet fleet(cfg);
+  for (int i = 0; i < 300; ++i) fleet.submit(req(1e-3 + i / 3000.0, 60e-3));
+  const FleetReport r = fleet.run(0.1);
+
+  EXPECT_EQ(count_kind(r, ServeEventKind::kBrownoutDown), 1u);
+  EXPECT_EQ(count_kind(r, ServeEventKind::kBrownoutUp), 0u);
+  EXPECT_EQ(r.final_brownout_level, 1);
+}
+
 // ---------------------------------------------------------------------------
 // Execute mode: real tensors + robustness service wiring
 // ---------------------------------------------------------------------------
 
-TEST(Server, ExecuteModeFlagsCorruptedModelAsQualityDegraded) {
-  // The deployed variant carries a systematic fault (one layer scaled 8x);
+TEST(FleetFaults, ExecuteModeFlagsCorruptedModelAsQualityDegraded) {
+  // The deployed model carries a systematic fault (one layer scaled 8x);
   // the robustness service holds the clean golden copy, so every checked
   // response comes back divergent — delivered, but marked degraded.
   Graph clean = zoo::micro_mlp("m", 1, 16, {24, 12}, 4);
@@ -605,14 +694,15 @@ TEST(Server, ExecuteModeFlagsCorruptedModelAsQualityDegraded) {
   safety::RobustnessService service(clean, rc);
 
   Rig rig = make_rig(1);
-  ServerConfig cfg = base_config(rig);
+  platform::PlatformSimulator sim(rig.chassis, rig.fabric);
+  FleetConfig cfg = base_config(sim, 1);
+  cfg.graph = &corrupted;
   cfg.variants = {{"mlp-corrupted", &corrupted, DType::kFP32, false}};
   cfg.robustness = &service;
   cfg.execute = true;
-  platform::PlatformSimulator sim(rig.chassis, rig.fabric);
-  Server server(sim, cfg);
-  for (int i = 0; i < 4; ++i) server.submit(req(1e-3 * (i + 1), 50e-3));
-  const ServeReport r = server.run(0.1);
+  Fleet fleet(cfg);
+  for (int i = 0; i < 4; ++i) fleet.submit(req(1e-3 * (i + 1), 50e-3));
+  const FleetReport r = fleet.run(0.1);
 
   EXPECT_EQ(r.completed, 4u);  // degraded quality still ships
   EXPECT_EQ(r.quality_degraded, 4u);
@@ -626,18 +716,18 @@ TEST(Server, ExecuteModeFlagsCorruptedModelAsQualityDegraded) {
   // A clean deployment through the same path raises no degradation.
   safety::RobustnessService clean_service(clean, rc);
   Rig rig2 = make_rig(1);
-  ServerConfig cfg2 = base_config(rig2);
+  platform::PlatformSimulator sim2(rig2.chassis, rig2.fabric);
+  FleetConfig cfg2 = base_config(sim2, 1);
+  cfg2.graph = &clean;
   cfg2.variants = {{"mlp-clean", &clean, DType::kFP32, false}};
   cfg2.robustness = &clean_service;
   cfg2.execute = true;
-  platform::PlatformSimulator sim2(rig2.chassis, rig2.fabric);
-  Server server2(sim2, cfg2);
-  for (int i = 0; i < 4; ++i) server2.submit(req(1e-3 * (i + 1), 50e-3));
-  const ServeReport r2 = server2.run(0.1);
+  Fleet fleet2(cfg2);
+  for (int i = 0; i < 4; ++i) fleet2.submit(req(1e-3 * (i + 1), 50e-3));
+  const FleetReport r2 = fleet2.run(0.1);
   EXPECT_EQ(r2.completed, 4u);
   EXPECT_EQ(r2.quality_degraded, 0u);
 }
-
 // ---------------------------------------------------------------------------
 // EventLog: the one event mirror and digest of the serving engines
 // ---------------------------------------------------------------------------
@@ -666,10 +756,10 @@ TEST(EventLog, MirrorsEveryEventAsAnInstantAndACounter) {
   ASSERT_EQ(tracer.spans().size(), events.size());
   for (std::size_t i = 0; i < events.size(); ++i) {
     const ServeEvent& e = events[i];
-    EXPECT_EQ(format_serve_event(logged[i]), format_serve_event(e));
+    EXPECT_EQ(format_event(logged[i]), format_event(e));
     EXPECT_EQ(logged[i].value, e.value);
     const obs::Span& sp = tracer.spans()[i];
-    EXPECT_EQ(sp.name, serve_event_name(e.kind));
+    EXPECT_EQ(sp.name, event_name(e.kind));
     EXPECT_EQ(sp.category, "vedliot.fleet");
     EXPECT_EQ(sp.start_ns, sp.end_ns);
     std::vector<std::pair<std::string, std::string>> attrs = {{"subject", e.subject}};
@@ -683,7 +773,7 @@ TEST(EventLog, MirrorsEveryEventAsAnInstantAndACounter) {
   EXPECT_EQ(metrics.counters().at("vedliot.fleet.admitted").value(), 2u);
   EXPECT_EQ(metrics.counters().at("vedliot.fleet.dispatched").value(), 1u);
   EXPECT_EQ(metrics.counters().at("vedliot.fleet.completed").value(), 1u);
-  EXPECT_TRUE(EventLog::check_mirror(logged, "vedliot.fleet", tracer, metrics).empty());
+  EXPECT_TRUE(EventLog::check_mirror(logged, "vedliot.fleet", tracer, &metrics).empty());
 
   // Without a tracer or registry the log still records every event.
   EventLog bare("vedliot.serve", nullptr, nullptr);
@@ -693,7 +783,7 @@ TEST(EventLog, MirrorsEveryEventAsAnInstantAndACounter) {
 TEST(EventLog, DigestIsTheFnv1aChainOverFormattedEvents) {
   const std::vector<ServeEvent> events = fixed_events();
   std::uint64_t h = 0xCBF29CE484222325ull;
-  for (const ServeEvent& e : events) h = util::fnv1a64(format_serve_event(e), h);
+  for (const ServeEvent& e : events) h = util::fnv1a64(format_event(e), h);
   char chain[24];
   std::snprintf(chain, sizeof(chain), "%016llx", static_cast<unsigned long long>(h));
   EXPECT_EQ(event_digest(events), chain);
@@ -713,14 +803,14 @@ TEST(EventLog, MirrorCheckFlagsATamperedTracerAndAStrayCounter) {
   // Spans of other categories are not part of the mirror.
   tracer.instant("admitted", "vedliot.fleet");
   (void)tracer.span("serve.run", "vedliot.serve.run");
-  ASSERT_TRUE(EventLog::check_mirror(logged, "vedliot.serve", tracer, metrics).empty());
+  ASSERT_TRUE(EventLog::check_mirror(logged, "vedliot.serve", tracer, &metrics).empty());
 
   // An instant the log never recorded breaks the 1:1 count.
   obs::Tracer extra;
   EventLog extra_log("vedliot.serve", &extra, nullptr);
   (void)log_all(extra_log, events);
   extra.instant("shed", "vedliot.serve");
-  auto v = EventLog::check_mirror(logged, "vedliot.serve", extra, metrics);
+  auto v = EventLog::check_mirror(logged, "vedliot.serve", extra, &metrics);
   ASSERT_EQ(v.size(), 1u);
   EXPECT_EQ(v[0], "tracer mirror count 5 != event count 4");
 
@@ -730,7 +820,7 @@ TEST(EventLog, MirrorCheckFlagsATamperedTracerAndAStrayCounter) {
   obs::Tracer reordered;
   EventLog reordered_log("vedliot.serve", &reordered, nullptr);
   (void)log_all(reordered_log, swapped);
-  v = EventLog::check_mirror(logged, "vedliot.serve", reordered, metrics);
+  v = EventLog::check_mirror(logged, "vedliot.serve", reordered, &metrics);
   ASSERT_EQ(v.size(), 1u);
   EXPECT_EQ(v[0], "tracer mirror out of order at event 1: admitted != dispatched");
 
@@ -738,7 +828,7 @@ TEST(EventLog, MirrorCheckFlagsATamperedTracerAndAStrayCounter) {
   metrics.counter("vedliot.serve.completed").inc();
   metrics.counter("vedliot.serve.shed").inc();
   metrics.counter("vedliot.fleet.shed").inc();  // another category: not ours
-  v = EventLog::check_mirror(logged, "vedliot.serve", tracer, metrics);
+  v = EventLog::check_mirror(logged, "vedliot.serve", tracer, &metrics);
   ASSERT_EQ(v.size(), 2u);
   EXPECT_EQ(v[0], "counter vedliot.serve.completed != event count 1");
   EXPECT_EQ(v[1], "counter vedliot.serve.shed has no matching events");
@@ -832,12 +922,14 @@ TEST(SoakServe, ViolationMessagesCarryTheReproSeed) {
 
 struct IntegrityRig {
   Rig rig;
+  platform::PlatformSimulator sim;
   Graph model;
   safety::RobustnessService robustness;
   safety::ModelStore store;
 
   explicit IntegrityRig(int backends)
       : rig(make_rig(backends)),
+        sim(rig.chassis, rig.fabric),
         model(materialized_mlp()),
         robustness(model, robustness_config()) {}
 
@@ -855,8 +947,9 @@ struct IntegrityRig {
     return rc;
   }
 
-  ServerConfig config() {
-    ServerConfig cfg = base_config(rig);
+  FleetConfig config() {
+    FleetConfig cfg = base_config(sim, rig.chassis.installed().size());
+    cfg.graph = &model;
     cfg.variants = {{"mlp", &model, DType::kFP32, false}};
     cfg.execute = true;
     cfg.robustness = &robustness;
@@ -875,14 +968,13 @@ platform::FaultEvent memory_fault(double t, const std::string& slot) {
   return e;
 }
 
-TEST(Server, IntegrityModeHealsMemoryFault) {
+TEST(FleetIntegrity, HealsMemoryFault) {
   IntegrityRig ir(1);
-  const ServerConfig cfg = ir.config();
-  platform::PlatformSimulator sim(ir.rig.chassis, ir.rig.fabric);
-  sim.schedule(memory_fault(0.030, "come0"));
-  Server server(sim, cfg);
-  for (int i = 0; i < 20; ++i) server.submit(req(2e-3 + 5e-3 * i, 80e-3));
-  const ServeReport r = server.run(0.3);
+  const FleetConfig cfg = ir.config();
+  ir.sim.schedule(memory_fault(0.030, "come0"));
+  Fleet fleet(cfg);
+  for (int i = 0; i < 20; ++i) fleet.submit(req(2e-3 + 5e-3 * i, 80e-3));
+  const FleetReport r = fleet.run(0.3);
 
   EXPECT_EQ(r.memory_faults, 1u);
   EXPECT_GE(r.scrub_hits, 1u);
@@ -914,10 +1006,32 @@ TEST(Server, IntegrityModeHealsMemoryFault) {
   }
 }
 
-TEST(Server, IntegrityModeOtaCommitAndReject) {
+TEST(FleetIntegrity, SeuCorruptsOnlyTheReplicaOnItsSlot) {
+  // Two replicas, each with its own deployed copy: the flip on come1 is
+  // found and repaired on come1's copy; come0's never needs a reload.
+  IntegrityRig ir(2);
+  const FleetConfig cfg = ir.config();
+  ir.sim.schedule(memory_fault(0.030, "come1"));
+  Fleet fleet(cfg);
+  for (int i = 0; i < 20; ++i) {
+    fleet.submit(req(2e-3 + 5e-3 * i, 80e-3, 0, "c" + std::to_string(i)));
+  }
+  const FleetReport r = fleet.run(0.3);
+
+  EXPECT_EQ(r.memory_faults, 1u);
+  EXPECT_EQ(r.dirty_at_end, 0u);
+  ASSERT_GE(count_kind(r, ServeEventKind::kModelReloaded), 1u);
+  for (const ServeEvent& e : r.events) {
+    if (e.kind == ServeEventKind::kScrubHit || e.kind == ServeEventKind::kModelReloaded ||
+        e.kind == ServeEventKind::kQuarantine) {
+      EXPECT_EQ(e.subject, "backend come1") << format_event(e);
+    }
+  }
+}
+
+TEST(FleetIntegrity, OtaCommitAndReject) {
   IntegrityRig ir(1);
-  platform::PlatformSimulator sim(ir.rig.chassis, ir.rig.fabric);
-  Server server(sim, ir.config());
+  Fleet fleet(ir.config());
 
   // v2: genuinely different weights, correctly declared canary outputs.
   Graph v2 = ir.model.clone();
@@ -928,15 +1042,15 @@ TEST(Server, IntegrityModeOtaCommitAndReject) {
     }
   }
   v2.touch();
-  server.submit_ota(0.020, 0, safety::make_ota_package(v2));
+  fleet.submit_ota(0.020, safety::make_ota_package(v2));
 
   // Then a payload corrupted in transit: must be rejected at staging.
   safety::OtaPackage damaged = safety::make_ota_package(v2);
   damaged.package.at(damaged.package.size() / 3) ^= 0x20;
-  server.submit_ota(0.060, 0, damaged);
+  fleet.submit_ota(0.060, damaged);
 
-  for (int i = 0; i < 20; ++i) server.submit(req(2e-3 + 5e-3 * i, 80e-3));
-  const ServeReport r = server.run(0.3);
+  for (int i = 0; i < 20; ++i) fleet.submit(req(2e-3 + 5e-3 * i, 80e-3));
+  const FleetReport r = fleet.run(0.3);
 
   EXPECT_EQ(r.ota_staged, 2u);
   EXPECT_EQ(r.ota_committed, 1u);
@@ -953,11 +1067,10 @@ TEST(Server, IntegrityModeOtaCommitAndReject) {
   EXPECT_EQ(r.quality_degraded, 0u);
 }
 
-TEST(Server, IntegrityModeBadPushRollsBackInProbation) {
+TEST(FleetIntegrity, BadPushRollsBackInProbation) {
   IntegrityRig ir(1);
-  ServerConfig cfg = ir.config();
+  FleetConfig cfg = ir.config();
   cfg.ota_probation_sweeps = 3;
-  platform::PlatformSimulator sim(ir.rig.chassis, ir.rig.fabric);
 
   Graph v2 = ir.model.clone();
   for (NodeId id : v2.topo_order()) {
@@ -970,11 +1083,11 @@ TEST(Server, IntegrityModeBadPushRollsBackInProbation) {
   // The push verifies clean and commits — then its freshly written image
   // takes a flip inside the probation window: policy is rollback, not
   // surgical repair.
-  sim.schedule(memory_fault(0.050 + 1.5 * cfg.control_period_s, "come0"));
-  Server server(sim, cfg);
-  server.submit_ota(0.050, 0, safety::make_ota_package(v2));
-  for (int i = 0; i < 20; ++i) server.submit(req(2e-3 + 5e-3 * i, 80e-3));
-  const ServeReport r = server.run(0.3);
+  ir.sim.schedule(memory_fault(0.050 + 1.5 * cfg.control_period_s, "come0"));
+  Fleet fleet(cfg);
+  fleet.submit_ota(0.050, safety::make_ota_package(v2));
+  for (int i = 0; i < 20; ++i) fleet.submit(req(2e-3 + 5e-3 * i, 80e-3));
+  const FleetReport r = fleet.run(0.3);
 
   EXPECT_EQ(r.ota_committed, 1u);
   EXPECT_EQ(r.ota_rolled_back, 1u);
@@ -984,7 +1097,6 @@ TEST(Server, IntegrityModeBadPushRollsBackInProbation) {
   EXPECT_FALSE(ir.store.can_rollback("mlp"));
   EXPECT_EQ(r.dirty_at_end, 0u);
 }
-
 // ---------------------------------------------------------------------------
 // Integrity soak: the four corruption invariants under seeded SEU campaigns
 // ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@
 #include "security/attestation.hpp"
 #include "security/enclave.hpp"
 #include "security/kvstore.hpp"
-#include "serve/server.hpp"
+#include "serve/fleet.hpp"
 #include "util/rng.hpp"
 
 namespace vedliot {
@@ -598,10 +598,13 @@ TEST(ServeTenantCost, UnboundedTenantShedBoundedTenantServed) {
       platform::star_fabric({"come0", "come1", "come2", "come3"}, 10.0, {1.0, 10.0});
   platform::PlatformSimulator sim(chassis, fabric);
 
-  serve::ServerConfig cfg;
-  cfg.backends = {"come0"};
+  serve::FleetConfig cfg;
+  cfg.graph = &resnet_graph();
   cfg.variants = {{"resnet50-fp32", &resnet_graph(), DType::kFP32, false}};
   cfg.ladder = {{0, 0}};
+  cfg.modules = {"COMe-XavierAGX"};
+  cfg.min_replicas = cfg.initial_replicas = cfg.max_replicas = 1;
+  cfg.sim = &sim;
 
   const WModule add = add_module();
   const WModule kv = security::build_kv_module(16);
@@ -611,7 +614,7 @@ TEST(ServeTenantCost, UnboundedTenantShedBoundedTenantServed) {
   cfg.tenant_cost_s["tenant-kv"] =
       security::tenant_cost_s(analysis::make_admission(kv, analysis::verify_module(kv)), vm_ns);
 
-  serve::Server server(sim, cfg);
+  serve::Fleet fleet(cfg);
   auto req = [](const std::string& client, double arrival) {
     serve::Request r;
     r.client = client;
@@ -619,10 +622,10 @@ TEST(ServeTenantCost, UnboundedTenantShedBoundedTenantServed) {
     r.deadline_s = arrival + 50e-3;
     return r;
   };
-  server.submit(req("tenant-kv", 1e-3));
-  server.submit(req("tenant-add", 2e-3));
-  server.submit(req("unknown-tenant", 3e-3));
-  const serve::ServeReport r = server.run(0.1);
+  fleet.submit(req("tenant-kv", 1e-3));
+  fleet.submit(req("tenant-add", 2e-3));
+  fleet.submit(req("unknown-tenant", 3e-3));
+  const serve::FleetReport r = fleet.run(0.1);
 
   // The cost-unbounded tenant is shed at admission with an explicit reason;
   // the bounded tenant and unconfigured clients serve normally.
