@@ -1,6 +1,6 @@
-// The one driver for the four deterministic soaks: serve (serve/soak.hpp),
-// fleet (serve/fleet_soak.hpp), integrity (serve/integrity_soak.hpp) and ota
-// (serve/ota_soak.hpp). Each soak is a table: the scenario configs it
+// The one driver for the four deterministic soaks: serve (soak/chaos_soak.hpp),
+// fleet (soak/fleet_soak.hpp), integrity (soak/integrity_soak.hpp) and ota
+// (soak/ota_soak.hpp). Each soak is a table: the scenario configs it
 // sweeps, its cross-run invariants, and the scenario a rerun must reproduce
 // byte for byte. Each harness checks its own per-run invariants, the event
 // mirror among them. Prints a summary table on stderr and one JSON-lines
@@ -19,15 +19,16 @@
 #include <vector>
 
 #include "graph/zoo.hpp"
-#include "serve/fleet_soak.hpp"
-#include "serve/integrity_soak.hpp"
-#include "serve/ota_soak.hpp"
-#include "serve/soak.hpp"
+#include "soak/chaos_soak.hpp"
+#include "soak/fleet_soak.hpp"
+#include "soak/integrity_soak.hpp"
+#include "soak/ota_soak.hpp"
 #include "util/rng.hpp"
 
 namespace {
 
 namespace serve = vedliot::serve;
+using namespace vedliot::soak;
 
 struct Options {
   std::uint64_t seed = 0x5EEDu;
@@ -90,20 +91,20 @@ bool drive(const Soak<Config, Result>& soak) {
 }
 
 bool serve_soak(const Options& o) {
-  serve::SoakConfig base;
+  SoakConfig base;
   base.seed = o.seed;
   base.duration_s = o.duration_s.value_or(o.quick ? 0.8 : 2.0);
-  Soak<serve::SoakConfig, serve::SoakResult> soak;
-  soak.run = serve::run_soak;
+  Soak<SoakConfig, SoakResult> soak;
+  soak.run = run_soak;
   for (const double rate : {0.0, 0.05, 0.2}) {
     soak.scenarios.push_back(base);
     soak.scenarios.back().fault_rate = rate;
   }
   // Same load at every rate, so more faults never buy more goodput.
   soak.monotone.push_back({0, 3, false, "goodput vs fault rate",
-                           [](const serve::SoakResult& r) { return r.goodput(); }});
+                           [](const SoakResult& r) { return r.goodput(); }});
   soak.header = "rate    offered completed   shed  missed  failed retries  goodput brownout";
-  soak.row = [](const serve::SoakResult& r) {
+  soak.row = [](const SoakResult& r) {
     std::fprintf(stderr, "%-6.2f %8zu %9zu %6zu %7zu %7zu %7zu %8.4f %8d\n", r.config.fault_rate,
                  r.report.offered, r.report.completed, r.report.shed, r.report.deadline_missed,
                  r.report.failed, r.report.retries, r.goodput(), r.report.max_brownout_level);
@@ -153,21 +154,21 @@ double batching_speedup(int reps) {
 
 bool fleet_soak(const Options& o) {
   using serve::TrafficPattern;
-  serve::FleetSoakConfig base;
+  FleetSoakConfig base;
   base.seed = o.seed;
   base.duration_s = o.duration_s.value_or(o.quick ? 0.5 : 2.0);
   const std::vector<std::size_t> sizes =
       o.quick ? std::vector<std::size_t>{1, 4} : std::vector<std::size_t>{1, 4, 16};
-  Soak<serve::FleetSoakConfig, serve::FleetSoakResult> soak;
-  soak.run = serve::run_fleet_soak;
+  Soak<FleetSoakConfig, FleetSoakResult> soak;
+  soak.run = run_fleet_soak;
   for (const TrafficPattern pattern :
        {TrafficPattern::kDiurnal, TrafficPattern::kFlashCrowd, TrafficPattern::kRetryStorm}) {
     // Capacity pinned and traffic shared, so more replicas never serve less.
     const std::size_t first = soak.scenarios.size();
     soak.monotone.push_back({first, first + sizes.size(), true, "goodput vs fleet size",
-                             [](const serve::FleetSoakResult& r) { return r.goodput(); }});
+                             [](const FleetSoakResult& r) { return r.goodput(); }});
     for (const std::size_t size : sizes) {
-      serve::FleetSoakConfig cfg = base;
+      FleetSoakConfig cfg = base;
       cfg.pattern = pattern;
       cfg.fleet_size = size;
       cfg.autoscale = false;
@@ -175,14 +176,14 @@ bool fleet_soak(const Options& o) {
     }
   }
   // Autoscaling: replicas must actually scale with a flash crowd.
-  serve::FleetSoakConfig scaled = base;
+  FleetSoakConfig scaled = base;
   scaled.pattern = TrafficPattern::kFlashCrowd;
   scaled.fleet_size = 8;
   scaled.autoscale = true;
   soak.scenarios.push_back(scaled);
   // Execute mode: real tensors through the bucket sessions, with the
   // batched-vs-singleton CRC equality check live.
-  serve::FleetSoakConfig exec = base;
+  FleetSoakConfig exec = base;
   exec.pattern = TrafficPattern::kRetryStorm;
   exec.fleet_size = 2;
   exec.autoscale = false;
@@ -193,7 +194,7 @@ bool fleet_soak(const Options& o) {
   soak.header =
       "pattern      fleet mode   offered completed   shed cancelled  cached  scale batches  "
       "goodput";
-  soak.row = [](const serve::FleetSoakResult& r) {
+  soak.row = [](const FleetSoakResult& r) {
     const char* mode = r.config.execute ? "exec" : r.config.autoscale ? "auto" : "fixed";
     std::fprintf(stderr, "%-12s %5zu %-5s %8zu %9zu %6zu %9zu %7zu %2zu/%-3zu %7zu %8.4f\n",
                  serve::traffic_pattern_name(r.config.pattern).data(), r.config.fleet_size, mode,
@@ -215,12 +216,12 @@ bool fleet_soak(const Options& o) {
 }
 
 bool integrity_soak(const Options& o) {
-  serve::IntegritySoakConfig base;
+  IntegritySoakConfig base;
   base.seed = o.seed;
   base.duration_s = o.duration_s.value_or(o.quick ? 1.0 : 2.0);
   if (o.quick) base.arrival_hz = 200.0;
-  Soak<serve::IntegritySoakConfig, serve::IntegritySoakResult> soak;
-  soak.run = serve::run_integrity_soak;
+  Soak<IntegritySoakConfig, IntegritySoakResult> soak;
+  soak.run = run_integrity_soak;
   for (const double rate : {0.0, 4.0, 12.0}) {
     soak.scenarios.push_back(base);
     soak.scenarios.back().flip_rate_hz = rate;
@@ -228,7 +229,7 @@ bool integrity_soak(const Options& o) {
   soak.rerun = 2;  // the most fault-heavy run: detection, repair and rollback all replay
   soak.header =
       "flips/s   offered completed    seu  scrub  reload  ota-rb   rej   det-max     bound";
-  soak.row = [](const serve::IntegritySoakResult& r) {
+  soak.row = [](const IntegritySoakResult& r) {
     std::fprintf(stderr, "%-8.1f %8zu %9zu %6zu %6zu %7zu %7zu %5zu %8.4fs %8.4fs\n",
                  r.config.flip_rate_hz, r.report.offered, r.report.completed,
                  r.report.memory_faults, r.report.scrub_hits, r.report.model_reloads,
@@ -239,12 +240,12 @@ bool integrity_soak(const Options& o) {
 }
 
 bool ota_soak(const Options& o) {
-  serve::OtaSoakConfig base;
+  OtaSoakConfig base;
   base.seed = o.seed;
   base.duration_s = o.duration_s.value_or(o.quick ? 2.0 : 4.0);
   base.n_devices = o.quick ? 6 : 12;
-  Soak<serve::OtaSoakConfig, serve::OtaSoakResult> soak;
-  soak.run = serve::run_ota_soak;
+  Soak<OtaSoakConfig, OtaSoakResult> soak;
+  soak.run = run_ota_soak;
   for (const double rate : {0.0, 0.05, 0.2}) {
     soak.scenarios.push_back(base);
     soak.scenarios.back().fault_rate = rate;
@@ -256,13 +257,13 @@ bool ota_soak(const Options& o) {
   soak.scenarios.back().bad_package = true;
   // A lossier fabric never makes the rollout cheaper on the wire.
   soak.monotone.push_back({0, 3, true, "chunk retries vs fault rate",
-                           [](const serve::OtaSoakResult& r) {
+                           [](const OtaSoakResult& r) {
                              return static_cast<double>(r.report.chunk_retries);
                            }});
   soak.rerun = 2;  // the loss-heaviest sweep point
   soak.header =
       "scenario      commit rollbk  chunks   retry   dup reord resume  paced  conv    done-at";
-  soak.row = [](const serve::OtaSoakResult& r) {
+  soak.row = [](const OtaSoakResult& r) {
     std::fprintf(stderr, "loss=%.2f%-4s %6zu %6zu %7zu %7zu %5zu %5zu %6zu %6zu %5s %9.4fs\n",
                  r.config.fault_rate, r.config.bad_package ? " bad" : "",
                  r.report.devices_committed, r.report.devices_rolled_back, r.report.chunks_sent,

@@ -1,4 +1,4 @@
-#include "serve/ota_soak.hpp"
+#include "soak/ota_soak.hpp"
 
 #include <algorithm>
 #include <cmath>
@@ -8,11 +8,13 @@
 #include "graph/zoo.hpp"
 #include "obs/json.hpp"
 #include "platform/baseboard.hpp"
-#include "serve/soak.hpp"
+#include "soak/soak.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
-namespace vedliot::serve {
+namespace vedliot::soak {
+
+using namespace serve;
 
 namespace {
 
@@ -66,7 +68,7 @@ std::string OtaSoakResult::to_json() const {
   out += ",\"fault_rate\":" + obs::json_number(config.fault_rate);
   out += ",\"duration_s\":" + obs::json_number(config.duration_s);
   out += ",\"devices\":" + obs::json_number(static_cast<double>(config.n_devices));
-  out += ",\"chunk_bytes\":" + obs::json_number(static_cast<double>(config.chunk_bytes));
+  out += ",\"chunk_bytes\":" + obs::json_number(static_cast<double>(OtaSoakConfig::kChunkBytes));
   out += ",\"bad_package\":";
   out += config.bad_package ? "true" : "false";
   out += ",\"converged\":";
@@ -115,7 +117,6 @@ OtaSoakResult run_ota_soak(const OtaSoakConfig& cfg) {
   VEDLIOT_CHECK(cfg.fault_rate >= 0 && cfg.fault_rate < 1, "fault rate must be in [0, 1)");
   VEDLIOT_CHECK(cfg.n_devices >= 2 && cfg.n_devices <= 64,
                 "an OTA swarm soak uses 2..64 devices");
-  VEDLIOT_CHECK(cfg.campaign_s > 0, "campaign window must be positive");
 
   // Device swarm: one SMARC far-edge module per slot, star fabric to the
   // OTA distribution hub ("switch0").
@@ -147,7 +148,7 @@ OtaSoakResult run_ota_soak(const OtaSoakConfig& cfg) {
     const auto n_faults = static_cast<std::size_t>(std::lround(cfg.fault_rate * 120.0));
     const double intensity = std::min(0.9, cfg.fault_rate * 3.0);
     sim.schedule(platform::FaultTimeline::lossy_fabric_campaign(
-        slots, n_faults, cfg.campaign_s, intensity, campaign_rng));
+        slots, n_faults, OtaSoakConfig::kCampaignS, intensity, campaign_rng));
     // Ambient lossiness: beyond the episodic campaign hazards, a lossy
     // fabric duplicates and reorders a fraction of *all* traffic. Arm a
     // baseline hazard on every hub link for the whole run so the dup /
@@ -196,7 +197,7 @@ OtaSoakResult run_ota_soak(const OtaSoakConfig& cfg) {
   rc.control_period_s = 5e-3;
   rc.rollback_rate_per_s = 100.0;
   rc.rollback_burst = 2.0;
-  rc.chunk_bytes = cfg.chunk_bytes;
+  rc.chunk_bytes = OtaSoakConfig::kChunkBytes;
   rc.canary_seed = kCanarySeed;
   rc.seed = cfg.seed;
 
@@ -260,8 +261,9 @@ OtaSoakResult run_ota_soak(const OtaSoakConfig& cfg) {
   // Invariant 2: no torn install (event record + probe evidence).
   const std::size_t before_torn = result.violations.size();
   const std::size_t chunk_count =
-      (safety::make_ota_package(target, kCanarySeed, 2).package.size() + cfg.chunk_bytes - 1) /
-      cfg.chunk_bytes;
+      (safety::make_ota_package(target, kCanarySeed, 2).package.size() +
+       OtaSoakConfig::kChunkBytes - 1) /
+      OtaSoakConfig::kChunkBytes;
   check_no_torn_install(report.events, chunk_count, result.violations);
   if (report.torn_serves != 0) {
     result.violations.push_back(std::to_string(report.torn_serves) +
@@ -337,4 +339,4 @@ OtaSoakResult run_ota_soak(const OtaSoakConfig& cfg) {
   return result;
 }
 
-}  // namespace vedliot::serve
+}  // namespace vedliot::soak

@@ -1,7 +1,8 @@
 #pragma once
 /// \file ota_soak.hpp
-/// \brief Deterministic fleet-rollout soak: resumable transfers over a lossy
-/// fabric, staged canary waves, halt-and-rollback containment.
+/// \brief Deterministic fleet-rollout soak (`bench/soak ota`, records
+/// "soak-ota"): resumable transfers over a lossy fabric, staged canary
+/// waves, halt-and-rollback containment.
 ///
 /// One run_ota_soak() call builds a SMARC device swarm on a star fabric,
 /// schedules a seeded lossy-fabric campaign (partitions, crashes, packet
@@ -29,7 +30,8 @@
 ///      until the paced rollbacks drain, which the curve does not sample);
 ///   5. observability — every ServeEvent mirrors 1:1, in order, into the
 ///      tracer ("vedliot.serve" instants) and per-kind counters match
-///      (EventLog::check_mirror, run by the shared SoakProbe in soak.hpp).
+///      (EventLog::check_mirror, run by the shared SoakProbe in soak.hpp;
+///      RolloutController is not a Fleet, so check_fleet_run does not apply).
 ///
 /// Everything derives from the seed: two runs of the same config serialize
 /// to bitwise-identical to_json() strings (bench/soak.cpp verifies this).
@@ -40,24 +42,25 @@
 
 #include "serve/rollout.hpp"
 
-namespace vedliot::serve {
+namespace vedliot::soak {
 
 struct OtaSoakConfig {
   std::uint64_t seed = 0x5EEDu;
-  double duration_s = 4.0;       ///< simulated budget (convergence is earlier)
-  double fault_rate = 0.0;       ///< transient damage prob + campaign scale
+  double duration_s = 4.0;   ///< simulated budget (convergence is earlier)
+  double fault_rate = 0.0;   ///< transient damage prob + campaign scale
   int n_devices = 12;
-  std::size_t chunk_bytes = 1024;
-  bool bad_package = false;      ///< target diverges from the release manifest
+  bool bad_package = false;  ///< target diverges from the release manifest
+
+  static constexpr std::size_t kChunkBytes = 1024;
   /// Lossy campaign window (events + heals). Deliberately tight: the
   /// rollout converges within tens of milliseconds, and the campaign must
   /// land inside the transfer window to actually sever live transfers.
-  double campaign_s = 0.04;
+  static constexpr double kCampaignS = 0.04;
 };
 
 struct OtaSoakResult {
   OtaSoakConfig config;
-  RolloutReport report;
+  serve::RolloutReport report;
   std::vector<std::string> violations;  ///< empty = all five invariants hold
   std::string sim_describe;             ///< seed/fault identity of the run
 
@@ -75,4 +78,4 @@ struct OtaSoakResult {
 /// Run one seeded fleet-rollout soak at the configured fault rate.
 OtaSoakResult run_ota_soak(const OtaSoakConfig& config);
 
-}  // namespace vedliot::serve
+}  // namespace vedliot::soak

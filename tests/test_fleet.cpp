@@ -1,9 +1,9 @@
 // Tests for the fleet-scale serving layer: consistent-hash routing, the
 // idempotency cache, traffic generation, the dynamic batcher's
 // brownout-visible ExecConfig plumbing, chassis placement power honesty,
-// request validation, conservation under failed batches, and the full
+// request validation, conservation under failed batches, the full
 // admit -> batch -> execute path's bitwise equality with per-request
-// singleton runs.
+// singleton runs, and the fleet soak with its one fleet-run check.
 
 #include <gtest/gtest.h>
 
@@ -22,15 +22,17 @@
 #include "runtime/executor.hpp"
 #include "serve/batcher.hpp"
 #include "serve/cache.hpp"
-#include "serve/fleet_soak.hpp"
-#include "serve/soak.hpp"
 #include "serve/ring.hpp"
 #include "serve/traffic.hpp"
+#include "soak/fleet_soak.hpp"
+#include "soak/soak.hpp"
 #include "util/hash.hpp"
 #include "util/rng.hpp"
 
 namespace vedliot::serve {
 namespace {
+
+using namespace soak;
 
 // ---------------------------------------------------------------------------
 // Consistent-hash ring
@@ -338,6 +340,172 @@ TEST(FleetSoak, MoreReplicasNeverServeLess) {
     EXPECT_GE(sweep[i].goodput() + 1e-9, sweep[i - 1].goodput())
         << "fleet size " << sweep[i].config.fleet_size;
   }
+}
+
+// ---------------------------------------------------------------------------
+// The one fleet-run check: a clean hand-built run passes, and each contract
+// fails on its own violation
+// ---------------------------------------------------------------------------
+
+/// A hand-built run against a fleet of at most 2 replicas, batch cap 4 and
+/// queue capacity 8: request 1 (arrival 10 ms, deadline 30 ms) completed at
+/// 25 ms in a full batch on replica0, whose slot drew 30 W of a 30 W budget.
+struct HandBuiltRun {
+  SoakProbe probe;
+  FleetConfig cfg;
+  Submitted requests;
+  FleetReport report;
+  platform::FaultTimeline faults;
+
+  HandBuiltRun() {
+    cfg.max_batch = 4;
+    cfg.queue_capacity = 8;
+    cfg.max_replicas = 2;
+    cfg.trace = &probe.trace;
+    cfg.metrics = &probe.metrics;
+    report.max_queue_depth = 8;
+    report.max_replicas = 2;
+    report.power.push_back({"replica0", "come0", 30.0, 50.0, 3.0, 0.1});
+    offer(1, 10e-3, 30e-3, ResponseStatus::kOk, 25e-3);
+    log(25e-3, ServeEventKind::kBatchExecuted, "replica0", 4);
+  }
+
+  void offer(std::uint64_t id, double arrival_s, double deadline_s, ResponseStatus status,
+             double time_s) {
+    Request r;
+    r.id = id;
+    r.client = "client0";
+    r.arrival_s = arrival_s;
+    r.deadline_s = deadline_s;
+    requests.emplace(id, r);
+    Response resp;
+    resp.request_id = id;
+    resp.status = status;
+    resp.time_s = time_s;
+    report.responses.push_back(resp);
+    ++report.offered;
+    ++(status == ResponseStatus::kLate ? report.deadline_missed : report.completed);
+  }
+
+  /// Logged through the run's probe, so the event mirror holds.
+  void log(double t, ServeEventKind kind, const std::string& subject, double value = 0) {
+    EventLog events("vedliot.fleet", &probe.trace, &probe.metrics);
+    events.add(t, kind, subject, "", value);
+    for (ServeEvent& e : events.take()) report.events.push_back(std::move(e));
+  }
+
+  std::vector<std::string> violations() const {
+    std::vector<std::string> v;
+    check_fleet_run(cfg, requests, report, faults, v);
+    return v;
+  }
+};
+
+platform::FaultEvent throttle_at(double t) {
+  platform::FaultEvent e;
+  e.time_s = t;
+  e.kind = platform::FaultKind::kThermalThrottle;
+  e.slot = "come0";
+  e.magnitude = 0.5;
+  return e;
+}
+
+TEST(FleetRunCheck, CleanRunHoldsEveryContract) {
+  const HandBuiltRun run;
+  EXPECT_EQ(run.violations(), std::vector<std::string>{});
+}
+
+TEST(FleetRunCheck, FlagsAMissingTerminalResponse) {
+  HandBuiltRun run;
+  run.report.offered = 2;
+  EXPECT_EQ(run.violations(), std::vector<std::string>{"conservation: 1 responses for 2 offered"});
+}
+
+TEST(FleetRunCheck, FlagsAQueueOverCapacity) {
+  HandBuiltRun run;
+  run.report.max_queue_depth = 9;
+  EXPECT_EQ(run.violations(),
+            std::vector<std::string>{"bounded queues: depth 9 exceeded capacity 8"});
+}
+
+TEST(FleetRunCheck, FlagsReplicasOverTheBound) {
+  HandBuiltRun run;
+  run.report.max_replicas = 3;
+  EXPECT_EQ(run.violations(),
+            std::vector<std::string>{"replica bound: 3 replicas exceeded the maximum 2"});
+}
+
+TEST(FleetRunCheck, FlagsABatchOverTheLaneCap) {
+  HandBuiltRun run;
+  run.log(40e-3, ServeEventKind::kBatchExecuted, "replica1", 5);
+  EXPECT_EQ(run.violations(),
+            std::vector<std::string>{
+                "batch honesty: 5.000000 lanes on replica1 exceeded the configured cap 4"});
+}
+
+TEST(FleetRunCheck, FlagsASlotOverItsPowerBudgetOrModuleEnvelope) {
+  HandBuiltRun run;
+  run.report.power.front().joules = 4.0;  // 40 W over 0.1 s busy, budget 30 W
+  run.report.power.push_back({"replica1", "come1", 60.0, 50.0, 5.5, 0.1});  // 55 W, cap 50 W
+  EXPECT_EQ(run.violations(),
+            (std::vector<std::string>{
+                "power honesty: replica0 at come0 averaged 40.000000 W against slot budget "
+                "30.000000 W",
+                "power honesty: replica1 averaged 55.000000 W over its module envelope "
+                "50.000000 W"}));
+}
+
+TEST(FleetRunCheck, FlagsAnOkResponsePastItsDeadline) {
+  HandBuiltRun run;
+  run.offer(2, 20e-3, 40e-3, ResponseStatus::kOk, 45e-3);
+  EXPECT_EQ(run.violations(),
+            std::vector<std::string>{
+                "capacity honesty: request 2 marked ok at 0.045000s past deadline 0.040000s"});
+}
+
+TEST(FleetRunCheck, FlagsAnUnexcusedMiss) {
+  const std::vector<std::string> unexcused{
+      "capacity honesty: request 2 delivered late at 0.050000s outside any fault window"};
+  // No fault scheduled: nothing excuses a late delivery, a retry included.
+  HandBuiltRun run;
+  run.offer(2, 20e-3, 40e-3, ResponseStatus::kLate, 50e-3);
+  EXPECT_EQ(run.violations(), unexcused);
+  run.log(30e-3, ServeEventKind::kRetry, "request 2");
+  EXPECT_EQ(run.violations(), unexcused);
+  // A fault scheduled beyond the miss's lifetime +- 0.25 s excuses no
+  // unretried miss.
+  HandBuiltRun far;
+  far.offer(2, 20e-3, 40e-3, ResponseStatus::kLate, 50e-3);
+  far.faults.push(throttle_at(0.31));
+  EXPECT_EQ(far.violations(), unexcused);
+}
+
+TEST(FleetRunCheck, ARetryOrAFaultWindowExcusesAMiss) {
+  // Under a fault campaign a retry of the request excuses its miss, even
+  // when no scheduled fault overlaps the miss.
+  HandBuiltRun retried;
+  retried.offer(2, 20e-3, 40e-3, ResponseStatus::kLate, 50e-3);
+  retried.faults.push(throttle_at(0.31));
+  retried.log(30e-3, ServeEventKind::kRetry, "request 2");
+  EXPECT_EQ(retried.violations(), std::vector<std::string>{});
+
+  HandBuiltRun faulted;
+  faulted.offer(2, 20e-3, 40e-3, ResponseStatus::kLate, 50e-3);
+  faulted.faults.push(throttle_at(0.29));  // within 0.25 s after the miss
+  EXPECT_EQ(faulted.violations(), std::vector<std::string>{});
+}
+
+TEST(FleetRunCheck, ChecksTheEventMirrorAndTagsEveryViolationWithTheSimulator) {
+  HandBuiltRun run;
+  run.report.max_queue_depth = 9;
+  // An event the tracer never saw breaks the mirror.
+  run.report.events.push_back(ServeEvent{30e-3, ServeEventKind::kScaleUp, "fleet", "", 2});
+  SoakWorld world = recs_world(run.cfg, 1, 0.0);
+  run.cfg.sim = &world.sim;
+  const std::string tag = " [" + world.sim.describe() + "]";
+  EXPECT_EQ(run.violations(),
+            (std::vector<std::string>{"bounded queues: depth 9 exceeded capacity 8" + tag,
+                                      "tracer mirror count 1 != event count 2" + tag}));
 }
 
 // ---------------------------------------------------------------------------

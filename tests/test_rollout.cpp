@@ -1,7 +1,7 @@
 // Tests for the fleet OTA rollout stack: the chunked resumable transport
 // (safety/ota_transport.hpp), the staged-canary RolloutController
 // (serve/rollout.hpp) driving a simulated device swarm through lossy-fabric
-// faults, and the deterministic rollout soak (serve/ota_soak.hpp).
+// faults, and the deterministic rollout soak (soak/ota_soak.hpp).
 
 #include <gtest/gtest.h>
 
@@ -16,13 +16,15 @@
 #include "platform/microserver.hpp"
 #include "safety/model_store.hpp"
 #include "safety/ota_transport.hpp"
-#include "serve/ota_soak.hpp"
 #include "serve/rollout.hpp"
+#include "soak/ota_soak.hpp"
 #include "util/hash.hpp"
 #include "util/rng.hpp"
 
 namespace vedliot::serve {
 namespace {
+
+using namespace soak;
 
 using safety::OtaChunk;
 using safety::OtaChunker;

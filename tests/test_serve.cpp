@@ -29,15 +29,18 @@
 #include "serve/breaker.hpp"
 #include "serve/brownout.hpp"
 #include "serve/event_log.hpp"
-#include "serve/integrity_soak.hpp"
 #include "serve/queue.hpp"
 #include "serve/fleet.hpp"
-#include "serve/soak.hpp"
+#include "soak/chaos_soak.hpp"
+#include "soak/integrity_soak.hpp"
+#include "soak/soak.hpp"
 #include "util/hash.hpp"
 #include "util/rng.hpp"
 
 namespace vedliot::serve {
 namespace {
+
+using namespace soak;
 
 // ---------------------------------------------------------------------------
 // CircuitBreaker
@@ -869,7 +872,7 @@ TEST(SoakServe, InvariantsHoldAcrossFaultRates) {
     for (const auto& v : res.violations) why += v + "\n";
     EXPECT_TRUE(res.ok()) << "fault_rate=" << rate << ":\n" << why;
     // Invariant 3 directly: the queue bound held.
-    EXPECT_LE(res.report.max_queue_depth, sc.queue_capacity);
+    EXPECT_LE(res.report.max_queue_depth, SoakConfig::kQueueCapacity);
     EXPECT_GT(res.report.completed, 0u);
   }
   // Invariant 2 across the sweep: goodput never rises with the fault rate.
@@ -1118,6 +1121,42 @@ TEST(SoakIntegrity, InvariantsHoldAcrossFlipRates) {
       EXPECT_LE(res.max_detection_s, res.detection_bound_s + 1e-9);
     }
   }
+}
+
+TEST(SoakIntegrity, DetectionMatchesTheFaultedReplicaNotItsPeer) {
+  // come1 takes an SEU at 100 ms; come0's scrubber hits first (an older
+  // fault of its own) and heals. Only come1's own hit at 130 ms detects it.
+  const std::vector<ServeEvent> events = {
+      {0.100, ServeEventKind::kMemoryFault, "backend come1", "", 1},
+      {0.110, ServeEventKind::kScrubHit, "backend come0", "", 0},
+      {0.110, ServeEventKind::kModelReloaded, "backend come0", "", 1},
+      {0.130, ServeEventKind::kScrubHit, "backend come1", "", 0},
+      {0.130, ServeEventKind::kModelReloaded, "backend come1", "", 1},
+  };
+  IntegritySoakResult res;
+  check_detection(events, 0.07, res);
+  EXPECT_TRUE(res.ok()) << res.violations.front();
+  EXPECT_NEAR(res.max_detection_s, 0.030, 1e-12);
+  EXPECT_NEAR(res.mean_detection_s, 0.030, 1e-12);
+
+  // A 20 ms bound now fails on the true latency, and a heal on the peer
+  // replica does not heal this one.
+  std::vector<ServeEvent> peer_healed = events;
+  peer_healed[4].subject = "backend come0";
+  IntegritySoakResult tight;
+  check_detection(peer_healed, 0.02, tight);
+  ASSERT_EQ(tight.violations.size(), 2u);
+  EXPECT_EQ(tight.violations[0].rfind("detection latency 0.030000s exceeds bound", 0), 0u)
+      << tight.violations[0];
+  EXPECT_EQ(tight.violations[1],
+            "scrub hit on backend come1 at 0.130000s not followed by its recovery");
+
+  // The fleet-wide rollback heals every replica's hit.
+  std::vector<ServeEvent> rolled_back = peer_healed;
+  rolled_back[4] = {0.130, ServeEventKind::kOtaRolledBack, "ota integrity-fp32", "", 1};
+  IntegritySoakResult rb;
+  check_detection(rolled_back, 0.07, rb);
+  EXPECT_TRUE(rb.ok()) << rb.violations.front();
 }
 
 TEST(SoakIntegrity, SameSeedIsBitwiseIdentical) {
