@@ -6,7 +6,7 @@
 // mirror among them. Prints a summary table on stderr and one JSON-lines
 // record per scenario on stdout (scripts/soak.sh captures those).
 //
-// Usage: soak <serve|fleet|integrity|ota> [--seed N] [--duration S] [--quick]
+// Usage: soak <serve|fleet|integrity|ota> [--seed N] [--quick]
 // Exit status 1 when any invariant is violated or the rerun diverges.
 
 #include <algorithm>
@@ -14,7 +14,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <map>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -32,7 +31,6 @@ using namespace vedliot::soak;
 
 struct Options {
   std::uint64_t seed = 0x5EEDu;
-  std::optional<double> duration_s;  ///< overrides the soak's full or quick default
   bool quick = false;
 };
 
@@ -93,7 +91,7 @@ bool drive(const Soak<Config, Result>& soak) {
 bool serve_soak(const Options& o) {
   SoakConfig base;
   base.seed = o.seed;
-  base.duration_s = o.duration_s.value_or(o.quick ? 0.8 : 2.0);
+  base.duration_s = o.quick ? 0.8 : 2.0;
   Soak<SoakConfig, SoakResult> soak;
   soak.run = run_soak;
   for (const double rate : {0.0, 0.05, 0.2}) {
@@ -156,7 +154,7 @@ bool fleet_soak(const Options& o) {
   using serve::TrafficPattern;
   FleetSoakConfig base;
   base.seed = o.seed;
-  base.duration_s = o.duration_s.value_or(o.quick ? 0.5 : 2.0);
+  base.duration_s = o.quick ? 0.5 : 2.0;
   const std::vector<std::size_t> sizes =
       o.quick ? std::vector<std::size_t>{1, 4} : std::vector<std::size_t>{1, 4, 16};
   Soak<FleetSoakConfig, FleetSoakResult> soak;
@@ -181,7 +179,7 @@ bool fleet_soak(const Options& o) {
   scaled.fleet_size = 8;
   scaled.autoscale = true;
   soak.scenarios.push_back(scaled);
-  // Execute mode: real tensors through the bucket sessions, with the
+  // Execute mode: real tensors through each replica's batcher, with the
   // batched-vs-singleton CRC equality check live.
   FleetSoakConfig exec = base;
   exec.pattern = TrafficPattern::kRetryStorm;
@@ -218,7 +216,7 @@ bool fleet_soak(const Options& o) {
 bool integrity_soak(const Options& o) {
   IntegritySoakConfig base;
   base.seed = o.seed;
-  base.duration_s = o.duration_s.value_or(o.quick ? 1.0 : 2.0);
+  base.duration_s = o.quick ? 1.0 : 2.0;
   if (o.quick) base.arrival_hz = 200.0;
   Soak<IntegritySoakConfig, IntegritySoakResult> soak;
   soak.run = run_integrity_soak;
@@ -242,7 +240,7 @@ bool integrity_soak(const Options& o) {
 bool ota_soak(const Options& o) {
   OtaSoakConfig base;
   base.seed = o.seed;
-  base.duration_s = o.duration_s.value_or(o.quick ? 2.0 : 4.0);
+  base.duration_s = o.quick ? 2.0 : 4.0;
   base.n_devices = o.quick ? 6 : 12;
   Soak<OtaSoakConfig, OtaSoakResult> soak;
   soak.run = run_ota_soak;
@@ -276,7 +274,7 @@ bool ota_soak(const Options& o) {
 
 [[noreturn]] void usage(const char* argv0) {
   std::fprintf(stderr,
-               "usage: %s <serve|fleet|integrity|ota> [--seed N] [--duration S] [--quick]\n",
+               "usage: %s <serve|fleet|integrity|ota> [--seed N] [--quick]\n",
                argv0);
   std::exit(2);
 }
@@ -297,8 +295,6 @@ int main(int argc, char** argv) {
       o.quick = true;
     } else if (arg == "--seed" && i + 1 < argc) {
       o.seed = std::strtoull(argv[++i], nullptr, 0);
-    } else if (arg == "--duration" && i + 1 < argc) {
-      o.duration_s = std::strtod(argv[++i], nullptr);
     } else {
       usage(argv[0]);
     }

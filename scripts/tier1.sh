@@ -81,6 +81,9 @@ for workload in resnet50_int8 mobilenetv3_f32 fleet_exec fleet_overload; do
     *) echo "perfbench $workload: $result" >&2; exit 1 ;;
   esac
 done
+# Its speed reference's placement, to compare with another build's before
+# comparing benchmark numbers (ROADMAP.md, item 9).
+scripts/perfbench_layout.sh build/perfbench/perfbench
 
 echo
 echo "== tier-1: ASan+UBSan on the resilience/platform/observability/runtime/analysis/serve/safety tests =="

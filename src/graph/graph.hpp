@@ -140,7 +140,8 @@ class Graph {
 /// Deep copy of \p graph with every Input node's leading (batch) dimension
 /// set to \p batch, shapes re-inferred throughout. Weights are shared by
 /// value (copied), so the result executes identically per batch lane; the
-/// dynamic batcher builds one rebatched clone per power-of-two bucket width.
+/// dynamic batcher builds one rebatched clone at its widest bucket, whose
+/// plan then runs every narrower batch too (Executor::run).
 Graph rebatched(const Graph& graph, std::int64_t batch);
 
 }  // namespace vedliot

@@ -12,6 +12,7 @@
 #include "analysis/dataflow.hpp"
 #include "runtime/instrument.hpp"
 #include "runtime/memory_planner.hpp"
+#include "tensor/quant.hpp"
 
 namespace vedliot {
 
@@ -35,6 +36,16 @@ T* grow(std::vector<std::byte>& buf, std::size_t count) {
 }
 
 std::size_t slot(NodeId id) { return static_cast<std::size_t>(id); }
+
+/// \p s with its leading (batch) dimension set to \p lanes.
+Shape with_lanes(const Shape& s, std::int64_t lanes) {
+  std::vector<std::int64_t> dims(s.dims().begin(), s.dims().end());
+  dims[0] = lanes;
+  return Shape(std::move(dims));
+}
+
+/// Elements of one batch lane of \p s.
+std::int64_t lane_elems(const Shape& s) { return s.numel() / s.dim(0); }
 
 /// The [features x lanes] transpose a batched dense layer multiplies; a
 /// one-lane input is its own transpose and passes through.
@@ -196,15 +207,9 @@ void Executor::quantize() {
     layer.bias.assign(static_cast<std::size_t>(oc), 0);
     layer.mult.resize(static_cast<std::size_t>(oc));
     for (std::size_t c = 0; c < static_cast<std::size_t>(oc); ++c) {
-      const auto chan = w.data().subspan(c * per, per);
-      double amax = 0;
-      for (float v : chan) amax = std::max(amax, std::abs(static_cast<double>(v)));
-      const double ws = amax > 0 ? amax / 127.0 : 1.0;
+      const double ws =
+          quantize_int8_channel(w.data().subspan(c * per, per), layer.weights.data() + c * per);
       layer.mult[c] = in_scale * ws / out_scale;
-      std::uint64_t ignored = 0;
-      for (std::size_t i = 0; i < per; ++i) {
-        layer.weights[c * per + i] = requant_sat(chan[i] / ws, ignored);
-      }
       if (n.weights.size() > 1) {
         layer.bias[c] = static_cast<std::int32_t>(
             std::nearbyint(static_cast<double>(n.weights[1].at(c)) / (in_scale * ws)));
@@ -256,14 +261,7 @@ void Executor::compile(const MicrokernelTile& tile, bool waves) {
   inputs_ = graph_.inputs();
   outputs_ = graph_.outputs();
   views_.clear();
-  if (keep_activations_ && dtype_ == DType::kFP32) {
-    views_.resize(graph_.total_nodes());
-    for (NodeId id : order) {
-      const Shape& s = graph_.node(id).out_shape;
-      views_[slot(id)] =
-          Tensor::view(s, {buffer<float>(offset_[slot(id)]), static_cast<std::size_t>(s.numel())});
-    }
-  }
+  view_lanes_ = 0;
   compiled_ = true;
   plan_version_ = graph_.version();
   plan_tile_ = tile;
@@ -291,17 +289,16 @@ Executor::Step Executor::compile_step(const Node& n) {
   s.alpha = a.get_float_or(parametric ? "fused_alpha" : "alpha", 0.01);
   const Shape& in_shape = graph_.node(n.inputs.at(0)).out_shape;
   if (n.kind == OpKind::kConv2d) {
-    s.conv = {n.out_shape.n(), in_shape.c(), in_shape.h(), in_shape.w(), n.out_shape.c(),
-              n.out_shape.h(), n.out_shape.w(), a.get_int("kernel"), a.get_int_or("stride", 1),
+    s.conv = {in_shape.c(), in_shape.h(), in_shape.w(), n.out_shape.c(), n.out_shape.h(),
+              n.out_shape.w(), a.get_int("kernel"), a.get_int_or("stride", 1),
               a.get_int_or("pad", 0), a.get_int_or("groups", 1)};
   }
   if (n.kind == OpKind::kMaxPool || n.kind == OpKind::kAvgPool ||
       n.kind == OpKind::kGlobalAvgPool) {  // the window; GlobalAvgPool's covers the plane
     const std::int64_t k = n.kind == OpKind::kGlobalAvgPool ? std::max(in_shape.h(), in_shape.w())
                                                             : a.get_int("kernel");
-    s.conv = {in_shape.n(), in_shape.c(), in_shape.h(), in_shape.w(), in_shape.c(),
-              n.out_shape.h(), n.out_shape.w(), k, a.get_int_or("stride", k),
-              a.get_int_or("pad", 0), in_shape.c()};
+    s.conv = {in_shape.c(), in_shape.h(), in_shape.w(), in_shape.c(), n.out_shape.h(),
+              n.out_shape.w(), k, a.get_int_or("stride", k), a.get_int_or("pad", 0), in_shape.c()};
   }
   if (n.kind == OpKind::kUpsample) s.upsample = a.get_int("scale");
   if (n.kind == OpKind::kBatchNorm) {
@@ -400,14 +397,24 @@ void Executor::execute(const std::map<std::string, Tensor>& feeds) {
     run_span.attr("simd", std::string(util::simd_level_name(active_simd_)));
   }
 
+  // The run's lane count is the feeds' leading dimension: 1 up to the
+  // built batch, the same for every feed, every other dimension exact. Each
+  // op then computes only those lanes — a prefix of every buffer the plan
+  // laid out for the built batch.
+  lanes_ = 0;
   for (NodeId id : inputs_) {
     const Node& n = graph_.node(id);
     const auto it = feeds.find(n.name);
     if (it == feeds.end()) throw ExecError("missing feed for input '" + n.name + "'");
-    if (it->second.shape() != n.out_shape) {
-      throw ExecError("feed shape mismatch for '" + n.name + "': expected " +
-                      n.out_shape.to_string() + " got " + it->second.shape().to_string());
+    const Shape& got = it->second.shape();
+    const Shape& built = n.out_shape;
+    const std::int64_t lanes = got.rank() == built.rank() && got.rank() >= 1 ? got.dim(0) : 0;
+    if (lanes < 1 || lanes > built.dim(0) || (lanes_ != 0 && lanes != lanes_) ||
+        !std::equal(got.dims().begin() + 1, got.dims().end(), built.dims().begin() + 1)) {
+      throw ExecError("feed shape mismatch for '" + n.name + "': expected " + built.to_string() +
+                      " or fewer lanes, as many as every other feed, got " + got.to_string());
     }
+    lanes_ = lanes;
     const std::size_t off = offset_[slot(id)];
     if (int8) {
       quantize_into(it->second.data(), scales_[slot(id)], buffer<std::int8_t>(off));
@@ -450,6 +457,15 @@ void Executor::execute(const std::map<std::string, Tensor>& feeds) {
   for (std::uint64_t& sat : ws_.sat) saturations_ += std::exchange(sat, 0);
   for (Workspace& ws : wave_ws_) saturations_ += std::exchange(ws.sat[0], 0);
   activations_valid_ = keep_activations_;
+  if (activations_valid_ && dtype_ == DType::kFP32 && view_lanes_ != lanes_) {
+    views_.assign(graph_.total_nodes(), Tensor{});
+    for (NodeId id : graph_.topo_order()) {
+      const Shape s = with_lanes(graph_.node(id).out_shape, lanes_);
+      views_[slot(id)] =
+          Tensor::view(s, {buffer<float>(offset_[slot(id)]), static_cast<std::size_t>(s.numel())});
+    }
+    view_lanes_ = lanes_;
+  }
 
   if (metrics_ != nullptr) {
     metrics_->counter(runtime_detail::kRunsCounter).inc();
@@ -474,7 +490,7 @@ std::map<std::string, Tensor> Executor::run(const std::map<std::string, Tensor>&
   std::map<std::string, Tensor> outs;
   for (NodeId id : outputs_) {
     const Node& n = graph_.node(id);
-    Tensor t(n.out_shape);
+    Tensor t(with_lanes(n.out_shape, lanes_));
     const auto out = t.data();
     const std::size_t off = offset_[slot(id)];
     if (dtype_ == DType::kINT8) {
@@ -488,10 +504,9 @@ std::map<std::string, Tensor> Executor::run(const std::map<std::string, Tensor>&
 }
 
 QTensor Executor::quantized(NodeId id) const {
-  const Node& n = graph_.node(id);
+  const Shape s = with_lanes(graph_.node(id).out_shape, lanes_);
   const auto* q = reinterpret_cast<const std::int8_t*>(arena_.data() + offset_[slot(id)]);
-  return {n.out_shape, std::vector<std::int8_t>(q, q + n.out_shape.numel()),
-          scales_[slot(id)]};
+  return {s, std::vector<std::int8_t>(q, q + s.numel()), scales_[slot(id)]};
 }
 
 const Tensor& Executor::activation(const std::string& node_name) const {
@@ -524,7 +539,7 @@ void Executor::run_step(const Step& s, Workspace& ws, bool observe) {
     runtime_detail::op_histogram(*metrics_, n.kind).add(seconds * 1e6);
   }
   if (observe && tracer_ != nullptr) {
-    span.attr("out_elems", static_cast<double>(n.out_shape.numel()));
+    span.attr("out_elems", static_cast<double>(lane_elems(n.out_shape) * lanes_));
     span.close();
   }
 }
@@ -544,7 +559,8 @@ void Executor::run_op(const Step& s, Workspace& ws, const P& p, const typename P
   const E* x = buffer<E>(s.in.at(0));
   E* y = buffer<E>(s.out);
   const Shape& in_shape = graph_.node(n.inputs[0]).out_shape;
-  const std::int64_t numel = n.out_shape.numel();
+  const std::int64_t lanes = lanes_;  // the run's, not the plan's built batch
+  const std::int64_t numel = lane_elems(n.out_shape) * lanes;
   std::uint64_t* sat = ws.sat.data();
   const MicrokernelTile tile = mk_ != nullptr ? mk_->*G::tile : MicrokernelTile{};
   const auto* packed = reinterpret_cast<const typename P::PackedA*>(s.packed.data());
@@ -566,7 +582,7 @@ void Executor::run_op(const Step& s, Workspace& ws, const P& p, const typename P
       if (geo.is_depthwise()) {
         // Direct at every dispatch level: the k*k dot per pixel has no GEMM
         // shape, so portable and SIMD runs share these exact bits.
-        for (std::int64_t b = 0; b < geo.batch; ++b) {
+        for (std::int64_t b = 0; b < lanes; ++b) {
           pfor(0, geo.out_c, 1, [&](std::int64_t lo, std::int64_t hi, std::size_t chunk) {
             sat[chunk] += depthwise(x, w, y, geo, b, lo, hi, p);
           });
@@ -575,7 +591,7 @@ void Executor::run_op(const Step& s, Workspace& ws, const P& p, const typename P
       }
       const std::int64_t patch = geo.patch(), cols = geo.cols(), m = geo.ocg();
       E* col = grow<E>(ws.col, static_cast<std::size_t>(patch * cols));
-      for (std::int64_t b = 0; b < geo.batch; ++b) {
+      for (std::int64_t b = 0; b < lanes; ++b) {
         for (std::int64_t g = 0; g < geo.groups; ++g) {
           pfor(0, patch, 4, [&](std::int64_t lo, std::int64_t hi, std::size_t) {
             im2col(x, geo, b, g, lo, hi, col);
@@ -597,7 +613,7 @@ void Executor::run_op(const Step& s, Workspace& ws, const P& p, const typename P
     case OpKind::kDense: {
       // Batch the whole layer through one GEMM so each weight row is read
       // once for all lanes, instead of one latency-bound dot per sample.
-      const std::int64_t N = in_shape.dim(0), F = in_shape.dim(1), U = n.out_shape.dim(1);
+      const std::int64_t N = lanes, F = in_shape.dim(1), U = n.out_shape.dim(1);
       const E* xt = transpose_lanes(x, N, F, ws.col);
       if (mk_ == nullptr) {
         pfor(0, U, 8, [&](std::int64_t lo, std::int64_t hi, std::size_t chunk) {
@@ -615,8 +631,8 @@ void Executor::run_op(const Step& s, Workspace& ws, const P& p, const typename P
     case OpKind::kBatchNorm:
       if constexpr (kF32) {
         const std::int64_t C = static_cast<std::int64_t>(s.bn_scale.size());
-        const std::int64_t spatial = numel / (in_shape.dim(0) * C);
-        pfor(0, in_shape.dim(0) * C, 1, [&](std::int64_t lo, std::int64_t hi, std::size_t) {
+        const std::int64_t spatial = numel / (lanes * C);
+        pfor(0, lanes * C, 1, [&](std::int64_t lo, std::int64_t hi, std::size_t) {
           for (std::int64_t bc = lo; bc < hi; ++bc) {
             const float scale = s.bn_scale[static_cast<std::size_t>(bc % C)];
             const float shift = s.bn_shift[static_cast<std::size_t>(bc % C)];
@@ -668,7 +684,7 @@ void Executor::run_op(const Step& s, Workspace& ws, const P& p, const typename P
         const float* big = first_big ? x : x1;
         const float* vec = first_big ? x1 : x;
         const std::int64_t spatial = n.out_shape.h() * n.out_shape.w();
-        const std::int64_t planes = n.out_shape.n() * n.out_shape.c();
+        const std::int64_t planes = lanes * n.out_shape.c();
         pfor(0, planes, 1, [&](std::int64_t lo, std::int64_t hi, std::size_t) {
           for (std::int64_t bc = lo; bc < hi; ++bc) {
             const float v = vec[bc];
@@ -687,12 +703,12 @@ void Executor::run_op(const Step& s, Workspace& ws, const P& p, const typename P
     case OpKind::kConcat: {
       // Channel concat: each input is one contiguous block per batch lane
       // (int8 runs batch 1 only, checked at compile).
-      const std::int64_t lanes = n.out_shape.dim(0), row = numel / lanes;
+      const std::int64_t row = numel / lanes;
       std::int64_t off = 0;
       for (std::size_t i = 0; i < s.in.size(); ++i) {
         const E* src = buffer<E>(s.in[i]);
         const auto epilogue = p.scaled(i);
-        const std::int64_t block = graph_.node(n.inputs[i]).out_shape.numel() / lanes;
+        const std::int64_t block = lane_elems(graph_.node(n.inputs[i]).out_shape);
         for (std::int64_t b = 0; b < lanes; ++b) {
           for (std::int64_t j = 0; j < block; ++j) {
             y[b * row + off + j] = epilogue(src[b * block + j], sat[0]);
@@ -705,7 +721,7 @@ void Executor::run_op(const Step& s, Workspace& ws, const P& p, const typename P
     case OpKind::kMaxPool:
     case OpKind::kAvgPool:
     case OpKind::kGlobalAvgPool: {
-      const std::int64_t planes = s.conv.batch * s.conv.in_c;
+      const std::int64_t planes = lanes * s.conv.in_c;
       pfor(0, planes, 1, [&](std::int64_t lo, std::int64_t hi, std::size_t chunk) {
         sat[chunk] += pool(x, y, s.conv, n.kind == OpKind::kMaxPool, lo, hi, p);
       });
@@ -715,7 +731,7 @@ void Executor::run_op(const Step& s, Workspace& ws, const P& p, const typename P
       if constexpr (kF32) {
         const std::int64_t OH = n.out_shape.h(), OW = n.out_shape.w();
         const std::int64_t IH = in_shape.h(), IW = in_shape.w();
-        for (std::int64_t bc = 0; bc < n.out_shape.n() * n.out_shape.c(); ++bc) {
+        for (std::int64_t bc = 0; bc < lanes * n.out_shape.c(); ++bc) {
           for (std::int64_t oh = 0; oh < OH; ++oh) {
             for (std::int64_t ow = 0; ow < OW; ++ow) {
               y[(bc * OH + oh) * OW + ow] = x[(bc * IH + oh / s.upsample) * IW + ow / s.upsample];
@@ -725,7 +741,6 @@ void Executor::run_op(const Step& s, Workspace& ws, const P& p, const typename P
       }
       break;
     case OpKind::kSoftmax: {
-      const std::int64_t lanes = in_shape.dim(0);
       if constexpr (kF32) {
         std::memcpy(y, x, static_cast<std::size_t>(numel) * sizeof(float));
         softmax_rows(y, lanes, numel / lanes);

@@ -83,6 +83,14 @@ class Executor {
   /// node name). Returns the outputs of all graph output nodes by name,
   /// dequantized for int8.
   ///
+  /// The lane count is a property of the run, not of the plan: feeds may
+  /// carry any n in [1, built batch] lanes along their leading dimension
+  /// (every other dimension exact, every feed the same n), and outputs,
+  /// quantized() and activation() cover those n lanes. One compiled plan
+  /// therefore serves every batch width up to the graph's built batch; each
+  /// lane's bits are those of a singleton run of the same input. Any other
+  /// feed throws ExecError.
+  ///
   /// This is the engine entry runtime::Session wraps; application code goes
   /// through Session. Direct construction is reserved for introspection
   /// (keep_activations + activation(), arena_stats, weight_packs) that the
@@ -240,6 +248,8 @@ class Executor {
   std::vector<std::size_t> offset_;  ///< arena byte offset per NodeId
   std::vector<std::byte> arena_;
   std::vector<Tensor> views_;        ///< f32 activation views (keep_activations)
+  std::int64_t view_lanes_ = 0;      ///< the lane count views_ cover
+  std::int64_t lanes_ = 0;           ///< lane count of the current run
   bool activations_valid_ = false;
 
   Workspace ws_;                     ///< serial steps

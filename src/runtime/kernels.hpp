@@ -31,8 +31,9 @@ namespace vedliot::runtime_kernels {
 float apply_activation(float x, OpKind kind, double alpha);
 
 /// Round to nearest and saturate to int8, counting saturations (values
-/// outside [-128, 127] — information lost). Weight and input quantization
-/// use it as is.
+/// outside [-128, 127] — information lost). Input quantization uses it as
+/// is; weights go through quantize_int8_channel (tensor/quant.hpp), which
+/// rounds and saturates the same way.
 inline std::int8_t requant_sat(double v, std::uint64_t& saturations) {
   const double r = std::nearbyint(v);
   if (r > 127.0) {
@@ -142,9 +143,9 @@ struct S8Policy {
   }
 };
 
-/// Conv2D loop geometry, shared by both dtypes.
+/// Conv2D loop geometry of one batch lane, shared by both dtypes; the lane
+/// count is the run's (Executor), not the plan's.
 struct Conv2dGeometry {
-  std::int64_t batch = 1;
   std::int64_t in_c = 0, in_h = 0, in_w = 0;
   std::int64_t out_c = 0, out_h = 0, out_w = 0;
   std::int64_t kernel = 1, stride = 1, pad = 0, groups = 1;
@@ -160,7 +161,7 @@ struct Conv2dGeometry {
 // out of line: inlined there, GCC spilled the depthwise tap loop's pointers
 // to the stack (MobileNetV3's depthwise rows ran 30% slower).
 
-/// Pack one (batch, group) slice of an NCHW input into a row-major
+/// Pack one (lane, group) slice of an NCHW input into a row-major
 /// [patch() x cols()] column matrix; out-of-image taps become zero.
 /// Rows [row_lo, row_hi) only, so packing itself can be partitioned.
 /// T is float or std::int8_t.
@@ -291,7 +292,7 @@ std::uint64_t dense_rows(const typename P::Elem* w, const typename P::Elem* xt,
 }
 
 /// Direct depthwise convolution (groups == channels) for channel range
-/// [c_lo, c_hi) of batch b: im2col degenerates to a k*k dot per pixel, so
+/// [c_lo, c_hi) of lane b: im2col degenerates to a k*k dot per pixel, so
 /// packing overhead is pure loss — keep it direct. Accumulation in fixed
 /// tap order, through the policy like gemm_rows.
 template <typename P> [[gnu::noinline]]
@@ -326,7 +327,7 @@ std::uint64_t depthwise(const typename P::Elem* in, const typename P::Elem* w,
   return saturations;
 }
 
-/// Max or average pooling of planes [plane_lo, plane_hi) (batch x channel)
+/// Max or average pooling of planes [plane_lo, plane_hi) (lane x channel)
 /// over g's kernel, stride and pad. A window sums its in-image taps in
 /// row-major order, in double (exact for int8 values); its max, or its
 /// average over those taps, leaves through p.scaled(0). GlobalAvgPool is one

@@ -71,16 +71,7 @@ std::vector<Tensor> Session::run_batch(std::span<const Tensor> inputs) {
   const auto graph_inputs = graph().inputs();
   VEDLIOT_CHECK(graph_inputs.size() == 1, "run_batch requires exactly one graph input");
   VEDLIOT_CHECK(!inputs.empty(), "run_batch needs at least one input");
-  const Node& in_node = graph().node(graph_inputs.front());
-  const Tensor stacked = stack_batch(inputs);
-  // The graph's input shape encodes its built batch; a mismatched stack is
-  // a batcher bug (the batcher pads partial batches up to the built width).
-  if (stacked.shape() != in_node.out_shape) {
-    throw ExecError("run_batch stacked " + stacked.shape().to_string() +
-                    " does not match graph input " + in_node.out_shape.to_string() +
-                    " (pad partial batches to the built width)");
-  }
-  RunResult result = run({{in_node.name, stacked}});
+  RunResult result = run({{graph().node(graph_inputs.front()).name, stack_batch(inputs)}});
   VEDLIOT_CHECK(result.outputs.size() == 1, "run_batch requires exactly one graph output");
   return split_batch(result.outputs.begin()->second);
 }

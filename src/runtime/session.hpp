@@ -71,12 +71,12 @@ class Session {
 
   /// Batched submit path for single-input single-output graphs: stack the
   /// per-request inputs along the leading dimension, run once, and split
-  /// the output back into per-request tensors (in submission order). The
-  /// stacked batch must match the graph's built batch exactly — callers
-  /// that coalesce fewer requests pad with zero lanes and discard them
-  /// (serve::DynamicBatcher does both). Per-lane outputs are bitwise
-  /// identical to singleton runs of the same inputs: every kernel computes
-  /// each batch lane independently with a fixed accumulation order.
+  /// the output back into one tensor per lane (in submission order). The
+  /// stack may hold any 1..built-batch lanes and runs unpadded on the one
+  /// compiled plan (Executor::run); wider stacks, or stacks over the live
+  /// max_batch, throw ExecError. Per-lane outputs are bitwise identical to
+  /// singleton runs of the same inputs: every kernel computes each batch
+  /// lane independently with a fixed accumulation order.
   std::vector<Tensor> run_batch(std::span<const Tensor> inputs);
 
   virtual const Graph& graph() const = 0;

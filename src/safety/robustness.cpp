@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
+#include <vector>
 
+#include "tensor/quant.hpp"
 #include "util/error.hpp"
 
 namespace vedliot::safety {
@@ -64,26 +65,12 @@ std::vector<NodeId> FaultInjector::parametric_nodes(const Graph& g) const {
   return out;
 }
 
-namespace {
-
-/// Per-output-channel int8 scale, matching the QuantizedExecutor's
-/// preparation convention (amax over the channel / 127, 1.0 for an
-/// all-zero channel).
-double int8_channel_scale(const Tensor& w, std::size_t idx) {
-  const auto oc = w.shape().dim(0);
-  const auto per = static_cast<std::size_t>(w.numel() / oc);
-  const std::size_t chan = idx / per;
-  const auto span = w.data().subspan(chan * per, per);
-  double amax = 0;
-  for (float v : span) amax = std::max(amax, std::abs(static_cast<double>(v)));
-  return amax > 0 ? amax / 127.0 : 1.0;
-}
-
-}  // namespace
-
-void FaultInjector::flip_weight_bits(Graph& g, std::size_t n_bits, bool include_bias) {
+std::vector<std::pair<NodeId, std::size_t>> FaultInjector::flip_weight_bits(Graph& g,
+                                                                            std::size_t n_bits,
+                                                                            bool include_bias) {
   const auto nodes = parametric_nodes(g);
   VEDLIOT_CHECK(!nodes.empty(), "graph has no parametric nodes to fault");
+  std::vector<std::pair<NodeId, std::size_t>> flipped;
   for (std::size_t i = 0; i < n_bits; ++i) {
     const auto nid = nodes[static_cast<std::size_t>(
         rng_.uniform_int(0, static_cast<std::int64_t>(nodes.size()) - 1))];
@@ -99,13 +86,13 @@ void FaultInjector::flip_weight_bits(Graph& g, std::size_t n_bits, bool include_
       // Deployed int8 memory: flip one of the 8 bits of the per-channel
       // quantized code, then dequantize — the fault as the executor's
       // integer kernels would actually see it.
-      const double ws = int8_channel_scale(w, idx);
-      const auto q = static_cast<std::int32_t>(std::clamp(
-          std::lround(static_cast<double>(w.at(idx)) / ws), long{-127}, long{127}));
+      const auto per = static_cast<std::size_t>(w.numel() / w.shape().dim(0));
+      std::vector<std::int8_t> codes(per);
+      const double ws = quantize_int8_channel(w.data().subspan(idx / per * per, per), codes.data());
       const int bit = static_cast<int>(rng_.uniform_int(0, 7));
-      const auto flipped =
-          static_cast<std::int8_t>(static_cast<std::uint8_t>(q) ^ (1u << bit));
-      w.at(idx) = static_cast<float>(static_cast<double>(flipped) * ws);
+      const auto code =
+          static_cast<std::int8_t>(static_cast<std::uint8_t>(codes[idx % per]) ^ (1u << bit));
+      w.at(idx) = static_cast<float>(static_cast<double>(code) * ws);
     } else {
       // Flip within bits 20..29 (high mantissa / low exponent): visible but
       // rarely produces inf/nan, like real SEUs in practice.
@@ -114,7 +101,9 @@ void FaultInjector::flip_weight_bits(Graph& g, std::size_t n_bits, bool include_
       u ^= (1u << bit);
       w.at(idx) = std::bit_cast<float>(u);
     }
+    flipped.emplace_back(nid, tensor);
   }
+  return flipped;
 }
 
 void FaultInjector::zero_random_channel(Graph& g) {

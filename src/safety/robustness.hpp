@@ -8,6 +8,8 @@
 
 #include <cstdint>
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "graph/graph.hpp"
 #include "obs/metrics.hpp"
@@ -88,8 +90,10 @@ class FaultInjector {
   /// per-channel-quantized code and map back through the scale, which is
   /// what a flip in deployed int8 memory actually does to the dequantized
   /// value. With \p include_bias, bias tensors fault too (weights[1..]),
-  /// not just the kernel.
-  void flip_weight_bits(Graph& g, std::size_t n_bits, bool include_bias = false);
+  /// not just the kernel. Returns the (node, weight tensor index) each bit
+  /// flipped in, in flip order.
+  std::vector<std::pair<NodeId, std::size_t>> flip_weight_bits(Graph& g, std::size_t n_bits,
+                                                               bool include_bias = false);
 
   /// Zero an entire randomly-chosen output channel of a random conv layer.
   void zero_random_channel(Graph& g);

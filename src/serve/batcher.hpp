@@ -3,22 +3,21 @@
 /// \brief Dynamic batcher: coalesces admitted requests into GEMM-friendly
 /// batched session runs with bitwise-singleton-equal outputs.
 ///
-/// The executor builds its plans against the graph's input shape, so one
-/// session cannot serve every batch width. The batcher therefore keeps a
-/// ladder of power-of-two *bucket* sessions (widths 1, 2, 4, ..., W), each
-/// over its own rebatched clone of the deployment graph. A coalesced group
-/// of n lanes runs on the smallest allowed bucket >= n, padded with zero
-/// lanes that are discarded after the split — legal because every kernel
-/// computes batch lanes independently with a fixed accumulation order, so
-/// lane i of a batched run is bitwise identical to a singleton run of the
-/// same input (the soak harness checks this by CRC).
+/// The batcher holds one session over one rebatched clone of the deployment
+/// graph, built at the widest power-of-two *bucket* width W. The executor
+/// takes a run's lane count from its feeds, so that one compiled plan runs
+/// a coalesced group of any n <= W lanes as it is, with no padding — legal
+/// because every kernel computes batch lanes independently with a fixed
+/// accumulation order, so lane i of a batched run is bitwise identical to a
+/// singleton run of the same input (the soak harness checks this by CRC).
+/// The bucket widths 1, 2, 4, ..., W remain the grain of the batch cap and
+/// of the fleet's analytic cost model.
 ///
 /// `max_batch` stays the knob the brownout ladder shrinks live:
-/// set_exec_config() forwards to every bucket session, capping each at
-/// min(bucket width, cap). Buckets wider than the cap would then refuse
-/// their own feeds through Session's admission check, so the batcher stops
-/// selecting them — the shrink is visible *through the Session API*, not
-/// through private batcher state (test_fleet pins this).
+/// set_exec_config() caps the session at the widest bucket under the new
+/// cap, so a wider group is refused by Session's own admission check — the
+/// shrink is enforced by the runtime, not by batcher bookkeeping (test_fleet
+/// pins this).
 
 #include <cstdint>
 #include <memory>
@@ -30,16 +29,25 @@
 
 namespace vedliot::serve {
 
+/// Bucket widths 1, 2, 4, ..., W, with W the first power of two >= \p max_batch.
+std::vector<std::int64_t> bucket_widths(std::int64_t max_batch);
+
+/// The widest of \p widths (ascending) not above \p cap, with cap 0 meaning
+/// no cap. A cap below the narrowest bucket still serves singletons:
+/// shedding all traffic because a controller said "1" on a 2-wide ladder
+/// would be a brownout that browns fully out.
+std::int64_t widest_bucket(std::span<const std::int64_t> widths, std::int64_t cap);
+
 class DynamicBatcher {
  public:
   struct Config {
     std::int64_t max_batch = 8;   ///< widest bucket (rounded up to a power of two)
     runtime::ExecConfig exec;     ///< initial envelope; exec.max_batch 0 = max_batch
-    bool quantized = false;       ///< buckets via make_quantized_session
+    bool quantized = false;       ///< the session via make_quantized_session
   };
 
-  /// Builds the bucket ladder from rebatched clones of \p graph (which must
-  /// be single-input single-output with materialized weights; the clones are
+  /// Builds the session over a rebatched clone of \p graph (which must be
+  /// single-input single-output with materialized weights; the clone is
   /// owned, the original only needs to live through construction).
   DynamicBatcher(const Graph& graph, Config config);
 
@@ -49,35 +57,20 @@ class DynamicBatcher {
   /// [1, effective_max_batch()] — the caller coalesces against that cap.
   std::vector<Tensor> run(std::span<const Tensor> inputs);
 
-  /// Forward a new envelope to every bucket session (see file comment).
+  /// Cap the session at the widest bucket under \p exec's max_batch (see
+  /// file comment) and forward the rest of the envelope.
   void set_exec_config(const runtime::ExecConfig& exec);
-  const runtime::ExecConfig& exec_config() const { return exec_; }
 
-  /// Widest batch run() currently accepts: the largest bucket width not
-  /// above the live cap (the full ladder width when the cap is 0).
-  std::int64_t effective_max_batch() const;
+  /// Widest batch run() currently accepts: widest_bucket under the live cap.
+  std::int64_t effective_max_batch() const { return session_->max_batch(); }
 
   /// Bucket widths, ascending (1, 2, 4, ..., W).
   const std::vector<std::int64_t>& bucket_widths() const { return widths_; }
 
-  /// The bucket session of exactly \p width (for inspection through the
-  /// Session API); throws NotFound for a width that is not a bucket.
-  runtime::Session& bucket_session(std::int64_t width) const;
-
-  std::uint64_t batches_run() const { return batches_run_; }
-  std::uint64_t lanes_run() const { return lanes_run_; }    ///< real lanes
-  std::uint64_t padded_lanes() const { return padded_lanes_; }
-
  private:
-  Config cfg_;
-  runtime::ExecConfig exec_;
   std::vector<std::int64_t> widths_;
-  std::vector<std::unique_ptr<Graph>> graphs_;  ///< rebatched clones, per bucket
-  std::vector<std::unique_ptr<runtime::Session>> sessions_;
-  Shape lane_shape_;
-  std::uint64_t batches_run_ = 0;
-  std::uint64_t lanes_run_ = 0;
-  std::uint64_t padded_lanes_ = 0;
+  std::unique_ptr<Graph> graph_;  ///< rebatched clone at the widest bucket
+  std::unique_ptr<runtime::Session> session_;
 };
 
 }  // namespace vedliot::serve

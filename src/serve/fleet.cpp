@@ -22,15 +22,6 @@ constexpr double kRetryTokenCap = 8.0;   ///< per-client retry bucket ceiling
 constexpr double kBackoffBaseS = 2e-3;   ///< full-jitter backoff (Rng::backoff_s)
 constexpr double kBackoffCapS = 20e-3;
 
-std::vector<std::int64_t> bucket_widths(std::int64_t max_batch) {
-  std::vector<std::int64_t> widths;
-  for (std::int64_t w = 1;; w *= 2) {
-    widths.push_back(w);
-    if (w >= max_batch) break;
-  }
-  return widths;
-}
-
 /// Default brownout rungs: the full batch cap, halved per rung down to 1.
 std::vector<BrownoutStep> default_ladder(std::int64_t max_batch) {
   std::vector<BrownoutStep> steps;
@@ -182,13 +173,7 @@ Fleet::~Fleet() = default;
 const runtime::ExecConfig& Fleet::rung_exec() const { return ladder_.current().exec; }
 
 std::int64_t Fleet::effective_max_batch() const {
-  const std::int64_t cap = rung_exec().max_batch;
-  std::int64_t widest = 0;
-  for (const std::int64_t w : widths_) {
-    if (cap > 0 && w > cap) break;
-    widest = w;
-  }
-  return std::max<std::int64_t>(widest, 1);
+  return widest_bucket(widths_, rung_exec().max_batch);
 }
 
 double Fleet::surcharge_s(const Request& r) const {
@@ -207,12 +192,6 @@ std::size_t Fleet::index_of(const std::string& name) const {
     if (fleet_[i].name == name) return i;
   }
   throw NotFound("no replica named " + name);
-}
-
-DynamicBatcher& Fleet::batcher(const std::string& replica) const {
-  const Replica& rep = fleet_[index_of(replica)];
-  VEDLIOT_CHECK(rep.batcher != nullptr, "replica has no batcher (analytic mode)");
-  return *rep.batcher;
 }
 
 std::size_t Fleet::add_replica() {
@@ -523,7 +502,7 @@ void Fleet::launch(double t, std::size_t idx, std::vector<Ticket> group) {
   const double watts = costs[b].power_w;
 
   // Execute mode: synthesize each member's input from its payload handle
-  // and run the coalesced group through the bucket sessions for real.
+  // and run the coalesced group through the replica's batcher for real.
   PendingBatch batch;
   std::vector<std::uint32_t> crcs(group.size(), 0);
   if (cfg_.execute) {
@@ -611,8 +590,8 @@ void Fleet::apply_brownout(double t, int delta) {
            "batch cap now " + std::to_string(effective_max_batch()) + variant_tag(), level);
   if (!cfg_.execute) return;
   // The shrink must be enforced by the runtime, not fleet bookkeeping:
-  // forward the rung's envelope through every bucket session's
-  // set_exec_config (buckets wider than the cap then refuse their feeds).
+  // forward the rung's envelope to every replica's session, which then
+  // refuses feeds wider than the cap.
   for (Replica& rep : fleet_) {
     if (!rep.retired && rep.batcher) rep.batcher->set_exec_config(rung_exec());
   }
@@ -824,12 +803,18 @@ void Fleet::apply_fault(double t, const platform::FaultEvent& e) {
     Replica& rep = fleet_[*replica_at(e.slot)];
     const auto bits = static_cast<std::size_t>(e.magnitude);
     safety::FaultInjector injector(fault_rng_);
-    injector.flip_weight_bits(*rep.deployed, bits, /*include_bias=*/true);
-    rebuild_batcher(rep);  // the sessions pack weights: serve the flipped bits
+    const auto flipped = injector.flip_weight_bits(*rep.deployed, bits, /*include_bias=*/true);
+    rebuild_batcher(rep);  // the session packs weights: serve the flipped bits
     ++report_.memory_faults;
-    log_.add(t, ServeEventKind::kMemoryFault, "backend " + e.slot,
-             std::to_string(bits) + " weight bit(s) flipped in deployed " +
-                 cfg_.variants.front().name,
+    // Name each flipped tensor once, as a kScrubHit names the one it finds.
+    std::string detail =
+        std::to_string(bits) + " weight bit(s) flipped in deployed " + cfg_.variants.front().name;
+    for (auto f = flipped.begin(); f != flipped.end(); ++f) {
+      if (std::find(flipped.begin(), f, *f) != f) continue;
+      detail += (f == flipped.begin() ? ": node '" : ", node '") +
+                rep.deployed->node(f->first).name + "' tensor " + std::to_string(f->second);
+    }
+    log_.add(t, ServeEventKind::kMemoryFault, "backend " + e.slot, detail,
              static_cast<double>(bits));
   }
 }
@@ -921,7 +906,10 @@ void Fleet::recover(double t, std::size_t idx,
     rewritten = cfg_.store->restore(name, *rep.deployed);
   }
   rebuild_batcher(rep);
-  rep.scrubber->rebaseline();
+  // The scrubber keeps its golden baseline: repair verified each rewritten
+  // tensor against it and restore writes the same golden bits, while
+  // re-trusting the current bits would bake in a flip on a tensor this
+  // sweep has not reached yet.
   ++report_.model_reloads;
   log_.add(t, ServeEventKind::kModelReloaded, "backend " + rep.slot,
            std::to_string(rewritten) + " tensor(s) re-materialized from golden v" +

@@ -13,9 +13,10 @@
 ///    platform::FleetPlacement, so replicas exist only under the per-slot
 ///    and per-chassis power budgets, and every batch is metered to its slot;
 ///  * dynamic batching — an idle replica opens a short batch window, then
-///    coalesces queued requests (EDF order) into the smallest power-of-two
-///    bucket that fits (batcher.hpp); the next batch launches the instant
-///    the replica frees — continuous batching without a central scheduler;
+///    coalesces queued requests (EDF order) into one batch, costed as the
+///    smallest power-of-two bucket that fits (batcher.hpp); the next batch
+///    launches the instant the replica frees — continuous batching without
+///    a central scheduler;
 ///  * deadlines — dispatch cancels every member whose deadline the batch's
 ///    own latency would bust, so work is never served late unless a thermal
 ///    throttle stretches the batch in flight;
@@ -96,8 +97,8 @@ struct FleetConfig {
   /// variant. Graphs must outlive the fleet.
   std::vector<ModelVariant> variants;
 
-  /// Run real tensors through bucket sessions on dispatch (CRC-stamped
-  /// responses). Off = analytic timing only (the big sweeps).
+  /// Run real tensors through each replica's batcher on dispatch
+  /// (CRC-stamped responses). Off = analytic timing only (the big sweeps).
   bool execute = false;
 
   std::int64_t max_batch = 8;  ///< widest batch bucket (healthy cap)
@@ -184,7 +185,7 @@ struct FleetReport {
 
   std::size_t batches = 0;       ///< kBatchExecuted count
   std::size_t lanes = 0;         ///< real lanes executed
-  std::size_t padded_lanes = 0;  ///< zero lanes added to fill buckets
+  std::size_t padded_lanes = 0;  ///< lanes billed beyond `lanes` (bucket cost)
 
   std::size_t max_queue_depth = 0;  ///< max depth of any one replica queue
   std::size_t scale_ups = 0;
@@ -257,11 +258,6 @@ class Fleet {
 
   /// Replicas in the routing ring, in ring order (for tests).
   std::vector<std::string> replicas() const { return ring_.members(); }
-
-  /// The batcher serving \p replica (execute mode; throws NotFound
-  /// otherwise) — lets tests watch a brownout shrink through the bucket
-  /// sessions' own Session API.
-  DynamicBatcher& batcher(const std::string& replica) const;
 
  private:
   struct Replica {

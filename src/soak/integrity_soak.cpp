@@ -31,6 +31,20 @@ void expect_count(std::string_view what, std::size_t got, std::size_t want,
                        std::to_string(want) + ")");
 }
 
+/// Whether a kScrubHit detail ("node 'X' tensor K crc mismatch (...)")
+/// names one of the tensors a kMemoryFault detail lists ("...: node 'X'
+/// tensor K, node 'Y' tensor J").
+bool hit_names_a_flipped_tensor(const std::string& hit, const std::string& fault) {
+  const std::size_t named = hit.find(" crc mismatch");
+  if (hit.rfind("node '", 0) != 0 || named == std::string::npos) return false;
+  const std::string tensor = hit.substr(0, named);
+  for (auto at = fault.find(tensor); at != std::string::npos; at = fault.find(tensor, at + 1)) {
+    const std::size_t end = at + tensor.size();
+    if (end == fault.size() || fault[end] == ',') return true;
+  }
+  return false;
+}
+
 }  // namespace
 
 void check_detection(std::span<const ServeEvent> events, double bound_s,
@@ -42,7 +56,8 @@ void check_detection(std::span<const ServeEvent> events, double bound_s,
     if (e.kind == ServeEventKind::kMemoryFault) {
       ++faults;
       const auto hit = std::find_if(it + 1, events.end(), [&](const ServeEvent& d) {
-        return d.kind == ServeEventKind::kScrubHit && d.subject == e.subject;
+        return d.kind == ServeEventKind::kScrubHit && d.subject == e.subject &&
+               hit_names_a_flipped_tensor(d.detail, e.detail);
       });
       if (hit == events.end()) {
         out.violations.push_back("memory fault on " + e.subject + " at " +

@@ -20,7 +20,7 @@
 /// Invariants checked on every run:
 ///
 ///   1. bounded detection — every memory fault is localized by a scrub hit
-///      on the faulted replica within (ticks_per_sweep + 2) control ticks
+///      on a tensor it flipped, on the faulted replica, within (ticks_per_sweep + 2) control ticks
 ///      of injection (check_detection);
 ///   2. no unchecked delivery — every delivered response (completed or
 ///      late) was verified by the robustness service: integrity_checks ==
@@ -78,7 +78,8 @@ IntegritySoakResult run_integrity_soak(const IntegritySoakConfig& config);
 
 /// Invariants 1 and 3 over one run's events. Each replica scrubs its own
 /// copy, so a kMemoryFault on `backend <slot>` is detected by the first
-/// later kScrubHit on that same subject, within \p bound_s; each kScrubHit
+/// later kScrubHit on that same subject that names one of the tensors the
+/// fault flipped, within \p bound_s; each kScrubHit
 /// heals at its own time by a kModelReloaded on its subject or the
 /// fleet-wide kOtaRolledBack. Sets \p out's max and mean detection latency
 /// (the mean over every fault) and appends to its violations.

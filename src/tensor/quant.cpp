@@ -114,6 +114,14 @@ std::vector<QuantParams> fake_quantize_per_channel(Tensor& weight, DType dt) {
   return params;
 }
 
+double quantize_int8_channel(std::span<const float> channel, std::int8_t* codes) {
+  const QuantParams qp = choose_symmetric(channel, DType::kINT8);
+  for (std::size_t i = 0; i < channel.size(); ++i) {
+    codes[i] = static_cast<std::int8_t>(qp.quantize(channel[i]));
+  }
+  return qp.scale;
+}
+
 double quant_step(std::span<const float> data, DType dt) {
   return choose_symmetric(data, dt).scale;
 }

@@ -59,6 +59,15 @@ QuantParams fake_quantize(Tensor& t, DType dt, Calibration cal = Calibration::kM
 /// tensor (channel = dim 0). Returns one QuantParams per channel.
 std::vector<QuantParams> fake_quantize_per_channel(Tensor& weight, DType dt);
 
+/// Per-output-channel int8 weights as the integer engine
+/// (runtime/executor.hpp) stores them, and as the SEU fault model
+/// (safety/robustness.hpp) flips them — one definition, so the two cannot
+/// drift: the channel's symmetric min-max scale (amax / 127, 1.0 for an
+/// all-zero channel) is returned, and each weight's code — w / scale
+/// rounded half to even, saturated to [-128, 127] — written to \p codes
+/// (channel.size() of them).
+double quantize_int8_channel(std::span<const float> channel, std::int8_t* codes);
+
 /// Worst-case quantization step (scale) for the given data/type — useful as
 /// an analytic bound in property tests: |x - fq(x)| <= scale/2 for values
 /// inside the clipping range.

@@ -44,8 +44,8 @@ inline Graph single_node_graph(const Graph& g, const Node& n) {
 
 inline runtime_kernels::Conv2dGeometry conv_geometry(const Graph& g, const Node& n) {
   const Shape& in = g.node(n.inputs.at(0)).out_shape;
-  return {n.out_shape.n(), in.c(), in.h(), in.w(), n.out_shape.c(), n.out_shape.h(),
-          n.out_shape.w(), n.attrs.get_int("kernel"), n.attrs.get_int_or("stride", 1),
+  return {in.c(), in.h(), in.w(), n.out_shape.c(), n.out_shape.h(), n.out_shape.w(),
+          n.attrs.get_int("kernel"), n.attrs.get_int_or("stride", 1),
           n.attrs.get_int_or("pad", 0), n.attrs.get_int_or("groups", 1)};
 }
 
@@ -60,7 +60,7 @@ inline Tensor direct_conv_f32(const Graph& g, const Node& n, const Tensor& in) {
   const double alpha = n.attrs.get_float_or("fused_alpha", 0.01);
   const std::int64_t icg = geo.icg(), ocg = geo.ocg(), k = geo.kernel;
   Tensor out(n.out_shape);
-  for (std::int64_t b = 0; b < geo.batch; ++b) {
+  for (std::int64_t b = 0; b < n.out_shape.n(); ++b) {
     for (std::int64_t oc = 0; oc < geo.out_c; ++oc) {
       const auto g_idx = oc / ocg;
       for (std::int64_t oh = 0; oh < geo.out_h; ++oh) {
@@ -182,7 +182,7 @@ class DirectConvInt8 {
       }
       mult[oc] = in_scale * ws / so;
     }
-    for (std::int64_t b = 0; b < geo.batch; ++b) {
+    for (std::int64_t b = 0; b < n.out_shape.n(); ++b) {
       for (std::int64_t oc = 0; oc < geo.out_c; ++oc) {
         const std::int8_t* wrow = wq.data() + static_cast<std::size_t>(oc) * per;
         for (std::int64_t oh = 0; oh < geo.out_h; ++oh) {

@@ -219,34 +219,35 @@ Graph small_mlp(std::uint64_t seed) {
   return g;
 }
 
-TEST(DynamicBatcher, BrownoutShrinkEnforcedByBucketSessions) {
+TEST(DynamicBatcher, BrownoutShrinkEnforcedByItsSession) {
   Graph g = small_mlp(11);
   DynamicBatcher::Config bc;
   bc.max_batch = 8;
   DynamicBatcher batcher(g, bc);
   EXPECT_EQ(batcher.effective_max_batch(), 8);
 
-  // A brownout rung shrinks the cap live. The wide buckets must now refuse
-  // their own feeds through Session's admission check — the shrink is
+  Rng data_rng(12);
+  std::vector<Tensor> wide;
+  for (int i = 0; i < 8; ++i) wide.emplace_back(Shape{1, 16}, data_rng.normal_vector(16));
+  const std::span<const Tensor> narrow(wide.data(), 2);
+
+  // A brownout rung shrinks the cap live. The one session must now refuse
+  // the 8-lane group through Session's admission check — the shrink is
   // runtime-enforced, not batcher bookkeeping.
   runtime::ExecConfig rung;
   rung.max_batch = 2;
   batcher.set_exec_config(rung);
   EXPECT_EQ(batcher.effective_max_batch(), 2);
+  EXPECT_THROW((void)batcher.run(wide), ExecError);
+  EXPECT_NO_THROW((void)batcher.run(narrow));
 
-  Rng data_rng(12);
-  Tensor wide(Shape{8, 16}, data_rng.normal_vector(8 * 16));
-  EXPECT_THROW((void)batcher.bucket_session(8).run_single(wide), ExecError);
-  Tensor narrow(Shape{2, 16}, data_rng.normal_vector(2 * 16));
-  EXPECT_NO_THROW((void)batcher.bucket_session(2).run_single(narrow));
-
-  // Recovery restores the full ladder.
+  // Recovery restores the full width.
   batcher.set_exec_config({});
   EXPECT_EQ(batcher.effective_max_batch(), 8);
-  EXPECT_NO_THROW((void)batcher.bucket_session(8).run_single(wide));
+  EXPECT_NO_THROW((void)batcher.run(wide));
 }
 
-TEST(DynamicBatcher, PadsToBucketAndSplitsBitwise) {
+TEST(DynamicBatcher, SplitsAPartialGroupBitwise) {
   Graph g = small_mlp(13);
   DynamicBatcher::Config bc;
   bc.max_batch = 4;
@@ -255,9 +256,8 @@ TEST(DynamicBatcher, PadsToBucketAndSplitsBitwise) {
   Rng data_rng(14);
   std::vector<Tensor> inputs;
   for (int i = 0; i < 3; ++i) inputs.emplace_back(Shape{1, 16}, data_rng.normal_vector(16));
-  const auto outputs = batcher.run(inputs);  // 3 lanes on the width-4 bucket
+  const auto outputs = batcher.run(inputs);  // 3 lanes on the 4-lane plan
   ASSERT_EQ(outputs.size(), 3u);
-  EXPECT_EQ(batcher.padded_lanes(), 1u);
 
   const auto single = runtime::make_session(g, {});
   for (std::size_t i = 0; i < inputs.size(); ++i) {

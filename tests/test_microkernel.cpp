@@ -704,18 +704,33 @@ struct GraphRun {
   std::uint64_t saturations = 0;
 };
 
+/// One run of \p exec on \p x; saturations are the run's own.
+GraphRun run_on(Executor& exec, const Graph& g, const Tensor& x) {
+  const std::uint64_t before = exec.saturations();
+  GraphRun r;
+  for (auto& [name, t] : exec.run({{g.node(g.inputs().front()).name, x}})) {
+    r.outs.push_back(std::move(t));
+  }
+  r.saturations = exec.saturations() - before;
+  return r;
+}
+
 GraphRun run_graph(const Graph& g, DType dtype, const Tensor& x, util::SimdLevel level,
                    unsigned threads = 1, unsigned inter_op = 1) {
   Executor exec(g, dtype);
   exec.set_simd(level);
   exec.set_threads(threads);
   exec.set_inter_op(inter_op);
-  GraphRun r;
-  for (auto& [name, t] : exec.run({{g.node(g.inputs().front()).name, x}})) {
-    r.outs.push_back(std::move(t));
-  }
-  r.saturations = exec.saturations();
-  return r;
+  return run_on(exec, g, x);
+}
+
+/// Lanes [first, first + count) of \p x.
+Tensor lanes_of(const Tensor& x, std::int64_t first, std::int64_t count) {
+  const std::int64_t per = x.numel() / x.shape().dim(0);
+  std::vector<std::int64_t> dims(x.shape().dims().begin(), x.shape().dims().end());
+  dims[0] = count;
+  const float* in = x.data().data() + first * per;
+  return Tensor(Shape(dims), std::vector<float>(in, in + count * per));
 }
 
 bool same_bytes(const float* a, const float* b, std::int64_t count) {
@@ -733,29 +748,39 @@ bool bitwise_equal(const GraphRun& a, const GraphRun& b) {
   return true;
 }
 
-/// Each lane of a batched run is bitwise its singleton run (the batched
-/// graph at batch 1, fed that lane alone); saturations add up across lanes.
+/// Each lane of a run on \p g's plan is bitwise its singleton run (the
+/// graph at batch 1, fed that lane alone), and the run's saturations are the
+/// sum of its lanes'. One executor runs the full batch of \p x, then each
+/// narrower prefix of it on the same compiled plan, so an op body that still
+/// covers the built batch shows up as saturations from lanes it should have
+/// left alone.
 void expect_lanes_match_singletons(const Graph& g, DType dtype, const Tensor& x,
-                                   util::SimdLevel level, const GraphRun& batched,
-                                   const std::string& what) {
+                                   util::SimdLevel level, const std::string& what) {
   const std::int64_t lanes = x.shape().dim(0);
   const Graph single = rebatched(g, 1);
-  const std::int64_t per = x.numel() / lanes;
-  std::uint64_t saturations = 0;
+  std::vector<GraphRun> singles;
   for (std::int64_t b = 0; b < lanes; ++b) {
-    const float* lane_in = x.data().data() + b * per;
-    const Tensor xb(single.node(single.inputs().front()).out_shape,
-                    std::vector<float>(lane_in, lane_in + per));
-    const GraphRun r = run_graph(single, dtype, xb, level);
-    saturations += r.saturations;
-    ASSERT_EQ(r.outs.size(), batched.outs.size()) << what;
-    for (std::size_t i = 0; i < r.outs.size(); ++i) {
-      const std::int64_t n = r.outs[i].numel();
-      EXPECT_TRUE(same_bytes(batched.outs[i].data().data() + b * n, r.outs[i].data().data(), n))
-          << what << " lane " << b << " output " << i;
-    }
+    singles.push_back(run_graph(single, dtype, lanes_of(x, b, 1), level));
   }
-  EXPECT_EQ(saturations, batched.saturations) << what;
+  Executor exec(g, dtype);
+  exec.set_simd(level);
+  for (std::int64_t n = lanes; n >= 1; --n) {
+    const std::string at = what + ", " + std::to_string(n) + " lanes";
+    const GraphRun r = run_on(exec, g, lanes_of(x, 0, n));
+    std::uint64_t saturations = 0;
+    for (std::int64_t b = 0; b < n; ++b) {
+      const GraphRun& s = singles[static_cast<std::size_t>(b)];
+      saturations += s.saturations;
+      ASSERT_EQ(s.outs.size(), r.outs.size()) << at;
+      for (std::size_t i = 0; i < s.outs.size(); ++i) {
+        const std::int64_t m = s.outs[i].numel();
+        ASSERT_EQ(r.outs[i].numel(), n * m) << at << " output " << i;
+        EXPECT_TRUE(same_bytes(r.outs[i].data().data() + b * m, s.outs[i].data().data(), m))
+            << at << ": lane " << b << " output " << i;
+      }
+    }
+    EXPECT_EQ(saturations, r.saturations) << at;
+  }
 }
 
 /// Chain one run into a corpus digest: FNV-1a over the decimal CRC-32 of
@@ -818,7 +843,7 @@ TEST(PinnedOutputs, RandomGraphsBitExact) {
         const GraphRun r = run_graph(g, dtype, x, level);
         EXPECT_TRUE(bitwise_equal(r, run_graph(g, dtype, x, level, 3))) << at << ": threads 3";
         EXPECT_TRUE(bitwise_equal(r, run_graph(g, dtype, x, level, 1, 3))) << at << ": inter_op 3";
-        if (in.dim(0) > 1) expect_lanes_match_singletons(g, dtype, x, level, r, at);
+        if (in.dim(0) > 1) expect_lanes_match_singletons(g, dtype, x, level, at);
         if (int8 && li > 0) {
           EXPECT_TRUE(bitwise_equal(r, first)) << at << ": vs portable";
         }

@@ -291,6 +291,27 @@ TEST(Executor, WrongFeedShapeThrows) {
   EXPECT_THROW((void)exec.run({{"features", Tensor(Shape{1, 3})}}), ExecError);
 }
 
+TEST(Executor, FeedLanesOutsideThePlanThrow) {
+  // A plan built for 3 lanes runs any 1..3 lanes, the same on every feed.
+  Graph g("lanes");
+  const NodeId a = g.add_input("a", Shape{3, 1, 1, 2});
+  const NodeId b = g.add_input("b", Shape{3, 2, 1, 2});
+  AttrMap attrs;
+  attrs.set_int("axis", 1);
+  g.add(OpKind::kConcat, "cat", {b, a}, attrs);
+  Executor exec(g);
+  const auto feeds = [](const Shape& sa, const Shape& sb) {
+    return std::map<std::string, Tensor>{{"a", Tensor(sa)}, {"b", Tensor(sb)}};
+  };
+  EXPECT_EQ(exec.run(feeds(Shape{2, 1, 1, 2}, Shape{2, 2, 1, 2})).at("cat").shape(),
+            Shape({2, 3, 1, 2}));
+  // Shape forbids a zero extent: a 0-lane feed is one with no leading dimension.
+  EXPECT_THROW((void)exec.run(feeds(Shape{}, Shape{2, 2, 1, 2})), ExecError);
+  EXPECT_THROW((void)exec.run(feeds(Shape{4, 1, 1, 2}, Shape{4, 2, 1, 2})), ExecError);
+  EXPECT_THROW((void)exec.run(feeds(Shape{2, 1, 1, 2}, Shape{3, 2, 1, 2})), ExecError);
+  EXPECT_THROW((void)exec.run(feeds(Shape{2, 1, 1, 3}, Shape{2, 2, 1, 2})), ExecError);
+}
+
 TEST(Executor, UnmaterializedWeightsRejected) {
   Graph g = zoo::motor_net();
   EXPECT_THROW(Executor{g}, ExecError);

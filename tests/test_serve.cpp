@@ -1126,11 +1126,14 @@ TEST(SoakIntegrity, InvariantsHoldAcrossFlipRates) {
 TEST(SoakIntegrity, DetectionMatchesTheFaultedReplicaNotItsPeer) {
   // come1 takes an SEU at 100 ms; come0's scrubber hits first (an older
   // fault of its own) and heals. Only come1's own hit at 130 ms detects it.
+  const std::string flip =
+      "1 weight bit(s) flipped in deployed integrity-fp32: node 'conv_0' tensor 0";
+  const std::string hit = "node 'conv_0' tensor 0 crc mismatch (scrub sweep)";
   const std::vector<ServeEvent> events = {
-      {0.100, ServeEventKind::kMemoryFault, "backend come1", "", 1},
-      {0.110, ServeEventKind::kScrubHit, "backend come0", "", 0},
+      {0.100, ServeEventKind::kMemoryFault, "backend come1", flip, 1},
+      {0.110, ServeEventKind::kScrubHit, "backend come0", hit, 0},
       {0.110, ServeEventKind::kModelReloaded, "backend come0", "", 1},
-      {0.130, ServeEventKind::kScrubHit, "backend come1", "", 0},
+      {0.130, ServeEventKind::kScrubHit, "backend come1", hit, 0},
       {0.130, ServeEventKind::kModelReloaded, "backend come1", "", 1},
   };
   IntegritySoakResult res;
@@ -1157,6 +1160,41 @@ TEST(SoakIntegrity, DetectionMatchesTheFaultedReplicaNotItsPeer) {
   IntegritySoakResult rb;
   check_detection(rolled_back, 0.07, rb);
   EXPECT_TRUE(rb.ok()) << rb.violations.front();
+}
+
+TEST(SoakIntegrity, DetectionMatchesTheFlippedTensorNotItsNeighbour) {
+  // Two SEUs on come1 hit different tensors; the later one's tensor is
+  // scrubbed first. Each fault is detected by the hit that names its own
+  // tensor: 60 ms and 10 ms, not 30 ms and 10 ms.
+  const std::vector<ServeEvent> events = {
+      {0.100, ServeEventKind::kMemoryFault, "backend come1",
+       "1 weight bit(s) flipped in deployed integrity-fp32: node 'conv_4' tensor 0", 1},
+      {0.120, ServeEventKind::kMemoryFault, "backend come1",
+       "2 weight bit(s) flipped in deployed integrity-fp32: node 'logits' tensor 1, node "
+       "'conv_0' tensor 1",
+       2},
+      {0.130, ServeEventKind::kScrubHit, "backend come1",
+       "node 'logits' tensor 1 crc mismatch (scrub sweep)", 1},
+      {0.130, ServeEventKind::kModelReloaded, "backend come1", "", 1},
+      {0.160, ServeEventKind::kScrubHit, "backend come1",
+       "node 'conv_4' tensor 0 crc mismatch (scrub sweep)", 0},
+      {0.160, ServeEventKind::kModelReloaded, "backend come1", "", 1},
+  };
+  IntegritySoakResult res;
+  check_detection(events, 0.07, res);
+  EXPECT_TRUE(res.ok()) << res.violations.front();
+  EXPECT_NEAR(res.max_detection_s, 0.060, 1e-12);
+  EXPECT_NEAR(res.mean_detection_s, 0.035, 1e-12);
+
+  // A hit on another tensor of the same node ('conv_4' tensor 1) detects
+  // neither fault.
+  std::vector<ServeEvent> other_tensor = events;
+  other_tensor[4].detail = "node 'conv_4' tensor 1 crc mismatch (scrub sweep)";
+  IntegritySoakResult missed;
+  check_detection(other_tensor, 0.07, missed);
+  ASSERT_EQ(missed.violations.size(), 1u);
+  const std::string never = "memory fault on backend come1 at 0.100000s never detected";
+  EXPECT_EQ(missed.violations[0].rfind(never, 0), 0u) << missed.violations[0];
 }
 
 TEST(SoakIntegrity, SameSeedIsBitwiseIdentical) {
