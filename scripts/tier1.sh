@@ -6,7 +6,7 @@
 # under build/perfbench), then an AddressSanitizer+UBSan build of the
 # resilience-critical tests (including the runtime tests, which exercise
 # activation-arena aliasing), then a ThreadSanitizer build of the parallel
-# execution-engine tests.
+# execution-engine tests and the traced sessions that run over its pool.
 #
 # Usage: scripts/tier1.sh [-jN]
 
@@ -93,11 +93,11 @@ ctest --test-dir build-asan --output-on-failure "${JOBS}" \
   -R 'test_resilience|test_platform|test_distributed|test_util|test_obs|test_runtime|test_qruntime|test_microkernel|test_analysis|test_wasm_verifier|test_serve|test_fleet|test_safety|test_package|test_rollout'
 
 echo
-echo "== tier-1: TSan on the parallel execution-engine + serve tests =="
+echo "== tier-1: TSan on the parallel execution-engine, traced-session + serve tests =="
 cmake -B build-tsan -S . -DVEDLIOT_TSAN=ON > /dev/null
-cmake --build build-tsan "${JOBS}" --target test_util test_runtime test_qruntime test_microkernel test_serve test_fleet > /dev/null
+cmake --build build-tsan "${JOBS}" --target test_util test_runtime test_qruntime test_microkernel test_obs test_serve test_fleet > /dev/null
 ctest --test-dir build-tsan --output-on-failure "${JOBS}" \
-  -R 'test_util|test_runtime|test_qruntime|test_microkernel|test_serve|test_fleet'
+  -R 'test_util|test_runtime|test_qruntime|test_microkernel|test_obs|test_serve|test_fleet'
 
 echo
 echo "tier-1 OK"

@@ -113,21 +113,6 @@ NodeId Dataflow::reaching_producer(NodeId id, std::size_t input_index) const {
   return cur;
 }
 
-std::vector<std::vector<NodeId>> Dataflow::waves() const {
-  std::map<NodeId, std::size_t> level;
-  std::vector<std::vector<NodeId>> out;
-  // order_ is topological, so every producer's level is known when its
-  // consumer is visited; one sweep suffices.
-  for (NodeId id : order_) {
-    std::size_t lv = 0;
-    for (NodeId in : producers_.at(id)) lv = std::max(lv, level.at(in) + 1);
-    level[id] = lv;
-    if (out.size() <= lv) out.resize(lv + 1);
-    out[lv].push_back(id);
-  }
-  return out;
-}
-
 const Dataflow& DataflowCache::get(const Graph& g, DType act_dtype) {
   if (cached_ && graph_ == &g && dtype_ == act_dtype && cached_->valid_for(g)) {
     return *cached_;

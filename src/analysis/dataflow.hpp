@@ -66,15 +66,6 @@ class Dataflow {
   /// pass-through nodes (Identity, Flatten): the "reaching producer".
   NodeId reaching_producer(NodeId id, std::size_t input_index) const;
 
-  /// Branch-level dependence levels ("waves"): wave 0 holds the nodes with
-  /// no producers (the graph inputs), and every node lands one wave after
-  /// its deepest producer. Nodes sharing a wave are mutually independent —
-  /// no def-use path connects them — so an executor may run a whole wave
-  /// concurrently once the previous waves are complete (the inter-op
-  /// parallelism query). Within each wave, nodes keep their execution-order
-  /// position, so the partition itself is deterministic.
-  std::vector<std::vector<NodeId>> waves() const;
-
   /// Bytes of one node's output value at the analysis dtype.
   std::int64_t value_bytes(NodeId id) const { return interval(id).bytes; }
 

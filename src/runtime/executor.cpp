@@ -9,7 +9,6 @@
 #include <type_traits>
 #include <utility>
 
-#include "analysis/dataflow.hpp"
 #include "runtime/instrument.hpp"
 #include "runtime/memory_planner.hpp"
 #include "tensor/quant.hpp"
@@ -158,19 +157,9 @@ void Executor::set_threads(unsigned threads) {
   ws_.sat.assign(threads_, 0);
 }
 
-void Executor::set_inter_op(unsigned inter_op) {
-  if (inter_op == 0) inter_op = util::ThreadPool::hardware_threads();
-  if (inter_op == inter_op_) return;
-  inter_op_ = inter_op;
-  wave_pool_ = inter_op_ > 1 ? std::make_unique<util::ThreadPool>(inter_op_) : nullptr;
-  wave_ws_.assign(inter_op_ > 1 ? inter_op_ : 0, Workspace{{}, {}, {0}});
-}
-
 template <typename Fn>
 void Executor::pfor(std::int64_t begin, std::int64_t end, std::int64_t grain, const Fn& fn) {
-  // Inside a parallel wave the intra-op pool is unavailable (the pool does
-  // not nest); each wave node runs its kernels inline.
-  if (pool_ == nullptr || in_wave_) {
+  if (pool_ == nullptr) {
     if (end > begin) fn(begin, end, std::size_t{0});
     return;
   }
@@ -220,7 +209,7 @@ void Executor::quantize() {
   ++preparations_;
 }
 
-void Executor::compile(const MicrokernelTile& tile, bool waves) {
+void Executor::compile(const MicrokernelTile& tile) {
   compiled_ = false;  // until every step compiled: a throwing op leaves no half plan
   if (dtype_ == DType::kINT8 && quantized_version_ != graph_.version()) quantize();
 
@@ -230,7 +219,7 @@ void Executor::compile(const MicrokernelTile& tile, bool waves) {
   std::stable_partition(order.begin(), order.end(),
                         [&](NodeId id) { return graph_.node(id).kind == OpKind::kInput; });
   const MemoryPlan mem = plan_memory_with_order(graph_, order, dtype_);
-  const bool unaliased = keep_activations_ || waves;
+  const bool unaliased = keep_activations_;
   offset_.assign(graph_.total_nodes(), 0);
   std::int64_t next = 0;
   for (const BufferPlan& b : mem.buffers) {
@@ -241,22 +230,9 @@ void Executor::compile(const MicrokernelTile& tile, bool waves) {
   arena_.assign(static_cast<std::size_t>(arena_stats_.arena_bytes), std::byte{0});
 
   steps_.clear();
-  std::vector<std::size_t> step_of(graph_.total_nodes(), 0);
   for (NodeId id : order) {
     const Node& n = graph_.node(id);
-    if (n.kind == OpKind::kInput) continue;
-    step_of[slot(id)] = steps_.size();
-    steps_.push_back(compile_step(n));
-  }
-  waves_.clear();
-  if (waves) {
-    for (const auto& wave : analysis::Dataflow::compute(graph_).waves()) {
-      std::vector<std::size_t> work;
-      for (NodeId id : wave) {
-        if (graph_.node(id).kind != OpKind::kInput) work.push_back(step_of[slot(id)]);
-      }
-      if (!work.empty()) waves_.push_back(std::move(work));
-    }
+    if (n.kind != OpKind::kInput) steps_.push_back(compile_step(n));
   }
   inputs_ = graph_.inputs();
   outputs_ = graph_.outputs();
@@ -266,7 +242,6 @@ void Executor::compile(const MicrokernelTile& tile, bool waves) {
   plan_version_ = graph_.version();
   plan_tile_ = tile;
   plan_keep_ = keep_activations_;
-  plan_waves_ = waves;
 }
 
 Executor::Step Executor::compile_step(const Node& n) {
@@ -381,10 +356,9 @@ void Executor::execute(const std::map<std::string, Tensor>& feeds) {
                                 : table->gemm_f32 != nullptr && table->f32.available());
   mk_ = has_kernel ? table : nullptr;
   const MicrokernelTile tile = !has_kernel ? MicrokernelTile{} : int8 ? table->s8 : table->f32;
-  const bool waves = inter_op_ > 1;
   if (!compiled_ || plan_version_ != graph_.version() || plan_tile_.mr != tile.mr ||
-      plan_tile_.nr != tile.nr || plan_keep_ != keep_activations_ || plan_waves_ != waves) {
-    compile(tile, waves);
+      plan_tile_.nr != tile.nr || plan_keep_ != keep_activations_) {
+    compile(tile);
   }
   activations_valid_ = false;
 
@@ -423,39 +397,11 @@ void Executor::execute(const std::map<std::string, Tensor>& feeds) {
     }
   }
 
-  if (!waves) {
-    for (const Step& s : steps_) run_step(s, ws_, /*observe=*/true);
-  }
-  for (const std::vector<std::size_t>& wave : waves_) {
-    if (wave.size() == 1) {
-      // Most of a deep chain: the full serial path (spans, intra-op pool).
-      run_step(steps_[wave.front()], ws_, /*observe=*/true);
-      continue;
-    }
-    // Parallel wave: each node writes only its own (unaliased) buffer and
-    // the workspace of the pool chunk it runs in, with intra-op dispatch
-    // inlined — so it computes exactly its serial bits. The tracer is
-    // single-threaded, so these nodes are not spanned or timed.
-    in_wave_ = true;
-    try {
-      wave_pool_->parallel_for(0, static_cast<std::int64_t>(wave.size()), 1,
-                               [&](std::int64_t lo, std::int64_t hi, std::size_t chunk) {
-                                 for (std::int64_t i = lo; i < hi; ++i) {
-                                   run_step(steps_[wave[static_cast<std::size_t>(i)]],
-                                            wave_ws_[chunk], /*observe=*/false);
-                                 }
-                               });
-    } catch (...) {
-      in_wave_ = false;
-      throw;
-    }
-    in_wave_ = false;
-  }
+  for (const Step& s : steps_) run_step(s);
   nodes_executed_ = steps_.size();
   // Per-chunk saturation sums are order-independent, so saturations() is
-  // identical for any thread count and wave schedule.
+  // identical for any thread count.
   for (std::uint64_t& sat : ws_.sat) saturations_ += std::exchange(sat, 0);
-  for (Workspace& ws : wave_ws_) saturations_ += std::exchange(ws.sat[0], 0);
   activations_valid_ = keep_activations_;
   if (activations_valid_ && dtype_ == DType::kFP32 && view_lanes_ != lanes_) {
     views_.assign(graph_.total_nodes(), Tensor{});
@@ -518,27 +464,27 @@ const Tensor& Executor::activation(const std::string& node_name) const {
   throw NotFound("no recorded activation for node " + node_name);
 }
 
-void Executor::run_step(const Step& s, Workspace& ws, bool observe) {
+void Executor::run_step(const Step& s) {
   const Node& n = *s.node;
   obs::ScopedSpan span;
-  if (observe && tracer_ != nullptr) span = tracer_->span(n.name, std::string(op_name(n.kind)));
-  const bool timed = observe && metrics_ != nullptr;
+  if (tracer_ != nullptr) span = tracer_->span(n.name, std::string(op_name(n.kind)));
+  const bool timed = metrics_ != nullptr;
   using Clock = std::chrono::steady_clock;
   const Clock::time_point t0 = timed ? Clock::now() : Clock::time_point{};
   // The one dtype decision of the step: which policy the op body runs over.
   if (dtype_ == DType::kINT8) {
     const QuantLayer& q = qlayers_[slot(n.id)];
-    run_op(s, ws,
-           S8Policy{q.bias.data(), q.mult.data(), s.q_lo, s.q_hi, s.in_scales.data(), s.out_scale},
+    run_op(s, S8Policy{q.bias.data(), q.mult.data(), s.q_lo, s.q_hi, s.in_scales.data(),
+                       s.out_scale},
            q.weights.data());
   } else {
-    run_op(s, ws, F32Policy{weight(n, 1), s.act, s.alpha}, weight(n, 0));
+    run_op(s, F32Policy{weight(n, 1), s.act, s.alpha}, weight(n, 0));
   }
   if (timed) {
     const double seconds = std::chrono::duration<double>(Clock::now() - t0).count();
     runtime_detail::op_histogram(*metrics_, n.kind).add(seconds * 1e6);
   }
-  if (observe && tracer_ != nullptr) {
+  if (tracer_ != nullptr) {
     span.attr("out_elems", static_cast<double>(lane_elems(n.out_shape) * lanes_));
     span.close();
   }
@@ -550,7 +496,7 @@ void Executor::run_step(const Step& s, Workspace& ws, bool observe) {
 // ---------------------------------------------------------------------------
 
 template <typename P>
-void Executor::run_op(const Step& s, Workspace& ws, const P& p, const typename P::Elem* w) {
+void Executor::run_op(const Step& s, const P& p, const typename P::Elem* w) {
   using namespace runtime_kernels;
   using E = typename P::Elem;
   using G = GemmPath<P>;
@@ -561,14 +507,14 @@ void Executor::run_op(const Step& s, Workspace& ws, const P& p, const typename P
   const Shape& in_shape = graph_.node(n.inputs[0]).out_shape;
   const std::int64_t lanes = lanes_;  // the run's, not the plan's built batch
   const std::int64_t numel = lane_elems(n.out_shape) * lanes;
-  std::uint64_t* sat = ws.sat.data();
+  std::uint64_t* sat = ws_.sat.data();
   const MicrokernelTile tile = mk_ != nullptr ? mk_->*G::tile : MicrokernelTile{};
   const auto* packed = reinterpret_cast<const typename P::PackedA*>(s.packed.data());
   // C[m x cols] = (packed A panels) · B[k x cols] through the microkernel:
   // pack B's column panels, then run A's row panels.
   auto packed_gemm = [&](const auto* pa, const E* bm, E* c, std::int64_t m, std::int64_t cols,
                          std::int64_t k, std::int64_t ldc, bool col_major, const P& policy) {
-    auto* pb = grow<typename P::PackedB>(ws.panels, G::b_size(k, cols, tile));
+    auto* pb = grow<typename P::PackedB>(ws_.panels, G::b_size(k, cols, tile));
     pfor(0, panel_count(cols, tile.nr), 1, [&](std::int64_t lo, std::int64_t hi, std::size_t) {
       G::pack_b(bm, k, cols, tile, lo, hi, pb);
     });
@@ -590,7 +536,7 @@ void Executor::run_op(const Step& s, Workspace& ws, const P& p, const typename P
         break;
       }
       const std::int64_t patch = geo.patch(), cols = geo.cols(), m = geo.ocg();
-      E* col = grow<E>(ws.col, static_cast<std::size_t>(patch * cols));
+      E* col = grow<E>(ws_.col, static_cast<std::size_t>(patch * cols));
       for (std::int64_t b = 0; b < lanes; ++b) {
         for (std::int64_t g = 0; g < geo.groups; ++g) {
           pfor(0, patch, 4, [&](std::int64_t lo, std::int64_t hi, std::size_t) {
@@ -614,7 +560,7 @@ void Executor::run_op(const Step& s, Workspace& ws, const P& p, const typename P
       // Batch the whole layer through one GEMM so each weight row is read
       // once for all lanes, instead of one latency-bound dot per sample.
       const std::int64_t N = lanes, F = in_shape.dim(1), U = n.out_shape.dim(1);
-      const E* xt = transpose_lanes(x, N, F, ws.col);
+      const E* xt = transpose_lanes(x, N, F, ws_.col);
       if (mk_ == nullptr) {
         pfor(0, U, 8, [&](std::int64_t lo, std::int64_t hi, std::size_t chunk) {
           sat[chunk] += dense_rows(w, xt, y, lo, hi, N, F, U, p);
@@ -747,7 +693,7 @@ void Executor::run_op(const Step& s, Workspace& ws, const P& p, const typename P
       } else {
         // Dequantize, float softmax, requantize: how int8 runtimes typically
         // treat the final softmax (TFLite uses a LUT; float is the reference).
-        float* f = grow<float>(ws.col, static_cast<std::size_t>(numel));
+        float* f = grow<float>(ws_.col, static_cast<std::size_t>(numel));
         for (std::int64_t i = 0; i < numel; ++i) {
           f[i] = static_cast<float>(static_cast<double>(x[i]) * s.in_scales[0]);
         }

@@ -20,9 +20,8 @@
 ///    fixed per-element accumulation order, so output bits — and the int8
 ///    saturation count — are identical for any thread count.
 ///  - Every activation lives in one byte arena laid out by the memory
-///    planner: liveness-packed when the plan runs serially, unaliased while
-///    keep_activations or inter-op waves need every buffer at once. Graph
-///    outputs are copied out of the arena.
+///    planner: liveness-packed, or unaliased while keep_activations needs
+///    every buffer after the run. Graph outputs are copied out of the arena.
 ///  - A moved Graph::version() (OTA swap, scrubber repair) recompiles the
 ///    plan — requantizing int8 weights and repacking panels — before the run
 ///    serves a single output from stale weights.
@@ -124,12 +123,6 @@ class Executor {
   /// The concrete dispatch level the last run() executed at.
   util::SimdLevel active_simd() const { return active_simd_; }
 
-  /// Inter-op parallelism: when > 1, independent nodes of one dataflow wave
-  /// (analysis::Dataflow::waves) execute concurrently over this many
-  /// threads, each fully serial inside and writing its own unaliased buffer.
-  /// Output bits do not depend on this value.
-  void set_inter_op(unsigned inter_op);
-
   const Graph& graph() const { return graph_; }
   DType dtype() const { return dtype_; }
 
@@ -193,7 +186,7 @@ class Executor {
     std::vector<std::byte> packed;          ///< A panels, one block per group
   };
 
-  /// Scratch of one executing step, reused across steps and runs.
+  /// Scratch of the executing step, reused across steps and runs.
   struct Workspace {
     std::vector<std::byte> col;      ///< im2col matrix / transposed dense input
     std::vector<std::byte> panels;   ///< packed B panels / transposed dense output
@@ -201,19 +194,19 @@ class Executor {
   };
 
   void quantize();
-  void compile(const runtime_kernels::MicrokernelTile& tile, bool waves);
+  void compile(const runtime_kernels::MicrokernelTile& tile);
   Step compile_step(const Node& n);
-  void run_step(const Step& s, Workspace& ws, bool observe);
+  void run_step(const Step& s);
   /// The op's kernel body, one for both dtypes: P is the dtype policy
   /// (runtime_kernels::F32Policy or S8Policy) run_step picked for the step.
   template <typename P>
-  void run_op(const Step& s, Workspace& ws, const P& p, const typename P::Elem* w);
+  void run_op(const Step& s, const P& p, const typename P::Elem* w);
   template <typename T>
   T* buffer(std::size_t offset) {
     return reinterpret_cast<T*>(arena_.data() + offset);
   }
-  /// Dispatch [begin, end) over the intra-op pool (inline when serial or
-  /// inside a parallel wave); records one pool-utilization sample.
+  /// Dispatch [begin, end) over the intra-op pool (inline when serial);
+  /// records one pool-utilization sample.
   template <typename Fn>
   void pfor(std::int64_t begin, std::int64_t end, std::int64_t grain, const Fn& fn);
 
@@ -221,9 +214,7 @@ class Executor {
   const DType dtype_;
   bool keep_activations_ = true;
   unsigned threads_ = 1;
-  unsigned inter_op_ = 1;
   std::unique_ptr<util::ThreadPool> pool_;
-  std::unique_ptr<util::ThreadPool> wave_pool_;
   util::SimdLevel simd_req_ = util::SimdLevel::kAuto;
   util::SimdLevel active_simd_ = util::SimdLevel::kPortable;
   /// The resolved level's microkernel table when it has this dtype's
@@ -241,9 +232,7 @@ class Executor {
   std::uint64_t plan_version_ = 0;
   runtime_kernels::MicrokernelTile plan_tile_;
   bool plan_keep_ = false;
-  bool plan_waves_ = false;
   std::vector<Step> steps_;
-  std::vector<std::vector<std::size_t>> waves_;  ///< step indices per parallel wave
   std::vector<NodeId> inputs_, outputs_;
   std::vector<std::size_t> offset_;  ///< arena byte offset per NodeId
   std::vector<std::byte> arena_;
@@ -252,9 +241,7 @@ class Executor {
   std::int64_t lanes_ = 0;           ///< lane count of the current run
   bool activations_valid_ = false;
 
-  Workspace ws_;                     ///< serial steps
-  std::vector<Workspace> wave_ws_;   ///< one per wave-pool chunk
-  bool in_wave_ = false;
+  Workspace ws_;
 
   ArenaStats arena_stats_;
   std::size_t nodes_executed_ = 0;

@@ -43,7 +43,6 @@ class EngineSession final : public Session {
     exec_config_ = exec;
     exec_.set_threads(exec.threads);
     exec_.set_simd(exec.simd);
-    exec_.set_inter_op(exec.inter_op);
   }
   const ExecConfig& exec_config() const override { return exec_config_; }
 

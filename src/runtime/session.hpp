@@ -41,8 +41,7 @@ struct RunOptions {
   obs::MetricsRegistry* metrics = nullptr; ///< counter/histogram sink
 
   /// Execution-resource knobs (admission batch cap, intra-op threads, SIMD
-  /// level, inter-op waves). The one copy; serving-side rung caps reference
-  /// the same struct.
+  /// level). The one copy; serving-side rung caps reference the same struct.
   ExecConfig exec = {};
 };
 

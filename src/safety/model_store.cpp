@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <mutex>
+#include <utility>
 
 #include "runtime/session.hpp"
 #include "util/error.hpp"
@@ -79,7 +80,6 @@ std::uint32_t ModelStore::install(const std::string& name, const Graph& g) {
   Slot s;
   s.current.version = 1;
   s.current.package = pack_model(g);
-  s.current.digests = digest_weights(g);
   slots_.emplace(name, std::move(s));
   return 1;
 }
@@ -214,12 +214,7 @@ ModelStore::OtaReport ModelStore::push(const std::string& name, const OtaPackage
   }
 
   // Atomic swap: previous retained for rollback.
-  Version next;
-  next.version = s.next_version++;
-  next.package = update.package;
-  next.digests = digest_weights(staged);
-  s.previous = std::move(s.current);
-  s.current = std::move(next);
+  s.previous = std::exchange(s.current, Version{s.next_version++, update.package});
   report.outcome = OtaOutcome::kCommitted;
   report.to_version = s.current.version;
   report.detail = "canary max divergence " + std::to_string(worst);

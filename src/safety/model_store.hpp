@@ -71,12 +71,11 @@ class ModelStore {
   ModelStore();
   explicit ModelStore(Config config);
 
-  /// One retained model version: the verified package and its digest table
-  /// (kept alive in memory for scrubbers and repair verification).
+  /// One retained model version: the verified package, whose digest table
+  /// materialize() checks on every unpack.
   struct Version {
     std::uint32_t version = 0;
     std::vector<std::uint8_t> package;
-    std::vector<TensorDigest> digests;
   };
 
   struct OtaReport {

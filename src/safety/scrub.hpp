@@ -1,16 +1,16 @@
 #pragma once
 /// \file scrub.hpp
-/// \brief Incremental weight scrubbing against a per-tensor digest table.
+/// \brief Incremental weight scrubbing against a per-tensor CRC-32 baseline.
 ///
 /// The RobustnessService (robustness.hpp) detects model corruption by
 /// golden re-execution of sampled outputs — strong but expensive and
-/// non-localizing. The WeightScrubber is its cheap complement: it keeps the
-/// package digest table (graph/package.hpp) alive next to the deployed
-/// weights and re-hashes a few tensors per control tick, so a silent bit
-/// flip (SEU, DMA scribble, bad flash sector) is detected within one sweep
-/// and localized to the exact (node, tensor) pair — which lets the
-/// safety::ModelStore re-materialize just the corrupted tensors instead of
-/// reloading the whole model.
+/// non-localizing. The WeightScrubber is its cheap complement: it hashes
+/// every weight tensor of the deployed graph once (on construction and on
+/// rebaseline(), over bits a loader has just verified) and re-hashes a few
+/// tensors per control tick, so a silent bit flip (SEU, DMA scribble, bad
+/// flash sector) is detected within one sweep and localized to the exact
+/// (node, tensor) pair — which lets the safety::ModelStore re-materialize
+/// just the corrupted tensors instead of reloading the whole model.
 ///
 /// Detection latency is bounded by construction: every weight tensor is
 /// re-hashed at least once per ticks_per_sweep() ticks.

@@ -91,8 +91,8 @@ std::string FleetReport::to_json() const {
 Fleet::Fleet(FleetConfig config)
     : cfg_(std::move(config)),
       placement_({cfg_.sim ? cfg_.sim->chassis().spec() : platform::recs_box(), cfg_.modules}),
-      ring_(cfg_.ring_vnodes),
-      cache_(cfg_.cache_capacity),
+      ring_(FleetConfig::kRingVnodes),
+      cache_(FleetConfig::kCacheCapacity),
       ladder_(cfg_.brownout,
               cfg_.ladder.empty() ? default_ladder(cfg_.max_batch) : cfg_.ladder),
       rng_(cfg_.seed),
@@ -109,8 +109,6 @@ Fleet::Fleet(FleetConfig config)
   VEDLIOT_CHECK(cfg_.queue_capacity >= 1, "queue capacity must be >= 1");
   VEDLIOT_CHECK(cfg_.batch_window_s >= 0, "batch window must be >= 0");
   VEDLIOT_CHECK(cfg_.control_period_s > 0, "control period must be positive");
-  VEDLIOT_CHECK(cfg_.scale_down_depth < cfg_.scale_up_depth,
-                "scale-down watermark must sit below scale-up");
 
   if (cfg_.variants.empty()) cfg_.variants.push_back({cfg_.graph->name(), cfg_.graph});
   VEDLIOT_CHECK(cfg_.variants.front().graph == cfg_.graph,
@@ -625,12 +623,12 @@ void Fleet::control_tick(double t) {
                                : static_cast<double>(depth) / (active * cap);
   if (const int delta = ladder_.observe(load)) apply_brownout(t, delta);
 
-  if (per_replica > cfg_.scale_up_depth && active_ < cfg_.max_replicas) {
+  if (per_replica > FleetConfig::kScaleUpDepth && active_ < cfg_.max_replicas) {
     const std::size_t idx = add_replica();
     ++report_.scale_ups;
     log_.add(t, ServeEventKind::kScaleUp, fleet_[idx].name,
              "mean queue depth " + std::to_string(per_replica), static_cast<double>(active_));
-  } else if (per_replica < cfg_.scale_down_depth && active_ > cfg_.min_replicas) {
+  } else if (per_replica < FleetConfig::kScaleDownDepth && active_ > cfg_.min_replicas) {
     // Drain the youngest idle, empty replica; if every replica is mid-work
     // or holding tickets, skip this tick rather than strand queued work.
     for (std::size_t i = fleet_.size(); i-- > 0;) {
@@ -859,6 +857,8 @@ void Fleet::check_delivery(double t, std::size_t idx, const Response& resp, cons
   // the replica that served the divergent response and self-heal it.
   Replica& rep = fleet_[idx];
   const auto hits = rep.scrubber->full_scan();
+  // No hit: an earlier verdict on the same batch already healed the replica.
+  if (hits.empty()) return;
   log_hits(t, rep, hits, "full scan after checked-faulty");
   recover(t, idx, hits, rep.probation > 0);
 }

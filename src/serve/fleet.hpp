@@ -115,15 +115,16 @@ struct FleetConfig {
 
   /// Autoscaling watermarks on mean queue depth per active replica,
   /// sampled each control tick.
-  double scale_up_depth = 8.0;
-  double scale_down_depth = 1.0;
+  static constexpr double kScaleUpDepth = 8.0;
+  static constexpr double kScaleDownDepth = 1.0;
+  static_assert(kScaleDownDepth < kScaleUpDepth, "scale-down watermark must sit below scale-up");
 
   std::size_t queue_capacity = 64;  ///< per replica (hard bound)
   double batch_window_s = 2e-3;     ///< idle-replica coalescing window
   double control_period_s = 10e-3;  ///< autoscale, brownout, health and scrub tick
 
-  std::size_t cache_capacity = 128;  ///< idempotency cache entries
-  std::size_t ring_vnodes = 64;
+  static constexpr std::size_t kCacheCapacity = 128;  ///< idempotency cache entries
+  static constexpr std::size_t kRingVnodes = 64;
 
   /// Module kinds cycled across placements, first fit into RECS|Box chassis
   /// opened on demand (the simulator's chassis when `sim` is set).

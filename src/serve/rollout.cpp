@@ -21,7 +21,7 @@ RolloutController::RolloutController(platform::PlatformSimulator& sim, RolloutCo
     : sim_(sim),
       cfg_(std::move(config)),
       rng_(cfg_.seed),
-      cache_(cfg_.cache_capacity),
+      cache_(RolloutConfig::kCacheCapacity),
       log_("vedliot.serve", cfg_.trace, cfg_.metrics) {
   VEDLIOT_CHECK(!cfg_.devices.empty(), "rollout needs at least one device");
   VEDLIOT_CHECK(cfg_.canary_devices >= 1 && cfg_.canary_devices <= cfg_.devices.size(),

@@ -78,7 +78,7 @@ struct RolloutConfig {
   safety::OtaSender::Config sender;  ///< window / attempt cap / backoff
 
   std::uint64_t canary_seed = 0xCAA1Bull;  ///< serve-probe stimulus seed
-  std::size_t cache_capacity = 64;
+  static constexpr std::size_t kCacheCapacity = 64;  ///< version-aware probe cache entries
 
   std::uint64_t seed = 0x5EEDu;
 

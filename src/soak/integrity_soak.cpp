@@ -254,6 +254,14 @@ IntegritySoakResult run_integrity_soak(const IntegritySoakConfig& cfg) {
                report.completed + report.deadline_missed, result.violations);
   // Invariant 3 (end state): the healed fleet leaves no corrupt tensor.
   expect_count("corrupt tensors left unhealed", report.dirty_at_end, 0, result.violations);
+  // Invariant 3 (recovery): a reload rewrites what a hit found; one that
+  // rewrote nothing quarantined a replica that was already healthy.
+  for (const ServeEvent& e : report.events) {
+    if (e.kind == ServeEventKind::kModelReloaded && e.value < 1) {
+      result.violations.push_back(e.subject + " reloaded at " + std::to_string(e.time_s) +
+                                  " s with no tensor rewritten");
+    }
+  }
   // Invariant 4: bad OTA never sticks — the one corrupted payload rejects,
   // the bad push rolls back, and all three pushes staged.
   expect_count("rejected OTA payloads", report.ota_rejected, 1, result.violations);

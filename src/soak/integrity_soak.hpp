@@ -27,8 +27,9 @@
 ///      completed + deadline_missed;
 ///   3. bounded recovery — every detection self-heals at detection time
 ///      (kModelReloaded on the same replica, or the fleet-wide
-///      kOtaRolledBack), and a final full scan leaves zero corrupt tensors
-///      (dirty_at_end == 0);
+///      kOtaRolledBack), every kModelReloaded rewrote at least one tensor,
+///      and a final full scan leaves zero corrupt tensors (dirty_at_end ==
+///      0);
 ///   4. bad OTA never sticks — every corrupted payload is rejected
 ///      pre-swap, and the scripted bad push always ends in kOtaRolledBack;
 ///   5. every contract of the fleet run (check_fleet_run, soak.hpp).

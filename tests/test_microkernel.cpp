@@ -4,7 +4,7 @@
 // packed-panel lifecycle in the execution plan (steady-state reuse,
 // version/tile recompile, OTA-repair self-heal), env-override dispatch, and
 // the roofline probes; plus the random-graph corpus, pinned across commits
-// by digest and checked within one commit against the threads, inter-op,
+// by digest and checked within one commit against the threads,
 // dispatch-level and batch-lane contracts.
 
 #include <gtest/gtest.h>
@@ -488,67 +488,6 @@ TEST(Determinism, Int8ParallelVsSerialBitwiseAtSimdLevel) {
   EXPECT_EQ(serial.saturations(), parallel.saturations());
 }
 
-/// Two independent conv branches joined by an add: the shape inter-op wave
-/// scheduling parallelizes.
-Graph branchy_graph(std::int64_t batch = 1) {
-  Graph g("branchy");
-  const NodeId in = g.add_input("x", Shape{batch, 4, 8, 8});
-  auto conv = [](std::int64_t oc) {
-    AttrMap a;
-    a.set_int("out_channels", oc);
-    a.set_int("kernel", 3);
-    a.set_int("stride", 1);
-    a.set_int("pad", 1);
-    a.set_int("groups", 1);
-    a.set_int("bias", 1);
-    return a;
-  };
-  const NodeId left = g.add(OpKind::kConv2d, "left", {in}, conv(8));
-  const NodeId right = g.add(OpKind::kConv2d, "right", {in}, conv(8));
-  const NodeId sum = g.add(OpKind::kAdd, "sum", {left, right});
-  const NodeId relu = g.add(OpKind::kRelu, "relu", {sum});
-  const NodeId flat = g.add(OpKind::kFlatten, "flat", {relu});
-  AttrMap d;
-  d.set_int("units", 6);
-  d.set_int("bias", 1);
-  g.add(OpKind::kDense, "head", {flat}, std::move(d));
-  return g;
-}
-
-TEST(Determinism, InterOpWavesBitwiseVsSerial) {
-  Graph g = branchy_graph();
-  Rng rng(41);
-  g.materialize_weights(rng);
-  const Tensor in(Shape{1, 4, 8, 8}, rand_f32(256, 92));
-  for (auto level : {util::SimdLevel::kPortable, util::SimdLevel::kAuto}) {
-    Executor serial(g);
-    serial.set_simd(level);
-    const Tensor a = testutil::exec_single(serial, g, in);
-    Executor waves(g);
-    waves.set_simd(level);
-    waves.set_inter_op(2);
-    const Tensor b = testutil::exec_single(waves, g, in);
-    EXPECT_FLOAT_EQ(max_abs_diff(a, b), 0.0f) << util::simd_level_name(level);
-  }
-}
-
-TEST(Determinism, Int8InterOpWavesBitwiseVsSerial) {
-  const Shape in_shape{1, 4, 8, 8};
-  Graph g = deploy_ready_q(branchy_graph(), 43, in_shape);
-  const Tensor in(in_shape, rand_f32(256, 98));
-  for (auto level : {util::SimdLevel::kPortable, util::SimdLevel::kAuto}) {
-    QuantizedExecutor serial(g);
-    serial.set_simd(level);
-    QuantizedExecutor waves(g);
-    waves.set_simd(level);
-    waves.set_inter_op(2);
-    const QTensor a = serial.run_single(in);
-    const QTensor b = waves.run_single(in);
-    EXPECT_EQ(a.data, b.data) << util::simd_level_name(level);
-    EXPECT_EQ(serial.saturations(), waves.saturations()) << util::simd_level_name(level);
-  }
-}
-
 TEST(Determinism, BatchLanesBitwiseEqualAtSimdLevel) {
   // Zero-padded panel tails mean every lane of a batched dense executes the
   // identical FMA sequence: 8 copies of one sample must produce 8 bitwise
@@ -716,11 +655,10 @@ GraphRun run_on(Executor& exec, const Graph& g, const Tensor& x) {
 }
 
 GraphRun run_graph(const Graph& g, DType dtype, const Tensor& x, util::SimdLevel level,
-                   unsigned threads = 1, unsigned inter_op = 1) {
+                   unsigned threads = 1) {
   Executor exec(g, dtype);
   exec.set_simd(level);
   exec.set_threads(threads);
-  exec.set_inter_op(inter_op);
   return run_on(exec, g, x);
 }
 
@@ -842,7 +780,6 @@ TEST(PinnedOutputs, RandomGraphsBitExact) {
         const std::string at = what + " at " + std::string(util::simd_level_name(level));
         const GraphRun r = run_graph(g, dtype, x, level);
         EXPECT_TRUE(bitwise_equal(r, run_graph(g, dtype, x, level, 3))) << at << ": threads 3";
-        EXPECT_TRUE(bitwise_equal(r, run_graph(g, dtype, x, level, 1, 3))) << at << ": inter_op 3";
         if (in.dim(0) > 1) expect_lanes_match_singletons(g, dtype, x, level, at);
         if (int8 && li > 0) {
           EXPECT_TRUE(bitwise_equal(r, first)) << at << ": vs portable";

@@ -276,41 +276,50 @@ TEST(TracedSession, ResNet50SpanAndHistogramCountsMatchNodesExecuted) {
   Rng rng(5);
   g.materialize_weights(rng);
 
-  obs::Tracer tracer;
-  obs::MetricsRegistry metrics;
-  runtime::RunOptions opts;
-  opts.trace = &tracer;
-  opts.metrics = &metrics;
-  auto session = runtime::make_session(g, opts);
-
   Rng data_rng(6);
   const Shape in_shape{1, 3, 32, 32};
   Tensor x(in_shape, data_rng.normal_vector(static_cast<std::size_t>(in_shape.numel())));
-  const runtime::RunResult r =
-      session->run({{g.node(g.inputs().front()).name, x}});
 
-  ASSERT_GT(r.nodes_executed, 0u);
-  // One span per executed (non-input) node plus the session.run root.
-  EXPECT_EQ(tracer.spans().size(), r.nodes_executed + 1);
-  EXPECT_EQ(tracer.open_spans(), 0u);
-  EXPECT_EQ(tracer.spans().front().name, "session.run");
-  ASSERT_FALSE(tracer.spans().front().num_attrs.empty());
-  EXPECT_DOUBLE_EQ(tracer.spans().front().num_attrs.back().second,
-                   static_cast<double>(r.nodes_executed));
+  // Serial and over the intra-op pool: every node is spanned and timed.
+  for (const unsigned threads : {1u, 3u}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    obs::Tracer tracer;
+    obs::MetricsRegistry metrics;
+    runtime::RunOptions opts;
+    opts.trace = &tracer;
+    opts.metrics = &metrics;
+    opts.exec.threads = threads;
+    auto session = runtime::make_session(g, opts);
+    const runtime::RunResult r = session->run({{g.node(g.inputs().front()).name, x}});
 
-  // Every op-class histogram sample corresponds to one executed node.
-  std::size_t samples = 0;
-  for (const auto& [name, h] : metrics.histograms()) {
-    EXPECT_EQ(name.rfind("vedliot.runtime.op.", 0), 0u) << name;
-    samples += h.total();
+    ASSERT_GT(r.nodes_executed, 0u);
+    // One span per executed (non-input) node plus the session.run root.
+    EXPECT_EQ(tracer.spans().size(), r.nodes_executed + 1);
+    EXPECT_EQ(tracer.open_spans(), 0u);
+    EXPECT_EQ(tracer.spans().front().name, "session.run");
+    ASSERT_FALSE(tracer.spans().front().num_attrs.empty());
+    EXPECT_DOUBLE_EQ(tracer.spans().front().num_attrs.back().second,
+                     static_cast<double>(r.nodes_executed));
+
+    // Every op-class histogram sample corresponds to one executed node; the
+    // only other histogram is the pool's, recorded when there is a pool.
+    std::size_t samples = 0;
+    for (const auto& [name, h] : metrics.histograms()) {
+      if (name.rfind("vedliot.runtime.op.", 0) == 0) {
+        samples += h.total();
+      } else {
+        EXPECT_EQ(name, "vedliot.runtime.pool.utilization");
+      }
+    }
+    EXPECT_EQ(samples, r.nodes_executed);
+    EXPECT_EQ(metrics.has_histogram("vedliot.runtime.pool.utilization"), threads > 1);
+    EXPECT_EQ(metrics.counter("vedliot.runtime.runs").value(), 1u);
+    EXPECT_EQ(metrics.counter("vedliot.runtime.nodes_executed").value(), r.nodes_executed);
+
+    // The Chrome export carries exactly one event per span.
+    const obs::JsonValue doc = obs::json_parse(obs::chrome_trace_json(tracer.spans()));
+    EXPECT_EQ(doc.at("traceEvents").array.size(), r.nodes_executed + 1);
   }
-  EXPECT_EQ(samples, r.nodes_executed);
-  EXPECT_EQ(metrics.counter("vedliot.runtime.runs").value(), 1u);
-  EXPECT_EQ(metrics.counter("vedliot.runtime.nodes_executed").value(), r.nodes_executed);
-
-  // The Chrome export carries exactly one event per span.
-  const obs::JsonValue doc = obs::json_parse(obs::chrome_trace_json(tracer.spans()));
-  EXPECT_EQ(doc.at("traceEvents").array.size(), r.nodes_executed + 1);
 }
 
 TEST(TracedSession, TwoRunsProduceIdenticalSpanStructure) {
@@ -377,22 +386,28 @@ TEST(TracedSession, QuantizedBackendEmitsSameTaxonomy) {
   for (int i = 0; i < 4; ++i) samples.emplace_back(Shape{1, 8}, data_rng.normal_vector(8));
   opt::calibrate_activations(g, samples, Calibration::kMinMax);
 
-  obs::Tracer tracer;
-  obs::MetricsRegistry metrics;
-  runtime::RunOptions opts;
-  opts.trace = &tracer;
-  opts.metrics = &metrics;
-  auto session = runtime::make_quantized_session(g, opts);
-  const runtime::RunResult r =
-      session->run({{g.node(g.inputs().front()).name, samples[0]}});
+  for (const unsigned threads : {1u, 3u}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    obs::Tracer tracer;
+    obs::MetricsRegistry metrics;
+    runtime::RunOptions opts;
+    opts.trace = &tracer;
+    opts.metrics = &metrics;
+    opts.exec.threads = threads;
+    auto session = runtime::make_quantized_session(g, opts);
+    const runtime::RunResult r =
+        session->run({{g.node(g.inputs().front()).name, samples[0]}});
 
-  EXPECT_EQ(session->backend(), "int8");
-  EXPECT_EQ(tracer.spans().size(), r.nodes_executed + 1);
-  EXPECT_EQ(tracer.spans().front().name, "session.run");
-  std::size_t hist_samples = 0;
-  for (const auto& [name, h] : metrics.histograms()) hist_samples += h.total();
-  EXPECT_EQ(hist_samples, r.nodes_executed);
-  EXPECT_TRUE(metrics.has_gauge("vedliot.runtime.saturations"));
+    EXPECT_EQ(session->backend(), "int8");
+    EXPECT_EQ(tracer.spans().size(), r.nodes_executed + 1);
+    EXPECT_EQ(tracer.spans().front().name, "session.run");
+    std::size_t hist_samples = 0;
+    for (const auto& [name, h] : metrics.histograms()) {
+      if (name.rfind("vedliot.runtime.op.", 0) == 0) hist_samples += h.total();
+    }
+    EXPECT_EQ(hist_samples, r.nodes_executed);
+    EXPECT_TRUE(metrics.has_gauge("vedliot.runtime.saturations"));
+  }
 }
 
 // ---------------------------------------------------------------------------
