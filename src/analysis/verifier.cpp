@@ -36,8 +36,8 @@ struct OpContract {
 constexpr std::size_t kVariadic = static_cast<std::size_t>(-1);
 
 /// Attributes legal on every op. act_scale is stamped onto all live nodes by
-/// calibrate_activations; the fusion tags are legal only on Conv2d/Dense and
-/// get their own specs there.
+/// calibrate_activations; the fusion tags are legal only on Conv2d/Dense
+/// (and fused_act on Add) and get their own specs there.
 const std::vector<AttrSpec>& common_attrs() {
   static const std::vector<AttrSpec> kCommon = {
       {"act_scale", AttrType::kFloat, false},
@@ -73,7 +73,7 @@ const OpContract& contract_for(OpKind kind) {
                      OpKind::kFlatten, OpKind::kIdentity, OpKind::kGlobalAvgPool}) {
       m[k] = {1, 1, {}};
     }
-    m[OpKind::kAdd] = {2, 2, {}};
+    m[OpKind::kAdd] = {2, 2, {{"fused_act", AttrType::kStr, false}}};
     m[OpKind::kMul] = {2, 2, {}};
     m[OpKind::kConcat] = {2, kVariadic, {{"axis", AttrType::kInt, false}}};
     const OpContract pool{1, 1, {{"kernel", AttrType::kInt, true},
@@ -450,10 +450,11 @@ void check_fusion(const Context& ctx, Report& rep) {
     if (n.attrs.has("fused_act") &&
         std::holds_alternative<std::string>(n.attrs.raw().at("fused_act"))) {
       const std::string& act = n.attrs.get_str("fused_act");
-      if (!fusable) {
+      const bool add_clamp = n.kind == OpKind::kAdd && (act == "Relu" || act == "Relu6");
+      if (!fusable && !add_clamp) {
         rep.add(Severity::kError, "fusion.fused_act.misplaced", n,
                 "fused_act tag on " + std::string(op_name(n.kind)) +
-                    "; only Conv2d/Dense execute fused activations");
+                    "; Conv2d/Dense execute any fused activation, Add only Relu/Relu6");
       }
       bool valid = false;
       try {

@@ -149,6 +149,17 @@ Graph corrupt_fused_act() {
   return g;
 }
 
+Graph corrupt_add_fused_act() {
+  // An Add executes a fused Relu/Relu6 only; any other tag is misplaced.
+  Graph g("selftest-addact");
+  const NodeId x = g.add_input("x", Shape{1, 8});
+  const NodeId relu = g.add(OpKind::kRelu, "relu", {x});
+  AttrMap a;
+  a.set_str("fused_act", "Sigmoid");
+  g.add(OpKind::kAdd, "residual", {x, relu}, std::move(a));
+  return g;
+}
+
 int run_selftest() {
   const SelftestCase cases[] = {
       {"bad-arity", "ir.arity", corrupt_arity},
@@ -156,6 +167,7 @@ int run_selftest() {
       {"wrong-weight-shape", "weight.shape", corrupt_weight_shape},
       {"int8-missing-act-scale", "quant.act_scale.missing", corrupt_missing_act_scale},
       {"invalid-fused-act", "fusion.fused_act.invalid", corrupt_fused_act},
+      {"misplaced-add-fused-act", "fusion.fused_act.misplaced", corrupt_add_fused_act},
   };
   int failures = 0;
   for (const auto& c : cases) {

@@ -67,7 +67,11 @@ PassResult FuseActivationPass::run(Graph& g) {
     if (act.dead || !op_is_activation(act.kind)) continue;
     const NodeId prod_id = act.inputs.at(0);
     Node& prod = g.node(prod_id);
-    if (prod.kind != OpKind::kConv2d && prod.kind != OpKind::kDense) continue;
+    // An Add takes only the clamps the int8 executor runs (ResNet's
+    // residual Add+Relu); Conv2d and Dense take any activation.
+    const bool into_add =
+        prod.kind == OpKind::kAdd && (act.kind == OpKind::kRelu || act.kind == OpKind::kRelu6);
+    if (prod.kind != OpKind::kConv2d && prod.kind != OpKind::kDense && !into_add) continue;
     if (g.consumers(prod_id).size() != 1) continue;
     if (!prod.attrs.get_str_or("fused_act", "").empty()) continue;
 

@@ -19,9 +19,11 @@ class FuseBatchNormPass : public Pass {
   PassResult run(Graph& g) override;
 };
 
-/// Fuse a unary activation into the preceding Conv2d/Dense (tag `fused_act`);
-/// the executor applies the activation in the producer's epilogue, which is
-/// how every real inference runtime avoids an extra memory round trip.
+/// Fuse a unary activation into the preceding Conv2d/Dense, and a Relu or
+/// Relu6 into the preceding Add (tag `fused_act`), when the producer has no
+/// other consumer; the executor applies the activation in the producer's
+/// epilogue, which is how every real inference runtime avoids an extra
+/// memory round trip (and, in int8, a second rounding).
 class FuseActivationPass : public Pass {
  public:
   std::string name() const override { return "fuse-activation"; }

@@ -20,7 +20,7 @@ using runtime_kernels::F32Policy;
 using runtime_kernels::GemmMicrokernels;
 using runtime_kernels::MicrokernelTile;
 using runtime_kernels::panel_count;
-using runtime_kernels::requant_clamped;
+using runtime_kernels::Requant;
 using runtime_kernels::requant_sat;
 using runtime_kernels::S8Policy;
 
@@ -59,11 +59,15 @@ const T* transpose_lanes(const T* x, std::int64_t lanes, std::int64_t features,
   return xt;
 }
 
-void quantize_into(std::span<const float> x, double scale, std::int8_t* q) {
-  std::uint64_t ignored = 0;
+/// Quantize floats at \p scale (the dtype boundary: feeds and the int8
+/// Softmax's float core); returns the saturations. Out of line, so the
+/// int8 op bodies hold no float rounding.
+[[gnu::noinline]] std::uint64_t quantize_into(std::span<const float> x, double scale, std::int8_t* q) {
+  std::uint64_t saturations = 0;
   for (std::size_t i = 0; i < x.size(); ++i) {
-    q[i] = requant_sat(static_cast<double>(x[i]) / scale, ignored);
+    q[i] = requant_sat(static_cast<double>(x[i]) / scale, saturations);
   }
+  return saturations;
 }
 
 void dequantize_into(const std::int8_t* q, double scale, std::span<float> x) {
@@ -191,18 +195,31 @@ void Executor::quantize() {
     const Tensor& w = n.weights[0];
     const auto oc = w.shape().dim(0);
     const auto per = static_cast<std::size_t>(w.numel() / oc);
+    // The bias code may use what the accumulator's reach (k·127·128) leaves
+    // of int32; a channel whose bias needs more gets a wider weight scale
+    // (TFLite's AdjustWeightsForBiasScale), so the bias stays exact to one
+    // LSB of the output instead of wrapping.
+    const double bias_room = 2147483647.0 - static_cast<double>(per) * 127.0 * 128.0 - 1.0;
     QuantLayer& layer = qlayers_[slot(id)];
     layer.weights.resize(static_cast<std::size_t>(w.numel()));
     layer.bias.assign(static_cast<std::size_t>(oc), 0);
-    layer.mult.resize(static_cast<std::size_t>(oc));
+    layer.requant.resize(static_cast<std::size_t>(oc));
     for (std::size_t c = 0; c < static_cast<std::size_t>(oc); ++c) {
-      const double ws =
-          quantize_int8_channel(w.data().subspan(c * per, per), layer.weights.data() + c * per);
-      layer.mult[c] = in_scale * ws / out_scale;
+      const auto chan = w.data().subspan(c * per, per);
+      std::int8_t* codes = layer.weights.data() + c * per;
+      double ws = quantize_int8_channel(chan, codes);
       if (n.weights.size() > 1) {
-        layer.bias[c] = static_cast<std::int32_t>(
-            std::nearbyint(static_cast<double>(n.weights[1].at(c)) / (in_scale * ws)));
+        const double bias = n.weights[1].at(c);
+        if (bias_room > 0.0 && std::abs(bias) / (in_scale * ws) > bias_room) {
+          ws = std::abs(bias) / (in_scale * bias_room);
+          const QuantParams widened{ws, 0, -128, 127};
+          for (std::size_t i = 0; i < per; ++i) {
+            codes[i] = static_cast<std::int8_t>(widened.quantize(chan[i]));
+          }
+        }
+        layer.bias[c] = static_cast<std::int32_t>(std::nearbyint(bias / (in_scale * ws)));
       }
+      layer.requant[c] = Requant::from_real(in_scale * ws / out_scale);
     }
   }
   quantized_version_ = graph_.version();
@@ -257,11 +274,12 @@ Executor::Step Executor::compile_step(const Node& n) {
   if (parametric && n.weights.empty()) {
     throw ExecError(std::string(op_name(n.kind)) + " " + n.name + " has no weights");
   }
-  // f32 epilogue activation: the fused one, the op's own, or none (copies,
-  // pools, Add, Concat).
-  s.act = parametric ? (fused.empty() ? OpKind::kIdentity : parse_op(fused))
+  // f32 epilogue activation: the fused one (Conv2d, Dense, Add), the op's
+  // own, or none (copies, pools, Concat).
+  const bool fuses = parametric || n.kind == OpKind::kAdd;
+  s.act = fuses ? (fused.empty() ? OpKind::kIdentity : parse_op(fused))
           : (op_is_activation(n.kind) ? n.kind : OpKind::kIdentity);
-  s.alpha = a.get_float_or(parametric ? "fused_alpha" : "alpha", 0.01);
+  s.alpha = a.get_float_or(fuses ? "fused_alpha" : "alpha", 0.01);
   const Shape& in_shape = graph_.node(n.inputs.at(0)).out_shape;
   if (n.kind == OpKind::kConv2d) {
     s.conv = {in_shape.c(), in_shape.h(), in_shape.w(), n.out_shape.c(), n.out_shape.h(),
@@ -308,13 +326,32 @@ Executor::Step Executor::compile_step(const Node& n) {
     }
     VEDLIOT_CHECK(n.kind != OpKind::kConcat || n.out_shape.dim(0) == 1,
                   "integer Concat supports batch 1");
+    s.in_scale = scales_[slot(n.inputs.at(0))];
     s.out_scale = scales_[slot(n.id)];
-    for (NodeId in : n.inputs) s.in_scales.push_back(scales_[slot(in)]);
     // Symmetric quantization keeps zero at q=0, so ReLU is max(q, 0).
     if (fused == "Relu" || n.kind == OpKind::kRelu) s.q_lo = 0;
     if (fused == "Relu6" || n.kind == OpKind::kRelu6) {
       s.q_lo = 0;
       s.q_hi = std::min(127, static_cast<std::int32_t>(std::nearbyint(6.0 / s.out_scale)));
+    }
+    // The fixed-point requants of every op but Conv2d/Dense (per channel,
+    // from quantize()) and Softmax (a float core): input over output scale.
+    const auto ratio = [&](std::size_t i) { return scales_[slot(n.inputs[i])] / s.out_scale; };
+    if (n.kind == OpKind::kAdd) {
+      const EltwiseRequants r = eltwise_requants(ratio(0), ratio(1));
+      s.requant = {r.a, r.b};
+    } else if (n.kind == OpKind::kMaxPool || n.kind == OpKind::kAvgPool ||
+               n.kind == OpKind::kGlobalAvgPool) {
+      // Entry c−1 averages a window of c taps (fewer than k² at a padded
+      // border); a max rescales as one tap.
+      const std::int64_t taps = n.kind == OpKind::kMaxPool ? 1 : s.conv.kernel * s.conv.kernel;
+      for (std::int64_t c = 1; c <= taps; ++c) {
+        s.requant.push_back(Requant::from_real(ratio(0) / static_cast<double>(c)));
+      }
+    } else if (!parametric && n.kind != OpKind::kSoftmax) {
+      for (std::size_t i = 0; i < n.inputs.size(); ++i) {
+        s.requant.push_back(eltwise_requants(ratio(i)).a);
+      }
     }
   }
 
@@ -474,9 +511,8 @@ void Executor::run_step(const Step& s) {
   // The one dtype decision of the step: which policy the op body runs over.
   if (dtype_ == DType::kINT8) {
     const QuantLayer& q = qlayers_[slot(n.id)];
-    run_op(s, S8Policy{q.bias.data(), q.mult.data(), s.q_lo, s.q_hi, s.in_scales.data(),
-                       s.out_scale},
-           q.weights.data());
+    const Requant* rq = q.requant.empty() ? s.requant.data() : q.requant.data();
+    run_op(s, S8Policy{q.bias.data(), rq, s.q_lo, s.q_hi}, q.weights.data());
   } else {
     run_op(s, F32Policy{weight(n, 1), s.act, s.alpha}, weight(n, 0));
   }
@@ -598,22 +634,20 @@ void Executor::run_op(const Step& s, const P& p, const typename P::Elem* w) {
     case OpKind::kMish:
     case OpKind::kTanh:
     case OpKind::kFlatten:
-    case OpKind::kIdentity: {
+    case OpKind::kIdentity:
       // f32 applies the op's own activation (none for the copies); int8
       // rescales into the step's clamp window, which is the Relu/Relu6.
-      const auto epilogue = p.scaled(0);
       pfor(0, numel, 4096, [&](std::int64_t lo, std::int64_t hi, std::size_t chunk) {
-        for (std::int64_t i = lo; i < hi; ++i) y[i] = epilogue(x[i], sat[chunk]);
+        sat[chunk] += p.eltwise(x + lo, nullptr, y + lo, hi - lo);
       });
       break;
-    }
     case OpKind::kAdd:
     case OpKind::kMul: {
       const E* x1 = buffer<E>(s.in.at(1));
       const Shape& s1 = graph_.node(n.inputs[1]).out_shape;
       if (n.kind == OpKind::kAdd && in_shape == s1) {
         pfor(0, numel, 4096, [&](std::int64_t lo, std::int64_t hi, std::size_t chunk) {
-          for (std::int64_t i = lo; i < hi; ++i) y[i] = p.sum(x[i], x1[i], sat[chunk]);
+          sat[chunk] += p.eltwise(x + lo, x1 + lo, y + lo, hi - lo);
         });
         break;
       }
@@ -640,6 +674,7 @@ void Executor::run_op(const Step& s, const P& p, const typename P::Elem* w) {
               for (std::int64_t i = 0; i < spatial; ++i) yr[i] = xr[i] * v;
             } else {
               for (std::int64_t i = 0; i < spatial; ++i) yr[i] = xr[i] + v;
+              if (p.act != OpKind::kIdentity) p.eltwise(yr, nullptr, yr, spatial);  // fused
             }
           }
         });
@@ -653,12 +688,9 @@ void Executor::run_op(const Step& s, const P& p, const typename P::Elem* w) {
       std::int64_t off = 0;
       for (std::size_t i = 0; i < s.in.size(); ++i) {
         const E* src = buffer<E>(s.in[i]);
-        const auto epilogue = p.scaled(i);
         const std::int64_t block = lane_elems(graph_.node(n.inputs[i]).out_shape);
         for (std::int64_t b = 0; b < lanes; ++b) {
-          for (std::int64_t j = 0; j < block; ++j) {
-            y[b * row + off + j] = epilogue(src[b * block + j], sat[0]);
-          }
+          sat[0] += p.eltwise(src + b * block, nullptr, y + b * row + off, block, i);
         }
         off += block;
       }
@@ -693,14 +725,11 @@ void Executor::run_op(const Step& s, const P& p, const typename P::Elem* w) {
       } else {
         // Dequantize, float softmax, requantize: how int8 runtimes typically
         // treat the final softmax (TFLite uses a LUT; float is the reference).
-        float* f = grow<float>(ws_.col, static_cast<std::size_t>(numel));
-        for (std::int64_t i = 0; i < numel; ++i) {
-          f[i] = static_cast<float>(static_cast<double>(x[i]) * s.in_scales[0]);
-        }
-        softmax_rows(f, lanes, numel / lanes);
-        for (std::int64_t i = 0; i < numel; ++i) {
-          y[i] = requant_clamped(static_cast<double>(f[i]) / s.out_scale, s.q_lo, s.q_hi, sat[0]);
-        }
+        const std::span<float> f{grow<float>(ws_.col, static_cast<std::size_t>(numel)),
+                                 static_cast<std::size_t>(numel)};
+        dequantize_into(x, s.in_scale, f);
+        softmax_rows(f.data(), lanes, numel / lanes);
+        sat[0] += quantize_into(f, s.out_scale, y);
       }
       break;
     }

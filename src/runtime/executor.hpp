@@ -167,7 +167,7 @@ class Executor {
   struct QuantLayer {
     std::vector<std::int8_t> weights;
     std::vector<std::int32_t> bias;  ///< at in_scale * w_scale[c]
-    std::vector<double> mult;        ///< in_scale * w_scale[c] / out_scale
+    std::vector<runtime_kernels::Requant> requant;  ///< in_scale * w_scale[c] / out_scale
   };
 
   /// One compiled node: everything its kernel needs, resolved once.
@@ -175,13 +175,15 @@ class Executor {
     const Node* node = nullptr;
     std::size_t out = 0;               ///< arena byte offset of the output
     std::vector<std::size_t> in;       ///< arena byte offsets of the inputs
-    OpKind act = OpKind::kIdentity;    ///< f32: Conv/Dense fused or own activation
+    OpKind act = OpKind::kIdentity;    ///< f32: Conv/Dense/Add fused or own activation
     double alpha = 0.01;
     runtime_kernels::Conv2dGeometry conv;  ///< Conv2d, and the window of a pool
     std::int64_t upsample = 1;
     std::vector<float> bn_scale, bn_shift;  ///< f32 BatchNorm folded to x*s+t
-    double out_scale = 1.0;                 ///< int8 activation scales
-    std::vector<double> in_scales;
+    double in_scale = 1.0, out_scale = 1.0;  ///< int8 Softmax's activation scales
+    /// int8 ops other than Conv2d/Dense: S8Policy::rq (per input, or per
+    /// pool window tap count).
+    std::vector<runtime_kernels::Requant> requant;
     std::int32_t q_lo = -128, q_hi = 127;   ///< int8 fused Relu/Relu6 window
     std::vector<std::byte> packed;          ///< A panels, one block per group
   };

@@ -30,10 +30,11 @@ namespace vedliot::runtime_kernels {
 /// through; alpha feeds LeakyRelu.
 float apply_activation(float x, OpKind kind, double alpha);
 
-/// Round to nearest and saturate to int8, counting saturations (values
-/// outside [-128, 127] — information lost). Input quantization uses it as
-/// is; weights go through quantize_int8_channel (tensor/quant.hpp), which
-/// rounds and saturates the same way.
+/// Round a float value to nearest and saturate it to int8, counting
+/// saturations (values outside [-128, 127] — information lost). Only the
+/// dtype boundary requantizes a float: feed quantization and the int8
+/// Softmax's float core. Weights go through quantize_int8_channel
+/// (tensor/quant.hpp), which rounds and saturates the same way.
 inline std::int8_t requant_sat(double v, std::uint64_t& saturations) {
   const double r = std::nearbyint(v);
   if (r > 127.0) {
@@ -47,25 +48,74 @@ inline std::int8_t requant_sat(double v, std::uint64_t& saturations) {
   return static_cast<std::int8_t>(r);
 }
 
-/// The one requantization every int8 epilogue shares: requant_sat, then the
-/// fused-activation clamp window [q_lo, q_hi] (semantics, not counted as
-/// saturation).
-inline std::int8_t requant_clamped(double v, std::int32_t q_lo, std::int32_t q_hi,
-                                   std::uint64_t& saturations) {
-  std::int8_t q = requant_sat(v, saturations);
-  if (q < q_lo) q = static_cast<std::int8_t>(q_lo);
-  if (q > q_hi) q = static_cast<std::int8_t>(q_hi);
-  return q;
+/// A positive real ratio in fixed point (the gemmlowp/TFLite form): an int32
+/// multiplier and a right shift, applied in exact integer arithmetic as
+/// round-half-up (v·multiplier + 2^(shift−1)) >> shift. The one
+/// requantization of every int8 epilogue: Conv2d/Dense accumulators (ratio
+/// in_scale·w_scale[c] / out_scale), pool windows and elementwise ops (an
+/// input's scale over the output's).
+struct Requant {
+  std::int32_t multiplier = 0;
+  std::int32_t shift = 1;  ///< in [1, 62]
+
+  /// \p real at the shift that normalizes the multiplier to [2^30, 2^31):
+  /// the most precise form, within 1 of nearbyint(v·real) for every int32 v
+  /// and equal to it but near ties. A ratio below 2^-32 keeps shift 62 and a
+  /// smaller multiplier (every int32 v then rounds to 0); one of 2^30 or
+  /// more keeps shift 1 and the largest multiplier (every nonzero v
+  /// saturates int8, as it would exactly).
+  static Requant from_real(double real);
+  /// \p real at a given shift: multiplier = round(real·2^shift), which must
+  /// fit int32.
+  static Requant from_real(double real, std::int32_t shift);
+
+  /// v times the ratio, rounded half up. Exact for any int32 v: the product
+  /// stays below 2^62 in int64.
+  std::int64_t apply(std::int64_t v) const {
+    return (v * multiplier + (std::int64_t{1} << (shift - 1))) >> shift;
+  }
+};
+
+/// Saturate a requantized value to int8, counting values outside
+/// [-128, 127], then clamp it into the fused-activation window
+/// [q_lo, q_hi] ⊆ [-128, 127] (semantics, not counted as saturation).
+inline std::int8_t saturate_clamped(std::int64_t v, std::int32_t q_lo, std::int32_t q_hi,
+                                    std::uint64_t& saturations) {
+  saturations += static_cast<std::uint64_t>((v < -128) | (v > 127));
+  return static_cast<std::int8_t>(std::clamp<std::int64_t>(v, q_lo, q_hi));
 }
+
+/// The requants of an int8 elementwise op's inputs, ratios \p ra and \p rb
+/// (input scale over output scale; rb = 0 for a one-input rescale), at one
+/// shared shift: the largest for which 128·(m_a + m_b) + 2^(shift−1) < 2^31,
+/// so every int32 product eltwise_s8 forms, and their sum, fits int32.
+/// Ratios above 2^21 (an output range over two million times narrower than
+/// the input's, where every nonzero input saturates) are taken as 2^21.
+struct EltwiseRequants {
+  Requant a, b;
+};
+EltwiseRequants eltwise_requants(double ra, double rb = 0.0);
+
+/// The one int8 elementwise kernel: y[i] = clamp_[q_lo, q_hi](saturate(
+/// (a[i]·ra.multiplier + b[i]·rb.multiplier + 2^(s−1)) >> s)) over n
+/// elements, s the shared shift of eltwise_requants. A null \p b drops its
+/// term (the one-input rescale of Relu, Relu6, Identity, Flatten and each
+/// Concat input). int32 arithmetic over restrict pointers, so the compiler
+/// vectorizes it at the baseline ISA, and one body compiled once gives the
+/// same bits at every dispatch level. Returns the saturations it counted.
+std::uint64_t eltwise_s8(const std::int8_t* __restrict a, const std::int8_t* __restrict b,
+                         std::int8_t* __restrict y, std::int64_t n, Requant ra, Requant rb,
+                         std::int32_t q_lo, std::int32_t q_hi);
 
 // ---------------------------------------------------------------------------
 // Dtype policies. Every kernel below, the microkernels' shared tile store and
 // the executor's per-op bodies are written once over a policy P, which
 // carries the element and accumulator types and the per-channel constants:
-// the accumulator's initial value (the bias) and the epilogue that turns an
-// accumulator — or a pool's double average — into an output element. Each
-// kernel returns the int8 saturations it counted (always 0 for f32), so
-// parallel callers sum per-chunk counts into a partition-independent total.
+// the accumulator's initial value (the bias), the epilogue that turns an
+// accumulator — or a pool window's max or sum — into an output element, and
+// the elementwise op. Each kernel returns the int8 saturations it counted
+// (always 0 for f32), so parallel callers sum per-chunk counts into a
+// partition-independent total.
 // ---------------------------------------------------------------------------
 
 /// f32: float operands and accumulators; the epilogue applies the fused (or
@@ -73,9 +123,10 @@ inline std::int8_t requant_clamped(double v, std::int32_t q_lo, std::int32_t q_h
 struct F32Policy {
   using Elem = float;
   using Acc = float;
-  using PackedA = float;  ///< microkernel panels (microkernel.hpp)
+  using PoolAcc = double;  ///< a pool window's max or sum
+  using PackedA = float;   ///< microkernel panels (microkernel.hpp)
   using PackedB = float;
-  static constexpr double kMaxInit = -std::numeric_limits<double>::infinity();  ///< MaxPool
+  static constexpr PoolAcc kMaxInit = -std::numeric_limits<double>::infinity();  ///< MaxPool
 
   const float* bias = nullptr;
   OpKind act = OpKind::kIdentity;
@@ -85,61 +136,83 @@ struct F32Policy {
   struct Channel {
     OpKind act;
     double alpha;
-    template <typename V>
-    float operator()(V v, std::uint64_t& /*saturations*/) const {
-      const float f = static_cast<float>(v);
+    float operator()(float f, std::uint64_t& /*saturations*/) const {
       return act == OpKind::kIdentity ? f : apply_activation(f, act, alpha);
+    }
+  };
+  /// The epilogue of a pool window of \p count taps (1 for a max).
+  struct Window {
+    std::int64_t count;
+    float operator()(double acc, std::uint64_t& /*saturations*/) const {
+      return static_cast<float>(count > 0 ? acc / static_cast<double>(count) : 0.0);
     }
   };
 
   float init(std::int64_t c) const { return bias != nullptr ? bias[c] : 0.0f; }
   Channel channel(std::int64_t /*c*/) const { return {act, alpha}; }
-  /// Epilogue of an op reading input \p i: f32 runs at scale 1.
-  Channel scaled(std::size_t /*i*/) const { return {act, alpha}; }
+  Window window(std::int64_t count) const { return {count}; }
   /// The policy seen from output channel \p first on (one group's GEMM).
   F32Policy from(std::int64_t first) const {
     return {bias != nullptr ? bias + first : nullptr, act, alpha};
   }
-  float sum(float a, float b, std::uint64_t& /*saturations*/) const { return a + b; }
+  /// y = act(a + b) over n elements, or y = act(a) when \p b is null (the
+  /// activation ops, the copies and each Concat input, whose index \p input
+  /// f32 ignores).
+  std::uint64_t eltwise(const float* a, const float* b, float* y, std::int64_t n,
+                        std::size_t /*input*/ = 0) const {
+    const Channel e = channel(0);
+    std::uint64_t none = 0;
+    if (b == nullptr) {
+      for (std::int64_t i = 0; i < n; ++i) y[i] = e(a[i], none);
+    } else if (act == OpKind::kIdentity) {
+      for (std::int64_t i = 0; i < n; ++i) y[i] = a[i] + b[i];  // stays a loop the compiler vectorizes
+    } else {
+      for (std::int64_t i = 0; i < n; ++i) y[i] = e(a[i] + b[i], none);
+    }
+    return 0;
+  }
 };
 
 /// int8: symmetric int8 operands and exact int32 accumulation; the epilogue
-/// requantizes — value times a `double` multiplier (per output channel for
-/// Conv2d/Dense, input over output scale for the other ops), requant_clamped
-/// into the fused-activation window, counting saturations.
+/// requantizes through a fixed-point Requant (per output channel for
+/// Conv2d/Dense, per input for the other ops, per window tap count for the
+/// pools), saturates and clamps into the fused-activation window, counting
+/// saturations.
 struct S8Policy {
   using Elem = std::int8_t;
   using Acc = std::int32_t;
+  using PoolAcc = std::int32_t;  ///< exact window max or sum
   using PackedA = std::int32_t;  ///< int16 k-pairs of weights
   using PackedB = std::int8_t;   ///< k-pair interleaved activations
-  static constexpr double kMaxInit = std::numeric_limits<std::int32_t>::min();
+  static constexpr PoolAcc kMaxInit = std::numeric_limits<std::int32_t>::min();
 
   const std::int32_t* bias = nullptr;  ///< at in_scale * w_scale[c]
-  const double* mult = nullptr;        ///< in_scale * w_scale[c] / out_scale
+  /// Conv2d/Dense: in_scale * w_scale[c] / out_scale per output channel.
+  /// Other ops: input i's scale over the output's (eltwise_requants); pools:
+  /// entry c−1 is in_scale / out_scale / c, for a window of c taps.
+  const Requant* rq = nullptr;
   std::int32_t q_lo = -128, q_hi = 127;
-  const double* in_scales = nullptr;   ///< activation scale of each input
-  double out_scale = 1.0;
 
   struct Channel {
-    double mult;
+    Requant rq;
     std::int32_t q_lo, q_hi;
-    template <typename V>
-    std::int8_t operator()(V v, std::uint64_t& saturations) const {
-      return requant_clamped(static_cast<double>(v) * mult, q_lo, q_hi, saturations);
+    std::int8_t operator()(std::int32_t v, std::uint64_t& saturations) const {
+      return saturate_clamped(rq.apply(v), q_lo, q_hi, saturations);
     }
   };
 
   std::int32_t init(std::int64_t c) const { return bias != nullptr ? bias[c] : 0; }
-  Channel channel(std::int64_t c) const { return {mult[c], q_lo, q_hi}; }
-  Channel scaled(std::size_t i) const { return {in_scales[i] / out_scale, q_lo, q_hi}; }
+  Channel channel(std::int64_t c) const { return {rq[c], q_lo, q_hi}; }
+  Channel window(std::int64_t count) const { return {rq[count > 0 ? count - 1 : 0], q_lo, q_hi}; }
   S8Policy from(std::int64_t first) const {
-    return {bias != nullptr ? bias + first : nullptr, mult + first, q_lo, q_hi, in_scales,
-            out_scale};
+    return {bias != nullptr ? bias + first : nullptr, rq + first, q_lo, q_hi};
   }
-  /// Add of two equal-shape inputs, each at its own scale.
-  std::int8_t sum(std::int8_t a, std::int8_t b, std::uint64_t& saturations) const {
-    const double v = static_cast<double>(a) * in_scales[0] + static_cast<double>(b) * in_scales[1];
-    return requant_clamped(v / out_scale, q_lo, q_hi, saturations);
+  /// Add of two equal-shape inputs (rq[0], rq[1]), or the rescale of input
+  /// \p input when \p b is null, through eltwise_s8.
+  std::uint64_t eltwise(const std::int8_t* a, const std::int8_t* b, std::int8_t* y,
+                        std::int64_t n, std::size_t input = 0) const {
+    return b != nullptr ? eltwise_s8(a, b, y, n, rq[0], rq[1], q_lo, q_hi)
+                        : eltwise_s8(a, nullptr, y, n, rq[input], Requant{}, q_lo, q_hi);
   }
 };
 
@@ -328,22 +401,23 @@ std::uint64_t depthwise(const typename P::Elem* in, const typename P::Elem* w,
 }
 
 /// Max or average pooling of planes [plane_lo, plane_hi) (lane x channel)
-/// over g's kernel, stride and pad. A window sums its in-image taps in
-/// row-major order, in double (exact for int8 values); its max, or its
-/// average over those taps, leaves through p.scaled(0). GlobalAvgPool is one
-/// window as large as the plane.
+/// over g's kernel, stride and pad. A window takes the max or the sum of its
+/// in-image taps in row-major order, in P::PoolAcc (double for f32, exact
+/// int32 for int8), and leaves through p.window(taps): the max as one tap,
+/// the sum averaged over the taps it has. GlobalAvgPool is one window as
+/// large as the plane.
 template <typename P> [[gnu::noinline]]
 std::uint64_t pool(const typename P::Elem* in, typename P::Elem* out, const Conv2dGeometry& g,
                    bool is_max, std::int64_t plane_lo, std::int64_t plane_hi, const P& p) {
+  using Acc = typename P::PoolAcc;
   const std::int64_t k = g.kernel, IH = g.in_h, IW = g.in_w, OH = g.out_h, OW = g.out_w;
-  const auto epilogue = p.scaled(0);
   std::uint64_t saturations = 0;
   for (std::int64_t bc = plane_lo; bc < plane_hi; ++bc) {
     const auto* plane = in + bc * IH * IW;
     auto* oplane = out + bc * OH * OW;
     for (std::int64_t oh = 0; oh < OH; ++oh) {
       for (std::int64_t ow = 0; ow < OW; ++ow) {
-        double acc = is_max ? P::kMaxInit : 0.0;
+        Acc acc = is_max ? P::kMaxInit : Acc{0};
         std::int64_t count = 0;
         const std::int64_t iw0 = ow * g.stride - g.pad;  // the in-image taps of a row
         const std::int64_t kw_lo = std::max<std::int64_t>(0, -iw0), kw_hi = std::min(k, IW - iw0);
@@ -351,13 +425,12 @@ std::uint64_t pool(const typename P::Elem* in, typename P::Elem* out, const Conv
           const std::int64_t ih = oh * g.stride - g.pad + kh;
           if (ih < 0 || ih >= IH) continue;
           for (std::int64_t kw = kw_lo; kw < kw_hi; ++kw) {
-            const double v = plane[ih * IW + iw0 + kw];
+            const Acc v = plane[ih * IW + iw0 + kw];
             acc = is_max ? std::max(acc, v) : acc + v;
             ++count;
           }
         }
-        const double v = is_max ? acc : count > 0 ? acc / static_cast<double>(count) : 0.0;
-        oplane[oh * OW + ow] = epilogue(v, saturations);
+        oplane[oh * OW + ow] = p.window(is_max ? 1 : count)(acc, saturations);
       }
     }
   }

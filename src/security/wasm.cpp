@@ -26,7 +26,8 @@ std::uint32_t WModule::find_function(const std::string& name) const {
 
 WasmVm::WasmVm(WModule module) : module_(std::move(module)), memory_(module_.memory_bytes, 0) {
   VEDLIOT_CHECK(module_.data.size() <= memory_.size(), "data segment exceeds linear memory");
-  std::memcpy(memory_.data(), module_.data.data(), module_.data.size());
+  // An empty segment's data() may be null, which memcpy must not see.
+  if (!module_.data.empty()) std::memcpy(memory_.data(), module_.data.data(), module_.data.size());
 }
 
 void WasmVm::add_host(HostImport import) { hosts_.push_back(std::move(import)); }

@@ -2,7 +2,7 @@
 /// \file direct_conv.hpp
 /// \brief Test-local numerical references: Conv2D as the direct 6-deep loop
 /// nest, f32 (double accumulation) and int8 (int32 accumulation, the
-/// engine's per-channel weight quantization and requantization).
+/// engine's per-channel weight quantization and its fixed-point Requant).
 ///
 /// A reference run walks the graph node by node: every Conv2D goes through
 /// the direct loop here, every other node through the engine as a
@@ -166,7 +166,7 @@ class DirectConvInt8 {
     out.data.reserve(static_cast<std::size_t>(n.out_shape.numel()));
     std::vector<std::int8_t> wq(static_cast<std::size_t>(w.numel()));
     std::vector<std::int32_t> bias(static_cast<std::size_t>(geo.out_c), 0);
-    std::vector<double> mult(static_cast<std::size_t>(geo.out_c));
+    std::vector<runtime_kernels::Requant> requant(static_cast<std::size_t>(geo.out_c));
     for (std::size_t oc = 0; oc < static_cast<std::size_t>(geo.out_c); ++oc) {
       const auto chan = w.data().subspan(oc * per, per);
       double amax = 0;
@@ -180,11 +180,13 @@ class DirectConvInt8 {
         bias[oc] = static_cast<std::int32_t>(
             std::nearbyint(static_cast<double>(n.weights[1].at(oc)) / (in_scale * ws)));
       }
-      mult[oc] = in_scale * ws / so;
+      requant[oc] = runtime_kernels::Requant::from_real(in_scale * ws / so);
     }
     for (std::int64_t b = 0; b < n.out_shape.n(); ++b) {
       for (std::int64_t oc = 0; oc < geo.out_c; ++oc) {
         const std::int8_t* wrow = wq.data() + static_cast<std::size_t>(oc) * per;
+        const runtime_kernels::S8Policy::Channel epilogue{
+            requant[static_cast<std::size_t>(oc)], q_lo, q_hi};
         for (std::int64_t oh = 0; oh < geo.out_h; ++oh) {
           for (std::int64_t ow = 0; ow < geo.out_w; ++ow) {
             std::int32_t acc = bias[static_cast<std::size_t>(oc)];
@@ -200,9 +202,7 @@ class DirectConvInt8 {
                 }
               }
             }
-            out.data.push_back(runtime_kernels::requant_clamped(
-                static_cast<double>(acc) * mult[static_cast<std::size_t>(oc)], q_lo, q_hi,
-                saturations_));
+            out.data.push_back(epilogue(acc, saturations_));
           }
         }
       }

@@ -210,6 +210,24 @@ TEST(Verifier, FusedActOnNonFusableOpReportsMisplaced) {
   EXPECT_TRUE(rep.has("fusion.fused_act.misplaced")) << rep.to_table();
 }
 
+TEST(Verifier, AddExecutesFusedReluAndRelu6Only) {
+  // The Add contract takes the clamps the int8 executor runs; any other
+  // fused activation on an Add is misplaced.
+  for (const char* act : {"Relu", "Relu6", "Sigmoid", "LeakyRelu"}) {
+    Graph g("add");
+    const NodeId x = g.add_input("x", Shape{1, 8});
+    const NodeId relu = g.add(OpKind::kRelu, "relu", {x});
+    AttrMap a;
+    a.set_str("fused_act", act);
+    g.add(OpKind::kAdd, "residual", {x, relu}, std::move(a));
+    const Report rep = verify_graph(g);
+    const bool clamp = std::string(act) == "Relu" || std::string(act) == "Relu6";
+    EXPECT_EQ(rep.has("fusion.fused_act.misplaced"), !clamp) << act << "\n" << rep.to_table();
+    EXPECT_FALSE(rep.has("ir.attr.unknown")) << act << "\n" << rep.to_table();
+    EXPECT_EQ(rep.ok(), clamp) << act << "\n" << rep.to_table();
+  }
+}
+
 TEST(Verifier, FusedBnWithoutBiasReportsFusionBias) {
   Graph g = zoo::micro_mlp("m", 1, 8, {16}, 4);
   Node& fc = g.node(g.find("fc0"));

@@ -95,6 +95,36 @@ TEST(Fusion, SkipsSharedProducers) {
   EXPECT_EQ(res.nodes_changed, 0);
 }
 
+TEST(Fusion, FusesReluAndRelu6IntoSingleConsumerAdd) {
+  // A residual Add followed by an activation: only the clamps the int8
+  // executor runs fuse, and only when the activation is the Add's one
+  // consumer.
+  struct Case {
+    OpKind act;
+    bool second_consumer;
+    bool fuses;
+  };
+  for (const Case c : {Case{OpKind::kRelu, false, true}, Case{OpKind::kRelu6, false, true},
+                       Case{OpKind::kSigmoid, false, false},
+                       Case{OpKind::kLeakyRelu, false, false},
+                       Case{OpKind::kRelu, true, false}}) {
+    Graph g("t");
+    const NodeId x = g.add_input("x", Shape{1, 2, 4, 4});
+    const NodeId y = g.add(OpKind::kIdentity, "y", {x});
+    const NodeId sum = g.add(OpKind::kAdd, "residual", {x, y});
+    g.add(c.act, "act", {sum});
+    if (c.second_consumer) g.add(OpKind::kIdentity, "tap", {sum});
+    const std::string what = std::string(op_name(c.act)) + (c.second_consumer ? " shared" : "");
+
+    const PassResult r = FuseActivationPass().run(g);
+    EXPECT_EQ(r.nodes_changed, c.fuses ? 1 : 0) << what;
+    EXPECT_EQ(g.node(sum).attrs.get_str_or("fused_act", ""),
+              c.fuses ? std::string(op_name(c.act)) : "")
+        << what;
+    EXPECT_EQ(g.size(), c.fuses ? 3u : (c.second_consumer ? 5u : 4u)) << what;
+  }
+}
+
 TEST(Fusion, LeakyAlphaCarriedThrough) {
   Graph g("t");
   const NodeId in = g.add_input("x", Shape{1, 1, 2, 2});

@@ -5,9 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdlib>
+#include <limits>
+#include <map>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "direct_conv.hpp"
 #include "graph/zoo.hpp"
@@ -151,6 +156,36 @@ TEST(QuantizedExecutor, FusedReluClampsNegative) {
   EXPECT_EQ(q.data[0], 0);  // relu(-1.0) == 0 in the integer domain
 }
 
+TEST(QuantizedExecutor, BiasBeyondInt32WidensTheWeightScale) {
+  // A 1x1 conv whose weight is tiny next to its bias: at the weight's own
+  // scale (1e-9 / 127) the bias code would be 1.27e13, far outside int32.
+  // The channel's weight scale widens until the bias fits beside the
+  // accumulator's reach, so the output is the bias within one LSB.
+  Graph g("t");
+  const NodeId in = g.add_input("x", Shape{1, 1, 2, 2});
+  AttrMap a;
+  a.set_int("out_channels", 1);
+  a.set_int("kernel", 1);
+  a.set_int("stride", 1);
+  a.set_int("pad", 0);
+  a.set_int("groups", 1);
+  a.set_int("bias", 1);
+  const NodeId c = g.add(OpKind::kConv2d, "conv", {in}, a);
+  g.node(c).weights = {Tensor(Shape{1, 1, 1, 1}, {1e-9f}), Tensor(Shape{1}, {1.0f})};
+  g.node(in).attrs.set_float("act_scale", 0.01);
+  g.node(c).attrs.set_float("act_scale", 0.01);
+
+  const Tensor x(Shape{1, 1, 2, 2}, {0.5f, -0.5f, 1.0f, 0.0f});
+  const Tensor f32 = runtime::make_session(g)->run_single(x);
+  QuantizedExecutor qexec(g);
+  const QTensor q = qexec.run_single(x);
+  for (std::size_t i = 0; i < 4; ++i) {
+    EXPECT_FLOAT_EQ(f32.at(i), 1.0f);
+    EXPECT_EQ(q.data[i], 100) << i;  // 1.0 at scale 0.01
+  }
+  EXPECT_EQ(qexec.saturations(), 0u);
+}
+
 TEST(QuantizedExecutor, UnfoldedBatchNormRejected) {
   Graph g = zoo::micro_cnn("m", 1, 1, 16, 4);  // contains BN
   Rng rng(1);
@@ -219,6 +254,166 @@ TEST(QuantizedExecutor, UnsupportedOpRejectedAtRun) {
   QuantizedExecutor qexec(g);
   EXPECT_THROW((void)qexec.run_single(Tensor(Shape{1, 2, 2, 2}, rng.normal_vector(8))),
                Unsupported);
+}
+
+// ---------------------------------------------------------------------------
+// Fixed-point requantization and the int8 elementwise kernel
+// ---------------------------------------------------------------------------
+
+using runtime_kernels::Requant;
+
+/// Distance of x from the nearest half-integer: how close round-to-nearest
+/// is to a tie.
+double tie_distance(double x) { return std::abs(x - std::floor(x) - 0.5); }
+
+TEST(Requant, WithinOneOfRoundedProductAndEqualAwayFromTies) {
+  // Accumulators: every int8 value, the int32 extremes and a seeded sample.
+  std::vector<std::int64_t> values;
+  for (std::int64_t v = -128; v <= 127; ++v) values.push_back(v);
+  values.push_back(std::numeric_limits<std::int32_t>::min());
+  values.push_back(std::numeric_limits<std::int32_t>::max());
+  Rng rng(17);
+  for (int i = 0; i < 2000; ++i) {
+    const double mag = std::ldexp(1.0, static_cast<int>(rng.uniform(0.0, 31.0)));
+    values.push_back(static_cast<std::int64_t>(rng.uniform(-mag, mag)));
+  }
+  for (int e = -20; e <= 4; ++e) {
+    for (double f : {1.0, 1.2345, 1.5, 1.9999999}) {
+      const double real = std::ldexp(f, e);
+      const Requant rq = Requant::from_real(real);
+      ASSERT_GE(rq.multiplier, 1 << 30) << real;
+      ASSERT_GE(rq.shift, 1) << real;
+      ASSERT_LE(rq.shift, 62) << real;
+      for (std::int64_t v : values) {
+        std::uint64_t sat_got = 0, sat_want = 0;
+        const std::int8_t got = runtime_kernels::saturate_clamped(rq.apply(v), -128, 127, sat_got);
+        const double exact = static_cast<double>(v) * real;
+        const std::int8_t want = runtime_kernels::requant_sat(exact, sat_want);
+        ASSERT_LE(std::abs(got - want), 1) << "v=" << v << " real=" << real;
+        if (tie_distance(exact) < 1e-6) continue;  // half up vs half to even
+        ASSERT_EQ(got, want) << "v=" << v << " real=" << real;
+        EXPECT_EQ(sat_got, sat_want) << "v=" << v << " real=" << real;
+      }
+    }
+  }
+  // Extreme ratios saturate without overflowing (UBSan would report it).
+  std::uint64_t sat = 0;
+  const Requant tiny = Requant::from_real(1e-6), huge = Requant::from_real(1e6);
+  EXPECT_EQ(runtime_kernels::saturate_clamped(tiny.apply(2147483647), -128, 127, sat), 127);
+  EXPECT_EQ(runtime_kernels::saturate_clamped(tiny.apply(-2147483647 - 1), -128, 127, sat), -128);
+  EXPECT_EQ(runtime_kernels::saturate_clamped(tiny.apply(100000), -128, 127, sat), 0);
+  EXPECT_EQ(runtime_kernels::saturate_clamped(huge.apply(1), -128, 127, sat), 127);
+  EXPECT_EQ(runtime_kernels::saturate_clamped(huge.apply(-2147483647 - 1), -128, 127, sat), -128);
+  EXPECT_EQ(runtime_kernels::saturate_clamped(huge.apply(0), -128, 127, sat), 0);
+  EXPECT_EQ(sat, 4u);
+}
+
+/// The elementwise kernel's contract written out as a plain int64 loop:
+/// a·m_a + b·m_b rounded half up at the shared shift, saturations counted
+/// before the clamp window.
+std::uint64_t eltwise_reference(const std::vector<std::int8_t>& a,
+                                const std::vector<std::int8_t>* b, std::vector<std::int8_t>& y,
+                                const runtime_kernels::EltwiseRequants& r, std::int32_t q_lo,
+                                std::int32_t q_hi) {
+  std::uint64_t saturations = 0;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    std::int64_t v = std::int64_t{a[i]} * r.a.multiplier;
+    if (b != nullptr) v += std::int64_t{(*b)[i]} * r.b.multiplier;
+    v = (v + (std::int64_t{1} << (r.a.shift - 1))) >> r.a.shift;
+    if (v < -128 || v > 127) ++saturations;
+    y[i] = static_cast<std::int8_t>(std::clamp<std::int64_t>(v, q_lo, q_hi));
+  }
+  return saturations;
+}
+
+std::vector<std::int8_t> random_codes(std::size_t n, Rng& rng) {
+  std::vector<std::int8_t> v(n);
+  for (auto& x : v) x = static_cast<std::int8_t>(std::floor(rng.uniform(-128.0, 128.0)));
+  if (n > 1) {  // the extremes, whose scaled values saturate
+    v[0] = -128;
+    v[n - 1] = 127;
+  }
+  return v;
+}
+
+/// A graph of one elementwise op on [1, n] inputs: Add (its fused
+/// activation \p fused) when \p add, else the one-input op \p kind.
+Graph eltwise_graph(std::int64_t n, bool add, OpKind kind, const std::string& fused,
+                    double sa, double sb, double so) {
+  Graph g("eltwise");
+  const NodeId a = g.add_input("a", Shape{1, n});
+  g.node(a).attrs.set_float("act_scale", sa);
+  NodeId out;
+  if (add) {
+    const NodeId b = g.add_input("b", Shape{1, n});
+    g.node(b).attrs.set_float("act_scale", sb);
+    AttrMap attrs;
+    if (!fused.empty()) attrs.set_str("fused_act", fused);
+    out = g.add(OpKind::kAdd, "op", {a, b}, std::move(attrs));
+  } else {
+    out = g.add(kind, "op", {a});
+  }
+  g.node(out).attrs.set_float("act_scale", so);
+  return g;
+}
+
+TEST(EltwiseS8, MatchesScalarReferenceAtEveryLengthWindowAndLevel) {
+  // Input ratios 2.5 and 1.5 saturate a fair share of outputs; output scale
+  // 0.1 puts Relu6's window at [0, 60].
+  const double sa = 0.25, sb = 0.15, so = 0.1;
+  const std::int32_t q6 = static_cast<std::int32_t>(std::nearbyint(6.0 / so));
+  struct Window {
+    OpKind one_input;
+    const char* fused;
+    std::int32_t lo, hi;
+  };
+  const Window windows[] = {{OpKind::kIdentity, "", -128, 127},
+                            {OpKind::kRelu, "Relu", 0, 127},
+                            {OpKind::kRelu6, "Relu6", 0, q6}};
+  Rng rng(23);
+  for (std::int64_t n = 0; n <= 67; ++n) {
+    for (bool add : {false, true}) {
+      const auto r = runtime_kernels::eltwise_requants(sa / so, add ? sb / so : 0.0);
+      for (const Window& w : windows) {
+        const std::string what = std::string(add ? "Add " : "rescale ") + w.fused + " n=" +
+                                 std::to_string(n);
+        const auto a = random_codes(static_cast<std::size_t>(n), rng);
+        const auto b = random_codes(static_cast<std::size_t>(n), rng);
+        std::vector<std::int8_t> want(a.size()), got(a.size(), 99);
+        const std::uint64_t want_sat =
+            eltwise_reference(a, add ? &b : nullptr, want, r, w.lo, w.hi);
+        EXPECT_EQ(runtime_kernels::eltwise_s8(a.data(), add ? b.data() : nullptr, got.data(), n,
+                                              r.a, r.b, w.lo, w.hi),
+                  want_sat)
+            << what;
+        EXPECT_EQ(got, want) << what;
+        if (n == 0) continue;
+
+        // The executor's Add / Relu / Relu6 / Identity steps run the same
+        // kernel at every dispatch level.
+        const Graph g = eltwise_graph(n, add, w.one_input, w.fused, sa, sb, so);
+        std::map<std::string, Tensor> feeds;
+        Tensor fa(Shape{1, n}), fb(Shape{1, n});
+        for (std::size_t i = 0; i < a.size(); ++i) {
+          fa.at(i) = static_cast<float>(a[i] * sa);
+          fb.at(i) = static_cast<float>(b[i] * sb);
+        }
+        feeds["a"] = fa;
+        if (add) feeds["b"] = fb;
+        for (auto level : {util::SimdLevel::kPortable, util::SimdLevel::kAuto}) {
+          Executor exec(g, DType::kINT8);
+          exec.set_simd(level);
+          const Tensor y = exec.run(feeds).at("op");
+          for (std::size_t i = 0; i < want.size(); ++i) {
+            ASSERT_EQ(y.at(i), static_cast<float>(want[i] * so))
+                << what << " at " << util::simd_level_name(level) << " i=" << i;
+          }
+          EXPECT_EQ(exec.saturations(), want_sat) << what << " at "
+                                                  << util::simd_level_name(level);
+        }
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -300,7 +495,7 @@ void expect_pinned_int8(Graph g, const Shape& in_shape, std::uint64_t seed,
 }
 
 TEST(PinnedOutputs, Int8NetworksBitExact) {
-  expect_pinned_int8(zoo::resnet50(1, 10, 32), Shape{1, 3, 32, 32}, 51, 3103212386u, 67u);
+  expect_pinned_int8(zoo::resnet50(1, 10, 32), Shape{1, 3, 32, 32}, 51, 3103212386u, 66u);
   expect_pinned_int8(zoo::efficientnet_lite0(1, 10, 32), Shape{1, 3, 32, 32}, 53, 4198089509u,
                      8263u);
   expect_pinned_int8(zoo::micro_cnn("pin", 2, 3, 16, 5), Shape{2, 3, 16, 16}, 55, 2379389037u, 2u);

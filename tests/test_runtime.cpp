@@ -8,6 +8,7 @@
 #include "direct_conv.hpp"
 #include "graph/cost.hpp"
 #include "graph/zoo.hpp"
+#include "opt/fusion.hpp"
 #include "runtime/executor.hpp"
 #include "runtime/memory_planner.hpp"
 #include "runtime/session.hpp"
@@ -619,6 +620,44 @@ TEST(PinnedOutputs, F32SimdLevelBitExact) {
   expect_pinned_f32(zoo::micro_cnn("pin", 8, 3, 16, 5), Shape{8, 3, 16, 16}, 65,
                     avx2 ? 2906562146u : 1130817910u, level);
   EXPECT_EQ(resnet50_logits_crc(level), avx2 ? 4160410157u : 4186703573u);
+}
+
+TEST(PinnedOutputs, F32ActivationFusionIsBitwise) {
+  // Fusing ResNet-50's activations — the residual Add+Relu pairs included —
+  // applies each Relu to the same float the unfused op reads, so a
+  // BN-folded network's logits keep every bit, at portable dispatch and at
+  // the resolved level.
+  Graph folded = zoo::resnet50(1, 10, 32);
+  Rng rng(61);
+  folded.materialize_weights(rng);
+  opt::FuseBatchNormPass().run(folded);
+  Graph fused = folded;
+  opt::FuseActivationPass().run(fused);
+  std::size_t fused_adds = 0, relus = 0;
+  for (NodeId id : fused.topo_order()) {
+    const Node& n = fused.node(id);
+    if (n.kind == OpKind::kAdd && n.attrs.get_str_or("fused_act", "") == "Relu") ++fused_adds;
+    if (n.kind == OpKind::kRelu) ++relus;
+  }
+  EXPECT_EQ(fused_adds, 16u);
+  EXPECT_EQ(relus, 0u);
+
+  Rng data_rng(161);
+  const Tensor x(Shape{1, 3, 32, 32}, data_rng.normal_vector(3 * 32 * 32));
+  const auto logits = [&](const Graph& g, util::SimdLevel level) {
+    Executor exec(g);
+    exec.set_simd(level);
+    (void)exec_single(exec, g, x);
+    const Node& softmax = g.node(g.outputs().front());
+    return exec.activation(g.node(softmax.inputs.at(0)).name).clone();
+  };
+  for (auto level : {util::SimdLevel::kPortable, util::SimdLevel::kAuto}) {
+    const Tensor want = logits(folded, level);
+    const Tensor got = logits(fused, level);
+    ASSERT_EQ(got.shape(), want.shape());
+    EXPECT_EQ(std::memcmp(got.data().data(), want.data().data(), want.data().size_bytes()), 0)
+        << util::simd_level_name(level);
+  }
 }
 
 TEST(ExecutionEngine, SetMaxBatchAdjustsAdmissionOnLiveSession) {
