@@ -1,16 +1,61 @@
 #!/usr/bin/env bash
-# Source-level lint: clang-tidy over the static-analysis and security
-# subsystems (or a caller-given path list) using the compile database
-# exported by CMake, plus a clang -fsyntax-only -Wthread-safety pass over
-# the files that carry util/thread_safety.hpp annotations.
+# Source-level lint: a check that no two headers under src/ define the same
+# namespace-scope class or struct, then clang-tidy over the static-analysis
+# and security subsystems (or a caller-given path list) using the compile
+# database exported by CMake, plus a clang -fsyntax-only -Wthread-safety pass
+# over the files that carry util/thread_safety.hpp annotations.
 #
 # Usage: scripts/lint.sh [path-prefix ...]   (default: src/analysis src/security)
 #
-# Exits 0 with a notice when the LLVM tooling is not installed, so CI images
+# The duplicate-type check is plain shell and awk and always runs. The LLVM
+# passes exit 0 with a notice when the tooling is not installed, so CI images
 # without it degrade gracefully instead of failing the pipeline.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+# Two definitions of one class in one namespace break the one-definition
+# rule as soon as a binary links both: the linker keeps one copy of each
+# inline member and template instance, whichever it sees first. List every
+# namespace-scope class/struct definition in src/ headers (brace depth
+# tracks the enclosing namespaces; forward declarations and template
+# specializations are skipped) and fail on a qualified name defined twice.
+definitions="$(find src -name '*.hpp' | sort | xargs awk '
+  FNR == 1 { depth = 0; top = 0 }
+  {
+    line = $0
+    sub(/\/\/.*/, "", line)
+    gsub(/"([^"\\]|\\.)*"/, "\"\"", line)
+    if (match(line, /^[ \t]*namespace[ \t]+[A-Za-z_][A-Za-z0-9_:]*[ \t]*\{/)) {
+      name = substr(line, RSTART, RLENGTH)
+      sub(/^[ \t]*namespace[ \t]+/, "", name)
+      sub(/[ \t]*\{$/, "", name)
+      ns[++top] = name
+      at[top] = depth
+    } else if (match(line, /^[ \t]*namespace[ \t]*\{/)) {
+      ns[++top] = "(anonymous)"
+      at[top] = depth
+    } else if (depth == (top ? at[top] + 1 : 0) &&
+               match(line, /^[ \t]*(template[ \t]*<.*>[ \t]*)?(class|struct)[ \t]+[A-Za-z_][A-Za-z0-9_]*[ \t]*($|final|:[^:]|\{)/)) {
+      type = substr(line, RSTART, RLENGTH)
+      sub(/^[ \t]*(template[ \t]*<.*>[ \t]*)?(class|struct)[ \t]+/, "", type)
+      sub(/[^A-Za-z0-9_].*$/, "", type)
+      qualified = ""
+      for (i = 1; i <= top; ++i) qualified = qualified ns[i] "::"
+      print qualified type " " FILENAME ":" FNR
+    }
+    depth += gsub(/\{/, "{", line) - gsub(/\}/, "}", line)
+    while (top > 0 && depth <= at[top]) --top
+  }')"
+duplicates="$(cut -d' ' -f1 <<< "$definitions" | sort | uniq -d)"
+if [[ -n "$duplicates" ]]; then
+  echo "lint: a class or struct is defined twice in one namespace:" >&2
+  while IFS= read -r type; do
+    grep "^$type " <<< "$definitions" | sed 's/^/  /' >&2
+  done <<< "$duplicates"
+  exit 1
+fi
+echo "lint: $(wc -l <<< "$definitions") namespace-scope class/struct definitions, no duplicates"
 
 # compile_commands.json is exported unconditionally (CMAKE_EXPORT_COMPILE_COMMANDS
 # in the top-level CMakeLists); (re)configure if the database is missing.

@@ -26,7 +26,7 @@ std::vector<MirrorPipeline> default_pipelines();
 
 /// Result of planning the mirror onto a platform.
 struct MirrorPlan {
-  std::vector<platform::Placement> placements;
+  std::vector<platform::WorkloadPlacement> placements;
   double average_power_w = 0;
   bool realtime_ok = false;       ///< all pipelines placed within budgets
   bool within_power_budget = false;

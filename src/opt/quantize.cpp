@@ -51,17 +51,16 @@ ActivationRanges calibrate_activations(Graph& g, const std::vector<Tensor>& samp
   VEDLIOT_CHECK(ins.size() == 1, "calibration supports single-input graphs");
 
   // Accumulate all observed values per node across samples, then choose
-  // ranges once (memory-heavy but simple; calibration sets are small).
+  // ranges once (memory-heavy but simple; calibration sets are small). The
+  // run's observer sees every node's value right after it is written.
   std::map<NodeId, std::vector<float>> observed;
   Executor exec(g);
-  for (const auto& s : samples) {
-    exec.run({{g.node(ins.front()).name, s}});
-    for (NodeId id : g.topo_order()) {
-      const Tensor& t = exec.activation(g.node(id).name);
-      auto& dst = observed[id];
-      dst.insert(dst.end(), t.data().begin(), t.data().end());
-    }
-  }
+  const Executor::Observer record = [&](NodeId id) {
+    const Tensor t = exec.value(id);
+    auto& dst = observed[id];
+    dst.insert(dst.end(), t.data().begin(), t.data().end());
+  };
+  for (const auto& s : samples) (void)exec.run({{g.node(ins.front()).name, s}}, record);
 
   ActivationRanges ranges;
   for (auto& [id, values] : observed) {

@@ -235,7 +235,7 @@ bool ResilienceController::capacity_admits(const std::vector<std::string>& avail
   // stages on failed slots must migrate onto the survivors.
   const double interval = std::max(plan_.pipeline_interval_s, 1e-9);
   std::vector<Workload> workloads;
-  std::vector<Placement> placements;
+  std::vector<WorkloadPlacement> placements;
   for (std::size_t i = 0; i < plan_.stages.size(); ++i) {
     const Stage& st = plan_.stages[i];
     Workload w;
@@ -250,7 +250,7 @@ bool ResilienceController::capacity_admits(const std::vector<std::string>& avail
     w.latency_budget_s = cfg_.latency_budget_s;
     workloads.push_back(w);
 
-    Placement p;
+    WorkloadPlacement p;
     p.workload = w.name;
     p.slot = st.slot;
     p.module = st.module;
@@ -271,7 +271,7 @@ bool ResilienceController::capacity_admits(const std::vector<std::string>& avail
     for (const auto& [slot, scale] : sim_.gops_scales()) {
       if (ok.count(slot)) rm.set_capacity_scale(slot, scale);
     }
-    std::vector<Placement> current = placements;
+    std::vector<WorkloadPlacement> current = placements;
     for (const auto& slot : failed) {
       current = rm.migrate(current, workloads, slot);
     }

@@ -59,7 +59,7 @@ std::vector<std::string> ResourceManager::slots() const {
   return out;
 }
 
-std::optional<Placement> ResourceManager::try_place(const Workload& w, Candidate& c) const {
+std::optional<WorkloadPlacement> ResourceManager::try_place(const Workload& w, Candidate& c) const {
   hw::DeviceSpec dev = c.module.device_spec();
   if (!dev.supports(w.dtype)) return std::nullopt;
   dev.peak_gops *= c.scale;
@@ -69,7 +69,7 @@ std::optional<Placement> ResourceManager::try_place(const Workload& w, Candidate
   const double util = e.latency_s * w.rate_hz;
   if (c.busy + util > 1.0) return std::nullopt;
 
-  Placement p;
+  WorkloadPlacement p;
   p.workload = w.name;
   p.slot = c.slot;
   p.module = c.module.name;
@@ -81,17 +81,17 @@ std::optional<Placement> ResourceManager::try_place(const Workload& w, Candidate
   return p;
 }
 
-std::vector<Placement> ResourceManager::place(const std::vector<Workload>& workloads) {
+std::vector<WorkloadPlacement> ResourceManager::place(const std::vector<Workload>& workloads) {
   // Heaviest (ops*rate) first so big workloads get the scarce fast modules.
   std::vector<Workload> order = workloads;
   std::sort(order.begin(), order.end(), [](const Workload& a, const Workload& b) {
     return a.ops * a.rate_hz > b.ops * b.rate_hz;
   });
 
-  std::vector<Placement> out;
+  std::vector<WorkloadPlacement> out;
   for (const auto& w : order) {
     Candidate* best = nullptr;
-    Placement best_p;
+    WorkloadPlacement best_p;
     for (auto& c : candidates_) {
       auto p = try_place(w, c);
       if (!p) continue;
@@ -110,9 +110,9 @@ std::vector<Placement> ResourceManager::place(const std::vector<Workload>& workl
   return out;
 }
 
-std::vector<Placement> ResourceManager::migrate(const std::vector<Placement>& current,
-                                                const std::vector<Workload>& workloads,
-                                                const std::string& failed_slot) {
+std::vector<WorkloadPlacement> ResourceManager::migrate(
+    const std::vector<WorkloadPlacement>& current, const std::vector<Workload>& workloads,
+    const std::string& failed_slot) {
   // Drop the failed slot from the candidate set and rebuild its load state
   // from the surviving placements.
   candidates_.erase(std::remove_if(candidates_.begin(), candidates_.end(),
@@ -120,7 +120,7 @@ std::vector<Placement> ResourceManager::migrate(const std::vector<Placement>& cu
                     candidates_.end());
   for (auto& c : candidates_) c.busy = 0.0;
 
-  std::vector<Placement> kept;
+  std::vector<WorkloadPlacement> kept;
   std::vector<Workload> displaced;
   for (const auto& p : current) {
     if (p.slot == failed_slot) {
@@ -140,7 +140,7 @@ std::vector<Placement> ResourceManager::migrate(const std::vector<Placement>& cu
   return kept;
 }
 
-double ResourceManager::total_average_power_w(const std::vector<Placement>& placements) {
+double ResourceManager::total_average_power_w(const std::vector<WorkloadPlacement>& placements) {
   double total = 0;
   for (const auto& p : placements) total += p.avg_power_w;
   return total;

@@ -31,7 +31,9 @@ struct Workload {
                              double latency_budget_s);
 };
 
-struct Placement {
+/// A workload on a module in a chassis slot (placement.hpp's Placement is a
+/// fleet replica's).
+struct WorkloadPlacement {
   std::string workload;
   std::string slot;
   std::string module;
@@ -47,16 +49,16 @@ class ResourceManager {
 
   /// Place all workloads; throws PlatformError when some workload cannot be
   /// placed within latency and utilization constraints.
-  std::vector<Placement> place(const std::vector<Workload>& workloads);
+  std::vector<WorkloadPlacement> place(const std::vector<Workload>& workloads);
 
   /// Re-place after losing a slot (module exchange/failure): workloads that
   /// were on \p failed_slot move elsewhere, other placements are kept.
-  std::vector<Placement> migrate(const std::vector<Placement>& current,
-                                 const std::vector<Workload>& workloads,
-                                 const std::string& failed_slot);
+  std::vector<WorkloadPlacement> migrate(const std::vector<WorkloadPlacement>& current,
+                                         const std::vector<Workload>& workloads,
+                                         const std::string& failed_slot);
 
   /// Total duty-cycled power of a placement set (modules idle when unused).
-  static double total_average_power_w(const std::vector<Placement>& placements);
+  static double total_average_power_w(const std::vector<WorkloadPlacement>& placements);
 
   /// Effective-capacity adjustment (thermal throttle / shared tenancy):
   /// scale the slot's achievable GOPS by \p scale in (0, 1]. Scale 1.0
@@ -79,7 +81,7 @@ class ResourceManager {
     double busy = 0;   ///< accumulated utilization
     double scale = 1;  ///< effective-capacity multiplier (thermal throttle)
   };
-  std::optional<Placement> try_place(const Workload& w, Candidate& c) const;
+  std::optional<WorkloadPlacement> try_place(const Workload& w, Candidate& c) const;
   const Candidate& candidate(const std::string& slot) const;
 
   std::vector<Candidate> candidates_;

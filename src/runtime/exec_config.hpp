@@ -3,7 +3,8 @@
 /// \brief One execution-resource knob set shared across the stack.
 ///
 /// ExecConfig is the single currency for the admission batch cap, the
-/// intra-op thread count and the dispatch level: RunOptions embeds one,
+/// intra-op thread count and the dispatch level: RunOptions embeds one, the
+/// executor takes it whole (and enforces the cap on every run's feeds),
 /// Session exposes it live (set_exec_config / exec_config), each
 /// BrownoutStep carries the one its rung serves at, and the fleet batcher
 /// consumes it as the batch-coalescing width. A brownout step-down therefore

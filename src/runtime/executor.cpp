@@ -153,8 +153,9 @@ void Executor::instrument(obs::Tracer* tracer, obs::MetricsRegistry* metrics) {
   metrics_ = metrics;
 }
 
-void Executor::set_threads(unsigned threads) {
-  if (threads == 0) threads = util::ThreadPool::hardware_threads();
+void Executor::set_exec_config(const runtime::ExecConfig& exec) {
+  exec_ = exec;
+  const unsigned threads = exec.threads == 0 ? util::ThreadPool::hardware_threads() : exec.threads;
   if (threads == threads_) return;
   threads_ = threads;
   pool_ = threads_ > 1 ? std::make_unique<util::ThreadPool>(threads_) : nullptr;
@@ -193,33 +194,18 @@ void Executor::quantize() {
     const double in_scale = scales_[slot(n.inputs.at(0))];
     const double out_scale = scales_[slot(id)];
     const Tensor& w = n.weights[0];
-    const auto oc = w.shape().dim(0);
-    const auto per = static_cast<std::size_t>(w.numel() / oc);
-    // The bias code may use what the accumulator's reach (k·127·128) leaves
-    // of int32; a channel whose bias needs more gets a wider weight scale
-    // (TFLite's AdjustWeightsForBiasScale), so the bias stays exact to one
-    // LSB of the output instead of wrapping.
-    const double bias_room = 2147483647.0 - static_cast<double>(per) * 127.0 * 128.0 - 1.0;
+    const auto oc = static_cast<std::size_t>(w.shape().dim(0));
+    const auto per = static_cast<std::size_t>(w.numel()) / oc;
     QuantLayer& layer = qlayers_[slot(id)];
     layer.weights.resize(static_cast<std::size_t>(w.numel()));
-    layer.bias.assign(static_cast<std::size_t>(oc), 0);
-    layer.requant.resize(static_cast<std::size_t>(oc));
-    for (std::size_t c = 0; c < static_cast<std::size_t>(oc); ++c) {
-      const auto chan = w.data().subspan(c * per, per);
-      std::int8_t* codes = layer.weights.data() + c * per;
-      double ws = quantize_int8_channel(chan, codes);
-      if (n.weights.size() > 1) {
-        const double bias = n.weights[1].at(c);
-        if (bias_room > 0.0 && std::abs(bias) / (in_scale * ws) > bias_room) {
-          ws = std::abs(bias) / (in_scale * bias_room);
-          const QuantParams widened{ws, 0, -128, 127};
-          for (std::size_t i = 0; i < per; ++i) {
-            codes[i] = static_cast<std::int8_t>(widened.quantize(chan[i]));
-          }
-        }
-        layer.bias[c] = static_cast<std::int32_t>(std::nearbyint(bias / (in_scale * ws)));
-      }
-      layer.requant[c] = Requant::from_real(in_scale * ws / out_scale);
+    layer.bias.resize(oc);
+    layer.requant.resize(oc);
+    for (std::size_t c = 0; c < oc; ++c) {
+      const double bias = n.weights.size() > 1 ? n.weights[1].at(c) : 0.0;
+      const Int8Channel q = quantize_int8_channel(w.data().subspan(c * per, per), bias, in_scale,
+                                                  layer.weights.data() + c * per);
+      layer.bias[c] = q.bias;
+      layer.requant[c] = Requant::from_real(in_scale * q.scale / out_scale);
     }
   }
   quantized_version_ = graph_.version();
@@ -236,14 +222,11 @@ void Executor::compile(const MicrokernelTile& tile) {
   std::stable_partition(order.begin(), order.end(),
                         [&](NodeId id) { return graph_.node(id).kind == OpKind::kInput; });
   const MemoryPlan mem = plan_memory_with_order(graph_, order, dtype_);
-  const bool unaliased = keep_activations_;
   offset_.assign(graph_.total_nodes(), 0);
-  std::int64_t next = 0;
   for (const BufferPlan& b : mem.buffers) {
-    offset_[slot(b.node)] = static_cast<std::size_t>(unaliased ? next : b.offset);
-    next += b.size;
+    offset_[slot(b.node)] = static_cast<std::size_t>(b.offset);
   }
-  arena_stats_ = {!unaliased, unaliased ? mem.naive_bytes : mem.arena_bytes, mem.naive_bytes};
+  arena_stats_ = {mem.arena_bytes, mem.naive_bytes};
   arena_.assign(static_cast<std::size_t>(arena_stats_.arena_bytes), std::byte{0});
 
   steps_.clear();
@@ -253,12 +236,9 @@ void Executor::compile(const MicrokernelTile& tile) {
   }
   inputs_ = graph_.inputs();
   outputs_ = graph_.outputs();
-  views_.clear();
-  view_lanes_ = 0;
   compiled_ = true;
   plan_version_ = graph_.version();
   plan_tile_ = tile;
-  plan_keep_ = keep_activations_;
 }
 
 Executor::Step Executor::compile_step(const Node& n) {
@@ -381,12 +361,13 @@ Executor::Step Executor::compile_step(const Node& n) {
   return s;
 }
 
-void Executor::execute(const std::map<std::string, Tensor>& feeds) {
+std::map<std::string, Tensor> Executor::run(const std::map<std::string, Tensor>& feeds,
+                                             const Observer& observe) {
   // The one dispatch resolution per run (env overrides are live) and the
   // one recompile point: a moved Graph::version() requantizes (int8) and
-  // repacks, a new tile repacks, a new layout re-plans the arena.
+  // repacks, a new tile repacks.
   const bool int8 = dtype_ == DType::kINT8;
-  active_simd_ = util::resolve_simd_level(simd_req_);
+  active_simd_ = util::resolve_simd_level(exec_.simd);
   const runtime_kernels::GemmMicrokernels* table = runtime_kernels::gemm_microkernels(active_simd_);
   const bool has_kernel =
       table != nullptr && (int8 ? table->gemm_s8 != nullptr && table->s8.available()
@@ -394,10 +375,18 @@ void Executor::execute(const std::map<std::string, Tensor>& feeds) {
   mk_ = has_kernel ? table : nullptr;
   const MicrokernelTile tile = !has_kernel ? MicrokernelTile{} : int8 ? table->s8 : table->f32;
   if (!compiled_ || plan_version_ != graph_.version() || plan_tile_.mr != tile.mr ||
-      plan_tile_.nr != tile.nr || plan_keep_ != keep_activations_) {
+      plan_tile_.nr != tile.nr) {
     compile(tile);
   }
-  activations_valid_ = false;
+  outputs_valid_ = false;
+  observed_ = -1;  // an observer that threw left its node readable
+  // The node the observer is called for is readable for that call only.
+  const auto notify = [&](NodeId id) {
+    if (!observe) return;
+    observed_ = id;
+    observe(id);
+    observed_ = -1;
+  };
 
   obs::ScopedSpan run_span;
   if (tracer_ != nullptr) {
@@ -409,9 +398,9 @@ void Executor::execute(const std::map<std::string, Tensor>& feeds) {
   }
 
   // The run's lane count is the feeds' leading dimension: 1 up to the
-  // built batch, the same for every feed, every other dimension exact. Each
-  // op then computes only those lanes — a prefix of every buffer the plan
-  // laid out for the built batch.
+  // built batch and the max_batch cap, the same for every feed, every other
+  // dimension exact. Each op then computes only those lanes — a prefix of
+  // every buffer the plan laid out for the built batch.
   lanes_ = 0;
   for (NodeId id : inputs_) {
     const Node& n = graph_.node(id);
@@ -425,6 +414,10 @@ void Executor::execute(const std::map<std::string, Tensor>& feeds) {
       throw ExecError("feed shape mismatch for '" + n.name + "': expected " + built.to_string() +
                       " or fewer lanes, as many as every other feed, got " + got.to_string());
     }
+    if (exec_.max_batch > 0 && lanes > exec_.max_batch) {
+      throw ExecError("feed '" + n.name + "' batch " + std::to_string(lanes) +
+                      " exceeds max_batch " + std::to_string(exec_.max_batch));
+    }
     lanes_ = lanes;
     const std::size_t off = offset_[slot(id)];
     if (int8) {
@@ -432,23 +425,18 @@ void Executor::execute(const std::map<std::string, Tensor>& feeds) {
     } else {
       std::memcpy(buffer<float>(off), it->second.data().data(), it->second.data().size_bytes());
     }
+    notify(id);
   }
 
-  for (const Step& s : steps_) run_step(s);
+  for (const Step& s : steps_) {
+    run_step(s);
+    notify(s.node->id);
+  }
   nodes_executed_ = steps_.size();
   // Per-chunk saturation sums are order-independent, so saturations() is
   // identical for any thread count.
   for (std::uint64_t& sat : ws_.sat) saturations_ += std::exchange(sat, 0);
-  activations_valid_ = keep_activations_;
-  if (activations_valid_ && dtype_ == DType::kFP32 && view_lanes_ != lanes_) {
-    views_.assign(graph_.total_nodes(), Tensor{});
-    for (NodeId id : graph_.topo_order()) {
-      const Shape s = with_lanes(graph_.node(id).out_shape, lanes_);
-      views_[slot(id)] =
-          Tensor::view(s, {buffer<float>(offset_[slot(id)]), static_cast<std::size_t>(s.numel())});
-    }
-    view_lanes_ = lanes_;
-  }
+  outputs_valid_ = true;
 
   if (metrics_ != nullptr) {
     metrics_->counter(runtime_detail::kRunsCounter).inc();
@@ -466,17 +454,14 @@ void Executor::execute(const std::map<std::string, Tensor>& feeds) {
     run_span.attr("nodes_executed", static_cast<double>(nodes_executed_));
     run_span.close();
   }
-}
 
-std::map<std::string, Tensor> Executor::run(const std::map<std::string, Tensor>& feeds) {
-  execute(feeds);
   std::map<std::string, Tensor> outs;
   for (NodeId id : outputs_) {
     const Node& n = graph_.node(id);
     Tensor t(with_lanes(n.out_shape, lanes_));
     const auto out = t.data();
     const std::size_t off = offset_[slot(id)];
-    if (dtype_ == DType::kINT8) {
+    if (int8) {
       dequantize_into(buffer<std::int8_t>(off), scales_[slot(id)], out);
     } else {
       std::memcpy(out.data(), buffer<float>(off), out.size_bytes());
@@ -486,19 +471,27 @@ std::map<std::string, Tensor> Executor::run(const std::map<std::string, Tensor>&
   return outs;
 }
 
-QTensor Executor::quantized(NodeId id) const {
-  const Shape s = with_lanes(graph_.node(id).out_shape, lanes_);
-  const auto* q = reinterpret_cast<const std::int8_t*>(arena_.data() + offset_[slot(id)]);
-  return {s, std::vector<std::int8_t>(q, q + s.numel()), scales_[slot(id)]};
+const std::byte* Executor::readable(NodeId id, DType dtype) const {
+  const bool output =
+      outputs_valid_ && std::find(outputs_.begin(), outputs_.end(), id) != outputs_.end();
+  if ((id != observed_ && !output) || dtype != dtype_) {
+    throw ExecError("node " + std::to_string(id) + " is not readable as " +
+                    std::string(dtype_name(dtype)) + ": a " + std::string(dtype_name(dtype_)) +
+                    " plan reads the observed node, or after a run the graph outputs");
+  }
+  return arena_.data() + offset_[slot(id)];
 }
 
-const Tensor& Executor::activation(const std::string& node_name) const {
-  if (activations_valid_ && !views_.empty()) {
-    for (NodeId id : graph_.topo_order()) {
-      if (graph_.node(id).name == node_name) return views_[slot(id)];
-    }
-  }
-  throw NotFound("no recorded activation for node " + node_name);
+Tensor Executor::value(NodeId id) const {
+  const Shape s = with_lanes(graph_.node(id).out_shape, lanes_);
+  auto* x = const_cast<float*>(reinterpret_cast<const float*>(readable(id, DType::kFP32)));
+  return Tensor::view(s, {x, static_cast<std::size_t>(s.numel())});
+}
+
+QTensor Executor::quantized(NodeId id) const {
+  const Shape s = with_lanes(graph_.node(id).out_shape, lanes_);
+  const auto* q = reinterpret_cast<const std::int8_t*>(readable(id, DType::kINT8));
+  return {s, std::vector<std::int8_t>(q, q + s.numel()), scales_[slot(id)]};
 }
 
 void Executor::run_step(const Step& s) {

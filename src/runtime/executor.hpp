@@ -2,8 +2,8 @@
 /// \file executor.hpp
 /// \brief The CPU execution engine: one compiled plan runs f32 and int8.
 ///
-/// A graph compiles once per (Graph::version(), microkernel tile, buffer
-/// layout) into a flat vector of steps in topological order. Each step holds
+/// A graph compiles once per (Graph::version(), microkernel tile) into a
+/// flat vector of steps in topological order. Each step holds
 /// its op, resolved geometry, arena offsets, fused-activation or
 /// requantization constants and — at a SIMD dispatch level — the layer's
 /// weights packed into microkernel panels, so a run repacks nothing (the
@@ -19,12 +19,13 @@
 ///  - Kernels partition output rows/channels over a util::ThreadPool with a
 ///    fixed per-element accumulation order, so output bits — and the int8
 ///    saturation count — are identical for any thread count.
-///  - Every activation lives in one byte arena laid out by the memory
-///    planner: liveness-packed, or unaliased while keep_activations needs
-///    every buffer after the run. Graph outputs are copied out of the arena.
-///  - A moved Graph::version() (OTA swap, scrubber repair) recompiles the
-///    plan — requantizing int8 weights and repacking panels — before the run
-///    serves a single output from stale weights.
+///  - Every activation lives in one liveness-packed byte arena laid out by
+///    the memory planner. Graph outputs are copied out of the arena; any
+///    other node's value is readable only while run()'s observer is called
+///    for it, right after it is written.
+///  - A moved Graph::version() (OTA swap, scrubber repair, injected fault)
+///    recompiles the plan — requantizing int8 weights and repacking panels —
+///    before the run serves a single output from stale weights.
 ///
 /// The int8 dtype is true integer arithmetic, TFLite-style: int8 operands,
 /// int32 accumulation, per-output-channel weight scales and calibrated
@@ -35,6 +36,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -43,6 +45,7 @@
 #include "graph/graph.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "runtime/exec_config.hpp"
 #include "runtime/kernels.hpp"
 #include "runtime/microkernel.hpp"
 #include "tensor/dtype.hpp"
@@ -78,23 +81,30 @@ class Executor {
   /// (throws Unsupported on unfolded BatchNorm or a missing act_scale).
   explicit Executor(const Graph& graph, DType dtype = DType::kFP32);
 
+  /// Called by run() once per graph input right after it is fed, then once
+  /// per step right after the step wrote its output, in plan order: every
+  /// live node exactly once. During the call the node's value is readable
+  /// (value() for f32, quantized() for int8); a later step may reuse its
+  /// arena bytes.
+  using Observer = std::function<void(NodeId)>;
+
   /// Run the graph on the given feeds (one tensor per Input node, keyed by
   /// node name). Returns the outputs of all graph output nodes by name,
   /// dequantized for int8.
   ///
   /// The lane count is a property of the run, not of the plan: feeds may
   /// carry any n in [1, built batch] lanes along their leading dimension
-  /// (every other dimension exact, every feed the same n), and outputs,
-  /// quantized() and activation() cover those n lanes. One compiled plan
-  /// therefore serves every batch width up to the graph's built batch; each
-  /// lane's bits are those of a singleton run of the same input. Any other
-  /// feed throws ExecError.
+  /// (every other dimension exact, every feed the same n, n within the
+  /// ExecConfig::max_batch cap when one is set), and outputs and node values
+  /// cover those n lanes. One compiled plan therefore serves every batch
+  /// width up to the graph's built batch; each lane's bits are those of a
+  /// singleton run of the same input. Any other feed throws ExecError.
   ///
-  /// This is the engine entry runtime::Session wraps; application code goes
+  /// This is the engine runtime::Session wraps; application code goes
   /// through Session. Direct construction is reserved for introspection
-  /// (keep_activations + activation(), arena_stats, weight_packs) that the
-  /// session API deliberately does not expose.
-  std::map<std::string, Tensor> run(const std::map<std::string, Tensor>& feeds);
+  /// (the observer, quantized codes, arena_stats, weight_packs).
+  std::map<std::string, Tensor> run(const std::map<std::string, Tensor>& feeds,
+                                    const Observer& observe = {});
 
   /// Attach observability sinks (either may be null). When a tracer is set,
   /// run() emits one `session.run` root span plus one child span per
@@ -105,21 +115,15 @@ class Executor {
   /// the executor.
   void instrument(obs::Tracer* tracer, obs::MetricsRegistry* metrics);
 
-  /// When false, activations are not addressable after run() (activation()
-  /// throws NotFound) and the arena is liveness-packed. Default true.
-  void set_keep_activations(bool keep) { keep_activations_ = keep; }
-
-  /// Intra-op parallelism: kernels partition work over this many threads
-  /// (including the calling thread). 0 selects the hardware concurrency;
-  /// default 1 (fully serial). Output bits do not depend on this value.
-  void set_threads(unsigned threads);
-
-  /// Requested kernel dispatch level (default kAuto). Resolved per run —
+  /// The execution resources: the feed-lane cap run() enforces, intra-op
+  /// threads (0 = hardware concurrency; output bits never depend on it)
+  /// and the requested dispatch level. The level is resolved per run —
   /// env overrides and CPU feature detection applied — so a test can flip
   /// VEDLIOT_FORCE_PORTABLE between runs of one live executor. int8 bits
   /// are identical at every level; f32 SIMD agrees with portable to a tight
   /// ULP bound (microkernel.hpp).
-  void set_simd(util::SimdLevel level) { simd_req_ = level; }
+  void set_exec_config(const runtime::ExecConfig& exec);
+  const runtime::ExecConfig& exec_config() const { return exec_; }
   /// The concrete dispatch level the last run() executed at.
   util::SimdLevel active_simd() const { return active_simd_; }
 
@@ -139,10 +143,9 @@ class Executor {
   /// clamps) — a deployment health metric. Always 0 for f32.
   std::uint64_t saturations() const { return saturations_; }
 
-  /// Arena accounting for the last run().
+  /// Arena accounting of the compiled plan.
   struct ArenaStats {
-    bool active = false;           ///< the last run used the liveness-packed layout
-    std::int64_t arena_bytes = 0;  ///< slab size of the last run's layout
+    std::int64_t arena_bytes = 0;  ///< liveness-packed slab size
     std::int64_t naive_bytes = 0;  ///< sum of all activation buffers
   };
   const ArenaStats& arena_stats() const { return arena_stats_; }
@@ -150,16 +153,12 @@ class Executor {
   /// After run(): number of nodes executed (inputs excluded).
   std::size_t nodes_executed() const { return nodes_executed_; }
 
-  /// Any f32 activation of the last run() by node name, graph inputs
-  /// included (quantization calibration reads these). Throws NotFound
-  /// unless keep_activations is on and the node exists.
-  const Tensor& activation(const std::string& node_name) const;
-
- protected:
-  /// Execute the plan without collecting outputs (run() and
-  /// QuantizedExecutor::run_single share it).
-  void execute(const std::map<std::string, Tensor>& feeds);
-  /// int8 contents of a node's buffer after execute().
+  /// A node's value in the current run's lanes: a read-only f32 view into
+  /// the arena (value(), f32 plans) or a copy of its int8 codes plus scale
+  /// (quantized(), int8 plans). Readable are the node the observer is being
+  /// called for and, after a completed run, the graph outputs; any other
+  /// read, or one of the other dtype, throws ExecError.
+  Tensor value(NodeId id) const;
   QTensor quantized(NodeId id) const;
 
  private:
@@ -196,6 +195,9 @@ class Executor {
   };
 
   void quantize();
+  /// The arena bytes of \p id's value; throws ExecError unless value()'s
+  /// rules admit the read at \p dtype.
+  const std::byte* readable(NodeId id, DType dtype) const;
   void compile(const runtime_kernels::MicrokernelTile& tile);
   Step compile_step(const Node& n);
   void run_step(const Step& s);
@@ -214,10 +216,9 @@ class Executor {
 
   const Graph& graph_;
   const DType dtype_;
-  bool keep_activations_ = true;
-  unsigned threads_ = 1;
+  runtime::ExecConfig exec_;
+  unsigned threads_ = 1;  ///< exec_.threads resolved (0 = hardware concurrency)
   std::unique_ptr<util::ThreadPool> pool_;
-  util::SimdLevel simd_req_ = util::SimdLevel::kAuto;
   util::SimdLevel active_simd_ = util::SimdLevel::kPortable;
   /// The resolved level's microkernel table when it has this dtype's
   /// kernel, else null (scalar kernels; bitwise-identical for int8).
@@ -233,15 +234,13 @@ class Executor {
   bool compiled_ = false;
   std::uint64_t plan_version_ = 0;
   runtime_kernels::MicrokernelTile plan_tile_;
-  bool plan_keep_ = false;
   std::vector<Step> steps_;
   std::vector<NodeId> inputs_, outputs_;
   std::vector<std::size_t> offset_;  ///< arena byte offset per NodeId
   std::vector<std::byte> arena_;
-  std::vector<Tensor> views_;        ///< f32 activation views (keep_activations)
-  std::int64_t view_lanes_ = 0;      ///< the lane count views_ cover
   std::int64_t lanes_ = 0;           ///< lane count of the current run
-  bool activations_valid_ = false;
+  NodeId observed_ = -1;             ///< the node run()'s observer is called for
+  bool outputs_valid_ = false;       ///< the last run completed
 
   Workspace ws_;
 

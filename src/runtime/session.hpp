@@ -2,11 +2,11 @@
 /// \file session.hpp
 /// \brief Unified run-session API over the runtime backends.
 ///
-/// A Session is the one way application code runs inference: the engine
-/// (executor.hpp) compiled for f32 or for true-integer INT8 sits behind the
-/// same interface, and every run can be observed through the vedliot::obs
-/// tracing/metrics sinks passed in RunOptions. Execution-resource knobs
-/// (batch cap, thread count) travel as one runtime::ExecConfig so serving
+/// A Session is the one way application code runs inference: one class
+/// over the engine (executor.hpp) compiled for f32 or for true-integer INT8,
+/// and every run can be observed through the vedliot::obs tracing/metrics
+/// sinks passed in RunOptions. Execution-resource knobs (batch cap, thread
+/// count, dispatch level) travel as one runtime::ExecConfig so serving
 /// controllers — the brownout ladder, the fleet batcher — adjust a live
 /// session without rebuilding it.
 ///
@@ -30,6 +30,7 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "runtime/exec_config.hpp"
+#include "runtime/executor.hpp"
 #include "tensor/tensor.hpp"
 
 namespace vedliot::runtime {
@@ -55,15 +56,17 @@ struct RunResult {
   const Tensor& single() const;
 };
 
-/// One deployed model instance, ready to serve. Implementations are not
-/// thread-safe; use one session per worker.
+/// One deployed model instance, ready to serve. Not thread-safe; use one
+/// session per worker.
 class Session {
  public:
-  virtual ~Session() = default;
+  /// The engine compiled for \p dtype (kFP32 or kINT8; see make_session
+  /// and make_quantized_session for the graph's preconditions).
+  Session(const Graph& graph, DType dtype, const RunOptions& options = {});
 
   /// Run the graph on the given feeds (one tensor per Input node, keyed by
-  /// node name).
-  virtual RunResult run(const std::map<std::string, Tensor>& feeds) = 0;
+  /// node name). Feeds wider than the live max_batch throw ExecError.
+  RunResult run(const std::map<std::string, Tensor>& feeds);
 
   /// Convenience for single-input single-output graphs.
   Tensor run_single(const Tensor& input);
@@ -78,20 +81,20 @@ class Session {
   /// lane independently with a fixed accumulation order.
   std::vector<Tensor> run_batch(std::span<const Tensor> inputs);
 
-  virtual const Graph& graph() const = 0;
+  const Graph& graph() const { return exec_.graph(); }
 
   /// Backend identifier: "float-reference" or "int8".
-  virtual std::string backend() const = 0;
+  std::string backend() const;
 
   /// Replace the live execution-resource knobs without rebuilding the
   /// executor: brownout controllers shrink the batch cap under overload
   /// (and restore it when headroom returns), autoscalers retune threads.
-  virtual void set_exec_config(const ExecConfig& exec) = 0;
-  virtual const ExecConfig& exec_config() const = 0;
-
-  /// Batch-cap shorthands over {set_,}exec_config (see ExecConfig).
-  void set_max_batch(std::int64_t max_batch);
+  void set_exec_config(const ExecConfig& exec) { exec_.set_exec_config(exec); }
+  const ExecConfig& exec_config() const { return exec_.exec_config(); }
   std::int64_t max_batch() const { return exec_config().max_batch; }
+
+ private:
+  Executor exec_;
 };
 
 /// Float reference session. The graph must outlive the session and have

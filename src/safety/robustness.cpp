@@ -85,10 +85,18 @@ std::vector<std::pair<NodeId, std::size_t>> FaultInjector::flip_weight_bits(Grap
     if (n.weight_dtype == DType::kINT8 && tensor == 0) {
       // Deployed int8 memory: flip one of the 8 bits of the per-channel
       // quantized code, then dequantize — the fault as the executor's
-      // integer kernels would actually see it.
+      // integer kernels would actually see it. The channel quantizes as the
+      // executor's does, bias widening included; that needs the input's
+      // calibrated scale, and before calibration there is no widening.
       const auto per = static_cast<std::size_t>(w.numel() / w.shape().dim(0));
+      const auto& in_attrs = g.node(n.inputs.at(0)).attrs;
+      const double in_scale = in_attrs.get_float_or("act_scale", 1.0);
+      const double bias =
+          in_attrs.has("act_scale") && n.weights.size() > 1 ? n.weights[1].at(idx / per) : 0.0;
       std::vector<std::int8_t> codes(per);
-      const double ws = quantize_int8_channel(w.data().subspan(idx / per * per, per), codes.data());
+      const double ws = quantize_int8_channel(w.data().subspan(idx / per * per, per), bias,
+                                              in_scale > 0 ? in_scale : 1e-9, codes.data())
+                            .scale;
       const int bit = static_cast<int>(rng_.uniform_int(0, 7));
       const auto code =
           static_cast<std::int8_t>(static_cast<std::uint8_t>(codes[idx % per]) ^ (1u << bit));
@@ -103,6 +111,7 @@ std::vector<std::pair<NodeId, std::size_t>> FaultInjector::flip_weight_bits(Grap
     }
     flipped.emplace_back(nid, tensor);
   }
+  g.touch();  // a live session recompiles: repacked panels, requantized codes
   return flipped;
 }
 
@@ -117,6 +126,7 @@ void FaultInjector::zero_random_channel(Graph& g) {
   const auto c = static_cast<std::size_t>(rng_.uniform_int(0, oc - 1));
   auto chan = w.data().subspan(c * per, per);
   std::fill(chan.begin(), chan.end(), 0.0f);
+  g.touch();
 }
 
 void FaultInjector::scale_random_layer(Graph& g, float factor) {
@@ -125,6 +135,7 @@ void FaultInjector::scale_random_layer(Graph& g, float factor) {
   const auto nid = nodes[static_cast<std::size_t>(
       rng_.uniform_int(0, static_cast<std::int64_t>(nodes.size()) - 1))];
   for (float& v : g.node(nid).weights[0].data()) v *= factor;
+  g.touch();
 }
 
 }  // namespace vedliot::safety

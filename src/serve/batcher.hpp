@@ -15,7 +15,7 @@
 ///
 /// `max_batch` stays the knob the brownout ladder shrinks live:
 /// set_exec_config() caps the session at the widest bucket under the new
-/// cap, so a wider group is refused by Session's own admission check — the
+/// cap, so a wider group is refused by the executor's feed-lane check — the
 /// shrink is enforced by the runtime, not by batcher bookkeeping (test_fleet
 /// pins this).
 

@@ -802,7 +802,7 @@ void Fleet::apply_fault(double t, const platform::FaultEvent& e) {
     const auto bits = static_cast<std::size_t>(e.magnitude);
     safety::FaultInjector injector(fault_rng_);
     const auto flipped = injector.flip_weight_bits(*rep.deployed, bits, /*include_bias=*/true);
-    rebuild_batcher(rep);  // the session packs weights: serve the flipped bits
+    rebuild_batcher(rep);  // its session runs a rebatched clone the flip missed
     ++report_.memory_faults;
     // Name each flipped tensor once, as a kScrubHit names the one it finds.
     std::string detail =

@@ -114,12 +114,17 @@ std::vector<QuantParams> fake_quantize_per_channel(Tensor& weight, DType dt) {
   return params;
 }
 
-double quantize_int8_channel(std::span<const float> channel, std::int8_t* codes) {
-  const QuantParams qp = choose_symmetric(channel, DType::kINT8);
+Int8Channel quantize_int8_channel(std::span<const float> channel, double bias, double in_scale,
+                                  std::int8_t* codes) {
+  QuantParams qp = choose_symmetric(channel, DType::kINT8);
+  const double bias_room = 2147483647.0 - static_cast<double>(channel.size()) * 127.0 * 128.0 - 1.0;
+  if (bias_room > 0.0 && std::abs(bias) / (in_scale * qp.scale) > bias_room) {
+    qp.scale = std::abs(bias) / (in_scale * bias_room);
+  }
   for (std::size_t i = 0; i < channel.size(); ++i) {
     codes[i] = static_cast<std::int8_t>(qp.quantize(channel[i]));
   }
-  return qp.scale;
+  return {qp.scale, static_cast<std::int32_t>(std::nearbyint(bias / (in_scale * qp.scale)))};
 }
 
 double quant_step(std::span<const float> data, DType dt) {

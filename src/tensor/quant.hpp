@@ -59,14 +59,26 @@ QuantParams fake_quantize(Tensor& t, DType dt, Calibration cal = Calibration::kM
 /// tensor (channel = dim 0). Returns one QuantParams per channel.
 std::vector<QuantParams> fake_quantize_per_channel(Tensor& weight, DType dt);
 
+/// One output channel of an int8 Conv2D/Dense layer: its weight scale and
+/// its bias code at in_scale * scale.
+struct Int8Channel {
+  double scale = 1.0;
+  std::int32_t bias = 0;
+};
+
 /// Per-output-channel int8 weights as the integer engine
 /// (runtime/executor.hpp) stores them, and as the SEU fault model
 /// (safety/robustness.hpp) flips them — one definition, so the two cannot
-/// drift: the channel's symmetric min-max scale (amax / 127, 1.0 for an
-/// all-zero channel) is returned, and each weight's code — w / scale
-/// rounded half to even, saturated to [-128, 127] — written to \p codes
-/// (channel.size() of them).
-double quantize_int8_channel(std::span<const float> channel, std::int8_t* codes);
+/// drift. The scale is the channel's symmetric min-max scale (amax / 127,
+/// 1.0 for an all-zero channel), widened when the bias code
+/// (\p bias / (\p in_scale · scale), rounded) would not fit int32 next to
+/// the accumulator's reach (k·127·128 for k = channel.size()), TFLite's
+/// AdjustWeightsForBiasScale: the bias then stays exact to one LSB of the
+/// output instead of wrapping. Each weight's code — w / scale rounded half
+/// to even, saturated to [-128, 127] — is written to \p codes
+/// (channel.size() of them). A layer without bias passes 0.
+Int8Channel quantize_int8_channel(std::span<const float> channel, double bias, double in_scale,
+                                  std::int8_t* codes);
 
 /// Worst-case quantization step (scale) for the given data/type — useful as
 /// an analytic bound in property tests: |x - fq(x)| <= scale/2 for values

@@ -1,8 +1,9 @@
 #pragma once
 /// \file direct_conv.hpp
 /// \brief Test-local numerical references: Conv2D as the direct 6-deep loop
-/// nest, f32 (double accumulation) and int8 (int32 accumulation, the
-/// engine's per-channel weight quantization and its fixed-point Requant).
+/// nest, f32 (double accumulation) and int8 (int32 accumulation over the
+/// engine's channel quantizer, quantize_int8_channel, and its fixed-point
+/// Requant).
 ///
 /// A reference run walks the graph node by node: every Conv2D goes through
 /// the direct loop here, every other node through the engine as a
@@ -20,8 +21,9 @@
 #include <vector>
 
 #include "graph/graph.hpp"
+#include "runtime/executor.hpp"
 #include "runtime/kernels.hpp"
-#include "runtime/qexecutor.hpp"
+#include "tensor/quant.hpp"
 
 namespace vedliot::testutil {
 
@@ -110,9 +112,10 @@ inline Tensor direct_conv_run(const Graph& g, const Tensor& input) {
   return values.at(g.outputs().front());
 }
 
-/// Whole-graph int8 reference with the same surface as QuantizedExecutor:
-/// Conv2D through the direct integer loop, every other node through the
-/// int8 engine (fed its dequantized inputs, which requantize exactly).
+/// Whole-graph int8 reference returning the output's codes and scale, like
+/// testutil::qexec_single: Conv2D through the direct integer loop, every
+/// other node through the int8 engine (fed its dequantized inputs, which
+/// requantize exactly).
 class DirectConvInt8 {
  public:
   explicit DirectConvInt8(const Graph& g) : g_(g) {}
@@ -168,19 +171,11 @@ class DirectConvInt8 {
     std::vector<std::int32_t> bias(static_cast<std::size_t>(geo.out_c), 0);
     std::vector<runtime_kernels::Requant> requant(static_cast<std::size_t>(geo.out_c));
     for (std::size_t oc = 0; oc < static_cast<std::size_t>(geo.out_c); ++oc) {
-      const auto chan = w.data().subspan(oc * per, per);
-      double amax = 0;
-      for (float v : chan) amax = std::max(amax, std::abs(static_cast<double>(v)));
-      const double ws = amax > 0 ? amax / 127.0 : 1.0;
-      std::uint64_t ignored = 0;
-      for (std::size_t i = 0; i < per; ++i) {
-        wq[oc * per + i] = runtime_kernels::requant_sat(chan[i] / ws, ignored);
-      }
-      if (n.weights.size() > 1) {
-        bias[oc] = static_cast<std::int32_t>(
-            std::nearbyint(static_cast<double>(n.weights[1].at(oc)) / (in_scale * ws)));
-      }
-      requant[oc] = runtime_kernels::Requant::from_real(in_scale * ws / so);
+      const double b = n.weights.size() > 1 ? n.weights[1].at(oc) : 0.0;
+      const Int8Channel q =
+          quantize_int8_channel(w.data().subspan(oc * per, per), b, in_scale, wq.data() + oc * per);
+      bias[oc] = q.bias;
+      requant[oc] = runtime_kernels::Requant::from_real(in_scale * q.scale / so);
     }
     for (std::int64_t b = 0; b < n.out_shape.n(); ++b) {
       for (std::int64_t oc = 0; oc < geo.out_c; ++oc) {

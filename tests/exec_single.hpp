@@ -4,8 +4,8 @@
 ///
 /// Application code runs inference through runtime::Session; the suites
 /// that still construct an Executor directly do so to poke engine-level
-/// features (activation retention, packed panels, fault-injected weights)
-/// and feed it the same way the Session wrapper does.
+/// features (int8 codes, packed panels, fault-injected weights) and feed it
+/// the same way the Session wrapper does.
 
 #include <utility>
 
@@ -24,6 +24,13 @@ inline Tensor exec_single(Executor& exec, const Graph& g, const Tensor& input) {
 inline Tensor exec_single(const Graph& g, const Tensor& input) {
   Executor exec(g);
   return exec_single(exec, g, input);
+}
+
+/// Run a single-input single-output graph through an int8 Executor and
+/// return the output's int8 codes and scale.
+inline QTensor qexec_single(Executor& exec, const Graph& g, const Tensor& input) {
+  (void)exec.run({{g.node(g.inputs().front()).name, input}});
+  return exec.quantized(g.outputs().front());
 }
 
 }  // namespace vedliot::testutil

@@ -232,7 +232,7 @@ TEST(DynamicBatcher, BrownoutShrinkEnforcedByItsSession) {
   const std::span<const Tensor> narrow(wide.data(), 2);
 
   // A brownout rung shrinks the cap live. The one session must now refuse
-  // the 8-lane group through Session's admission check — the shrink is
+  // the 8-lane group through its executor's feed-lane check — the shrink is
   // runtime-enforced, not batcher bookkeeping.
   runtime::ExecConfig rung;
   rung.max_batch = 2;

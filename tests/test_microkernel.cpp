@@ -26,7 +26,6 @@
 #include "runtime/executor.hpp"
 #include "runtime/kernels.hpp"
 #include "runtime/microkernel.hpp"
-#include "runtime/qexecutor.hpp"
 #include "runtime/session.hpp"
 #include "safety/model_store.hpp"
 #include "safety/scrub.hpp"
@@ -326,11 +325,11 @@ TEST(Dispatch, ExecutorReportsActiveLevel) {
   const Tensor in(Shape{1, 16}, rand_f32(16, 42));
 
   Executor exec(g);
-  exec.set_simd(util::SimdLevel::kPortable);
+  exec.set_exec_config({.simd = util::SimdLevel::kPortable});
   (void)testutil::exec_single(exec, g, in);
   EXPECT_EQ(exec.active_simd(), util::SimdLevel::kPortable);
 
-  exec.set_simd(util::SimdLevel::kAuto);
+  exec.set_exec_config({.simd = util::SimdLevel::kAuto});
   (void)testutil::exec_single(exec, g, in);
   const auto* t = best_simd_table();
   EXPECT_EQ(exec.active_simd(), t != nullptr ? t->level : util::SimdLevel::kPortable);
@@ -387,8 +386,7 @@ Graph conv_variants_graph(std::int64_t batch = 1) {
 Tensor run_at_level(const Graph& g, const Tensor& in, util::SimdLevel level,
                     unsigned threads = 1) {
   Executor exec(g);
-  exec.set_simd(level);
-  exec.set_threads(threads);
+  exec.set_exec_config({.threads = threads, .simd = level});
   return testutil::exec_single(exec, g, in);
 }
 
@@ -427,13 +425,13 @@ TEST(SessionDispatch, Int8ConvVariantsBitwiseAcrossLevels) {
   Graph g = deploy_ready_q(conv_variants_graph(), 9, in_shape);
   const Tensor in(in_shape, rand_f32(400, 78));
 
-  QuantizedExecutor portable(g);
-  portable.set_simd(util::SimdLevel::kPortable);
-  const QTensor qp = portable.run_single(in);
+  Executor portable(g, DType::kINT8);
+  portable.set_exec_config({.simd = util::SimdLevel::kPortable});
+  const QTensor qp = testutil::qexec_single(portable, g, in);
 
-  QuantizedExecutor simd(g);
-  simd.set_simd(util::SimdLevel::kAuto);
-  const QTensor qs = simd.run_single(in);
+  Executor simd(g, DType::kINT8);
+  simd.set_exec_config({.simd = util::SimdLevel::kAuto});
+  const QTensor qs = testutil::qexec_single(simd, g, in);
 
   // Exact int32 arithmetic at every level: bytes and saturation counters
   // must be identical, not merely close.
@@ -446,12 +444,12 @@ TEST(SessionDispatch, Int8DenseBatchedBitwiseAcrossLevels) {
   const Shape in_shape{4, 16};
   Graph g = deploy_ready_q(zoo::micro_mlp("m", 4, 16, {24, 12}, 4), 13, in_shape);
   const Tensor in(in_shape, rand_f32(64, 80));
-  QuantizedExecutor portable(g);
-  portable.set_simd(util::SimdLevel::kPortable);
-  QuantizedExecutor simd(g);
-  simd.set_simd(util::SimdLevel::kAuto);
-  const QTensor qp = portable.run_single(in);
-  const QTensor qs = simd.run_single(in);
+  Executor portable(g, DType::kINT8);
+  portable.set_exec_config({.simd = util::SimdLevel::kPortable});
+  Executor simd(g, DType::kINT8);
+  simd.set_exec_config({.simd = util::SimdLevel::kAuto});
+  const QTensor qp = testutil::qexec_single(portable, g, in);
+  const QTensor qs = testutil::qexec_single(simd, g, in);
   for (std::size_t i = 0; i < qp.data.size(); ++i) ASSERT_EQ(qp.data[i], qs.data[i]);
 }
 
@@ -477,14 +475,12 @@ TEST(Determinism, Int8ParallelVsSerialBitwiseAtSimdLevel) {
   const Shape in_shape{1, 4, 10, 10};
   Graph g = deploy_ready_q(conv_variants_graph(), 31, in_shape);
   const Tensor in(in_shape, rand_f32(400, 91));
-  QuantizedExecutor serial(g);
-  serial.set_simd(util::SimdLevel::kAuto);
-  serial.set_threads(1);
-  QuantizedExecutor parallel(g);
-  parallel.set_simd(util::SimdLevel::kAuto);
-  parallel.set_threads(4);
-  const QTensor a = serial.run_single(in);
-  const QTensor b = parallel.run_single(in);
+  Executor serial(g, DType::kINT8);
+  serial.set_exec_config({.threads = 1, .simd = util::SimdLevel::kAuto});
+  Executor parallel(g, DType::kINT8);
+  parallel.set_exec_config({.threads = 4, .simd = util::SimdLevel::kAuto});
+  const QTensor a = testutil::qexec_single(serial, g, in);
+  const QTensor b = testutil::qexec_single(parallel, g, in);
   for (std::size_t i = 0; i < a.data.size(); ++i) ASSERT_EQ(a.data[i], b.data[i]);
   EXPECT_EQ(serial.saturations(), parallel.saturations());
 }
@@ -500,7 +496,7 @@ TEST(Determinism, BatchLanesBitwiseEqualAtSimdLevel) {
   std::vector<float> stacked;
   for (int i = 0; i < 8; ++i) stacked.insert(stacked.end(), one.begin(), one.end());
   Executor exec(g);
-  exec.set_simd(util::SimdLevel::kAuto);
+  exec.set_exec_config({.simd = util::SimdLevel::kAuto});
   const Tensor out = testutil::exec_single(exec, g, Tensor(Shape{8, 16}, stacked));
   const auto d = out.data();
   const std::size_t row = static_cast<std::size_t>(out.shape().dim(1));
@@ -535,10 +531,10 @@ TEST(ExecutionPlan, RepacksOnlyWhenVersionOrTileChanges) {
   g.touch();
   (void)testutil::exec_single(exec, g, in);
   EXPECT_EQ(exec.weight_packs(), 2 * packs);  // version moved
-  exec.set_simd(util::SimdLevel::kPortable);
+  exec.set_exec_config({.simd = util::SimdLevel::kPortable});
   (void)testutil::exec_single(exec, g, in);
   EXPECT_EQ(exec.weight_packs(), 2 * packs);  // no tile, nothing packed
-  exec.set_simd(util::SimdLevel::kAuto);
+  exec.set_exec_config({.simd = util::SimdLevel::kAuto});
   (void)testutil::exec_single(exec, g, in);
   EXPECT_EQ(exec.weight_packs(), 3 * packs);  // tile changed back
   (void)testutil::exec_single(exec, g, in);
@@ -613,20 +609,20 @@ TEST(SelfHeal, Int8RepairTriggersRepreparationAndBitwiseCleanRerun) {
   store.install("net", live);
   const Tensor in(in_shape, rand_f32(400, 96));
 
-  QuantizedExecutor exec(live);
+  Executor exec(live, DType::kINT8);
   EXPECT_EQ(exec.preparations(), 1u);
-  const QTensor clean = exec.run_single(in);
+  const QTensor clean = testutil::qexec_single(exec, live, in);
 
   safety::WeightScrubber scrub(live, {64});  // baselines the clean bits
   flip_weight_bit(live);
-  (void)exec.run_single(in);  // self-heal re-quantizes from the corrupt bits
+  (void)testutil::qexec_single(exec, live, in);  // self-heal re-quantizes from the corrupt bits
   EXPECT_EQ(exec.preparations(), 2u);
 
   const auto hits = scrub.full_scan();
   ASSERT_FALSE(hits.empty());
   EXPECT_GE(store.repair("net", live, hits), 1u);
 
-  const QTensor healed = exec.run_single(in);
+  const QTensor healed = testutil::qexec_single(exec, live, in);
   EXPECT_EQ(exec.preparations(), 3u);  // repair touched the graph again
   ASSERT_EQ(healed.data.size(), clean.data.size());
   for (std::size_t i = 0; i < clean.data.size(); ++i) {
@@ -658,8 +654,7 @@ GraphRun run_on(Executor& exec, const Graph& g, const Tensor& x) {
 GraphRun run_graph(const Graph& g, DType dtype, const Tensor& x, util::SimdLevel level,
                    unsigned threads = 1) {
   Executor exec(g, dtype);
-  exec.set_simd(level);
-  exec.set_threads(threads);
+  exec.set_exec_config({.threads = threads, .simd = level});
   return run_on(exec, g, x);
 }
 
@@ -702,7 +697,7 @@ void expect_lanes_match_singletons(const Graph& g, DType dtype, const Tensor& x,
     singles.push_back(run_graph(single, dtype, lanes_of(x, b, 1), level));
   }
   Executor exec(g, dtype);
-  exec.set_simd(level);
+  exec.set_exec_config({.simd = level});
   for (std::int64_t n = lanes; n >= 1; --n) {
     const std::string at = what + ", " + std::to_string(n) + " lanes";
     const GraphRun r = run_on(exec, g, lanes_of(x, 0, n));

@@ -11,7 +11,6 @@
 #include <string>
 #include <vector>
 
-#include "exec_single.hpp"
 #include "graph/zoo.hpp"
 #include "obs/clock.hpp"
 #include "obs/export.hpp"
@@ -20,7 +19,6 @@
 #include "obs/trace.hpp"
 #include "opt/fusion.hpp"
 #include "opt/quantize.hpp"
-#include "runtime/executor.hpp"
 #include "runtime/session.hpp"
 #include "sim/bus.hpp"
 #include "sim/cpu.hpp"
@@ -353,24 +351,6 @@ TEST(Session, MaxBatchRejectsOversizedFeeds) {
   Rng data_rng(3);
   Tensor big(Shape{4, 8}, data_rng.normal_vector(32));
   EXPECT_THROW((void)session->run({{g.node(g.inputs().front()).name, big}}), ExecError);
-}
-
-TEST(Session, KeepActivationsControlsExecutorRetention) {
-  Graph g = zoo::micro_mlp("m", 1, 8, {8}, 3);
-  Rng rng(2);
-  g.materialize_weights(rng);
-  Rng data_rng(3);
-  Tensor x(Shape{1, 8}, data_rng.normal_vector(8));
-
-  Executor keep(g);
-  keep.set_keep_activations(true);
-  (void)testutil::exec_single(keep, g, x);
-  EXPECT_NO_THROW((void)keep.activation("fc0"));
-
-  Executor drop(g);
-  drop.set_keep_activations(false);
-  (void)testutil::exec_single(drop, g, x);
-  EXPECT_THROW((void)drop.activation("fc0"), NotFound);
 }
 
 TEST(TracedSession, QuantizedBackendEmitsSameTaxonomy) {

@@ -1,7 +1,7 @@
 // Tests for the true-integer INT8 executor: agreement with the float
 // reference (through the unified runtime::Session API), integer-domain
-// invariants (through the executor directly, which exposes QTensor), and
-// its preconditions.
+// invariants (through the executor directly, which exposes QTensor codes),
+// and its preconditions.
 
 #include <gtest/gtest.h>
 
@@ -15,10 +15,11 @@
 #include <vector>
 
 #include "direct_conv.hpp"
+#include "exec_single.hpp"
 #include "graph/zoo.hpp"
 #include "opt/fusion.hpp"
 #include "opt/quantize.hpp"
-#include "runtime/qexecutor.hpp"
+#include "runtime/executor.hpp"
 #include "runtime/session.hpp"
 #include "util/cpu.hpp"
 #include "util/hash.hpp"
@@ -71,7 +72,7 @@ TEST(QTensor, QuantizeSaturates) {
   EXPECT_EQ(q.data[1], -128);
 }
 
-TEST(QuantizedExecutor, MatchesFloatOnMicroMlp) {
+TEST(Int8Executor, MatchesFloatOnMicroMlp) {
   const Shape in_shape{1, 16};
   Graph g = deploy_ready(zoo::micro_mlp("m", 1, 16, {24, 12}, 4), 11, in_shape, 32);
   auto fsession = runtime::make_session(g);
@@ -100,7 +101,7 @@ TEST(QuantizedExecutor, MatchesFloatOnMicroMlp) {
                              // on samples outside the calibration range is expected)
 }
 
-TEST(QuantizedExecutor, MatchesFloatOnMicroCnn) {
+TEST(Int8Executor, MatchesFloatOnMicroCnn) {
   const Shape in_shape{1, 1, 16, 16};
   Graph g = deploy_ready(zoo::micro_cnn("m", 1, 1, 16, 4), 21, in_shape);
   auto fsession = runtime::make_session(g);
@@ -122,18 +123,18 @@ TEST(QuantizedExecutor, MatchesFloatOnMicroCnn) {
   EXPECT_GE(agree, 14);
 }
 
-TEST(QuantizedExecutor, OutputScaleIsCalibrated) {
+TEST(Int8Executor, OutputScaleIsCalibrated) {
   const Shape in_shape{1, 8};
   Graph g = deploy_ready(zoo::micro_mlp("m", 1, 8, {8}, 3), 31, in_shape);
-  QuantizedExecutor qexec(g);
+  Executor qexec(g, DType::kINT8);
   Rng rng(5);
-  const QTensor q = qexec.run_single(Tensor(in_shape, rng.normal_vector(8)));
+  const QTensor q = testutil::qexec_single(qexec, g, Tensor(in_shape, rng.normal_vector(8)));
   // softmax outputs in [0,1] -> scale must be <= ~1/127
   EXPECT_LE(q.scale, 1.0 / 127.0 + 1e-9);
   for (std::int8_t v : q.data) EXPECT_GE(v, 0);  // probabilities are non-negative
 }
 
-TEST(QuantizedExecutor, FusedReluClampsNegative) {
+TEST(Int8Executor, FusedReluClampsNegative) {
   // Single conv with fused relu: a strongly negative accumulation must
   // land exactly at q=0.
   Graph g("t");
@@ -151,12 +152,12 @@ TEST(QuantizedExecutor, FusedReluClampsNegative) {
   g.node(in).attrs.set_float("act_scale", 0.01);
   g.node(c).attrs.set_float("act_scale", 0.01);
 
-  QuantizedExecutor qexec(g);
-  const QTensor q = qexec.run_single(Tensor(Shape{1, 1, 1, 1}, {1.0f}));
+  Executor qexec(g, DType::kINT8);
+  const QTensor q = testutil::qexec_single(qexec, g, Tensor(Shape{1, 1, 1, 1}, {1.0f}));
   EXPECT_EQ(q.data[0], 0);  // relu(-1.0) == 0 in the integer domain
 }
 
-TEST(QuantizedExecutor, BiasBeyondInt32WidensTheWeightScale) {
+TEST(Int8Executor, BiasBeyondInt32WidensTheWeightScale) {
   // A 1x1 conv whose weight is tiny next to its bias: at the weight's own
   // scale (1e-9 / 127) the bias code would be 1.27e13, far outside int32.
   // The channel's weight scale widens until the bias fits beside the
@@ -177,30 +178,32 @@ TEST(QuantizedExecutor, BiasBeyondInt32WidensTheWeightScale) {
 
   const Tensor x(Shape{1, 1, 2, 2}, {0.5f, -0.5f, 1.0f, 0.0f});
   const Tensor f32 = runtime::make_session(g)->run_single(x);
-  QuantizedExecutor qexec(g);
-  const QTensor q = qexec.run_single(x);
+  Executor qexec(g, DType::kINT8);
+  const QTensor q = testutil::qexec_single(qexec, g, x);
   for (std::size_t i = 0; i < 4; ++i) {
     EXPECT_FLOAT_EQ(f32.at(i), 1.0f);
     EXPECT_EQ(q.data[i], 100) << i;  // 1.0 at scale 0.01
   }
   EXPECT_EQ(qexec.saturations(), 0u);
+  // The direct-loop reference quantizes the channel the same way.
+  EXPECT_EQ(testutil::DirectConvInt8(g).run_single(x).data, q.data);
 }
 
-TEST(QuantizedExecutor, UnfoldedBatchNormRejected) {
+TEST(Int8Executor, UnfoldedBatchNormRejected) {
   Graph g = zoo::micro_cnn("m", 1, 1, 16, 4);  // contains BN
   Rng rng(1);
   g.materialize_weights(rng);
-  EXPECT_THROW(QuantizedExecutor{g}, Unsupported);
+  EXPECT_THROW((Executor{g, DType::kINT8}), Unsupported);
 }
 
-TEST(QuantizedExecutor, MissingCalibrationRejected) {
+TEST(Int8Executor, MissingCalibrationRejected) {
   Graph g = zoo::micro_mlp("m", 1, 8, {8}, 3);  // no BN, but no act_scale either
   Rng rng(1);
   g.materialize_weights(rng);
-  EXPECT_THROW(QuantizedExecutor{g}, Unsupported);
+  EXPECT_THROW((Executor{g, DType::kINT8}), Unsupported);
 }
 
-TEST(QuantizedExecutor, SaturationCounterTracksClipping) {
+TEST(Int8Executor, SaturationCounterTracksClipping) {
   // Force saturation: tiny output scale cannot represent the accumulation.
   Graph g("t");
   const NodeId in = g.add_input("x", Shape{1, 4});
@@ -211,12 +214,12 @@ TEST(QuantizedExecutor, SaturationCounterTracksClipping) {
   g.node(fc).weights = {Tensor(Shape{2, 4}, {1, 1, 1, 1, 1, 1, 1, 1})};
   g.node(in).attrs.set_float("act_scale", 0.05);
   g.node(fc).attrs.set_float("act_scale", 1e-4);  // absurdly small
-  QuantizedExecutor qexec(g);
-  qexec.run_single(Tensor(Shape{1, 4}, {5, 5, 5, 5}));
+  Executor qexec(g, DType::kINT8);
+  (void)testutil::qexec_single(qexec, g, Tensor(Shape{1, 4}, {5, 5, 5, 5}));
   EXPECT_GT(qexec.saturations(), 0u);
 }
 
-TEST(QuantizedExecutor, DepthwiseConvSupported) {
+TEST(Int8Executor, DepthwiseConvSupported) {
   Graph g("t");
   const NodeId in = g.add_input("x", Shape{1, 2, 4, 4});
   AttrMap a;
@@ -243,7 +246,7 @@ TEST(QuantizedExecutor, DepthwiseConvSupported) {
   (void)c;
 }
 
-TEST(QuantizedExecutor, UnsupportedOpRejectedAtRun) {
+TEST(Int8Executor, UnsupportedOpRejectedAtRun) {
   Graph g("t");
   const NodeId in = g.add_input("x", Shape{1, 2, 2, 2});
   g.add(OpKind::kMish, "mish", {in});
@@ -251,9 +254,9 @@ TEST(QuantizedExecutor, UnsupportedOpRejectedAtRun) {
   g.materialize_weights(rng);
   std::vector<Tensor> samples{Tensor(Shape{1, 2, 2, 2}, rng.normal_vector(8))};
   opt::calibrate_activations(g, samples);
-  QuantizedExecutor qexec(g);
-  EXPECT_THROW((void)qexec.run_single(Tensor(Shape{1, 2, 2, 2}, rng.normal_vector(8))),
-               Unsupported);
+  Executor qexec(g, DType::kINT8);
+  const Tensor x(Shape{1, 2, 2, 2}, rng.normal_vector(8));
+  EXPECT_THROW((void)testutil::qexec_single(qexec, g, x), Unsupported);
 }
 
 // ---------------------------------------------------------------------------
@@ -402,7 +405,7 @@ TEST(EltwiseS8, MatchesScalarReferenceAtEveryLengthWindowAndLevel) {
         if (add) feeds["b"] = fb;
         for (auto level : {util::SimdLevel::kPortable, util::SimdLevel::kAuto}) {
           Executor exec(g, DType::kINT8);
-          exec.set_simd(level);
+          exec.set_exec_config({.simd = level});
           const Tensor y = exec.run(feeds).at("op");
           for (std::size_t i = 0; i < want.size(); ++i) {
             ASSERT_EQ(y.at(i), static_cast<float>(want[i] * so))
@@ -420,17 +423,17 @@ TEST(EltwiseS8, MatchesScalarReferenceAtEveryLengthWindowAndLevel) {
 // Parallel execution: integer kernels must be exactly deterministic
 // ---------------------------------------------------------------------------
 
-TEST(QuantizedExecutor, ResNet50ParallelBitwiseIdenticalToSerial) {
+TEST(Int8Executor, ResNet50ParallelBitwiseIdenticalToSerial) {
   Graph g = deploy_ready(zoo::resnet50(1, 10, 32), 41, Shape{1, 3, 32, 32});
   Rng data_rng(42);
   Tensor x(Shape{1, 3, 32, 32}, data_rng.normal_vector(3 * 32 * 32));
 
-  QuantizedExecutor serial(g);
-  const QTensor qs = serial.run_single(x);
+  Executor serial(g, DType::kINT8);
+  const QTensor qs = testutil::qexec_single(serial, g, x);
 
-  QuantizedExecutor mt(g);
-  mt.set_threads(4);
-  const QTensor qm = mt.run_single(x);
+  Executor mt(g, DType::kINT8);
+  mt.set_exec_config({.threads = 4});
+  const QTensor qm = testutil::qexec_single(mt, g, x);
 
   EXPECT_EQ(qs.data, qm.data);  // int8 payloads: bitwise
   EXPECT_DOUBLE_EQ(qs.scale, qm.scale);
@@ -438,7 +441,7 @@ TEST(QuantizedExecutor, ResNet50ParallelBitwiseIdenticalToSerial) {
   EXPECT_EQ(serial.saturations(), mt.saturations());
 }
 
-TEST(QuantizedExecutor, GemmConvBitwiseMatchesDirectConv) {
+TEST(Int8Executor, GemmConvBitwiseMatchesDirectConv) {
   // Unlike the float path, int8 GEMM accumulates in int32 along exactly the
   // (ic, kh, kw) order of the direct loop: integer addition is associative,
   // so the two paths must agree bit for bit.
@@ -446,10 +449,10 @@ TEST(QuantizedExecutor, GemmConvBitwiseMatchesDirectConv) {
   Rng data_rng(44);
   Tensor x(Shape{1, 3, 16, 16}, data_rng.normal_vector(3 * 16 * 16));
 
-  QuantizedExecutor gemm(g);
+  Executor gemm(g, DType::kINT8);
   testutil::DirectConvInt8 direct(g);
 
-  const QTensor a = gemm.run_single(x);
+  const QTensor a = testutil::qexec_single(gemm, g, x);
   const QTensor b = direct.run_single(x);
   EXPECT_EQ(a.data, b.data);
   EXPECT_EQ(gemm.saturations(), direct.saturations());
@@ -459,18 +462,12 @@ TEST(QuantizedExecutor, GemmConvBitwiseMatchesDirectConv) {
 // Pinned outputs: the integer arithmetic of whole networks, frozen
 // ---------------------------------------------------------------------------
 
-/// CRC-32 of the dequantized output and the cumulative saturation count of
-/// one single-thread run, asserted equal at the portable and the best SIMD
-/// dispatch level (integer arithmetic is exact at every level, so one
-/// constant serves both). The constants were recorded once; a change in any
-/// of them means the engine's int8 arithmetic changed.
-///
-/// Calibration runs the f32 engine, whose SIMD bits differ from portable in
-/// the last ULP; it is pinned to portable dispatch (VEDLIOT_SIMD, restored
-/// afterwards) so the act_scales, and with them the constants, are the same
-/// whether or not the host or VEDLIOT_FORCE_PORTABLE enables SIMD.
-void expect_pinned_int8(Graph g, const Shape& in_shape, std::uint64_t seed,
-                        std::uint32_t want_crc, std::uint64_t want_saturations) {
+/// deploy_ready with calibration at portable dispatch. Calibration runs the
+/// f32 engine, whose SIMD bits differ from portable in the last ULP; it is
+/// pinned to portable dispatch (VEDLIOT_SIMD, restored afterwards) so the
+/// act_scales, and with them the pinned constants, are the same whether or
+/// not the host or VEDLIOT_FORCE_PORTABLE enables SIMD.
+Graph deploy_ready_portable(Graph g, std::uint64_t seed, const Shape& in_shape) {
   const char* ambient = std::getenv("VEDLIOT_SIMD");
   const std::string restore = ambient != nullptr ? ambient : "";
   ::setenv("VEDLIOT_SIMD", "portable", 1);
@@ -480,6 +477,17 @@ void expect_pinned_int8(Graph g, const Shape& in_shape, std::uint64_t seed,
   } else {
     ::unsetenv("VEDLIOT_SIMD");
   }
+  return g;
+}
+
+/// CRC-32 of the dequantized output and the cumulative saturation count of
+/// one single-thread run, asserted equal at the portable and the best SIMD
+/// dispatch level (integer arithmetic is exact at every level, so one
+/// constant serves both). The constants were recorded once; a change in any
+/// of them means the engine's int8 arithmetic changed.
+void expect_pinned_int8(Graph g, const Shape& in_shape, std::uint64_t seed,
+                        std::uint32_t want_crc, std::uint64_t want_saturations) {
+  g = deploy_ready_portable(std::move(g), seed, in_shape);
   Rng data_rng(seed + 100);
   const Tensor x(in_shape, data_rng.normal_vector(static_cast<std::size_t>(in_shape.numel())));
   for (auto level : {util::SimdLevel::kPortable, util::SimdLevel::kAuto}) {
@@ -499,6 +507,29 @@ TEST(PinnedOutputs, Int8NetworksBitExact) {
   expect_pinned_int8(zoo::efficientnet_lite0(1, 10, 32), Shape{1, 3, 32, 32}, 53, 4198089509u,
                      8263u);
   expect_pinned_int8(zoo::micro_cnn("pin", 2, 3, 16, 5), Shape{2, 3, 16, 16}, 55, 2379389037u, 2u);
+}
+
+TEST(PinnedOutputs, Int8ResNet50LogitsBitExact) {
+  // Under random weights the ResNet-50 softmax above saturates to one-hot,
+  // so its CRC only sees a changed class; the int8 logit codes (the softmax
+  // input of the same graph and input), read through the run observer, pin
+  // every bit.
+  const Shape in_shape{1, 3, 32, 32};
+  const Graph g = deploy_ready_portable(zoo::resnet50(1, 10, 32), 51, in_shape);
+  Rng data_rng(151);
+  const Tensor x(in_shape, data_rng.normal_vector(static_cast<std::size_t>(in_shape.numel())));
+  const NodeId logits = g.node(g.outputs().front()).inputs.at(0);
+  for (auto level : {util::SimdLevel::kPortable, util::SimdLevel::kAuto}) {
+    Executor exec(g, DType::kINT8);
+    exec.set_exec_config({.simd = level});
+    QTensor q;
+    (void)exec.run({{g.node(g.inputs().front()).name, x}}, [&](NodeId id) {
+      if (id == logits) q = exec.quantized(id);
+    });
+    ASSERT_EQ(q.data.size(), 10u);
+    const auto* bytes = reinterpret_cast<const std::uint8_t*>(q.data.data());
+    EXPECT_EQ(util::crc32({bytes, q.data.size()}), 1976411413u) << util::simd_level_name(level);
+  }
 }
 
 TEST(QuantizedSession, ThreadsOptionPreservesOutputs) {

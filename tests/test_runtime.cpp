@@ -6,6 +6,7 @@
 #include <cstring>
 
 #include "direct_conv.hpp"
+#include "exec_single.hpp"
 #include "graph/cost.hpp"
 #include "graph/zoo.hpp"
 #include "opt/fusion.hpp"
@@ -31,13 +32,7 @@ AttrMap conv_attrs(std::int64_t oc, std::int64_t k, std::int64_t s, std::int64_t
   return a;
 }
 
-/// Single-input convenience over Executor::run for tests that poke the
-/// engine directly (introspection, arena stats); application code goes
-/// through runtime::Session.
-Tensor exec_single(Executor& exec, const Graph& g, const Tensor& input) {
-  auto outs = exec.run({{g.node(g.inputs().front()).name, input}});
-  return std::move(outs.begin()->second);
-}
+using testutil::exec_single;
 
 /// Build a single-op graph, set explicit weights, execute one input.
 Tensor run_single_op(OpKind kind, const Shape& in_shape, AttrMap attrs,
@@ -334,13 +329,32 @@ TEST(Executor, EndToEndMicroCnnDeterministic) {
 }
 
 TEST(Executor, ActivationIntrospection) {
+  // The run observer sees every node once, in plan order (the input first),
+  // each readable during its call; afterwards only the graph output is.
   Graph g = zoo::micro_mlp("m", 1, 4, {8}, 2);
   Rng rng(9);
   g.materialize_weights(rng);
   Executor exec(g);
-  exec_single(exec, g, Tensor(Shape{1, 4}, {1, 2, 3, 4}));
-  EXPECT_NO_THROW((void)exec.activation("fc0"));
-  EXPECT_THROW((void)exec.activation("bogus"), NotFound);
+  const Tensor x(Shape{1, 4}, {1, 2, 3, 4});
+  std::vector<NodeId> seen;
+  Tensor fc0, out;
+  const auto outs = exec.run({{"features", x}}, [&](NodeId id) {
+    seen.push_back(id);
+    const Tensor v = exec.value(id);
+    if (g.node(id).name == "fc0") fc0 = v.clone();
+    if (id == g.outputs().front()) out = v.clone();
+    EXPECT_THROW((void)exec.quantized(id), ExecError);  // an f32 plan has no codes
+  });
+  EXPECT_EQ(seen, g.topo_order());
+  EXPECT_EQ(seen.front(), g.inputs().front());
+  ASSERT_EQ(fc0.shape(), (Shape{1, 8}));
+  EXPECT_FLOAT_EQ(max_abs_diff(out, outs.at("prob")), 0.0f);
+  EXPECT_FLOAT_EQ(max_abs_diff(exec.value(g.outputs().front()), out), 0.0f);
+  for (NodeId id : g.topo_order()) {
+    if (id != g.outputs().front()) {
+      EXPECT_THROW((void)exec.value(id), ExecError);
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -433,15 +447,6 @@ runtime::RunOptions with_threads(unsigned threads) {
   return o;
 }
 
-/// One run through the engine with the arena liveness-packed (what every
-/// session uses) or unaliased (what keep_activations selects).
-Tensor run_with_layout(const Graph& g, const Tensor& x, bool packed, unsigned threads = 1) {
-  Executor exec(g);
-  exec.set_keep_activations(!packed);
-  exec.set_threads(threads);
-  return exec_single(exec, g, x);
-}
-
 TEST(ExecutionEngine, ResNet50ParallelBitwiseIdenticalToSerial) {
   Graph g = zoo::resnet50(/*batch=*/1, /*classes=*/10, /*image=*/32);
   Rng rng(21);
@@ -482,22 +487,6 @@ TEST(ExecutionEngine, GemmConvMatchesDirectConv) {
   EXPECT_LT(max_abs_diff(gemm, direct), 1e-3f);
 }
 
-TEST(ExecutionEngine, ArenaOutputBitwiseIdenticalToHeap) {
-  // Residual graphs are the aliasing stress case: a skip tensor must not be
-  // overwritten while the main branch still reads it.
-  Graph g = zoo::resnet50(1, 10, 32);
-  Rng rng(27);
-  g.materialize_weights(rng);
-  Rng data_rng(28);
-  Tensor x(Shape{1, 3, 32, 32}, data_rng.normal_vector(3 * 32 * 32));
-
-  const Tensor heap = run_with_layout(g, x, /*packed=*/false);
-  const Tensor arena = run_with_layout(g, x, /*packed=*/true);
-  expect_bitwise_equal(heap, arena);
-  const Tensor arena_mt = run_with_layout(g, x, /*packed=*/true, 4);
-  expect_bitwise_equal(heap, arena_mt);
-}
-
 TEST(ExecutionEngine, ArenaHalvesResNet50ActivationFootprint) {
   Graph g = zoo::resnet50(1, 10, 64);
   Rng rng(29);
@@ -506,28 +495,12 @@ TEST(ExecutionEngine, ArenaHalvesResNet50ActivationFootprint) {
   Tensor x(Shape{1, 3, 64, 64}, data_rng.normal_vector(3 * 64 * 64));
 
   Executor exec(g);
-  exec.set_keep_activations(false);
   (void)exec_single(exec, g, x);
   const Executor::ArenaStats& stats = exec.arena_stats();
-  ASSERT_TRUE(stats.active);
   EXPECT_GT(stats.arena_bytes, 0);
   // Liveness packing must reclaim at least half of the naive sum of all
   // activation buffers on ResNet-50 (ISSUE acceptance: arena <= 50% naive).
   EXPECT_LE(stats.arena_bytes * 2, stats.naive_bytes);
-}
-
-TEST(ExecutionEngine, ArenaDisabledWhileKeepingActivations) {
-  Graph g = zoo::micro_cnn("mc", 1, 3, 16, 5);
-  Rng rng(31);
-  g.materialize_weights(rng);
-  Rng data_rng(32);
-  Tensor x(Shape{1, 3, 16, 16}, data_rng.normal_vector(3 * 16 * 16));
-
-  Executor exec(g);
-  exec.set_keep_activations(true);  // calibration mode: stable owned tensors
-  (void)exec_single(exec, g, x);
-  EXPECT_FALSE(exec.arena_stats().active);
-  EXPECT_NO_THROW((void)exec.activation(g.node(g.topo_order()[1]).name));
 }
 
 TEST(ExecutionEngine, SessionOutputOwnsItsMemory) {
@@ -573,20 +546,17 @@ TEST(PinnedOutputs, F32NetworksBitExact) {
   expect_pinned_f32(zoo::micro_cnn("pin", 8, 3, 16, 5), Shape{8, 3, 16, 16}, 65, 1130817910u);
 }
 
-TEST(PinnedOutputs, F32ResNet50LogitsBitExact) {
-  // Under random weights the ResNet-50 softmax above saturates to one-hot,
-  // so its CRC only sees a changed class; the logits (the softmax input of
-  // the same run) pin every bit.
-  Graph g = zoo::resnet50(1, 10, 32);
-  Rng rng(61);
-  g.materialize_weights(rng);
-  Rng data_rng(161);
-  const Tensor x(Shape{1, 3, 32, 32}, data_rng.normal_vector(3 * 32 * 32));
+/// The logits of one run of \p g at \p level: the softmax output's input,
+/// read through the run observer.
+Tensor logits_of(const Graph& g, const Tensor& x, util::SimdLevel level) {
   Executor exec(g);
-  exec.set_simd(util::SimdLevel::kPortable);
-  (void)exec_single(exec, g, x);
-  const Node& softmax = g.node(g.outputs().front());
-  EXPECT_EQ(util::crc32(exec.activation(g.node(softmax.inputs.at(0)).name).data()), 4186703573u);
+  exec.set_exec_config({.simd = level});
+  const NodeId logits = g.node(g.outputs().front()).inputs.at(0);
+  Tensor out;
+  (void)exec.run({{g.node(g.inputs().front()).name, x}}, [&](NodeId id) {
+    if (id == logits) out = exec.value(id).clone();
+  });
+  return out;
 }
 
 /// CRC-32 of the ResNet-50 logits (the softmax input) of one run at \p level.
@@ -596,11 +566,14 @@ std::uint32_t resnet50_logits_crc(util::SimdLevel level) {
   g.materialize_weights(rng);
   Rng data_rng(161);
   const Tensor x(Shape{1, 3, 32, 32}, data_rng.normal_vector(3 * 32 * 32));
-  Executor exec(g);
-  exec.set_simd(level);
-  (void)exec_single(exec, g, x);
-  const Node& softmax = g.node(g.outputs().front());
-  return util::crc32(exec.activation(g.node(softmax.inputs.at(0)).name).data());
+  return util::crc32(logits_of(g, x, level).data());
+}
+
+TEST(PinnedOutputs, F32ResNet50LogitsBitExact) {
+  // Under random weights the ResNet-50 softmax above saturates to one-hot,
+  // so its CRC only sees a changed class; the logits (the softmax input of
+  // the same run) pin every bit.
+  EXPECT_EQ(resnet50_logits_crc(util::SimdLevel::kPortable), 4186703573u);
 }
 
 TEST(PinnedOutputs, F32SimdLevelBitExact) {
@@ -644,16 +617,9 @@ TEST(PinnedOutputs, F32ActivationFusionIsBitwise) {
 
   Rng data_rng(161);
   const Tensor x(Shape{1, 3, 32, 32}, data_rng.normal_vector(3 * 32 * 32));
-  const auto logits = [&](const Graph& g, util::SimdLevel level) {
-    Executor exec(g);
-    exec.set_simd(level);
-    (void)exec_single(exec, g, x);
-    const Node& softmax = g.node(g.outputs().front());
-    return exec.activation(g.node(softmax.inputs.at(0)).name).clone();
-  };
   for (auto level : {util::SimdLevel::kPortable, util::SimdLevel::kAuto}) {
-    const Tensor want = logits(folded, level);
-    const Tensor got = logits(fused, level);
+    const Tensor want = logits_of(folded, x, level);
+    const Tensor got = logits_of(fused, x, level);
     ASSERT_EQ(got.shape(), want.shape());
     EXPECT_EQ(std::memcmp(got.data().data(), want.data().data(), want.data().size_bytes()), 0)
         << util::simd_level_name(level);
@@ -673,11 +639,11 @@ TEST(ExecutionEngine, SetMaxBatchAdjustsAdmissionOnLiveSession) {
   EXPECT_EQ(session->max_batch(), 0);  // unlimited by default
   EXPECT_NO_THROW((void)session->run_single(x));
 
-  session->set_max_batch(2);
+  session->set_exec_config({.max_batch = 2});
   EXPECT_EQ(session->max_batch(), 2);
   EXPECT_THROW((void)session->run_single(x), ExecError);
 
-  session->set_max_batch(0);
+  session->set_exec_config({});
   EXPECT_NO_THROW((void)session->run_single(x));
 }
 

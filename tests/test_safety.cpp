@@ -7,14 +7,18 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "exec_single.hpp"
 #include "graph/package.hpp"
 #include "graph/zoo.hpp"
 #include "obs/metrics.hpp"
+#include "opt/fusion.hpp"
+#include "opt/quantize.hpp"
 #include "runtime/executor.hpp"
 #include "runtime/session.hpp"
 #include "safety/hybrid.hpp"
@@ -22,6 +26,7 @@
 #include "safety/monitors.hpp"
 #include "safety/robustness.hpp"
 #include "safety/scrub.hpp"
+#include "util/cpu.hpp"
 #include "util/rng.hpp"
 
 namespace vedliot::safety {
@@ -826,6 +831,94 @@ TEST(FaultInjector, Int8FlipsStayOnTheQuantizedGrid) {
     }
   }
   EXPECT_GT(changed, 0u);
+}
+
+TEST(FaultInjector, Int8FlipOnAWidenedChannelUsesTheExecutorScale) {
+  // Int8Executor.BiasBeyondInt32WidensTheWeightScale's conv (weight 1e-9,
+  // bias 1.0, act_scales 0.01): its bias needs the wider weight scale
+  // 1 / (0.01 · (2^31 − 1 − 127·128 − 1)), at which the weight's code is 0.
+  // The flip acts on that code, as the integer engine stores it, so the
+  // faulted weight is one set bit on the widened grid.
+  Graph g("t");
+  const NodeId in = g.add_input("x", Shape{1, 1, 2, 2});
+  AttrMap a;
+  a.set_int("out_channels", 1);
+  a.set_int("kernel", 1);
+  a.set_int("stride", 1);
+  a.set_int("pad", 0);
+  a.set_int("groups", 1);
+  a.set_int("bias", 1);
+  const NodeId c = g.add(OpKind::kConv2d, "conv", {in}, a);
+  g.node(c).weights = {Tensor(Shape{1, 1, 1, 1}, {1e-9f}), Tensor(Shape{1}, {1.0f})};
+  g.node(c).weight_dtype = DType::kINT8;
+  g.node(in).attrs.set_float("act_scale", 0.01);
+  g.node(c).attrs.set_float("act_scale", 0.01);
+
+  Rng rng(5);
+  (void)FaultInjector(rng).flip_weight_bits(g, 1);
+  const double widened = 1.0 / (0.01 * (2147483647.0 - 127.0 * 128.0 - 1.0));
+  const double code = static_cast<double>(g.node(c).weights[0].at(0)) / widened;
+  EXPECT_NEAR(code, std::nearbyint(code), 1e-3) << "off the executor's grid";
+  const auto bits = static_cast<std::uint8_t>(static_cast<std::int8_t>(std::nearbyint(code)));
+  EXPECT_EQ(std::popcount(bits), 1) << "code " << code << " is not one flipped bit of 0";
+}
+
+/// micro_cnn with BatchNorm folded and activations calibrated: a graph both
+/// dtypes run.
+Graph calibrated_micro_cnn() {
+  Graph g = zoo::micro_cnn("faulted", 1, 3, 16, 5);
+  Rng rng(61);
+  g.materialize_weights(rng);
+  opt::FuseBatchNormPass().run(g);
+  std::vector<Tensor> samples;
+  Rng data_rng(62);
+  for (int i = 0; i < 4; ++i) {
+    samples.emplace_back(Shape{1, 3, 16, 16}, data_rng.normal_vector(768));
+  }
+  opt::calibrate_activations(g, samples);
+  return g;
+}
+
+bool same_bits(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data().data(), b.data().data(), a.data().size_bytes()) == 0;
+}
+
+TEST(FaultInjector, SessionBuiltBeforeTheFaultServesTheFaultedModel) {
+  // Every fault class touches the graph, so a session compiled before the
+  // fault recompiles its plan (repacked f32 panels, requantized int8 codes)
+  // and serves exactly what a session built after the fault serves.
+  using Inject = void (*)(Graph&, Rng&);
+  const std::pair<const char*, Inject> faults[] = {
+      {"flip_weight_bits",
+       [](Graph& g, Rng& r) { (void)FaultInjector(r).flip_weight_bits(g, 16); }},
+      {"zero_random_channel", [](Graph& g, Rng& r) { FaultInjector(r).zero_random_channel(g); }},
+      {"scale_random_layer",
+       [](Graph& g, Rng& r) { FaultInjector(r).scale_random_layer(g, 3.0f); }},
+  };
+  Rng data_rng(63);
+  const Tensor x(Shape{1, 3, 16, 16}, data_rng.normal_vector(768));
+  for (const bool int8 : {false, true}) {
+    for (const auto level : {util::SimdLevel::kPortable, util::SimdLevel::kAuto}) {
+      for (const auto& [name, inject] : faults) {
+        const std::string what = std::string(name) + (int8 ? " int8" : " f32") + " at " +
+                                 std::string(util::simd_level_name(level));
+        Graph g = calibrated_micro_cnn();
+        runtime::RunOptions o;
+        o.exec.simd = level;
+        const auto open = [&] {
+          return int8 ? runtime::make_quantized_session(g, o) : runtime::make_session(g, o);
+        };
+        const auto live = open();
+        const Tensor clean = live->run_single(x);
+        Rng rng(64);
+        inject(g, rng);
+        const Tensor fresh = open()->run_single(x);
+        EXPECT_FALSE(same_bits(fresh, clean)) << what << ": the fault changes no output bit";
+        EXPECT_TRUE(same_bits(live->run_single(x), fresh)) << what << ": served the stale plan";
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
