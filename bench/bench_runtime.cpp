@@ -7,14 +7,17 @@
 #include <chrono>
 #include <cstdlib>
 #include <iostream>
+#include <map>
 
 #include "bench_common.hpp"
 #include "graph/cost.hpp"
 #include "graph/zoo.hpp"
 #include "hw/roofline.hpp"
+#include "obs/trace.hpp"
 #include "opt/fusion.hpp"
 #include "opt/quantize.hpp"
 #include "runtime/memory_planner.hpp"
+#include "runtime/microkernel.hpp"
 #include "runtime/session.hpp"
 #include "util/cpu.hpp"
 #include "util/rng.hpp"
@@ -61,6 +64,83 @@ double median_run_seconds(runtime::Session& session, const std::string& feed,
   return times[times.size() / 2];
 }
 
+/// One Conv2d/Dense node of the per-GEMM ledger, at one dtype.
+struct GemmRow {
+  std::string dtype;
+  std::string node;
+  std::int64_t k = 0, m = 0, cols = 0;  ///< GEMM depth, output channels, columns
+  bool transposed = false;              ///< the plan runs it as Cᵀ = Xᵀ·Wᵀ
+  double median_us = 0;
+  double gops = 0;
+  double roof_fraction = 0;             ///< of the level's one-thread roof
+};
+
+/// The per-GEMM-node ledger of \p g (BN-folded, activation-fused and
+/// calibrated, batch 1) at one thread and the resolved dispatch level, f32
+/// then int8: each Conv2d/Dense node's median self time over the runs, read
+/// from its tracer spans, with its GOP/s and fraction of \p roof. The
+/// orientation comes from the plan's own rule (gemm_transposed).
+std::vector<GemmRow> gemm_ledger(const Graph& g, const Tensor& x, const hw::HostRoofline& roof) {
+  constexpr int kRuns = 5;
+  const auto* table = runtime_kernels::gemm_microkernels(roof.level);
+  const std::string feed = g.node(g.inputs().front()).name;
+  std::vector<GemmRow> rows;
+  for (const bool int8 : {false, true}) {
+    const runtime_kernels::MicrokernelTile tile =
+        table == nullptr ? runtime_kernels::MicrokernelTile{} : int8 ? table->s8 : table->f32;
+    obs::Tracer tracer;
+    runtime::RunOptions o;
+    o.exec.threads = 1;
+    o.trace = &tracer;
+    auto session = int8 ? runtime::make_quantized_session(g, o) : runtime::make_session(g, o);
+    (void)session->run({{feed, x}});  // warm-up: plan, arena and scratch
+    tracer.clear();
+    for (int i = 0; i < kRuns; ++i) (void)session->run({{feed, x}});
+    std::map<std::string, std::vector<double>> spans_us;
+    for (const obs::Span& span : tracer.spans()) spans_us[span.name].push_back(span.duration_us());
+
+    for (NodeId id : g.topo_order()) {
+      const Node& n = g.node(id);
+      if (n.kind != OpKind::kConv2d && n.kind != OpKind::kDense) continue;
+      const Shape& in = g.node(n.inputs.at(0)).out_shape;
+      GemmRow r{int8 ? "int8" : "f32", n.name};
+      const bool conv = n.kind == OpKind::kConv2d;
+      const std::int64_t groups = conv ? n.attrs.get_int_or("groups", 1) : 1;
+      const std::int64_t kernel = conv ? n.attrs.get_int("kernel") : 1;
+      r.k = in.dim(1) / groups * kernel * kernel;
+      r.m = n.out_shape.dim(1);
+      r.cols = conv ? n.out_shape.h() * n.out_shape.w() : n.out_shape.dim(0);
+      const bool depthwise = conv && groups == in.dim(1) && r.m == groups;
+      r.transposed = !depthwise && runtime_kernels::gemm_transposed(r.m / groups, r.cols, tile);
+      std::vector<double>& us = spans_us[n.name];
+      std::sort(us.begin(), us.end());
+      r.median_us = us.empty() ? 0.0 : us[us.size() / 2];
+      const double ops = static_cast<double>(node_cost(g, id).ops);
+      r.gops = r.median_us > 0 ? ops / r.median_us / 1e3 : 0.0;
+      r.roof_fraction = hw::fraction_of_roofline(r.gops, int8 ? roof.s8_gops : roof.f32_gflops);
+      rows.push_back(std::move(r));
+    }
+  }
+
+  std::printf("\nPer-GEMM ledger: ResNet-50 (batch 1, folded and fused), 1 thread, %s:\n\n",
+              std::string(util::simd_level_name(roof.level)).c_str());
+  Table t({"node", "K", "M", "cols", "f32 T", "f32 us", "f32 roof", "int8 T", "int8 us",
+           "int8 roof"});
+  const std::size_t half = rows.size() / 2;
+  for (std::size_t i = 0; i < half; ++i) {
+    const GemmRow& f = rows[i];
+    const GemmRow& q = rows[half + i];
+    t.add_row({f.node, std::to_string(f.k), std::to_string(f.m), std::to_string(f.cols),
+               f.transposed ? "T" : "-", fmt_fixed(f.median_us, 1),
+               fmt_fixed(f.roof_fraction * 100.0, 1) + "%", q.transposed ? "T" : "-",
+               fmt_fixed(q.median_us, 1), fmt_fixed(q.roof_fraction * 100.0, 1) + "%"});
+  }
+  t.print(std::cout);
+  bench::note("T: the plan runs the GEMM transposed (weights on the vector lanes);");
+  bench::note("us: median node span over the runs; roof: of the level's one-thread roof.");
+  return rows;
+}
+
 /// ResNet-50 engine sweep (dtype x batch x dispatch level x threads) against
 /// the measured host roofline. Writes the machine-readable baseline to
 /// $VEDLIOT_BENCH_RUNTIME_JSON when set — the file checked in as
@@ -90,6 +170,7 @@ void engine_sweep() {
   Table t({"dtype", "batch", "simd", "threads", "median run", "vs seed",
            "vs portable", "GF/s", "roofline"});
   std::vector<SweepPoint> points;
+  std::vector<GemmRow> ledger;
 
   const auto add_row = [&](const SweepPoint& p) {
     t.add_row({p.dtype, std::to_string(p.batch), p.simd,
@@ -204,6 +285,7 @@ void engine_sweep() {
       p.roof_fraction = p.achieved / roof_for("int8", p.simd, threads);
       add_row(p);
     }
+    if (batch == 1) ledger = gemm_ledger(q, x, roof_simd);
   }
   t.print(std::cout);
   bench::note("GF/s is end-to-end model flops (int8: integer ops) over wall-clock;");
@@ -259,6 +341,20 @@ void engine_sweep() {
                      p.threads, hw_threads,
                      i + 1 < points.size() ? "," : "");
       }
+    }
+    std::fprintf(f, "  ],\n  \"gemm_nodes\": [\n");
+    for (std::size_t i = 0; i < ledger.size(); ++i) {
+      const GemmRow& r = ledger[i];
+      std::fprintf(f,
+                   "    {\"dtype\": \"%s\", \"node\": \"%s\", \"batch\": 1, \"threads\": 1, "
+                   "\"simd\": \"%s\", \"k\": %lld, \"m\": %lld, \"cols\": %lld, "
+                   "\"transposed\": %s, \"median_us\": %s, \"gops\": %s, "
+                   "\"fraction_of_roofline\": %s}%s\n",
+                   r.dtype.c_str(), r.node.c_str(), simd_name.c_str(),
+                   static_cast<long long>(r.k), static_cast<long long>(r.m),
+                   static_cast<long long>(r.cols), r.transposed ? "true" : "false",
+                   obs::json_number(r.median_us).c_str(), obs::json_number(r.gops).c_str(),
+                   obs::json_number(r.roof_fraction).c_str(), i + 1 < ledger.size() ? "," : "");
     }
     std::fprintf(f, "  ]\n}\n");
     std::fclose(f);

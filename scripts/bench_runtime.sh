@@ -3,7 +3,10 @@
 # (ResNet-50 sweep over dtype {f32,int8} x batch {1,8} x dispatch
 # {portable,SIMD} x threads {1,2,4}, with achieved GFLOPS and
 # fraction-of-roofline against the measured per-level host roof; thread
-# points beyond hardware_concurrency are recorded unmeasured).
+# points beyond hardware_concurrency are recorded unmeasured), plus the
+# per-GEMM-node ledger ("gemm_nodes": every Conv2d/Dense node of the
+# folded, fused ResNet-50 at batch 1, one thread, the resolved level, f32 and
+# int8, timed from its tracer spans).
 #
 # Usage: scripts/bench_runtime.sh [build-dir]
 set -euo pipefail
@@ -21,7 +24,7 @@ VEDLIOT_BENCH_RUNTIME_JSON="$REPO_ROOT/BENCH_runtime.json" \
 
 # The roofline fields are what downstream perf tracking keys on; a bench
 # binary that silently stopped emitting them must fail the regeneration.
-for field in achieved_gflops fraction_of_roofline hardware_concurrency; do
+for field in achieved_gflops fraction_of_roofline hardware_concurrency gemm_nodes; do
   grep -q "\"$field\"" "$REPO_ROOT/BENCH_runtime.json" || {
     echo "BENCH_runtime.json is missing \"$field\"" >&2
     exit 1

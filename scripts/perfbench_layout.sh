@@ -6,10 +6,10 @@
 # perfbench rescales every end-to-end time by that loop's best time, and the
 # loop runs at a different speed at a different offset within its 64-byte
 # line, so library code linked ahead of it can shift every rescaled metric
-# (ROADMAP.md, item 9). The kernels (the AVX2 GEMMs, im2col, the f32
-# depthwise and the int8 elementwise kernel) may be placement-sensitive the
-# same way. Compare two builds' offsets before comparing their benchmark
-# numbers.
+# (ROADMAP.md, item 9). The kernels (the AVX2 GEMMs, both im2cols, the f32
+# depthwise, both pools and the int8 elementwise kernel) may be
+# placement-sensitive the same way. Compare two builds' offsets before
+# comparing their benchmark numbers.
 #
 # Usage: scripts/perfbench_layout.sh <perfbench binary>
 #        scripts/perfbench_layout.sh <parent binary> <change binary>
@@ -32,7 +32,10 @@ kernels=(
   "gemm_s8_avx2|gemm_s8_avx2("
   "gemm_f32_avx2|gemm_f32_avx2("
   "im2col<float>|im2col<float>("
+  "im2col<signed char>|im2col<signed char>("
   "depthwise<F32Policy>|depthwise<vedliot::runtime_kernels::F32Policy>("
+  "pool<F32Policy>|runtime_kernels::pool<vedliot::runtime_kernels::F32Policy>("
+  "pool<S8Policy>|runtime_kernels::pool<vedliot::runtime_kernels::S8Policy>("
   "eltwise_s8|eltwise_s8("
 )
 

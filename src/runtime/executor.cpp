@@ -335,20 +335,30 @@ Executor::Step Executor::compile_step(const Node& n) {
     }
   }
 
-  // Weight panels, packed once per plan (per group for grouped convs).
+  // Weight panels, packed once per plan (per group for grouped convs), as
+  // the A operand or, for a transposed step, the B operand (microkernel.hpp).
   if (mk_ != nullptr && parametric && !(n.kind == OpKind::kConv2d && s.conv.is_depthwise())) {
     const bool conv = n.kind == OpKind::kConv2d;
     const std::int64_t groups = conv ? s.conv.groups : 1;
     const std::int64_t m = conv ? s.conv.ocg() : n.out_shape.dim(1);
     const std::int64_t k = conv ? s.conv.patch() : graph_.node(n.inputs.at(0)).out_shape.dim(1);
+    const std::int64_t cols = conv ? s.conv.cols() : n.out_shape.dim(0);  // Dense: built batch
     auto pack = [&](auto policy, const auto* w) {
-      using G = GemmPath<decltype(policy)>;
+      using P = decltype(policy);
+      using G = GemmPath<P>;
       const MicrokernelTile& tile = mk_->*G::tile;
-      const std::size_t per = G::a_size(m, k, tile);
-      auto* panels = grow<typename decltype(policy)::PackedA>(
-          s.packed, per * static_cast<std::size_t>(groups));
+      s.transposed = gemm_transposed(m, cols, tile);
+      const std::size_t per = s.transposed ? G::b_size(k, m, tile) : G::a_size(m, k, tile);
+      const std::size_t total = per * static_cast<std::size_t>(groups);
       for (std::int64_t g = 0; g < groups; ++g) {
-        G::pack_a(w + g * m * k, m, k, tile, panels + static_cast<std::size_t>(g) * per);
+        const auto* wg = w + g * m * k;
+        const std::size_t at = static_cast<std::size_t>(g) * per;
+        if (s.transposed) {  // Wᵀ [k x m]: weight row j is its column j
+          G::pack_b(wg, k, m, 1, k, tile, 0, panel_count(m, tile.nr),
+                    grow<typename P::PackedB>(s.packed, total) + at);
+        } else {
+          G::pack_a(wg, m, k, k, 1, tile, grow<typename P::PackedA>(s.packed, total) + at);
+        }
         ++weight_packs_;
       }
     };
@@ -538,17 +548,39 @@ void Executor::run_op(const Step& s, const P& p, const typename P::Elem* w) {
   const std::int64_t numel = lane_elems(n.out_shape) * lanes;
   std::uint64_t* sat = ws_.sat.data();
   const MicrokernelTile tile = mk_ != nullptr ? mk_->*G::tile : MicrokernelTile{};
-  const auto* packed = reinterpret_cast<const typename P::PackedA*>(s.packed.data());
-  // C[m x cols] = (packed A panels) · B[k x cols] through the microkernel:
-  // pack B's column panels, then run A's row panels.
-  auto packed_gemm = [&](const auto* pa, const E* bm, E* c, std::int64_t m, std::int64_t cols,
-                         std::int64_t k, std::int64_t ldc, bool col_major, const P& policy) {
-    auto* pb = grow<typename P::PackedB>(ws_.panels, G::b_size(k, cols, tile));
-    pfor(0, panel_count(cols, tile.nr), 1, [&](std::int64_t lo, std::int64_t hi, std::size_t) {
-      G::pack_b(bm, k, cols, tile, lo, hi, pb);
-    });
-    pfor(0, panel_count(m, tile.mr), 1, [&](std::int64_t lo, std::int64_t hi, std::size_t chunk) {
-      sat[chunk] += (mk_->*G::gemm)(pa, pb, c, m, cols, k, ldc, col_major, lo, hi, policy);
+  // C[m x cols] = W[m x k] · X[k x cols] through the microkernel, over group
+  // g's weight panels; X's element (kp, j) is x[kp * ks + j * cs], and C is
+  // stored row-major (or col_major) with leading dimension ldc. An
+  // untransposed step packs X's column panels as B and splits W's row panels
+  // over the pool; a transposed one packs X's few columns as A rows, splits
+  // W's column panels, and stores the transposed tiles in the other layout.
+  auto packed_gemm = [&](std::int64_t g, const E* xm, std::int64_t ks, std::int64_t cs, E* c,
+                         std::int64_t m, std::int64_t cols, std::int64_t k, std::int64_t ldc,
+                         bool col_major, const P& policy) {
+    const auto gemm = mk_->*G::gemm;
+    const auto group = static_cast<std::size_t>(g);
+    if (!s.transposed) {
+      const auto* pa = reinterpret_cast<const typename P::PackedA*>(s.packed.data()) +
+                       group * G::a_size(m, k, tile);
+      auto* pb = grow<typename P::PackedB>(ws_.panels, G::b_size(k, cols, tile));
+      const std::int64_t col_panels = panel_count(cols, tile.nr);
+      pfor(0, col_panels, 1, [&](std::int64_t lo, std::int64_t hi, std::size_t) {
+        G::pack_b(xm, k, cols, ks, cs, tile, lo, hi, pb);
+      });
+      const GemmStore<E> out{c, ldc, col_major, false};
+      pfor(0, panel_count(m, tile.mr), 1, [&](std::int64_t lo, std::int64_t hi, std::size_t chunk) {
+        sat[chunk] += gemm(pa, pb, m, cols, k, out, {lo, hi, 0, col_panels}, policy);
+      });
+      return;
+    }
+    const auto* pb = reinterpret_cast<const typename P::PackedB*>(s.packed.data()) +
+                     group * G::b_size(k, m, tile);
+    auto* pa = grow<typename P::PackedA>(ws_.panels, G::a_size(cols, k, tile));
+    G::pack_a(xm, cols, k, cs, ks, tile, pa);
+    const std::int64_t row_panels = panel_count(cols, tile.mr);
+    const GemmStore<E> out{c, ldc, !col_major, true};
+    pfor(0, panel_count(m, tile.nr), 1, [&](std::int64_t lo, std::int64_t hi, std::size_t chunk) {
+      sat[chunk] += gemm(pa, pb, cols, m, k, out, {0, row_panels, lo, hi}, policy);
     });
   };
   switch (n.kind) {
@@ -565,22 +597,27 @@ void Executor::run_op(const Step& s, const P& p, const typename P::Elem* w) {
         break;
       }
       const std::int64_t patch = geo.patch(), cols = geo.cols(), m = geo.ocg();
-      E* col = grow<E>(ws_.col, static_cast<std::size_t>(patch * cols));
+      E* col = geo.is_pointwise() ? nullptr
+                                  : grow<E>(ws_.col, static_cast<std::size_t>(patch * cols));
       for (std::int64_t b = 0; b < lanes; ++b) {
         for (std::int64_t g = 0; g < geo.groups; ++g) {
-          pfor(0, patch, 4, [&](std::int64_t lo, std::int64_t hi, std::size_t) {
-            im2col(x, geo, b, g, lo, hi, col);
-          });
+          const E* xm = col;
+          if (geo.is_pointwise()) {  // the column matrix is the input, read in place
+            xm = x + (b * geo.in_c + g * geo.icg()) * cols;
+          } else {
+            pfor(0, patch, 4, [&](std::int64_t lo, std::int64_t hi, std::size_t) {
+              im2col(x, geo, b, g, lo, hi, col);
+            });
+          }
           const P group = p.from(g * m);
           E* c = y + ((b * geo.out_c + g * m) * cols);
           if (mk_ == nullptr) {
             pfor(0, m, 1, [&](std::int64_t lo, std::int64_t hi, std::size_t chunk) {
-              sat[chunk] += gemm_rows(w + g * m * patch, col, c, lo, hi, cols, patch, group);
+              sat[chunk] += gemm_rows(w + g * m * patch, xm, c, lo, hi, cols, patch, group);
             });
             continue;
           }
-          packed_gemm(packed + static_cast<std::size_t>(g) * G::a_size(m, patch, tile), col, c, m,
-                      cols, patch, /*ldc=*/cols, /*col_major=*/false, group);
+          packed_gemm(g, xm, cols, 1, c, m, cols, patch, /*ldc=*/cols, /*col_major=*/false, group);
         }
       }
       break;
@@ -589,6 +626,13 @@ void Executor::run_op(const Step& s, const P& p, const typename P::Elem* w) {
       // Batch the whole layer through one GEMM so each weight row is read
       // once for all lanes, instead of one latency-bound dot per sample.
       const std::int64_t N = lanes, F = in_shape.dim(1), U = n.out_shape.dim(1);
+      if (s.transposed) {
+        // The [N x F] input is Xᵀ itself, packed as A rows in place; the
+        // tiles store [N x U] row-major. Each lane is one zero-padded A row,
+        // so its bits are the same in a batch-1 or a batch-8 panel.
+        packed_gemm(0, x, 1, F, y, U, N, F, /*ldc=*/U, /*col_major=*/true, p);
+        break;
+      }
       const E* xt = transpose_lanes(x, N, F, ws_.col);
       if (mk_ == nullptr) {
         pfor(0, U, 8, [&](std::int64_t lo, std::int64_t hi, std::size_t chunk) {
@@ -600,7 +644,7 @@ void Executor::run_op(const Step& s, const P& p, const typename P::Elem* w) {
       // straight into the [N x U] layout. Every lane occupies one SIMD slot
       // padded to the full tile, so its bits are the same in a batch-1 or a
       // batch-8 panel (and int8's exact int32 sums match dense_rows).
-      packed_gemm(packed, xt, y, U, N, F, /*ldc=*/U, /*col_major=*/true, p);
+      packed_gemm(0, xt, N, 1, y, U, N, F, /*ldc=*/U, /*col_major=*/true, p);
       break;
     }
     case OpKind::kBatchNorm:

@@ -14,11 +14,17 @@
 /// for int8:
 ///
 ///  - Conv2D runs as im2col + GEMM (register-tiled microkernel, or the
-///    cache-blocked scalar kernel at portable dispatch); depthwise stays a
-///    direct k*k dot per pixel at every level.
-///  - Kernels partition output rows/channels over a util::ThreadPool with a
-///    fixed per-element accumulation order, so output bits — and the int8
-///    saturation count — are identical for any thread count.
+///    cache-blocked scalar kernel at portable dispatch); a 1x1, stride-1,
+///    unpadded conv reads its input as the column matrix in place, and
+///    depthwise stays a direct k*k dot per pixel at every level.
+///  - A Conv2D or Dense step whose activation side is thinner than the
+///    tile's vector width runs transposed, with the weights on the vector
+///    lanes (runtime_kernels::gemm_transposed, decided when the plan
+///    compiles).
+///  - Kernels partition output rows/channels — a GEMM's weight panels, in
+///    either orientation — over a util::ThreadPool with a fixed per-element
+///    accumulation order, so output bits — and the int8 saturation count —
+///    are identical for any thread count.
 ///  - Every activation lives in one liveness-packed byte arena laid out by
 ///    the memory planner. Graph outputs are copied out of the arena; any
 ///    other node's value is readable only while run()'s observer is called
@@ -184,13 +190,16 @@ class Executor {
     /// pool window tap count).
     std::vector<runtime_kernels::Requant> requant;
     std::int32_t q_lo = -128, q_hi = 127;   ///< int8 fused Relu/Relu6 window
-    std::vector<std::byte> packed;          ///< A panels, one block per group
+    /// Conv2d/Dense at a microkernel tile: the GEMM runs as Cᵀ = Xᵀ·Wᵀ
+    /// (runtime_kernels::gemm_transposed), with the weights packed as B.
+    bool transposed = false;
+    std::vector<std::byte> packed;  ///< weight panels (A, or B if transposed), one block per group
   };
 
   /// Scratch of the executing step, reused across steps and runs.
   struct Workspace {
     std::vector<std::byte> col;      ///< im2col matrix / transposed dense input
-    std::vector<std::byte> panels;   ///< packed B panels / transposed dense output
+    std::vector<std::byte> panels;   ///< the run's packed activations (B, or A if transposed)
     std::vector<std::uint64_t> sat;  ///< int8 saturations, one slot per pool chunk
   };
 

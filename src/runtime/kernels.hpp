@@ -228,6 +228,9 @@ struct Conv2dGeometry {
   std::int64_t patch() const { return icg() * kernel * kernel; }  ///< GEMM K
   std::int64_t cols() const { return out_h * out_w; }             ///< GEMM N
   bool is_depthwise() const { return groups == in_c && ocg() == 1; }
+  /// 1x1, stride 1, unpadded: the im2col matrix of a (lane, group) is its
+  /// [icg() x cols()] input planes as they lie, a plain copy.
+  bool is_pointwise() const { return kernel == 1 && stride == 1 && pad == 0; }
 };
 
 // The kernels below are called from the executor's pool lambdas. They stay

@@ -34,38 +34,50 @@ constexpr MicrokernelTile kNeonF32{4, 8};
 /// portable epilogues are the same math on every lane. Returns the int8
 /// saturation count (0 for f32).
 template <std::int64_t NR, typename P>
-std::uint64_t store_tile(const typename P::Acc* tile, typename P::Elem* c, std::int64_t ldc,
-                         bool col_major, std::int64_t m0, std::int64_t j0, std::int64_t mv,
-                         std::int64_t jv, const P& p) {
+std::uint64_t store_tile(const typename P::Acc* tile, const GemmStore<typename P::Elem>& s,
+                         std::int64_t m0, std::int64_t j0, std::int64_t mv, std::int64_t jv,
+                         const P& p) {
   std::uint64_t saturations = 0;
+  const auto put = [&](std::int64_t r, std::int64_t j, typename P::Elem v) {
+    if (s.col_major) {
+      s.c[(j0 + j) * s.ldc + (m0 + r)] = v;
+    } else {
+      s.c[(m0 + r) * s.ldc + (j0 + j)] = v;
+    }
+  };
+  if (s.channel_on_cols) {
+    for (std::int64_t j = 0; j < jv; ++j) {
+      const auto epilogue = p.channel(j0 + j);
+      for (std::int64_t r = 0; r < mv; ++r) put(r, j, epilogue(tile[r * NR + j], saturations));
+    }
+    return saturations;
+  }
   for (std::int64_t r = 0; r < mv; ++r) {
     const auto epilogue = p.channel(m0 + r);
-    for (std::int64_t j = 0; j < jv; ++j) {
-      const typename P::Elem v = epilogue(tile[r * NR + j], saturations);
-      if (col_major) {
-        c[(j0 + j) * ldc + (m0 + r)] = v;
-      } else {
-        c[(m0 + r) * ldc + (j0 + j)] = v;
-      }
-    }
+    for (std::int64_t j = 0; j < jv; ++j) put(r, j, epilogue(tile[r * NR + j], saturations));
   }
   return saturations;
 }
 
+/// The accumulators of a channel-on-columns tile start at their column's
+/// bias: NR values, zero past the jv valid columns.
+template <std::int64_t NR, typename P>
+void column_init(const P& p, std::int64_t j0, std::int64_t jv, typename P::Acc* init) {
+  for (std::int64_t j = 0; j < NR; ++j) init[j] = j < jv ? p.init(j0 + j) : typename P::Acc{0};
+}
+
 #if defined(VEDLIOT_HAVE_X86)
 
-VEDLIOT_TARGET_AVX2 std::uint64_t gemm_f32_avx2(const float* pa, const float* pb, float* c,
-                                                std::int64_t m, std::int64_t n, std::int64_t k,
-                                                std::int64_t ldc, bool col_major_store,
-                                                std::int64_t panel_lo, std::int64_t panel_hi,
+VEDLIOT_TARGET_AVX2 std::uint64_t gemm_f32_avx2(const float* pa, const float* pb, std::int64_t m,
+                                                std::int64_t n, std::int64_t k,
+                                                GemmStore<float> out, PanelRange panels,
                                                 const F32Policy& policy) {
   constexpr std::int64_t MR = 6, NR = 16;
-  const std::int64_t n_panels = panel_count(n, NR);
-  for (std::int64_t p = panel_lo; p < panel_hi; ++p) {
+  for (std::int64_t p = panels.row_lo; p < panels.row_hi; ++p) {
     const std::int64_t m0 = p * MR;
     const std::int64_t mv = std::min<std::int64_t>(MR, m - m0);
     const float* pa_panel = pa + p * MR * k;
-    for (std::int64_t q = 0; q < n_panels; ++q) {
+    for (std::int64_t q = panels.col_lo; q < panels.col_hi; ++q) {
       const std::int64_t j0 = q * NR;
       const std::int64_t jv = std::min<std::int64_t>(NR, n - j0);
       const float* pb_panel = pb + q * NR * k;
@@ -73,10 +85,19 @@ VEDLIOT_TARGET_AVX2 std::uint64_t gemm_f32_avx2(const float* pa, const float* pb
       // Accumulator tile starts at the bias (zero for padded rows), then
       // adds the K products in ascending k — the scalar reference order.
       __m256 acc[MR][2];
-      for (std::int64_t r = 0; r < MR; ++r) {
-        const float init = r < mv ? policy.init(m0 + r) : 0.0f;
-        acc[r][0] = _mm256_set1_ps(init);
-        acc[r][1] = _mm256_set1_ps(init);
+      if (out.channel_on_cols) {
+        alignas(32) float init[NR];
+        column_init<NR>(policy, j0, jv, init);
+        for (std::int64_t r = 0; r < MR; ++r) {
+          acc[r][0] = _mm256_load_ps(init);
+          acc[r][1] = _mm256_load_ps(init + 8);
+        }
+      } else {
+        for (std::int64_t r = 0; r < MR; ++r) {
+          const float init = r < mv ? policy.init(m0 + r) : 0.0f;
+          acc[r][0] = _mm256_set1_ps(init);
+          acc[r][1] = _mm256_set1_ps(init);
+        }
       }
       for (std::int64_t kp = 0; kp < k; ++kp) {
         const __m256 b0 = _mm256_loadu_ps(pb_panel + kp * NR);
@@ -93,35 +114,42 @@ VEDLIOT_TARGET_AVX2 std::uint64_t gemm_f32_avx2(const float* pa, const float* pb
         _mm256_store_ps(tile + r * NR, acc[r][0]);
         _mm256_store_ps(tile + r * NR + 8, acc[r][1]);
       }
-      store_tile<NR>(tile, c, ldc, col_major_store, m0, j0, mv, jv, policy);
+      store_tile<NR>(tile, out, m0, j0, mv, jv, policy);
     }
   }
   return 0;
 }
 
 VEDLIOT_TARGET_AVX2 std::uint64_t gemm_s8_avx2(const std::int32_t* pa, const std::int8_t* pb,
-                                               std::int8_t* c, std::int64_t m, std::int64_t n,
-                                               std::int64_t k, std::int64_t ldc,
-                                               bool col_major_store, std::int64_t panel_lo,
-                                               std::int64_t panel_hi, const S8Policy& policy) {
+                                               std::int64_t m, std::int64_t n, std::int64_t k,
+                                               GemmStore<std::int8_t> out, PanelRange panels,
+                                               const S8Policy& policy) {
   constexpr std::int64_t MR = 4, NR = 16;
-  const std::int64_t n_panels = panel_count(n, NR);
   const std::int64_t k_pairs = (k + 1) / 2;
   std::uint64_t saturations = 0;
-  for (std::int64_t p = panel_lo; p < panel_hi; ++p) {
+  for (std::int64_t p = panels.row_lo; p < panels.row_hi; ++p) {
     const std::int64_t m0 = p * MR;
     const std::int64_t mv = std::min<std::int64_t>(MR, m - m0);
     const std::int32_t* pa_panel = pa + p * MR * k_pairs;
-    for (std::int64_t q = 0; q < n_panels; ++q) {
+    for (std::int64_t q = panels.col_lo; q < panels.col_hi; ++q) {
       const std::int64_t j0 = q * NR;
       const std::int64_t jv = std::min<std::int64_t>(NR, n - j0);
       const std::int8_t* pb_panel = pb + q * NR * 2 * k_pairs;
 
       __m256i acc[MR][2];
-      for (std::int64_t r = 0; r < MR; ++r) {
-        const std::int32_t init = r < mv ? policy.init(m0 + r) : 0;
-        acc[r][0] = _mm256_set1_epi32(init);
-        acc[r][1] = _mm256_set1_epi32(init);
+      if (out.channel_on_cols) {
+        alignas(32) std::int32_t init[NR];
+        column_init<NR>(policy, j0, jv, init);
+        for (std::int64_t r = 0; r < MR; ++r) {
+          acc[r][0] = _mm256_load_si256(reinterpret_cast<const __m256i*>(init));
+          acc[r][1] = _mm256_load_si256(reinterpret_cast<const __m256i*>(init + 8));
+        }
+      } else {
+        for (std::int64_t r = 0; r < MR; ++r) {
+          const std::int32_t init = r < mv ? policy.init(m0 + r) : 0;
+          acc[r][0] = _mm256_set1_epi32(init);
+          acc[r][1] = _mm256_set1_epi32(init);
+        }
       }
       // madd_epi16 on sign-extended bytes: each int32 lane j gains
       // a[2kp] * b[2kp][j] + a[2kp+1] * b[2kp+1][j] — two exact k steps.
@@ -142,7 +170,7 @@ VEDLIOT_TARGET_AVX2 std::uint64_t gemm_s8_avx2(const std::int32_t* pa, const std
         _mm256_store_si256(reinterpret_cast<__m256i*>(tile + r * NR), acc[r][0]);
         _mm256_store_si256(reinterpret_cast<__m256i*>(tile + r * NR + 8), acc[r][1]);
       }
-      saturations += store_tile<NR>(tile, c, ldc, col_major_store, m0, j0, mv, jv, policy);
+      saturations += store_tile<NR>(tile, out, m0, j0, mv, jv, policy);
     }
   }
   return saturations;
@@ -152,25 +180,32 @@ VEDLIOT_TARGET_AVX2 std::uint64_t gemm_s8_avx2(const std::int32_t* pa, const std
 
 #if defined(VEDLIOT_HAVE_NEON)
 
-std::uint64_t gemm_f32_neon(const float* pa, const float* pb, float* c, std::int64_t m,
-                            std::int64_t n, std::int64_t k, std::int64_t ldc, bool col_major_store,
-                            std::int64_t panel_lo, std::int64_t panel_hi,
+std::uint64_t gemm_f32_neon(const float* pa, const float* pb, std::int64_t m, std::int64_t n,
+                            std::int64_t k, GemmStore<float> out, PanelRange panels,
                             const F32Policy& policy) {
   constexpr std::int64_t MR = 4, NR = 8;
-  const std::int64_t n_panels = panel_count(n, NR);
-  for (std::int64_t p = panel_lo; p < panel_hi; ++p) {
+  for (std::int64_t p = panels.row_lo; p < panels.row_hi; ++p) {
     const std::int64_t m0 = p * MR;
     const std::int64_t mv = std::min<std::int64_t>(MR, m - m0);
     const float* pa_panel = pa + p * MR * k;
-    for (std::int64_t q = 0; q < n_panels; ++q) {
+    for (std::int64_t q = panels.col_lo; q < panels.col_hi; ++q) {
       const std::int64_t j0 = q * NR;
       const std::int64_t jv = std::min<std::int64_t>(NR, n - j0);
       const float* pb_panel = pb + q * NR * k;
       float32x4_t acc[MR][2];
-      for (std::int64_t r = 0; r < MR; ++r) {
-        const float init = r < mv ? policy.init(m0 + r) : 0.0f;
-        acc[r][0] = vdupq_n_f32(init);
-        acc[r][1] = vdupq_n_f32(init);
+      if (out.channel_on_cols) {
+        float init[NR];
+        column_init<NR>(policy, j0, jv, init);
+        for (std::int64_t r = 0; r < MR; ++r) {
+          acc[r][0] = vld1q_f32(init);
+          acc[r][1] = vld1q_f32(init + 4);
+        }
+      } else {
+        for (std::int64_t r = 0; r < MR; ++r) {
+          const float init = r < mv ? policy.init(m0 + r) : 0.0f;
+          acc[r][0] = vdupq_n_f32(init);
+          acc[r][1] = vdupq_n_f32(init);
+        }
       }
       for (std::int64_t kp = 0; kp < k; ++kp) {
         const float32x4_t b0 = vld1q_f32(pb_panel + kp * NR);
@@ -187,7 +222,7 @@ std::uint64_t gemm_f32_neon(const float* pa, const float* pb, float* c, std::int
         vst1q_f32(tile + r * NR, acc[r][0]);
         vst1q_f32(tile + r * NR + 4, acc[r][1]);
       }
-      store_tile<NR>(tile, c, ldc, col_major_store, m0, j0, mv, jv, policy);
+      store_tile<NR>(tile, out, m0, j0, mv, jv, policy);
     }
   }
   return 0;
@@ -196,6 +231,14 @@ std::uint64_t gemm_f32_neon(const float* pa, const float* pb, float* c, std::int
 #endif  // VEDLIOT_HAVE_NEON
 
 }  // namespace
+
+bool gemm_transposed(std::int64_t m, std::int64_t cols, const MicrokernelTile& t) {
+  if (!t.available() || cols >= t.nr) return false;
+  // Tile grid area, padding included: channels on rows vs on columns.
+  const std::int64_t straight = panel_count(m, t.mr) * t.mr * panel_count(cols, t.nr) * t.nr;
+  const std::int64_t transposed = panel_count(cols, t.mr) * t.mr * panel_count(m, t.nr) * t.nr;
+  return transposed < straight;
+}
 
 std::size_t packed_a_f32_elems(std::int64_t m, std::int64_t k, const MicrokernelTile& t) {
   return static_cast<std::size_t>(panel_count(m, t.mr) * t.mr * k);
@@ -213,8 +256,8 @@ std::size_t packed_b_s8_bytes(std::int64_t k, std::int64_t n, const MicrokernelT
   return static_cast<std::size_t>(panel_count(n, t.nr) * t.nr * 2 * ((k + 1) / 2));
 }
 
-void pack_a_f32(const float* a, std::int64_t m, std::int64_t k, const MicrokernelTile& t,
-                float* packed) {
+void pack_a_f32(const float* a, std::int64_t m, std::int64_t k, std::int64_t rs, std::int64_t ks,
+                const MicrokernelTile& t, float* packed) {
   const std::int64_t mr = t.mr;
   const std::int64_t m_panels = panel_count(m, mr);
   for (std::int64_t p = 0; p < m_panels; ++p) {
@@ -222,30 +265,38 @@ void pack_a_f32(const float* a, std::int64_t m, std::int64_t k, const Microkerne
     for (std::int64_t kp = 0; kp < k; ++kp) {
       for (std::int64_t r = 0; r < mr; ++r) {
         const std::int64_t row = p * mr + r;
-        dst[kp * mr + r] = row < m ? a[row * k + kp] : 0.0f;
+        dst[kp * mr + r] = row < m ? a[row * rs + kp * ks] : 0.0f;
       }
     }
   }
 }
 
-void pack_b_f32(const float* b, std::int64_t k, std::int64_t n, const MicrokernelTile& t,
-                std::int64_t panel_lo, std::int64_t panel_hi, float* packed) {
+void pack_b_f32(const float* b, std::int64_t k, std::int64_t n, std::int64_t ks, std::int64_t cs,
+                const MicrokernelTile& t, std::int64_t panel_lo, std::int64_t panel_hi,
+                float* packed) {
   const std::int64_t nr = t.nr;
   for (std::int64_t q = panel_lo; q < panel_hi; ++q) {
     float* dst = packed + q * nr * k;
     const std::int64_t j0 = q * nr;
     const std::int64_t jv = std::min<std::int64_t>(nr, n - j0);
-    for (std::int64_t kp = 0; kp < k; ++kp) {
-      const float* src = b + kp * n + j0;
-      float* row = dst + kp * nr;
-      std::memcpy(row, src, static_cast<std::size_t>(jv) * sizeof(float));
-      for (std::int64_t j = jv; j < nr; ++j) row[j] = 0.0f;
+    if (cs == 1) {
+      for (std::int64_t kp = 0; kp < k; ++kp) {
+        float* row = dst + kp * nr;
+        std::memcpy(row, b + kp * ks + j0, static_cast<std::size_t>(jv) * sizeof(float));
+        for (std::int64_t j = jv; j < nr; ++j) row[j] = 0.0f;
+      }
+      continue;
+    }
+    for (std::int64_t j = 0; j < nr; ++j) {  // one source column at a time
+      for (std::int64_t kp = 0; kp < k; ++kp) {
+        dst[kp * nr + j] = j < jv ? b[(j0 + j) * cs + kp * ks] : 0.0f;
+      }
     }
   }
 }
 
-void pack_a_s8(const std::int8_t* a, std::int64_t m, std::int64_t k, const MicrokernelTile& t,
-               std::int32_t* packed) {
+void pack_a_s8(const std::int8_t* a, std::int64_t m, std::int64_t k, std::int64_t rs,
+               std::int64_t ks, const MicrokernelTile& t, std::int32_t* packed) {
   const std::int64_t mr = t.mr;
   const std::int64_t m_panels = panel_count(m, mr);
   const std::int64_t k_pairs = (k + 1) / 2;
@@ -256,8 +307,8 @@ void pack_a_s8(const std::int8_t* a, std::int64_t m, std::int64_t k, const Micro
         const std::int64_t row = p * mr + r;
         std::int16_t a0 = 0, a1 = 0;
         if (row < m) {
-          a0 = a[row * k + 2 * kp];
-          if (2 * kp + 1 < k) a1 = a[row * k + 2 * kp + 1];
+          a0 = a[row * rs + 2 * kp * ks];
+          if (2 * kp + 1 < k) a1 = a[row * rs + (2 * kp + 1) * ks];
         }
         const auto w = static_cast<std::uint32_t>(static_cast<std::uint16_t>(a0)) |
                        (static_cast<std::uint32_t>(static_cast<std::uint16_t>(a1)) << 16);
@@ -267,21 +318,31 @@ void pack_a_s8(const std::int8_t* a, std::int64_t m, std::int64_t k, const Micro
   }
 }
 
-void pack_b_s8(const std::int8_t* b, std::int64_t k, std::int64_t n, const MicrokernelTile& t,
-               std::int64_t panel_lo, std::int64_t panel_hi, std::int8_t* packed) {
+void pack_b_s8(const std::int8_t* b, std::int64_t k, std::int64_t n, std::int64_t ks,
+               std::int64_t cs, const MicrokernelTile& t, std::int64_t panel_lo,
+               std::int64_t panel_hi, std::int8_t* packed) {
   const std::int64_t nr = t.nr;
   const std::int64_t k_pairs = (k + 1) / 2;
   for (std::int64_t q = panel_lo; q < panel_hi; ++q) {
     std::int8_t* dst = packed + q * nr * 2 * k_pairs;
     const std::int64_t j0 = q * nr;
     const std::int64_t jv = std::min<std::int64_t>(nr, n - j0);
-    for (std::int64_t kp = 0; kp < k_pairs; ++kp) {
-      const std::int8_t* row0 = b + (2 * kp) * n + j0;
-      const std::int8_t* row1 = 2 * kp + 1 < k ? b + (2 * kp + 1) * n + j0 : nullptr;
-      std::int8_t* out = dst + kp * nr * 2;
-      for (std::int64_t j = 0; j < nr; ++j) {
-        out[2 * j] = j < jv ? row0[j] : std::int8_t{0};
-        out[2 * j + 1] = (j < jv && row1 != nullptr) ? row1[j] : std::int8_t{0};
+    if (cs == 1) {
+      for (std::int64_t kp = 0; kp < k_pairs; ++kp) {
+        const std::int8_t* row0 = b + (2 * kp) * ks + j0;
+        const std::int8_t* row1 = 2 * kp + 1 < k ? b + (2 * kp + 1) * ks + j0 : nullptr;
+        std::int8_t* out = dst + kp * nr * 2;
+        for (std::int64_t j = 0; j < nr; ++j) {
+          out[2 * j] = j < jv ? row0[j] : std::int8_t{0};
+          out[2 * j + 1] = (j < jv && row1 != nullptr) ? row1[j] : std::int8_t{0};
+        }
+      }
+      continue;
+    }
+    for (std::int64_t j = 0; j < nr; ++j) {  // one source column at a time
+      for (std::int64_t kk = 0; kk < 2 * k_pairs; ++kk) {
+        dst[(kk / 2) * nr * 2 + 2 * j + kk % 2] =
+            j < jv && kk < k ? b[(j0 + j) * cs + kk * ks] : std::int8_t{0};
       }
     }
   }

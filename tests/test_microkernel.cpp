@@ -1,6 +1,8 @@
 // Tests for the SIMD microkernel GEMM layer: edge-tail correctness against
 // the scalar reference, the per-level determinism contract (int8 bitwise,
-// f32 tight tolerance, parallel-vs-serial bitwise, batch-lane bitwise),
+// f32 tight tolerance, parallel-vs-serial bitwise, batch-lane bitwise), the
+// transposed orientation (its rule, and bitwise equality with the
+// untransposed call under any column-panel split),
 // packed-panel lifecycle in the execution plan (steady-state reuse,
 // version/tile recompile, OTA-repair self-heal), env-override dispatch, and
 // the roofline probes; plus the random-graph corpus, pinned across commits
@@ -111,11 +113,12 @@ void mk_gemm_f32(const GemmMicrokernels& t, const float* a, const float* b, floa
                  OpKind act, double alpha, bool col_major = false, std::int64_t ldc = -1) {
   std::vector<float> pa(runtime_kernels::packed_a_f32_elems(m, k, t.f32));
   std::vector<float> pb(runtime_kernels::packed_b_f32_elems(k, n, t.f32));
-  runtime_kernels::pack_a_f32(a, m, k, t.f32, pa.data());
-  runtime_kernels::pack_b_f32(b, k, n, t.f32, 0, panel_count(n, t.f32.nr), pb.data());
+  runtime_kernels::pack_a_f32(a, m, k, k, 1, t.f32, pa.data());
+  runtime_kernels::pack_b_f32(b, k, n, n, 1, t.f32, 0, panel_count(n, t.f32.nr), pb.data());
   if (ldc < 0) ldc = col_major ? m : n;
-  t.gemm_f32(pa.data(), pb.data(), c, m, n, k, ldc, col_major, 0,
-             panel_count(m, t.f32.mr), runtime_kernels::F32Policy{bias, act, alpha});
+  t.gemm_f32(pa.data(), pb.data(), m, n, k, {c, ldc, col_major, false},
+             {0, panel_count(m, t.f32.mr), 0, panel_count(n, t.f32.nr)},
+             runtime_kernels::F32Policy{bias, act, alpha});
 }
 
 /// Full-range microkernel int8 GEMM; returns the saturation count.
@@ -126,11 +129,66 @@ std::uint64_t mk_gemm_s8(const GemmMicrokernels& t, const std::int8_t* a,
                          bool col_major = false, std::int64_t ldc = -1) {
   std::vector<std::int32_t> pa(runtime_kernels::packed_a_s8_words(m, k, t.s8));
   std::vector<std::int8_t> pb(runtime_kernels::packed_b_s8_bytes(k, n, t.s8));
-  runtime_kernels::pack_a_s8(a, m, k, t.s8, pa.data());
-  runtime_kernels::pack_b_s8(b, k, n, t.s8, 0, panel_count(n, t.s8.nr), pb.data());
+  runtime_kernels::pack_a_s8(a, m, k, k, 1, t.s8, pa.data());
+  runtime_kernels::pack_b_s8(b, k, n, n, 1, t.s8, 0, panel_count(n, t.s8.nr), pb.data());
   if (ldc < 0) ldc = col_major ? m : n;
-  return t.gemm_s8(pa.data(), pb.data(), c, m, n, k, ldc, col_major, 0,
-                   panel_count(m, t.s8.mr), runtime_kernels::S8Policy{bias, rq, q_lo, q_hi});
+  return t.gemm_s8(pa.data(), pb.data(), m, n, k, {c, ldc, col_major, false},
+                   {0, panel_count(m, t.s8.mr), 0, panel_count(n, t.s8.nr)},
+                   runtime_kernels::S8Policy{bias, rq, q_lo, q_hi});
+}
+
+/// The same products as mk_gemm_f32, run transposed: Cᵀ = Bᵀ·Aᵀ over strided
+/// packs of \p b (as A rows) and \p a (as B columns), the channel on the
+/// tile's columns, stored into C [m x n] row-major through the column-major
+/// store. Only column panels [col_lo, col_hi) of Aᵀ run (-1: all of them).
+void mk_gemm_f32_t(const GemmMicrokernels& t, const float* a, const float* b, float* c,
+                   std::int64_t m, std::int64_t n, std::int64_t k, const float* bias, OpKind act,
+                   double alpha, std::int64_t col_lo = 0, std::int64_t col_hi = -1) {
+  std::vector<float> pa(runtime_kernels::packed_a_f32_elems(n, k, t.f32));
+  std::vector<float> pb(runtime_kernels::packed_b_f32_elems(k, m, t.f32));
+  runtime_kernels::pack_a_f32(b, n, k, 1, n, t.f32, pa.data());
+  runtime_kernels::pack_b_f32(a, k, m, 1, k, t.f32, 0, panel_count(m, t.f32.nr), pb.data());
+  if (col_hi < 0) col_hi = panel_count(m, t.f32.nr);
+  t.gemm_f32(pa.data(), pb.data(), n, m, k, {c, n, true, true},
+             {0, panel_count(n, t.f32.mr), col_lo, col_hi},
+             runtime_kernels::F32Policy{bias, act, alpha});
+}
+
+/// mk_gemm_s8's products, run transposed like mk_gemm_f32_t.
+std::uint64_t mk_gemm_s8_t(const GemmMicrokernels& t, const std::int8_t* a,
+                           const std::int8_t* b, std::int8_t* c, std::int64_t m,
+                           std::int64_t n, std::int64_t k, const std::int32_t* bias,
+                           const Requant* rq, std::int32_t q_lo, std::int32_t q_hi,
+                           std::int64_t col_lo = 0, std::int64_t col_hi = -1) {
+  std::vector<std::int32_t> pa(runtime_kernels::packed_a_s8_words(n, k, t.s8));
+  std::vector<std::int8_t> pb(runtime_kernels::packed_b_s8_bytes(k, m, t.s8));
+  runtime_kernels::pack_a_s8(b, n, k, 1, n, t.s8, pa.data());
+  runtime_kernels::pack_b_s8(a, k, m, 1, k, t.s8, 0, panel_count(m, t.s8.nr), pb.data());
+  if (col_hi < 0) col_hi = panel_count(m, t.s8.nr);
+  return t.gemm_s8(pa.data(), pb.data(), n, m, k, {c, n, true, true},
+                   {0, panel_count(n, t.s8.mr), col_lo, col_hi},
+                   runtime_kernels::S8Policy{bias, rq, q_lo, q_hi});
+}
+
+/// Per-channel int8 epilogue constants for \p m channels, with multipliers
+/// chosen so a fair share of outputs saturate.
+struct S8Channels {
+  std::vector<std::int32_t> bias;
+  std::vector<Requant> rq;
+};
+S8Channels s8_channels(std::int64_t m, std::uint64_t seed) {
+  Rng rng(seed);
+  S8Channels ch;
+  for (std::int64_t r = 0; r < m; ++r) {
+    ch.bias.push_back(static_cast<std::int32_t>(rng.uniform(-500.0, 500.0)));
+    ch.rq.push_back(Requant::from_real(rng.uniform(0.0005, 0.02)));
+  }
+  return ch;
+}
+
+bool same_f32_bits(const std::vector<float>& x, const std::vector<float>& y) {
+  return x.size() == y.size() &&
+         std::memcmp(x.data(), y.data(), x.size() * sizeof(float)) == 0;
 }
 
 // ---------------------------------------------------------------------------
@@ -249,24 +307,120 @@ TEST(Microkernel, PanelPartitionIsBitwiseInvariant) {
 
   std::vector<float> pa(runtime_kernels::packed_a_f32_elems(m, k, t->f32));
   std::vector<float> pb(runtime_kernels::packed_b_f32_elems(k, n, t->f32));
-  runtime_kernels::pack_a_f32(a.data(), m, k, t->f32, pa.data());
-  runtime_kernels::pack_b_f32(b.data(), k, n, t->f32, 0, panel_count(n, t->f32.nr),
+  runtime_kernels::pack_a_f32(a.data(), m, k, k, 1, t->f32, pa.data());
+  runtime_kernels::pack_b_f32(b.data(), k, n, n, 1, t->f32, 0, panel_count(n, t->f32.nr),
                               pb.data());
   const std::int64_t panels = panel_count(m, t->f32.mr);
+  const std::int64_t col_panels = panel_count(n, t->f32.nr);
   std::vector<float> whole(static_cast<std::size_t>(m * n));
-  t->gemm_f32(pa.data(), pb.data(), whole.data(), m, n, k, n, false, 0, panels,
+  t->gemm_f32(pa.data(), pb.data(), m, n, k, {whole.data(), n}, {0, panels, 0, col_panels},
               runtime_kernels::F32Policy{});
   for (std::int64_t split = 1; split < panels; ++split) {
     std::vector<float> parts(whole.size(), -1.0f);
-    t->gemm_f32(pa.data(), pb.data(), parts.data(), m, n, k, n, false, 0, split,
+    t->gemm_f32(pa.data(), pb.data(), m, n, k, {parts.data(), n}, {0, split, 0, col_panels},
                 runtime_kernels::F32Policy{});
-    t->gemm_f32(pa.data(), pb.data(), parts.data(), m, n, k, n, false, split, panels,
-                runtime_kernels::F32Policy{});
+    t->gemm_f32(pa.data(), pb.data(), m, n, k, {parts.data(), n},
+                {split, panels, 0, col_panels}, runtime_kernels::F32Policy{});
     for (std::size_t i = 0; i < whole.size(); ++i) {
       ASSERT_EQ(std::bit_cast<std::uint32_t>(parts[i]),
                 std::bit_cast<std::uint32_t>(whole[i]))
           << "split=" << split << " i=" << i;
     }
+  }
+}
+
+TEST(Microkernel, TransposedOrientationRule) {
+  using runtime_kernels::gemm_transposed;
+  const MicrokernelTile s8{4, 16}, f32{6, 16};
+  EXPECT_TRUE(gemm_transposed(512, 4, s8));    // a stage-4 conv of ResNet-50 img64 (2x2 maps)
+  EXPECT_TRUE(gemm_transposed(10, 1, s8));     // a batch-1 classifier
+  EXPECT_FALSE(gemm_transposed(256, 16, s8));  // the columns fill the vector width
+  EXPECT_TRUE(gemm_transposed(24, 1, f32));
+  EXPECT_FALSE(gemm_transposed(10, 8, f32));   // the two grids tie at 12 x 16
+  EXPECT_FALSE(gemm_transposed(6, 15, f32));   // transposed pads more: 18 x 16 vs 6 x 16
+  // A wide 16-channel layer (MobileNetV3's stem): the area alone would flip
+  // it, leaving one weight panel for every thread to share.
+  EXPECT_FALSE(gemm_transposed(16, 112 * 112, f32));
+  EXPECT_FALSE(gemm_transposed(512, 4, MicrokernelTile{}));  // portable: no tile
+}
+
+TEST(Microkernel, TransposedCallBitwiseEqualsUntransposed) {
+  // Cᵀ = Bᵀ·Aᵀ over strided packs of the same operands: every element starts
+  // at the same bias and takes the same products in ascending k, only the
+  // two factors of each product trade sides. So f32 is bitwise equal too,
+  // and int8 counts the same saturations.
+  const auto* t = best_simd_table();
+  if (t == nullptr) GTEST_SKIP() << "no SIMD microkernels";
+  std::uint64_t seed = 900;
+  for (std::int64_t m : kMs) {
+    for (std::int64_t n : kNs) {
+      for (std::int64_t k : kKs) {
+        const std::string at =
+            "m=" + std::to_string(m) + " n=" + std::to_string(n) + " k=" + std::to_string(k);
+        const auto a = rand_f32(static_cast<std::size_t>(m * k), seed++);
+        const auto b = rand_f32(static_cast<std::size_t>(k * n), seed++);
+        const auto bias = rand_f32(static_cast<std::size_t>(m), seed++);
+        const OpKind act = ((m + n + k) % 2 == 0) ? OpKind::kRelu : OpKind::kIdentity;
+        std::vector<float> ref(static_cast<std::size_t>(m * n)), got(ref.size(), -777.0f);
+        mk_gemm_f32(*t, a.data(), b.data(), ref.data(), m, n, k, bias.data(), act, 0.0);
+        mk_gemm_f32_t(*t, a.data(), b.data(), got.data(), m, n, k, bias.data(), act, 0.0);
+        ASSERT_TRUE(same_f32_bits(got, ref)) << at;
+
+        if (t->gemm_s8 == nullptr) continue;
+        const auto a8 = rand_s8(static_cast<std::size_t>(m * k), seed++);
+        const auto b8 = rand_s8(static_cast<std::size_t>(k * n), seed++);
+        const S8Channels ch = s8_channels(m, seed++);
+        const std::int32_t q_lo = ((m + n) % 2 == 0) ? 0 : -128;
+        std::vector<std::int8_t> ref8(ref.size()), got8(ref.size(), 99);
+        const std::uint64_t sat_ref = mk_gemm_s8(*t, a8.data(), b8.data(), ref8.data(), m, n, k,
+                                                 ch.bias.data(), ch.rq.data(), q_lo, 127);
+        const std::uint64_t sat_got = mk_gemm_s8_t(*t, a8.data(), b8.data(), got8.data(), m, n,
+                                                   k, ch.bias.data(), ch.rq.data(), q_lo, 127);
+        ASSERT_EQ(sat_got, sat_ref) << at;
+        ASSERT_EQ(got8, ref8) << at;
+      }
+    }
+  }
+}
+
+TEST(Microkernel, ColumnPanelSplitIsBitwiseInvariant) {
+  // A transposed step splits the weight (B) column panels over the pool;
+  // every split must produce the bits of one full-range call.
+  const auto* t = best_simd_table();
+  if (t == nullptr) GTEST_SKIP() << "no SIMD microkernels";
+  const std::int64_t m = 53, n = 5, k = 65;
+  const auto a = rand_f32(static_cast<std::size_t>(m * k), 20);
+  const auto b = rand_f32(static_cast<std::size_t>(k * n), 21);
+  const auto bias = rand_f32(static_cast<std::size_t>(m), 22);
+  std::vector<float> whole(static_cast<std::size_t>(m * n));
+  mk_gemm_f32_t(*t, a.data(), b.data(), whole.data(), m, n, k, bias.data(), OpKind::kRelu, 0.0);
+  const std::int64_t panels = panel_count(m, t->f32.nr);
+  ASSERT_GT(panels, 2);
+  for (std::int64_t split = 1; split < panels; ++split) {
+    std::vector<float> parts(whole.size(), -1.0f);
+    mk_gemm_f32_t(*t, a.data(), b.data(), parts.data(), m, n, k, bias.data(), OpKind::kRelu, 0.0,
+                  0, split);
+    mk_gemm_f32_t(*t, a.data(), b.data(), parts.data(), m, n, k, bias.data(), OpKind::kRelu, 0.0,
+                  split, panels);
+    ASSERT_TRUE(same_f32_bits(parts, whole)) << "split=" << split;
+  }
+
+  if (t->gemm_s8 == nullptr) return;
+  const auto a8 = rand_s8(static_cast<std::size_t>(m * k), 23);
+  const auto b8 = rand_s8(static_cast<std::size_t>(k * n), 24);
+  const S8Channels ch = s8_channels(m, 25);
+  std::vector<std::int8_t> whole8(whole.size());
+  const std::uint64_t sat = mk_gemm_s8_t(*t, a8.data(), b8.data(), whole8.data(), m, n, k,
+                                         ch.bias.data(), ch.rq.data(), -128, 127);
+  const std::int64_t panels8 = panel_count(m, t->s8.nr);
+  for (std::int64_t split = 1; split < panels8; ++split) {
+    std::vector<std::int8_t> parts(whole8.size(), 99);
+    const std::uint64_t s1 = mk_gemm_s8_t(*t, a8.data(), b8.data(), parts.data(), m, n, k,
+                                          ch.bias.data(), ch.rq.data(), -128, 127, 0, split);
+    const std::uint64_t s2 = mk_gemm_s8_t(*t, a8.data(), b8.data(), parts.data(), m, n, k,
+                                          ch.bias.data(), ch.rq.data(), -128, 127, split, panels8);
+    EXPECT_EQ(s1 + s2, sat) << "split=" << split;
+    ASSERT_EQ(parts, whole8) << "split=" << split;
   }
 }
 
