@@ -8,6 +8,7 @@
 #include <cstdlib>
 #include <iostream>
 #include <map>
+#include <optional>
 
 #include "bench_common.hpp"
 #include "graph/cost.hpp"
@@ -16,6 +17,7 @@
 #include "obs/trace.hpp"
 #include "opt/fusion.hpp"
 #include "opt/quantize.hpp"
+#include "runtime/executor.hpp"
 #include "runtime/memory_planner.hpp"
 #include "runtime/microkernel.hpp"
 #include "runtime/session.hpp"
@@ -64,11 +66,11 @@ double median_run_seconds(runtime::Session& session, const std::string& feed,
   return times[times.size() / 2];
 }
 
-/// One Conv2d/Dense node of the per-GEMM ledger, at one dtype.
+/// One GEMM node of the per-GEMM ledger, at one dtype.
 struct GemmRow {
   std::string dtype;
   std::string node;
-  std::int64_t k = 0, m = 0, cols = 0;  ///< GEMM depth, output channels, columns
+  std::int64_t k = 0, m = 0, cols = 0;  ///< GEMM depth, output channels per group, columns
   bool transposed = false;              ///< the plan runs it as Cᵀ = Xᵀ·Wᵀ
   double median_us = 0;
   double gops = 0;
@@ -77,9 +79,10 @@ struct GemmRow {
 
 /// The per-GEMM-node ledger of \p g (BN-folded, activation-fused and
 /// calibrated, batch 1) at one thread and the resolved dispatch level, f32
-/// then int8: each Conv2d/Dense node's median self time over the runs, read
-/// from its tracer spans, with its GOP/s and fraction of \p roof. The
-/// orientation comes from the plan's own rule (gemm_transposed).
+/// then int8: each GEMM node's median self time over the runs, read from its
+/// tracer spans, with its GOP/s and fraction of \p roof. The shape and the
+/// orientation come from the plan's own lowering (lower_to_gemm) and rule
+/// (gemm_transposed).
 std::vector<GemmRow> gemm_ledger(const Graph& g, const Tensor& x, const hw::HostRoofline& roof) {
   constexpr int kRuns = 5;
   const auto* table = runtime_kernels::gemm_microkernels(roof.level);
@@ -101,17 +104,10 @@ std::vector<GemmRow> gemm_ledger(const Graph& g, const Tensor& x, const hw::Host
 
     for (NodeId id : g.topo_order()) {
       const Node& n = g.node(id);
-      if (n.kind != OpKind::kConv2d && n.kind != OpKind::kDense) continue;
-      const Shape& in = g.node(n.inputs.at(0)).out_shape;
-      GemmRow r{int8 ? "int8" : "f32", n.name};
-      const bool conv = n.kind == OpKind::kConv2d;
-      const std::int64_t groups = conv ? n.attrs.get_int_or("groups", 1) : 1;
-      const std::int64_t kernel = conv ? n.attrs.get_int("kernel") : 1;
-      r.k = in.dim(1) / groups * kernel * kernel;
-      r.m = n.out_shape.dim(1);
-      r.cols = conv ? n.out_shape.h() * n.out_shape.w() : n.out_shape.dim(0);
-      const bool depthwise = conv && groups == in.dim(1) && r.m == groups;
-      r.transposed = !depthwise && runtime_kernels::gemm_transposed(r.m / groups, r.cols, tile);
+      const std::optional<GemmShape> gemm = lower_to_gemm(g, n);
+      if (!gemm) continue;
+      GemmRow r{int8 ? "int8" : "f32", n.name, gemm->k, gemm->m, gemm->cols};
+      r.transposed = runtime_kernels::gemm_transposed(gemm->m, gemm->cols, tile);
       std::vector<double>& us = spans_us[n.name];
       std::sort(us.begin(), us.end());
       r.median_us = us.empty() ? 0.0 : us[us.size() / 2];

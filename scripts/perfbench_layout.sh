@@ -14,11 +14,15 @@
 # Usage: scripts/perfbench_layout.sh <perfbench binary>
 #        scripts/perfbench_layout.sh <parent binary> <change binary>
 #
-# With two binaries it prints both reference-loop lines, then each kernel
-# side by side, marking a kernel whose offset mod 64 moved. It exits 1 when
-# the two reference loops sit at different offsets mod 64; a kernel that
-# moved does not change the exit status, since a kernel change moves its
-# kernels by design.
+# With two binaries it prints both reference-loop lines, the loop's shift in
+# bytes, and for each build the total size of the `[clone .cold]` functions
+# linked ahead of the loop: GCC places every object's .text.unlikely, the
+# libraries' included, before perfbench's own hot text, so resizing any throw
+# path anywhere moves the loop. Then it prints each kernel side by side,
+# marking a kernel whose offset mod 64 moved. It exits 1 when the two
+# reference loops sit at different offsets mod 64; a kernel that moved does
+# not change the exit status, since a kernel change moves its kernels by
+# design.
 
 set -euo pipefail
 
@@ -44,6 +48,13 @@ symbol_address() {
   nm -C "$1" | awk -v pattern="$2" 'index($0, pattern) && !found { print $1; found = 1 }'
 }
 
+# Total bytes of the cold clones placed below address $2 (decimal).
+cold_bytes_before() {
+  nm -S -C -t d "$1" | awk -v limit="$2" '
+    NF >= 4 && index($0, "[clone .cold]") && $1 + 0 < limit + 0 { total += $2 }
+    END { print total + 0 }'
+}
+
 # "0x<address> (<offset> mod 64)", or "absent".
 placement() {
   local addr
@@ -56,6 +67,7 @@ placement() {
 }
 
 offsets=()
+addresses=()
 for binary in "$@"; do
   addr="$(symbol_address "$binary" reference_loop_avx2)"
   if [[ -z "$addr" ]]; then
@@ -64,10 +76,18 @@ for binary in "$@"; do
   fi
   offset=$((16#$addr % 64))
   offsets+=("$offset")
+  addresses+=("$((16#$addr))")
   prefix=""
   [[ $# -eq 2 ]] && prefix="$binary: "
   printf '%sreference_loop_avx2 at 0x%x, offset %d mod 64\n' "$prefix" "0x$addr" "$offset"
 done
+
+if [[ $# -eq 2 ]]; then
+  printf 'reference loop shift: %+d bytes\n' "$((addresses[1] - addresses[0]))"
+  printf '%s: [clone .cold] bytes ahead of the loop: %d\n' \
+    "$1" "$(cold_bytes_before "$1" "${addresses[0]}")" \
+    "$2" "$(cold_bytes_before "$2" "${addresses[1]}")"
+fi
 
 if [[ $# -eq 1 ]]; then
   for kernel in "${kernels[@]}"; do

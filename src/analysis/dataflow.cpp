@@ -16,7 +16,6 @@ Dataflow Dataflow::compute_with_order(const Graph& g, std::span<const NodeId> or
   VEDLIOT_CHECK(order.size() == g.size(), "order must cover exactly the live nodes");
 
   Dataflow df;
-  df.graph_version_ = g.version();
   df.order_.assign(order.begin(), order.end());
   for (std::size_t i = 0; i < df.order_.size(); ++i) {
     const auto [it, inserted] = df.step_of_.emplace(df.order_[i], i);
@@ -31,16 +30,10 @@ Dataflow Dataflow::compute_with_order(const Graph& g, std::span<const NodeId> or
     }
   }
 
-  // Use-def chains in one sweep: each node's input list defines both its
-  // producer set and a use of each producer.
-  for (NodeId id : df.order_) {
-    df.producers_[id] = g.node(id).inputs;
-    df.consumers_[id];  // ensure every live node has an (empty) entry
-  }
+  // Uses in one sweep: each node's input list is a use of each producer.
+  for (NodeId id : df.order_) df.consumers_[id];  // every live node has an (empty) entry
   for (NodeId id : df.order_) {
     for (NodeId in : g.node(id).inputs) df.consumers_[in].push_back(id);
-    const OpKind k = g.node(id).kind;
-    if (k == OpKind::kIdentity || k == OpKind::kFlatten) df.passthrough_.insert(id);
   }
 
   const double elem_bytes = dtype_bytes(act_dtype);
@@ -91,37 +84,6 @@ const std::vector<NodeId>& Dataflow::consumers(NodeId id) const {
   auto it = consumers_.find(id);
   VEDLIOT_CHECK(it != consumers_.end(), "node not covered by this dataflow analysis");
   return it->second;
-}
-
-const std::vector<NodeId>& Dataflow::producers(NodeId id) const {
-  auto it = producers_.find(id);
-  VEDLIOT_CHECK(it != producers_.end(), "node not covered by this dataflow analysis");
-  return it->second;
-}
-
-NodeId Dataflow::reaching_producer(NodeId id, std::size_t input_index) const {
-  const auto& ins = producers(id);
-  VEDLIOT_CHECK(input_index < ins.size(), "input index out of range");
-  NodeId cur = ins[input_index];
-  // Walk through value-preserving pass-throughs (Identity; Flatten only
-  // reshapes) to the node that actually computed the value.
-  while (passthrough_.count(cur)) {
-    auto it = producers_.find(cur);
-    if (it == producers_.end() || it->second.size() != 1) break;
-    cur = it->second[0];
-  }
-  return cur;
-}
-
-const Dataflow& DataflowCache::get(const Graph& g, DType act_dtype) {
-  if (cached_ && graph_ == &g && dtype_ == act_dtype && cached_->valid_for(g)) {
-    return *cached_;
-  }
-  cached_ = std::make_unique<Dataflow>(Dataflow::compute(g, act_dtype));
-  graph_ = &g;
-  dtype_ = act_dtype;
-  ++recomputations_;
-  return *cached_;
 }
 
 }  // namespace vedliot::analysis

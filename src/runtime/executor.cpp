@@ -46,19 +46,6 @@ Shape with_lanes(const Shape& s, std::int64_t lanes) {
 /// Elements of one batch lane of \p s.
 std::int64_t lane_elems(const Shape& s) { return s.numel() / s.dim(0); }
 
-/// The [features x lanes] transpose a batched dense layer multiplies; a
-/// one-lane input is its own transpose and passes through.
-template <typename T>
-const T* transpose_lanes(const T* x, std::int64_t lanes, std::int64_t features,
-                         std::vector<std::byte>& buf) {
-  if (lanes == 1) return x;
-  T* xt = grow<T>(buf, static_cast<std::size_t>(lanes * features));
-  for (std::int64_t b = 0; b < lanes; ++b) {
-    for (std::int64_t f = 0; f < features; ++f) xt[f * lanes + b] = x[b * features + f];
-  }
-  return xt;
-}
-
 /// Quantize floats at \p scale (the dtype boundary: feeds and the int8
 /// Softmax's float core); returns the saturations. Out of line, so the
 /// int8 op bodies hold no float rounding.
@@ -96,6 +83,33 @@ const float* weight(const Node& n, std::size_t i) {
   return n.weights.size() > i ? n.weights[i].data().data() : nullptr;
 }
 
+/// The int8 activation scales by NodeId; throws Unsupported unless every
+/// BatchNorm is folded and every node carries an act_scale.
+std::vector<double> activation_scales(const Graph& g) {
+  std::vector<double> scales(g.total_nodes(), 1.0);
+  for (NodeId id : g.topo_order()) {
+    const Node& n = g.node(id);
+    if (n.kind == OpKind::kBatchNorm) {
+      throw Unsupported("fold BatchNorm (opt::FuseBatchNormPass) before integer execution");
+    }
+    if (!n.attrs.has("act_scale")) {
+      throw Unsupported("node " + n.name +
+                        " has no act_scale — run opt::calibrate_activations first");
+    }
+    const double so = n.attrs.get_float("act_scale");
+    scales[slot(id)] = so > 0 ? so : 1e-9;
+  }
+  return scales;
+}
+
+Conv2dGeometry conv_geometry(const Graph& g, const Node& n) {
+  const Shape& in = g.node(n.inputs.at(0)).out_shape;
+  const AttrMap& a = n.attrs;
+  return {in.c(), in.h(), in.w(), n.out_shape.c(), n.out_shape.h(), n.out_shape.w(),
+          a.get_int("kernel"), a.get_int_or("stride", 1), a.get_int_or("pad", 0),
+          a.get_int_or("groups", 1)};
+}
+
 /// The dtype-specific half of the GEMM path: a policy's microkernel table
 /// entries and panel layouts (int8 packs k-pairs for madd_epi16).
 template <typename P>
@@ -123,6 +137,17 @@ struct GemmPath<S8Policy> {
 
 }  // namespace
 
+std::optional<GemmShape> lower_to_gemm(const Graph& g, const Node& n) {
+  if (n.kind == OpKind::kDense) {
+    return GemmShape{n.out_shape.dim(1), g.node(n.inputs.at(0)).out_shape.dim(1),
+                     n.out_shape.dim(0), 1};
+  }
+  if (n.kind != OpKind::kConv2d) return std::nullopt;
+  const Conv2dGeometry geo = conv_geometry(g, n);
+  if (geo.is_depthwise()) return std::nullopt;
+  return GemmShape{geo.ocg(), geo.patch(), geo.cols(), geo.groups};
+}
+
 Tensor QTensor::dequantize() const {
   Tensor t(shape);
   dequantize_into(data.data(), scale, t.data());
@@ -141,7 +166,7 @@ Executor::Executor(const Graph& graph, DType dtype) : graph_(graph), dtype_(dtyp
                     " has unmaterialized weights; call materialize_weights()");
   }
   if (dtype_ == DType::kINT8) {
-    quantize();
+    (void)activation_scales(graph_);  // the int8 preconditions, checked before any run
   } else if (dtype_ != DType::kFP32) {
     throw Unsupported("the executor runs FP32 or INT8, not " + std::string(dtype_name(dtype_)));
   }
@@ -175,46 +200,12 @@ void Executor::pfor(std::int64_t begin, std::int64_t end, std::int64_t grain, co
   }
 }
 
-void Executor::quantize() {
-  qlayers_.assign(graph_.total_nodes(), QuantLayer{});
-  scales_.assign(graph_.total_nodes(), 1.0);
-  for (NodeId id : graph_.topo_order()) {
-    const Node& n = graph_.node(id);
-    if (n.kind == OpKind::kBatchNorm) {
-      throw Unsupported("fold BatchNorm (opt::FuseBatchNormPass) before integer execution");
-    }
-    if (!n.attrs.has("act_scale")) {
-      throw Unsupported("node " + n.name +
-                        " has no act_scale — run opt::calibrate_activations first");
-    }
-    const double so = n.attrs.get_float("act_scale");
-    scales_[slot(id)] = so > 0 ? so : 1e-9;
-    if ((n.kind != OpKind::kConv2d && n.kind != OpKind::kDense) || n.weights.empty()) continue;
-
-    const double in_scale = scales_[slot(n.inputs.at(0))];
-    const double out_scale = scales_[slot(id)];
-    const Tensor& w = n.weights[0];
-    const auto oc = static_cast<std::size_t>(w.shape().dim(0));
-    const auto per = static_cast<std::size_t>(w.numel()) / oc;
-    QuantLayer& layer = qlayers_[slot(id)];
-    layer.weights.resize(static_cast<std::size_t>(w.numel()));
-    layer.bias.resize(oc);
-    layer.requant.resize(oc);
-    for (std::size_t c = 0; c < oc; ++c) {
-      const double bias = n.weights.size() > 1 ? n.weights[1].at(c) : 0.0;
-      const Int8Channel q = quantize_int8_channel(w.data().subspan(c * per, per), bias, in_scale,
-                                                  layer.weights.data() + c * per);
-      layer.bias[c] = q.bias;
-      layer.requant[c] = Requant::from_real(in_scale * q.scale / out_scale);
-    }
-  }
-  quantized_version_ = graph_.version();
-  ++preparations_;
-}
-
 void Executor::compile(const MicrokernelTile& tile) {
   compiled_ = false;  // until every step compiled: a throwing op leaves no half plan
-  if (dtype_ == DType::kINT8 && quantized_version_ != graph_.version()) quantize();
+  if (dtype_ == DType::kINT8) {
+    scales_ = activation_scales(graph_);
+    ++preparations_;
+  }
 
   // Inputs first: run() writes every feed before the first step, so the
   // planner must see them born at the start.
@@ -261,11 +252,8 @@ Executor::Step Executor::compile_step(const Node& n) {
           : (op_is_activation(n.kind) ? n.kind : OpKind::kIdentity);
   s.alpha = a.get_float_or(fuses ? "fused_alpha" : "alpha", 0.01);
   const Shape& in_shape = graph_.node(n.inputs.at(0)).out_shape;
-  if (n.kind == OpKind::kConv2d) {
-    s.conv = {in_shape.c(), in_shape.h(), in_shape.w(), n.out_shape.c(), n.out_shape.h(),
-              n.out_shape.w(), a.get_int("kernel"), a.get_int_or("stride", 1),
-              a.get_int_or("pad", 0), a.get_int_or("groups", 1)};
-  }
+  if (n.kind == OpKind::kConv2d) s.conv = conv_geometry(graph_, n);
+  s.gemm = lower_to_gemm(graph_, n);
   if (n.kind == OpKind::kMaxPool || n.kind == OpKind::kAvgPool ||
       n.kind == OpKind::kGlobalAvgPool) {  // the window; GlobalAvgPool's covers the plane
     const std::int64_t k = n.kind == OpKind::kGlobalAvgPool ? std::max(in_shape.h(), in_shape.w())
@@ -314,10 +302,23 @@ Executor::Step Executor::compile_step(const Node& n) {
       s.q_lo = 0;
       s.q_hi = std::min(127, static_cast<std::int32_t>(std::nearbyint(6.0 / s.out_scale)));
     }
-    // The fixed-point requants of every op but Conv2d/Dense (per channel,
-    // from quantize()) and Softmax (a float core): input over output scale.
+    // The fixed-point requants: per output channel for Conv2d/Dense, whose
+    // weights quantize here at per-channel scales; input over output scale
+    // for the other ops but Softmax (a float core).
     const auto ratio = [&](std::size_t i) { return scales_[slot(n.inputs[i])] / s.out_scale; };
-    if (n.kind == OpKind::kAdd) {
+    if (parametric) {
+      const Tensor& w = n.weights[0];
+      const auto oc = static_cast<std::size_t>(w.shape().dim(0));
+      const auto per = static_cast<std::size_t>(w.numel()) / oc;
+      s.codes.resize(static_cast<std::size_t>(w.numel()));
+      for (std::size_t c = 0; c < oc; ++c) {
+        const double bias = n.weights.size() > 1 ? n.weights[1].at(c) : 0.0;
+        const Int8Channel q = quantize_int8_channel(w.data().subspan(c * per, per), bias,
+                                                    s.in_scale, s.codes.data() + c * per);
+        s.bias.push_back(q.bias);
+        s.requant.push_back(Requant::from_real(s.in_scale * q.scale / s.out_scale));
+      }
+    } else if (n.kind == OpKind::kAdd) {
       const EltwiseRequants r = eltwise_requants(ratio(0), ratio(1));
       s.requant = {r.a, r.b};
     } else if (n.kind == OpKind::kMaxPool || n.kind == OpKind::kAvgPool ||
@@ -328,7 +329,7 @@ Executor::Step Executor::compile_step(const Node& n) {
       for (std::int64_t c = 1; c <= taps; ++c) {
         s.requant.push_back(Requant::from_real(ratio(0) / static_cast<double>(c)));
       }
-    } else if (!parametric && n.kind != OpKind::kSoftmax) {
+    } else if (n.kind != OpKind::kSoftmax) {
       for (std::size_t i = 0; i < n.inputs.size(); ++i) {
         s.requant.push_back(eltwise_requants(ratio(i)).a);
       }
@@ -337,12 +338,9 @@ Executor::Step Executor::compile_step(const Node& n) {
 
   // Weight panels, packed once per plan (per group for grouped convs), as
   // the A operand or, for a transposed step, the B operand (microkernel.hpp).
-  if (mk_ != nullptr && parametric && !(n.kind == OpKind::kConv2d && s.conv.is_depthwise())) {
-    const bool conv = n.kind == OpKind::kConv2d;
-    const std::int64_t groups = conv ? s.conv.groups : 1;
-    const std::int64_t m = conv ? s.conv.ocg() : n.out_shape.dim(1);
-    const std::int64_t k = conv ? s.conv.patch() : graph_.node(n.inputs.at(0)).out_shape.dim(1);
-    const std::int64_t cols = conv ? s.conv.cols() : n.out_shape.dim(0);  // Dense: built batch
+  // A packed step keeps only its panels.
+  if (mk_ != nullptr && s.gemm) {
+    const auto [m, k, cols, groups] = *s.gemm;
     auto pack = [&](auto policy, const auto* w) {
       using P = decltype(policy);
       using G = GemmPath<P>;
@@ -363,7 +361,7 @@ Executor::Step Executor::compile_step(const Node& n) {
       }
     };
     if (int8) {
-      pack(S8Policy{}, qlayers_[slot(n.id)].weights.data());
+      pack(S8Policy{}, std::exchange(s.codes, {}).data());
     } else {
       pack(F32Policy{}, weight(n, 0));
     }
@@ -513,9 +511,7 @@ void Executor::run_step(const Step& s) {
   const Clock::time_point t0 = timed ? Clock::now() : Clock::time_point{};
   // The one dtype decision of the step: which policy the op body runs over.
   if (dtype_ == DType::kINT8) {
-    const QuantLayer& q = qlayers_[slot(n.id)];
-    const Requant* rq = q.requant.empty() ? s.requant.data() : q.requant.data();
-    run_op(s, S8Policy{q.bias.data(), rq, s.q_lo, s.q_hi}, q.weights.data());
+    run_op(s, S8Policy{s.bias.data(), s.requant.data(), s.q_lo, s.q_hi}, s.codes.data());
   } else {
     run_op(s, F32Policy{weight(n, 1), s.act, s.alpha}, weight(n, 0));
   }
@@ -548,16 +544,28 @@ void Executor::run_op(const Step& s, const P& p, const typename P::Elem* w) {
   const std::int64_t numel = lane_elems(n.out_shape) * lanes;
   std::uint64_t* sat = ws_.sat.data();
   const MicrokernelTile tile = mk_ != nullptr ? mk_->*G::tile : MicrokernelTile{};
-  // C[m x cols] = W[m x k] · X[k x cols] through the microkernel, over group
-  // g's weight panels; X's element (kp, j) is x[kp * ks + j * cs], and C is
-  // stored row-major (or col_major) with leading dimension ldc. An
-  // untransposed step packs X's column panels as B and splits W's row panels
-  // over the pool; a transposed one packs X's few columns as A rows, splits
-  // W's column panels, and stores the transposed tiles in the other layout.
-  auto packed_gemm = [&](std::int64_t g, const E* xm, std::int64_t ks, std::int64_t cs, E* c,
-                         std::int64_t m, std::int64_t cols, std::int64_t k, std::int64_t ldc,
-                         bool col_major, const P& policy) {
-    const auto gemm = mk_->*G::gemm;
+  // The one GEMM driver (s.gemm): C = W·X over group g's weights, X's (kp, j)
+  // at xm[kp * ks + j * cs]. Untransposed, X's column panels pack as B and
+  // W's row panels split over the pool; transposed, X's few columns pack as
+  // A rows, W's column panels split and the tiles store in the other layout.
+  // gemm_rows (portable) reads X row-major: a strided X goes to scratch.
+  auto run_gemm = [&](std::int64_t g, const E* xm, std::int64_t ks, std::int64_t cs,
+                      GemmStore<E> out, std::int64_t cols, const P& policy) {
+    const std::int64_t m = s.gemm->m, k = s.gemm->k;
+    if (mk_ == nullptr) {
+      if (cs != 1) {
+        E* xt = grow<E>(ws_.col, static_cast<std::size_t>(k * cols));
+        for (std::int64_t j = 0; j < cols; ++j) {
+          for (std::int64_t kp = 0; kp < k; ++kp) xt[kp * cols + j] = xm[kp * ks + j * cs];
+        }
+        xm = xt;
+      }
+      pfor(0, m, 1, [&](std::int64_t lo, std::int64_t hi, std::size_t chunk) {
+        sat[chunk] += gemm_rows(w + g * m * k, xm, out, lo, hi, cols, k, policy);
+      });
+      return;
+    }
+    const auto kernel = mk_->*G::gemm;
     const auto group = static_cast<std::size_t>(g);
     if (!s.transposed) {
       const auto* pa = reinterpret_cast<const typename P::PackedA*>(s.packed.data()) +
@@ -567,9 +575,8 @@ void Executor::run_op(const Step& s, const P& p, const typename P::Elem* w) {
       pfor(0, col_panels, 1, [&](std::int64_t lo, std::int64_t hi, std::size_t) {
         G::pack_b(xm, k, cols, ks, cs, tile, lo, hi, pb);
       });
-      const GemmStore<E> out{c, ldc, col_major, false};
       pfor(0, panel_count(m, tile.mr), 1, [&](std::int64_t lo, std::int64_t hi, std::size_t chunk) {
-        sat[chunk] += gemm(pa, pb, m, cols, k, out, {lo, hi, 0, col_panels}, policy);
+        sat[chunk] += kernel(pa, pb, m, cols, k, out, {lo, hi, 0, col_panels}, policy);
       });
       return;
     }
@@ -578,17 +585,18 @@ void Executor::run_op(const Step& s, const P& p, const typename P::Elem* w) {
     auto* pa = grow<typename P::PackedA>(ws_.panels, G::a_size(cols, k, tile));
     G::pack_a(xm, cols, k, cs, ks, tile, pa);
     const std::int64_t row_panels = panel_count(cols, tile.mr);
-    const GemmStore<E> out{c, ldc, !col_major, true};
+    out.col_major = !out.col_major;
+    out.channel_on_cols = true;
     pfor(0, panel_count(m, tile.nr), 1, [&](std::int64_t lo, std::int64_t hi, std::size_t chunk) {
-      sat[chunk] += gemm(pa, pb, cols, m, k, out, {0, row_panels, lo, hi}, policy);
+      sat[chunk] += kernel(pa, pb, cols, m, k, out, {0, row_panels, lo, hi}, policy);
     });
   };
   switch (n.kind) {
     case OpKind::kConv2d: {
       const Conv2dGeometry& geo = s.conv;
-      if (geo.is_depthwise()) {
-        // Direct at every dispatch level: the k*k dot per pixel has no GEMM
-        // shape, so portable and SIMD runs share these exact bits.
+      if (!s.gemm) {
+        // Depthwise, direct at every dispatch level: the k*k dot per pixel
+        // has no GEMM shape, so portable and SIMD runs share these exact bits.
         for (std::int64_t b = 0; b < lanes; ++b) {
           pfor(0, geo.out_c, 1, [&](std::int64_t lo, std::int64_t hi, std::size_t chunk) {
             sat[chunk] += depthwise(x, w, y, geo, b, lo, hi, p);
@@ -596,57 +604,31 @@ void Executor::run_op(const Step& s, const P& p, const typename P::Elem* w) {
         }
         break;
       }
-      const std::int64_t patch = geo.patch(), cols = geo.cols(), m = geo.ocg();
-      E* col = geo.is_pointwise() ? nullptr
-                                  : grow<E>(ws_.col, static_cast<std::size_t>(patch * cols));
+      // Per lane and group: X is the im2col matrix or, 1x1, the input planes.
+      const std::int64_t m = s.gemm->m, k = s.gemm->k, cols = s.gemm->cols;
+      E* col = geo.is_pointwise() ? nullptr : grow<E>(ws_.col, static_cast<std::size_t>(k * cols));
       for (std::int64_t b = 0; b < lanes; ++b) {
         for (std::int64_t g = 0; g < geo.groups; ++g) {
           const E* xm = col;
-          if (geo.is_pointwise()) {  // the column matrix is the input, read in place
+          if (geo.is_pointwise()) {
             xm = x + (b * geo.in_c + g * geo.icg()) * cols;
           } else {
-            pfor(0, patch, 4, [&](std::int64_t lo, std::int64_t hi, std::size_t) {
+            pfor(0, k, 4, [&](std::int64_t lo, std::int64_t hi, std::size_t) {
               im2col(x, geo, b, g, lo, hi, col);
             });
           }
-          const P group = p.from(g * m);
-          E* c = y + ((b * geo.out_c + g * m) * cols);
-          if (mk_ == nullptr) {
-            pfor(0, m, 1, [&](std::int64_t lo, std::int64_t hi, std::size_t chunk) {
-              sat[chunk] += gemm_rows(w + g * m * patch, xm, c, lo, hi, cols, patch, group);
-            });
-            continue;
-          }
-          packed_gemm(g, xm, cols, 1, c, m, cols, patch, /*ldc=*/cols, /*col_major=*/false, group);
+          const GemmStore<E> out{y + (b * geo.out_c + g * m) * cols, cols};
+          run_gemm(g, xm, cols, 1, out, cols, p.from(g * m));
         }
       }
       break;
     }
-    case OpKind::kDense: {
-      // Batch the whole layer through one GEMM so each weight row is read
-      // once for all lanes, instead of one latency-bound dot per sample.
-      const std::int64_t N = lanes, F = in_shape.dim(1), U = n.out_shape.dim(1);
-      if (s.transposed) {
-        // The [N x F] input is Xᵀ itself, packed as A rows in place; the
-        // tiles store [N x U] row-major. Each lane is one zero-padded A row,
-        // so its bits are the same in a batch-1 or a batch-8 panel.
-        packed_gemm(0, x, 1, F, y, U, N, F, /*ldc=*/U, /*col_major=*/true, p);
-        break;
-      }
-      const E* xt = transpose_lanes(x, N, F, ws_.col);
-      if (mk_ == nullptr) {
-        pfor(0, U, 8, [&](std::int64_t lo, std::int64_t hi, std::size_t chunk) {
-          sat[chunk] += dense_rows(w, xt, y, lo, hi, N, F, U, p);
-        });
-        break;
-      }
-      // Microkernel over (m=U, n=N, k=F) with the column-major store writing
-      // straight into the [N x U] layout. Every lane occupies one SIMD slot
-      // padded to the full tile, so its bits are the same in a batch-1 or a
-      // batch-8 panel (and int8's exact int32 sums match dense_rows).
-      packed_gemm(0, xt, N, 1, y, U, N, F, /*ldc=*/U, /*col_major=*/true, p);
+    case OpKind::kDense:
+      // One GEMM over every lane: X is the [lanes x features] input in place,
+      // C the [lanes x units] output. Each lane is a column zero-padded to the
+      // full tile, so its bits are the same in a batch-1 or a batch-8 run.
+      run_gemm(0, x, 1, s.gemm->k, {y, s.gemm->m, true}, lanes, p);
       break;
-    }
     case OpKind::kBatchNorm:
       if constexpr (kF32) {
         const std::int64_t C = static_cast<std::int64_t>(s.bn_scale.size());

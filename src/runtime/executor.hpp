@@ -13,14 +13,14 @@
 /// types and the epilogue — bias plus activation for f32, requantization
 /// for int8:
 ///
-///  - Conv2D runs as im2col + GEMM (register-tiled microkernel, or the
-///    cache-blocked scalar kernel at portable dispatch); a 1x1, stride-1,
-///    unpadded conv reads its input as the column matrix in place, and
-///    depthwise stays a direct k*k dot per pixel at every level.
-///  - A Conv2D or Dense step whose activation side is thinner than the
-///    tile's vector width runs transposed, with the weights on the vector
-///    lanes (runtime_kernels::gemm_transposed, decided when the plan
-///    compiles).
+///  - Every Conv2D but a depthwise one (a direct k*k dot per pixel) and
+///    every Dense lowers to one GEMM (lower_to_gemm) run by one driver: the
+///    register-tiled microkernel, or the scalar gemm_rows at portable. It
+///    multiplies a conv's im2col matrix (a 1x1, stride-1, unpadded conv's
+///    input planes) or a dense layer's [lanes x features] input in place.
+///  - A GEMM step whose activation side is thinner than the tile's vector
+///    width runs transposed, with the weights on the vector lanes
+///    (runtime_kernels::gemm_transposed, decided when the plan compiles).
 ///  - Kernels partition output rows/channels — a GEMM's weight panels, in
 ///    either orientation — over a util::ThreadPool with a fixed per-element
 ///    accumulation order, so output bits — and the int8 saturation count —
@@ -37,14 +37,15 @@
 /// int32 accumulation, per-output-channel weight scales and calibrated
 /// activation scales, requantized between layers. It needs BatchNorm folded
 /// (opt::FuseBatchNormPass) and an `act_scale` attribute on every node
-/// (opt::calibrate_activations); the constructor checks both and quantizes
-/// the weights.
+/// (opt::calibrate_activations); the constructor checks both, and each plan
+/// compile quantizes the weights into its steps.
 
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -79,6 +80,17 @@ struct QTensor {
 
 /// Quantize a float tensor at a fixed scale (round-to-nearest, saturate).
 QTensor quantize_fixed(const Tensor& t, double scale);
+
+/// The GEMM a node lowers to, per group (and a conv's lane): C[m x cols] =
+/// W[m x k] · X[k x cols], cols a conv's output pixels or a dense layer's
+/// built batch (a run multiplies its own lanes).
+struct GemmShape {
+  std::int64_t m = 0, k = 0, cols = 0, groups = 1;
+};
+
+/// \p n's GEMM in \p g: every Conv2d but a depthwise one (a direct k*k dot
+/// per pixel) and every Dense; nullopt for any other node.
+std::optional<GemmShape> lower_to_gemm(const Graph& g, const Node& n);
 
 class Executor {
  public:
@@ -141,8 +153,8 @@ class Executor {
   /// dispatch tile.
   std::size_t weight_packs() const { return weight_packs_; }
 
-  /// int8 weight quantizations so far: once at construction, plus once per
-  /// Graph::version() change the plan recompiled for (self-heal). 0 for f32.
+  /// int8 plan compiles so far, each quantizing the weights: the first run's,
+  /// then one per Graph::version() (self-heal) or tile change. 0 for f32.
   std::size_t preparations() const { return preparations_; }
 
   /// Accumulated int8 saturation events across all runs (requantization
@@ -168,13 +180,6 @@ class Executor {
   QTensor quantized(NodeId id) const;
 
  private:
-  /// int8 Conv2D/Dense weights quantized at per-output-channel scales.
-  struct QuantLayer {
-    std::vector<std::int8_t> weights;
-    std::vector<std::int32_t> bias;  ///< at in_scale * w_scale[c]
-    std::vector<runtime_kernels::Requant> requant;  ///< in_scale * w_scale[c] / out_scale
-  };
-
   /// One compiled node: everything its kernel needs, resolved once.
   struct Step {
     const Node* node = nullptr;
@@ -183,14 +188,20 @@ class Executor {
     OpKind act = OpKind::kIdentity;    ///< f32: Conv/Dense/Add fused or own activation
     double alpha = 0.01;
     runtime_kernels::Conv2dGeometry conv;  ///< Conv2d, and the window of a pool
+    std::optional<GemmShape> gemm;         ///< lower_to_gemm of the node
     std::int64_t upsample = 1;
     std::vector<float> bn_scale, bn_shift;  ///< f32 BatchNorm folded to x*s+t
-    double in_scale = 1.0, out_scale = 1.0;  ///< int8 Softmax's activation scales
-    /// int8 ops other than Conv2d/Dense: S8Policy::rq (per input, or per
-    /// pool window tap count).
+    double in_scale = 1.0, out_scale = 1.0;  ///< int8 input and output activation scales
+    /// int8 S8Policy::rq: per output channel for Conv2d/Dense (in_scale *
+    /// w_scale[c] / out_scale), per input for the other ops, per window tap
+    /// count for a pool.
     std::vector<runtime_kernels::Requant> requant;
     std::int32_t q_lo = -128, q_hi = 127;   ///< int8 fused Relu/Relu6 window
-    /// Conv2d/Dense at a microkernel tile: the GEMM runs as Cᵀ = Xᵀ·Wᵀ
+    /// int8 Conv2d/Dense: the weights quantized at per-output-channel scales
+    /// (dropped once packed into panels) and the bias at in_scale * w_scale[c].
+    std::vector<std::int8_t> codes;
+    std::vector<std::int32_t> bias;
+    /// A GEMM step at a microkernel tile: it runs as Cᵀ = Xᵀ·Wᵀ
     /// (runtime_kernels::gemm_transposed), with the weights packed as B.
     bool transposed = false;
     std::vector<std::byte> packed;  ///< weight panels (A, or B if transposed), one block per group
@@ -203,7 +214,6 @@ class Executor {
     std::vector<std::uint64_t> sat;  ///< int8 saturations, one slot per pool chunk
   };
 
-  void quantize();
   /// The arena bytes of \p id's value; throws ExecError unless value()'s
   /// rules admit the read at \p dtype.
   const std::byte* readable(NodeId id, DType dtype) const;
@@ -233,11 +243,7 @@ class Executor {
   /// kernel, else null (scalar kernels; bitwise-identical for int8).
   const runtime_kernels::GemmMicrokernels* mk_ = nullptr;
 
-  // int8 weights and activation scales (indexed by NodeId), quantized at
-  // construction and again when the plan recompiles for a new version.
-  std::vector<QuantLayer> qlayers_;
-  std::vector<double> scales_;
-  std::uint64_t quantized_version_ = 0;
+  std::vector<double> scales_;  ///< int8 activation scales by NodeId, read per compile
 
   // The compiled plan and the key it was compiled for.
   bool compiled_ = false;

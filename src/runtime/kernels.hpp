@@ -1,9 +1,9 @@
 #pragma once
 /// \file kernels.hpp
-/// \brief Compute kernels of the execution engine: im2col packing,
-/// cache-blocked GEMM, batched dense, direct depthwise and pooling — each
-/// written once over a dtype policy (F32Policy, S8Policy) that carries the
-/// element types and the epilogue.
+/// \brief Compute kernels of the execution engine: im2col packing, the
+/// cache-blocked scalar GEMM of every Conv2d and Dense step, direct
+/// depthwise and pooling — each written once over a dtype policy
+/// (F32Policy, S8Policy) that carries the element types and the epilogue.
 ///
 /// The kernel restructuring the FPGA co-design line of work (arXiv:2504.09151)
 /// applies in hardware, applied to the host runtime: convolution becomes a
@@ -286,15 +286,30 @@ void im2col(const T* in, const Conv2dGeometry& g, std::int64_t b, std::int64_t g
   }
 }
 
-/// Row range [m_lo, m_hi) of C = A·B through the policy: each accumulator
-/// starts at p.init(m) and leaves through p.channel(m). A is [M x K]
-/// row-major (conv weights), B is [K x N] row-major (the im2col matrix), C
-/// is [M x N] row-major. Accumulation in fixed k-order; zero weights are
-/// skipped (pruned weights are exact zeros).
+/// Where one GEMM call stores its [M x N] result C, and which axis carries
+/// the output channel.
+template <typename E>
+struct GemmStore {
+  E* c = nullptr;
+  std::int64_t ldc = 0;
+  /// c[j * ldc + r] (an untransposed dense layer's [lanes x units], a
+  /// transposed conv's plane), not c[r * ldc + j].
+  bool col_major = false;
+  /// The per-channel bias and epilogue follow C's column j instead of its
+  /// row r (a transposed microkernel step; gemm_rows ignores it).
+  bool channel_on_cols = false;
+};
+
+/// Row range [m_lo, m_hi) of C = A·B through the policy, stored per \p c:
+/// each accumulator starts at p.init(m) and leaves through p.channel(m). A
+/// is [M x K] row-major (the weights), B is [K x N] row-major (an im2col
+/// matrix, or a dense layer's lanes transposed). The portable kernel of
+/// every Conv2d and Dense step. Accumulation in fixed k-order; zero weights
+/// are skipped (pruned weights are exact zeros).
 template <typename P> [[gnu::noinline]]
 std::uint64_t gemm_rows(const typename P::Elem* a, const typename P::Elem* b,
-                        typename P::Elem* c, std::int64_t m_lo, std::int64_t m_hi, std::int64_t n,
-                        std::int64_t k, const P& p) {
+                        GemmStore<typename P::Elem> c, std::int64_t m_lo, std::int64_t m_hi,
+                        std::int64_t n, std::int64_t k, const P& p) {
   using Acc = typename P::Acc;
   // Column blocking keeps a [K x kNB] panel of B plus one accumulator row
   // hot; the kp loop is an axpy over a contiguous row of B, which the
@@ -316,51 +331,11 @@ std::uint64_t gemm_rows(const typename P::Elem* a, const typename P::Elem* b,
         for (std::int64_t j = 0; j < jn; ++j) acc[j] += av * static_cast<Acc>(brow[j]);
       }
       const auto epilogue = p.channel(m);
-      auto* crow = c + m * n + j0;
-      for (std::int64_t j = 0; j < jn; ++j) crow[j] = epilogue(acc[j], saturations);
-    }
-  }
-  return saturations;
-}
-
-/// Row range [u_lo, u_hi) of the batched dense layer y = x·Wᵀ through the
-/// policy: w is [units x features] row-major, xt is the transposed
-/// activation matrix [features x batch] (a [1 x features] input is its own
-/// transpose, so batch == 1 passes the input unchanged), y is
-/// [batch x units] row-major. Each weight row is read once and serves every
-/// lane — the batched path's throughput edge over per-request dispatch —
-/// while each lane keeps the fixed f = 0..features-1 accumulation order, so
-/// a lane of a batch-8 run is bitwise identical to the same sample run alone.
-template <typename P> [[gnu::noinline]]
-std::uint64_t dense_rows(const typename P::Elem* w, const typename P::Elem* xt,
-                         typename P::Elem* y, std::int64_t u_lo, std::int64_t u_hi,
-                         std::int64_t batch, std::int64_t features, std::int64_t units,
-                         const P& p) {
-  using Acc = typename P::Acc;
-  // Lane blocking bounds the accumulator tile; the inner j loop carries
-  // independent per-lane sums, so it vectorizes without reassociating any
-  // single lane's f-order. A per-sample dot product is a serial dependency
-  // chain the compiler cannot reorder — amortizing the weight row across
-  // lanes is where the batch >= 2 speedup comes from. No zero-skip here:
-  // dense weights are not pruned, and the f32 sums must match the
-  // historical per-sample loop bit for bit.
-  constexpr std::int64_t kJB = 64;
-  std::uint64_t saturations = 0;
-  for (std::int64_t j0 = 0; j0 < batch; j0 += kJB) {
-    const std::int64_t jn = std::min(kJB, batch - j0);
-    for (std::int64_t u = u_lo; u < u_hi; ++u) {
-      Acc acc[kJB];
-      const Acc init = p.init(u);
-      for (std::int64_t j = 0; j < jn; ++j) acc[j] = init;
-      const auto* wrow = w + u * features;
-      for (std::int64_t f = 0; f < features; ++f) {
-        const Acc wv = wrow[f];
-        const auto* xrow = xt + f * batch + j0;
-        for (std::int64_t j = 0; j < jn; ++j) acc[j] += wv * static_cast<Acc>(xrow[j]);
-      }
-      const auto epilogue = p.channel(u);
-      for (std::int64_t j = 0; j < jn; ++j) {
-        y[(j0 + j) * units + u] = epilogue(acc[j], saturations);
+      auto* crow = c.c + (c.col_major ? j0 * c.ldc + m : m * c.ldc + j0);
+      if (c.col_major) {
+        for (std::int64_t j = 0; j < jn; ++j) crow[j * c.ldc] = epilogue(acc[j], saturations);
+      } else {
+        for (std::int64_t j = 0; j < jn; ++j) crow[j] = epilogue(acc[j], saturations);
       }
     }
   }

@@ -30,7 +30,7 @@
 ///    (each run), and a tile column is an output channel (GemmStore::
 ///    channel_on_cols), through both the bias init and the epilogue.
 /// The packs read their source through a (row, column) stride pair, so one
-/// routine packs a matrix or its transpose in place.
+/// routine packs a matrix or its transpose (a dense layer's input) in place.
 ///
 /// Determinism contract (per dispatch level):
 ///  - every output element starts at its bias and accumulates its K
@@ -110,21 +110,6 @@ void pack_a_s8(const std::int8_t* a, std::int64_t m, std::int64_t k, std::int64_
 void pack_b_s8(const std::int8_t* b, std::int64_t k, std::int64_t n, std::int64_t ks,
                std::int64_t cs, const MicrokernelTile& t, std::int64_t panel_lo,
                std::int64_t panel_hi, std::int8_t* packed);
-
-/// Where one GEMM call stores its [M x N] result C, and which axis carries
-/// the output channel.
-template <typename E>
-struct GemmStore {
-  E* c = nullptr;
-  std::int64_t ldc = 0;
-  /// c[r * ldc + j] when false (a conv's [channels x pixels] plane, a
-  /// transposed dense layer's [lanes x units]); c[j * ldc + r] when true (an
-  /// untransposed dense layer's [lanes x units], a transposed conv's plane).
-  bool col_major = false;
-  /// The policy's per-channel bias and epilogue follow C's column j (a
-  /// transposed step) instead of its row r.
-  bool channel_on_cols = false;
-};
 
 /// The tiles of one GEMM call: row panels [row_lo, row_hi) of packed A by
 /// column panels [col_lo, col_hi) of packed B.

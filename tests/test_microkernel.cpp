@@ -208,7 +208,7 @@ TEST(Microkernel, F32EdgeTailsMatchScalarReference) {
         // Exercise the fused-activation epilogue on half the grid.
         const OpKind act = ((m + n + k) % 2 == 0) ? OpKind::kRelu : OpKind::kIdentity;
         std::vector<float> ref(static_cast<std::size_t>(m * n));
-        runtime_kernels::gemm_rows(a.data(), b.data(), ref.data(), 0, m, n, k,
+        runtime_kernels::gemm_rows(a.data(), b.data(), {ref.data(), n}, 0, m, n, k,
                                    runtime_kernels::F32Policy{bias.data(), act, 0.0});
         std::vector<float> got(ref.size(), -777.0f);
         mk_gemm_f32(*t, a.data(), b.data(), got.data(), m, n, k, bias.data(), act, 0.0);
@@ -244,7 +244,7 @@ TEST(Microkernel, S8EdgeTailsBitwiseEqualScalarReference) {
         const std::int32_t q_lo = ((m + n) % 2 == 0) ? 0 : -128;
         std::vector<std::int8_t> ref(static_cast<std::size_t>(m * n));
         const std::uint64_t sat_ref = runtime_kernels::gemm_rows(
-            a.data(), b.data(), ref.data(), 0, m, n, k,
+            a.data(), b.data(), {ref.data(), n}, 0, m, n, k,
             runtime_kernels::S8Policy{bias.data(), rq.data(), q_lo, 127});
         std::vector<std::int8_t> got(ref.size(), 99);
         const std::uint64_t sat_got = mk_gemm_s8(*t, a.data(), b.data(), got.data(), m, n,
@@ -259,12 +259,42 @@ TEST(Microkernel, S8EdgeTailsBitwiseEqualScalarReference) {
 }
 
 TEST(Microkernel, ColMajorStoreIsBitwiseTransposeOfRowMajor) {
-  const auto* t = best_simd_table();
-  if (t == nullptr) GTEST_SKIP() << "no SIMD microkernels";
   const std::int64_t m = 7, n = 17, k = 33;
   const auto a = rand_f32(static_cast<std::size_t>(m * k), 1);
   const auto b = rand_f32(static_cast<std::size_t>(k * n), 2);
   std::vector<float> row(static_cast<std::size_t>(m * n)), col(row.size());
+
+  // The scalar kernel's column-major store (a dense layer's [lanes x units]
+  // at portable dispatch), on every host.
+  const runtime_kernels::F32Policy f32{nullptr, OpKind::kRelu, 0.0};
+  runtime_kernels::gemm_rows(a.data(), b.data(), {row.data(), n}, 0, m, n, k, f32);
+  runtime_kernels::gemm_rows(a.data(), b.data(), {col.data(), m, true}, 0, m, n, k, f32);
+  for (std::int64_t r = 0; r < m; ++r) {
+    for (std::int64_t j = 0; j < n; ++j) {
+      ASSERT_EQ(std::bit_cast<std::uint32_t>(row[static_cast<std::size_t>(r * n + j)]),
+                std::bit_cast<std::uint32_t>(col[static_cast<std::size_t>(j * m + r)]));
+    }
+  }
+  const auto a8 = rand_s8(static_cast<std::size_t>(m * k), 3);
+  const auto b8 = rand_s8(static_cast<std::size_t>(k * n), 4);
+  const S8Channels ch = s8_channels(m, 5);
+  const runtime_kernels::S8Policy s8{ch.bias.data(), ch.rq.data(), -128, 127};
+  std::vector<std::int8_t> row8(static_cast<std::size_t>(m * n)), col8(row8.size());
+  const auto sat_row = runtime_kernels::gemm_rows(a8.data(), b8.data(), {row8.data(), n}, 0, m, n,
+                                                  k, s8);
+  const auto sat_col = runtime_kernels::gemm_rows(a8.data(), b8.data(), {col8.data(), m, true}, 0,
+                                                  m, n, k, s8);
+  EXPECT_GT(sat_row, 0u);
+  EXPECT_EQ(sat_col, sat_row);
+  for (std::int64_t r = 0; r < m; ++r) {
+    for (std::int64_t j = 0; j < n; ++j) {
+      ASSERT_EQ(row8[static_cast<std::size_t>(r * n + j)],
+                col8[static_cast<std::size_t>(j * m + r)]);
+    }
+  }
+
+  const auto* t = best_simd_table();
+  if (t == nullptr) GTEST_SKIP() << "no SIMD microkernels";
   mk_gemm_f32(*t, a.data(), b.data(), row.data(), m, n, k, nullptr, OpKind::kIdentity, 0.0);
   mk_gemm_f32(*t, a.data(), b.data(), col.data(), m, n, k, nullptr, OpKind::kIdentity, 0.0,
               /*col_major=*/true);
@@ -277,11 +307,8 @@ TEST(Microkernel, ColMajorStoreIsBitwiseTransposeOfRowMajor) {
   }
 
   if (t->gemm_s8 == nullptr) return;
-  const auto a8 = rand_s8(static_cast<std::size_t>(m * k), 3);
-  const auto b8 = rand_s8(static_cast<std::size_t>(k * n), 4);
   std::vector<std::int32_t> bias(static_cast<std::size_t>(m), 11);
   std::vector<Requant> rq(static_cast<std::size_t>(m), Requant::from_real(0.003));
-  std::vector<std::int8_t> row8(static_cast<std::size_t>(m * n)), col8(row8.size());
   const auto s1 = mk_gemm_s8(*t, a8.data(), b8.data(), row8.data(), m, n, k, bias.data(),
                              rq.data(), -128, 127);
   const auto s2 = mk_gemm_s8(*t, a8.data(), b8.data(), col8.data(), m, n, k, bias.data(),
@@ -764,8 +791,8 @@ TEST(SelfHeal, Int8RepairTriggersRepreparationAndBitwiseCleanRerun) {
   const Tensor in(in_shape, rand_f32(400, 96));
 
   Executor exec(live, DType::kINT8);
-  EXPECT_EQ(exec.preparations(), 1u);
   const QTensor clean = testutil::qexec_single(exec, live, in);
+  EXPECT_EQ(exec.preparations(), 1u);
 
   safety::WeightScrubber scrub(live, {64});  // baselines the clean bits
   flip_weight_bit(live);
