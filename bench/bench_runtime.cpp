@@ -66,6 +66,30 @@ double median_run_seconds(runtime::Session& session, const std::string& feed,
   return times[times.size() / 2];
 }
 
+/// Each node's median span (µs) over \p runs traced runs of \p g on one
+/// thread (int8 when \p int8), after one warm-up run for the plan, arena
+/// and scratch: the per-node ledgers' one timing source.
+std::map<std::string, double> median_node_spans_us(const Graph& g, const Tensor& x, bool int8,
+                                                   int runs) {
+  const std::string feed = g.node(g.inputs().front()).name;
+  obs::Tracer tracer;
+  runtime::RunOptions o;
+  o.exec.threads = 1;
+  o.trace = &tracer;
+  auto session = int8 ? runtime::make_quantized_session(g, o) : runtime::make_session(g, o);
+  (void)session->run({{feed, x}});
+  tracer.clear();
+  for (int i = 0; i < runs; ++i) (void)session->run({{feed, x}});
+  std::map<std::string, std::vector<double>> spans_us;
+  for (const obs::Span& span : tracer.spans()) spans_us[span.name].push_back(span.duration_us());
+  std::map<std::string, double> median;
+  for (auto& [node, us] : spans_us) {
+    std::sort(us.begin(), us.end());
+    median[node] = us[us.size() / 2];
+  }
+  return median;
+}
+
 /// One GEMM node of the per-GEMM ledger, at one dtype.
 struct GemmRow {
   std::string dtype;
@@ -86,31 +110,18 @@ struct GemmRow {
 std::vector<GemmRow> gemm_ledger(const Graph& g, const Tensor& x, const hw::HostRoofline& roof) {
   constexpr int kRuns = 5;
   const auto* table = runtime_kernels::gemm_microkernels(roof.level);
-  const std::string feed = g.node(g.inputs().front()).name;
   std::vector<GemmRow> rows;
   for (const bool int8 : {false, true}) {
     const runtime_kernels::MicrokernelTile tile =
         table == nullptr ? runtime_kernels::MicrokernelTile{} : int8 ? table->s8 : table->f32;
-    obs::Tracer tracer;
-    runtime::RunOptions o;
-    o.exec.threads = 1;
-    o.trace = &tracer;
-    auto session = int8 ? runtime::make_quantized_session(g, o) : runtime::make_session(g, o);
-    (void)session->run({{feed, x}});  // warm-up: plan, arena and scratch
-    tracer.clear();
-    for (int i = 0; i < kRuns; ++i) (void)session->run({{feed, x}});
-    std::map<std::string, std::vector<double>> spans_us;
-    for (const obs::Span& span : tracer.spans()) spans_us[span.name].push_back(span.duration_us());
-
+    std::map<std::string, double> median_us = median_node_spans_us(g, x, int8, kRuns);
     for (NodeId id : g.topo_order()) {
       const Node& n = g.node(id);
       const std::optional<GemmShape> gemm = lower_to_gemm(g, n);
       if (!gemm) continue;
       GemmRow r{int8 ? "int8" : "f32", n.name, gemm->k, gemm->m, gemm->cols};
       r.transposed = runtime_kernels::gemm_transposed(gemm->m, gemm->cols, tile);
-      std::vector<double>& us = spans_us[n.name];
-      std::sort(us.begin(), us.end());
-      r.median_us = us.empty() ? 0.0 : us[us.size() / 2];
+      r.median_us = median_us[n.name];
       const double ops = static_cast<double>(node_cost(g, id).ops);
       r.gops = r.median_us > 0 ? ops / r.median_us / 1e3 : 0.0;
       r.roof_fraction = hw::fraction_of_roofline(r.gops, int8 ? roof.s8_gops : roof.f32_gflops);
@@ -134,6 +145,65 @@ std::vector<GemmRow> gemm_ledger(const Graph& g, const Tensor& x, const hw::Host
   t.print(std::cout);
   bench::note("T: the plan runs the GEMM transposed (weights on the vector lanes);");
   bench::note("us: median node span over the runs; roof: of the level's one-thread roof.");
+  return rows;
+}
+
+/// One depthwise Conv2d node of the depthwise ledger (f32).
+struct DepthwiseRow {
+  std::string node;
+  std::int64_t kernel = 0, stride = 0, channels = 0, out_h = 0, out_w = 0;
+  double median_us = 0;
+  double gops = 0;
+  double roof_fraction = 0;  ///< of the portable one-thread f32 roof
+};
+
+/// The depthwise ledger: every depthwise Conv2d of MobileNetV3-Large 224,
+/// BN-folded and activation-fused, f32 at batch 1 on one thread at the
+/// resolved dispatch level, each node's median self time over the runs read
+/// from its tracer spans, with its GOP/s and fraction of \p portable's f32
+/// roof: the depthwise body is compiled at the baseline ISA at every level. A
+/// depthwise node is a Conv2d with no GEMM shape (lower_to_gemm).
+std::vector<DepthwiseRow> depthwise_ledger(const hw::HostRoofline& portable) {
+  constexpr int kRuns = 5;
+  constexpr std::int64_t kImage = 224;
+  Graph g = zoo::mobilenet_v3_large(1, 1000, kImage);
+  Rng rng(7);
+  g.materialize_weights(rng);
+  opt::FuseBatchNormPass().run(g);
+  opt::FuseActivationPass().run(g);
+  Rng data_rng(8);
+  const Tensor x(Shape{1, 3, kImage, kImage},
+                 data_rng.normal_vector(static_cast<std::size_t>(3 * kImage * kImage)));
+  std::map<std::string, double> median_us = median_node_spans_us(g, x, false, kRuns);
+  std::vector<DepthwiseRow> rows;
+  for (NodeId id : g.topo_order()) {
+    const Node& n = g.node(id);
+    if (n.kind != OpKind::kConv2d || lower_to_gemm(g, n)) continue;
+    DepthwiseRow r{n.name, n.attrs.get_int("kernel"), n.attrs.get_int_or("stride", 1),
+                   n.out_shape.c(), n.out_shape.h(), n.out_shape.w()};
+    r.median_us = median_us[n.name];
+    const double ops = static_cast<double>(node_cost(g, id).ops);
+    r.gops = r.median_us > 0 ? ops / r.median_us / 1e3 : 0.0;
+    r.roof_fraction = hw::fraction_of_roofline(r.gops, portable.f32_gflops);
+    rows.push_back(std::move(r));
+  }
+
+  std::printf("\nDepthwise ledger: MobileNetV3-Large %lld (batch 1, folded and fused), f32, "
+              "1 thread:\n\n",
+              static_cast<long long>(kImage));
+  Table t({"node", "k", "stride", "channels", "out", "us", "GF/s", "portable roof"});
+  double total_us = 0;
+  for (const DepthwiseRow& r : rows) {
+    t.add_row({r.node, std::to_string(r.kernel), std::to_string(r.stride),
+               std::to_string(r.channels), std::to_string(r.out_h) + "x" + std::to_string(r.out_w),
+               fmt_fixed(r.median_us, 1), fmt_fixed(r.gops, 2),
+               fmt_fixed(r.roof_fraction * 100.0, 1) + "%"});
+    total_us += r.median_us;
+  }
+  t.print(std::cout);
+  bench::note("us: median node span over the runs; roof: the portable one-thread f32 roof,");
+  bench::note("since the depthwise body runs at the baseline ISA at every level; total " +
+              fmt_fixed(total_us / 1e3, 2) + " ms.");
   return rows;
 }
 
@@ -283,6 +353,7 @@ void engine_sweep() {
     }
     if (batch == 1) ledger = gemm_ledger(q, x, roof_simd);
   }
+  const std::vector<DepthwiseRow> depthwise = depthwise_ledger(roof_portable);
   t.print(std::cout);
   bench::note("GF/s is end-to-end model flops (int8: integer ops) over wall-clock;");
   bench::note("roofline is the measured per-level register-FMA roof of this host;");
@@ -351,6 +422,21 @@ void engine_sweep() {
                    static_cast<long long>(r.cols), r.transposed ? "true" : "false",
                    obs::json_number(r.median_us).c_str(), obs::json_number(r.gops).c_str(),
                    obs::json_number(r.roof_fraction).c_str(), i + 1 < ledger.size() ? "," : "");
+    }
+    std::fprintf(f, "  ],\n  \"depthwise_nodes\": [\n");
+    for (std::size_t i = 0; i < depthwise.size(); ++i) {
+      const DepthwiseRow& r = depthwise[i];
+      std::fprintf(f,
+                   "    {\"model\": \"mobilenet_v3_large\", \"image\": 224, \"dtype\": \"f32\", "
+                   "\"node\": \"%s\", \"batch\": 1, \"threads\": 1, \"simd\": \"%s\", "
+                   "\"kernel\": %lld, \"stride\": %lld, \"channels\": %lld, \"out_h\": %lld, "
+                   "\"out_w\": %lld, \"median_us\": %s, \"gops\": %s, "
+                   "\"fraction_of_portable_roofline\": %s}%s\n",
+                   r.node.c_str(), simd_name.c_str(), static_cast<long long>(r.kernel),
+                   static_cast<long long>(r.stride), static_cast<long long>(r.channels),
+                   static_cast<long long>(r.out_h), static_cast<long long>(r.out_w),
+                   obs::json_number(r.median_us).c_str(), obs::json_number(r.gops).c_str(),
+                   obs::json_number(r.roof_fraction).c_str(), i + 1 < depthwise.size() ? "," : "");
     }
     std::fprintf(f, "  ]\n}\n");
     std::fclose(f);

@@ -6,7 +6,10 @@
 # points beyond hardware_concurrency are recorded unmeasured), plus the
 # per-GEMM-node ledger ("gemm_nodes": every Conv2d/Dense node of the
 # folded, fused ResNet-50 at batch 1, one thread, the resolved level, f32 and
-# int8, timed from its tracer spans).
+# int8, timed from its tracer spans) and the depthwise ledger
+# ("depthwise_nodes": every depthwise Conv2d of the folded, fused
+# MobileNetV3-Large 224 at batch 1, one thread, f32, against the portable f32
+# roof).
 #
 # Usage: scripts/bench_runtime.sh [build-dir]
 set -euo pipefail
@@ -24,7 +27,7 @@ VEDLIOT_BENCH_RUNTIME_JSON="$REPO_ROOT/BENCH_runtime.json" \
 
 # The roofline fields are what downstream perf tracking keys on; a bench
 # binary that silently stopped emitting them must fail the regeneration.
-for field in achieved_gflops fraction_of_roofline hardware_concurrency gemm_nodes; do
+for field in achieved_gflops fraction_of_roofline hardware_concurrency gemm_nodes depthwise_nodes; do
   grep -q "\"$field\"" "$REPO_ROOT/BENCH_runtime.json" || {
     echo "BENCH_runtime.json is missing \"$field\"" >&2
     exit 1

@@ -27,7 +27,7 @@ VEDLIOT_FORCE_PORTABLE=1 ctest --test-dir build --output-on-failure "${JOBS}" \
 
 echo
 echo "== tier-1: bench baseline carries the roofline fields =="
-for field in achieved_gflops fraction_of_roofline hardware_concurrency gemm_nodes; do
+for field in achieved_gflops fraction_of_roofline hardware_concurrency gemm_nodes depthwise_nodes; do
   grep -q "\"$field\"" BENCH_runtime.json || {
     echo "BENCH_runtime.json is missing \"$field\" (regenerate with scripts/bench_runtime.sh)" >&2
     exit 1

@@ -595,8 +595,8 @@ void Executor::run_op(const Step& s, const P& p, const typename P::Elem* w) {
     case OpKind::kConv2d: {
       const Conv2dGeometry& geo = s.conv;
       if (!s.gemm) {
-        // Depthwise, direct at every dispatch level: the k*k dot per pixel
-        // has no GEMM shape, so portable and SIMD runs share these exact bits.
+        // Depthwise: the row sweep at every dispatch level (no GEMM shape),
+        // so portable and SIMD runs share these exact bits.
         for (std::int64_t b = 0; b < lanes; ++b) {
           pfor(0, geo.out_c, 1, [&](std::int64_t lo, std::int64_t hi, std::size_t chunk) {
             sat[chunk] += depthwise(x, w, y, geo, b, lo, hi, p);
@@ -752,8 +752,8 @@ void Executor::run_op(const Step& s, const P& p, const typename P::Elem* w) {
       }
       break;
     }
-    case OpKind::kInput:
-      throw ExecError("Input node reached the kernel dispatch");
+    case OpKind::kInput:  // the plan compiles no Input step
+      VEDLIOT_ASSERT(n.kind != OpKind::kInput);
   }
 }
 

@@ -12,23 +12,85 @@
 /// loop with per-element bounds checks.
 ///
 /// Determinism contract: every kernel accumulates each output element over a
-/// fixed k-order (k = 0..K-1), so results are bitwise identical no matter how
-/// the row range is partitioned across threads. Parallel callers split the
-/// *row* dimension only.
+/// fixed order (a GEMM's k = 0..K-1, a window's in-image taps in (kh, kw)
+/// order), so results are bitwise identical no matter how the work is
+/// partitioned across threads. Parallel callers split whole output rows,
+/// channels, planes or tile panels (a transposed GEMM step splits its weight
+/// column panels), never one element's sum.
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <type_traits>
 
 #include "graph/op.hpp"
 
 namespace vedliot::runtime_kernels {
 
-/// Scalar activation of the f32 epilogues and activation ops. kIdentity passes
-/// through; alpha feeds LeakyRelu.
-float apply_activation(float x, OpKind kind, double alpha);
+/// std::clamp(x, lo, hi) by value, the same result for every x (NaN and −0
+/// included): std::clamp returns a reference, over which GCC keeps a branch
+/// per element (mispredicted on data around the edges) and does not
+/// vectorize.
+inline float clamp_value(float x, float lo, float hi) {
+  const float t = x < lo ? lo : x;
+  return hi < t ? hi : t;
+}
+
+/// The f32 activation of kind \p K: the one formula per kind, which every f32
+/// epilogue and activation op evaluates, per element or per row. kIdentity
+/// (and any kind that is not an activation) passes through; alpha feeds
+/// LeakyRelu.
+template <OpKind K>
+inline float activate(float x, float alpha) {
+  if constexpr (K == OpKind::kRelu) {
+    return x > 0.0f ? x : 0.0f;
+  } else if constexpr (K == OpKind::kRelu6) {
+    return clamp_value(x, 0.0f, 6.0f);
+  } else if constexpr (K == OpKind::kLeakyRelu) {
+    return x > 0.0f ? x : alpha * x;
+  } else if constexpr (K == OpKind::kSigmoid) {
+    return 1.0f / (1.0f + std::exp(-x));
+  } else if constexpr (K == OpKind::kHSigmoid) {
+    return clamp_value(x / 6.0f + 0.5f, 0.0f, 1.0f);
+  } else if constexpr (K == OpKind::kHSwish) {
+    return x * activate<OpKind::kHSigmoid>(x, alpha);
+  } else if constexpr (K == OpKind::kTanh) {
+    return std::tanh(x);
+  } else if constexpr (K == OpKind::kMish) {
+    return x * std::tanh(std::log1p(std::exp(x)));  // x·tanh(softplus(x))
+  } else {
+    return x;
+  }
+}
+
+/// fn(std::integral_constant<OpKind, kind>{}) for an activation \p kind, and
+/// with kIdentity for any other kind: the one switch over activation kinds,
+/// taken once per element or once per row.
+template <typename Fn>
+inline decltype(auto) visit_activation(OpKind kind, Fn&& fn) {
+  using K = OpKind;
+  switch (kind) {
+    case K::kRelu: return fn(std::integral_constant<K, K::kRelu>{});
+    case K::kRelu6: return fn(std::integral_constant<K, K::kRelu6>{});
+    case K::kLeakyRelu: return fn(std::integral_constant<K, K::kLeakyRelu>{});
+    case K::kSigmoid: return fn(std::integral_constant<K, K::kSigmoid>{});
+    case K::kHSigmoid: return fn(std::integral_constant<K, K::kHSigmoid>{});
+    case K::kHSwish: return fn(std::integral_constant<K, K::kHSwish>{});
+    case K::kTanh: return fn(std::integral_constant<K, K::kTanh>{});
+    case K::kMish: return fn(std::integral_constant<K, K::kMish>{});
+    default: return fn(std::integral_constant<K, K::kIdentity>{});
+  }
+}
+
+/// Scalar activation of the f32 epilogues and activation ops: activate<kind>,
+/// inline at every call site.
+[[gnu::always_inline]] inline float apply_activation(float x, OpKind kind, double alpha) {
+  return visit_activation(kind, [&](auto k) {
+    return activate<decltype(k)::value>(x, static_cast<float>(alpha));
+  });
+}
 
 /// Round a float value to nearest and saturate it to int8, counting
 /// saturations (values outside [-128, 127] — information lost). Only the
@@ -132,12 +194,37 @@ struct F32Policy {
   OpKind act = OpKind::kIdentity;
   double alpha = 0.01;
 
-  /// The epilogue of one output channel.
+  /// The epilogue of one output channel, per element or per row.
   struct Channel {
     OpKind act;
     double alpha;
     float operator()(float f, std::uint64_t& /*saturations*/) const {
-      return act == OpKind::kIdentity ? f : apply_activation(f, act, alpha);
+      return apply_activation(f, act, alpha);
+    }
+    /// y[i] = (*this)(acc[i]) for i < n (y may be acc), the kind's switch
+    /// taken once: a loop per kind the compiler vectorizes where the formula
+    /// allows.
+    void row(const float* acc, float* y, std::int64_t n, std::uint64_t& /*saturations*/) const {
+      const float a = static_cast<float>(alpha);
+      visit_activation(act, [&](auto k) {
+        constexpr OpKind kKind = decltype(k)::value;
+        if constexpr (kKind == OpKind::kHSwish) {
+          // x·hsigmoid(x) over a block of hsigmoids: as one expression GCC
+          // moves the product into the clamp's branches, where it may trap,
+          // and keeps the branches.
+          constexpr std::int64_t kBlock = 64;
+          float h[kBlock];
+          for (std::int64_t i0 = 0; i0 < n; i0 += kBlock) {
+            const std::int64_t m = std::min(kBlock, n - i0);
+            for (std::int64_t i = 0; i < m; ++i) {
+              h[i] = activate<OpKind::kHSigmoid>(acc[i0 + i], a);
+            }
+            for (std::int64_t i = 0; i < m; ++i) y[i0 + i] = acc[i0 + i] * h[i];
+          }
+        } else {
+          for (std::int64_t i = 0; i < n; ++i) y[i] = activate<kKind>(acc[i], a);
+        }
+      });
     }
   };
   /// The epilogue of a pool window of \p count taps (1 for a max).
@@ -163,7 +250,7 @@ struct F32Policy {
     const Channel e = channel(0);
     std::uint64_t none = 0;
     if (b == nullptr) {
-      for (std::int64_t i = 0; i < n; ++i) y[i] = e(a[i], none);
+      e.row(a, y, n, none);
     } else if (act == OpKind::kIdentity) {
       for (std::int64_t i = 0; i < n; ++i) y[i] = a[i] + b[i];  // stays a loop the compiler vectorizes
     } else {
@@ -198,6 +285,13 @@ struct S8Policy {
     std::int32_t q_lo, q_hi;
     std::int8_t operator()(std::int32_t v, std::uint64_t& saturations) const {
       return saturate_clamped(rq.apply(v), q_lo, q_hi, saturations);
+    }
+    /// y[i] = (*this)(acc[i]) for i < n.
+    void row(const std::int32_t* acc, std::int8_t* y, std::int64_t n,
+             std::uint64_t& saturations) const {
+      std::uint64_t count = 0;  // a local: stores through y may alias a reference
+      for (std::int64_t i = 0; i < n; ++i) y[i] = (*this)(acc[i], count);
+      saturations += count;
     }
   };
 
@@ -234,8 +328,11 @@ struct Conv2dGeometry {
 };
 
 // The kernels below are called from the executor's pool lambdas. They stay
-// out of line: inlined there, GCC spilled the depthwise tap loop's pointers
-// to the stack (MobileNetV3's depthwise rows ran 30% slower).
+// out of line ([[gnu::noinline]]): each is one symbol, compiled once at the
+// baseline ISA whatever the dispatch level, which the perfbench layout table
+// (scripts/perfbench_layout.sh) can place; and inlined into a lambda, a
+// kernel's loop pointers can spill to the stack (a depthwise loop so inlined
+// ran 30% slower on MobileNetV3).
 
 /// Pack one (lane, group) slice of an NCHW input into a row-major
 /// [patch() x cols()] column matrix; out-of-image taps become zero.
@@ -335,7 +432,7 @@ std::uint64_t gemm_rows(const typename P::Elem* a, const typename P::Elem* b,
       if (c.col_major) {
         for (std::int64_t j = 0; j < jn; ++j) crow[j * c.ldc] = epilogue(acc[j], saturations);
       } else {
-        for (std::int64_t j = 0; j < jn; ++j) crow[j] = epilogue(acc[j], saturations);
+        epilogue.row(acc, crow, jn, saturations);
       }
     }
   }
@@ -344,15 +441,28 @@ std::uint64_t gemm_rows(const typename P::Elem* a, const typename P::Elem* b,
 
 /// Direct depthwise convolution (groups == channels) for channel range
 /// [c_lo, c_hi) of lane b: im2col degenerates to a k*k dot per pixel, so
-/// packing overhead is pure loss — keep it direct. Accumulation in fixed
-/// tap order, through the policy like gemm_rows.
+/// packing overhead is pure loss — keep it direct, as row sweeps. Per
+/// (channel, output row) a row of accumulators starts at the bias; each
+/// in-image tap (kh, kw) adds x·w over the one interval of output columns
+/// whose input column ow·stride − pad + kw lies in the image, a branch-free
+/// loop the compiler vectorizes (stride 1 and 2 each get their own); then the
+/// row leaves through the policy's row epilogue. Every pixel adds exactly its
+/// in-image taps in (kh, kw) order, as a per-pixel loop would, so the bits
+/// are those of that loop at every dispatch level and for any channel split.
 template <typename P> [[gnu::noinline]]
 std::uint64_t depthwise(const typename P::Elem* in, const typename P::Elem* w,
                         typename P::Elem* out, const Conv2dGeometry& g, std::int64_t b,
                         std::int64_t c_lo, std::int64_t c_hi, const P& p) {
   using Acc = typename P::Acc;
-  const std::int64_t k = g.kernel, IH = g.in_h, IW = g.in_w, OH = g.out_h, OW = g.out_w;
+  constexpr std::int64_t kRow = 256;  // accumulators of one row block
+  const std::int64_t k = g.kernel, s = g.stride, pad = g.pad;
+  const std::int64_t IH = g.in_h, IW = g.in_w, OH = g.out_h, OW = g.out_w;
+  // The count of output columns ow >= 0 with ow·s < v: tap kw's input column
+  // ow·s − pad + kw is in the image for ow in
+  // [cols_below(pad − kw), cols_below(IW + pad − kw)).
+  const auto cols_below = [s](std::int64_t v) { return v > 0 ? (v + s - 1) / s : 0; };
   std::uint64_t saturations = 0;
+  Acc acc[kRow];
   for (std::int64_t c = c_lo; c < c_hi; ++c) {
     const auto* plane = in + ((b * g.in_c + c) * IH) * IW;
     const auto* wc = w + c * k * k;
@@ -360,18 +470,32 @@ std::uint64_t depthwise(const typename P::Elem* in, const typename P::Elem* w,
     const Acc init = p.init(c);
     const auto epilogue = p.channel(c);
     for (std::int64_t oh = 0; oh < OH; ++oh) {
-      for (std::int64_t ow = 0; ow < OW; ++ow) {
-        Acc acc = init;
-        for (std::int64_t kh = 0; kh < k; ++kh) {
-          const std::int64_t ih = oh * g.stride - g.pad + kh;
-          if (ih < 0 || ih >= IH) continue;
+      const std::int64_t ih0 = oh * s - pad;  // the input row of tap kh = 0
+      const std::int64_t kh_lo = std::max<std::int64_t>(0, -ih0), kh_hi = std::min(k, IH - ih0);
+      for (std::int64_t j0 = 0; j0 < OW; j0 += kRow) {
+        const std::int64_t jn = std::min(kRow, OW - j0);
+        for (std::int64_t j = 0; j < jn; ++j) acc[j] = init;
+        for (std::int64_t kh = kh_lo; kh < kh_hi; ++kh) {
+          const auto* row = plane + (ih0 + kh) * IW;
           for (std::int64_t kw = 0; kw < k; ++kw) {
-            const std::int64_t iw = ow * g.stride - g.pad + kw;
-            if (iw < 0 || iw >= IW) continue;
-            acc += static_cast<Acc>(plane[ih * IW + iw]) * static_cast<Acc>(wc[kh * k + kw]);
+            // This block's columns [lo, hi) whose tap (kh, kw) is in the image.
+            const std::int64_t lo = std::max(cols_below(pad - kw), j0) - j0;
+            const std::int64_t hi = std::min(cols_below(IW + pad - kw), j0 + jn) - j0;
+            if (lo >= hi) continue;
+            const Acc wv = static_cast<Acc>(wc[kh * k + kw]);
+            const auto* x = row + (j0 + lo) * s - pad + kw;
+            Acc* a = acc + lo;
+            const std::int64_t n = hi - lo;
+            if (s == 1) {
+              for (std::int64_t j = 0; j < n; ++j) a[j] += static_cast<Acc>(x[j]) * wv;
+            } else if (s == 2) {
+              for (std::int64_t j = 0; j < n; ++j) a[j] += static_cast<Acc>(x[2 * j]) * wv;
+            } else {
+              for (std::int64_t j = 0; j < n; ++j) a[j] += static_cast<Acc>(x[j * s]) * wv;
+            }
           }
         }
-        oplane[oh * OW + ow] = epilogue(acc, saturations);
+        epilogue.row(acc, oplane + oh * OW + j0, jn, saturations);
       }
     }
   }

@@ -54,7 +54,11 @@ std::uint64_t store_tile(const typename P::Acc* tile, const GemmStore<typename P
   }
   for (std::int64_t r = 0; r < mv; ++r) {
     const auto epilogue = p.channel(m0 + r);
-    for (std::int64_t j = 0; j < jv; ++j) put(r, j, epilogue(tile[r * NR + j], saturations));
+    if (s.col_major) {
+      for (std::int64_t j = 0; j < jv; ++j) put(r, j, epilogue(tile[r * NR + j], saturations));
+    } else {
+      epilogue.row(tile + r * NR, s.c + (m0 + r) * s.ldc + j0, jv, saturations);
+    }
   }
   return saturations;
 }
@@ -392,16 +396,28 @@ VEDLIOT_TARGET_AVX2 double probe_f32_avx2(std::int64_t iters) {
 }
 
 VEDLIOT_TARGET_AVX2 double probe_s8_avx2(std::int64_t iters) {
-  __m256i acc[8];
-  for (int i = 0; i < 8; ++i) acc[i] = _mm256_set1_epi32(i);
-  const __m256i a = _mm256_set1_epi16(3);
-  const __m256i b = _mm256_set1_epi16(5);
+  // 12 independent chains of one madd_epi16 and one add_epi32 each, the
+  // microkernel's pair per 16 MACs. Each madd reads its own chain's
+  // accumulator, so it cannot be hoisted out of the loop (a loop-invariant
+  // madd would be, leaving a loop of adds that times add throughput), and
+  // the empty asm keeps the 12 accumulators in ymm registers: without it GCC
+  // stores some to the stack every iteration.
+  const __m256i b = _mm256_set1_epi16(3);
+  const __m256i c = _mm256_set1_epi32(7);
+  __m256i a0 = _mm256_set1_epi32(1), a1 = _mm256_set1_epi32(2), a2 = _mm256_set1_epi32(3);
+  __m256i a3 = _mm256_set1_epi32(4), a4 = _mm256_set1_epi32(5), a5 = _mm256_set1_epi32(6);
+  __m256i a6 = _mm256_set1_epi32(7), a7 = _mm256_set1_epi32(8), a8 = _mm256_set1_epi32(9);
+  __m256i a9 = _mm256_set1_epi32(10), a10 = _mm256_set1_epi32(11), a11 = _mm256_set1_epi32(12);
   for (std::int64_t it = 0; it < iters; ++it) {
-    for (int i = 0; i < 8; ++i) acc[i] = _mm256_add_epi32(acc[i], _mm256_madd_epi16(a, b));
+    for (__m256i* a : {&a0, &a1, &a2, &a3, &a4, &a5, &a6, &a7, &a8, &a9, &a10, &a11}) {
+      *a = _mm256_add_epi32(_mm256_madd_epi16(*a, b), c);
+    }
+    asm("" : "+x"(a0), "+x"(a1), "+x"(a2), "+x"(a3), "+x"(a4), "+x"(a5), "+x"(a6), "+x"(a7),
+        "+x"(a8), "+x"(a9), "+x"(a10), "+x"(a11));
   }
+  __m256i sum = a0;
+  for (__m256i a : {a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11}) sum = _mm256_add_epi32(sum, a);
   alignas(32) std::int32_t sink[8];
-  __m256i sum = acc[0];
-  for (int i = 1; i < 8; ++i) sum = _mm256_add_epi32(sum, acc[i]);
   _mm256_store_si256(reinterpret_cast<__m256i*>(sink), sum);
   return static_cast<double>(sink[0]);
 }
@@ -473,8 +489,8 @@ double peak_probe_s8(util::SimdLevel resolved, double min_seconds) {
 #if defined(VEDLIOT_HAVE_X86)
   if (resolved == util::SimdLevel::kAvx2 && util::simd_supported(util::SimdLevel::kAvx2)) {
     const auto [iters, s] = calibrate(&probe_s8_avx2, min_seconds, &sink);
-    // 8 chains x 16 MACs per madd+add x 2 ops per MAC.
-    return static_cast<double>(iters) * 8.0 * 16.0 * 2.0 / s / 1e9;
+    // 12 chains x 16 MACs per madd+add x 2 ops per MAC.
+    return static_cast<double>(iters) * 12.0 * 16.0 * 2.0 / s / 1e9;
   }
 #endif
   (void)resolved;

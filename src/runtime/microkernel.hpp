@@ -44,8 +44,9 @@
 ///  - the f32 microkernel keeps the scalar k order but contracts each
 ///    multiply-add to one FMA rounding, so SIMD-vs-portable agrees to a
 ///    tight ULP bound rather than bitwise. Every level stores its tile
-///    through one store_tile over the dtype policy, so the epilogue math
-///    (activation or requantization) is identical.
+///    through one store_tile over the dtype policy (a row-major tile row
+///    through the policy's row epilogue), so the epilogue math (activation
+///    or requantization) is identical.
 ///
 /// Tail handling: partial row/column panels are zero-padded during packing
 /// and the epilogue stores only the valid region, so every lane — including

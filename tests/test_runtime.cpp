@@ -1,9 +1,12 @@
-// Tests for the reference executor (real arithmetic) and the memory planner.
+// Tests for the reference executor (real arithmetic), its depthwise kernel
+// and f32 activation formulas at kernel level, and the memory planner.
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstring>
+#include <limits>
 
 #include "direct_conv.hpp"
 #include "exec_single.hpp"
@@ -645,6 +648,189 @@ TEST(ExecutionEngine, SetMaxBatchAdjustsAdmissionOnLiveSession) {
 
   session->set_exec_config({});
   EXPECT_NO_THROW((void)session->run_single(x));
+}
+
+// ---------------------------------------------------------------------------
+// Kernel level: the depthwise row sweep against the per-pixel loop it
+// replaced, and each activation's row form against apply_activation
+// ---------------------------------------------------------------------------
+
+/// The per-pixel depthwise loop the row sweep replaced, kept verbatim as the
+/// reference: per output pixel the bias, then its in-image taps in (kh, kw)
+/// order with two bounds checks per tap, then the channel's epilogue.
+template <typename P>
+std::uint64_t depthwise_per_pixel(const typename P::Elem* in, const typename P::Elem* w,
+                                  typename P::Elem* out, const runtime_kernels::Conv2dGeometry& g,
+                                  std::int64_t b, std::int64_t c_lo, std::int64_t c_hi,
+                                  const P& p) {
+  using Acc = typename P::Acc;
+  const std::int64_t k = g.kernel, IH = g.in_h, IW = g.in_w, OH = g.out_h, OW = g.out_w;
+  std::uint64_t saturations = 0;
+  for (std::int64_t c = c_lo; c < c_hi; ++c) {
+    const auto* plane = in + ((b * g.in_c + c) * IH) * IW;
+    const auto* wc = w + c * k * k;
+    auto* oplane = out + ((b * g.out_c + c) * OH) * OW;
+    const Acc init = p.init(c);
+    const auto epilogue = p.channel(c);
+    for (std::int64_t oh = 0; oh < OH; ++oh) {
+      for (std::int64_t ow = 0; ow < OW; ++ow) {
+        Acc acc = init;
+        for (std::int64_t kh = 0; kh < k; ++kh) {
+          const std::int64_t ih = oh * g.stride - g.pad + kh;
+          if (ih < 0 || ih >= IH) continue;
+          for (std::int64_t kw = 0; kw < k; ++kw) {
+            const std::int64_t iw = ow * g.stride - g.pad + kw;
+            if (iw < 0 || iw >= IW) continue;
+            acc += static_cast<Acc>(plane[ih * IW + iw]) * static_cast<Acc>(wc[kh * k + kw]);
+          }
+        }
+        oplane[oh * OW + ow] = epilogue(acc, saturations);
+      }
+    }
+  }
+  return saturations;
+}
+
+/// Depthwise geometries over kernel {1, 3, 5, 7} x stride {1, 2, 3} x pad
+/// {0..3}, at planes from 1x1 up: planes narrower than the kernel, one
+/// output column, and rows of 800 input columns, wider than the kernel's
+/// internal row block, at every stride. Five channels, two lanes.
+std::vector<runtime_kernels::Conv2dGeometry> depthwise_geometries() {
+  struct Plane {
+    std::int64_t h, w;
+  };
+  std::vector<runtime_kernels::Conv2dGeometry> out;
+  for (std::int64_t k : {1, 3, 5, 7}) {
+    for (std::int64_t s : {1, 2, 3}) {
+      for (std::int64_t pad = 0; pad <= 3; ++pad) {
+        for (const Plane pl : {Plane{1, 1}, Plane{2, 3}, Plane{5, 1}, Plane{6, 9}, Plane{9, 14},
+                               Plane{k, 800}}) {
+          if (pl.h + 2 * pad < k || pl.w + 2 * pad < k) continue;  // no output pixel
+          const std::int64_t oh = (pl.h + 2 * pad - k) / s + 1, ow = (pl.w + 2 * pad - k) / s + 1;
+          out.push_back({5, pl.h, pl.w, 5, oh, ow, k, s, pad, 5});
+        }
+      }
+    }
+  }
+  return out;
+}
+
+std::string describe(const runtime_kernels::Conv2dGeometry& g) {
+  return "k=" + std::to_string(g.kernel) + " s=" + std::to_string(g.stride) +
+         " pad=" + std::to_string(g.pad) + " in=" + std::to_string(g.in_h) + "x" +
+         std::to_string(g.in_w) + " out=" + std::to_string(g.out_h) + "x" +
+         std::to_string(g.out_w);
+}
+
+constexpr OpKind kEveryActivation[] = {OpKind::kIdentity, OpKind::kRelu,     OpKind::kRelu6,
+                                       OpKind::kLeakyRelu, OpKind::kSigmoid, OpKind::kHSigmoid,
+                                       OpKind::kHSwish,    OpKind::kTanh,    OpKind::kMish};
+
+TEST(DepthwiseKernel, F32RowSweepBitwiseEqualsPerPixelLoop) {
+  constexpr std::int64_t kLanes = 2, kLane = 1, kCLo = 1, kCHi = 4;  // channels 0 and 4 untouched
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  Rng rng(41);
+  std::size_t geometries = 0;
+  for (const auto& g : depthwise_geometries()) {
+    const std::size_t in_n = static_cast<std::size_t>(kLanes * g.in_c * g.in_h * g.in_w);
+    const std::size_t out_n = static_cast<std::size_t>(kLanes * g.out_c * g.out_h * g.out_w);
+    std::vector<float> x = rng.normal_vector(in_n);
+    // ±inf in channel 2 of the lane only: its outputs go inf or NaN, the
+    // others stay finite.
+    const std::size_t plane = static_cast<std::size_t>(g.in_h * g.in_w);
+    const std::size_t inf_at = static_cast<std::size_t>(kLane * g.in_c + 2) * plane;
+    x[inf_at] = kInf;
+    x[inf_at + plane / 2] = -kInf;
+    std::vector<float> w = rng.normal_vector(static_cast<std::size_t>(g.out_c * g.kernel * g.kernel));
+    // -0.0 biases on odd channels: a pixel with no in-image tap keeps the sign.
+    std::vector<float> bias = rng.normal_vector(static_cast<std::size_t>(g.out_c));
+    for (std::size_t c = 1; c < bias.size(); c += 2) bias[c] = -0.0f;
+    for (OpKind act : kEveryActivation) {
+      const runtime_kernels::F32Policy p{bias.data(), act, 0.1};
+      std::vector<float> want(out_n, 7.0f), got(out_n, 7.0f);
+      EXPECT_EQ(depthwise_per_pixel(x.data(), w.data(), want.data(), g, kLane, kCLo, kCHi, p), 0u);
+      EXPECT_EQ(runtime_kernels::depthwise(x.data(), w.data(), got.data(), g, kLane, kCLo, kCHi, p),
+                0u);
+      ASSERT_EQ(std::memcmp(got.data(), want.data(), out_n * sizeof(float)), 0)
+          << describe(g) << " act=" << op_name(act);
+    }
+    ++geometries;
+  }
+  EXPECT_GT(geometries, 200u);
+}
+
+TEST(DepthwiseKernel, S8RowSweepBitwiseEqualsPerPixelLoop) {
+  constexpr std::int64_t kLanes = 2, kLane = 1, kCLo = 1, kCHi = 4;
+  struct Window {
+    std::int32_t lo, hi;
+  };
+  Rng rng(43);
+  const auto codes = [&](std::size_t n, std::int64_t lo) {  // uniform in [lo, 127]
+    std::vector<std::int8_t> v(n);
+    for (auto& c : v) c = static_cast<std::int8_t>(rng.uniform_int(lo, 127));
+    return v;
+  };
+  std::uint64_t saturations = 0;
+  for (const auto& g : depthwise_geometries()) {
+    const std::size_t out_n = static_cast<std::size_t>(kLanes * g.out_c * g.out_h * g.out_w);
+    const auto x = codes(static_cast<std::size_t>(kLanes * g.in_c * g.in_h * g.in_w), -128);
+    const auto w = codes(static_cast<std::size_t>(g.out_c * g.kernel * g.kernel), -127);
+    std::vector<std::int32_t> bias;
+    std::vector<runtime_kernels::Requant> rq;
+    for (std::int64_t c = 0; c < g.out_c; ++c) {
+      bias.push_back(static_cast<std::int32_t>(rng.uniform(-5000.0, 5000.0)));
+      rq.push_back(runtime_kernels::Requant::from_real(rng.uniform(0.001, 0.05)));
+    }
+    for (const Window win : {Window{-128, 127}, Window{0, 127}, Window{0, 60}}) {
+      const runtime_kernels::S8Policy p{bias.data(), rq.data(), win.lo, win.hi};
+      std::vector<std::int8_t> want(out_n, 99), got(out_n, 99);
+      const std::uint64_t want_sat =
+          depthwise_per_pixel(x.data(), w.data(), want.data(), g, kLane, kCLo, kCHi, p);
+      EXPECT_EQ(runtime_kernels::depthwise(x.data(), w.data(), got.data(), g, kLane, kCLo, kCHi, p),
+                want_sat)
+          << describe(g) << " window [" << win.lo << ", " << win.hi << "]";
+      ASSERT_EQ(got, want) << describe(g) << " window [" << win.lo << ", " << win.hi << "]";
+      saturations += want_sat;
+    }
+  }
+  EXPECT_GT(saturations, 0u);  // the saturation count is exercised, not vacuous
+}
+
+TEST(Activation, RowFormBitwiseEqualsApplyActivation) {
+  using Lim = std::numeric_limits<float>;
+  // Signed zeros, infinities, NaNs, denormals, the normal extremes, and each
+  // clamp edge with its neighbours: Relu at 0, Relu6 at 0 and 6, HSigmoid
+  // and HSwish at -3 and 3 (x/6 + 0.5 reaches 0 and 1).
+  std::vector<float> v = {0.0f, -0.0f, Lim::infinity(), -Lim::infinity(), Lim::quiet_NaN(),
+                          -Lim::quiet_NaN(), Lim::denorm_min(), -Lim::denorm_min(),
+                          Lim::min() / 2.0f, -Lim::min() / 2.0f, Lim::min(), -Lim::min(),
+                          Lim::max(), -Lim::max(), Lim::epsilon(), 88.7f, -88.7f, 1e-30f};
+  for (float edge : {0.0f, 6.0f, -3.0f, 3.0f}) {
+    for (float e : {edge, -edge}) {
+      v.push_back(e);
+      v.push_back(std::nextafter(e, Lim::infinity()));
+      v.push_back(std::nextafter(e, -Lim::infinity()));
+    }
+  }
+  Rng rng(47);
+  for (float r : rng.normal_vector(61)) v.push_back(4.0f * r);  // a vector body and a tail
+  std::uint64_t none = 0;
+  for (OpKind act : kEveryActivation) {
+    for (double alpha : {0.01, 0.1}) {
+      const runtime_kernels::F32Policy::Channel e{act, alpha};
+      for (std::size_t n : {v.size(), std::size_t{1}, std::size_t{7}}) {
+        std::vector<float> y(n, 7.0f);
+        e.row(v.data(), y.data(), static_cast<std::int64_t>(n), none);
+        for (std::size_t i = 0; i < n; ++i) {
+          const float want = runtime_kernels::apply_activation(v[i], act, alpha);
+          ASSERT_EQ(std::bit_cast<std::uint32_t>(y[i]), std::bit_cast<std::uint32_t>(want))
+              << op_name(act) << " alpha=" << alpha << " x=" << v[i] << " n=" << n;
+          ASSERT_EQ(std::bit_cast<std::uint32_t>(e(v[i], none)), std::bit_cast<std::uint32_t>(want));
+        }
+      }
+    }
+  }
+  EXPECT_EQ(none, 0u);
 }
 
 }  // namespace
