@@ -17,7 +17,6 @@
 #include "obs/trace.hpp"
 #include "opt/fusion.hpp"
 #include "opt/quantize.hpp"
-#include "runtime/executor.hpp"
 #include "runtime/memory_planner.hpp"
 #include "runtime/microkernel.hpp"
 #include "runtime/session.hpp"
@@ -509,7 +508,7 @@ void print_artifact() {
     const Tensor fy = fsession->run_single(x);
     const auto qr = qsession->run({{g.node(g.inputs().front()).name, x}});
     const Tensor& qy = qr.single();
-    saturations = qr.saturations;
+    saturations = qsession->saturations();
     total_rmse += rmse(fy, qy);
     std::size_t fa = 0, qa = 0;
     for (std::int64_t j = 1; j < fy.numel(); ++j) {
@@ -533,7 +532,7 @@ static void BM_PlanMemoryMobileNet(benchmark::State& state) {
 }
 BENCHMARK(BM_PlanMemoryMobileNet)->Unit(benchmark::kMillisecond);
 
-static void BM_ExecutorMicroCnn(benchmark::State& state) {
+static void BM_SessionMicroCnn(benchmark::State& state) {
   Graph g = zoo::micro_cnn("m", 1, 1, 32, 10);
   Rng rng(1);
   g.materialize_weights(rng);
@@ -548,9 +547,9 @@ static void BM_ExecutorMicroCnn(benchmark::State& state) {
       static_cast<double>(c.macs) * static_cast<double>(state.iterations()),
       benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_ExecutorMicroCnn)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SessionMicroCnn)->Unit(benchmark::kMillisecond);
 
-static void BM_ExecutorDense(benchmark::State& state) {
+static void BM_SessionDense(benchmark::State& state) {
   Graph g = zoo::micro_mlp("m", 1, 1024, {1024}, 256);
   Rng rng(1);
   g.materialize_weights(rng);
@@ -561,7 +560,7 @@ static void BM_ExecutorDense(benchmark::State& state) {
     benchmark::DoNotOptimize(session->run_single(input));
   }
 }
-BENCHMARK(BM_ExecutorDense)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_SessionDense)->Unit(benchmark::kMicrosecond);
 
 static void BM_GraphValidateYolo(benchmark::State& state) {
   Graph g = zoo::yolov4();

@@ -115,8 +115,10 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
 }
 
 /// Wall-clock throughput of the batched path vs the per-request path over
-/// the same eight inputs (best of \p reps). Returns the speedup factor.
-double batching_speedup(int reps) {
+/// the same eight inputs: every lap times both, alternating which runs
+/// first, and each path's best of \p laps counts (a warm-up lap runs
+/// first). Returns the speedup factor.
+double batching_speedup(int laps) {
   using vedliot::Tensor;
   vedliot::Graph mlp = vedliot::zoo::micro_mlp("fleet-throughput", 1, 1024, {1024, 1024}, 256);
   vedliot::Rng rng(0x7EED);
@@ -132,20 +134,25 @@ double batching_speedup(int reps) {
     inputs.emplace_back(vedliot::Shape({1, 1024}), rng.normal_vector(1024));
   }
 
+  const auto time_single = [&] {
+    const auto start = std::chrono::steady_clock::now();
+    for (const Tensor& x : inputs) (void)single->run_single(x);
+    return seconds_since(start);
+  };
+  const auto time_batched = [&] {
+    const auto start = std::chrono::steady_clock::now();
+    (void)batcher.run(inputs);
+    return seconds_since(start);
+  };
   double best_single = 1e9;
   double best_batched = 1e9;
-  for (int r = 0; r < reps + 1; ++r) {  // first lap is warmup
-    auto start = std::chrono::steady_clock::now();
-    for (const Tensor& x : inputs) (void)single->run_single(x);
-    const double t_single = seconds_since(start);
-
-    start = std::chrono::steady_clock::now();
-    (void)batcher.run(inputs);
-    const double t_batched = seconds_since(start);
-
-    if (r == 0) continue;
-    best_single = std::min(best_single, t_single);
-    best_batched = std::min(best_batched, t_batched);
+  for (int lap = 0; lap <= laps; ++lap) {  // lap 0 is the warm-up
+    const bool single_first = lap % 2 == 0;
+    const double first = single_first ? time_single() : time_batched();
+    const double second = single_first ? time_batched() : time_single();
+    if (lap == 0) continue;
+    best_single = std::min(best_single, single_first ? first : second);
+    best_batched = std::min(best_batched, single_first ? second : first);
   }
   return best_single / best_batched;
 }
@@ -203,7 +210,7 @@ bool fleet_soak(const Options& o) {
   bool ok = drive(soak);
 
   // Batched vs per-request wall clock: the whole point of the batcher.
-  const double speedup = batching_speedup(o.quick ? 2 : 4);
+  const double speedup = batching_speedup(16);
   std::fprintf(stderr, "batching speedup at batch 8: %.2fx (floor 3x)\n", speedup);
   if (speedup < 3.0) {
     std::fprintf(stderr, "  INVARIANT VIOLATION: batched throughput %.2fx < 3x per-request path\n",

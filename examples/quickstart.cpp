@@ -74,11 +74,10 @@ int main(int argc, char** argv) {
   run_opts.trace = &tracer;
   run_opts.metrics = &metrics;
   auto session = runtime::make_session(served, run_opts);
-  const runtime::RunResult rr =
-      session->run({{served.node(served.inputs().front()).name, frame}});
+  (void)session->run({{served.node(served.inputs().front()).name, frame}});
 
   std::printf("\ntraced serve on %s (%s backend): %zu nodes -> %zu spans\n",
-              served.name().c_str(), session->backend().c_str(), rr.nodes_executed,
+              served.name().c_str(), session->backend().c_str(), session->nodes_executed(),
               tracer.spans().size());
   std::printf("%s\n", obs::metrics_table(metrics).c_str());
   if (argc > 1) {

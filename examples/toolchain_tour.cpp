@@ -80,7 +80,7 @@ int main() {
       qsession->run({{model.node(model.inputs().front()).name, probe}});
   std::printf("5. int8 integer executor: output drift vs float %.3f (saturations: %llu)\n",
               max_abs_diff(run_float(model, probe), qr.single()),
-              static_cast<unsigned long long>(qr.saturations));
+              static_cast<unsigned long long>(qsession->saturations()));
 
   // 6. Deployment bundle.
   security::Key root{};

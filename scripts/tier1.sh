@@ -1,12 +1,14 @@
 #!/usr/bin/env bash
 # Tier-1 verification: full build + complete test suite from a clean tree,
-# short seeded runs of the four soaks, then the full sweeps checked byte for
-# byte against the checked-in records (all under build/, so no tracked file
-# changes), a one-second smoke run of each perfbench workload (built
-# under build/perfbench), then an AddressSanitizer+UBSan build of the
-# resilience-critical tests (including the runtime tests, which exercise
-# activation-arena aliasing), then a ThreadSanitizer build of the parallel
-# execution-engine tests and the traced sessions that run over its pool.
+# the kernel suites again in a Release tree (build-release/, the level
+# perfbench compiles at), short seeded runs of the four soaks, then the full
+# sweeps checked byte for byte against the checked-in records (all under
+# build/, so no tracked file changes), a one-second smoke run of each
+# perfbench workload (built under build/perfbench), then an
+# AddressSanitizer+UBSan build of the resilience-critical tests (including
+# the runtime tests, which exercise activation-arena aliasing), then a
+# ThreadSanitizer build of the parallel execution-engine tests and the
+# traced sessions that run over its pool.
 #
 # Usage: scripts/tier1.sh [-jN]
 
@@ -23,6 +25,18 @@ ctest --test-dir build --output-on-failure "${JOBS}"
 echo
 echo "== tier-1: kernel suite with SIMD force-disabled (portable dispatch) =="
 VEDLIOT_FORCE_PORTABLE=1 ctest --test-dir build --output-on-failure "${JOBS}" \
+  -R 'test_microkernel|test_runtime|test_qruntime'
+
+echo
+echo "== tier-1: kernel suites in a Release build, at the resolved level and portable =="
+# The default build is RelWithDebInfo (-O2), where GCC leaves the depthwise
+# row sweep and the f32 row epilogues scalar; Release (-O3), as perfbench
+# builds them, vectorizes them. The PinnedOutputs constants check that code.
+cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release -DVEDLIOT_WERROR=ON > /dev/null
+cmake --build build-release "${JOBS}" --target test_runtime test_qruntime test_microkernel > /dev/null
+ctest --test-dir build-release --output-on-failure "${JOBS}" \
+  -R 'test_microkernel|test_runtime|test_qruntime'
+VEDLIOT_FORCE_PORTABLE=1 ctest --test-dir build-release --output-on-failure "${JOBS}" \
   -R 'test_microkernel|test_runtime|test_qruntime'
 
 echo

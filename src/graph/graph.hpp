@@ -141,7 +141,7 @@ class Graph {
 /// set to \p batch, shapes re-inferred throughout. Weights are shared by
 /// value (copied), so the result executes identically per batch lane; the
 /// dynamic batcher builds one rebatched clone at its widest bucket, whose
-/// plan then runs every narrower batch too (Executor::run).
+/// plan then runs every narrower batch too (runtime::Session::run).
 Graph rebatched(const Graph& graph, std::int64_t batch);
 
 }  // namespace vedliot

@@ -1,6 +1,6 @@
 #include "opt/quantize.hpp"
 
-#include "runtime/executor.hpp"
+#include "runtime/session.hpp"
 #include "util/error.hpp"
 
 namespace vedliot::opt {
@@ -54,13 +54,13 @@ ActivationRanges calibrate_activations(Graph& g, const std::vector<Tensor>& samp
   // ranges once (memory-heavy but simple; calibration sets are small). The
   // run's observer sees every node's value right after it is written.
   std::map<NodeId, std::vector<float>> observed;
-  Executor exec(g);
-  const Executor::Observer record = [&](NodeId id) {
-    const Tensor t = exec.value(id);
+  runtime::Session session(g);
+  const runtime::Session::Observer record = [&](NodeId id) {
+    const Tensor t = session.value(id);
     auto& dst = observed[id];
     dst.insert(dst.end(), t.data().begin(), t.data().end());
   };
-  for (const auto& s : samples) (void)exec.run({{g.node(ins.front()).name, s}}, record);
+  for (const auto& s : samples) (void)session.run({{g.node(ins.front()).name, s}}, record);
 
   ActivationRanges ranges;
   for (auto& [id, values] : observed) {

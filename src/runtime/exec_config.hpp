@@ -4,8 +4,8 @@
 ///
 /// ExecConfig is the single currency for the admission batch cap, the
 /// intra-op thread count and the dispatch level: RunOptions embeds one, the
-/// executor takes it whole (and enforces the cap on every run's feeds),
-/// Session exposes it live (set_exec_config / exec_config), each
+/// Session takes it whole (and enforces the cap on every run's feeds) and
+/// exposes it live (set_exec_config / exec_config), each
 /// BrownoutStep carries the one its rung serves at, and the fleet batcher
 /// consumes it as the batch-coalescing width. A brownout step-down therefore
 /// becomes visible *through* the session it degrades, which the regression

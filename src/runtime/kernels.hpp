@@ -171,7 +171,7 @@ std::uint64_t eltwise_s8(const std::int8_t* __restrict a, const std::int8_t* __r
 
 // ---------------------------------------------------------------------------
 // Dtype policies. Every kernel below, the microkernels' shared tile store and
-// the executor's per-op bodies are written once over a policy P, which
+// the session's per-op bodies are written once over a policy P, which
 // carries the element and accumulator types and the per-channel constants:
 // the accumulator's initial value (the bias), the epilogue that turns an
 // accumulator — or a pool window's max or sum — into an output element, and
@@ -311,7 +311,7 @@ struct S8Policy {
 };
 
 /// Conv2D loop geometry of one batch lane, shared by both dtypes; the lane
-/// count is the run's (Executor), not the plan's.
+/// count is the run's (runtime::Session::run), not the plan's.
 struct Conv2dGeometry {
   std::int64_t in_c = 0, in_h = 0, in_w = 0;
   std::int64_t out_c = 0, out_h = 0, out_w = 0;
@@ -327,7 +327,7 @@ struct Conv2dGeometry {
   bool is_pointwise() const { return kernel == 1 && stride == 1 && pad == 0; }
 };
 
-// The kernels below are called from the executor's pool lambdas. They stay
+// The kernels below are called from the session's pool lambdas. They stay
 // out of line ([[gnu::noinline]]): each is one symbol, compiled once at the
 // baseline ISA whatever the dispatch level, which the perfbench layout table
 // (scripts/perfbench_layout.sh) can place; and inlined into a lambda, a

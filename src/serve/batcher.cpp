@@ -42,22 +42,10 @@ void DynamicBatcher::set_exec_config(const runtime::ExecConfig& exec) {
 }
 
 std::vector<Tensor> DynamicBatcher::run(std::span<const Tensor> inputs) {
-  std::vector<Tensor> out_lanes = session_->run_batch(inputs);
-
-  // Reassemble per-input outputs at each input's own lane width.
-  std::vector<Tensor> out;
-  out.reserve(inputs.size());
-  std::size_t at = 0;
-  for (const Tensor& t : inputs) {
-    const auto n = static_cast<std::size_t>(t.shape().dim(0));
-    if (n == 1) {
-      out.push_back(std::move(out_lanes[at]));
-    } else {
-      out.push_back(stack_batch(std::span<const Tensor>(out_lanes.data() + at, n)));
-    }
-    at += n;
-  }
-  return out;
+  std::vector<std::int64_t> widths;
+  widths.reserve(inputs.size());
+  for (const Tensor& t : inputs) widths.push_back(t.shape().dim(0));
+  return split_batch(session_->run_single(stack_batch(inputs)), widths);
 }
 
 }  // namespace vedliot::serve

@@ -4,18 +4,21 @@
 /// batched session runs with bitwise-singleton-equal outputs.
 ///
 /// The batcher holds one session over one rebatched clone of the deployment
-/// graph, built at the widest power-of-two *bucket* width W. The executor
+/// graph, built at the widest power-of-two *bucket* width W. The session
 /// takes a run's lane count from its feeds, so that one compiled plan runs
 /// a coalesced group of any n <= W lanes as it is, with no padding — legal
 /// because every kernel computes batch lanes independently with a fixed
 /// accumulation order, so lane i of a batched run is bitwise identical to a
 /// singleton run of the same input (the soak harness checks this by CRC).
+/// The batcher is the one place that decides which output lanes belong to
+/// which request: run() stacks the group's inputs, runs once and splits the
+/// output at each input's own lane width (split_batch).
 /// The bucket widths 1, 2, 4, ..., W remain the grain of the batch cap and
 /// of the fleet's analytic cost model.
 ///
 /// `max_batch` stays the knob the brownout ladder shrinks live:
 /// set_exec_config() caps the session at the widest bucket under the new
-/// cap, so a wider group is refused by the executor's feed-lane check — the
+/// cap, so a wider group is refused by the session's feed-lane check — the
 /// shrink is enforced by the runtime, not by batcher bookkeeping (test_fleet
 /// pins this).
 

@@ -67,7 +67,7 @@ struct Int8Channel {
 };
 
 /// Per-output-channel int8 weights as the integer engine
-/// (runtime/executor.hpp) stores them, and as the SEU fault model
+/// (runtime/session.hpp) stores them, and as the SEU fault model
 /// (safety/robustness.hpp) flips them — one definition, so the two cannot
 /// drift. The scale is the channel's symmetric min-max scale (amax / 127,
 /// 1.0 for an all-zero channel), widened when the bias code

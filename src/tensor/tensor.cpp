@@ -119,20 +119,25 @@ Tensor stack_batch(std::span<const Tensor> parts) {
   return out;
 }
 
-std::vector<Tensor> split_batch(const Tensor& batched) {
+std::vector<Tensor> split_batch(const Tensor& batched, std::span<const std::int64_t> widths) {
   const Shape& s = batched.shape();
   VEDLIOT_CHECK(s.rank() >= 1, "split_batch needs rank >= 1");
-  const auto lanes = static_cast<std::size_t>(s.dim(0));
-  VEDLIOT_CHECK(lanes >= 1, "split_batch needs a non-empty batch");
+  std::int64_t lanes = 0;
+  for (const std::int64_t w : widths) {
+    VEDLIOT_CHECK(w >= 1, "split_batch widths must be >= 1");
+    lanes += w;
+  }
+  VEDLIOT_CHECK(lanes == s.dim(0), "split_batch widths must sum to the batch");
   std::vector<std::int64_t> dims(s.dims().begin(), s.dims().end());
-  dims[0] = 1;
-  const Shape lane_shape{dims};
-  const auto stride = static_cast<std::size_t>(lane_shape.numel());
+  const auto lane_elems = static_cast<std::size_t>(s.numel() / lanes);
   std::vector<Tensor> out;
-  out.reserve(lanes);
-  for (std::size_t i = 0; i < lanes; ++i) {
-    const auto lane = batched.data().subspan(i * stride, stride);
-    out.emplace_back(lane_shape, std::vector<float>(lane.begin(), lane.end()));
+  out.reserve(widths.size());
+  std::size_t at = 0;
+  for (const std::int64_t w : widths) {
+    dims[0] = w;
+    const auto part = batched.data().subspan(at, static_cast<std::size_t>(w) * lane_elems);
+    out.emplace_back(Shape(dims), std::vector<float>(part.begin(), part.end()));
+    at += part.size();
   }
   return out;
 }

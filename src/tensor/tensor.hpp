@@ -83,9 +83,10 @@ class Tensor {
 /// per-request inputs into one GEMM-friendly feed.
 Tensor stack_batch(std::span<const Tensor> parts);
 
-/// Inverse of stack_batch for unit lanes: split a batched tensor into
-/// dim0-many owned tensors of batch 1, in lane order.
-std::vector<Tensor> split_batch(const Tensor& batched);
+/// Inverse of stack_batch: split a batched tensor along its leading
+/// dimension into owned parts of dim 0 \p widths[i], in order. The widths
+/// must be >= 1 and sum to the batch.
+std::vector<Tensor> split_batch(const Tensor& batched, std::span<const std::int64_t> widths);
 
 /// Max absolute elementwise difference; shapes must match.
 float max_abs_diff(const Tensor& a, const Tensor& b);

@@ -21,8 +21,8 @@
 #include <vector>
 
 #include "graph/graph.hpp"
-#include "runtime/executor.hpp"
 #include "runtime/kernels.hpp"
+#include "runtime/session.hpp"
 #include "tensor/quant.hpp"
 
 namespace vedliot::testutil {
@@ -105,17 +105,17 @@ inline Tensor direct_conv_run(const Graph& g, const Tensor& input) {
         feeds["in" + std::to_string(i)] = values.at(n.inputs[i]);
       }
       const Graph one = single_node_graph(g, n);
-      Executor exec(one);
-      values[id] = exec.run(feeds).begin()->second;
+      runtime::Session exec(one);
+      values[id] = exec.run(feeds).outputs.begin()->second;
     }
   }
   return values.at(g.outputs().front());
 }
 
 /// Whole-graph int8 reference returning the output's codes and scale, like
-/// testutil::qexec_single: Conv2D through the direct integer loop, every
-/// other node through the int8 engine (fed its dequantized inputs, which
-/// requantize exactly).
+/// an int8 Session's quantized(output) after run_single: Conv2D through the
+/// direct integer loop, every other node through the int8 engine (fed its
+/// dequantized inputs, which requantize exactly).
 class DirectConvInt8 {
  public:
   explicit DirectConvInt8(const Graph& g) : g_(g) {}
@@ -134,8 +134,8 @@ class DirectConvInt8 {
           feeds["in" + std::to_string(i)] = values.at(n.inputs[i]).dequantize();
         }
         const Graph one = single_node_graph(g_, n);
-        Executor exec(one, DType::kINT8);
-        values[id] = quantize_fixed(exec.run(feeds).begin()->second, scale(id));
+        runtime::Session exec(one, DType::kINT8);
+        values[id] = quantize_fixed(exec.run(feeds).outputs.begin()->second, scale(id));
         saturations_ += exec.saturations();
       }
     }

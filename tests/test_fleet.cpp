@@ -19,7 +19,7 @@
 #include "platform/baseboard.hpp"
 #include "platform/faults.hpp"
 #include "platform/placement.hpp"
-#include "runtime/executor.hpp"
+#include "runtime/session.hpp"
 #include "serve/batcher.hpp"
 #include "serve/cache.hpp"
 #include "serve/ring.hpp"
@@ -263,6 +263,30 @@ TEST(DynamicBatcher, SplitsAPartialGroupBitwise) {
   for (std::size_t i = 0; i < inputs.size(); ++i) {
     const Tensor ref = single->run_single(inputs[i]);
     EXPECT_EQ(util::crc32(outputs[i].data()), util::crc32(ref.data())) << i;
+  }
+
+  // A mixed-width group, 1 + 2 + 1 lanes: each output spans its own input's
+  // lanes, and every lane is bitwise a singleton run's.
+  std::vector<Tensor> mixed;
+  for (const std::int64_t w : {1, 2, 1}) {
+    mixed.emplace_back(Shape{w, 16}, data_rng.normal_vector(static_cast<std::size_t>(w) * 16));
+  }
+  const auto mixed_outputs = batcher.run(mixed);
+  ASSERT_EQ(mixed_outputs.size(), mixed.size());
+  for (std::size_t i = 0; i < mixed.size(); ++i) {
+    const std::int64_t lanes = mixed[i].shape().dim(0);
+    const std::span<const float> in = mixed[i].data();
+    const std::span<const float> out = mixed_outputs[i].data();
+    for (std::int64_t j = 0; j < lanes; ++j) {
+      const auto lane = in.subspan(static_cast<std::size_t>(j) * 16, 16);
+      const Tensor ref =
+          single->run_single(Tensor(Shape{1, 16}, std::vector<float>(lane.begin(), lane.end())));
+      ASSERT_EQ(mixed_outputs[i].shape(), (Shape{lanes, ref.shape().dim(1)})) << i;
+      const std::size_t n = ref.data().size();
+      EXPECT_EQ(util::crc32(out.subspan(static_cast<std::size_t>(j) * n, n)),
+                util::crc32(ref.data()))
+          << i << " lane " << j;
+    }
   }
 }
 

@@ -6,7 +6,6 @@
 
 #include <memory>
 
-#include "exec_single.hpp"
 #include "analysis/wasm_verifier.hpp"
 #include "core/designflow.hpp"
 #include "graph/cost.hpp"
@@ -16,7 +15,7 @@
 #include "kenning/flow.hpp"
 #include "opt/fusion.hpp"
 #include "opt/quantize.hpp"
-#include "runtime/executor.hpp"
+#include "runtime/session.hpp"
 #include "safety/monitors.hpp"
 #include "safety/robustness.hpp"
 #include "security/attestation.hpp"
@@ -57,10 +56,10 @@ TEST(Integration, OptimizeDeployMonitorPipeline) {
 
   // 4. The optimized deployment still passes the robustness service: fused
   // BN + INT8 weights stay within the service tolerance on softmax outputs.
-  Executor optimized(flow.model().graph());
+  runtime::Session optimized(flow.model().graph());
   std::size_t faults = 0;
   for (const auto& s : dataset) {
-    if (service.submit(s.input, testutil::exec_single(optimized, flow.model().graph(), s.input)) ==
+    if (service.submit(s.input, optimized.run_single(s.input)) ==
         safety::CheckResult::kCheckedFaulty) {
       ++faults;
     }
@@ -140,8 +139,8 @@ TEST(Integration, SimulatedFirmwareComputesSameDotProductAsExecutor) {
   std::vector<float> wf(w.begin(), w.end());
   g.node(fc).weights = {Tensor(Shape{1, 8}, wf)};
   std::vector<float> xf(x.begin(), x.end());
-  Executor exec(g);
-  const auto y = exec.run({{"x", Tensor(Shape{1, 8}, xf)}});
+  runtime::Session exec(g);
+  const auto y = exec.run({{"x", Tensor(Shape{1, 8}, xf)}}).outputs;
   const auto exec_result = static_cast<std::int32_t>(y.begin()->second.at(0));
 
   // (b) native
@@ -182,7 +181,7 @@ TEST(Integration, ImageMonitorGatesExecutorInput) {
   Graph g = zoo::micro_cnn("m", 1, 1, 24, 4);
   Rng rng(3);
   g.materialize_weights(rng);
-  Executor exec(g);
+  runtime::Session exec(g);
   safety::ImageMonitor monitor;
 
   Rng data_rng(4);
@@ -195,7 +194,7 @@ TEST(Integration, ImageMonitorGatesExecutorInput) {
   for (const Tensor* frame : {&clean, &noisy}) {
     const auto verdict = monitor.check(*frame);
     if (safety::correction_for(verdict) != safety::CorrectionAction::kDrop) {
-      (void)testutil::exec_single(exec, g, *frame);
+      (void)exec.run_single(*frame);
       ++inferences;
     }
   }

@@ -5,13 +5,13 @@
 
 #include <memory>
 
-#include "exec_single.hpp"
 #include "graph/zoo.hpp"
 #include "hw/device.hpp"
 #include "kenning/flow.hpp"
 #include "kenning/metrics.hpp"
 #include "opt/fusion.hpp"
 #include "opt/quantize.hpp"
+#include "runtime/session.hpp"
 #include "util/rng.hpp"
 
 namespace vedliot::kenning {
@@ -125,12 +125,12 @@ std::vector<Sample> make_dataset(const ModelWrapper& wrapper, std::size_t n) {
   // unmodified model is exactly 1 (a clean baseline for optimizations).
   std::vector<Sample> out;
   Graph g = wrapper.graph().clone();
-  Executor exec(g);
+  runtime::Session exec(g);
   Rng rng(77);
   for (std::size_t i = 0; i < n; ++i) {
     Sample s;
     s.input = Tensor(Shape{1, 8}, rng.normal_vector(8));
-    const Tensor y = testutil::exec_single(exec, g, s.input);
+    const Tensor y = exec.run_single(s.input);
     s.label = wrapper.postprocess(y);
     out.push_back(std::move(s));
   }

@@ -19,13 +19,11 @@
 #include <vector>
 
 #include "analysis/verifier.hpp"
-#include "exec_single.hpp"
 #include "graph/zoo.hpp"
 #include "hw/roofline.hpp"
 #include "opt/fusion.hpp"
 #include "opt/quantize.hpp"
 #include "random_graph.hpp"
-#include "runtime/executor.hpp"
 #include "runtime/kernels.hpp"
 #include "runtime/microkernel.hpp"
 #include "runtime/session.hpp"
@@ -505,19 +503,19 @@ TEST(Dispatch, ExecutorReportsActiveLevel) {
   g.materialize_weights(rng);
   const Tensor in(Shape{1, 16}, rand_f32(16, 42));
 
-  Executor exec(g);
+  runtime::Session exec(g);
   exec.set_exec_config({.simd = util::SimdLevel::kPortable});
-  (void)testutil::exec_single(exec, g, in);
+  (void)exec.run_single(in);
   EXPECT_EQ(exec.active_simd(), util::SimdLevel::kPortable);
 
   exec.set_exec_config({.simd = util::SimdLevel::kAuto});
-  (void)testutil::exec_single(exec, g, in);
+  (void)exec.run_single(in);
   const auto* t = best_simd_table();
   EXPECT_EQ(exec.active_simd(), t != nullptr ? t->level : util::SimdLevel::kPortable);
 
   // The kill switch overrides the per-run resolution too.
   ScopedEnv force("VEDLIOT_FORCE_PORTABLE", "1");  // shadows `off` until scope end
-  (void)testutil::exec_single(exec, g, in);
+  (void)exec.run_single(in);
   EXPECT_EQ(exec.active_simd(), util::SimdLevel::kPortable);
 }
 
@@ -566,9 +564,9 @@ Graph conv_variants_graph(std::int64_t batch = 1) {
 
 Tensor run_at_level(const Graph& g, const Tensor& in, util::SimdLevel level,
                     unsigned threads = 1) {
-  Executor exec(g);
+  runtime::Session exec(g);
   exec.set_exec_config({.threads = threads, .simd = level});
-  return testutil::exec_single(exec, g, in);
+  return exec.run_single(in);
 }
 
 TEST(SessionDispatch, F32ConvVariantsAgreeAcrossLevels) {
@@ -606,13 +604,15 @@ TEST(SessionDispatch, Int8ConvVariantsBitwiseAcrossLevels) {
   Graph g = deploy_ready_q(conv_variants_graph(), 9, in_shape);
   const Tensor in(in_shape, rand_f32(400, 78));
 
-  Executor portable(g, DType::kINT8);
+  runtime::Session portable(g, DType::kINT8);
   portable.set_exec_config({.simd = util::SimdLevel::kPortable});
-  const QTensor qp = testutil::qexec_single(portable, g, in);
+  (void)portable.run_single(in);
+  const QTensor qp = portable.quantized(g.outputs().front());
 
-  Executor simd(g, DType::kINT8);
+  runtime::Session simd(g, DType::kINT8);
   simd.set_exec_config({.simd = util::SimdLevel::kAuto});
-  const QTensor qs = testutil::qexec_single(simd, g, in);
+  (void)simd.run_single(in);
+  const QTensor qs = simd.quantized(g.outputs().front());
 
   // Exact int32 arithmetic at every level: bytes and saturation counters
   // must be identical, not merely close.
@@ -625,12 +625,14 @@ TEST(SessionDispatch, Int8DenseBatchedBitwiseAcrossLevels) {
   const Shape in_shape{4, 16};
   Graph g = deploy_ready_q(zoo::micro_mlp("m", 4, 16, {24, 12}, 4), 13, in_shape);
   const Tensor in(in_shape, rand_f32(64, 80));
-  Executor portable(g, DType::kINT8);
+  runtime::Session portable(g, DType::kINT8);
   portable.set_exec_config({.simd = util::SimdLevel::kPortable});
-  Executor simd(g, DType::kINT8);
+  runtime::Session simd(g, DType::kINT8);
   simd.set_exec_config({.simd = util::SimdLevel::kAuto});
-  const QTensor qp = testutil::qexec_single(portable, g, in);
-  const QTensor qs = testutil::qexec_single(simd, g, in);
+  (void)portable.run_single(in);
+  const QTensor qp = portable.quantized(g.outputs().front());
+  (void)simd.run_single(in);
+  const QTensor qs = simd.quantized(g.outputs().front());
   for (std::size_t i = 0; i < qp.data.size(); ++i) ASSERT_EQ(qp.data[i], qs.data[i]);
 }
 
@@ -656,12 +658,14 @@ TEST(Determinism, Int8ParallelVsSerialBitwiseAtSimdLevel) {
   const Shape in_shape{1, 4, 10, 10};
   Graph g = deploy_ready_q(conv_variants_graph(), 31, in_shape);
   const Tensor in(in_shape, rand_f32(400, 91));
-  Executor serial(g, DType::kINT8);
+  runtime::Session serial(g, DType::kINT8);
   serial.set_exec_config({.threads = 1, .simd = util::SimdLevel::kAuto});
-  Executor parallel(g, DType::kINT8);
+  runtime::Session parallel(g, DType::kINT8);
   parallel.set_exec_config({.threads = 4, .simd = util::SimdLevel::kAuto});
-  const QTensor a = testutil::qexec_single(serial, g, in);
-  const QTensor b = testutil::qexec_single(parallel, g, in);
+  (void)serial.run_single(in);
+  const QTensor a = serial.quantized(g.outputs().front());
+  (void)parallel.run_single(in);
+  const QTensor b = parallel.quantized(g.outputs().front());
   for (std::size_t i = 0; i < a.data.size(); ++i) ASSERT_EQ(a.data[i], b.data[i]);
   EXPECT_EQ(serial.saturations(), parallel.saturations());
 }
@@ -676,9 +680,9 @@ TEST(Determinism, BatchLanesBitwiseEqualAtSimdLevel) {
   const auto one = rand_f32(16, 93);
   std::vector<float> stacked;
   for (int i = 0; i < 8; ++i) stacked.insert(stacked.end(), one.begin(), one.end());
-  Executor exec(g);
+  runtime::Session exec(g);
   exec.set_exec_config({.simd = util::SimdLevel::kAuto});
-  const Tensor out = testutil::exec_single(exec, g, Tensor(Shape{8, 16}, stacked));
+  const Tensor out = exec.run_single(Tensor(Shape{8, 16}, stacked));
   const auto d = out.data();
   const std::size_t row = static_cast<std::size_t>(out.shape().dim(1));
   for (std::size_t lane = 1; lane < 8; ++lane) {
@@ -703,22 +707,22 @@ TEST(ExecutionPlan, RepacksOnlyWhenVersionOrTileChanges) {
   Rng rng(63);
   g.materialize_weights(rng);
   const Tensor in(Shape{1, 4, 10, 10}, rand_f32(400, 97));
-  Executor exec(g);
-  (void)testutil::exec_single(exec, g, in);
+  runtime::Session exec(g);
+  (void)exec.run_single(in);
   const std::size_t packs = exec.weight_packs();
   EXPECT_GT(packs, 0u);
-  (void)testutil::exec_single(exec, g, in);
+  (void)exec.run_single(in);
   EXPECT_EQ(exec.weight_packs(), packs);  // steady state
   g.touch();
-  (void)testutil::exec_single(exec, g, in);
+  (void)exec.run_single(in);
   EXPECT_EQ(exec.weight_packs(), 2 * packs);  // version moved
   exec.set_exec_config({.simd = util::SimdLevel::kPortable});
-  (void)testutil::exec_single(exec, g, in);
+  (void)exec.run_single(in);
   EXPECT_EQ(exec.weight_packs(), 2 * packs);  // no tile, nothing packed
   exec.set_exec_config({.simd = util::SimdLevel::kAuto});
-  (void)testutil::exec_single(exec, g, in);
+  (void)exec.run_single(in);
   EXPECT_EQ(exec.weight_packs(), 3 * packs);  // tile changed back
-  (void)testutil::exec_single(exec, g, in);
+  (void)exec.run_single(in);
   EXPECT_EQ(exec.weight_packs(), 3 * packs);
 }
 
@@ -729,12 +733,12 @@ TEST(PackedWeightCache, ExecutorReusesPacksAcrossRuns) {
   Rng rng(61);
   g.materialize_weights(rng);
   const Tensor in(Shape{1, 4, 10, 10}, rand_f32(400, 94));
-  Executor exec(g);
-  (void)testutil::exec_single(exec, g, in);
+  runtime::Session exec(g);
+  (void)exec.run_single(in);
   const std::size_t after_first = exec.weight_packs();
   EXPECT_GT(after_first, 0u);
-  (void)testutil::exec_single(exec, g, in);
-  (void)testutil::exec_single(exec, g, in);
+  (void)exec.run_single(in);
+  (void)exec.run_single(in);
   EXPECT_EQ(exec.weight_packs(), after_first);  // steady state: cache hits only
 }
 
@@ -765,20 +769,20 @@ TEST(SelfHeal, F32RepairInvalidatesPackedPanels) {
   store.install("net", live);
   const Tensor in(Shape{1, 4, 10, 10}, rand_f32(400, 95));
 
-  Executor exec(live);
-  const Tensor clean = testutil::exec_single(exec, live, in);
+  runtime::Session exec(live);
+  const Tensor clean = exec.run_single(in);
   const std::size_t packs0 = exec.weight_packs();
 
   safety::WeightScrubber scrub(live, {64});  // baselines the clean bits
   flip_weight_bit(live);
-  (void)testutil::exec_single(exec, live, in);  // runs on corrupt weights
+  (void)exec.run_single(in);  // runs on corrupt weights
   EXPECT_GT(exec.weight_packs(), packs0);       // version bump → repack
 
   const auto hits = scrub.full_scan();
   ASSERT_FALSE(hits.empty());
   EXPECT_GE(store.repair("net", live, hits), 1u);
 
-  const Tensor healed = testutil::exec_single(exec, live, in);
+  const Tensor healed = exec.run_single(in);
   // Healed weights + invalidated panels: output is bitwise the clean run.
   EXPECT_FLOAT_EQ(max_abs_diff(healed, clean), 0.0f);
 }
@@ -790,20 +794,22 @@ TEST(SelfHeal, Int8RepairTriggersRepreparationAndBitwiseCleanRerun) {
   store.install("net", live);
   const Tensor in(in_shape, rand_f32(400, 96));
 
-  Executor exec(live, DType::kINT8);
-  const QTensor clean = testutil::qexec_single(exec, live, in);
+  runtime::Session exec(live, DType::kINT8);
+  (void)exec.run_single(in);
+  const QTensor clean = exec.quantized(live.outputs().front());
   EXPECT_EQ(exec.preparations(), 1u);
 
   safety::WeightScrubber scrub(live, {64});  // baselines the clean bits
   flip_weight_bit(live);
-  (void)testutil::qexec_single(exec, live, in);  // self-heal re-quantizes from the corrupt bits
+  (void)exec.run_single(in);  // self-heal re-quantizes from the corrupt bits
   EXPECT_EQ(exec.preparations(), 2u);
 
   const auto hits = scrub.full_scan();
   ASSERT_FALSE(hits.empty());
   EXPECT_GE(store.repair("net", live, hits), 1u);
 
-  const QTensor healed = testutil::qexec_single(exec, live, in);
+  (void)exec.run_single(in);
+  const QTensor healed = exec.quantized(live.outputs().front());
   EXPECT_EQ(exec.preparations(), 3u);  // repair touched the graph again
   ASSERT_EQ(healed.data.size(), clean.data.size());
   for (std::size_t i = 0; i < clean.data.size(); ++i) {
@@ -822,10 +828,10 @@ struct GraphRun {
 };
 
 /// One run of \p exec on \p x; saturations are the run's own.
-GraphRun run_on(Executor& exec, const Graph& g, const Tensor& x) {
+GraphRun run_on(runtime::Session& exec, const Graph& g, const Tensor& x) {
   const std::uint64_t before = exec.saturations();
   GraphRun r;
-  for (auto& [name, t] : exec.run({{g.node(g.inputs().front()).name, x}})) {
+  for (auto& [name, t] : exec.run({{g.node(g.inputs().front()).name, x}}).outputs) {
     r.outs.push_back(std::move(t));
   }
   r.saturations = exec.saturations() - before;
@@ -834,7 +840,7 @@ GraphRun run_on(Executor& exec, const Graph& g, const Tensor& x) {
 
 GraphRun run_graph(const Graph& g, DType dtype, const Tensor& x, util::SimdLevel level,
                    unsigned threads = 1) {
-  Executor exec(g, dtype);
+  runtime::Session exec(g, dtype);
   exec.set_exec_config({.threads = threads, .simd = level});
   return run_on(exec, g, x);
 }
@@ -877,7 +883,7 @@ void expect_lanes_match_singletons(const Graph& g, DType dtype, const Tensor& x,
   for (std::int64_t b = 0; b < lanes; ++b) {
     singles.push_back(run_graph(single, dtype, lanes_of(x, b, 1), level));
   }
-  Executor exec(g, dtype);
+  runtime::Session exec(g, dtype);
   exec.set_exec_config({.simd = level});
   for (std::int64_t n = lanes; n >= 1; --n) {
     const std::string at = what + ", " + std::to_string(n) + " lanes";

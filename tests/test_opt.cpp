@@ -15,8 +15,7 @@
 #include "opt/pass.hpp"
 #include "opt/prune.hpp"
 #include "opt/quantize.hpp"
-#include "exec_single.hpp"
-#include "runtime/executor.hpp"
+#include "runtime/session.hpp"
 #include "util/rng.hpp"
 
 namespace vedliot::opt {
@@ -37,14 +36,14 @@ Tensor test_image(std::uint64_t seed = 99) {
 TEST(Fusion, BatchNormFoldPreservesOutputs) {
   Graph g = materialized_micro_cnn();
   const Tensor input = test_image();
-  const Tensor before = testutil::exec_single(g, input);
+  const Tensor before = runtime::Session(g).run_single(input);
 
   FuseBatchNormPass pass;
   const auto r = pass.run(g);
   EXPECT_EQ(r.nodes_changed, 3);  // three conv-bn pairs in micro_cnn
   g.validate();
 
-  const Tensor after = testutil::exec_single(g, input);
+  const Tensor after = runtime::Session(g).run_single(input);
   EXPECT_LT(max_abs_diff(before, after), 1e-3f);
 }
 
@@ -60,14 +59,14 @@ TEST(Fusion, BatchNormFoldRemovesNodes) {
 TEST(Fusion, ActivationFusePreservesOutputs) {
   Graph g = materialized_micro_cnn();
   const Tensor input = test_image();
-  const Tensor before = testutil::exec_single(g, input);
+  const Tensor before = runtime::Session(g).run_single(input);
 
   PassManager pm;
   pm.add(std::make_unique<FuseBatchNormPass>());
   pm.add(std::make_unique<FuseActivationPass>());
   pm.run(g);
 
-  const Tensor after = testutil::exec_single(g, input);
+  const Tensor after = runtime::Session(g).run_single(input);
   EXPECT_LT(max_abs_diff(before, after), 1e-3f);
   int relus = 0;
   for (NodeId id : g.topo_order()) {
@@ -143,7 +142,7 @@ TEST(Fusion, LeakyAlphaCarriedThrough) {
 
   FuseActivationPass pass;
   pass.run(g);
-  const Tensor out = testutil::exec_single(g, Tensor(Shape{1, 1, 2, 2}, {-1, 1, -2, 2}));
+  const Tensor out = runtime::Session(g).run_single(Tensor(Shape{1, 1, 2, 2}, {-1, 1, -2, 2}));
   EXPECT_FLOAT_EQ(out.at(0), -0.2f);
   EXPECT_FLOAT_EQ(out.at(2), -0.4f);
 }
@@ -344,13 +343,13 @@ TEST(DeepCompress, RequiresMaterializedWeights) {
 TEST(QuantizePass, Int8ErrorSmallOnModelOutputs) {
   Graph g = materialized_micro_cnn();
   const Tensor input = test_image();
-  const Tensor before = testutil::exec_single(g, input);
+  const Tensor before = runtime::Session(g).run_single(input);
 
   QuantizeWeightsPass pass(DType::kINT8);
   const auto r = pass.run(g);
   EXPECT_GT(r.nodes_changed, 0);
 
-  const Tensor after = testutil::exec_single(g, input);
+  const Tensor after = runtime::Session(g).run_single(input);
   EXPECT_LT(max_abs_diff(before, after), 0.05f);
 }
 
@@ -358,11 +357,11 @@ TEST(QuantizePass, Int4WorseThanInt8) {
   const Tensor input = test_image();
   Graph g8 = materialized_micro_cnn();
   Graph g4 = materialized_micro_cnn();
-  const Tensor ref = testutil::exec_single(materialized_micro_cnn(), input);
+  const Tensor ref = runtime::Session(materialized_micro_cnn()).run_single(input);
   QuantizeWeightsPass(DType::kINT8).run(g8);
   QuantizeWeightsPass(DType::kINT4).run(g4);
-  const auto e8 = rmse(testutil::exec_single(g8, input), ref);
-  const auto e4 = rmse(testutil::exec_single(g4, input), ref);
+  const auto e8 = rmse(runtime::Session(g8).run_single(input), ref);
+  const auto e4 = rmse(runtime::Session(g4).run_single(input), ref);
   EXPECT_LT(e8, e4);
 }
 
@@ -384,10 +383,10 @@ TEST(QuantizePass, RejectsFloatTarget) {
 TEST(Fp16Pass, NegligibleOutputChange) {
   Graph g = materialized_micro_cnn();
   const Tensor input = test_image();
-  const Tensor before = testutil::exec_single(g, input);
+  const Tensor before = runtime::Session(g).run_single(input);
   Fp16CastPass pass;
   pass.run(g);
-  const Tensor after = testutil::exec_single(g, input);
+  const Tensor after = runtime::Session(g).run_single(input);
   EXPECT_LT(max_abs_diff(before, after), 1e-2f);
 }
 
@@ -452,10 +451,10 @@ TEST(Cse, PreservesExecutorOutputs) {
   g.materialize_weights(rng);
   Rng data(2);
   Tensor x(Shape{1, 2, 4, 4}, data.normal_vector(32));
-  const Tensor before = testutil::exec_single(g, x);
+  const Tensor before = runtime::Session(g).run_single(x);
   CsePass pass;
   pass.run(g);
-  const Tensor after = testutil::exec_single(g, x);
+  const Tensor after = runtime::Session(g).run_single(x);
   EXPECT_FLOAT_EQ(max_abs_diff(before, after), 0.0f);
   EXPECT_EQ(g.size(), 3u);  // input, one relu, add
 }

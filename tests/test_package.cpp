@@ -4,12 +4,11 @@
 
 #include <gtest/gtest.h>
 
-#include "exec_single.hpp"
 #include "graph/cost.hpp"
 #include "graph/package.hpp"
 #include "graph/zoo.hpp"
-#include "runtime/executor.hpp"
 #include "runtime/memory_planner.hpp"
+#include "runtime/session.hpp"
 #include "safety/ota_transport.hpp"
 #include "security/attestation.hpp"
 #include "util/hash.hpp"
@@ -33,8 +32,8 @@ TEST(Package, RoundTripPreservesStructureAndWeights) {
   // identical outputs on identical inputs: the strongest round-trip check
   Rng rng(9);
   Tensor x(Shape{1, 1, 16, 16}, rng.normal_vector(256));
-  const Tensor a = testutil::exec_single(g, x);
-  const Tensor b = testutil::exec_single(back, x);
+  const Tensor a = runtime::Session(g).run_single(x);
+  const Tensor b = runtime::Session(back).run_single(x);
   EXPECT_FLOAT_EQ(max_abs_diff(a, b), 0.0f);
 }
 
@@ -85,7 +84,8 @@ TEST(Package, SealedDeploymentRoundTrip) {
   Graph back = unseal_model(sealed, device_key);
   Rng rng(3);
   Tensor x(Shape{1, 16}, rng.normal_vector(16));
-  EXPECT_FLOAT_EQ(max_abs_diff(testutil::exec_single(g, x), testutil::exec_single(back, x)), 0.0f);
+  EXPECT_FLOAT_EQ(
+      max_abs_diff(runtime::Session(g).run_single(x), runtime::Session(back).run_single(x)), 0.0f);
 }
 
 TEST(Package, SealedModelBoundToDevice) {
@@ -290,7 +290,8 @@ TEST(PackageCorruption, V1PackageWithoutTableStillLoads) {
   EXPECT_TRUE(back.weights_materialized());
   Rng rng(7);
   Tensor x(Shape{1, 4}, rng.normal_vector(4));
-  EXPECT_FLOAT_EQ(max_abs_diff(testutil::exec_single(g, x), testutil::exec_single(back, x)), 0.0f);
+  EXPECT_FLOAT_EQ(
+      max_abs_diff(runtime::Session(g).run_single(x), runtime::Session(back).run_single(x)), 0.0f);
 }
 
 // ---------------------------------------------------------------------------
@@ -366,7 +367,7 @@ TEST(PackageStream, OutOfOrderDeliveryReassemblesAndUnpacksCleanly) {
   Rng rng(9);
   Tensor x(Shape{1, 1, 16, 16}, rng.normal_vector(256));
   EXPECT_FLOAT_EQ(
-      max_abs_diff(testutil::exec_single(g, x), testutil::exec_single(back, x)), 0.0f);
+      max_abs_diff(runtime::Session(g).run_single(x), runtime::Session(back).run_single(x)), 0.0f);
 }
 
 // ---------------------------------------------------------------------------

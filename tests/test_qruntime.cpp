@@ -15,11 +15,9 @@
 #include <vector>
 
 #include "direct_conv.hpp"
-#include "exec_single.hpp"
 #include "graph/zoo.hpp"
 #include "opt/fusion.hpp"
 #include "opt/quantize.hpp"
-#include "runtime/executor.hpp"
 #include "runtime/session.hpp"
 #include "util/cpu.hpp"
 #include "util/hash.hpp"
@@ -126,9 +124,10 @@ TEST(Int8Executor, MatchesFloatOnMicroCnn) {
 TEST(Int8Executor, OutputScaleIsCalibrated) {
   const Shape in_shape{1, 8};
   Graph g = deploy_ready(zoo::micro_mlp("m", 1, 8, {8}, 3), 31, in_shape);
-  Executor qexec(g, DType::kINT8);
+  runtime::Session qexec(g, DType::kINT8);
   Rng rng(5);
-  const QTensor q = testutil::qexec_single(qexec, g, Tensor(in_shape, rng.normal_vector(8)));
+  (void)qexec.run_single(Tensor(in_shape, rng.normal_vector(8)));
+  const QTensor q = qexec.quantized(g.outputs().front());
   // softmax outputs in [0,1] -> scale must be <= ~1/127
   EXPECT_LE(q.scale, 1.0 / 127.0 + 1e-9);
   for (std::int8_t v : q.data) EXPECT_GE(v, 0);  // probabilities are non-negative
@@ -152,8 +151,9 @@ TEST(Int8Executor, FusedReluClampsNegative) {
   g.node(in).attrs.set_float("act_scale", 0.01);
   g.node(c).attrs.set_float("act_scale", 0.01);
 
-  Executor qexec(g, DType::kINT8);
-  const QTensor q = testutil::qexec_single(qexec, g, Tensor(Shape{1, 1, 1, 1}, {1.0f}));
+  runtime::Session qexec(g, DType::kINT8);
+  (void)qexec.run_single(Tensor(Shape{1, 1, 1, 1}, {1.0f}));
+  const QTensor q = qexec.quantized(g.outputs().front());
   EXPECT_EQ(q.data[0], 0);  // relu(-1.0) == 0 in the integer domain
 }
 
@@ -178,8 +178,9 @@ TEST(Int8Executor, BiasBeyondInt32WidensTheWeightScale) {
 
   const Tensor x(Shape{1, 1, 2, 2}, {0.5f, -0.5f, 1.0f, 0.0f});
   const Tensor f32 = runtime::make_session(g)->run_single(x);
-  Executor qexec(g, DType::kINT8);
-  const QTensor q = testutil::qexec_single(qexec, g, x);
+  runtime::Session qexec(g, DType::kINT8);
+  (void)qexec.run_single(x);
+  const QTensor q = qexec.quantized(g.outputs().front());
   for (std::size_t i = 0; i < 4; ++i) {
     EXPECT_FLOAT_EQ(f32.at(i), 1.0f);
     EXPECT_EQ(q.data[i], 100) << i;  // 1.0 at scale 0.01
@@ -193,14 +194,14 @@ TEST(Int8Executor, UnfoldedBatchNormRejected) {
   Graph g = zoo::micro_cnn("m", 1, 1, 16, 4);  // contains BN
   Rng rng(1);
   g.materialize_weights(rng);
-  EXPECT_THROW((Executor{g, DType::kINT8}), Unsupported);
+  EXPECT_THROW((runtime::Session{g, DType::kINT8}), Unsupported);
 }
 
 TEST(Int8Executor, MissingCalibrationRejected) {
   Graph g = zoo::micro_mlp("m", 1, 8, {8}, 3);  // no BN, but no act_scale either
   Rng rng(1);
   g.materialize_weights(rng);
-  EXPECT_THROW((Executor{g, DType::kINT8}), Unsupported);
+  EXPECT_THROW((runtime::Session{g, DType::kINT8}), Unsupported);
 }
 
 TEST(Int8Executor, SaturationCounterTracksClipping) {
@@ -214,9 +215,41 @@ TEST(Int8Executor, SaturationCounterTracksClipping) {
   g.node(fc).weights = {Tensor(Shape{2, 4}, {1, 1, 1, 1, 1, 1, 1, 1})};
   g.node(in).attrs.set_float("act_scale", 0.05);
   g.node(fc).attrs.set_float("act_scale", 1e-4);  // absurdly small
-  Executor qexec(g, DType::kINT8);
-  (void)testutil::qexec_single(qexec, g, Tensor(Shape{1, 4}, {5, 5, 5, 5}));
+  runtime::Session qexec(g, DType::kINT8);
+  (void)qexec.run_single(Tensor(Shape{1, 4}, {5, 5, 5, 5}));
   EXPECT_GT(qexec.saturations(), 0u);
+}
+
+TEST(Int8Executor, AbortedRunAddsNoSaturations) {
+  // A saturating Dense then a Relu: an observer that throws at the Dense
+  // leaves the run's partial counts behind, and they must not reach the
+  // next completed run's total.
+  Graph g("t");
+  const NodeId in = g.add_input("x", Shape{1, 4});
+  AttrMap a;
+  a.set_int("units", 2);
+  a.set_int("bias", 0);
+  const NodeId fc = g.add(OpKind::kDense, "fc", {in}, a);
+  const NodeId relu = g.add(OpKind::kRelu, "relu", {fc});
+  g.node(fc).weights = {Tensor(Shape{2, 4}, {1, 1, 1, 1, 1, 1, 1, 1})};
+  g.node(in).attrs.set_float("act_scale", 0.05);
+  g.node(fc).attrs.set_float("act_scale", 1e-4);  // absurdly small
+  g.node(relu).attrs.set_float("act_scale", 1e-4);
+  const Tensor x(Shape{1, 4}, {5, 5, 5, 5});
+  runtime::Session qexec(g, DType::kINT8);
+  (void)qexec.run_single(x);
+  const std::uint64_t per_run = qexec.saturations();
+  ASSERT_GT(per_run, 0u);
+
+  struct Abort {};
+  EXPECT_THROW((void)qexec.run({{"x", x}},
+                               [&](NodeId id) {
+                                 if (id == fc) throw Abort{};
+                               }),
+               Abort);
+  EXPECT_EQ(qexec.saturations(), per_run);  // the aborted run adds nothing
+  (void)qexec.run_single(x);
+  EXPECT_EQ(qexec.saturations(), 2 * per_run);  // and the next adds one clean run's count
 }
 
 TEST(Int8Executor, DepthwiseConvSupported) {
@@ -254,9 +287,9 @@ TEST(Int8Executor, UnsupportedOpRejectedAtRun) {
   g.materialize_weights(rng);
   std::vector<Tensor> samples{Tensor(Shape{1, 2, 2, 2}, rng.normal_vector(8))};
   opt::calibrate_activations(g, samples);
-  Executor qexec(g, DType::kINT8);
+  runtime::Session qexec(g, DType::kINT8);
   const Tensor x(Shape{1, 2, 2, 2}, rng.normal_vector(8));
-  EXPECT_THROW((void)testutil::qexec_single(qexec, g, x), Unsupported);
+  EXPECT_THROW((void)qexec.run_single(x), Unsupported);
 }
 
 // ---------------------------------------------------------------------------
@@ -404,9 +437,9 @@ TEST(EltwiseS8, MatchesScalarReferenceAtEveryLengthWindowAndLevel) {
         feeds["a"] = fa;
         if (add) feeds["b"] = fb;
         for (auto level : {util::SimdLevel::kPortable, util::SimdLevel::kAuto}) {
-          Executor exec(g, DType::kINT8);
+          runtime::Session exec(g, DType::kINT8);
           exec.set_exec_config({.simd = level});
-          const Tensor y = exec.run(feeds).at("op");
+          const Tensor y = exec.run(feeds).outputs.at("op");
           for (std::size_t i = 0; i < want.size(); ++i) {
             ASSERT_EQ(y.at(i), static_cast<float>(want[i] * so))
                 << what << " at " << util::simd_level_name(level) << " i=" << i;
@@ -428,12 +461,14 @@ TEST(Int8Executor, ResNet50ParallelBitwiseIdenticalToSerial) {
   Rng data_rng(42);
   Tensor x(Shape{1, 3, 32, 32}, data_rng.normal_vector(3 * 32 * 32));
 
-  Executor serial(g, DType::kINT8);
-  const QTensor qs = testutil::qexec_single(serial, g, x);
+  runtime::Session serial(g, DType::kINT8);
+  (void)serial.run_single(x);
+  const QTensor qs = serial.quantized(g.outputs().front());
 
-  Executor mt(g, DType::kINT8);
+  runtime::Session mt(g, DType::kINT8);
   mt.set_exec_config({.threads = 4});
-  const QTensor qm = testutil::qexec_single(mt, g, x);
+  (void)mt.run_single(x);
+  const QTensor qm = mt.quantized(g.outputs().front());
 
   EXPECT_EQ(qs.data, qm.data);  // int8 payloads: bitwise
   EXPECT_DOUBLE_EQ(qs.scale, qm.scale);
@@ -449,10 +484,11 @@ TEST(Int8Executor, GemmConvBitwiseMatchesDirectConv) {
   Rng data_rng(44);
   Tensor x(Shape{1, 3, 16, 16}, data_rng.normal_vector(3 * 16 * 16));
 
-  Executor gemm(g, DType::kINT8);
+  runtime::Session gemm(g, DType::kINT8);
   testutil::DirectConvInt8 direct(g);
 
-  const QTensor a = testutil::qexec_single(gemm, g, x);
+  (void)gemm.run_single(x);
+  const QTensor a = gemm.quantized(g.outputs().front());
   const QTensor b = direct.run_single(x);
   EXPECT_EQ(a.data, b.data);
   EXPECT_EQ(gemm.saturations(), direct.saturations());
@@ -497,7 +533,7 @@ void expect_pinned_int8(Graph g, const Shape& in_shape, std::uint64_t seed,
     const runtime::RunResult r = session->run({{g.node(g.inputs().front()).name, x}});
     EXPECT_EQ(util::crc32(r.single().data()), want_crc)
         << g.name() << " at " << util::simd_level_name(level);
-    EXPECT_EQ(r.saturations, want_saturations)
+    EXPECT_EQ(session->saturations(), want_saturations)
         << g.name() << " at " << util::simd_level_name(level);
   }
 }
@@ -520,7 +556,7 @@ TEST(PinnedOutputs, Int8ResNet50LogitsBitExact) {
   const Tensor x(in_shape, data_rng.normal_vector(static_cast<std::size_t>(in_shape.numel())));
   const NodeId logits = g.node(g.outputs().front()).inputs.at(0);
   for (auto level : {util::SimdLevel::kPortable, util::SimdLevel::kAuto}) {
-    Executor exec(g, DType::kINT8);
+    runtime::Session exec(g, DType::kINT8);
     exec.set_exec_config({.simd = level});
     QTensor q;
     (void)exec.run({{g.node(g.inputs().front()).name, x}}, [&](NodeId id) {

@@ -9,11 +9,9 @@
 #include <limits>
 
 #include "direct_conv.hpp"
-#include "exec_single.hpp"
 #include "graph/cost.hpp"
 #include "graph/zoo.hpp"
 #include "opt/fusion.hpp"
-#include "runtime/executor.hpp"
 #include "runtime/memory_planner.hpp"
 #include "runtime/session.hpp"
 #include "util/cpu.hpp"
@@ -35,8 +33,6 @@ AttrMap conv_attrs(std::int64_t oc, std::int64_t k, std::int64_t s, std::int64_t
   return a;
 }
 
-using testutil::exec_single;
-
 /// Build a single-op graph, set explicit weights, execute one input.
 Tensor run_single_op(OpKind kind, const Shape& in_shape, AttrMap attrs,
                      std::vector<Tensor> weights, const Tensor& input) {
@@ -44,8 +40,8 @@ Tensor run_single_op(OpKind kind, const Shape& in_shape, AttrMap attrs,
   const NodeId in = g.add_input("x", in_shape);
   const NodeId op = g.add(kind, "op", {in}, std::move(attrs));
   g.node(op).weights = std::move(weights);
-  Executor exec(g);
-  return exec_single(exec, g, input);
+  runtime::Session exec(g);
+  return exec.run_single(input);
 }
 
 TEST(Executor, Conv2dIdentityKernel) {
@@ -125,9 +121,9 @@ TEST(Executor, BatchNormFoldedFormula) {
                        Tensor(Shape{1}, {1.0f}),   // beta
                        Tensor(Shape{1}, {3.0f}),   // mean
                        Tensor(Shape{1}, {4.0f})};  // var
-  Executor exec(g);
+  runtime::Session exec(g);
   Tensor input(Shape{1, 1, 1, 2}, {3.0f, 5.0f});
-  const Tensor out = exec_single(exec, g, input);
+  const Tensor out = exec.run_single(input);
   // (x - 3)/2 * 2 + 1
   EXPECT_FLOAT_EQ(out.at(0), 1.0f);
   EXPECT_FLOAT_EQ(out.at(1), 3.0f);
@@ -148,8 +144,8 @@ TEST_P(ActivationSweep, PointwiseValue) {
   AttrMap attrs;
   if (p.kind == OpKind::kLeakyRelu) attrs.set_float("alpha", 0.1);
   g.add(p.kind, "act", {in}, attrs);
-  Executor exec(g);
-  const Tensor out = exec_single(exec, g, Tensor(Shape{1}, {p.in}));
+  runtime::Session exec(g);
+  const Tensor out = exec.run_single(Tensor(Shape{1}, {p.in}));
   EXPECT_NEAR(out.at(0), p.expected, 1e-5);
 }
 
@@ -171,9 +167,9 @@ TEST(Executor, MishMatchesDefinition) {
   Graph g("t");
   const NodeId in = g.add_input("x", Shape{1});
   g.add(OpKind::kMish, "mish", {in});
-  Executor exec(g);
+  runtime::Session exec(g);
   for (float x : {-2.0f, -0.5f, 0.7f, 2.5f}) {
-    const Tensor out = exec_single(exec, g, Tensor(Shape{1}, {x}));
+    const Tensor out = exec.run_single(Tensor(Shape{1}, {x}));
     const double expected = x * std::tanh(std::log1p(std::exp(static_cast<double>(x))));
     EXPECT_NEAR(out.at(0), expected, 1e-5) << x;
   }
@@ -185,9 +181,9 @@ TEST(Executor, AddAndMulBroadcast) {
   const NodeId gap = g.add(OpKind::kGlobalAvgPool, "gap", {a});
   const NodeId m = g.add(OpKind::kMul, "mul", {a, gap});
   g.add(OpKind::kAdd, "add", {m, a});
-  Executor exec(g);
+  runtime::Session exec(g);
   Tensor input(Shape{1, 2, 2, 2}, {1, 1, 1, 1, 2, 2, 2, 2});
-  auto outs = exec.run({{"a", input}});
+  auto outs = exec.run({{"a", input}}).outputs;
   const Tensor& out = outs.at("add");
   // channel 0 mean 1 -> mul gives 1, add gives 2; channel 1 mean 2 -> 4+2=6
   EXPECT_FLOAT_EQ(out.at4(0, 0, 0, 0), 2.0f);
@@ -207,9 +203,9 @@ TEST(Executor, MaxPoolAndAvgPool) {
   p2.set_int("stride", 2);
   p2.set_int("pad", 0);
   g.add(OpKind::kAvgPool, "avg", {in}, p2);
-  Executor exec(g);
+  runtime::Session exec(g);
   Tensor input(Shape{1, 1, 2, 2}, {1, 2, 3, 4});
-  auto outs = exec.run({{"x", input}});
+  auto outs = exec.run({{"x", input}}).outputs;
   EXPECT_FLOAT_EQ(outs.at("max").at(0), 4.0f);
   EXPECT_FLOAT_EQ(outs.at("avg").at(0), 2.5f);
 }
@@ -222,9 +218,9 @@ TEST(Executor, AvgPoolPaddingCountsValidOnly) {
   p.set_int("stride", 1);
   p.set_int("pad", 1);
   g.add(OpKind::kAvgPool, "avg", {in}, p);
-  Executor exec(g);
+  runtime::Session exec(g);
   Tensor input(Shape{1, 1, 2, 2}, {4, 4, 4, 4});
-  const Tensor out = exec_single(exec, g, input);
+  const Tensor out = exec.run_single(input);
   // all windows average only valid elements -> always 4
   for (float v : out.data()) EXPECT_FLOAT_EQ(v, 4.0f);
 }
@@ -236,10 +232,10 @@ TEST(Executor, ConcatChannels) {
   AttrMap attrs;
   attrs.set_int("axis", 1);
   g.add(OpKind::kConcat, "cat", {b, a}, attrs);
-  Executor exec(g);
+  runtime::Session exec(g);
   Tensor ta(Shape{1, 1, 1, 2}, {7, 8});
   Tensor tb(Shape{1, 2, 1, 2}, {1, 2, 3, 4});
-  auto outs = exec.run({{"a", ta}, {"b", tb}});
+  auto outs = exec.run({{"a", ta}, {"b", tb}}).outputs;
   const Tensor& out = outs.at("cat");
   EXPECT_EQ(out.shape().c(), 3);
   EXPECT_FLOAT_EQ(out.at4(0, 0, 0, 0), 1.0f);
@@ -252,8 +248,8 @@ TEST(Executor, UpsampleNearest) {
   AttrMap u;
   u.set_int("scale", 2);
   g.add(OpKind::kUpsample, "up", {in}, u);
-  Executor exec(g);
-  const Tensor out = exec_single(exec, g, Tensor(Shape{1, 1, 1, 2}, {5, 9}));
+  runtime::Session exec(g);
+  const Tensor out = exec.run_single(Tensor(Shape{1, 1, 1, 2}, {5, 9}));
   EXPECT_EQ(out.shape(), Shape({1, 1, 2, 4}));
   EXPECT_FLOAT_EQ(out.at4(0, 0, 1, 0), 5.0f);
   EXPECT_FLOAT_EQ(out.at4(0, 0, 0, 3), 9.0f);
@@ -263,8 +259,8 @@ TEST(Executor, SoftmaxNormalizesAndIsStable) {
   Graph g("t");
   const NodeId in = g.add_input("x", Shape{1, 3});
   g.add(OpKind::kSoftmax, "sm", {in});
-  Executor exec(g);
-  const Tensor out = exec_single(exec, g, Tensor(Shape{1, 3}, {1000.0f, 1001.0f, 1002.0f}));
+  runtime::Session exec(g);
+  const Tensor out = exec.run_single(Tensor(Shape{1, 3}, {1000.0f, 1001.0f, 1002.0f}));
   double sum = 0;
   for (float v : out.data()) {
     EXPECT_TRUE(std::isfinite(v));
@@ -278,7 +274,7 @@ TEST(Executor, MissingFeedThrows) {
   Graph g = zoo::motor_net();
   Rng rng(1);
   g.materialize_weights(rng);
-  Executor exec(g);
+  runtime::Session exec(g);
   EXPECT_THROW((void)exec.run({}), ExecError);
 }
 
@@ -286,7 +282,7 @@ TEST(Executor, WrongFeedShapeThrows) {
   Graph g = zoo::motor_net();
   Rng rng(1);
   g.materialize_weights(rng);
-  Executor exec(g);
+  runtime::Session exec(g);
   EXPECT_THROW((void)exec.run({{"features", Tensor(Shape{1, 3})}}), ExecError);
 }
 
@@ -298,11 +294,11 @@ TEST(Executor, FeedLanesOutsideThePlanThrow) {
   AttrMap attrs;
   attrs.set_int("axis", 1);
   g.add(OpKind::kConcat, "cat", {b, a}, attrs);
-  Executor exec(g);
+  runtime::Session exec(g);
   const auto feeds = [](const Shape& sa, const Shape& sb) {
     return std::map<std::string, Tensor>{{"a", Tensor(sa)}, {"b", Tensor(sb)}};
   };
-  EXPECT_EQ(exec.run(feeds(Shape{2, 1, 1, 2}, Shape{2, 2, 1, 2})).at("cat").shape(),
+  EXPECT_EQ(exec.run(feeds(Shape{2, 1, 1, 2}, Shape{2, 2, 1, 2})).outputs.at("cat").shape(),
             Shape({2, 3, 1, 2}));
   // Shape forbids a zero extent: a 0-lane feed is one with no leading dimension.
   EXPECT_THROW((void)exec.run(feeds(Shape{}, Shape{2, 2, 1, 2})), ExecError);
@@ -313,18 +309,18 @@ TEST(Executor, FeedLanesOutsideThePlanThrow) {
 
 TEST(Executor, UnmaterializedWeightsRejected) {
   Graph g = zoo::motor_net();
-  EXPECT_THROW(Executor{g}, ExecError);
+  EXPECT_THROW(runtime::Session{g}, ExecError);
 }
 
 TEST(Executor, EndToEndMicroCnnDeterministic) {
   Graph g = zoo::micro_cnn("m", 1, 1, 16, 4);
   Rng rng(7);
   g.materialize_weights(rng);
-  Executor exec(g);
+  runtime::Session exec(g);
   Rng data_rng(8);
   Tensor input(Shape{1, 1, 16, 16}, data_rng.normal_vector(256));
-  const Tensor a = exec_single(exec, g, input);
-  const Tensor b = exec_single(exec, g, input);
+  const Tensor a = exec.run_single(input);
+  const Tensor b = exec.run_single(input);
   EXPECT_FLOAT_EQ(max_abs_diff(a, b), 0.0f);
   double sum = 0;
   for (float v : a.data()) sum += v;
@@ -337,7 +333,7 @@ TEST(Executor, ActivationIntrospection) {
   Graph g = zoo::micro_mlp("m", 1, 4, {8}, 2);
   Rng rng(9);
   g.materialize_weights(rng);
-  Executor exec(g);
+  runtime::Session exec(g);
   const Tensor x(Shape{1, 4}, {1, 2, 3, 4});
   std::vector<NodeId> seen;
   Tensor fc0, out;
@@ -347,7 +343,7 @@ TEST(Executor, ActivationIntrospection) {
     if (g.node(id).name == "fc0") fc0 = v.clone();
     if (id == g.outputs().front()) out = v.clone();
     EXPECT_THROW((void)exec.quantized(id), ExecError);  // an f32 plan has no codes
-  });
+  }).outputs;
   EXPECT_EQ(seen, g.topo_order());
   EXPECT_EQ(seen.front(), g.inputs().front());
   ASSERT_EQ(fc0.shape(), (Shape{1, 8}));
@@ -497,9 +493,9 @@ TEST(ExecutionEngine, ArenaHalvesResNet50ActivationFootprint) {
   Rng data_rng(30);
   Tensor x(Shape{1, 3, 64, 64}, data_rng.normal_vector(3 * 64 * 64));
 
-  Executor exec(g);
-  (void)exec_single(exec, g, x);
-  const Executor::ArenaStats& stats = exec.arena_stats();
+  runtime::Session exec(g);
+  (void)exec.run_single(x);
+  const runtime::Session::ArenaStats& stats = exec.arena_stats();
   EXPECT_GT(stats.arena_bytes, 0);
   // Liveness packing must reclaim at least half of the naive sum of all
   // activation buffers on ResNet-50 (ISSUE acceptance: arena <= 50% naive).
@@ -552,7 +548,7 @@ TEST(PinnedOutputs, F32NetworksBitExact) {
 /// The logits of one run of \p g at \p level: the softmax output's input,
 /// read through the run observer.
 Tensor logits_of(const Graph& g, const Tensor& x, util::SimdLevel level) {
-  Executor exec(g);
+  runtime::Session exec(g);
   exec.set_exec_config({.simd = level});
   const NodeId logits = g.node(g.outputs().front()).inputs.at(0);
   Tensor out;

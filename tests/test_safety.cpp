@@ -13,13 +13,11 @@
 #include <utility>
 #include <vector>
 
-#include "exec_single.hpp"
 #include "graph/package.hpp"
 #include "graph/zoo.hpp"
 #include "obs/metrics.hpp"
 #include "opt/fusion.hpp"
 #include "opt/quantize.hpp"
-#include "runtime/executor.hpp"
 #include "runtime/session.hpp"
 #include "safety/hybrid.hpp"
 #include "safety/model_store.hpp"
@@ -198,12 +196,12 @@ TEST(Robustness, DetectsBitFlippedModel) {
   Rng rng(55);
   FaultInjector injector(rng);
   injector.flip_weight_bits(d.graph, 16);
-  Executor faulty(d.graph);
+  runtime::Session faulty(d.graph);
 
   std::size_t detected = 0;
   for (int i = 0; i < 16; ++i) {
     const Tensor in = sample_input(static_cast<std::uint64_t>(i));
-    if (service.submit(in, testutil::exec_single(faulty, d.graph, in)) == CheckResult::kCheckedFaulty) ++detected;
+    if (service.submit(in, faulty.run_single(in)) == CheckResult::kCheckedFaulty) ++detected;
   }
   EXPECT_GT(detected, 0u);
 }
@@ -214,11 +212,11 @@ TEST(Robustness, DetectsZeroedChannel) {
   Rng rng(56);
   FaultInjector injector(rng);
   injector.zero_random_channel(d.graph);
-  Executor faulty(d.graph);
+  runtime::Session faulty(d.graph);
   std::size_t detected = 0;
   for (int i = 0; i < 16; ++i) {
     const Tensor in = sample_input(static_cast<std::uint64_t>(i));
-    if (service.submit(in, testutil::exec_single(faulty, d.graph, in)) == CheckResult::kCheckedFaulty) ++detected;
+    if (service.submit(in, faulty.run_single(in)) == CheckResult::kCheckedFaulty) ++detected;
   }
   EXPECT_GT(detected, 0u);
 }
@@ -229,11 +227,11 @@ TEST(Robustness, DetectsScaledLayerAttack) {
   Rng rng(57);
   FaultInjector injector(rng);
   injector.scale_random_layer(d.graph, 1.5f);
-  Executor faulty(d.graph);
+  runtime::Session faulty(d.graph);
   std::size_t detected = 0;
   for (int i = 0; i < 16; ++i) {
     const Tensor in = sample_input(static_cast<std::uint64_t>(i));
-    if (service.submit(in, testutil::exec_single(faulty, d.graph, in)) == CheckResult::kCheckedFaulty) ++detected;
+    if (service.submit(in, faulty.run_single(in)) == CheckResult::kCheckedFaulty) ++detected;
   }
   EXPECT_GT(detected, 0u);
 }
@@ -390,11 +388,11 @@ TEST(FaultInjector, ServiceFlagsEachFaultClass) {
     RobustnessService service(d.graph, {1, 1e-5});
     Rng rng(101);
     inject(d.graph, rng);
-    Executor faulty(d.graph);
+    runtime::Session faulty(d.graph);
     std::size_t hits = 0;
     for (int i = 0; i < 24; ++i) {
       const Tensor in = sample_input(static_cast<std::uint64_t>(1000 + i));
-      if (service.submit(in, testutil::exec_single(faulty, d.graph, in)) == CheckResult::kCheckedFaulty) ++hits;
+      if (service.submit(in, faulty.run_single(in)) == CheckResult::kCheckedFaulty) ++hits;
     }
     return hits;
   };
@@ -604,7 +602,7 @@ TEST(ModelStore, InstallAndMaterializeRoundTrip) {
   Graph fresh = store.materialize("kws");
   const Tensor in = probe_input();
   EXPECT_FLOAT_EQ(
-      max_abs_diff(d.exec->run_single(in), testutil::exec_single(fresh, in)), 0.0f);
+      max_abs_diff(d.exec->run_single(in), runtime::Session(fresh).run_single(in)), 0.0f);
 }
 
 TEST(ModelStore, RepairRewritesOnlyTheHitTensors) {
@@ -622,7 +620,7 @@ TEST(ModelStore, RepairRewritesOnlyTheHitTensors) {
   EXPECT_TRUE(scrub.full_scan().empty());  // repaired bits re-match golden
   const Tensor in = probe_input();
   EXPECT_FLOAT_EQ(
-      max_abs_diff(d.exec->run_single(in), testutil::exec_single(live, in)), 0.0f);
+      max_abs_diff(d.exec->run_single(in), runtime::Session(live).run_single(in)), 0.0f);
 }
 
 TEST(ModelStore, RestoreRewritesEveryTensor) {
@@ -661,7 +659,8 @@ TEST(ModelStore, PushCommitsVerifiedUpdate) {
 
   const Tensor in = probe_input();
   EXPECT_FLOAT_EQ(
-      max_abs_diff(testutil::exec_single(v2, in), testutil::exec_single(store.materialize("kws"), in)),
+      max_abs_diff(runtime::Session(v2).run_single(in),
+                   runtime::Session(store.materialize("kws")).run_single(in)),
       0.0f);
 }
 
@@ -718,7 +717,8 @@ TEST(ModelStore, RollbackRestoresPreviousVersion) {
 
   const Tensor in = probe_input();
   EXPECT_FLOAT_EQ(
-      max_abs_diff(d.exec->run_single(in), testutil::exec_single(store.materialize("kws"), in)),
+      max_abs_diff(d.exec->run_single(in),
+                   runtime::Session(store.materialize("kws")).run_single(in)),
       0.0f);
 
   const auto again = store.rollback("kws");
@@ -967,7 +967,7 @@ TEST(Robustness, ReplaceGoldenRedefinesCorrectness) {
   }
   v2.touch();
   const Tensor in = sample_input(3);
-  const Tensor v2_out = testutil::exec_single(v2, in);
+  const Tensor v2_out = runtime::Session(v2).run_single(in);
 
   EXPECT_EQ(service.submit(in, v2_out), CheckResult::kCheckedFaulty);
   service.replace_golden(v2);  // OTA moved the deployment to v2
