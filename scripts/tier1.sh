@@ -23,9 +23,11 @@ cmake --build build "${JOBS}" > /dev/null
 ctest --test-dir build --output-on-failure "${JOBS}"
 
 echo
-echo "== tier-1: kernel suite with SIMD force-disabled (portable dispatch) =="
+echo "== tier-1: kernel, CRC-32 and package suites with SIMD force-disabled (portable dispatch) =="
+# The kill switch also pins util::crc32 to its table loop, so test_util and
+# test_package check that loop at the lengths the PCLMULQDQ fold takes.
 VEDLIOT_FORCE_PORTABLE=1 ctest --test-dir build --output-on-failure "${JOBS}" \
-  -R 'test_microkernel|test_runtime|test_qruntime'
+  -R 'test_microkernel|test_runtime|test_qruntime|test_util|test_package'
 
 echo
 echo "== tier-1: kernel suites in a Release build, at the resolved level and portable =="

@@ -1,5 +1,6 @@
 #include "graph/package.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <map>
@@ -23,15 +24,58 @@ constexpr std::uint32_t kOldestReadable = 1;  // v1 packages (no table) load
 constexpr std::size_t kMaxRank = 8;
 constexpr std::int64_t kMaxTensorElems = std::int64_t{1} << 31;
 
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+/// Copies \p src to \p dst and returns the CRC-32 of the bytes copied, one
+/// L1-sized block at a time, so each block is hashed while it is still in
+/// cache: a weight payload is walked once, on pack and on unpack alike.
+std::uint32_t copy_crc(std::uint8_t* dst, std::span<const std::uint8_t> src) {
+  constexpr std::size_t kBlock = std::size_t{16} << 10;  // a multiple of the fold's 16
+  std::uint32_t crc = 0;
+  for (std::size_t at = 0; at < src.size(); at += kBlock) {
+    const auto block = src.subspan(at, std::min(kBlock, src.size() - at));
+    std::memcpy(dst + at, block.data(), block.size());
+    crc = util::crc32(block, crc);
+  }
+  return crc;
 }
 
-void put_i64(std::vector<std::uint8_t>& out, std::int64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<std::uint8_t>(static_cast<std::uint64_t>(v) >> (8 * i)));
-  }
+std::span<const std::uint8_t> bytes_of(const Tensor& t) {
+  const auto data = t.data();
+  return {reinterpret_cast<const std::uint8_t*>(data.data()), data.size_bytes()};
 }
+
+/// Little-endian field writer into a package sized up front: pack_model
+/// computes the exact length, allocates it once and fills it in order.
+class Writer {
+ public:
+  explicit Writer(std::size_t size) : out_(size), at_(out_.data()) {}
+
+  void u8(std::uint8_t v) { *at_++ = v; }
+  void u32(std::uint32_t v) {
+    for (int i = 0; i < 4; ++i) u8(static_cast<std::uint8_t>(v >> (8 * i)));
+  }
+  void i64(std::int64_t v) {
+    const auto u = static_cast<std::uint64_t>(v);
+    for (int i = 0; i < 8; ++i) u8(static_cast<std::uint8_t>(u >> (8 * i)));
+  }
+  void bytes(std::span<const std::uint8_t> s) {
+    std::memcpy(at_, s.data(), s.size());
+    at_ += s.size();
+  }
+  /// bytes(), returning the CRC-32 of what it wrote.
+  std::uint32_t bytes_crc(std::span<const std::uint8_t> s) {
+    const std::uint32_t crc = copy_crc(at_, s);
+    at_ += s.size();
+    return crc;
+  }
+  std::vector<std::uint8_t> finish() && {
+    VEDLIOT_ASSERT(at_ == out_.data() + out_.size());
+    return std::move(out_);
+  }
+
+ private:
+  std::vector<std::uint8_t> out_;
+  std::uint8_t* at_;
+};
 
 class Reader {
  public:
@@ -77,8 +121,6 @@ class Reader {
   std::size_t pos_ = 0;
 };
 
-std::uint32_t tensor_crc(const Tensor& t) { return util::crc32(t.data()); }
-
 }  // namespace
 
 std::vector<TensorDigest> digest_weights(const Graph& g) {
@@ -88,7 +130,7 @@ std::vector<TensorDigest> digest_weights(const Graph& g) {
     const Node& n = g.node(id);
     for (std::size_t t = 0; t < n.weights.size(); ++t) {
       table.push_back(TensorDigest{dense, static_cast<std::uint32_t>(t),
-                                   tensor_crc(n.weights[t])});
+                                   util::crc32(n.weights[t].data())});
     }
     ++dense;
   }
@@ -96,47 +138,60 @@ std::vector<TensorDigest> digest_weights(const Graph& g) {
 }
 
 std::vector<std::uint8_t> pack_model(const Graph& g) {
-  std::vector<std::uint8_t> out;
-  put_u32(out, kMagic);
-  put_u32(out, kVersion);
-
   const std::string text = to_text(g);
-  put_u32(out, static_cast<std::uint32_t>(text.size()));
-  out.insert(out.end(), text.begin(), text.end());
 
-  // Weight records keyed by dense topo index (matching to_text's remap).
+  // Weight records keyed by dense topo index (matching to_text's remap),
+  // and the package's exact size: header, text, records, digest table.
   std::vector<std::pair<std::uint32_t, const Node*>> with_weights;
+  std::size_t tensors = 0;
+  std::size_t size = 12 + text.size() + 4;
   std::uint32_t dense = 0;
   for (NodeId id : g.topo_order()) {
     const Node& n = g.node(id);
-    if (!n.weights.empty()) with_weights.emplace_back(dense, &n);
+    if (!n.weights.empty()) {
+      with_weights.emplace_back(dense, &n);
+      tensors += n.weights.size();
+      size += 6;
+      for (const Tensor& w : n.weights) size += 1 + 8 * w.shape().rank() + bytes_of(w).size();
+    }
     ++dense;
   }
-  put_u32(out, static_cast<std::uint32_t>(with_weights.size()));
+  size += 4 + 12 * tensors;
+
+  Writer out(size);
+  out.u32(kMagic);
+  out.u32(kVersion);
+  out.u32(static_cast<std::uint32_t>(text.size()));
+  out.bytes({reinterpret_cast<const std::uint8_t*>(text.data()), text.size()});
+
+  // Each tensor's digest is taken from the bytes as they are copied in.
+  std::vector<TensorDigest> digests;
+  digests.reserve(tensors);
+  out.u32(static_cast<std::uint32_t>(with_weights.size()));
   for (const auto& [index, node] : with_weights) {
-    put_u32(out, index);
-    out.push_back(static_cast<std::uint8_t>(node->weight_dtype));
-    out.push_back(static_cast<std::uint8_t>(node->weights.size()));
-    for (const Tensor& w : node->weights) {
-      out.push_back(static_cast<std::uint8_t>(w.shape().rank()));
-      for (std::size_t d = 0; d < w.shape().rank(); ++d) put_i64(out, w.shape().dim(d));
-      const auto data = w.data();
-      const auto* raw = reinterpret_cast<const std::uint8_t*>(data.data());
-      out.insert(out.end(), raw, raw + data.size() * sizeof(float));
+    out.u32(index);
+    out.u8(static_cast<std::uint8_t>(node->weight_dtype));
+    out.u8(static_cast<std::uint8_t>(node->weights.size()));
+    for (std::size_t t = 0; t < node->weights.size(); ++t) {
+      const Tensor& w = node->weights[t];
+      out.u8(static_cast<std::uint8_t>(w.shape().rank()));
+      for (std::size_t d = 0; d < w.shape().rank(); ++d) out.i64(w.shape().dim(d));
+      digests.push_back(
+          TensorDigest{index, static_cast<std::uint32_t>(t), out.bytes_crc(bytes_of(w))});
     }
   }
 
   // v2 digest table: one CRC-32 per weight tensor, same order as the
-  // records above. Written last so a truncation cannot drop it silently —
-  // the reader requires exactly one entry per tensor it read.
-  const auto digests = digest_weights(g);
-  put_u32(out, static_cast<std::uint32_t>(digests.size()));
+  // records above (digest_weights' order). Written last so a truncation
+  // cannot drop it silently — the reader requires exactly one entry per
+  // tensor it read.
+  out.u32(static_cast<std::uint32_t>(digests.size()));
   for (const TensorDigest& d : digests) {
-    put_u32(out, d.node_index);
-    put_u32(out, d.tensor_index);
-    put_u32(out, d.crc);
+    out.u32(d.node_index);
+    out.u32(d.tensor_index);
+    out.u32(d.crc);
   }
-  return out;
+  return std::move(out).finish();
 }
 
 Graph unpack_model(std::span<const std::uint8_t> package) {
@@ -154,8 +209,9 @@ Graph unpack_model(std::span<const std::uint8_t> package) {
 
   const auto order = g.topo_order();
   const std::uint32_t records = r.u32();
-  // Actual digests of the tensors as read, in record order; compared
-  // against the embedded table afterwards (v2).
+  // Actual digests of the tensors, taken from the bytes as each payload is
+  // copied out, in record order; compared against the embedded table
+  // afterwards (v2).
   std::vector<TensorDigest> actual;
   std::int64_t prev_index = -1;
   for (std::uint32_t i = 0; i < records; ++i) {
@@ -204,9 +260,9 @@ Graph unpack_model(std::span<const std::uint8_t> package) {
       const auto n_elems = static_cast<std::size_t>(shape.numel());
       const auto raw = r.bytes(n_elems * sizeof(float));
       std::vector<float> data(n_elems);
-      std::memcpy(data.data(), raw.data(), raw.size());
+      const std::uint32_t crc = copy_crc(reinterpret_cast<std::uint8_t*>(data.data()), raw);
       n.weights.emplace_back(std::move(shape), std::move(data));
-      actual.push_back(TensorDigest{index, t, tensor_crc(n.weights.back())});
+      actual.push_back(TensorDigest{index, t, crc});
     }
   }
 

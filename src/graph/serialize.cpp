@@ -49,6 +49,24 @@ std::vector<std::string> split(const std::string& s, char sep) {
   return out;
 }
 
+// std::stoll and std::stod throw std::invalid_argument or std::out_of_range
+// on a malformed number; corrupt text must fail as a GraphError instead.
+std::int64_t parse_int(const std::string& field) {
+  try {
+    return std::stoll(field);
+  } catch (const std::logic_error&) {
+    throw GraphError("malformed integer: '" + field + "'");
+  }
+}
+
+double parse_float(const std::string& field) {
+  try {
+    return std::stod(field);
+  } catch (const std::logic_error&) {
+    throw GraphError("malformed number: '" + field + "'");
+  }
+}
+
 AttrMap parse_attrs(const std::string& body) {
   AttrMap attrs;
   if (body.empty()) return attrs;
@@ -63,15 +81,15 @@ AttrMap parse_attrs(const std::string& body) {
     const std::string type = rest.substr(0, colon);
     const std::string value = rest.substr(colon + 1);
     if (type == "int") {
-      attrs.set_int(key, std::stoll(value));
+      attrs.set_int(key, parse_int(value));
     } else if (type == "float") {
-      attrs.set_float(key, std::stod(value));
+      attrs.set_float(key, parse_float(value));
     } else if (type == "str") {
       attrs.set_str(key, value);
     } else if (type == "ints") {
       std::vector<std::int64_t> v;
       if (!value.empty()) {
-        for (const auto& piece : split(value, ',')) v.push_back(std::stoll(piece));
+        for (const auto& piece : split(value, ',')) v.push_back(parse_int(piece));
       }
       attrs.set_ints(key, std::move(v));
     } else {
@@ -146,7 +164,7 @@ Graph from_text(const std::string& text) {
     std::vector<NodeId> inputs;
     if (!in_body.empty()) {
       for (const auto& piece : split(in_body, ',')) {
-        const NodeId orig = static_cast<NodeId>(std::stol(piece));
+        const NodeId orig = static_cast<NodeId>(parse_int(piece));
         auto it = remap.find(orig);
         if (it == remap.end()) throw GraphError("node references unknown input id: " + line);
         inputs.push_back(it->second);
@@ -166,7 +184,7 @@ Graph from_text(const std::string& text) {
     if (kind == OpKind::kInput) {
       if (rest.rfind("shape=", 0) != 0) throw GraphError("Input node missing shape=: " + line);
       std::vector<std::int64_t> dims;
-      for (const auto& piece : split(rest.substr(6), ',')) dims.push_back(std::stoll(piece));
+      for (const auto& piece : split(rest.substr(6), ',')) dims.push_back(parse_int(piece));
       new_id = g.add_input(name, Shape{std::move(dims)});
       // Inputs carry attrs too (e.g. act_scale after calibration); dropping
       // them here used to silently de-calibrate round-tripped graphs.

@@ -23,6 +23,7 @@ const CpuFeatures& cpu_features() {
     __builtin_cpu_init();
     f.avx2 = __builtin_cpu_supports("avx2") != 0;
     f.fma = __builtin_cpu_supports("fma") != 0;
+    f.pclmul = __builtin_cpu_supports("pclmul") != 0;
 #endif
 #if defined(__ARM_NEON) || defined(__aarch64__)
     f.neon = true;  // NEON is architecturally guaranteed on aarch64
@@ -30,6 +31,11 @@ const CpuFeatures& cpu_features() {
     return f;
   }();
   return features;
+}
+
+bool portable_forced() {
+  const char* force = std::getenv("VEDLIOT_FORCE_PORTABLE");
+  return force != nullptr && force[0] != '\0' && force[0] != '0';
 }
 
 bool simd_supported(SimdLevel level) {
@@ -66,9 +72,7 @@ SimdLevel parse_level(const char* s) {
 SimdLevel resolve_simd_level(SimdLevel requested) {
   // Env overrides are read per resolution (not cached) so tests can flip
   // them between sessions within one process.
-  if (const char* force = std::getenv("VEDLIOT_FORCE_PORTABLE")) {
-    if (force[0] != '\0' && force[0] != '0') return SimdLevel::kPortable;
-  }
+  if (portable_forced()) return SimdLevel::kPortable;
   if (const char* env = std::getenv("VEDLIOT_SIMD")) {
     if (env[0] != '\0') requested = parse_level(env);
   }

@@ -16,6 +16,11 @@
 ///      level; an unavailable request falls back to portable, never up.
 ///   3. An explicit ExecConfig::simd request, same fallback rule.
 ///   4. kAuto picks the best level the CPU supports.
+///
+/// The CRC-32 (util/hash.hpp) dispatches on the same feature bits but
+/// resolves its path once per process, at its first call: `pclmul` picks
+/// the carry-less-multiply fold, and `VEDLIOT_FORCE_PORTABLE`, read at that
+/// moment, pins the table loop for the rest of the process.
 
 #include <string_view>
 
@@ -36,9 +41,14 @@ std::string_view simd_level_name(SimdLevel level);
 struct CpuFeatures {
   bool avx2 = false;
   bool fma = false;
+  bool pclmul = false;  ///< x86 carry-less multiply: the CRC-32 fold
   bool neon = false;
 };
 const CpuFeatures& cpu_features();
+
+/// True when `VEDLIOT_FORCE_PORTABLE` is set to anything but "" or "0".
+/// Reads the environment on every call.
+bool portable_forced();
 
 /// True when the host can execute kernels at \p level (kAuto/kPortable
 /// are always supported).

@@ -9,6 +9,15 @@
 /// digest. For tamper-resistance against an *adversary* the packages are
 /// additionally sealed (security/crypto.hpp); CRC-32 targets silent data
 /// corruption, not attacks.
+///
+/// crc32 has two paths with one result. On x86-64 hosts with PCLMULQDQ
+/// (util::CpuFeatures::pclmul) an input of 64 bytes or more is folded
+/// with carry-less multiplies over its largest multiple of 16 bytes, at
+/// memory bandwidth; the bytewise table loop hashes the remaining tail,
+/// every input under 64 bytes, and everything on other hosts. The path is
+/// chosen once per process, at the first call: `VEDLIOT_FORCE_PORTABLE=1`
+/// set by then pins the table loop for the process (the kill switch the
+/// kernels share, util/cpu.hpp).
 
 #include <cstdint>
 #include <span>

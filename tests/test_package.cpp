@@ -4,8 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <limits>
+#include <string>
+
 #include "graph/cost.hpp"
 #include "graph/package.hpp"
+#include "graph/serialize.hpp"
 #include "graph/zoo.hpp"
 #include "runtime/memory_planner.hpp"
 #include "runtime/session.hpp"
@@ -292,6 +297,200 @@ TEST(PackageCorruption, V1PackageWithoutTableStillLoads) {
   Tensor x(Shape{1, 4}, rng.normal_vector(4));
   EXPECT_FLOAT_EQ(
       max_abs_diff(runtime::Session(g).run_single(x), runtime::Session(back).run_single(x)), 0.0f);
+}
+
+// ---------------------------------------------------------------------------
+// Pinned package bytes: fixed seeded graphs pack to a fixed length and
+// CRC-32, so no change to the writer can move a byte.
+// ---------------------------------------------------------------------------
+
+TEST(PackagePin, SeededZooPackagesKeepTheirBytes) {
+  struct Pin {
+    const char* what;
+    Graph graph;
+    std::size_t bytes;
+    std::uint32_t crc;
+  };
+  // micro_cnn: rank-4 conv kernels, rank-1 BatchNorm tensors and a rank-2
+  // Dense head; MobileNetV3 adds depthwise kernels and many more records.
+  const Pin pins[] = {
+      {"micro_cnn", materialized(zoo::micro_cnn("pin", 1, 3, 32, 10), 7), 99745, 0xf80a0cddu},
+      {"mobilenet_v3_large", materialized(zoo::mobilenet_v3_large(1, 10, 32), 7), 16977819,
+       0xf4346893u},
+  };
+  for (const Pin& pin : pins) {
+    const auto blob = pack_model(pin.graph);
+    EXPECT_EQ(blob.size(), pin.bytes) << pin.what;
+    EXPECT_EQ(util::crc32(std::span<const std::uint8_t>(blob)), pin.crc) << pin.what;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Seeded mutation fuzz of unpack_model. Each seed mutates one small
+// package; the mutant must load or throw a vedliot::Error (tier1 runs this
+// under ASan+UBSan, so an over-read fails there too).
+// ---------------------------------------------------------------------------
+
+/// Byte offsets of a v2 package's fields, walked from its own headers.
+struct PackageLayout {
+  std::vector<std::size_t> length_fields;  ///< text length, record and digest counts
+  std::vector<std::size_t> record_at;      ///< each record's node-index field
+  std::vector<std::size_t> rank_at;        ///< each tensor's rank byte
+  std::vector<std::size_t> dim_at;         ///< each tensor's i64 dimensions
+  std::vector<std::size_t> payload_at;     ///< each tensor's first float byte
+  std::vector<std::size_t> payload_bytes;
+  std::size_t table_at = 0;
+  std::vector<std::size_t> structure;  ///< every byte outside the payloads
+};
+
+PackageLayout layout_of(const std::vector<std::uint8_t>& blob) {
+  PackageLayout l;
+  l.length_fields.push_back(8);
+  std::size_t at = first_record_at(blob) - 4;
+  l.length_fields.push_back(at);
+  const std::uint32_t records = read_u32(blob, at);
+  at += 4;
+  for (std::uint32_t r = 0; r < records; ++r) {
+    l.record_at.push_back(at);
+    const std::size_t tensors = blob.at(at + 5);
+    at += 6;
+    for (std::size_t t = 0; t < tensors; ++t) {
+      l.rank_at.push_back(at);
+      const std::size_t rank = blob.at(at);
+      std::uint64_t numel = 1;
+      for (std::size_t d = 0; d < rank; ++d) {
+        const std::size_t dim_at = at + 1 + 8 * d;
+        l.dim_at.push_back(dim_at);
+        numel *= read_u32(blob, dim_at);  // dims of a small model fit 32 bits
+      }
+      at += 1 + 8 * rank;
+      l.payload_at.push_back(at);
+      l.payload_bytes.push_back(numel * sizeof(float));
+      at += numel * sizeof(float);
+    }
+  }
+  l.table_at = at;
+  l.length_fields.push_back(at);
+  std::size_t next = 0;
+  for (std::size_t t = 0; t <= l.payload_at.size(); ++t) {
+    const std::size_t end = t < l.payload_at.size() ? l.payload_at[t] : blob.size();
+    for (; next < end; ++next) l.structure.push_back(next);
+    if (t < l.payload_at.size()) next = end + l.payload_bytes[t];
+  }
+  return l;
+}
+
+/// Loads \p blob; true when it loaded, false when it threw a vedliot::Error.
+/// Anything else thrown fails the test.
+bool loads(const std::vector<std::uint8_t>& blob, const std::string& what) {
+  try {
+    (void)unpack_model(blob);
+    return true;
+  } catch (const Error&) {
+    return false;
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << what << ": unpack_model threw a non-vedliot exception: " << e.what();
+    return false;
+  }
+}
+
+TEST(PackageFuzz, SeededMutantsLoadOrThrowVedliotError) {
+  Graph g = materialized(zoo::micro_cnn("m", 1, 1, 8, 3));
+  const auto blob = pack_model(g);
+  const PackageLayout l = layout_of(blob);
+  ASSERT_EQ(l.table_at + 4 + 12 * digest_weights(g).size(), blob.size());
+  ASSERT_FALSE(l.payload_at.empty());
+
+  const std::uint32_t extreme32[] = {0u, 1u, 0x7FFFFFFFu, 0x80000000u, 0xFFFFFFFFu,
+                                     static_cast<std::uint32_t>(blob.size())};
+  const std::int64_t extreme64[] = {0,
+                                    -1,
+                                    std::numeric_limits<std::int64_t>::min(),
+                                    std::numeric_limits<std::int64_t>::max(),
+                                    std::int64_t{1} << 31,
+                                    (std::int64_t{1} << 31) + 1,
+                                    std::int64_t{1} << 40};
+  const std::uint8_t extreme_rank[] = {0, 1, 8, 9, 255};
+  constexpr std::uint64_t kSeeds = 3000;
+  std::size_t loaded = 0;
+  for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
+    Rng rng(seed);
+    const auto pick = [&rng](std::size_t n) {
+      return static_cast<std::size_t>(rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
+    };
+    auto b = blob;
+    const std::size_t kind = pick(7);
+    std::string what = "seed " + std::to_string(seed) + " kind " + std::to_string(kind);
+    switch (kind) {
+      case 0:  // one to four bit flips in the text, the headers or the table
+        for (std::size_t f = 0, n = 1 + pick(4); f < n; ++f) {
+          b[l.structure[pick(l.structure.size())]] ^= 1u << pick(8);
+        }
+        break;
+      case 1:  // one byte of the text, the headers or the table overwritten
+        b[l.structure[pick(l.structure.size())]] = static_cast<std::uint8_t>(pick(256));
+        break;
+      case 2:  // a length field rewritten to an extreme value
+        write_u32(b, l.length_fields[pick(l.length_fields.size())],
+                  extreme32[pick(std::size(extreme32))]);
+        break;
+      case 3:  // a rank byte rewritten
+        b[l.rank_at[pick(l.rank_at.size())]] = extreme_rank[pick(std::size(extreme_rank))];
+        break;
+      case 4: {  // a dimension rewritten to an extreme value
+        const std::size_t at = l.dim_at[pick(l.dim_at.size())];
+        const auto v = static_cast<std::uint64_t>(extreme64[pick(std::size(extreme64))]);
+        for (int i = 0; i < 8; ++i) b[at + i] = static_cast<std::uint8_t>(v >> (8 * i));
+        break;
+      }
+      case 5: {  // cut at (or one byte either side of) a record boundary
+        std::vector<std::size_t> cuts = l.record_at;
+        cuts.insert(cuts.end(), l.payload_at.begin(), l.payload_at.end());
+        cuts.push_back(l.table_at);
+        const std::size_t cut = cuts[pick(cuts.size())] + pick(3) - 1;
+        b.resize(cut);
+        EXPECT_FALSE(loads(b, what)) << what << ": a cut package loaded";
+        continue;
+      }
+      default: {  // one bit flipped inside a weight payload
+        const std::size_t t = pick(l.payload_at.size());
+        b[l.payload_at[t] + pick(l.payload_bytes[t])] ^= 1u << pick(8);
+        try {
+          (void)unpack_model(b);
+          ADD_FAILURE() << what << ": a flipped payload bit loaded";
+        } catch (const GraphError& e) {
+          EXPECT_EQ(std::string(e.what()).rfind("package.digest.mismatch:", 0), 0u)
+              << what << ": " << e.what();
+        }
+        continue;
+      }
+    }
+    if (loads(b, what)) ++loaded;
+  }
+  // Most mutants are rejected, but a flip in a name or an unused field
+  // can load: the fuzz must have reached both outcomes.
+  EXPECT_GT(loaded, 0u);
+  EXPECT_LT(loaded, kSeeds / 2);
+}
+
+TEST(PackageFuzz, MalformedNumbersInTheTextAreGraphErrors) {
+  // The fuzz's finding: a flipped digit in the IR text (an input id, an int
+  // or float attribute, an input dimension) reached std::stol, std::stoll or
+  // std::stod, whose std::invalid_argument escaped unpack_model.
+  Graph g = materialized(zoo::micro_cnn("m", 1, 1, 8, 3));
+  const auto blob = pack_model(g);
+  const std::string text(blob.begin() + 12, blob.begin() + 12 + read_u32(blob, 8));
+  for (const std::string field : {"in=0", "kernel=int:3", "epsilon=float:1", "shape=1"}) {
+    const std::size_t at = text.find(field);
+    ASSERT_NE(at, std::string::npos) << field;
+    auto b = blob;
+    b.at(12 + at + field.size() - 1) = 'q';  // the number's first digit
+    EXPECT_THROW((void)unpack_model(b), GraphError) << field;
+  }
+  // Out of range: std::out_of_range is mapped the same way.
+  const std::string head = "graph g\nnode Input \"x\" in= attrs{";
+  EXPECT_THROW((void)from_text(head + "} shape=1,99999999999999999999\n"), GraphError);
+  EXPECT_THROW((void)from_text(head + "s=float:1e999} shape=1,4\n"), GraphError);
 }
 
 // ---------------------------------------------------------------------------

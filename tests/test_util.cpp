@@ -464,6 +464,26 @@ TEST(ThreadPool, HardwareThreadsIsPositive) {
 // CRC-32 (weight-digest hash)
 // ---------------------------------------------------------------------------
 
+// util::crc32 folds inputs of 64 bytes or more with PCLMULQDQ where the
+// host has it, and hashes the tail and short inputs with its table loop;
+// under VEDLIOT_FORCE_PORTABLE=1 everything takes the table loop. Either
+// way it must equal this bit-at-a-time reference.
+std::uint32_t reference_crc32(std::span<const std::uint8_t> data, std::uint32_t seed = 0) {
+  std::uint32_t c = ~seed;
+  for (const std::uint8_t byte : data) {
+    c ^= byte;
+    for (int k = 0; k < 8; ++k) c = (c & 1u) ? (c >> 1) ^ 0xEDB88320u : c >> 1;
+  }
+  return ~c;
+}
+
+std::vector<std::uint8_t> random_bytes(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::uint8_t> out(n);
+  for (auto& b : out) b = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
+  return out;
+}
+
 TEST(Crc32, MatchesCheckValue) {
   // The ISO-HDLC check value every conforming CRC-32 must produce.
   const std::string s = "123456789";
@@ -479,11 +499,19 @@ TEST(Crc32, EmptyAndSingleByte) {
 
 TEST(Crc32, SeedChainsAcrossFragments) {
   // crc32(a ++ b) == crc32(b, seed = crc32(a)) — the property the weight
-  // scrubber relies on to hash a tensor in per-tick fragments.
+  // scrubber relies on to hash a tensor in per-tick fragments. Splits at
+  // 15/16/17 and 63/64/65 bytes from either end put a fragment on each
+  // side of the fold's 16-byte block and 64-byte start.
   std::vector<std::uint8_t> data(257);
   for (std::size_t i = 0; i < data.size(); ++i) data[i] = static_cast<std::uint8_t>(i * 31);
   const auto whole = util::crc32(std::span<const std::uint8_t>(data));
-  for (const std::size_t split : {std::size_t{1}, std::size_t{100}, data.size() - 1}) {
+  EXPECT_EQ(whole, reference_crc32(data));
+  std::vector<std::size_t> splits{1, 100, data.size() - 1};
+  for (const std::size_t at : {15, 16, 17, 63, 64, 65}) {
+    splits.push_back(at);
+    splits.push_back(data.size() - at);
+  }
+  for (const std::size_t split : splits) {
     const auto head = util::crc32(std::span<const std::uint8_t>(data.data(), split));
     const auto chained = util::crc32(
         std::span<const std::uint8_t>(data.data() + split, data.size() - split), head);
@@ -496,6 +524,13 @@ TEST(Crc32, FloatOverloadHashesRawBytes) {
   const auto* raw = reinterpret_cast<const std::uint8_t*>(v.data());
   EXPECT_EQ(util::crc32(std::span<const float>(v)),
             util::crc32(std::span<const std::uint8_t>(raw, v.size() * sizeof(float))));
+  // 1,003 floats (4,012 bytes): the fold and a 12-byte table-loop tail.
+  Rng rng(6);
+  const std::vector<float> w = rng.normal_vector(1003);
+  const std::span<const std::uint8_t> bytes(reinterpret_cast<const std::uint8_t*>(w.data()),
+                                            w.size() * sizeof(float));
+  EXPECT_EQ(util::crc32(std::span<const float>(w)), reference_crc32(bytes));
+  EXPECT_EQ(util::crc32(std::span<const float>(w), 0x1234u), reference_crc32(bytes, 0x1234u));
 }
 
 TEST(Crc32, SingleBitFlipChangesDigest) {
@@ -505,6 +540,48 @@ TEST(Crc32, SingleBitFlipChangesDigest) {
   u ^= 1u << 23;
   v[17] = std::bit_cast<float>(u);
   EXPECT_NE(util::crc32(std::span<const float>(v)), before);
+}
+
+TEST(Crc32, EveryLengthUpTo320MatchesReference) {
+  const auto data = random_bytes(320, 1);
+  for (std::size_t n = 0; n <= data.size(); ++n) {
+    const std::span<const std::uint8_t> s(data.data(), n);
+    ASSERT_EQ(util::crc32(s), reference_crc32(s)) << "length " << n;
+    ASSERT_EQ(util::crc32(s, 0x9E3779B9u), reference_crc32(s, 0x9E3779B9u)) << "length " << n;
+  }
+}
+
+TEST(Crc32, LongBuffersMatchReference) {
+  for (const std::size_t n : {std::size_t{4} << 10, (std::size_t{64} << 10) + 13,
+                              (std::size_t{1} << 20) + 7}) {
+    const auto data = random_bytes(n, n);
+    EXPECT_EQ(util::crc32(std::span<const std::uint8_t>(data)), reference_crc32(data))
+        << "length " << n;
+  }
+}
+
+TEST(Crc32, EveryStartOffsetMatchesReference) {
+  const auto data = random_bytes(64 + 1000, 2);
+  for (std::size_t offset = 0; offset < 64; ++offset) {
+    for (const std::size_t n : {std::size_t{63}, std::size_t{64}, std::size_t{200},
+                                std::size_t{1000}}) {
+      const std::span<const std::uint8_t> s(data.data() + offset, n);
+      ASSERT_EQ(util::crc32(s), reference_crc32(s)) << "offset " << offset << " length " << n;
+    }
+  }
+}
+
+TEST(Crc32, RandomSeedsMatchReference) {
+  const auto data = random_bytes(2048, 3);
+  Rng rng(4);
+  for (int i = 0; i < 500; ++i) {
+    const auto offset = static_cast<std::size_t>(rng.uniform_int(0, 63));
+    const auto n = static_cast<std::size_t>(rng.uniform_int(0, 1984));
+    const auto seed = static_cast<std::uint32_t>(rng.uniform_int(0, 0xFFFFFFFFll));
+    const std::span<const std::uint8_t> s(data.data() + offset, n);
+    ASSERT_EQ(util::crc32(s, seed), reference_crc32(s, seed))
+        << "offset " << offset << " length " << n << " seed " << seed;
+  }
 }
 
 }  // namespace
